@@ -24,15 +24,17 @@ bench:
 # Fast coding-path throughput check (batched vs scalar engine, Viterbi
 # kernel, sweep fabric, disabled-telemetry overhead); writes
 # BENCH_coding.json at the repo root.  CI runs this and uploads the JSON.
+# One BLAS thread, as in benchmarks/e2e: threaded BLAS spins on the small
+# syndrome matmuls and would be what the ratios measure.
 bench-smoke:
-	PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py benchmarks/test_bench_sweep.py benchmarks/test_bench_obs.py benchmarks/test_bench_server.py -q
+	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py benchmarks/test_bench_sweep.py benchmarks/test_bench_obs.py benchmarks/test_bench_server.py -q
 
-# Bit-identity of every ACS kernel backend against the reference kernel.
-# Runs once with the backend forced to numpy and once under the default
-# (auto) selection; with numba installed, auto covers the jitted path.
+# Bit-identity of both Viterbi kernel backends against the reference kernel:
+# once forced to numpy, once forced to native (which fails, not skips, when
+# the C kernel does not build here).
 kernel-equivalence:
 	REPRO_VITERBI_BACKEND=numpy PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
-	PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
+	REPRO_VITERBI_BACKEND=native PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
 
 # Paper-fidelity benchmark run (4 KB pages, several minutes).
 bench-full:
@@ -47,6 +49,8 @@ experiments-full:
 examples:
 	for script in examples/*.py; do echo "== $$script"; python $$script; done
 
+# The native Viterbi kernel is built into src/repro/coding/__pycache__, so
+# removing every __pycache__ removes it too (it is rebuilt on next use).
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -2,27 +2,48 @@
 
 Not a paper figure — this tracks the implementation's own hot path so
 regressions in the Viterbi search or the syndrome former are visible.
-These benches use multiple rounds (they are fast per call).
+Everything here runs one lane on the paper's 4 KB page (32 768 bits) at
+K=7, once per available kernel backend, and every record says so.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.coding import ConvolutionalCosetCode
+from repro.coding.kernels import available_backends
+from repro.coding.viterbi import CosetViterbi
+
+PAGE_BITS = 32768
+CONSTRAINT_LENGTH = 7
 
 
-@pytest.fixture(scope="module")
-def code():
-    return ConvolutionalCosetCode(page_bits=4096, rate_denominator=2,
-                                  constraint_length=7)
+def _machine() -> dict:
+    """What every record here states next to its code parameters."""
+    return {
+        "constraint_length": CONSTRAINT_LENGTH,
+        "cpus": os.cpu_count() or 1,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+    }
 
 
-@pytest.fixture(scope="module")
-def warm_page(code):
+def _make_code(backend: str | None = None) -> ConvolutionalCosetCode:
+    code = ConvolutionalCosetCode(
+        page_bits=PAGE_BITS, rate_denominator=2,
+        constraint_length=CONSTRAINT_LENGTH,
+    )
+    if backend is not None:
+        code.viterbi = CosetViterbi(
+            code.viterbi.trellis, code.viterbi.codebook, backend=backend
+        )
+    return code
+
+
+def _warm_page(code) -> np.ndarray:
     """A half-worn page (realistic mid-life Viterbi input)."""
     rng = np.random.default_rng(0)
     page = np.zeros(code.page_bits, np.uint8)
@@ -33,7 +54,13 @@ def warm_page(code):
     return page
 
 
-def test_bench_viterbi_encode(benchmark, perf_recorder, code, warm_page) -> None:
+@pytest.fixture(scope="module", params=available_backends())
+def code(request):
+    return _make_code(request.param)
+
+
+def test_bench_viterbi_encode(benchmark, perf_recorder, code) -> None:
+    warm_page = _warm_page(code)
     rng = np.random.default_rng(1)
     datawords = [
         rng.integers(0, 2, code.dataword_bits, dtype=np.uint8)
@@ -49,9 +76,12 @@ def test_bench_viterbi_encode(benchmark, perf_recorder, code, warm_page) -> None
     result = benchmark(encode_once)
     assert result.shape == (code.page_bits,)
     mean = benchmark.stats.stats.mean
+    backend = code.viterbi.backend.name
     perf_recorder.record(
-        "viterbi-encode-4KB",
+        f"viterbi-encode-4KB[{backend}]",
         page_bits=code.page_bits,
+        backend=backend,
+        **_machine(),
         mean_seconds=mean,
         writes_per_sec=1 / mean,
         cells_per_sec=code.varray.num_cells / mean,
@@ -88,7 +118,7 @@ def _reference_search_batch(viterbi, reps, levels):
 
 
 def test_bench_viterbi_kernel_speedup(perf_recorder, code) -> None:
-    """The radix-4 kernel must hold >= 2x over the historical kernel.
+    """Every backend must hold >= 2x over the historical kernel.
 
     Ratio-based (both kernels timed on this machine) so the bar is
     meaningful regardless of CI hardware; bit-identity of the outputs is
@@ -117,27 +147,33 @@ def test_bench_viterbi_kernel_speedup(perf_recorder, code) -> None:
     new_seconds = best_of(lambda: viterbi.search_batch(reps, levels))
     ref_seconds = best_of(lambda: _reference_search_batch(viterbi, reps, levels))
     speedup = ref_seconds / new_seconds
+    backend = viterbi.backend.name
     perf_recorder.record(
-        "viterbi-kernel-speedup-4KB",
+        f"viterbi-kernel-speedup-4KB[{backend}]",
         steps=steps,
         num_states=viterbi.trellis.num_states,
+        backend=backend,
+        **_machine(),
         reference_seconds=ref_seconds,
         kernel_seconds=new_seconds,
         speedup=speedup,
     )
     assert speedup >= 2.0, (
-        f"radix-4 kernel only {speedup:.2f}x the historical kernel "
+        f"{backend} kernel only {speedup:.2f}x the historical kernel "
         f"(required 2x)"
     )
 
 
-def test_bench_syndrome_decode(benchmark, perf_recorder, code, warm_page) -> None:
+def test_bench_syndrome_decode(benchmark, perf_recorder) -> None:
+    code = _make_code()  # decoding never searches: no backend to vary
+    warm_page = _warm_page(code)
     result = benchmark(lambda: code.decode(warm_page))
     assert result.shape == (code.dataword_bits,)
     mean = benchmark.stats.stats.mean
     perf_recorder.record(
         "syndrome-decode-4KB",
         page_bits=code.page_bits,
+        **_machine(),
         mean_seconds=mean,
         reads_per_sec=1 / mean,
         cells_per_sec=code.varray.num_cells / mean,

@@ -52,7 +52,8 @@ _STORES = _metrics.counter("cache.stores")
 
 @lru_cache(maxsize=1)
 def code_fingerprint() -> str:
-    """SHA-256 over every ``.py`` file of the installed ``repro`` package.
+    """SHA-256 over every ``.py`` and ``.c`` file of the installed ``repro``
+    package (the Viterbi kernel's C source computes results too).
 
     Folding this into every cache key makes source edits invalidate the
     whole cache — conservative (a docs-only change also invalidates) but
@@ -62,7 +63,8 @@ def code_fingerprint() -> str:
 
     package_root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
+    sources = (*package_root.rglob("*.py"), *package_root.rglob("*.c"))
+    for path in sorted(sources):
         digest.update(str(path.relative_to(package_root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

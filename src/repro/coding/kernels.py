@@ -1,51 +1,40 @@
-"""Pluggable ACS kernel backends for the Viterbi radix-4 fast path.
+"""Pluggable kernel backends for the Viterbi fast path.
 
-The add-compare-select recursion inside
-:meth:`~repro.coding.viterbi.CosetViterbi._forward_radix4` is the single
-hottest loop in the repository — every page write runs it once per pair of
-trellis steps.  This module isolates that loop behind a tiny backend
-registry so alternate implementations (a numba-jitted kernel today, a C
-extension tomorrow) can be dropped in without touching the search logic,
-and — crucially — behind the reference-equivalence harness in
-``tests/coding/test_viterbi_kernel.py``, which pins every registered
-backend to byte-identical codewords, costs, and writability masks.
+Every page write runs one minimum-cost coset search, the hottest code in
+the repository.  :class:`~repro.coding.viterbi.CosetViterbi` owns the
+tables and the dispatch; the search sits behind this registry.
 
-Backend contract
-----------------
-A backend is one in-place function::
+A backend is two functions reading the tables of the ``CosetViterbi``
+they are handed::
 
-    acs_radix4(path, folded, prev2_flat, sel, low01, low23, pair0)
+    forward(viterbi, reps, levels, dtype) -> (path, backptr)
+    backtrace(viterbi, reps, end_state, backptr) -> codeword_values
 
-which must advance ``path`` (shape ``(B, S)``, float32 or float64) through
-``folded.shape[0]`` radix-4 iterations.  ``folded[i, b, kk * S + s]`` is
-the two-step branch cost of lane ``b`` reaching state ``s`` via choice
-pair ``kk``; ``prev2_flat[kk * S + s]`` is the matching two-step
-predecessor state.  For each iteration the backend writes three boolean
-backpointer planes at row ``pair0 + i``:
+``reps`` is ``(B, steps)`` and ``levels`` ``(B, steps, cells)``, int64
+but not necessarily contiguous; ``path`` is the ``(B, S)`` final metrics
+in ``dtype`` (float32/float64), ``codeword_values`` ``(B, steps)`` int64,
+and ``backptr`` is private to the backend.  Costs are non-negative
+integers or ``inf``.  Strict-less selects are load-bearing: a tie keeps
+the lower predecessor, ``argmin``'s first-occurrence rule, which the
+historical recursion (and so every recorded result) follows.  A backend
+that breaks ties differently is *wrong* even if its total costs agree;
+``tests/coding/test_viterbi_kernel.py`` pins every available backend to
+byte-identical codewords, costs and writability.
 
-* ``low01`` — within the ``kk < 2`` pair, choice 1 was *strictly* lower;
-* ``low23`` — within the ``kk >= 2`` pair, choice 3 was strictly lower;
-* ``sel``   — the ``kk >= 2`` pair won strictly.
-
-Strict-less comparisons are load-bearing: they reproduce ``argmin``'s
-first-occurrence tie-breaking, which the historical radix-2 recursion
-(and therefore every recorded result) depends on.  A backend that breaks
-ties differently is *wrong* even if its total costs agree.
-
-Selection
----------
-:func:`resolve_backend` picks a backend by explicit name, the
-``REPRO_VITERBI_BACKEND`` environment variable, or ``"auto"`` (numba when
-importable, else numpy).  The numpy backend is always registered and is
-the exact loop the radix-4 kernel shipped with, so systems without any
-accelerator are bit-for-bit unchanged.  Resolution is memoized per name —
-the numba import (slow) and jit compilation happen at most once per
-process.
+``numpy`` (always available, the reference) folds two steps into one
+radix-4 iteration of ufunc calls.  ``native`` is ``_viterbi.c``: cost
+lookup, ACS and backtrace fused into two foreign calls per search,
+compiled on first use into this package's ``__pycache__`` and loaded
+with ``ctypes``.  Nothing is probed, imported or written until a
+``CosetViterbi`` resolves its backend: by explicit name, then the
+``REPRO_VITERBI_BACKEND`` variable, then ``"auto"`` (native when it
+builds, else numpy), memoized per name.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,32 +46,36 @@ __all__ = [
     "KernelBackend",
     "available_backends",
     "backend_names",
-    "numba_available",
-    "register_backend",
     "resolve_backend",
 ]
 
-#: Environment variable naming the backend ("numpy", "numba", "auto").
+#: Environment variable naming the backend ("auto", "numpy", "native").
 BACKEND_ENV = "REPRO_VITERBI_BACKEND"
+
+#: Cost rows are gathered in chunks of roughly this many bytes so the
+#: hoisted gather stays cache-friendly when batch and page are both large.
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One registered ACS implementation."""
+    """One registered implementation of the radix-4 search."""
 
     name: str
-    acs_radix4: Callable
-    description: str = ""
+    forward: Callable
+    backtrace: Callable
+    #: Reads ``CosetViterbi._fused_flat``: a searcher whose level space is
+    #: too large to tabulate runs the numpy backend instead.
+    needs_fused_table: bool = False
+
+
+# -- numpy backend --------------------------------------------------------------
 
 
 def _acs_radix4_numpy(path, folded, prev2_flat, sel, low01, low23, pair0):
-    """The shipped radix-4 loop: elementwise ufuncs with ``out=`` targets.
-
-    ``argmin`` is an order of magnitude slower on these shapes at every
-    axis layout, so the four-way compare-select is spelled as two pairwise
-    minima plus a final one, with the comparisons writing the backpointer
-    planes directly.
-    """
+    """One pass of ``out=`` ufuncs per step pair.  ``argmin`` is an order
+    of magnitude slower on these shapes, so the four-way select is two
+    pairwise minima plus a final one, the comparisons writing the planes."""
     pairs, lanes, four_s = folded.shape
     num_states = four_s // 4
     inc4 = np.empty((lanes, 4, num_states), dtype=path.dtype)
@@ -103,97 +96,259 @@ def _acs_radix4_numpy(path, folded, prev2_flat, sel, low01, low23, pair0):
         np.minimum(min01, min23, out=path)
 
 
-def _make_numpy_backend() -> KernelBackend:
-    return KernelBackend(
-        name="numpy",
-        acs_radix4=_acs_radix4_numpy,
-        description="vectorized ufunc loop (always available; the reference)",
+def _forward_numpy(v, reps, levels, dtype):
+    """ACS over two trellis steps per iteration; exact for integer costs.
+
+    Choice ``kk = 2*k1 + k0`` takes predecessor ``k1`` at the later step
+    and ``k0`` at the earlier one.  The backpointers are three boolean
+    planes per pair, ``kk = 2 + low23 if sel else low01``, plus the odd
+    final step's radix-2 plane or None.
+    """
+    lanes, steps = reps.shape
+    num_states = v.trellis.num_states
+    n_pairs = steps // 2
+    path = np.zeros((lanes, num_states), dtype=dtype)
+    sel = np.empty((n_pairs, lanes, num_states), dtype=bool)
+    low01 = np.empty((n_pairs, lanes, num_states), dtype=bool)
+    low23 = np.empty((n_pairs, lanes, num_states), dtype=bool)
+    backptr_tail = (
+        np.empty((lanes, num_states), dtype=bool) if steps % 2 else None
     )
+    row_bytes = 2 * num_states * lanes * 8
+    chunk = max(2, _CHUNK_BYTES // max(row_bytes, 1))
+    chunk -= chunk % 2
+    pair = 0
+    for t0 in range(0, steps, chunk):
+        t1 = min(steps, t0 + chunk)
+        span = t1 - t0
+        chunk_pairs = span // 2
+        if v._fused_flat is not None:
+            # Gather straight from the (level combos, 2**m) fused table
+            # — it is tiny, so every lookup is a cache hit.
+            costs_flat = v._fused_flat[np.dtype(dtype)]
+            level_rows = levels[:, t0:t1, 0]
+            for cell in range(1, v.cells_per_step):
+                level_rows = level_rows * v._num_levels + levels[:, t0:t1, cell]
+            level_rows = (level_rows * v.num_values).astype(np.int32)
+            late_off = level_rows[:, 1::2].T[:, :, None]
+            early_off = level_rows[:, 0 : span - (span % 2) : 2].T[:, :, None]
+            tail_off = level_rows[:, span - 1]
+        else:
+            # (B * span, 2**m) cost rows for this chunk of steps,
+            # flattened so the composed gathers below index directly.
+            costs_flat = np.ascontiguousarray(
+                v.step_cost_table(levels[:, t0:t1]).reshape(-1, v.num_values),
+                dtype=dtype,
+            )
+            lane_base = np.arange(lanes, dtype=np.int32) * (span * v.num_values)
+            step_off = (
+                np.arange(chunk_pairs, dtype=np.int32) * (2 * v.num_values)
+            )[:, None] + lane_base[None, :]
+            late_off = (step_off + v.num_values)[:, :, None]
+            early_off = step_off[:, :, None]
+            tail_off = lane_base + (span - 1) * v.num_values
+        if chunk_pairs:
+            # Fold the two steps of each pair at gather time: one take
+            # per half-step slab, no intermediate 2S-wide branch tensor.
+            late = v._xg2_late[reps[:, t0 + 1 : t1 : 2].T]
+            early = v._xg2_early[reps[:, t0 : t1 - (span % 2) : 2].T]
+            late += late_off
+            early += early_off
+            folded = costs_flat.take(late)
+            folded += costs_flat.take(early)
+            _acs_radix4_numpy(path, folded, v._prev2_flat, sel, low01, low23, pair)
+            pair += chunk_pairs
+        if span % 2:  # only the final chunk of an odd-length trellis
+            inc2 = np.empty((lanes, 2, num_states), dtype=dtype)
+            inc2_flat = inc2.reshape(lanes, 2 * num_states)
+            tail_idx = v._xg_flat[reps[:, t1 - 1]] + tail_off[:, None]
+            path.take(v._prev_flat, axis=1, out=inc2_flat)
+            inc2_flat += costs_flat.take(tail_idx)
+            np.less(inc2[:, 1], inc2[:, 0], out=backptr_tail)
+            np.minimum(inc2[:, 0], inc2[:, 1], out=path)
+    return path, (sel, low01, low23, backptr_tail)
 
 
-def _make_numba_backend() -> KernelBackend:
-    """Jit the scalar form of the same recursion (raises ImportError
-    when numba is not installed)."""
-    import numba
+def _backtrace_numpy(v, reps, end_state, backptr):
+    """Walk states backward, then rebuild all codeword chunks at once."""
+    lanes, steps = reps.shape
+    sel, low01, low23, backptr_tail = backptr
+    if lanes == 1:
+        # A pure-Python walk over nested lists beats batched fancy
+        # indexing by a wide margin at one lane.
+        seq = [0] * steps
+        state = int(end_state[0])
+        if backptr_tail is not None:
+            state = v._prev_list[state][int(backptr_tail[0, state])]
+            seq[steps - 1] = state
+        sel_item, low01_item, low23_item = sel.item, low01.item, low23.item
+        mid_list, src_list = v._mid_list, v._src_list
+        for pair in range(steps // 2 - 1, -1, -1):
+            if sel_item(pair, 0, state):
+                kk = 2 + low23_item(pair, 0, state)
+            else:
+                kk = low01_item(pair, 0, state)
+            row_mid, row_src = mid_list[state], src_list[state]
+            seq[2 * pair + 1] = row_mid[kk]
+            state = row_src[kk]
+            seq[2 * pair] = state
+        before = np.array(seq, dtype=np.int64)[None, :]
+    else:
+        lane_index = np.arange(lanes)
+        sel_u = sel.view(np.uint8)
+        low01_u = low01.view(np.uint8)
+        low23_u = low23.view(np.uint8)
+        before = np.empty((lanes, steps), dtype=np.int64)
+        state = end_state.astype(np.int64)
+        if backptr_tail is not None:
+            choice = backptr_tail.view(np.uint8)[lane_index, state]
+            before[:, steps - 1] = state = v._prev_src[state, choice]
+        for pair in range(steps // 2 - 1, -1, -1):
+            t = 2 * pair
+            chose23 = sel_u[pair, lane_index, state]
+            kk = np.where(
+                chose23,
+                2 + low23_u[pair, lane_index, state],
+                low01_u[pair, lane_index, state],
+            )
+            before[:, t + 1] = v._mid_tab[state, kk]
+            before[:, t] = state = v._src_tab[state, kk]
+    after = np.empty_like(before)
+    after[:, :-1] = before[:, 1:]
+    after[:, -1] = end_state
+    # Shift-register labeling: the input consumed entering a state is
+    # its low bit (validated in CosetViterbi before taking this path).
+    return v._out_values[before, after & 1] ^ reps
 
-    @numba.njit(cache=False)
-    def _acs_radix4_numba(path, folded, prev2_flat, sel, low01, low23, pair0):
-        pairs = folded.shape[0]
-        lanes = folded.shape[1]
-        num_states = folded.shape[2] // 4
-        old = np.empty_like(path[0])
-        for i in range(pairs):
-            row = pair0 + i
-            for b in range(lanes):
-                old[:] = path[b]
-                for s in range(num_states):
-                    c0 = old[prev2_flat[s]] + folded[i, b, s]
-                    c1 = (
-                        old[prev2_flat[num_states + s]]
-                        + folded[i, b, num_states + s]
-                    )
-                    c2 = (
-                        old[prev2_flat[2 * num_states + s]]
-                        + folded[i, b, 2 * num_states + s]
-                    )
-                    c3 = (
-                        old[prev2_flat[3 * num_states + s]]
-                        + folded[i, b, 3 * num_states + s]
-                    )
-                    # Strict-less selects mirror the numpy backend exactly:
-                    # ties keep the lower kk, matching argmin's
-                    # first-occurrence rule.
-                    l01 = c1 < c0
-                    m01 = c1 if l01 else c0
-                    l23 = c3 < c2
-                    m23 = c3 if l23 else c2
-                    chose23 = m23 < m01
-                    low01[row, b, s] = l01
-                    low23[row, b, s] = l23
-                    sel[row, b, s] = chose23
-                    path[b, s] = m23 if chose23 else m01
 
-    return KernelBackend(
-        name="numba",
-        acs_radix4=_acs_radix4_numba,
-        description="numba-jitted scalar recursion (requires numba)",
-    )
+# -- native backend -------------------------------------------------------------
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_viterbi.c")
+_CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+#: No -ffast-math, ever: unwritable lanes carry IEEE inf through the ACS.
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
-#: Factories run lazily so registering a backend never imports it.
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
+def _find_compiler() -> str | None:
+    import shutil
+
+    return shutil.which(os.environ.get("CC") or "cc")
+
+
+def _load_native():
+    """Build ``_viterbi.c`` unless its artefact is cached, and load it.
+
+    Raises ``ModuleNotFoundError`` when there is no compiler and plain
+    ``ImportError`` when building or loading fails.
+    """
+    import ctypes
+    import hashlib
+    import platform
+    import subprocess
+    import tempfile
+
+    with open(_SOURCE, "rb") as handle:
+        keyed = handle.read() + " ".join((*_CFLAGS, platform.machine())).encode()
+    name = f"_viterbi-{hashlib.sha256(keyed).hexdigest()[:16]}.so"
+    library = os.path.join(_CACHE_DIR, name)
+    if not os.path.exists(library):
+        compiler = _find_compiler()
+        if compiler is None:
+            raise ModuleNotFoundError("no C compiler found ($CC or cc)")
+        try:
+            os.makedirs(_CACHE_DIR, exist_ok=True)
+            # Build beside the target and rename: concurrent first users
+            # each publish a whole file, and nothing partial is ever loaded.
+            with tempfile.TemporaryDirectory(dir=_CACHE_DIR) as scratch:
+                built = os.path.join(scratch, name)
+                subprocess.run(
+                    [compiler, *_CFLAGS, "-o", built, _SOURCE],
+                    check=True, capture_output=True, text=True,
+                )
+                os.replace(built, library)
+        except subprocess.CalledProcessError as exc:
+            raise ImportError(f"{compiler} failed: {exc.stderr.strip()}") from exc
+        except OSError as exc:
+            raise ImportError(f"cannot build {library}: {exc}") from exc
+    try:
+        return ctypes.CDLL(library)
+    except OSError as exc:
+        raise ImportError(f"cannot load {library}: {exc}") from exc
+
+
+def _make_native_backend() -> KernelBackend:
+    import ctypes
+
+    library = _load_native()
+    forwards = {
+        np.dtype(np.float32): library.forward_f32,
+        np.dtype(np.float64): library.forward_f64,
+    }
+    for function in forwards.values():
+        function.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 7
+    library.backtrace.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6
+
+    def call(function, sizes, *arrays):
+        # The kernel assumes C order and exactly these dtypes, so callers
+        # pass everything through ascontiguousarray (free when it conforms);
+        # `arrays` keeps the buffers alive.  Values are range-checked in C.
+        status = function(*sizes, *(array.ctypes.data for array in arrays))
+        if status == -1:
+            raise MemoryError("Viterbi kernel could not allocate scratch")
+        if status:
+            raise IndexError("Viterbi kernel input out of range")
+
+    def forward(v, reps, levels, dtype):
+        lanes, steps = reps.shape
+        num_states = v.trellis.num_states
+        path = np.empty((lanes, num_states), dtype=dtype)
+        choice = np.empty((lanes, steps, num_states), dtype=np.uint8)
+        call(
+            forwards[np.dtype(dtype)],
+            (lanes, steps, num_states, v.cells_per_step, v._num_levels,
+             v.num_values),
+            np.ascontiguousarray(v._prev_src, dtype=np.int32),
+            np.ascontiguousarray(v._pred_output, dtype=np.int32),
+            np.ascontiguousarray(v._fused_flat[np.dtype(dtype)], dtype=dtype),
+            np.ascontiguousarray(reps, dtype=np.int64),
+            np.ascontiguousarray(levels, dtype=np.int64),
+            path, choice,
+        )
+        return path, choice
+
+    def backtrace(v, reps, end_state, backptr):
+        codeword = np.empty(reps.shape, dtype=np.int64)
+        call(
+            library.backtrace, (*reps.shape, v.trellis.num_states),
+            np.ascontiguousarray(v._prev_src, dtype=np.int32),
+            np.ascontiguousarray(v._out_values, dtype=np.int32),
+            np.ascontiguousarray(reps, dtype=np.int64),
+            np.ascontiguousarray(end_state, dtype=np.int64),
+            backptr, codeword,
+        )
+        return codeword
+
+    return KernelBackend("native", forward, backtrace, needs_fused_table=True)
+
+
+# -- registry -------------------------------------------------------------------
+
+#: Factories run at first resolution, so listing a backend never builds it.
+#: One that raises ``ImportError`` is unavailable: ``"auto"`` skips it, naming
+#: it explicitly is a :class:`~repro.errors.ConfigurationError`.
+_FACTORIES: dict[str, Callable[[], KernelBackend]] = {
+    "numpy": lambda: KernelBackend("numpy", _forward_numpy, _backtrace_numpy),
+    "native": _make_native_backend,
+}
 #: Memoized resolutions, including the "auto" alias.
 _RESOLVED: dict[str, KernelBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend factory under ``name``.
-
-    The factory runs at first resolution; raising ``ImportError`` marks
-    the backend unavailable (``"auto"`` skips it, naming it explicitly is
-    a :class:`~repro.errors.ConfigurationError`).
-    """
-    _FACTORIES[name] = factory
-    _RESOLVED.pop(name, None)
-    _RESOLVED.pop("auto", None)
-
-
-register_backend("numpy", _make_numpy_backend)
-register_backend("numba", _make_numba_backend)
+#: Why a backend's factory last failed here, by name.
+unavailable: dict[str, str] = {}
 
 
 def backend_names() -> list[str]:
     """Every registered backend name (available or not)."""
     return sorted(_FACTORIES)
-
-
-def numba_available() -> bool:
-    """Can the numba backend actually be built in this environment?"""
-    try:
-        _resolve_one("numba")
-    except (ImportError, ConfigurationError):
-        return False
-    return True
 
 
 def available_backends() -> list[str]:
@@ -202,7 +357,7 @@ def available_backends() -> list[str]:
     for name in backend_names():
         try:
             _resolve_one(name)
-        except (ImportError, ConfigurationError):
+        except ImportError:
             continue
         names.append(name)
     return names
@@ -217,18 +372,24 @@ def _resolve_one(name: str) -> KernelBackend:
                 f"unknown Viterbi kernel backend {name!r}; registered: "
                 f"{backend_names()} (or 'auto')"
             )
-        backend = factory()
+        try:
+            backend = factory()
+        except ImportError as exc:
+            unavailable[name] = str(exc)
+            raise
+        unavailable.pop(name, None)
         _RESOLVED[name] = backend
     return backend
 
 
 def resolve_backend(name: str | None = None) -> KernelBackend:
-    """Pick the ACS backend for a new :class:`CosetViterbi`.
+    """Pick the kernel backend for a new :class:`CosetViterbi`.
 
     Precedence: explicit ``name`` argument, then ``REPRO_VITERBI_BACKEND``,
-    then ``"auto"``.  ``"auto"`` prefers numba when importable and falls
-    back to numpy silently; asking for an unavailable backend by name
-    raises so a mistyped/missing accelerator never degrades quietly.
+    then ``"auto"``.  ``"auto"`` falls back from native to numpy, silently
+    when there is no compiler and with one warning when a build failed (a
+    5x slow-down should not be silent); asking for an unavailable backend
+    by name raises so a missing accelerator never degrades quietly.
     """
     requested = (name or os.environ.get(BACKEND_ENV) or "auto").lower()
     cached = _RESOLVED.get(requested)
@@ -236,8 +397,14 @@ def resolve_backend(name: str | None = None) -> KernelBackend:
         return cached
     if requested == "auto":
         try:
-            backend = _resolve_one("numba")
-        except (ImportError, ConfigurationError):
+            backend = _resolve_one("native")
+        except ImportError as exc:
+            if not isinstance(exc, ModuleNotFoundError):
+                warnings.warn(
+                    f"native Viterbi kernel unavailable, using numpy: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             backend = _resolve_one("numpy")
         _RESOLVED["auto"] = backend
         return backend
@@ -246,5 +413,5 @@ def resolve_backend(name: str | None = None) -> KernelBackend:
     except ImportError as exc:
         raise ConfigurationError(
             f"Viterbi kernel backend {requested!r} is registered but not "
-            f"available here ({exc}); install it or use 'numpy'/'auto'"
+            f"available here ({exc}); fix that or use 'numpy'/'auto'"
         ) from exc

@@ -16,33 +16,23 @@ saturated page never aborts the whole batch.
 
 Kernel layout
 -------------
-The add-compare-select recursion is sequential in trellis steps, so for the
-small state counts the paper uses (64 states at K=7) the wall clock is
-dominated by Python-level dispatch, not arithmetic.  The kernel therefore
-minimizes work per step three ways:
-
-* branch costs for whole slabs of steps are gathered into a contiguous
-  ``(steps, B, 2 * states)`` tensor *before* the step loop, so the loop
-  body never touches the codebook or the XOR tables;
-* when every finite metric cost is a non-negative integer (true for the
-  paper's metric and both ablations), two trellis steps are folded into one
-  radix-4 iteration over precomputed two-step predecessor tables — exact,
-  because integer-valued float sums are associative — and path metrics drop
-  to float32 whenever the worst-case total fits its 2**24 exact-integer
-  range;
-* the backtrace walks states only (one gather per step); codeword chunks
-  are reconstructed from the state sequence in one vectorized pass.
+The add-compare-select recursion is sequential in trellis steps, so for
+the small state counts the paper uses (64 states at K=7) the wall clock
+is dispatch, not arithmetic.  When every finite metric cost is a
+non-negative integer (true for the paper's metric and both ablations)
+and the trellis is a shift register, the search (forward pass and
+backtrace) runs through a pluggable backend from
+:mod:`repro.coding.kernels`: a fused C kernel built on first use, or
+the always-available numpy loops that fold two steps into one radix-4
+iteration.  Path metrics drop to float32 whenever the worst-case total
+fits its 2**24 exact-integer range; integer-valued float sums are
+associative, so every backend is bit-identical (pinned by
+``tests/coding/test_viterbi_kernel.py``).  The backend is chosen per
+``CosetViterbi`` via the ``backend`` argument or ``REPRO_VITERBI_BACKEND``.
 
 Non-integral metrics fall back to a float64 radix-2 loop that reproduces
 the historical arithmetic operation for operation, so results are
 bit-identical for every metric either way.
-
-The radix-4 pair loop itself is pluggable: :mod:`repro.coding.kernels`
-keeps a registry of ACS backends (the vectorized numpy loop as the
-always-available default, a numba-jitted kernel when numba is
-importable), selected per ``CosetViterbi`` via the ``backend`` argument
-or the ``REPRO_VITERBI_BACKEND`` environment variable.  Every backend is
-pinned bit-identical by ``tests/coding/test_viterbi_kernel.py``.
 """
 
 from __future__ import annotations
@@ -53,28 +43,12 @@ import numpy as np
 
 from repro.coding.convolutional import Trellis
 from repro.coding.cost import CellCodebook
-from repro.coding.kernels import (
-    KernelBackend,
-    available_backends,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
+from repro.coding.kernels import _CHUNK_BYTES, resolve_backend
 from repro.errors import ConfigurationError, UnwritableError
 from repro.obs import registry as _metrics
 from repro.obs.tracing import span as _span
 
-__all__ = [
-    "CosetViterbi",
-    "ViterbiResult",
-    "ViterbiBatchResult",
-    # Re-exported kernel-backend registry (see repro.coding.kernels).
-    "KernelBackend",
-    "available_backends",
-    "backend_names",
-    "register_backend",
-    "resolve_backend",
-]
+__all__ = ["CosetViterbi", "ViterbiResult", "ViterbiBatchResult"]
 
 #: Telemetry handles (live forever; self-gated on the registry's enabled
 #: flag).  The ACS and backtrace phases additionally get spans per search —
@@ -82,12 +56,6 @@ __all__ = [
 _SEARCHES = _metrics.counter("viterbi.searches")
 _LANES = _metrics.counter("viterbi.lanes")
 _UNWRITABLE = _metrics.counter("viterbi.unwritable_lanes")
-
-#: Branch-cost slabs are precomputed in chunks of roughly this many bytes so
-#: the hoisted gather stays cache-friendly without ballooning memory when
-#: both the batch and the page are large.
-_CHUNK_BYTES = 8 << 20
-
 
 
 @dataclass(frozen=True)
@@ -152,9 +120,9 @@ class ViterbiBatchResult:
 class CosetViterbi:
     """Reusable searcher for one (trellis, codebook) pair.
 
-    ``backend`` names the ACS kernel implementation for the radix-4 fast
+    ``backend`` names the kernel implementation for the integral fast
     path (default: the ``REPRO_VITERBI_BACKEND`` environment variable,
-    falling back to ``"auto"`` — numba when importable, else numpy).
+    falling back to ``"auto"`` — native when it builds, else numpy).
     Backend choice never changes results, only wall clock.
     """
 
@@ -216,8 +184,7 @@ class CosetViterbi:
         self._prev2_flat = (
             np.ascontiguousarray(self._src_tab.T).reshape(-1).astype(np.intp)
         )
-        # Plain nested lists for the single-lane backtrace: at B = 1 a pure
-        # Python state walk beats batched fancy indexing by a wide margin.
+        # Plain nested lists for the numpy backend's single-lane backtrace.
         self._mid_list = self._mid_tab.tolist()
         self._src_list = self._src_tab.tolist()
         self._prev_list = prev.tolist()
@@ -257,18 +224,18 @@ class CosetViterbi:
                     combos[:, cell][:, None],
                     self.symbol_of_value[None, :, cell],
                 ]
-            self._fused_costs = fused.astype(np.float32)
             self._fused_flat = {
                 np.dtype(np.float32): np.ascontiguousarray(
-                    self._fused_costs.reshape(-1)
+                    fused.reshape(-1), dtype=np.float32
                 ),
                 np.dtype(np.float64): np.ascontiguousarray(
                     fused.reshape(-1)
                 ),
             }
         else:
-            self._fused_costs = None
             self._fused_flat = None
+            if self.backend.needs_fused_table:
+                self.backend = resolve_backend("numpy")
         # Exact-arithmetic guards.  Folding two steps regroups float adds,
         # and float32 narrows them; both are only exact when every finite
         # cost is a non-negative integer (sums of exact integers below the
@@ -345,10 +312,10 @@ class CosetViterbi:
         step_levels:
             ``(B, steps, cells_per_step)`` current v-cell levels per lane.
 
-        The add-compare-select recursion and the backtrace are vectorized
-        over the batch axis; the only Python loop is over trellis steps
-        (two at a time on the radix-4 fast path).  Unwritable lanes are
-        flagged in the result mask instead of raising, so callers can
+        The numpy paths vectorize the add-compare-select recursion and
+        the backtrace over the batch axis and loop over trellis steps in
+        Python; the native kernel loops over lanes in C.  Unwritable lanes
+        are flagged in the result mask instead of raising, so callers can
         recycle those pages and keep the batch going.
         """
         reps = np.asarray(representative_values, dtype=np.int64)
@@ -378,14 +345,12 @@ class CosetViterbi:
                 radix=4,
                 backend=self.backend.name,
             ):
-                path, backptr2, backptr_tail = self._forward_radix4(
-                    reps, levels, dtype
-                )
+                path, backptr = self.backend.forward(self, reps, levels, dtype)
             end_state = np.argmin(path, axis=1)
             total_costs = path[lane_index, end_state].astype(np.float64)
             with _span("viterbi.backtrace", lanes=lanes, steps=steps, radix=4):
-                codeword_values = self._backtrace_radix4(
-                    reps, end_state, backptr2, backptr_tail, lane_index
+                codeword_values = self.backend.backtrace(
+                    self, reps, end_state, backptr
                 )
         else:
             with _span("viterbi.acs", lanes=lanes, steps=steps, radix=2):
@@ -437,150 +402,6 @@ class CosetViterbi:
             ).reshape(lanes, -1, 1)
             branch = costs.reshape(-1).take(gather)
             yield t0, branch.astype(dtype, copy=False)
-
-    # -- radix-4 fast path (integral metrics, shift-register trellis) ----------
-
-    def _forward_radix4(self, reps, levels, dtype):
-        """ACS over two trellis steps per iteration; exact for integer costs.
-
-        The backpointers are three boolean planes per pair:
-
-        * ``sel[p]``  — the winning choice came from the ``kk >= 2`` pair,
-        * ``low01[p]`` / ``low23[p]`` — the winner within each pair,
-
-        so ``kk = 2 + low23 if sel else low01``.  The pair recursion itself
-        runs through the pluggable ACS backend (``self.backend``, see
-        :mod:`repro.coding.kernels`); every backend writes the planes with
-        strict-less comparisons, reproducing ``argmin``'s first-occurrence
-        tie-breaking and therefore the sequential radix-2 recursion exactly.
-        """
-        lanes, steps = reps.shape
-        num_states = self.trellis.num_states
-        n_pairs = steps // 2
-        path = np.zeros((lanes, num_states), dtype=dtype)
-        sel = np.empty((n_pairs, lanes, num_states), dtype=bool)
-        low01 = np.empty((n_pairs, lanes, num_states), dtype=bool)
-        low23 = np.empty((n_pairs, lanes, num_states), dtype=bool)
-        backptr_tail = (
-            np.empty((lanes, num_states), dtype=bool) if steps % 2 else None
-        )
-        acs_radix4 = self.backend.acs_radix4
-        prev2_flat = self._prev2_flat
-        row_bytes = 2 * num_states * lanes * 8
-        chunk = max(2, _CHUNK_BYTES // max(row_bytes, 1))
-        chunk -= chunk % 2
-        pair = 0
-        for t0 in range(0, steps, chunk):
-            t1 = min(steps, t0 + chunk)
-            span = t1 - t0
-            chunk_pairs = span // 2
-            if self._fused_flat is not None:
-                # Gather straight from the (level combos, 2**m) fused table
-                # — it is tiny, so every lookup is a cache hit.
-                costs_flat = self._fused_flat[np.dtype(dtype)]
-                level_rows = levels[:, t0:t1, 0]
-                for cell in range(1, self.cells_per_step):
-                    level_rows = (
-                        level_rows * self._num_levels
-                        + levels[:, t0:t1, cell]
-                    )
-                level_rows = (level_rows * self.num_values).astype(np.int32)
-                late_off = level_rows[:, 1::2].T[:, :, None]
-                early_off = level_rows[:, 0 : span - (span % 2) : 2].T[
-                    :, :, None
-                ]
-                tail_off = level_rows[:, span - 1]
-            else:
-                # (B * span, 2**m) cost rows for this chunk of steps,
-                # flattened so the composed gathers below index directly.
-                costs_flat = self._chunk_costs_flat(levels[:, t0:t1], dtype)
-                lane_base = np.arange(lanes, dtype=np.int32) * (
-                    span * self.num_values
-                )
-                step_off = (
-                    np.arange(chunk_pairs, dtype=np.int32)
-                    * (2 * self.num_values)
-                )[:, None] + lane_base[None, :]
-                late_off = (step_off + self.num_values)[:, :, None]
-                early_off = step_off[:, :, None]
-                tail_off = lane_base + (span - 1) * self.num_values
-            if chunk_pairs:
-                # Fold the two steps of each pair at gather time: one take
-                # per half-step slab, no intermediate 2S-wide branch tensor.
-                late = self._xg2_late[reps[:, t0 + 1 : t1 : 2].T]
-                early = self._xg2_early[reps[:, t0 : t1 - (span % 2) : 2].T]
-                late += late_off
-                early += early_off
-                folded = costs_flat.take(late)
-                folded += costs_flat.take(early)
-                acs_radix4(path, folded, prev2_flat, sel, low01, low23, pair)
-                pair += chunk_pairs
-            if span % 2:  # only the final chunk of an odd-length trellis
-                inc2 = np.empty((lanes, 2, num_states), dtype=dtype)
-                inc2_flat = inc2.reshape(lanes, 2 * num_states)
-                tail_idx = self._xg_flat[reps[:, t1 - 1]] + tail_off[:, None]
-                path.take(self._prev_flat, axis=1, out=inc2_flat)
-                inc2_flat += costs_flat.take(tail_idx)
-                np.less(inc2[:, 1], inc2[:, 0], out=backptr_tail)
-                np.minimum(inc2[:, 0], inc2[:, 1], out=path)
-        return path, (sel, low01, low23), backptr_tail
-
-    def _chunk_costs_flat(self, levels_chunk, dtype):
-        """``(B * span, 2**m)`` contiguous cost rows for a chunk of steps."""
-        costs = self.step_cost_table(levels_chunk)
-        return np.ascontiguousarray(
-            costs.reshape(-1, self.num_values), dtype=dtype
-        )
-
-    def _backtrace_radix4(
-        self, reps, end_state, backptr2, backptr_tail, lane_index
-    ):
-        """Walk states backward, then rebuild all codeword chunks at once."""
-        lanes, steps = reps.shape
-        sel, low01, low23 = backptr2
-        if lanes == 1:
-            seq = [0] * steps
-            state = int(end_state[0])
-            if backptr_tail is not None:
-                state = self._prev_list[state][int(backptr_tail[0, state])]
-                seq[steps - 1] = state
-            sel_item, low01_item, low23_item = sel.item, low01.item, low23.item
-            mid_list, src_list = self._mid_list, self._src_list
-            for pair in range(steps // 2 - 1, -1, -1):
-                if sel_item(pair, 0, state):
-                    kk = 2 + low23_item(pair, 0, state)
-                else:
-                    kk = low01_item(pair, 0, state)
-                row_mid, row_src = mid_list[state], src_list[state]
-                seq[2 * pair + 1] = row_mid[kk]
-                state = row_src[kk]
-                seq[2 * pair] = state
-            before = np.array(seq, dtype=np.int64)[None, :]
-        else:
-            sel_u = sel.view(np.uint8)
-            low01_u = low01.view(np.uint8)
-            low23_u = low23.view(np.uint8)
-            before = np.empty((lanes, steps), dtype=np.int64)
-            state = end_state.astype(np.int64)
-            if backptr_tail is not None:
-                choice = backptr_tail.view(np.uint8)[lane_index, state]
-                before[:, steps - 1] = state = self._prev_src[state, choice]
-            for pair in range(steps // 2 - 1, -1, -1):
-                t = 2 * pair
-                chose23 = sel_u[pair, lane_index, state]
-                kk = np.where(
-                    chose23,
-                    2 + low23_u[pair, lane_index, state],
-                    low01_u[pair, lane_index, state],
-                )
-                before[:, t + 1] = self._mid_tab[state, kk]
-                before[:, t] = state = self._src_tab[state, kk]
-        after = np.empty_like(before)
-        after[:, :-1] = before[:, 1:]
-        after[:, -1] = end_state
-        # Shift-register labeling: the input consumed entering a state is
-        # its low bit (validated in __init__ before taking this path).
-        return self._out_values[before, after & 1] ^ reps
 
     # -- generic radix-2 path (any metric, any 2-regular trellis) --------------
 

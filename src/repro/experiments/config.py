@@ -12,8 +12,8 @@ page and fewer erase cycles; both are overridable:
 * ``REPRO_CACHE`` — set to ``0`` to disable the on-disk result cache,
 * ``REPRO_METRICS`` — set to ``1`` to collect telemetry (metrics + traces)
   even without ``--metrics-out``/``--trace-out``,
-* ``REPRO_VITERBI_BACKEND`` — ACS kernel backend for the MFC coset codes
-  (``auto``/``numpy``/``numba``; see :mod:`repro.coding.kernels`).
+* ``REPRO_VITERBI_BACKEND`` — Viterbi kernel backend for the MFC coset codes
+  (``auto``/``numpy``/``native``; see :mod:`repro.coding.kernels`).
 
 ``lanes=1`` (the default) reproduces the historical scalar numbers bit for
 bit; larger lane counts run ``lanes`` independently seeded pages through
@@ -45,7 +45,7 @@ class ExperimentConfig:
     jobs: int = 1  # worker processes for sweep fan-out; 1 = in-process
     cache: bool = True  # consult/populate the on-disk result cache
     metrics: bool = False  # collect telemetry (registry counters + traces)
-    viterbi_backend: str = "auto"  # ACS kernel backend (auto/numpy/numba)
+    viterbi_backend: str = "auto"  # Viterbi kernel backend (auto/numpy/native)
 
     @classmethod
     def from_env(cls) -> "ExperimentConfig":

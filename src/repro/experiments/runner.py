@@ -89,10 +89,10 @@ def main(argv: list[str] | None = None) -> int:
                         default=defaults.cache,
                         help="skip the on-disk result cache entirely")
     parser.add_argument("--viterbi-backend", default=defaults.viterbi_backend,
-                        help="ACS kernel backend for the MFC coset codes "
-                             "(auto/numpy/numba; auto prefers numba when "
-                             "installed, results are bit-identical either "
-                             "way)")
+                        help="Viterbi kernel backend for the MFC coset codes "
+                             "(auto/numpy/native; auto is native when the C "
+                             "kernel builds, else numpy; results are "
+                             "bit-identical either way)")
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="write a Prometheus-style metrics dump here "
                              "(implies telemetry collection)")
@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         viterbi_backend=args.viterbi_backend.lower(),
     )
     try:
-        resolve_backend(config.viterbi_backend)
+        backend = resolve_backend(config.viterbi_backend).name
     except ConfigurationError as exc:
         parser.error(str(exc))
     # Workers fork after this point; the env var is how the choice
@@ -138,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
             elapsed = time.time() - start
             lanes_note = f", {config.lanes} lanes" if config.lanes > 1 else ""
             print(f"=== {name} (page {config.page_bytes} B, {config.cycles} cycles, "
-                  f"K={config.constraint_length}{lanes_note}, {elapsed:.1f}s) ===")
+                  f"K={config.constraint_length}, viterbi {backend}{lanes_note}, "
+                  f"{elapsed:.1f}s) ===")
             print(output)
             summary = build_summary(
                 name,

@@ -363,9 +363,12 @@ async def _serve(args: argparse.Namespace) -> int:
                 signum,
                 lambda *_: loop.call_soon_threadsafe(stop.set),
             )
+    # Only the MFC schemes search a coset; name the kernel that will do it.
+    viterbi = getattr(getattr(ssd.scheme, "code", None), "viterbi", None)
+    kernel = f", viterbi {viterbi.backend.name}" if viterbi is not None else ""
     print(
         f"serving {ssd.scheme_name} "
-        f"({ssd.logical_pages} pages x {ssd.logical_page_bits} bits) "
+        f"({ssd.logical_pages} pages x {ssd.logical_page_bits} bits{kernel}) "
         f"on {args.host}:{service.port}",
         flush=True,
     )

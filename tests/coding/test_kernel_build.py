@@ -1,0 +1,136 @@
+"""How the native Viterbi kernel gets built, cached and, failing that, skipped.
+
+``repro.coding.kernels`` compiles ``_viterbi.c`` on first use into the
+package's ``__pycache__``.  These tests point the cache somewhere private
+and take the compiler away, break it, or race for it.
+"""
+
+from __future__ import annotations
+
+import glob
+import os
+import shutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.coding import kernels
+from repro.errors import ConfigurationError
+
+needs_compiler = pytest.mark.skipif(
+    kernels._find_compiler() is None, reason="no C compiler here"
+)
+
+#: Resolve ``native`` in a fresh interpreter against the cache directory in
+#: argv[1] (without a compiler when argv[2] says so) and print what it built.
+_RESOLVE = """
+import glob, os, sys
+from repro.coding import kernels
+kernels._CACHE_DIR = sys.argv[1]
+if sys.argv[2] == "no-compiler":
+    kernels._find_compiler = lambda: None
+backend = kernels.resolve_backend("native")
+(artefact,) = glob.glob(os.path.join(sys.argv[1], "_viterbi-*.so"))
+print(backend.name, os.stat(artefact).st_mtime_ns)
+"""
+
+
+def _fresh_interpreter(cache_dir, compiler: str = "compiler"):
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    env.pop(kernels.BACKEND_ENV, None)
+    return subprocess.Popen(
+        [sys.executable, "-c", _RESOLVE, str(cache_dir), compiler],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _finish(process) -> list[str]:
+    out, err = process.communicate(timeout=120)
+    assert process.returncode == 0, err
+    return out.split()
+
+
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch):
+    """An empty artefact cache and nothing resolved yet."""
+    monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(kernels, "_RESOLVED", {})
+    monkeypatch.setattr(kernels, "unavailable", {})
+    monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
+    return tmp_path / "cache"
+
+
+def test_no_compiler_falls_back_silently(empty_cache, monkeypatch) -> None:
+    monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.resolve_backend("auto").name == "numpy"
+    assert "no C compiler" in kernels.unavailable["native"]
+    assert kernels.available_backends() == ["numpy"]
+    with pytest.raises(ConfigurationError, match="no C compiler"):
+        kernels.resolve_backend("native")
+    assert not empty_cache.exists()
+
+
+def test_unwritable_cache_falls_back_with_the_reason(
+    empty_cache, monkeypatch
+) -> None:
+    if kernels._find_compiler() is None:
+        monkeypatch.setattr(kernels, "_find_compiler", lambda: "cc")
+    # A cache directory that cannot be created or written, even by root.
+    empty_cache.write_text("a file where the directory should be")
+    with pytest.warns(RuntimeWarning, match="cannot build"):
+        assert kernels.resolve_backend("auto").name == "numpy"
+    with warnings.catch_warnings():  # once: "auto" is memoized
+        warnings.simplefilter("error")
+        assert kernels.resolve_backend("auto").name == "numpy"
+    with pytest.raises(ConfigurationError, match="cannot build"):
+        kernels.resolve_backend("native")
+
+
+def test_failed_compile_warns_and_leaves_nothing_behind(
+    empty_cache, monkeypatch
+) -> None:
+    broken = shutil.which("false")
+    if broken is None:
+        pytest.skip("no `false` to stand in for a broken compiler")
+    monkeypatch.setattr(kernels, "_find_compiler", lambda: broken)
+    with pytest.warns(RuntimeWarning, match="native Viterbi kernel unavailable"):
+        assert kernels.resolve_backend("auto").name == "numpy"
+    assert "failed" in kernels.unavailable["native"]
+    assert os.listdir(empty_cache) == []
+
+
+@needs_compiler
+def test_second_interpreter_reuses_the_artefact(tmp_path) -> None:
+    name, built = _finish(_fresh_interpreter(tmp_path))
+    again, reused = _finish(_fresh_interpreter(tmp_path, "no-compiler"))
+    assert name == again == "native"
+    assert built == reused  # same file, not rebuilt: no compiler was to be had
+    assert len(os.listdir(tmp_path)) == 1
+
+
+@needs_compiler
+def test_concurrent_first_users_all_load_a_whole_library(tmp_path) -> None:
+    racers = [_fresh_interpreter(tmp_path) for _ in range(4)]
+    assert [_finish(racer)[0] for racer in racers] == ["native"] * 4
+    (artefact,) = os.listdir(tmp_path)  # one library, no temporaries
+    assert artefact.startswith("_viterbi-") and artefact.endswith(".so")
+
+
+@needs_compiler
+def test_build_leaves_the_checkout_clean() -> None:
+    root = Path(repro.__file__).parents[2]
+    if shutil.which("git") is None or not (root / ".git").exists():
+        pytest.skip("not a git checkout")
+    assert kernels.resolve_backend("native").name == "native"
+    assert glob.glob(os.path.join(kernels._CACHE_DIR, "_viterbi-*.so"))
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--", kernels._CACHE_DIR],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    assert status.stdout == ""

@@ -1,10 +1,11 @@
-"""Bit-identity of the radix-4 Viterbi kernel against the historical kernel.
+"""Bit-identity of the Viterbi fast path against the historical kernel.
 
 ``_reference_search_batch`` is a faithful port of the pre-optimization
 add-compare-select loop (per-step gather, ``inc1 < inc0`` tie-break, argmin
-end state).  The production kernel folds two steps per ACS pass, runs on
-float32 metrics where exact, and backtracks through packed boolean
-backpointers — every case here asserts it still returns byte-identical
+end state).  The production search runs on float32 metrics where exact,
+through whichever kernel backend is selected (the first half of this file
+takes the default, so ``REPRO_VITERBI_BACKEND`` steers it; the second half
+names every available backend) — every case asserts byte-identical
 codewords, total costs, and writability masks across all MFC rates.
 """
 
@@ -158,21 +159,141 @@ def test_float32_metric_bound_falls_back_to_float64() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pluggable ACS backends: every registered backend must be bit-identical.
+# Pluggable kernel backends: every available backend must be bit-identical
+# to the reference on everything the seam (forward pass + backtrace) sees.
 # ---------------------------------------------------------------------------
 
+BACKENDS = kernels.available_backends()
 
-@pytest.mark.parametrize("backend", kernels.available_backends())
-@pytest.mark.parametrize("variant", ["mfc-1/2-1bpc", "mfc-2/3", "mfc-4/5"])
+
+def _with_backend(code, backend: str) -> CosetViterbi:
+    viterbi = CosetViterbi(
+        code.viterbi.trellis, code.viterbi.codebook, backend=backend
+    )
+    assert viterbi.backend.name == backend
+    return viterbi
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
 def test_every_available_backend_bit_identical(backend, variant) -> None:
-    code = _make_code(variant, 4)
-    reference = code.viterbi
-    swapped = CosetViterbi(reference.trellis, reference.codebook, backend=backend)
-    assert swapped.backend.name == backend
-    num_levels = reference.codebook.num_levels
-    for seed, steps in ((4, 12), (5, 13)):  # even + odd-tail trellises
-        reps, levels = _random_case(reference, 5, steps, seed, num_levels - 2)
-        _assert_bit_identical(swapped, reps, levels)
+    for constraint_length in (3, 5, 7):
+        viterbi = _with_backend(_make_code(variant, constraint_length), backend)
+        num_levels = viterbi.codebook.num_levels
+        for lanes in (1, 5):
+            for seed, steps in ((4, 12), (5, 13)):  # even + odd-tail trellises
+                reps, levels = _random_case(
+                    viterbi, lanes, steps, seed, num_levels - 2
+                )
+                _assert_bit_identical(viterbi, reps, levels)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
+def test_backend_saturated_lanes_mixed_with_writable(backend, variant) -> None:
+    """``inf`` branches, and unwritable lanes next to writable ones."""
+    viterbi = _with_backend(_make_code(variant, 4), backend)
+    num_levels = viterbi.codebook.num_levels
+    mixed = False
+    for seed in range(16):
+        reps, levels = _random_case(viterbi, 8, 13, seed, num_levels - 1)
+        _assert_bit_identical(viterbi, reps, levels)
+        writable = viterbi.search_batch(reps, levels).writable
+        mixed = mixed or (writable.any() and not writable.all())
+    assert mixed
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_float64_branch(backend) -> None:
+    viterbi = _with_backend(_make_code("mfc-2/3", 5), backend)
+    viterbi._max_step_cost = float(2**24)  # past the float32-exact bound
+    for lanes, steps in ((1, 10), (5, 11)):
+        reps, levels = _random_case(viterbi, lanes, steps, steps, 3)
+        _assert_bit_identical(viterbi, reps, levels)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_without_fused_table_runs_numpy(backend) -> None:
+    """16 levels on mfc-4/5 exceed the fused-table cap: the native kernel
+    needs that table, so such a searcher visibly resolves to numpy."""
+    code = _make_code("mfc-4/5", 4, vcell_levels=16)
+    viterbi = CosetViterbi(
+        code.viterbi.trellis, code.viterbi.codebook, backend=backend
+    )
+    assert viterbi._fused_flat is None
+    assert viterbi.backend.name == "numpy"
+    for lanes, steps in ((1, 8), (3, 9)):
+        reps, levels = _random_case(viterbi, lanes, steps, steps, 14)
+        _assert_bit_identical(viterbi, reps, levels)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_accepts_strided_and_narrow_inputs(backend) -> None:
+    """The seam promises neither contiguity nor int64 at the boundary."""
+    viterbi = _with_backend(_make_code("mfc-2/3", 5), backend)
+    reps, levels = _random_case(viterbi, 5, 26, 11, 2)
+    reference = viterbi.search_batch(reps, levels)
+    variants = (
+        (np.asfortranarray(reps), np.asfortranarray(levels)),
+        (reps.astype(np.int32), levels.astype(np.uint8)),
+        (reps.tolist(), levels.tolist()),
+    )
+    for odd_reps, odd_levels in variants:
+        result = viterbi.search_batch(odd_reps, odd_levels)
+        assert np.array_equal(result.codeword_values, reference.codeword_values)
+        assert np.array_equal(result.total_costs, reference.total_costs)
+    # Every second step of a longer page: strided views of both inputs.
+    sliced = viterbi.search_batch(reps[:, ::2], levels[:, ::2])
+    copied = viterbi.search_batch(reps[:, ::2].copy(), levels[:, ::2].copy())
+    assert np.array_equal(sliced.codeword_values, copied.codeword_values)
+    _assert_bit_identical(viterbi, reps[:, ::2], levels[:, ::2])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_tables_need_not_be_contiguous(backend) -> None:
+    """Tables reach the kernel through a copy-if-needed, never as they are."""
+    viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 5), backend)
+    reps, levels = _random_case(viterbi, 3, 13, 2, 2)
+    reference = viterbi.search_batch(reps, levels)
+    for name in ("_prev_src", "_pred_output", "_out_values"):
+        table = getattr(viterbi, name)
+        wide = np.zeros((table.shape[0], 2 * table.shape[1]), dtype=table.dtype)
+        wide[:, ::2] = table
+        setattr(viterbi, name, wide[:, ::2])  # same values, strided view
+        assert not getattr(viterbi, name).flags.c_contiguous
+    result = viterbi.search_batch(reps, levels)
+    assert np.array_equal(result.codeword_values, reference.codeword_values)
+    assert np.array_equal(result.total_costs, reference.total_costs)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_scratch_scales_with_state_count(backend) -> None:
+    """256 states: no backend may assume the paper's 64."""
+    viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 9), backend)
+    assert viterbi.trellis.num_states == 256
+    for lanes, steps in ((1, 23), (2, 24)):
+        reps, levels = _random_case(viterbi, lanes, steps, steps, 2)
+        _assert_bit_identical(viterbi, reps, levels)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_rejects_out_of_range_chunks(backend) -> None:
+    viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 3), backend)
+    reps, levels = _random_case(viterbi, 2, 8, 0, 2)
+    reps[1, 5] = viterbi.num_values
+    with pytest.raises(IndexError):
+        viterbi.search_batch(reps, levels)
+
+
+@pytest.mark.skipif("native" not in BACKENDS, reason="no C compiler here")
+def test_native_rejects_out_of_range_levels() -> None:
+    viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 3), "native")
+    reps, levels = _random_case(viterbi, 2, 9, 0, 2)
+    for bad in (-1, viterbi.codebook.num_levels):
+        broken = levels.copy()
+        broken[1, 8, 0] = bad
+        with pytest.raises(IndexError, match="out of range"):
+            viterbi.search_batch(reps, broken)
 
 
 def test_unknown_backend_raises() -> None:
@@ -180,18 +301,12 @@ def test_unknown_backend_raises() -> None:
         kernels.resolve_backend("vectorblas")
 
 
-def test_auto_selection_prefers_accelerator_else_numpy() -> None:
-    expected = "numba" if kernels.numba_available() else "numpy"
+def test_auto_selection_prefers_accelerator_else_numpy(monkeypatch) -> None:
+    monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
+    expected = "native" if "native" in BACKENDS else "numpy"
     assert kernels.resolve_backend("auto").name == expected
     assert kernels.resolve_backend(None).name == expected
-
-
-@pytest.mark.skipif(
-    kernels.numba_available(), reason="numba installed; absence path untestable"
-)
-def test_explicit_numba_without_numba_raises() -> None:
-    with pytest.raises(ConfigurationError, match="not .*available"):
-        kernels.resolve_backend("numba")
+    assert kernels.backend_names() == ["native", "numpy"]
 
 
 def test_env_var_selects_backend(monkeypatch) -> None:

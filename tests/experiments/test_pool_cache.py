@@ -104,6 +104,25 @@ class TestCellKeys:
         assert cell_key(cell) == cell_key(SweepCell("wom", 768, 1, 11))
 
 
+def test_code_fingerprint_covers_the_c_kernel(tmp_path, monkeypatch) -> None:
+    """Editing ``_viterbi.c`` changes results' provenance like any ``.py``."""
+    import repro
+
+    (tmp_path / "__init__.py").write_text("")
+    kernel = tmp_path / "coding" / "_viterbi.c"
+    kernel.parent.mkdir()
+    kernel.write_text("int forward(void);")
+    monkeypatch.setattr(repro, "__file__", str(tmp_path / "__init__.py"))
+    code_fingerprint.cache_clear()
+    try:
+        before = code_fingerprint()
+        kernel.write_text("int forward(int);")
+        code_fingerprint.cache_clear()
+        assert code_fingerprint() != before
+    finally:
+        code_fingerprint.cache_clear()
+
+
 class TestRunCells:
     def test_cold_then_warm(self) -> None:
         config = _config()
