@@ -24,10 +24,8 @@ bench:
 # Fast coding-path throughput check (batched vs scalar engine, Viterbi
 # kernel, sweep fabric, disabled-telemetry overhead); writes
 # BENCH_coding.json at the repo root.  CI runs this and uploads the JSON.
-# One BLAS thread, as in benchmarks/e2e: threaded BLAS spins on the small
-# syndrome matmuls and would be what the ratios measure.
 bench-smoke:
-	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py benchmarks/test_bench_sweep.py benchmarks/test_bench_obs.py benchmarks/test_bench_server.py -q
+	PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py benchmarks/test_bench_sweep.py benchmarks/test_bench_obs.py benchmarks/test_bench_server.py -q
 
 # Bit-identity of both Viterbi kernel backends against the reference kernel:
 # once forced to numpy, once forced to native (which fails, not skips, when

@@ -76,7 +76,7 @@ def test_bench_disabled_telemetry_overhead(monkeypatch, perf_recorder) -> None:
         patcher.setattr(viterbi_mod, "_LANES", null)
         patcher.setattr(viterbi_mod, "_UNWRITABLE", null)
 
-    encode()  # warm up cached tables (trellis, Toeplitz operators)
+    encode()  # warm up cached tables (trellis, fused cost tables)
     disabled = baseline = float("inf")
     for _ in range(REPS):
         disabled = min(disabled, _time_once(encode))

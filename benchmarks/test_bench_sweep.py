@@ -137,7 +137,11 @@ def test_bench_sweep_jobs_fanout(perf_recorder) -> None:
 
 
 def test_bench_sweep_jobs_warm_pool(perf_recorder) -> None:
-    """A chunkier sweep (more cycles) where jobs=2 must beat serial.
+    """A chunkier sweep (more cycles) where a warm jobs=2 pool beats serial.
+
+    Recorded everywhere with ``cpus``; asserted only at 4+ cores, like
+    ``sweep-table1-jobs``: on two CPUs the parent and both workers share
+    the cores and the ratio sits at 1.0 either side of noise.
 
     Both sides run twice and the faster pass counts, so worker spawn,
     scheme-table construction, and allocator warm-up are off the clock
@@ -167,7 +171,7 @@ def test_bench_sweep_jobs_warm_pool(perf_recorder) -> None:
         jobs2_seconds=min(fanned_seconds),
         speedup=speedup,
     )
-    if _cpus() >= 2:
+    if _cpus() >= 4:
         assert speedup > 1.0, (
             f"warm jobs=2 pool did not beat serial ({speedup:.2f}x) on a "
             f"{_cpus()}-core box"

@@ -27,7 +27,6 @@ def _machine() -> dict:
     return {
         "constraint_length": CONSTRAINT_LENGTH,
         "cpus": os.cpu_count() or 1,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
     }
 
 

@@ -107,18 +107,20 @@ def gf2_divide_causal(numerators: np.ndarray, feedback_taps: np.ndarray) -> np.n
     """Causal GF(2) division by ``g1(D)`` along the last axis.
 
     ``feedback_taps`` holds the nonzero powers (>= 1) of ``g1``; the constant
-    term must be 1.  Solves ``t`` in ``g1 * t = numerator`` term by term:
-    ``t[n] = numerator[n] XOR sum(t[n - i] for tap powers i >= 1)``, with
-    every step vectorized over the leading batch axes.
+    term must be 1.  Squaring is linear over GF(2), ``g1(D)**2 == g1(D**2)``,
+    so ``g1(D) * g1(D**2) * ... * g1(D**(2**k)) == g1(D)**(2**(k+1) - 1)``
+    and ``1/g1 == g1 * g1(D**2) * g1(D**4) * ...`` modulo ``D**steps`` once
+    ``g1(D**(2**(k+1)))`` is 1 there.  Each factor is a few slice XORs
+    vectorized over the leading batch axes.
     """
-    num = np.asarray(numerators, dtype=np.uint8)
-    out = num.copy()
-    steps = num.shape[-1]
-    taps = [int(tap) for tap in feedback_taps]
-    for n in range(steps):
-        for tap in taps:
-            if tap <= n:
-                out[..., n] ^= out[..., n - tap]
+    out = np.array(numerators, dtype=np.uint8, order="C")
+    steps = out.shape[-1]
+    shifts = [int(tap) for tap in feedback_taps if tap < steps]
+    while shifts:
+        prev = out.copy()
+        for shift in shifts:
+            out[..., shift:] ^= prev[..., : steps - shift]
+        shifts = [2 * shift for shift in shifts if 2 * shift < steps]
     return out
 
 

@@ -8,7 +8,9 @@ vanish exactly on codewords, so the length-``(m-1)N`` syndrome sequence of a
 stored page identifies the dataword (the coset index).  Writing uses the
 canonical coset representative with ``t_1 = 0`` and
 ``t_{j+1}(D) = s_j(D) / g_1(D)`` — the division is causal because ``g_1`` has
-a nonzero constant term.
+a nonzero constant term, and :func:`~repro.coding.bitops.gf2_divide_causal`
+runs it as the product ``s_j * g_1(D) * g_1(D**2) * g_1(D**4) * ...``, a few
+slice XORs per factor over all lanes and streams at once.
 
 Both directions are exact for *unterminated* trellis paths: the syndrome at
 step ``t`` only involves stored bits at steps ``<= t``, so truncation at the
@@ -29,40 +31,6 @@ __all__ = ["SyndromeFormer"]
 
 _DIVISIONS = _metrics.counter("syndrome.divisions")
 _SYNDROMES = _metrics.counter("syndrome.formed")
-
-#: Block length for the division-by-``g1`` operator.  Each block is one
-#: ``(rows, L) @ (L, L)`` float32 matmul; 1024 keeps the cached Toeplitz
-#: operator at 4 MB while leaving the matmul firmly BLAS-bound.
-_DIVISION_BLOCK = 1024
-
-#: ``(feedback taps, block length) -> (inverse series, Toeplitz operator)``,
-#: shared across formers — distinct ``g1`` polynomials are few.
-_DIVISION_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _division_tables(
-    feedback_taps: tuple[int, ...], block: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tables for dividing by ``g1`` as a truncated power-series product.
-
-    ``1/g1`` is a well-defined power series because ``g1(0) = 1``; its first
-    ``block`` coefficients turn the causal feedback division into a plain
-    GF(2) convolution, and the lower-triangular Toeplitz matrix
-    ``T[k, n] = inv[n - k]`` expresses that convolution as one matmul per
-    block of steps.
-    """
-    key = (feedback_taps, block)
-    tables = _DIVISION_TABLES.get(key)
-    if tables is None:
-        impulse = np.zeros(block, dtype=np.uint8)
-        impulse[0] = 1
-        inverse = gf2_divide_causal(impulse, np.asarray(feedback_taps))
-        offsets = np.arange(block)
-        lag = offsets[None, :] - offsets[:, None]
-        toeplitz = np.where(lag >= 0, inverse[np.abs(lag)], 0).astype(np.float32)
-        tables = (inverse, toeplitz)
-        _DIVISION_TABLES[key] = tables
-    return tables
 
 
 class SyndromeFormer:
@@ -153,8 +121,7 @@ class SyndromeFormer:
 
         ``syndromes`` is ``(B, steps, m-1)``; the result is
         ``(B, steps, m)``.  The causal division by ``g1`` runs all lanes and
-        all streams in lockstep as blocked Toeplitz matmuls (no Python loop
-        over trellis steps).
+        all streams in lockstep (no Python loop over trellis steps).
         """
         s = np.asarray(syndromes, dtype=np.uint8)
         if s.ndim != 3 or s.shape[2] != self.syndrome_bits_per_step:
@@ -164,44 +131,10 @@ class SyndromeFormer:
             )
         lanes, steps, _ = s.shape
         rep = np.zeros((lanes, steps, self.code.num_outputs), dtype=np.uint8)
-        # Divide all (lane, stream) sequences at once: move the step axis
-        # last so the division vectorizes over lanes * (m-1) sequences.
-        numerators = np.moveaxis(s, 1, 2)  # (B, m-1, steps)
+        # The step axis goes last so every slice XOR of the division runs
+        # over contiguous memory; the divider makes that one C-order copy.
         with _span("syndrome.divide", lanes=lanes, steps=steps):
-            streams = self._divide_by_g1(numerators)
+            streams = gf2_divide_causal(s.transpose(0, 2, 1), self._feedback_taps)
         _DIVISIONS.inc(lanes)
-        rep[:, :, 1:] = np.moveaxis(streams, 2, 1)
+        rep[:, :, 1:] = streams.transpose(0, 2, 1)
         return rep
-
-    def _divide_by_g1(self, numerators: np.ndarray) -> np.ndarray:
-        """Causal GF(2) division by ``g1`` along the last axis.
-
-        Equivalent to :func:`~repro.coding.bitops.gf2_divide_causal` but
-        runs as one float32 matmul per :data:`_DIVISION_BLOCK` steps against
-        the precomputed ``1/g1`` Toeplitz operator.  Feedback across block
-        boundaries only reaches ``deg(g1)`` steps back, so each block folds
-        the previous block's tail outputs into its first few numerator bits
-        and then divides from a zero state.
-        """
-        num = np.ascontiguousarray(numerators, dtype=np.uint8)
-        steps = num.shape[-1]
-        if steps == 0:
-            return num.copy()
-        flat = num.reshape(-1, steps)
-        block = min(steps, _DIVISION_BLOCK)
-        _, toeplitz = _division_tables(tuple(int(t) for t in self._feedback_taps), block)
-        taps = [int(t) for t in self._feedback_taps]
-        out = np.empty_like(flat)
-        for start in range(0, steps, block):
-            stop = min(steps, start + block)
-            length = stop - start
-            segment = flat[:, start:stop].astype(np.float32)
-            if start:
-                for tap in taps:
-                    width = min(tap, length)
-                    segment[:, :width] += out[:, start - tap : start - tap + width]
-            product = segment @ toeplitz[:length, :length]
-            out[:, start:stop] = np.bitwise_and(
-                product.astype(np.int32), 1
-            ).astype(np.uint8)
-        return out.reshape(num.shape)

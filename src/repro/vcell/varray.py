@@ -21,6 +21,25 @@ _PROGRAMS = _metrics.counter("vcell.programs")
 _LEVEL_INCREMENTS = _metrics.counter("vcell.level_increments")
 
 
+def _popcount(cells: np.ndarray) -> np.ndarray:
+    """Per-cell levels; adds the bit columns, as numpy reduces a short trailing axis slowly."""
+    levels = cells[..., 0].astype(np.int64)
+    for j in range(1, cells.shape[-1]):
+        levels += cells[..., j]
+    return levels
+
+
+def _fill(cells: np.ndarray, deficits: np.ndarray, pages: int) -> None:
+    """Program ``pages`` pages in place: set each cell's ``deficits`` lowest unset bits."""
+    if _metrics.is_enabled():
+        _PROGRAMS.inc(pages)
+        _LEVEL_INCREMENTS.inc(int(deficits.sum()))
+    for j in range(cells.shape[-1]):
+        fill = (cells[..., j] == 0) & (deficits > 0)
+        cells[..., j] |= fill
+        deficits -= fill
+
+
 class VCellArray:
     """Interprets a page's bits as an array of ``L``-level v-cells.
 
@@ -65,11 +84,11 @@ class VCellArray:
 
     def levels(self, page_bits: np.ndarray) -> np.ndarray:
         """Per-cell levels (popcount of each cell's bit group)."""
-        return self._cell_matrix(page_bits).sum(axis=1, dtype=np.int64)
+        return _popcount(self._cell_matrix(page_bits))
 
     def levels_batch(self, pages: np.ndarray) -> np.ndarray:
         """Per-cell levels for ``B`` pages at once: ``(B, num_cells)``."""
-        return self._cell_matrix_batch(pages).sum(axis=2, dtype=np.int64)
+        return _popcount(self._cell_matrix_batch(pages))
 
     def erased_page(self) -> np.ndarray:
         """A fresh all-zero page buffer."""
@@ -102,26 +121,16 @@ class VCellArray:
                 f"cell {bad}: target level {targets[bad]} exceeds "
                 f"L{self.spec.max_level}"
             )
-        cells = self._cell_matrix(page_bits)
-        current = cells.sum(axis=1, dtype=np.int64)
-        deficits = targets - current
-        if (deficits < 0).any():
-            bad = int(np.flatnonzero(deficits < 0)[0])
+        new_page = np.array(page_bits, dtype=np.uint8, order="C")
+        cells = self._cell_matrix(new_page)  # a view: filled in place below
+        current = _popcount(cells)
+        if (targets < current).any():
+            bad = int(np.flatnonzero(targets < current)[0])
             raise VCellError(
                 f"cell {bad}: cannot lower level from L{current[bad]} to "
                 f"L{targets[bad]} without an erase"
             )
-        # Rank each unset bit within its cell; set those ranked below the
-        # deficit.  ranks[i, j] = number of unset bits strictly before j.
-        unset = cells == 0
-        ranks = np.cumsum(unset, axis=1) - unset
-        to_set = unset & (ranks < deficits[:, None])
-        new_cells = cells | to_set.astype(np.uint8)
-        new_page = np.asarray(page_bits, dtype=np.uint8).copy()
-        new_page[: self.used_bits] = new_cells.reshape(-1)
-        if _metrics.is_enabled():
-            _PROGRAMS.inc()
-            _LEVEL_INCREMENTS.inc(int(deficits.sum()))
+        _fill(cells, targets - current, 1)
         return new_page
 
     def program_levels_batch(
@@ -131,11 +140,11 @@ class VCellArray:
         ``(B, num_cells)`` targets, with the same per-cell legality checks.
         """
         targets = np.asarray(target_levels)
-        cells = self._cell_matrix_batch(pages)
-        lanes = len(cells)
-        if targets.shape != (lanes, self.num_cells):
+        new_pages = np.array(pages, dtype=np.uint8, order="C")
+        cells = self._cell_matrix_batch(new_pages)  # a view: filled in place below
+        if targets.shape != cells.shape[:2]:
             raise VCellError(
-                f"expected ({lanes}, {self.num_cells}) target levels, got "
+                f"expected ({len(cells)}, {self.num_cells}) target levels, got "
                 f"shape {targets.shape}"
             )
         if targets.max(initial=0) > self.spec.max_level:
@@ -144,24 +153,15 @@ class VCellArray:
                 f"lane {lane}, cell {cell}: target level "
                 f"{targets[lane, cell]} exceeds L{self.spec.max_level}"
             )
-        current = cells.sum(axis=2, dtype=np.int64)
-        deficits = targets - current
-        if (deficits < 0).any():
-            lane, cell = (arr[0] for arr in np.nonzero(deficits < 0))
+        current = _popcount(cells)
+        if (targets < current).any():
+            lane, cell = (arr[0] for arr in np.nonzero(targets < current))
             raise VCellError(
                 f"lane {lane}, cell {cell}: cannot lower level from "
                 f"L{current[lane, cell]} to L{targets[lane, cell]} without "
                 "an erase"
             )
-        unset = cells == 0
-        ranks = np.cumsum(unset, axis=2) - unset
-        to_set = unset & (ranks < deficits[:, :, None])
-        new_cells = cells | to_set.astype(np.uint8)
-        new_pages = np.asarray(pages, dtype=np.uint8).copy()
-        new_pages[:, : self.used_bits] = new_cells.reshape(lanes, -1)
-        if _metrics.is_enabled():
-            _PROGRAMS.inc(lanes)
-            _LEVEL_INCREMENTS.inc(int(deficits.sum()))
+        _fill(cells, targets - current, len(cells))
         return new_pages
 
     def saturated(self, page_bits: np.ndarray) -> np.ndarray:

@@ -138,3 +138,103 @@ class TestProperties:
         assert varray.headroom(varray.erased_page()) == (
             varray.num_cells * (levels - 1)
         )
+
+
+def _reference_cells(varray: VCellArray, pages: np.ndarray) -> np.ndarray:
+    return pages[..., : varray.used_bits].reshape(
+        *pages.shape[:-1], varray.num_cells, varray.bits_per_cell
+    )
+
+
+def _reference_levels(varray: VCellArray, pages: np.ndarray) -> np.ndarray:
+    return _reference_cells(varray, pages).sum(axis=-1, dtype=np.int64)
+
+
+def _reference_program(varray: VCellArray, pages: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The ``cumsum``-rank programming ``VCellArray`` used before it walked the
+    bit columns: rank each unset bit within its cell, set those ranked below
+    the deficit.  Works on one page or on ``(lanes, page_bits)`` pages."""
+    cells = _reference_cells(varray, pages)
+    deficits = targets - _reference_levels(varray, pages)
+    unset = cells == 0
+    ranks = np.cumsum(unset, axis=-1) - unset
+    to_set = unset & (ranks < deficits[..., None])
+    new_pages = pages.copy()
+    new_pages[..., : varray.used_bits] = (cells | to_set.astype(np.uint8)).reshape(
+        *pages.shape[:-1], -1
+    )
+    return new_pages
+
+
+@pytest.mark.parametrize("lanes", [1, 7])
+@pytest.mark.parametrize("levels", [4, 8, 16])
+class TestColumnWalkMatchesRankReference:
+    """``levels*`` and ``program_levels*`` against the reference above."""
+
+    PAGE_BITS = 200  # leaves 2, 4 and 5 leftover bits for 4/8/16 levels
+
+    def test_successive_programs_byte_for_byte(self, levels: int, lanes: int) -> None:
+        varray = VCellArray(VCellSpec(levels=levels), self.PAGE_BITS)
+        assert varray.used_bits < varray.page_bits
+        rng = np.random.default_rng(levels * 10 + lanes)
+        # Arbitrary bit patterns within cells, and set bits in the leftover.
+        pages = (rng.random((lanes, self.PAGE_BITS)) < 0.2).astype(np.uint8)
+        for round_ in range(5):
+            current = _reference_levels(varray, pages)
+            assert varray.levels_batch(pages).dtype == np.int64
+            assert np.array_equal(varray.levels_batch(pages), current)
+            headroom = varray.spec.max_level - current
+            # Partly saturate on the way, fully saturate in the last round.
+            step = rng.integers(0, levels // 2 + 1, current.shape)
+            targets = current + (headroom if round_ == 4 else np.minimum(step, headroom))
+            before = pages.copy()
+            expected = _reference_program(varray, pages, targets)
+            programmed = varray.program_levels_batch(pages, targets)
+            assert programmed.dtype == np.uint8
+            assert programmed.tobytes() == expected.tobytes()
+            assert np.array_equal(pages, before)
+            for lane in range(lanes):
+                assert np.array_equal(varray.levels(pages[lane]), current[lane])
+                single = varray.program_levels(pages[lane], targets[lane])
+                assert single.tobytes() == expected[lane].tobytes()
+            assert np.array_equal(pages, before)
+            pages = programmed
+        assert varray.saturated(pages[0]).all()
+
+    def test_same_errors_name_the_first_offender(self, levels: int, lanes: int) -> None:
+        varray = VCellArray(VCellSpec(levels=levels), self.PAGE_BITS)
+        top = varray.spec.max_level
+        lane = lanes - 1
+        pages = varray.program_levels_batch(
+            np.zeros((lanes, self.PAGE_BITS), np.uint8),
+            np.full((lanes, varray.num_cells), 2),
+        )
+        before = pages.copy()
+
+        lower = np.full((lanes, varray.num_cells), 2)
+        lower[lane, 3:] = 1
+        message = "cell 3: cannot lower level from L2 to L1 without an erase$"
+        with pytest.raises(VCellError, match=f"^lane {lane}, {message}"):
+            varray.program_levels_batch(pages, lower)
+        with pytest.raises(VCellError, match=f"^{message}"):
+            varray.program_levels(pages[lane], lower[lane])
+
+        above = np.full((lanes, varray.num_cells), 2)
+        above[lane, 5:] = top + 1
+        message = f"cell 5: target level {top + 1} exceeds L{top}$"
+        with pytest.raises(CellSaturatedError, match=f"^lane {lane}, {message}"):
+            varray.program_levels_batch(pages, above)
+        with pytest.raises(CellSaturatedError, match=f"^{message}"):
+            varray.program_levels(pages[lane], above[lane])
+
+        with pytest.raises(VCellError, match="target levels, got shape"):
+            varray.program_levels_batch(pages, lower[:, :-1])
+        with pytest.raises(VCellError, match="target levels, got shape"):
+            varray.program_levels(pages[lane], lower[lane, :-1])
+        with pytest.raises(VCellError, match=r"expected \(lanes, 200\) pages"):
+            varray.program_levels_batch(pages[:, :-1], lower)
+        with pytest.raises(VCellError, match="expected a page of 200 bits"):
+            varray.program_levels(pages[lane, :-1], lower[lane])
+        with pytest.raises(VCellError, match=r"expected \(lanes, 200\) pages"):
+            varray.levels_batch(pages[0])
+        assert np.array_equal(pages, before)
