@@ -5,10 +5,10 @@
  * +inf and have to add and compare as such.  The forward pass is instantiated
  * for float and double by including this file from itself.
  *
- * The recursion is the plain one-step-at-a-time one.  Folding two steps into a
- * radix-4 iteration, as the numpy backend does, halves interpreter dispatch and
- * is defined to reproduce this recursion exactly (integer costs, ties to the
- * first minimum); here there is no dispatch to save and it only adds loads.
+ * The recursion is one add-compare-select per trellis step, ties to the first
+ * minimum: the same one the numpy backend runs a vector of lanes at a time.
+ * CosetViterbi hands this kernel only searches with a fused cost table,
+ * integer (or inf) costs and a shift-register trellis; the rest run numpy.
  *
  * All tables are C-contiguous.  prev[s][k] is the k-th predecessor of state s
  * and pred_out[s][k] the output chunk on that branch, so writing it over coset

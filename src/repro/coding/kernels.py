@@ -1,4 +1,4 @@
-"""Pluggable kernel backends for the Viterbi fast path.
+"""Pluggable kernel backends for the Viterbi search.
 
 Every page write runs one minimum-cost coset search, the hottest code in
 the repository.  :class:`~repro.coding.viterbi.CosetViterbi` owns the
@@ -13,22 +13,26 @@ they are handed::
 ``reps`` is ``(B, steps)`` and ``levels`` ``(B, steps, cells)``, int64
 but not necessarily contiguous; ``path`` is the ``(B, S)`` final metrics
 in ``dtype`` (float32/float64), ``codeword_values`` ``(B, steps)`` int64,
-and ``backptr`` is private to the backend.  Costs are non-negative
-integers or ``inf``.  Strict-less selects are load-bearing: a tie keeps
-the lower predecessor, ``argmin``'s first-occurrence rule, which the
-historical recursion (and so every recorded result) follows.  A backend
-that breaks ties differently is *wrong* even if its total costs agree;
+and ``backptr`` is private to the backend.  Strict-less selects are
+load-bearing: a tie keeps the lower predecessor, ``argmin``'s
+first-occurrence rule, which the historical recursion (and so every
+recorded result) follows.  A backend that breaks ties differently is
+*wrong* even if its total costs agree;
 ``tests/coding/test_viterbi_kernel.py`` pins every available backend to
 byte-identical codewords, costs and writability.
 
-``numpy`` (always available, the reference) folds two steps into one
-radix-4 iteration of ufunc calls.  ``native`` is ``_viterbi.c``: cost
-lookup, ACS and backtrace fused into two foreign calls per search,
-compiled on first use into this package's ``__pycache__`` and loaded
-with ``ctypes``.  Nothing is probed, imported or written until a
-``CosetViterbi`` resolves its backend: by explicit name, then the
-``REPRO_VITERBI_BACKEND`` variable, then ``"auto"`` (native when it
-builds, else numpy), memoized per name.
+Both backends run the same recursion, one add-compare-select per trellis
+step.  ``numpy`` (always available, the reference) vectorizes it over
+lanes and serves every metric and every 2-regular trellis.  ``native``
+is ``_viterbi.c``: cost lookup, ACS and backtrace fused into two foreign
+calls per search, compiled on first use into this package's
+``__pycache__`` and loaded with ``ctypes``.  It is only ever handed the
+paper's case (costs that are non-negative integers or ``inf``, a level
+space small enough to tabulate, shift-register input labels); a
+``CosetViterbi`` outside it resolves to numpy.  Nothing is probed,
+imported or written until a ``CosetViterbi`` resolves its backend: by
+explicit name, then the ``REPRO_VITERBI_BACKEND`` variable, then
+``"auto"`` (native when it builds, else numpy), memoized per name.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ _CHUNK_BYTES = 8 << 20
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One registered implementation of the radix-4 search."""
+    """One registered implementation of the search."""
 
     name: str
     forward: Callable
@@ -72,153 +76,71 @@ class KernelBackend:
 # -- numpy backend --------------------------------------------------------------
 
 
-def _acs_radix4_numpy(path, folded, prev2_flat, sel, low01, low23, pair0):
-    """One pass of ``out=`` ufuncs per step pair.  ``argmin`` is an order
-    of magnitude slower on these shapes, so the four-way select is two
-    pairwise minima plus a final one, the comparisons writing the planes."""
-    pairs, lanes, four_s = folded.shape
-    num_states = four_s // 4
-    inc4 = np.empty((lanes, 4, num_states), dtype=path.dtype)
-    inc4_flat = inc4.reshape(lanes, four_s)
-    cand0, cand1, cand2, cand3 = (inc4[:, kk, :] for kk in range(4))
-    min01 = np.empty((lanes, num_states), dtype=path.dtype)
-    min23 = np.empty((lanes, num_states), dtype=path.dtype)
-    take_path = path.take
-    for i in range(pairs):
-        take_path(prev2_flat, axis=1, out=inc4_flat)
-        inc4_flat += folded[i]
-        row = pair0 + i
-        np.less(cand1, cand0, out=low01[row])
-        np.less(cand3, cand2, out=low23[row])
-        np.minimum(cand0, cand1, out=min01)
-        np.minimum(cand2, cand3, out=min23)
-        np.less(min23, min01, out=sel[row])
-        np.minimum(min01, min23, out=path)
-
-
 def _forward_numpy(v, reps, levels, dtype):
-    """ACS over two trellis steps per iteration; exact for integer costs.
+    """One add-compare-select per trellis step, all lanes at once.
 
-    Choice ``kk = 2*k1 + k0`` takes predecessor ``k1`` at the later step
-    and ``k0`` at the earlier one.  The backpointers are three boolean
-    planes per pair, ``kk = 2 + low23 if sel else low01``, plus the odd
-    final step's radix-2 plane or None.
+    Four ufunc calls a step (take, add, less, minimum) on ``(B, 2S)``
+    arrays.  Branch costs are gathered a chunk of steps ahead: entry
+    ``[i, b, k*S + s]`` of a slab is lane ``b``'s cost of reaching state
+    ``s`` at the chunk's step ``i`` from its predecessor ``k``.
     """
     lanes, steps = reps.shape
     num_states = v.trellis.num_states
-    n_pairs = steps // 2
     path = np.zeros((lanes, num_states), dtype=dtype)
-    sel = np.empty((n_pairs, lanes, num_states), dtype=bool)
-    low01 = np.empty((n_pairs, lanes, num_states), dtype=bool)
-    low23 = np.empty((n_pairs, lanes, num_states), dtype=bool)
-    backptr_tail = (
-        np.empty((lanes, num_states), dtype=bool) if steps % 2 else None
-    )
-    row_bytes = 2 * num_states * lanes * 8
-    chunk = max(2, _CHUNK_BYTES // max(row_bytes, 1))
-    chunk -= chunk % 2
-    pair = 0
+    backptr = np.empty((steps, lanes, num_states), dtype=bool)
+    inc = np.empty((lanes, 2, num_states), dtype=dtype)
+    inc_flat = inc.reshape(lanes, 2 * num_states)
+    inc0, inc1 = inc[:, 0], inc[:, 1]
+    take_path = path.take
+    prev_flat = v._prev_flat
+    chunk = max(1, _CHUNK_BYTES // (2 * num_states * max(lanes, 1) * 8))
     for t0 in range(0, steps, chunk):
         t1 = min(steps, t0 + chunk)
-        span = t1 - t0
-        chunk_pairs = span // 2
         if v._fused_flat is not None:
-            # Gather straight from the (level combos, 2**m) fused table
-            # — it is tiny, so every lookup is a cache hit.
+            # Row of the (level combos, 2**m) fused table per (lane, step):
+            # the table is tiny, so every lookup is a cache hit.
             costs_flat = v._fused_flat[np.dtype(dtype)]
-            level_rows = levels[:, t0:t1, 0]
+            row = levels[:, t0:t1, 0]
             for cell in range(1, v.cells_per_step):
-                level_rows = level_rows * v._num_levels + levels[:, t0:t1, cell]
-            level_rows = (level_rows * v.num_values).astype(np.int32)
-            late_off = level_rows[:, 1::2].T[:, :, None]
-            early_off = level_rows[:, 0 : span - (span % 2) : 2].T[:, :, None]
-            tail_off = level_rows[:, span - 1]
+                row = row * v._num_levels + levels[:, t0:t1, cell]
         else:
-            # (B * span, 2**m) cost rows for this chunk of steps,
-            # flattened so the composed gathers below index directly.
-            costs_flat = np.ascontiguousarray(
-                v.step_cost_table(levels[:, t0:t1]).reshape(-1, v.num_values),
-                dtype=dtype,
-            )
-            lane_base = np.arange(lanes, dtype=np.int32) * (span * v.num_values)
-            step_off = (
-                np.arange(chunk_pairs, dtype=np.int32) * (2 * v.num_values)
-            )[:, None] + lane_base[None, :]
-            late_off = (step_off + v.num_values)[:, :, None]
-            early_off = step_off[:, :, None]
-            tail_off = lane_base + (span - 1) * v.num_values
-        if chunk_pairs:
-            # Fold the two steps of each pair at gather time: one take
-            # per half-step slab, no intermediate 2S-wide branch tensor.
-            late = v._xg2_late[reps[:, t0 + 1 : t1 : 2].T]
-            early = v._xg2_early[reps[:, t0 : t1 - (span % 2) : 2].T]
-            late += late_off
-            early += early_off
-            folded = costs_flat.take(late)
-            folded += costs_flat.take(early)
-            _acs_radix4_numpy(path, folded, v._prev2_flat, sel, low01, low23, pair)
-            pair += chunk_pairs
-        if span % 2:  # only the final chunk of an odd-length trellis
-            inc2 = np.empty((lanes, 2, num_states), dtype=dtype)
-            inc2_flat = inc2.reshape(lanes, 2 * num_states)
-            tail_idx = v._xg_flat[reps[:, t1 - 1]] + tail_off[:, None]
-            path.take(v._prev_flat, axis=1, out=inc2_flat)
-            inc2_flat += costs_flat.take(tail_idx)
-            np.less(inc2[:, 1], inc2[:, 0], out=backptr_tail)
-            np.minimum(inc2[:, 0], inc2[:, 1], out=path)
-    return path, (sel, low01, low23, backptr_tail)
+            # (B * span, 2**m) cost rows computed for this chunk of steps.
+            costs_flat = v.step_cost_table(levels[:, t0:t1]).astype(
+                dtype, copy=False
+            ).reshape(-1)
+            row = np.arange(lanes * (t1 - t0)).reshape(lanes, t1 - t0)
+        index = v._xg_flat[reps[:, t0:t1].T]  # (span, B, 2S)
+        index += (row * v.num_values).T[:, :, None]
+        for costs, chosen in zip(costs_flat.take(index), backptr[t0:t1]):
+            take_path(prev_flat, axis=1, out=inc_flat)
+            np.add(inc_flat, costs, out=inc_flat)
+            np.less(inc1, inc0, out=chosen)
+            np.minimum(inc0, inc1, out=path)
+    return path, backptr
 
 
 def _backtrace_numpy(v, reps, end_state, backptr):
-    """Walk states backward, then rebuild all codeword chunks at once."""
+    """Walk each lane's winning branches backward, then emit every chunk.
+
+    The walk is plain Python over a bytes object and a list.  Batched
+    fancy indexing, one dispatch per step whatever the lane count, is 30x
+    slower at one lane and only wins past a few dozen, where the forward
+    pass dominates the search anyway.
+    """
     lanes, steps = reps.shape
-    sel, low01, low23, backptr_tail = backptr
-    if lanes == 1:
-        # A pure-Python walk over nested lists beats batched fancy
-        # indexing by a wide margin at one lane.
-        seq = [0] * steps
-        state = int(end_state[0])
-        if backptr_tail is not None:
-            state = v._prev_list[state][int(backptr_tail[0, state])]
-            seq[steps - 1] = state
-        sel_item, low01_item, low23_item = sel.item, low01.item, low23.item
-        mid_list, src_list = v._mid_list, v._src_list
-        for pair in range(steps // 2 - 1, -1, -1):
-            if sel_item(pair, 0, state):
-                kk = 2 + low23_item(pair, 0, state)
-            else:
-                kk = low01_item(pair, 0, state)
-            row_mid, row_src = mid_list[state], src_list[state]
-            seq[2 * pair + 1] = row_mid[kk]
-            state = row_src[kk]
-            seq[2 * pair] = state
-        before = np.array(seq, dtype=np.int64)[None, :]
-    else:
-        lane_index = np.arange(lanes)
-        sel_u = sel.view(np.uint8)
-        low01_u = low01.view(np.uint8)
-        low23_u = low23.view(np.uint8)
-        before = np.empty((lanes, steps), dtype=np.int64)
-        state = end_state.astype(np.int64)
-        if backptr_tail is not None:
-            choice = backptr_tail.view(np.uint8)[lane_index, state]
-            before[:, steps - 1] = state = v._prev_src[state, choice]
-        for pair in range(steps // 2 - 1, -1, -1):
-            t = 2 * pair
-            chose23 = sel_u[pair, lane_index, state]
-            kk = np.where(
-                chose23,
-                2 + low23_u[pair, lane_index, state],
-                low01_u[pair, lane_index, state],
-            )
-            before[:, t + 1] = v._mid_tab[state, kk]
-            before[:, t] = state = v._src_tab[state, kk]
-    after = np.empty_like(before)
-    after[:, :-1] = before[:, 1:]
-    after[:, -1] = end_state
-    # Shift-register labeling: the input consumed entering a state is
-    # its low bit (validated in CosetViterbi before taking this path).
-    return v._out_values[before, after & 1] ^ reps
+    num_states = v.trellis.num_states
+    prev = v._prev_src.reshape(-1).tolist()
+    branch = np.empty((lanes, steps), dtype=np.int64)
+    walked = [0] * steps
+    for lane in range(lanes):
+        chosen = backptr[:, lane].tobytes()
+        state = int(end_state[lane])
+        for t in range(steps - 1, -1, -1):
+            # Branch 2*s + k enters state s from its k-th predecessor.
+            walked[t] = taken = 2 * state + chosen[t * num_states + state]
+            state = prev[taken]
+        branch[lane] = walked
+    return v._pred_output.reshape(-1)[branch] ^ reps
 
 
 # -- native backend -------------------------------------------------------------
@@ -387,9 +309,10 @@ def resolve_backend(name: str | None = None) -> KernelBackend:
 
     Precedence: explicit ``name`` argument, then ``REPRO_VITERBI_BACKEND``,
     then ``"auto"``.  ``"auto"`` falls back from native to numpy, silently
-    when there is no compiler and with one warning when a build failed (a
-    5x slow-down should not be silent); asking for an unavailable backend
-    by name raises so a missing accelerator never degrades quietly.
+    when there is no compiler and with one warning when a build failed (an
+    order-of-magnitude slow-down should not be silent); asking for an
+    unavailable backend by name raises so a missing accelerator never
+    degrades quietly.
     """
     requested = (name or os.environ.get(BACKEND_ENV) or "auto").lower()
     cached = _RESOLVED.get(requested)

@@ -18,21 +18,22 @@ Kernel layout
 -------------
 The add-compare-select recursion is sequential in trellis steps, so for
 the small state counts the paper uses (64 states at K=7) the wall clock
-is dispatch, not arithmetic.  When every finite metric cost is a
-non-negative integer (true for the paper's metric and both ablations)
-and the trellis is a shift register, the search (forward pass and
-backtrace) runs through a pluggable backend from
-:mod:`repro.coding.kernels`: a fused C kernel built on first use, or
-the always-available numpy loops that fold two steps into one radix-4
-iteration.  Path metrics drop to float32 whenever the worst-case total
-fits its 2**24 exact-integer range; integer-valued float sums are
-associative, so every backend is bit-identical (pinned by
-``tests/coding/test_viterbi_kernel.py``).  The backend is chosen per
-``CosetViterbi`` via the ``backend`` argument or ``REPRO_VITERBI_BACKEND``.
+is dispatch, not arithmetic.  The search (forward pass and backtrace)
+runs through a pluggable backend from :mod:`repro.coding.kernels`: a
+fused C kernel built on first use, or the always-available numpy loop
+over steps.  Both run the same one-step recursion.  The backend is chosen
+per ``CosetViterbi`` via the ``backend`` argument or
+``REPRO_VITERBI_BACKEND``; a searcher the C kernel does not serve (a
+non-integral metric, a trellis that is not a shift register, a level
+space too large to tabulate) runs numpy whatever was asked for.
 
-Non-integral metrics fall back to a float64 radix-2 loop that reproduces
-the historical arithmetic operation for operation, so results are
-bit-identical for every metric either way.
+When every finite metric cost is a non-negative integer (true for the
+paper's metric and both ablations), path metrics drop to float32 whenever
+the worst-case total fits its 2**24 exact-integer range; integer-valued
+float sums are exact in either width, so results do not depend on it.
+Any other metric keeps float64.  Every backend is bit-identical to the
+historical recursion for every metric (pinned by
+``tests/coding/test_viterbi_kernel.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from repro.coding.convolutional import Trellis
 from repro.coding.cost import CellCodebook
-from repro.coding.kernels import _CHUNK_BYTES, resolve_backend
+from repro.coding.kernels import resolve_backend
 from repro.errors import ConfigurationError, UnwritableError
 from repro.obs import registry as _metrics
 from repro.obs.tracing import span as _span
@@ -120,10 +121,11 @@ class ViterbiBatchResult:
 class CosetViterbi:
     """Reusable searcher for one (trellis, codebook) pair.
 
-    ``backend`` names the kernel implementation for the integral fast
-    path (default: the ``REPRO_VITERBI_BACKEND`` environment variable,
-    falling back to ``"auto"`` — native when it builds, else numpy).
-    Backend choice never changes results, only wall clock.
+    ``backend`` names the kernel implementation (default: the
+    ``REPRO_VITERBI_BACKEND`` environment variable, falling back to
+    ``"auto"`` — native when it builds, else numpy).  Backend choice never
+    changes results, only wall clock; :attr:`backend` is the one that
+    runs, which is numpy for a searcher the named one does not serve.
     """
 
     def __init__(
@@ -161,7 +163,7 @@ class CosetViterbi:
             self._pred_output[None, :, :] ^ values[:, None, None]
         ).astype(np.int64)
         # Flat predecessor-major layout j = k * num_states + s shared by the
-        # branch slabs, the path-metric gathers, and the pair-folding below.
+        # branch-cost slabs and the path-metric gathers of the numpy backend.
         self._xg_flat = np.ascontiguousarray(
             self._xor_gather.transpose(0, 2, 1).reshape(
                 self.num_values, 2 * num_states
@@ -169,44 +171,8 @@ class CosetViterbi:
         )
         prev = trellis.prev_state.astype(np.int64)
         self._prev_src = prev
-        self._prev_input = trellis.prev_input.astype(np.int64)
         self._out_values = trellis.output_values.astype(np.int64)
         self._prev_flat = np.ascontiguousarray(prev.T).reshape(-1).astype(np.intp)
-        # Radix-4 tables: one iteration consumes two trellis steps; the
-        # choice pair kk = 2*k1 + k0 first takes predecessor k1 at the later
-        # step (reaching the "mid" state), then k0 at the earlier one.  kk
-        # ascending matches the radix-2 tie-breaking exactly: ties prefer
-        # k1 = 0 first (strict-less update), then k0 = 0 (first minimum).
-        kk = np.arange(4)
-        k1, k0 = kk >> 1, kk & 1
-        self._mid_tab = prev[:, k1]  # (S, 4)
-        self._src_tab = prev[self._mid_tab, k0[None, :]]  # (S, 4)
-        self._prev2_flat = (
-            np.ascontiguousarray(self._src_tab.T).reshape(-1).astype(np.intp)
-        )
-        # Plain nested lists for the numpy backend's single-lane backtrace.
-        self._mid_list = self._mid_tab.tolist()
-        self._src_list = self._src_tab.tolist()
-        self._prev_list = prev.tolist()
-        s_grid = np.arange(num_states)
-        # Fold two branch slabs into the radix-4 slab: entry j2 = kk*S + s
-        # sums the later step's (k1, s) branch and the earlier step's
-        # (k0, mid) branch.
-        self._pair_idx_late = (
-            k1[:, None] * num_states + s_grid[None, :]
-        ).reshape(-1)
-        self._pair_idx_early = (
-            k0[:, None] * num_states + self._mid_tab.T
-        ).reshape(-1)
-        # Composed radix-4 gather tables: entry [v, kk*S + s] is the flat
-        # cost-row index of the branch chosen by (kk, s) when the step's
-        # coset chunk is v — the XOR table and the pair fold in one lookup.
-        self._xg2_late = np.ascontiguousarray(
-            self._xg_flat[:, self._pair_idx_late], dtype=np.int32
-        )
-        self._xg2_early = np.ascontiguousarray(
-            self._xg_flat[:, self._pair_idx_early], dtype=np.int32
-        )
         # Fused per-step cost table: cost of writing packed chunk v onto a
         # step whose cells sit at the level combination i (base-L digits,
         # most significant cell first).  Collapses the per-cell gather+sum
@@ -234,12 +200,9 @@ class CosetViterbi:
             }
         else:
             self._fused_flat = None
-            if self.backend.needs_fused_table:
-                self.backend = resolve_backend("numpy")
-        # Exact-arithmetic guards.  Folding two steps regroups float adds,
-        # and float32 narrows them; both are only exact when every finite
-        # cost is a non-negative integer (sums of exact integers below the
-        # mantissa limit are associative and representable).
+        # Exact-arithmetic guard.  float32 narrows the path metrics, which
+        # is only exact when every finite cost is a non-negative integer
+        # (sums of exact integers below the mantissa limit are representable).
         finite = codebook.cost_table[np.isfinite(codebook.cost_table)]
         self._integral_costs = bool(
             finite.size == 0
@@ -248,15 +211,19 @@ class CosetViterbi:
         self._max_step_cost = (
             float(finite.max()) * self.cells_per_step if finite.size else 0.0
         )
-        # The vectorized backtrace reads each step's input bit off the next
-        # state (u = state & 1), which holds for shift-register trellises —
-        # every registry code.  Anything else uses the generic radix-2 path.
-        expected_inputs = np.broadcast_to(
-            (np.arange(num_states) & 1)[:, None], trellis.prev_input.shape
-        )
-        self._shift_register_inputs = bool(
-            np.array_equal(trellis.prev_input, expected_inputs)
-        )
+        # Only the numpy backend is required to serve a non-integral metric,
+        # or a trellis that does not label the input consumed entering a
+        # state in that state's low bit (every registry code does): such a
+        # searcher resolves to numpy here, and its backend.name says so.
+        shift_register_inputs = (
+            trellis.prev_input == (np.arange(num_states) & 1)[:, None]
+        ).all()
+        if (
+            not self._integral_costs
+            or not shift_register_inputs
+            or (self.backend.needs_fused_table and self._fused_flat is None)
+        ):
+            self.backend = resolve_backend("numpy")
 
     def step_cost_table(self, step_levels: np.ndarray) -> np.ndarray:
         """Cost of writing each packed chunk value at each step.
@@ -312,9 +279,9 @@ class CosetViterbi:
         step_levels:
             ``(B, steps, cells_per_step)`` current v-cell levels per lane.
 
-        The numpy paths vectorize the add-compare-select recursion and
-        the backtrace over the batch axis and loop over trellis steps in
-        Python; the native kernel loops over lanes in C.  Unwritable lanes
+        The numpy backend vectorizes the add-compare-select recursion
+        over the batch axis and loops over trellis steps in Python; the
+        native kernel loops over lanes in C.  Unwritable lanes
         are flagged in the result mask instead of raising, so callers can
         recycle those pages and keep the batch going.
         """
@@ -331,36 +298,22 @@ class CosetViterbi:
                 f"step_levels must be ({lanes}, {steps}, "
                 f"{self.cells_per_step}), got {levels.shape}"
             )
-        lane_index = np.arange(lanes)
-        if self._integral_costs and self._shift_register_inputs and steps >= 2:
-            dtype = (
-                np.float32
-                if steps * self._max_step_cost <= float(2**24 - 1)
-                else np.float64
+        dtype = (
+            np.float32
+            if self._integral_costs
+            and steps * self._max_step_cost <= float(2**24 - 1)
+            else np.float64
+        )
+        with _span(
+            "viterbi.acs", lanes=lanes, steps=steps, backend=self.backend.name
+        ):
+            path, backptr = self.backend.forward(self, reps, levels, dtype)
+        end_state = np.argmin(path, axis=1)
+        total_costs = path[np.arange(lanes), end_state].astype(np.float64)
+        with _span("viterbi.backtrace", lanes=lanes, steps=steps):
+            codeword_values = self.backend.backtrace(
+                self, reps, end_state, backptr
             )
-            with _span(
-                "viterbi.acs",
-                lanes=lanes,
-                steps=steps,
-                radix=4,
-                backend=self.backend.name,
-            ):
-                path, backptr = self.backend.forward(self, reps, levels, dtype)
-            end_state = np.argmin(path, axis=1)
-            total_costs = path[lane_index, end_state].astype(np.float64)
-            with _span("viterbi.backtrace", lanes=lanes, steps=steps, radix=4):
-                codeword_values = self.backend.backtrace(
-                    self, reps, end_state, backptr
-                )
-        else:
-            with _span("viterbi.acs", lanes=lanes, steps=steps, radix=2):
-                path, backptr = self._forward_radix2(reps, levels)
-            end_state = np.argmin(path, axis=1)
-            total_costs = path[lane_index, end_state]
-            with _span("viterbi.backtrace", lanes=lanes, steps=steps, radix=2):
-                codeword_values = self._backtrace_radix2(
-                    reps, end_state, backptr, lane_index
-                )
         writable = np.isfinite(total_costs)
         _SEARCHES.inc()
         _LANES.inc(lanes)
@@ -374,66 +327,3 @@ class CosetViterbi:
             total_costs=total_costs,
             writable=writable,
         )
-
-    # -- hoisted branch-cost slabs ---------------------------------------------
-
-    def _branch_chunks(self, reps, levels, dtype):
-        """Yield contiguous branch-cost slabs covering the whole trellis.
-
-        Each item is ``(first_step, branch)`` where ``branch`` has shape
-        ``(B, chunk, 2 * states)``: entry ``[b, i, k*S + s]`` is the cost of
-        lane ``b`` reaching state ``s`` at step ``first_step + i`` via
-        predecessor ``k``.  Chunks are even-length (except possibly the
-        last) so radix-4 pairs never straddle a chunk boundary.
-        """
-        lanes, steps = reps.shape
-        row_bytes = 2 * self.trellis.num_states * lanes * 8
-        chunk = max(2, _CHUNK_BYTES // max(row_bytes, 1))
-        chunk -= chunk % 2
-        for t0 in range(0, steps, chunk):
-            t1 = min(steps, t0 + chunk)
-            costs = self.step_cost_table(levels[:, t0:t1])  # (B, c, 2**m)
-            gather = self._xg_flat[reps[:, t0:t1]]  # (B, c, 2S)
-            # One flat gather instead of take_along_axis: row r of the
-            # flattened (B * c, 2**m) cost table starts at r * 2**m.
-            rows = lanes * gather.shape[1]
-            gather += (
-                np.arange(rows, dtype=np.int64) * self.num_values
-            ).reshape(lanes, -1, 1)
-            branch = costs.reshape(-1).take(gather)
-            yield t0, branch.astype(dtype, copy=False)
-
-    # -- generic radix-2 path (any metric, any 2-regular trellis) --------------
-
-    def _forward_radix2(self, reps, levels):
-        """One trellis step per iteration in float64 — the historical
-        arithmetic, preserved exactly for non-integral metrics."""
-        lanes, steps = reps.shape
-        num_states = self.trellis.num_states
-        path = np.zeros((lanes, num_states), dtype=np.float64)
-        backptr = np.empty((steps, lanes, num_states), dtype=bool)
-        inc = np.empty((lanes, 2, num_states), dtype=np.float64)
-        inc_flat = inc.reshape(lanes, 2 * num_states)
-        take_path = path.take
-        prev_flat = self._prev_flat
-        for t0, branch in self._branch_chunks(reps, levels, np.float64):
-            slab = np.ascontiguousarray(branch.transpose(1, 0, 2))
-            for i in range(slab.shape[0]):
-                take_path(prev_flat, axis=1, out=inc_flat)
-                inc_flat += slab[i]
-                np.less(inc[:, 1], inc[:, 0], out=backptr[t0 + i])
-                np.minimum(inc[:, 0], inc[:, 1], out=path)
-        return path, backptr
-
-    def _backtrace_radix2(self, reps, end_state, backptr, lane_index):
-        lanes, steps = reps.shape
-        choices = backptr.view(np.uint8)
-        codeword_values = np.empty((lanes, steps), dtype=np.int64)
-        state = end_state.astype(np.int64)
-        for t in range(steps - 1, -1, -1):
-            choice = choices[t, lane_index, state]
-            source = self._prev_src[state, choice]
-            u = self._prev_input[state, choice]
-            codeword_values[:, t] = self._out_values[source, u] ^ reps[:, t]
-            state = source
-        return codeword_values

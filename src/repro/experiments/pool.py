@@ -17,10 +17,7 @@ worker pre-imports ``repro`` and leans on the engine's scheme memo
 same ``(scheme, page_bits, kwargs)`` skip trellis/cost/gather-table
 construction entirely.  Dispatch is **chunked**: pending cells are
 grouped into at most ``4 * jobs`` contiguous chunks so each IPC
-round-trip amortizes pickle and telemetry-snapshot cost over many cells,
-and chunk results whose array payload is large return through
-``multiprocessing.shared_memory`` instead of the result pipe
-(``REPRO_SHM_MIN_BYTES`` sets the cut-over, default 1 MiB).
+round-trip amortizes pickle and telemetry-snapshot cost over many cells.
 
 Determinism is structural: each cell's seed is bound at decomposition
 time (not derived from completion order), chunks are contiguous slices of
@@ -38,13 +35,9 @@ skip simulation entirely (see :mod:`repro.cache`).
 from __future__ import annotations
 
 import atexit
-import itertools
-import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 
 from repro.cache import (
     ResultCache,
@@ -71,15 +64,6 @@ __all__ = [
 
 _CELLS_RUN = _metrics.counter("sweep.cells_run")
 _CELLS_CACHED = _metrics.counter("sweep.cells_cached")
-
-#: Environment knob: minimum out-of-band array bytes in one chunk's
-#: results before the worker routes them through shared memory.
-SHM_MIN_BYTES_ENV = "REPRO_SHM_MIN_BYTES"
-_SHM_MIN_BYTES_DEFAULT = 1 << 20
-#: Shared-memory segment names are ``repro-pool-<pid>-<seq>`` so a leak
-#: check (and a human inspecting ``/dev/shm``) can attribute them.
-_SHM_PREFIX = "repro-pool-"
-_shm_seq = itertools.count()
 
 #: Chunks per worker: enough slack that a straggler chunk doesn't idle
 #: the other workers, small enough that per-chunk overhead stays amortized.
@@ -214,7 +198,7 @@ def _run_one(cell) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Worker side: chunk execution and shared-memory result transport.
+# Worker side: chunk execution.
 # ---------------------------------------------------------------------------
 
 
@@ -235,91 +219,7 @@ def _worker_init() -> None:
     registry.reset()
 
 
-def _shm_min_bytes() -> int:
-    raw = os.environ.get(SHM_MIN_BYTES_ENV)
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return _SHM_MIN_BYTES_DEFAULT
-
-
-def _encode_chunk(payload: tuple, min_bytes: int) -> tuple:
-    """Serialize a chunk's ``(results, snapshot)`` for the trip home.
-
-    Small payloads go in-band through the pool's result pipe.  When the
-    pickle-5 out-of-band buffers (numpy array bodies, mostly) total at
-    least ``min_bytes``, they are copied once into a shared-memory
-    segment instead, and only the segment's name plus the (tiny) pickle
-    stream crosses the pipe.  The worker unregisters the segment from the
-    resource tracker — the parent owns its lifetime and unlinks it after
-    copying the buffers out in :func:`_decode_chunk`.
-    """
-    buffers: list[pickle.PickleBuffer] = []
-    data = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
-    try:
-        raw = [buffer.raw() for buffer in buffers]
-    except BufferError:  # non-contiguous buffer: ship it in-band
-        raw = None
-    if raw is None or sum(view.nbytes for view in raw) < min_bytes:
-        return ("inline", pickle.dumps(payload, protocol=5))
-    total = sum(view.nbytes for view in raw)
-    name = f"{_SHM_PREFIX}{os.getpid()}-{next(_shm_seq)}"
-    segment = shared_memory.SharedMemory(create=True, size=total, name=name)
-    try:
-        spans = []
-        offset = 0
-        for view in raw:
-            nbytes = view.nbytes
-            segment.buf[offset : offset + nbytes] = view
-            spans.append((offset, nbytes))
-            offset += nbytes
-    finally:
-        segment.close()
-        # The parent decides when the segment dies; without this the
-        # (shared, forked) resource tracker would unlink it when this
-        # worker registered it, racing the parent's read.
-        resource_tracker.unregister(segment._name, "shared_memory")
-    return ("shm", segment.name, spans, data)
-
-
-def _decode_chunk(payload: tuple):
-    """Parent-side inverse of :func:`_encode_chunk`.
-
-    Shared-memory buffers are copied out (into writable ``bytearray``s
-    the reconstructed arrays keep referencing) and the segment is closed
-    and unlinked immediately — no ``/dev/shm`` entry outlives the call.
-    """
-    if payload[0] == "inline":
-        return pickle.loads(payload[1])
-    _, name, spans, data = payload
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        buffers = [
-            bytearray(segment.buf[offset : offset + nbytes])
-            for offset, nbytes in spans
-        ]
-        return pickle.loads(data, buffers=buffers)
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def _release_chunk(payload: tuple) -> None:
-    """Free a completed-but-unread chunk's segment (error paths only)."""
-    if payload and payload[0] == "shm":
-        try:
-            segment = shared_memory.SharedMemory(name=payload[1])
-        except FileNotFoundError:
-            return
-        segment.close()
-        segment.unlink()
-
-
-def _run_chunk(
-    cells: list, telemetry: bool, min_bytes: int
-) -> tuple:
+def _run_chunk(cells: list, telemetry: bool) -> tuple:
     """Worker entry point: run one chunk of cells, snapshot once.
 
     Workers are long-lived, so the telemetry protocol is explicit: force
@@ -343,7 +243,7 @@ def _run_chunk(
         if telemetry:
             registry.enabled = False
             registry.reset()
-    return _encode_chunk((results, snapshot), min_bytes)
+    return results, snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +301,6 @@ def _run_parallel(
 ) -> None:
     """Fan pending cells out over the warm pool, chunked, in order."""
     telemetry = registry.enabled
-    min_bytes = _shm_min_bytes()
     chunks: list[list[int]] = []
     start = 0
     for size in _chunk_sizes(len(pending), jobs):
@@ -415,32 +314,21 @@ def _run_parallel(
         try:
             for chunk in chunks:
                 future = pool.submit(
-                    _run_chunk,
-                    [cells[index] for index in chunk],
-                    telemetry,
-                    min_bytes,
+                    _run_chunk, [cells[index] for index in chunk], telemetry
                 )
                 futures[future] = chunk
             for future in as_completed(futures):
-                chunk_results, snapshot = _decode_chunk(future.result())
+                chunk_results, snapshot = future.result()
                 for index, result in zip(futures[future], chunk_results):
                     results[index] = result
                 if snapshot is not None:
                     registry.merge(snapshot)
         except BaseException as exc:
-            # Don't strand the rest of the sweep: cancel what hasn't
-            # started, wait out what has, and release the shared-memory
-            # segments of chunks that completed but were never read.
+            # Don't strand the rest of the sweep behind a failure: chunks
+            # that haven't started are cancelled, the ones running finish
+            # in their workers and their results are dropped.
             for future in futures:
                 future.cancel()
-            for future in futures:
-                if future.cancelled():
-                    continue
-                try:
-                    payload = future.result()
-                except BaseException:
-                    continue
-                _release_chunk(payload)
             if isinstance(exc, BrokenProcessPool):
                 shutdown()
             raise

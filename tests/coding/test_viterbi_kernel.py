@@ -6,7 +6,8 @@ end state).  The production search runs on float32 metrics where exact,
 through whichever kernel backend is selected (the first half of this file
 takes the default, so ``REPRO_VITERBI_BACKEND`` steers it; the second half
 names every available backend) — every case asserts byte-identical
-codewords, total costs, and writability masks across all MFC rates.
+codewords, total costs, and writability masks across all MFC rates, and
+across fractional metrics and relabelled trellises that no scheme builds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import numpy as np
 import pytest
 
 from repro.coding import kernels
+from repro.coding.convolutional import Trellis
 from repro.coding.coset import ConvolutionalCosetCode
+from repro.coding.cost import make_codebook, methuselah_metric
+from repro.coding.registry import get_code
 from repro.coding.viterbi import CosetViterbi
 from repro.errors import ConfigurationError
 from repro.core.mfc import MFC_VARIANTS
@@ -114,32 +118,6 @@ def test_8_level_vcells_bit_identical() -> None:
     viterbi = code.viterbi
     reps, levels = _random_case(viterbi, 4, 15, 3, 6)
     _assert_bit_identical(viterbi, reps, levels)
-
-
-def test_single_lane_scalar_backtrace() -> None:
-    """The lanes==1 backtrace takes a dedicated scalar walk; cover it."""
-    code = _make_code("mfc-1/2-1bpc", 5)
-    viterbi = code.viterbi
-    for steps in (11, 12):
-        reps, levels = _random_case(viterbi, 1, steps, steps, 2)
-        _assert_bit_identical(viterbi, reps, levels)
-
-
-def test_generic_fallback_matches_fast_path() -> None:
-    """Forcing the generic radix-2 path returns the same bits as radix-4."""
-    code = _make_code("mfc-2/3", 4)
-    viterbi = code.viterbi
-    assert viterbi._integral_costs  # the fast path is live for MFC metrics
-    reps, levels = _random_case(viterbi, 6, 14, 9, 2)
-    fast = viterbi.search_batch(reps, levels)
-    viterbi._integral_costs = False  # non-integral metrics take this path
-    try:
-        generic = viterbi.search_batch(reps, levels)
-    finally:
-        viterbi._integral_costs = True
-    assert np.array_equal(fast.codeword_values, generic.codeword_values)
-    assert np.array_equal(fast.total_costs, generic.total_costs)
-    assert np.array_equal(fast.writable, generic.writable)
 
 
 def test_float32_metric_bound_falls_back_to_float64() -> None:
@@ -277,6 +255,24 @@ def test_backend_scratch_scales_with_state_count(backend) -> None:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_empty_batch(backend) -> None:
+    """A batch of no lanes is valid input, whatever its step count."""
+    untabulated = _make_code("mfc-4/5", 4, vcell_levels=16).viterbi
+    assert untabulated._fused_flat is None
+    for viterbi in (
+        _with_backend(_make_code("mfc-1/2-1bpc", 3), backend), untabulated
+    ):
+        for steps in (0, 1, 12):
+            reps, levels = _random_case(viterbi, 0, steps, 0, 2)
+            result = viterbi.search_batch(reps, levels)
+            assert result.codeword_values.shape == (0, steps)
+            assert result.target_levels.shape == (
+                0, steps, viterbi.cells_per_step
+            )
+            assert len(result) == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_rejects_out_of_range_chunks(backend) -> None:
     viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 3), backend)
     reps, levels = _random_case(viterbi, 2, 8, 0, 2)
@@ -294,6 +290,75 @@ def test_native_rejects_out_of_range_levels() -> None:
         broken[1, 8, 0] = bad
         with pytest.raises(IndexError, match="out of range"):
             viterbi.search_batch(reps, broken)
+
+
+# ---------------------------------------------------------------------------
+# Searchers outside the paper's case: a non-integral metric (float64 metrics,
+# sums that do not regroup) and a trellis whose input bit is not the state's
+# low bit.  No factory scheme builds either, so they are built by hand here.
+# ---------------------------------------------------------------------------
+
+
+def _fractional_metric(level: int, target: int, num_levels: int) -> float:
+    """Infeasible exactly where the paper's metric is, fractional elsewhere."""
+    if np.isinf(methuselah_metric(level, target, num_levels)):
+        return float("inf")
+    return 0.1 * (target - level) * (level + 1)
+
+
+def _permuted_trellis(trellis: Trellis) -> Trellis:
+    """The same code with its state labels shuffled."""
+    new_label = np.random.default_rng(trellis.num_states).permutation(
+        trellis.num_states
+    ).astype(np.int32)
+    old_label = np.argsort(new_label)
+    permuted = Trellis(
+        num_states=trellis.num_states,
+        outputs_per_step=trellis.outputs_per_step,
+        next_state=new_label[trellis.next_state[old_label]],
+        output_values=trellis.output_values[old_label],
+        prev_state=new_label[trellis.prev_state[old_label]],
+        prev_input=trellis.prev_input[old_label],
+    )
+    low_bit = np.arange(trellis.num_states) & 1
+    assert not np.array_equal(permuted.prev_input[:, 0], low_bit)
+    return permuted
+
+
+GENERIC_CASES = {
+    "fractional-metric": (_fractional_metric, False),
+    "permuted-states": (methuselah_metric, True),
+    "fractional-metric-permuted-states": (_fractional_metric, True),
+}
+
+
+def _generic_searcher(case: str, denominator: int, backend: str) -> CosetViterbi:
+    metric, permute = GENERIC_CASES[case]
+    trellis = get_code(denominator, 5).build_trellis()
+    if permute:
+        trellis = _permuted_trellis(trellis)
+    return CosetViterbi(
+        trellis, make_codebook(1, 4, metric=metric), backend=backend
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("denominator", [2, 3, 5])
+@pytest.mark.parametrize("case", sorted(GENERIC_CASES))
+def test_generic_searchers_bit_identical(backend, denominator, case) -> None:
+    viterbi = _generic_searcher(case, denominator, backend)
+    for steps in (0, 1, 2, 3, 11, 12):
+        for lanes in (1, 5, 64):
+            reps, levels = _random_case(viterbi, lanes, steps, steps + lanes, 3)
+            _assert_bit_identical(viterbi, reps, levels)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(GENERIC_CASES))
+def test_generic_searcher_names_the_backend_that_ran(backend, case) -> None:
+    """The C kernel serves integer costs on shift-register trellises only;
+    telemetry prints ``backend.name``, so it has to say what ran instead."""
+    assert _generic_searcher(case, 2, backend).backend.name == "numpy"
 
 
 def test_unknown_backend_raises() -> None:

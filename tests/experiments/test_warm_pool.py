@@ -1,10 +1,9 @@
-"""The warm persistent pool: chunked dispatch, memo reuse, shm transport."""
+"""The warm persistent pool: chunked dispatch, memo reuse, result transport."""
 
 from __future__ import annotations
 
 import os
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +16,6 @@ from repro.experiments.pool import (
     run_cells,
 )
 from repro.obs import registry as obs
-
-SHM_DIR = Path("/dev/shm")
-
-
-def _segments() -> set[str]:
-    if not SHM_DIR.is_dir():
-        return set()
-    return {p.name for p in SHM_DIR.glob("repro-pool-*")}
-
 
 class PidCell:
     """Generic cell reporting which process ran it (never cached)."""
@@ -43,7 +33,7 @@ class PidCell:
 
 
 class BigArrayCell:
-    """Generic cell returning a large deterministic array (shm-sized)."""
+    """Generic cell returning a large deterministic array (512 KiB)."""
 
     cacheable = False
 
@@ -113,10 +103,12 @@ class TestWarmPoolLifecycle:
         executor = pool._pool
         assert executor is not None
         second = set(run_cells([PidCell(i) for i in range(8)], jobs=2, cache=False))
-        # Same executor object, and the same worker processes served both.
+        # Same executor object, and no worker was respawned in between.
+        # Which of the resident workers happen to serve a call is the
+        # executor's business: it only starts one when none is idle.
         assert pool._pool is executor
-        assert first == second
-        assert os.getpid() not in first
+        assert len(first | second) <= 2
+        assert os.getpid() not in first | second
 
     def test_jobs_change_rebuilds_pool(self) -> None:
         run_cells([PidCell(i) for i in range(4)], jobs=2, cache=False)
@@ -168,36 +160,12 @@ class TestWorkerMemoReuse:
         assert snap.counters["sweep.cells_run"] == 2 * len(cells)
 
 
-class TestSharedMemoryTransport:
-    def test_large_results_cross_shm_and_segments_are_released(
-        self, monkeypatch
-    ) -> None:
-        monkeypatch.setenv(pool.SHM_MIN_BYTES_ENV, "4096")
-        before = _segments()
+class TestLargeResults:
+    def test_arrays_return_intact_and_in_order(self) -> None:
         cells = [BigArrayCell(seed) for seed in range(6)]
         results = run_cells(cells, jobs=2, cache=False)
         for cell, result in zip(cells, results):
             assert np.array_equal(result, cell.run())
-        assert _segments() == before  # nothing leaked in /dev/shm
-
-    def test_inline_fallback_below_threshold(self, monkeypatch) -> None:
-        monkeypatch.setenv(pool.SHM_MIN_BYTES_ENV, str(1 << 30))
-        before = _segments()
-        cells = [BigArrayCell(seed) for seed in range(4)]
-        results = run_cells(cells, jobs=2, cache=False)
-        for cell, result in zip(cells, results):
-            assert np.array_equal(result, cell.run())
-        assert _segments() == before
-
-    def test_encode_decode_roundtrip_and_release(self) -> None:
-        payload = ([np.arange(50_000, dtype=np.int64)], None)
-        encoded = pool._encode_chunk(payload, min_bytes=1024)
-        assert encoded[0] == "shm"
-        assert encoded[1].startswith("repro-pool-")
-        decoded = pool._decode_chunk(encoded)
-        assert np.array_equal(decoded[0][0], payload[0][0])
-        assert _segments() == set()
-        pool._release_chunk(encoded)  # already unlinked: must not raise
 
 
 class TestWorkerFailures:
