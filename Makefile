@@ -1,6 +1,6 @@
 # Convenience targets for the Methuselah Flash reproduction.
 
-.PHONY: install test ci bench bench-smoke bench-full kernel-equivalence experiments experiments-full examples clean
+.PHONY: install test ci bench bench-smoke bench-full kernel-equivalence ftl-oracle experiments experiments-full examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -33,6 +33,13 @@ bench-smoke:
 kernel-equivalence:
 	REPRO_VITERBI_BACKEND=numpy PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
 	REPRO_VITERBI_BACKEND=native PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
+
+# The FTL's standing oracle (dict model, batched == sequential) under three
+# fixed hypothesis seeds, so it explores more than tier-1's one draw.
+ftl-oracle:
+	for seed in 1 2017 65537; do \
+		PYTHONPATH=src python -m pytest tests/ftl/test_model_based.py tests/ftl/test_ftl_batch.py -q --hypothesis-seed=$$seed || exit 1; \
+	done
 
 # Paper-fidelity benchmark run (4 KB pages, several minutes).
 bench-full:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.flash import FlashGeometry
 from repro.ssd import StripedDevice, UniformWorkload
+from repro.workload import payload_for
 
 GEOM = FlashGeometry(blocks=4, pages_per_block=4, page_bits=384,
                      erase_limit=5000)
@@ -21,8 +22,8 @@ def _time_per_write(channels: int, scheme: str) -> float:
                            utilization=0.5, **kwargs)
     workload = UniformWorkload(device.logical_pages, seed=5)
     for _ in range(160 * channels):
-        device.write(workload.next_lpn(),
-                     workload.next_data(device.logical_page_bits))
+        op = next(workload)
+        device.write(op.lpn, payload_for(op, device.logical_page_bits))
     return device.parallel_time_per_write_us()
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,16 +180,34 @@ class BasicFTL:
 
     # -- host interface ------------------------------------------------------
 
-    def write(self, lpn: int, data: np.ndarray) -> None:
-        """Write one logical page."""
+    def _checked_dataword(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.uint8)
         if data.shape != (self.dataword_bits,):
             raise CodingError(
                 f"logical pages hold {self.dataword_bits} bits, got {data.shape}"
             )
+        return data
+
+    def _checked_batch(self, lpns, datawords: np.ndarray) -> np.ndarray:
+        data = np.asarray(datawords, dtype=np.uint8)
+        if data.shape != (len(lpns), self.dataword_bits):
+            raise CodingError(
+                f"expected ({len(lpns)}, {self.dataword_bits}) dataword "
+                f"bits, got {data.shape}"
+            )
+        return data
+
+    def write(self, lpn: int, data: np.ndarray) -> None:
+        """Write one logical page."""
+        data = self._checked_dataword(data)
         self._write_out_of_place(lpn, data, count_relocation=False)
         self.stats.host_writes += 1
         self._maybe_static_migration()
+
+    def write_batch(self, lpns, datawords: np.ndarray) -> None:
+        """Write several logical pages: :meth:`write` for each, in order."""
+        for lpn, data in zip(lpns, self._checked_batch(lpns, datawords)):
+            self.write(lpn, data)
 
     def read(self, lpn: int) -> np.ndarray:
         """Read one logical page (zeros if never written).

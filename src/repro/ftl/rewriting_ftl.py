@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.scheme import RewritingScheme
 from repro.errors import (
     BlockWornOutError,
-    CodingError,
     ConfigurationError,
     DecodingError,
     PartialProgramLimitError,
@@ -57,6 +56,9 @@ class RewritingFTL(BasicFTL):
                 "needs a page-granularity scheme"
             )
         self.scheme = scheme
+        #: Ahead-of-time encodes of the running ``write_batch``, by LPN: the
+        #: page to program, or None where the scheme needs an erase first.
+        self._encoded_ahead: dict[int, np.ndarray | None] = {}
         super().__init__(
             chip,
             logical_pages,
@@ -104,98 +106,81 @@ class RewritingFTL(BasicFTL):
 
     def write(self, lpn: int, data: np.ndarray) -> None:
         """Write a logical page: in-place PWE first, relocation as fallback."""
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"logical pages hold {self.dataword_bits} bits, got {data.shape}"
-            )
+        data = self._checked_dataword(data)
         addr = self.mapping.lookup(lpn)
-        if addr is not None:
-            # Read-modify-write uses the controller's precise internal
-            # sensing; host reads stay on the noisy path.
-            current = self.chip.read_page(*addr, noisy=False)
-            try:
-                encoded = self._store(data, current=current)
-                self.chip.program_page(addr[0], addr[1], encoded)
-            except (UnwritableError, PartialProgramLimitError, BlockWornOutError):
-                # Fall through to relocation — either the code ran out of
-                # writable coset members or the chip's NOP budget is spent.
-                # mapping.map will invalidate the exhausted page once the
-                # new location is secured, so a full device never strands
-                # the previous data.
-                pass
-            except ProgramFailedError as exc:
-                # The chip refused the in-place program.  The page keeps its
-                # previous (still-decodable) contents, so treat this like an
-                # exhausted page: count it, retire the block on a permanent
-                # defect, and relocate.
-                self.stats.program_failures += 1
-                if exc.permanent:
-                    self._retire_block(addr[0])
-            else:
-                self.stats.in_place_rewrites += 1
-                self.stats.host_writes += 1
-                self._maybe_static_migration()
-                return
-        self._write_out_of_place(lpn, data, count_relocation=addr is not None)
+        if addr is None or not self._rewrite_in_place(lpn, addr, data):
+            # mapping.map invalidates the old page only once the new
+            # location is secured, so a full device never strands the
+            # previous data.
+            self._write_out_of_place(lpn, data, count_relocation=addr is not None)
         self.stats.host_writes += 1
         self._maybe_static_migration()
 
-    def write_batch(self, lpns, datawords: np.ndarray) -> None:
-        """Write several logical pages, batching the in-place encodes.
-
-        Every mapped logical page's program-without-erase attempt runs
-        through one ``scheme.write_batch`` call (a single lockstep Viterbi
-        search for MFCs) instead of one scalar encode per page.  Lanes the
-        batch reports unwritable relocate exactly like the scalar path;
-        unmapped pages and repeated LPNs fall back to :meth:`write` so
-        per-LPN write ordering is preserved.
-        """
-        data = np.asarray(datawords, dtype=np.uint8)
-        if data.ndim != 2 or data.shape != (len(lpns), self.dataword_bits):
-            raise CodingError(
-                f"expected ({len(lpns)}, {self.dataword_bits}) dataword "
-                f"bits, got {data.shape}"
-            )
-        batch_lanes: list[int] = []
-        addrs: list[tuple[int, int]] = []
-        scalar_lanes: list[int] = []
-        seen: set[int] = set()
-        for lane, lpn in enumerate(lpns):
-            addr = self.mapping.lookup(lpn) if lpn not in seen else None
-            if addr is not None:
-                batch_lanes.append(lane)
-                addrs.append(addr)
+    def _rewrite_in_place(
+        self, lpn: int, addr: tuple[int, int], data: np.ndarray
+    ) -> bool:
+        """Program-without-erase on ``lpn``'s page; False: it must relocate."""
+        try:
+            if lpn in self._encoded_ahead:
+                encoded = self._encoded_ahead.pop(lpn)
+                if encoded is None:
+                    raise UnwritableError(f"logical page {lpn} needs an erase")
             else:
-                scalar_lanes.append(lane)
-            seen.add(lpn)
-        if batch_lanes:
-            current = np.stack(
-                [self.chip.read_page(*addr, noisy=False) for addr in addrs]
-            )
-            new_states, writable = self.scheme.write_batch(
-                current, data[batch_lanes]
-            )
-            new_states = np.asarray(new_states)
-            for j, lane in enumerate(batch_lanes):
-                lpn = lpns[lane]
-                addr = addrs[j]
-                if writable[j]:
-                    try:
-                        self.chip.program_page(addr[0], addr[1], new_states[j])
-                    except (PartialProgramLimitError, BlockWornOutError):
-                        pass
-                    except ProgramFailedError as exc:
-                        self.stats.program_failures += 1
-                        if exc.permanent:
-                            self._retire_block(addr[0])
-                    else:
-                        self.stats.in_place_rewrites += 1
-                        self.stats.host_writes += 1
-                        self._maybe_static_migration()
-                        continue
-                self._write_out_of_place(lpn, data[lane], count_relocation=True)
-                self.stats.host_writes += 1
-                self._maybe_static_migration()
-        for lane in scalar_lanes:
-            self.write(lpns[lane], data[lane])
+                # Read-modify-write uses the controller's precise internal
+                # sensing; host reads stay on the noisy path.
+                current = self.chip.read_page(*addr, noisy=False)
+                encoded = self._store(data, current=current)
+            self.chip.program_page(addr[0], addr[1], encoded)
+        except (UnwritableError, PartialProgramLimitError, BlockWornOutError):
+            # The code ran out of writable coset members or the chip's NOP
+            # budget is spent.
+            return False
+        except ProgramFailedError as exc:
+            # The chip refused the in-place program.  The page keeps its
+            # previous (still-decodable) contents, so treat this like an
+            # exhausted page: count it, retire the block on a permanent
+            # defect, and relocate.
+            self.stats.program_failures += 1
+            if exc.permanent:
+                self._retire_block(addr[0])
+            return False
+        self.stats.in_place_rewrites += 1
+        return True
+
+    def _write_out_of_place(
+        self, lpn: int, data: np.ndarray, count_relocation: bool
+    ) -> None:
+        # Every remap (host relocation, GC, static migration, scrub) comes
+        # through here, and a rewrite is only legal on the bits it was
+        # computed from: forget what write_batch encoded for the old page.
+        self._encoded_ahead.pop(lpn, None)
+        super()._write_out_of_place(lpn, data, count_relocation)
+
+    def write_batch(self, lpns, datawords: np.ndarray) -> None:
+        """Write several logical pages in order, encoding them ahead.
+
+        One ``scheme.write_batch`` call (a single lockstep Viterbi search
+        for MFCs) encodes the first write to every mapped logical page
+        against that page's current bits; :meth:`write` then runs for each
+        lane and uses its page's encode if the page is still where it was.
+        Encodes are keyed by LPN, not by physical address: within one batch
+        a block can be erased and the same address handed out again.
+        """
+        data = self._checked_batch(lpns, datawords)
+        lanes: dict[int, int] = {}  # mapped LPN -> lane of its first write
+        pages = []
+        for lane, lpn in enumerate(lpns):
+            addr = self.mapping.lookup(lpn)
+            if addr is not None and lpn not in lanes:
+                lanes[lpn] = lane
+                pages.append(self.chip.read_page(*addr, noisy=False))
+        try:
+            if lanes:
+                encoded, writable = self.scheme.write_batch(
+                    np.stack(pages), data[list(lanes.values())]
+                )
+                for lpn, page, ok in zip(lanes, encoded, writable):
+                    self._encoded_ahead[lpn] = page if ok else None
+            super().write_batch(lpns, data)
+        finally:
+            self._encoded_ahead.clear()

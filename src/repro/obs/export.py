@@ -13,17 +13,13 @@ Per-tenant instruments are registered internally under flat dotted names
 exporter converts them to proper Prometheus label sets — one
 ``repro_server_tenant_requests{tenant="3"}`` family per metric instead of
 one family per tenant — so cluster rollups can aggregate across tenants
-with PromQL instead of regexes.  The old flat series are still emitted by
-default behind the ``REPRO_OBS_LEGACY_TENANT_METRICS`` deprecation flag
-(set it to ``0`` to drop them); they will disappear once downstream
-dashboards and the CI greps migrate to the labelled families.
+with PromQL instead of regexes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from pathlib import Path
 
@@ -44,12 +40,6 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 #: Flat per-tenant instrument names: ``<layer>.tenant<N>.<rest>``.
 _TENANT_RE = re.compile(r"^(server|loadgen)\.tenant(\d+)\.(.+)$")
-
-
-def _legacy_tenant_names_default() -> bool:
-    return os.environ.get(
-        "REPRO_OBS_LEGACY_TENANT_METRICS", "1"
-    ).lower() in ("1", "true", "yes", "on")
 
 
 def _metric_name(name: str) -> str:
@@ -105,41 +95,27 @@ def _as_snapshot(source) -> RegistrySnapshot:
     raise TypeError(f"cannot export {type(source).__name__}")
 
 
-def _group(names, legacy: bool):
+def _group(names):
     """Group instrument names into (family, [(labels, name)]) series lists.
 
-    Families keep first-seen order of the sorted flat names; with
-    ``legacy`` each labelled instrument *also* yields its original flat
-    single-series family, so old greps keep matching.
+    Families keep first-seen order of the sorted flat names.
     """
     families: dict[str, list[tuple[dict[str, str], str]]] = {}
     for name in sorted(names):
         family, labels = _split_tenant(name)
         families.setdefault(family, []).append((labels, name))
-        if labels and legacy:
-            families.setdefault(name, []).append(({}, name))
     return families
 
 
 def to_prometheus(
     source: MetricsRegistry | RegistrySnapshot | None = None,
-    *,
-    legacy_tenant_names: bool | None = None,
 ) -> str:
-    """Render a registry (default: the process-global one) as Prometheus text.
-
-    ``legacy_tenant_names`` controls whether flat per-tenant series
-    (``repro_server_tenant3_requests``) are emitted alongside the labelled
-    families; ``None`` reads the ``REPRO_OBS_LEGACY_TENANT_METRICS``
-    deprecation flag (default on).
-    """
-    if legacy_tenant_names is None:
-        legacy_tenant_names = _legacy_tenant_names_default()
+    """Render a registry (default: the process-global one) as Prometheus text."""
     snap = _as_snapshot(source)
     lines: list[str] = []
 
     def emit_scalars(values: dict[str, float], kind: str) -> None:
-        for family, series in _group(values, legacy_tenant_names).items():
+        for family, series in _group(values).items():
             metric = _metric_name(family)
             lines.append(f"# TYPE {metric} {kind}")
             for labels, name in series:
@@ -150,9 +126,7 @@ def to_prometheus(
 
     emit_scalars(snap.counters, "counter")
     emit_scalars(snap.gauges, "gauge")
-    for family, series in _group(
-        snap.histograms, legacy_tenant_names
-    ).items():
+    for family, series in _group(snap.histograms).items():
         metric = _metric_name(family)
         lines.append(f"# TYPE {metric} histogram")
         for labels, name in series:

@@ -22,13 +22,12 @@ plain :class:`~repro.errors.ServerError`.
 
 Trace propagation
 -----------------
-``connect()`` negotiates the protocol version via HELLO (falling back to
-version 0 against old servers).  On a version-1 connection with metrics
-enabled, every request is stamped with a fresh 64-bit trace id carried in
-the wire frame; the server's admission/flush/fsync spans pick it up, so one
-``trace_id`` stitches the whole request across processes.  The id of the
-most recently *issued* request is exposed as ``client.last_trace_id`` and
-each completed request records a ``client.request`` trace event locally.
+With metrics enabled, every request is stamped with a fresh 64-bit trace
+id carried in the wire frame; the server's admission/flush/fsync spans pick
+it up, so one ``trace_id`` stitches the whole request across processes.
+The id of the most recently *issued* request is exposed as
+``client.last_trace_id`` and each completed request records a
+``client.request`` trace event locally.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.obs.registry import TIME_BUCKETS
 from repro.obs.tracing import new_trace_id
 from repro.server import protocol
 from repro.server.protocol import (
-    PROTO_VERSION,
     Opcode,
     Request,
     Response,
@@ -93,8 +91,6 @@ class StorageClient:
         self._pending: dict[int, tuple[Opcode, asyncio.Future]] = {}
         self._closed = False
         self._dead: Exception | None = None  # set once the read loop exits
-        #: Negotiated protocol version (0 until a HELLO exchange raises it).
-        self.proto_version = 0
         #: Trace id stamped on the most recently issued traced request.
         self.last_trace_id = 0
         self._reader_task = asyncio.create_task(self._read_loop())
@@ -104,7 +100,7 @@ class StorageClient:
         cls,
         host: str,
         port: int,
-        tenant: int | None = None,
+        tenant: int = 0,
         timeout: float | None = DEFAULT_CONNECT_TIMEOUT,
     ) -> "StorageClient":
         """Open a connection and complete the HELLO handshake.
@@ -126,36 +122,13 @@ class StorageClient:
             ) from None
         client = cls(reader, writer)
         try:
-            await asyncio.wait_for(
-                client.hello(tenant if tenant is not None else 0), timeout
-            )
+            await asyncio.wait_for(client.hello(tenant), timeout)
         except asyncio.TimeoutError:
             await client.close()
             raise ProtocolError(
                 f"no HELLO reply from {host}:{port} within {timeout}s "
                 "(not a repro storage server?)"
             ) from None
-        except ProtocolError:
-            await client.close()
-            raise
-        except ServerError:
-            # A version-0 server rejects the 4-byte HELLO payload; retry
-            # the old 2-byte form (only when a tenant actually needs
-            # declaring) and stay at protocol version 0.
-            if tenant is not None:
-                try:
-                    await asyncio.wait_for(
-                        client.hello(tenant, version=0), timeout
-                    )
-                except asyncio.TimeoutError:
-                    await client.close()
-                    raise ProtocolError(
-                        f"no HELLO reply from {host}:{port} within "
-                        f"{timeout}s (not a repro storage server?)"
-                    ) from None
-                except BaseException:
-                    await client.close()
-                    raise
         except BaseException:
             await client.close()
             raise
@@ -201,19 +174,9 @@ class StorageClient:
         response = await self._request(Request(Opcode.STAT, 0))
         return response.stat
 
-    async def hello(
-        self, tenant: int, version: int = PROTO_VERSION
-    ) -> None:
-        """Declare this connection's tenant and negotiate the protocol.
-
-        Offers ``version`` (default: the highest this build speaks); the
-        connection settles on ``min(offered, server's)``.  ``version=0``
-        sends the legacy 2-byte HELLO that any server accepts.
-        """
-        response = await self._request(
-            Request(Opcode.HELLO, 0, tenant=tenant, version=version)
-        )
-        self.proto_version = min(version, response.version)
+    async def hello(self, tenant: int) -> None:
+        """Declare this connection's tenant (and this build's protocol)."""
+        await self._request(Request(Opcode.HELLO, 0, tenant=tenant))
 
     async def close(self) -> None:
         """Close the connection; pending requests fail with ConnectionLost."""
@@ -249,7 +212,7 @@ class StorageClient:
         self._next_id = (self._next_id + 1) & 0xFFFFFFFF or 1
         registry = _metrics.get_registry()
         trace_id = 0
-        if self.proto_version >= 1 and request.opcode is not Opcode.HELLO:
+        if request.opcode is not Opcode.HELLO:
             # Pass an externally stamped id through; mint a fresh one only
             # when telemetry is on (an id nobody records is wasted bytes).
             if request.trace_id:

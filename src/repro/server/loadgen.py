@@ -479,9 +479,7 @@ async def run_open_loop(
         try:
             for tenant in range(tenants):
                 clients[tenant] = await StorageClient.connect(
-                    host, port,
-                    tenant=tenant if tenants > 1 else None,
-                    timeout=connect_timeout,
+                    host, port, tenant=tenant, timeout=connect_timeout
                 )
             start = time.perf_counter()
             tasks = []

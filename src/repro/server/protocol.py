@@ -12,7 +12,7 @@ Request body::
     WRITE payload:  u64 lpn | u32 nbits | ceil(nbits / 8) packed data bytes
     TRIM  payload:  u64 lpn
     STAT  payload:  (empty)
-    HELLO payload:  u16 tenant [| u16 version]
+    HELLO payload:  u16 tenant | u16 version
 
 Response body::
 
@@ -20,25 +20,18 @@ Response body::
 
     OK READ  payload:  u32 nbits | packed data bytes
     OK STAT  payload:  UTF-8 JSON object (device + server state)
-    OK HELLO payload:  u16 version (absent from version-0 servers)
+    OK HELLO payload:  u16 version (min of the offered and the server's)
     OK WRITE/TRIM:     (empty)
     any error status:  UTF-8 message
 
-Trace context (protocol version 1)
-----------------------------------
-Version 1 adds an *optional* trace-context field so one wire-level trace id
-stitches client issue -> admission -> batch flush -> ack across processes.
-A request carrying trace context sets the high bit of the opcode byte
+Trace context
+-------------
+An *optional* trace-context field lets one wire-level trace id stitch
+client issue -> admission -> batch flush -> ack across processes.  A
+request carrying trace context sets the high bit of the opcode byte
 (``TRACE_FLAG``) and appends a trailing ``u64 trace_id`` after its normal
-payload; requests without the bit are wire-identical to version 0.  The
-flag makes the field self-describing, so servers decode it without
-per-connection state and old peers interoperate:
-
-* old client -> new server: 2-byte HELLO (or none), no flag bits — decodes
-  exactly as before;
-* new client -> old server: the client first sends a version-bearing HELLO;
-  an error reply (old servers reject the 4-byte payload) downgrades it to
-  version 0 and it never sets ``TRACE_FLAG`` on that connection.
+payload; requests without the bit carry no trailer.  The flag makes the
+field self-describing, so servers decode it without per-connection state.
 
 Page data crosses the wire bit-packed (``np.packbits``), so a 4 KB page's
 2048-bit dataword costs 256 payload bytes.  ``request_id`` is an opaque
@@ -48,8 +41,7 @@ executed in arrival order, so pipelining is safe.
 
 ``HELLO`` declares which tenant the connection's subsequent requests bill
 against (per-tenant admission credits and QoS accounting); connections
-that never send it belong to tenant 0, which keeps old clients working
-unchanged.
+that never send it belong to tenant 0.
 
 Framing errors are unrecoverable for a stream (the receiver can no longer
 find the next frame boundary), so oversized and truncated frames raise
@@ -94,9 +86,7 @@ __all__ = [
 #: keeping a misbehaving peer from ballooning server memory.
 MAX_FRAME_BYTES = 1 << 20
 
-#: Highest protocol version this build speaks.  Version 0 is the original
-#: wire format; version 1 adds the optional trace-context field and the
-#: HELLO version exchange.
+#: The protocol version this build speaks, offered and echoed in HELLO.
 PROTO_VERSION = 1
 
 #: High bit of the request opcode byte: "a u64 trace_id trails the payload".
@@ -107,7 +97,7 @@ _REQ_HEAD = struct.Struct("!BI")  # opcode, request_id
 _RESP_HEAD = struct.Struct("!BI")  # status, request_id
 _LPN = struct.Struct("!Q")
 _NBITS = struct.Struct("!I")
-_TENANT = struct.Struct("!H")
+_HELLO = struct.Struct("!HH")  # tenant, offered version
 _VERSION = struct.Struct("!H")
 _TRACE = struct.Struct("!Q")
 
@@ -144,7 +134,7 @@ class Request:
     lpn: int = 0
     data: np.ndarray | None = None  # unpacked bits for WRITE
     tenant: int = 0                 # tenant tag for HELLO
-    version: int = 0                # protocol version offered in HELLO
+    version: int = PROTO_VERSION    # protocol version offered in HELLO
     trace_id: int = 0               # wire trace context (0 = untraced)
 
 
@@ -237,9 +227,7 @@ def encode_request(request: Request) -> bytes:
         body += _LPN.pack(request.lpn) + _NBITS.pack(nbits)
         body += pack_bits(request.data)
     elif request.opcode is Opcode.HELLO:
-        body += _TENANT.pack(request.tenant)
-        if request.version:
-            body += _VERSION.pack(request.version)
+        body += _HELLO.pack(request.tenant, request.version)
     elif request.opcode is not Opcode.STAT:
         raise ProtocolError(f"unknown opcode {request.opcode!r}")
     if traced_op:
@@ -281,18 +269,14 @@ def decode_request(body: bytes) -> Request:
         return Request(opcode, request_id, lpn=lpn, data=data,
                        trace_id=trace_id)
     if opcode is Opcode.HELLO:
-        # 2 bytes: version-0 client.  4 bytes: tenant + offered version.
-        if len(rest) == _TENANT.size:
-            (tenant,) = _TENANT.unpack(rest)
-            return Request(opcode, request_id, tenant=tenant)
-        if len(rest) == _TENANT.size + _VERSION.size:
-            (tenant,) = _TENANT.unpack_from(rest)
-            (version,) = _VERSION.unpack_from(rest, _TENANT.size)
-            return Request(opcode, request_id, tenant=tenant,
-                           version=version)
-        raise ProtocolError(
-            "HELLO payload must be one u16 tenant (+ optional u16 version)"
-        )
+        if len(rest) != _HELLO.size:
+            raise ProtocolError(
+                "HELLO payload must be one u16 tenant + one u16 version"
+            )
+        tenant, version = _HELLO.unpack(rest)
+        if version < 1:
+            raise ProtocolError("HELLO must offer protocol version 1 or later")
+        return Request(opcode, request_id, tenant=tenant, version=version)
     if rest:
         raise ProtocolError("STAT requests carry no payload")
     return Request(opcode, request_id, trace_id=trace_id)
@@ -321,9 +305,9 @@ def decode_response(body: bytes, expect: Opcode | None = None) -> Response:
 
     ``expect`` names the opcode of the request this response answers (the
     client knows it from its ``request_id`` bookkeeping) and disambiguates
-    the two OK payload shapes: ``Opcode.READ`` decodes page bits,
-    ``Opcode.STAT`` decodes the JSON object, anything else expects an
-    empty payload.
+    the OK payload shapes: ``Opcode.READ`` decodes page bits,
+    ``Opcode.STAT`` the JSON object, ``Opcode.HELLO`` the settled version,
+    anything else expects an empty payload.
     """
     if len(body) < _RESP_HEAD.size:
         raise ProtocolError(f"response body of {len(body)} bytes is too short")
@@ -335,6 +319,13 @@ def decode_response(body: bytes, expect: Opcode | None = None) -> Response:
     rest = body[_RESP_HEAD.size:]
     if status is not Status.OK:
         return Response(status, request_id, message=rest.decode("utf-8"))
+    if expect is Opcode.HELLO:
+        if len(rest) != _VERSION.size:
+            raise ProtocolError(
+                "HELLO response payload must be one u16 version"
+            )
+        (version,) = _VERSION.unpack(rest)
+        return Response(status, request_id, version=version)
     if not rest:
         return Response(status, request_id)
     if expect is Opcode.STAT:
@@ -342,15 +333,6 @@ def decode_response(body: bytes, expect: Opcode | None = None) -> Response:
             return Response(status, request_id, stat=json.loads(rest))
         except json.JSONDecodeError:
             raise ProtocolError("STAT payload is not valid JSON") from None
-    if expect is Opcode.HELLO:
-        # Version-0 servers answer HELLO with an empty body (handled by the
-        # ``not rest`` branch above); version-1 servers echo the version.
-        if len(rest) != _VERSION.size:
-            raise ProtocolError(
-                "HELLO response payload must be one u16 version"
-            )
-        (version,) = _VERSION.unpack(rest)
-        return Response(status, request_id, version=version)
     if expect in (Opcode.WRITE, Opcode.TRIM):
         raise ProtocolError(f"{expect.name} responses carry no payload")
     if len(rest) < _NBITS.size:

@@ -420,9 +420,6 @@ class StorageService:
                     conn.tenant = request.tenant
                     self.stats.hellos += 1
                     self._tenant(request.tenant)["connections"] += 1
-                    # Version negotiation: echo min(offered, ours).  A
-                    # version-0 HELLO gets the original empty reply, so old
-                    # clients never see bytes they cannot decode.
                     negotiated = min(request.version, PROTO_VERSION)
                     conn.respond(protocol.encode_response(
                         Response(Status.OK, request.request_id,

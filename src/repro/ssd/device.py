@@ -170,28 +170,21 @@ class SSD:
             raise
 
     def write_batch(self, lpns, datawords: np.ndarray) -> None:
-        """Write several logical pages, coalescing the in-place encodes.
+        """Write several logical pages in order (the FTL's ``write_batch``).
 
-        Rewriting devices route the batch through
-        :meth:`~repro.ftl.rewriting_ftl.RewritingFTL.write_batch` (one
-        lockstep Viterbi search for every mapped page); uncoded devices
-        fall back to sequential writes.  End-of-life semantics match
-        :meth:`write`: the device latches read-only on the first
-        unrecoverable failure and the original error propagates.
+        Rewriting devices encode the batch's in-place rewrites in one
+        lockstep search first; the outcome equals :meth:`write` per page.
+        End-of-life semantics match :meth:`write`: the device latches
+        read-only on the first unrecoverable failure and the original
+        error propagates.
         """
         if self._read_only:
             raise ReadOnlyModeError(
                 "device is in end-of-life read-only mode; stored data "
                 "remains readable"
             )
-        datawords = np.asarray(datawords, dtype=np.uint8)
         try:
-            ftl_batch = getattr(self.ftl, "write_batch", None)
-            if ftl_batch is not None:
-                ftl_batch(list(lpns), datawords)
-            else:
-                for lpn, data in zip(lpns, datawords):
-                    self.ftl.write(lpn, data)
+            self.ftl.write_batch(list(lpns), datawords)
         except (OutOfSpaceError, ProgramFailedError):
             self.enter_read_only()
             raise

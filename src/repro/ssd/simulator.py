@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import (
     ConfigurationError,
     OutOfSpaceError,
@@ -16,7 +14,7 @@ from repro.errors import (
 from repro.obs import registry as _metrics
 from repro.obs.tracing import span as _span
 from repro.ssd.device import SSD
-from repro.workload import Op, OpKind, Workload, payload_for
+from repro.workload import OpKind, Workload, payload_for
 
 __all__ = ["DeviceLifetimeResult", "audit_survivors", "run_until_death"]
 
@@ -115,9 +113,7 @@ def run_until_death(
     The workload is a typed op stream (:class:`~repro.workload.ops.Op`):
     WRITEs carry deterministic payload seeds, READs exercise the read path
     (uncorrectable reads are absorbed into the FTL's loss accounting, not
-    raised), and TRIMs discard pages.  Legacy iterators that yield bare
-    LPN ints are still accepted and treated as writes with
-    generator-drawn payloads.
+    raised), and TRIMs discard pages.
 
     Death is any of the end-of-life signals — the FTL running out of free
     pages (:class:`~repro.errors.OutOfSpaceError`), a program failure the
@@ -151,14 +147,6 @@ def run_until_death(
     ) as event:
         while writes < max_writes and ops < max_ops:
             op = next(workload)
-            if isinstance(op, (int, np.integer)):  # legacy bare-LPN stream
-                op = Op(OpKind.WRITE, int(op))
-                data = workload.next_data(bits)
-            elif op.kind is OpKind.WRITE:
-                data = (
-                    payload_for(op, bits) if op.data_seed is not None
-                    else workload.next_data(bits)
-                )
             ops += 1
             if op.kind is OpKind.READ:
                 try:
@@ -174,7 +162,7 @@ def run_until_death(
                 trims += 1
                 continue
             try:
-                ssd.write(op.lpn, data)
+                ssd.write(op.lpn, payload_for(op, bits))
             except (OutOfSpaceError, ProgramFailedError, ReadOnlyModeError):
                 ssd.enter_read_only()
                 break

@@ -72,13 +72,6 @@ class Workload(abc.ABC):
             data_seed=(self.seed, lpn, version),
         )
 
-    def next_data(self, bits: int) -> np.ndarray:
-        """Legacy payload draw (pre-unification API, kept for callers that
-        drive a device by hand).  Draws from the LPN stream, like the old
-        iterators did; op-stream consumers use
-        :func:`~repro.workload.ops.payload_for` instead."""
-        return self.rng.integers(0, 2, bits, dtype=np.uint8)
-
 
 class SyntheticWorkload(Workload):
     """Distribution-style generator: an LPN sampler plus an op-kind mix.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import make_scheme
-from repro.errors import CodingError
+from repro.errors import CodingError, OutOfSpaceError
 from repro.flash import FlashChip, FlashGeometry
 from repro.ftl import RewritingFTL
 
@@ -31,25 +31,35 @@ def rand_batch(rng, lanes, bits):
 )
 class TestWriteBatchEqualsSequential:
     def test_interleaved_histories_converge(self, scheme_name, kwargs) -> None:
-        """Same write stream via write() and write_batch(): same device."""
+        """Same write stream via write() and write_batch(): same device.
+
+        Batches of 8-16 over 8 logical pages, long enough that GC runs
+        inside batches: lanes relocate, GC moves their neighbours, and the
+        later lanes must still land exactly where sequential writes do.
+        """
         sequential = make_ftl(scheme_name, **kwargs)
         batched = make_ftl(scheme_name, **kwargs)
         rng = np.random.default_rng(0)
         bits = sequential.dataword_bits
-        for _ in range(30):
-            lpns = [int(lpn) for lpn in rng.integers(0, 8, 4)]
-            words = rand_batch(rng, 4, bits)
+        for _ in range(60):
+            lanes = int(rng.integers(8, 17))
+            lpns = [int(lpn) for lpn in rng.integers(0, 8, lanes)]
+            words = rand_batch(rng, lanes, bits)
             for lpn, word in zip(lpns, words):
                 sequential.write(lpn, word)
             batched.write_batch(lpns, words)
+        assert sequential.stats.gc_runs >= 5
         for lpn in range(8):
             assert np.array_equal(sequential.read(lpn), batched.read(lpn))
-        assert sequential.stats.host_writes == batched.stats.host_writes
+        assert sequential.stats.summary() == batched.stats.summary()
         assert (
-            sequential.stats.in_place_rewrites
-            == batched.stats.in_place_rewrites
+            sequential.chip.block_erase_counts()
+            == batched.chip.block_erase_counts()
         )
-        assert sequential.stats.relocations == batched.stats.relocations
+        assert (
+            sequential.chip.snapshot_state()["blocks"]
+            == batched.chip.snapshot_state()["blocks"]
+        )
 
     def test_duplicate_lpns_keep_write_order(self, scheme_name, kwargs) -> None:
         """Repeated LPNs in one batch apply in order (last write wins)."""
@@ -69,6 +79,28 @@ class TestWriteBatchEqualsSequential:
         assert ftl.stats.in_place_rewrites == 0
         ftl.write_batch(lpns, rand_batch(rng, 4, bits))  # now all in place
         assert ftl.stats.in_place_rewrites == 4
+
+
+class TestFailedBatch:
+    def test_a_failed_batch_leaves_no_encode_behind(self, monkeypatch) -> None:
+        """An encode made ahead for a batch that died must never be used."""
+        ftl = make_ftl("wom")
+        rng = np.random.default_rng(3)
+        bits = ftl.dataword_bits
+        first, second = rand_batch(rng, 3, bits), rand_batch(rng, 3, bits)
+        ftl.write_batch([0, 1, 2], first)
+
+        def device_full(*_args):
+            raise OutOfSpaceError("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ftl.chip, "program_page", device_full)
+            with pytest.raises(OutOfSpaceError):
+                ftl.write_batch([0, 1, 2], second)  # dies on lane 0
+        third = rand_batch(rng, 1, bits)[0]
+        ftl.write(2, third)
+        assert np.array_equal(ftl.read(2), third)
+        assert np.array_equal(ftl.read(1), first[1])
 
 
 class TestWriteBatchValidation:

@@ -83,6 +83,56 @@ class TestRewritingFtlModel:
         reference_check(ftl, model, range(8))
 
 
+class TestRewritingFtlBatchModel:
+    """``write_batch`` on a small device whose GC runs *inside* batches.
+
+    28 physical pages behind 20 logical ones: a relocating lane regularly
+    triggers GC while later lanes of the same batch are still waiting, the
+    interleaving on which an encode computed ahead of time goes stale.
+    """
+
+    LOGICAL = 20
+
+    @pytest.mark.parametrize(
+        "scheme_name,kwargs",
+        [("wom", {}), ("mfc-1/2-1bpc", {"constraint_length": 4})],
+    )
+    @given(seed=st.integers(0, 10_000), max_batch=st.integers(2, 16))
+    @settings(max_examples=10, deadline=None)
+    def test_batches_under_gc_match_dict_semantics(
+        self, scheme_name: str, kwargs: dict, seed: int, max_batch: int
+    ) -> None:
+        chip = FlashChip(
+            FlashGeometry(blocks=8, pages_per_block=4, page_bits=192,
+                          erase_limit=10_000)
+        )
+        scheme = make_scheme(scheme_name, 192, **kwargs)
+        ftl = RewritingFTL(chip, scheme, logical_pages=self.LOGICAL)
+        bits = ftl.dataword_bits
+        rng = np.random.default_rng(seed)
+        model: dict[int, np.ndarray] = {}
+        ops = 0  # 150, then on until GC has run: small batches fill slowly
+        while ops < 150 or (ftl.stats.gc_runs == 0 and ops < 1500):
+            ops += 1
+            op = rng.random()
+            lpn = int(rng.integers(0, self.LOGICAL))
+            if op < 0.7:
+                lanes = int(rng.integers(2, max_batch + 1))
+                lpns = [int(x) for x in rng.integers(0, self.LOGICAL, lanes)]
+                words = rng.integers(0, 2, (lanes, bits), dtype=np.uint8)
+                ftl.write_batch(lpns, words)  # repeated LPNs: last one wins
+                model.update(zip(lpns, words))
+            elif op < 0.8:
+                data = rng.integers(0, 2, bits, dtype=np.uint8)
+                ftl.write(lpn, data)
+                model[lpn] = data
+            elif op < 0.9:
+                ftl.trim(lpn)
+                model.pop(lpn, None)
+            reference_check(ftl, model, range(self.LOGICAL))
+        assert ftl.stats.gc_runs > 0
+
+
 class TestModelUntilDeath:
     def test_semantics_hold_until_out_of_space(self) -> None:
         """Even while dying, every accepted write is readable."""

@@ -69,7 +69,7 @@ class TestTenantLabels:
         return registry
 
     def test_flat_names_become_labelled_families(self, tenants):
-        text = to_prometheus(tenants, legacy_tenant_names=False)
+        text = to_prometheus(tenants)
         assert 'repro_server_tenant_requests{tenant="0"} 8' in text
         assert 'repro_server_tenant_requests{tenant="3"} 2' in text
         assert 'repro_loadgen_tenant_busy{tenant="1"} 5' in text
@@ -79,29 +79,16 @@ class TestTenantLabels:
         assert "repro_server_tenant3_requests" not in text
 
     def test_histograms_carry_the_tenant_label_too(self, tenants):
-        text = to_prometheus(tenants, legacy_tenant_names=False)
+        text = to_prometheus(tenants)
         assert (
             'repro_server_tenant_latency_seconds_bucket'
             '{le="1e-05",tenant="0"} 0' in text
         )
         assert 'repro_server_tenant_latency_seconds_count{tenant="0"} 1' in text
 
-    def test_legacy_flag_keeps_flat_series(self, tenants):
-        text = to_prometheus(tenants, legacy_tenant_names=True)
-        # Both shapes coexist during the deprecation window.
-        assert 'repro_server_tenant_requests{tenant="3"} 2' in text
-        assert "repro_server_tenant3_requests 2" in text
-        assert "# TYPE repro_server_tenant3_requests counter" in text
-
-    def test_legacy_default_comes_from_env(self, tenants, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_LEGACY_TENANT_METRICS", "0")
-        assert "repro_server_tenant3_requests" not in to_prometheus(tenants)
-        monkeypatch.setenv("REPRO_OBS_LEGACY_TENANT_METRICS", "1")
-        assert "repro_server_tenant3_requests 2" in to_prometheus(tenants)
-
     def test_non_tenant_names_are_untouched(self, tenants):
         tenants.counter("server.requests").inc(10)
-        text = to_prometheus(tenants, legacy_tenant_names=False)
+        text = to_prometheus(tenants)
         assert "repro_server_requests 10" in text
         assert 'repro_server_requests{' not in text
 
@@ -134,8 +121,7 @@ class TestStrictFormat:
         registry.counter("server.tenant0.requests").inc(4)
         registry.counter("server.tenant1.requests").inc(4)
         registry.gauge("slo.availability.burn_rate_fast").set(1.5)
-        self._check(to_prometheus(registry, legacy_tenant_names=True))
-        self._check(to_prometheus(registry, legacy_tenant_names=False))
+        self._check(to_prometheus(registry))
 
     def test_label_values_are_escaped(self):
         from repro.obs.export import _escape_label_value

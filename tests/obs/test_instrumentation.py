@@ -11,7 +11,7 @@ from repro.core.scheme import PageCodeScheme
 from repro.obs import registry as obs
 from repro.ssd.device import SSD
 from repro.ssd.simulator import run_until_death
-from repro.ssd.workload import UniformWorkload
+from repro.workload import UniformWorkload
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from repro.server.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.ssd.workload import UniformWorkload
+from repro.workload import UniformWorkload
 
 from tests.server.test_service import make_ssd
 

@@ -201,7 +201,7 @@ class TestTraceContext:
             assert back.opcode is opcode
             assert back.trace_id == trace_id
 
-    def test_untraced_ops_are_wire_identical_to_v0(self) -> None:
+    def test_untraced_frames_carry_no_trailer(self) -> None:
         traced = protocol.encode_request(Request(Opcode.READ, 1, lpn=2,
                                                  trace_id=99))
         plain = protocol.encode_request(Request(Opcode.READ, 1, lpn=2))
@@ -236,13 +236,14 @@ class TestVersionNegotiation:
         assert back.tenant == 3
         assert back.version == protocol.PROTO_VERSION
 
-    def test_v0_hello_is_still_two_bytes(self) -> None:
-        wire = _body(protocol.encode_request(
-            Request(Opcode.HELLO, 4, tenant=2, version=0)
-        ))
-        assert len(wire) == 1 + 4 + 2  # opcode + request_id + u16 tenant
-        back = protocol.decode_request(wire)
-        assert back.tenant == 2 and back.version == 0
+    def test_hello_always_carries_tenant_and_version(self) -> None:
+        wire = _body(protocol.encode_request(Request(Opcode.HELLO, 4, tenant=2)))
+        assert len(wire) == 1 + 4 + 2 + 2  # opcode, request_id, tenant, version
+        assert protocol.decode_request(wire).version == protocol.PROTO_VERSION
+        with pytest.raises(ProtocolError, match="HELLO"):
+            protocol.decode_request(wire[:-2])  # the retired tenant-only form
+        with pytest.raises(ProtocolError, match="version"):
+            protocol.decode_request(wire[:-2] + b"\0\0")  # offers version 0
 
     def test_hello_with_odd_payload_rejected(self) -> None:
         good = _body(protocol.encode_request(
@@ -258,14 +259,8 @@ class TestVersionNegotiation:
         )
         assert back.version == 1
 
-    def test_empty_hello_response_means_v0_server(self) -> None:
-        back = protocol.decode_response(
-            _body(protocol.encode_response(Response(Status.OK, 7))),
-            expect=Opcode.HELLO,
-        )
-        assert back.version == 0
-
     def test_hello_response_with_junk_payload_rejected(self) -> None:
         body = _body(protocol.encode_response(Response(Status.OK, 7, version=1)))
-        with pytest.raises(ProtocolError, match="HELLO"):
-            protocol.decode_response(body + b"\0", expect=Opcode.HELLO)
+        for bad in (body + b"\0", body[:-2]):  # trailing junk; no version
+            with pytest.raises(ProtocolError, match="HELLO"):
+                protocol.decode_response(bad, expect=Opcode.HELLO)

@@ -6,6 +6,7 @@ import asyncio
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -123,6 +124,70 @@ class TestKillNineE2E:
         finally:
             process2.kill()
             process2.communicate()
+
+
+class TestBatchFlushUnderGc:
+    def test_acked_writes_survive_gc_inside_flushes_and_a_crash(
+        self, tmp_path
+    ) -> None:
+        """16 writes in flight on a full MFC device: GC runs inside flushes.
+
+        Every acknowledged write reads back through the server, and a crash
+        image (the data dir copied while serving, so no final checkpoint)
+        recovers to the same contents: checkpoint restore plus sequential
+        journal replay must reproduce what the batched flushes built.
+        """
+        geometry = FlashGeometry(blocks=8, pages_per_block=4, page_bits=192,
+                                 erase_limit=10_000)
+
+        def small_ssd() -> SSD:
+            return SSD(geometry=geometry, scheme="mfc-1/2-1bpc",
+                       utilization=0.8, constraint_length=4)
+
+        live, crash = tmp_path / "live", tmp_path / "crash"
+        acked: dict[int, np.ndarray] = {}
+
+        async def go():
+            ssd = small_ssd()
+            bits = ssd.logical_page_bits
+            rng = np.random.default_rng(7)
+            store = DurableStore(str(live), checkpoint_every=100)
+            async with StorageService(ssd, store=store) as service:
+                await service.recovery_done()
+                async with await StorageClient.connect(
+                    "127.0.0.1", service.port
+                ) as client:
+                    for _ in range(400):
+                        if ssd.ftl.stats.gc_runs >= 25:
+                            break
+                        lpns = [int(lpn) for lpn in
+                                rng.integers(0, ssd.logical_pages, 16)]
+                        words = rng.integers(0, 2, (16, bits), dtype=np.uint8)
+                        await asyncio.gather(*map(client.write, lpns, words))
+                        acked.update(zip(lpns, words))  # one connection: in order
+                    for lpn, data in acked.items():
+                        assert np.array_equal(await client.read(lpn), data)
+                shutil.copytree(live, crash)
+                return ssd, service.stats.max_batch_size
+
+        served, max_batch_size = asyncio.run(go())
+        assert served.ftl.stats.gc_runs >= 25
+        assert max_batch_size >= 2
+
+        recovered = small_ssd()
+        store = DurableStore(str(crash))
+        try:
+            report = store.recover(recovered)
+        finally:
+            store.close()
+        assert report.replayed_writes > 0
+        assert report.audit_failures == 0
+        for lpn, data in acked.items():
+            assert np.array_equal(recovered.read(lpn), data)
+        assert (
+            recovered.chip.block_erase_counts()
+            == served.chip.block_erase_counts()
+        )
 
 
 class _GatedStore(DurableStore):

@@ -9,8 +9,8 @@ import numpy as np
 from repro.flash import FlashGeometry
 from repro.durability import DurableStore
 from repro.obs import registry as obs_registry
-from repro.server import StorageClient, StorageService
-from repro.server.protocol import PROTO_VERSION
+from repro.server import StorageClient, StorageService, protocol
+from repro.server.protocol import PROTO_VERSION, Opcode, Request, Status
 from repro.ssd import SSD
 
 GEOM = FlashGeometry(blocks=8, pages_per_block=8, page_bits=256,
@@ -26,46 +26,66 @@ def names(events: list[dict]) -> set[str]:
     return {event["name"] for event in events}
 
 
+async def raw_exchange(reader, writer, frame: bytes, expect: Opcode):
+    writer.write(frame)
+    await writer.drain()
+    return protocol.decode_response(
+        await protocol.read_frame(reader), expect=expect
+    )
+
+
 class TestNegotiation:
     def test_connect_settles_on_v1(self) -> None:
         async def go():
             async with StorageService(make_ssd()) as service:
-                async with await StorageClient.connect(
-                    "127.0.0.1", service.port
-                ) as client:
-                    return client.proto_version
-
-        assert asyncio.run(go()) == PROTO_VERSION == 1
-
-    def test_legacy_hello_stays_at_v0_and_untraced(self) -> None:
-        registry = obs_registry.get_registry()
-        registry.enabled = True
-
-        async def go():
-            ssd = make_ssd()
-            async with StorageService(ssd) as service:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", service.port
                 )
-                client = StorageClient(reader, writer)
                 try:
-                    await client.hello(0, version=0)
-                    await client.write(
-                        0, np.zeros(ssd.logical_page_bits, dtype=np.uint8)
+                    return await raw_exchange(
+                        reader, writer,
+                        protocol.encode_request(Request(Opcode.HELLO, 1)),
+                        Opcode.HELLO,
                     )
-                    return client.proto_version, client.last_trace_id
                 finally:
-                    await client.close()
+                    writer.close()
 
-        version, last_trace_id = asyncio.run(go())
-        assert version == 0
-        assert last_trace_id == 0
-        # The server still served the op — just without a wire trace id.
-        traced = [
-            e for e in registry.events
-            if e["name"] == "server.request" and e.get("trace_id")
-        ]
-        assert traced == []
+        assert asyncio.run(go()).version == PROTO_VERSION == 1
+
+    def test_tenant_only_hello_is_a_bad_request(self) -> None:
+        """The retired 2-byte HELLO: typed refusal, stream still usable."""
+
+        async def go():
+            async with StorageService(make_ssd()) as service:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port
+                )
+                try:
+                    good = protocol.encode_request(
+                        Request(Opcode.HELLO, 9, tenant=3)
+                    )
+                    short = protocol.frame(good[4:-2])  # drop the version
+                    refused = await raw_exchange(
+                        reader, writer, short, Opcode.HELLO
+                    )
+                    accepted = await raw_exchange(
+                        reader, writer, good, Opcode.HELLO
+                    )
+                    stat = await raw_exchange(
+                        reader, writer,
+                        protocol.encode_request(Request(Opcode.STAT, 10)),
+                        Opcode.STAT,
+                    )
+                    return refused, accepted, stat, service.stats.hellos
+                finally:
+                    writer.close()
+
+        refused, accepted, stat, hellos = asyncio.run(go())
+        assert refused.status is Status.BAD_REQUEST
+        assert refused.request_id == 9 and "HELLO" in refused.message
+        assert accepted.status is Status.OK and accepted.version == 1
+        assert stat.status is Status.OK and stat.stat["tenants"]["3"]
+        assert hellos == 1
 
 
 class TestPropagation:

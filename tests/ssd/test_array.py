@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError, LogicalAddressError
 from repro.flash import FlashGeometry
 from repro.ssd import StripedDevice, UniformWorkload
+from repro.workload import payload_for
 
 GEOM = FlashGeometry(blocks=4, pages_per_block=4, page_bits=96,
                      erase_limit=1000)
@@ -49,8 +50,8 @@ class TestStriping:
         device = make_device(channels=4)
         workload = UniformWorkload(device.logical_pages, seed=2)
         for _ in range(400):
-            device.write(workload.next_lpn(),
-                         workload.next_data(device.logical_page_bits))
+            op = next(workload)
+            device.write(op.lpn, payload_for(op, device.logical_page_bits))
         assert device.channel_balance() > 0.7
 
     def test_bad_addresses(self) -> None:
@@ -72,8 +73,8 @@ class TestParallelPerformance:
                                  constraint_length=3)
             workload = UniformWorkload(device.logical_pages, seed=3)
             for _ in range(240):
-                device.write(workload.next_lpn(),
-                             workload.next_data(device.logical_page_bits))
+                op = next(workload)
+                device.write(op.lpn, payload_for(op, device.logical_page_bits))
             return device.parallel_time_per_write_us()
 
         single = time_per_write(1)
@@ -84,8 +85,8 @@ class TestParallelPerformance:
         device = make_device(channels=2)
         workload = UniformWorkload(device.logical_pages, seed=4)
         for _ in range(60):
-            device.write(workload.next_lpn(),
-                         workload.next_data(device.logical_page_bits))
+            op = next(workload)
+            device.write(op.lpn, payload_for(op, device.logical_page_bits))
         report = device.performance_report()
         assert report.host_writes == 60
         assert "x2ch" in report.scheme_name

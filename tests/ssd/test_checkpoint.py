@@ -13,7 +13,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.noise import WearNoiseModel
 from repro.ssd.device import SSD
 from repro.ssd.simulator import run_until_death
-from repro.ssd.workload import UniformWorkload
+from repro.workload import UniformWorkload, payload_for
 
 GEOMETRY = FlashGeometry(
     blocks=12, pages_per_block=8, page_bits=64, erase_limit=200
@@ -57,7 +57,8 @@ def drive(ssd: SSD, writes: int, seed: int = 3) -> None:
     workload = UniformWorkload(ssd.logical_pages, seed=seed)
     bits = ssd.logical_page_bits
     for _ in range(writes):
-        ssd.write(next(workload).lpn, workload.next_data(bits))
+        op = next(workload)
+        ssd.write(op.lpn, payload_for(op, bits))
 
 
 class TestBitIdenticalRestore:

@@ -54,28 +54,6 @@ class TestOpStreamConsumption:
         result = run_until_death(ssd, workload, max_writes=5)
         assert result.host_reads <= 50
 
-    def test_legacy_bare_lpn_iterator_still_accepted(self) -> None:
-        class LegacyStream:
-            def __init__(self, pages: int) -> None:
-                self.pages = pages
-                self.rng = np.random.default_rng(0)
-                self.k = 0
-
-            def __iter__(self):
-                return self
-
-            def __next__(self) -> int:
-                self.k += 1
-                return self.k % self.pages
-
-            def next_data(self, bits: int) -> np.ndarray:
-                return self.rng.integers(0, 2, bits, dtype=np.uint8)
-
-        ssd = make_ssd()
-        result = run_until_death(ssd, LegacyStream(ssd.logical_pages),
-                                 max_writes=30)
-        assert result.host_writes == 30
-
     def test_deterministic_payloads_give_identical_devices(self) -> None:
         images = []
         for _ in range(2):

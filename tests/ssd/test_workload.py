@@ -12,7 +12,7 @@ from repro.ssd import (
     UniformWorkload,
     ZipfWorkload,
 )
-from repro.workload import OpKind
+from repro.workload import OpKind, payload_for
 
 
 class TestUniform:
@@ -28,7 +28,7 @@ class TestUniform:
 
     def test_data_is_binary(self) -> None:
         wl = UniformWorkload(4, seed=0)
-        data = wl.next_data(64)
+        data = payload_for(next(wl), 64)
         assert data.shape == (64,) and set(np.unique(data)) <= {0, 1}
 
 

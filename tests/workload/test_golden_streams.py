@@ -1,7 +1,7 @@
 """Golden-stream regression tests for the ported distributions.
 
 ``golden_streams.json`` was recorded from the pre-unification iterators
-(the ``repro.ssd.workload`` classes before the move to typed op streams).
+(the ``repro.ssd`` workload classes before the move to typed op streams).
 These tests pin the refactored generators to those exact LPN sequences:
 any accidental change to RNG call order or sampling math shows up as a
 diff against the fixture, not as silently different lifetime numbers.
