@@ -1,6 +1,6 @@
 # Convenience targets for the Methuselah Flash reproduction.
 
-.PHONY: install test ci bench bench-smoke bench-full kernel-equivalence ftl-oracle experiments experiments-full examples clean
+.PHONY: install test ci bench bench-smoke bench-full kernel-equivalence kernel-sanitize ftl-oracle experiments experiments-full examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -33,6 +33,22 @@ bench-smoke:
 kernel-equivalence:
 	REPRO_VITERBI_BACKEND=numpy PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
 	REPRO_VITERBI_BACKEND=native PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
+
+# The native kernel's tests once more under AddressSanitizer + UBSan: it is
+# handed raw pointers, so its index arithmetic is a trust boundary.  $CC is
+# part of the artefact key, so the sanitized library never stands in for the
+# plain one.  -s because a sanitizer report goes to fd 2 and the process then
+# dies with whatever pytest had captured.  Without the sanitizer runtime this
+# says so and passes; CI checks for the runtime first, so there it fails.
+kernel-sanitize:
+	@asan=$$(cc -print-file-name=libasan.so); \
+	if [ ! -f "$$asan" ]; then \
+		echo "kernel-sanitize skipped: cc has no libasan.so here (CI runs it)"; \
+	else \
+		CC=$(CURDIR)/tests/coding/cc-sanitize.sh LD_PRELOAD=$$asan \
+		ASAN_OPTIONS=detect_leaks=0 REPRO_VITERBI_BACKEND=native PYTHONPATH=src \
+		python -m pytest tests/coding/test_viterbi_kernel.py -q -s; \
+	fi
 
 # The FTL's standing oracle (dict model, batched == sequential) under three
 # fixed hypothesis seeds, so it explores more than tier-1's one draw.

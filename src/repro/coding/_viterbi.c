@@ -1,20 +1,22 @@
 /* Fused Viterbi kernel: the "native" backend of repro.coding.kernels.
  *
- * kernels.py compiles this file on first use (-O2 -shared -fPIC) and loads it
- * with ctypes.  Never build it with -ffast-math: unwritable branches cost IEEE
- * +inf and have to add and compare as such.  The forward pass is instantiated
- * for float and double by including this file from itself.
+ * kernels.py compiles this file on first use (-O3 -shared -fPIC; gcc vectorises
+ * the butterfly loop only at -O3) and loads it with ctypes.  Never build it with
+ * -ffast-math: unwritable branches cost IEEE +inf and have to add and compare
+ * as such.  The forward pass is instantiated for float and double by including
+ * this file from itself.
  *
  * The recursion is one add-compare-select per trellis step, ties to the first
  * minimum: the same one the numpy backend runs a vector of lanes at a time.
  * CosetViterbi hands this kernel only searches with a fused cost table,
  * integer (or inf) costs and a shift-register trellis; the rest run numpy.
+ * In such a trellis states 2j and 2j+1 both come from j (predecessor 0) and
+ * j + S/2 (predecessor 1), so a step is S/2 butterflies over two contiguous
+ * halves of the old metrics, and its 2S branch costs are indexed [u][k][j]:
+ * entering state 2j+u from its k-th predecessor.
  *
- * All tables are C-contiguous.  prev[s][k] is the k-th predecessor of state s
- * and pred_out[s][k] the output chunk on that branch, so writing it over coset
- * chunk v at a step whose fused cost row is `row` costs row[pred_out[s][k] ^ v].
- * Every function returns 0, -1 when scratch cannot be allocated, or -2 when an
- * input value is out of range.
+ * All tables are C-contiguous.  Every function returns 0, -1 when scratch
+ * cannot be allocated, or -2 when an input value is out of range.
  */
 #ifndef T
 #include <stdint.h>
@@ -31,9 +33,9 @@
 #include __FILE__
 
 /* Walk the winning path back from end_state[b] and emit the codeword chunks
- * (branch output ^ coset chunk).  A shift-register trellis labels the input
- * consumed on entering a state in that state's low bit. */
-int backtrace(int64_t lanes, int64_t steps, int64_t S, const int32_t *prev,
+ * (branch output ^ coset chunk).  The input consumed on entering a state is
+ * that state's low bit, and its k-th predecessor is (state >> 1) + k * S/2. */
+int backtrace(int64_t lanes, int64_t steps, int64_t S,
               const int32_t *out_values, /* (S, 2): output of state s on input u */
               const int64_t *reps, const int64_t *end_state,
               const uint8_t *choice, int64_t *codeword)
@@ -43,7 +45,8 @@ int backtrace(int64_t lanes, int64_t steps, int64_t S, const int32_t *prev,
         if ((uint64_t)state >= (uint64_t)S)
             return -2;
         for (int64_t t = steps - 1; t >= 0; t--) {
-            int64_t src = prev[2 * state + choice[(b * steps + t) * S + state]];
+            int64_t src =
+                (state >> 1) + choice[(b * steps + t) * S + state] * (S / 2);
             codeword[b * steps + t] =
                 out_values[2 * src + (state & 1)] ^ reps[b * steps + t];
             state = src;
@@ -54,27 +57,65 @@ int backtrace(int64_t lanes, int64_t steps, int64_t S, const int32_t *prev,
 
 #else
 
-/* Add-compare-select over the whole trellis, one lane after another.  The
- * select is strict-less, so a tie keeps predecessor 0: argmin's first-occurrence
- * rule, which every recorded result depends on.  Written without a branch on
- * the comparison, which would mispredict half the time. */
+/* One trellis step over its cost vector.  The select is strict-less, so a tie
+ * keeps predecessor 0: argmin's first-occurrence rule, which every recorded
+ * result depends on.  Contiguous loads, no branch on the comparison and no
+ * aliasing, so the compiler makes vector adds, compares and selects of it. */
+static void NAME(butterflies)(int64_t half, const T *restrict old,
+                              const T *restrict cost, T *restrict new,
+                              uint8_t *restrict k)
+{
+    for (int64_t j = 0; j < half; j++) {
+        T a0 = old[j] + cost[j], a1 = old[half + j] + cost[half + j];
+        T b0 = old[j] + cost[2 * half + j];
+        T b1 = old[half + j] + cost[3 * half + j];
+        k[2 * j] = a1 < a0;
+        new[2 * j] = a1 < a0 ? a1 : a0;
+        k[2 * j + 1] = b1 < b0;
+        new[2 * j + 1] = b1 < b0 ? b1 : b0;
+    }
+}
+
+/* The same step when that vector was not tabulated: its entry i is the fused
+ * row read through the branch outputs, row[order[i] ^ v].  Scalar, and still
+ * faster than gathering the vector into scratch to run the loop above. */
+static void NAME(butterflies_gather)(int64_t half, const T *restrict old,
+                                     const T *restrict row,
+                                     const int32_t *restrict order, int64_t v,
+                                     T *restrict new, uint8_t *restrict k)
+{
+    for (int64_t j = 0; j < half; j++) {
+        T a0 = old[j] + row[order[j] ^ v];
+        T a1 = old[half + j] + row[order[half + j] ^ v];
+        T b0 = old[j] + row[order[2 * half + j] ^ v];
+        T b1 = old[half + j] + row[order[3 * half + j] ^ v];
+        k[2 * j] = a1 < a0;
+        new[2 * j] = a1 < a0 ? a1 : a0;
+        k[2 * j + 1] = b1 < b0;
+        new[2 * j + 1] = b1 < b0 ? b1 : b0;
+    }
+}
+
+/* Add-compare-select over the whole trellis, one lane after another. */
 int NAME(forward)(int64_t lanes, int64_t steps, int64_t S, int64_t cells,
-                  int64_t L, int64_t V, const int32_t *prev,
-                  const int32_t *pred_out,
+                  int64_t L, int64_t V,
+                  const int32_t *order,  /* (2S,) branch outputs, as above */
                   const T *costs,        /* (L**cells, V) fused cost table */
+                  const T *expanded,     /* (L**cells * V, 2S) cost vector of
+                                            each (row, coset chunk), or NULL */
                   const int64_t *reps,   /* (lanes, steps) coset chunks */
                   const int64_t *levels, /* (lanes, steps, cells) */
                   T *path,               /* out (lanes, S) final metrics */
                   uint8_t *choice)       /* out (lanes, steps, S) winning k */
 {
-    T *old = malloc((size_t)S * sizeof(T));
-    if (!old)
+    /* Old and new metrics: step t reads half t & 1 and writes the other. */
+    T *scratch = malloc((size_t)S * 2 * sizeof(T));
+    if (!scratch)
         return -1;
     int status = 0;
     for (int64_t b = 0; b < lanes && !status; b++) {
-        T *p = path + b * S;
         for (int64_t s = 0; s < S; s++)
-            p[s] = 0;
+            scratch[s] = 0;
         for (int64_t t = 0; t < steps; t++) {
             /* The step's cost row: its cells' levels are the base-L digits
              * of the row number, most significant first. */
@@ -89,18 +130,18 @@ int NAME(forward)(int64_t lanes, int64_t steps, int64_t S, int64_t cells,
                 status = -2;
             if (status)
                 break;
-            const T *cost = costs + row * V;
+            T *old = scratch + (t & 1) * S, *new = scratch + (~t & 1) * S;
             uint8_t *k = choice + (b * steps + t) * S;
-            memcpy(old, p, (size_t)S * sizeof(T));
-            for (int64_t s = 0; s < S; s++) {
-                T c0 = old[prev[2 * s]] + cost[pred_out[2 * s] ^ v];
-                T c1 = old[prev[2 * s + 1]] + cost[pred_out[2 * s + 1] ^ v];
-                k[s] = c1 < c0;
-                p[s] = c1 < c0 ? c1 : c0;
-            }
+            if (expanded)
+                NAME(butterflies)(S / 2, old, expanded + (row * V + v) * 2 * S,
+                                  new, k);
+            else
+                NAME(butterflies_gather)(S / 2, old, costs + row * V, order, v,
+                                         new, k);
         }
+        memcpy(path + b * S, scratch + (steps & 1) * S, (size_t)S * sizeof(T));
     }
-    free(old);
+    free(scratch);
     return status;
 }
 

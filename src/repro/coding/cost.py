@@ -131,7 +131,8 @@ class CellCodebook:
         return the current level (callers must reject them via the cost
         first, exactly like :attr:`target_table`).
         """
-        return self.target_table[levels, symbols]
+        # One flat take: several times faster than a two-array fancy index.
+        return self.target_table.reshape(-1).take(levels * self.symbols + symbols)
 
 
 def _waterfall_target(level: int, symbol: int, num_levels: int) -> int:

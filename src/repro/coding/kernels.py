@@ -26,10 +26,15 @@ step.  ``numpy`` (always available, the reference) vectorizes it over
 lanes and serves every metric and every 2-regular trellis.  ``native``
 is ``_viterbi.c``: cost lookup, ACS and backtrace fused into two foreign
 calls per search, compiled on first use into this package's
-``__pycache__`` and loaded with ``ctypes``.  It is only ever handed the
-paper's case (costs that are non-negative integers or ``inf``, a level
-space small enough to tabulate, shift-register input labels); a
-``CosetViterbi`` outside it resolves to numpy.  Nothing is probed,
+``__pycache__`` and loaded with ``ctypes``.  It walks a step as ``S/2``
+butterflies (states ``2j`` and ``2j+1`` both come from ``j`` and
+``j + S/2``) over a branch-cost vector ``CosetViterbi`` expanded ahead
+per (level row, coset chunk), a loop the compiler vectorises; without
+that table it gathers the same costs from the fused row as it goes.  It
+is only ever handed the paper's case (costs that are non-negative
+integers or ``inf``, a level space small enough to tabulate, a
+shift-register trellis); a ``CosetViterbi`` outside it resolves to
+numpy.  Nothing is probed,
 imported or written until a ``CosetViterbi`` resolves its backend: by
 explicit name, then the ``REPRO_VITERBI_BACKEND`` variable, then
 ``"auto"`` (native when it builds, else numpy), memoized per name.
@@ -68,8 +73,8 @@ class KernelBackend:
     name: str
     forward: Callable
     backtrace: Callable
-    #: Reads ``CosetViterbi._fused_flat``: a searcher whose level space is
-    #: too large to tabulate runs the numpy backend instead.
+    #: Reads ``CosetViterbi._fused_flat`` and the tables built from it: a
+    #: searcher whose level space is too large to tabulate runs numpy instead.
     needs_fused_table: bool = False
 
 
@@ -148,7 +153,7 @@ def _backtrace_numpy(v, reps, end_state, backptr):
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_viterbi.c")
 _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 #: No -ffast-math, ever: unwritable lanes carry IEEE inf through the ACS.
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-shared", "-fPIC")
 
 
 def _find_compiler() -> str | None:
@@ -169,8 +174,11 @@ def _load_native():
     import subprocess
     import tempfile
 
+    # Keyed by the $CC string, not the path it resolves to: a wrapper or another
+    # compiler gets its own artefact, and one already built loads without $PATH.
+    build = (os.environ.get("CC") or "cc", *_CFLAGS, platform.machine())
     with open(_SOURCE, "rb") as handle:
-        keyed = handle.read() + " ".join((*_CFLAGS, platform.machine())).encode()
+        keyed = handle.read() + " ".join(build).encode()
     name = f"_viterbi-{hashlib.sha256(keyed).hexdigest()[:16]}.so"
     library = os.path.join(_CACHE_DIR, name)
     if not os.path.exists(library):
@@ -208,13 +216,20 @@ def _make_native_backend() -> KernelBackend:
     }
     for function in forwards.values():
         function.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 7
-    library.backtrace.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6
+    library.backtrace.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
 
-    def call(function, sizes, *arrays):
-        # The kernel assumes C order and exactly these dtypes, so callers
-        # pass everything through ascontiguousarray (free when it conforms);
-        # `arrays` keeps the buffers alive.  Values are range-checked in C.
-        status = function(*sizes, *(array.ctypes.data for array in arrays))
+    def call(function, sizes, *typed):
+        # The kernel assumes C order and exactly these dtypes, so every
+        # (buffer, dtype) goes through ascontiguousarray: free for the tables,
+        # which CosetViterbi converted at construction, a copy for a strided
+        # or narrow input.  `arrays` keeps the buffers alive, None is NULL,
+        # and values are range-checked in C.
+        arrays = [
+            a if a is None else np.ascontiguousarray(a, dtype=t) for a, t in typed
+        ]
+        status = function(
+            *sizes, *(a if a is None else a.ctypes.data for a in arrays)
+        )
         if status == -1:
             raise MemoryError("Viterbi kernel could not allocate scratch")
         if status:
@@ -223,18 +238,17 @@ def _make_native_backend() -> KernelBackend:
     def forward(v, reps, levels, dtype):
         lanes, steps = reps.shape
         num_states = v.trellis.num_states
+        dtype = np.dtype(dtype)
         path = np.empty((lanes, num_states), dtype=dtype)
         choice = np.empty((lanes, steps, num_states), dtype=np.uint8)
         call(
-            forwards[np.dtype(dtype)],
+            forwards[dtype],
             (lanes, steps, num_states, v.cells_per_step, v._num_levels,
              v.num_values),
-            np.ascontiguousarray(v._prev_src, dtype=np.int32),
-            np.ascontiguousarray(v._pred_output, dtype=np.int32),
-            np.ascontiguousarray(v._fused_flat[np.dtype(dtype)], dtype=dtype),
-            np.ascontiguousarray(reps, dtype=np.int64),
-            np.ascontiguousarray(levels, dtype=np.int64),
-            path, choice,
+            (v._order, np.int32), (v._fused_flat[dtype], dtype),
+            (v._expanded if dtype == np.float32 else None, dtype),
+            (reps, np.int64), (levels, np.int64), (path, dtype),
+            (choice, np.uint8),
         )
         return path, choice
 
@@ -242,11 +256,8 @@ def _make_native_backend() -> KernelBackend:
         codeword = np.empty(reps.shape, dtype=np.int64)
         call(
             library.backtrace, (*reps.shape, v.trellis.num_states),
-            np.ascontiguousarray(v._prev_src, dtype=np.int32),
-            np.ascontiguousarray(v._out_values, dtype=np.int32),
-            np.ascontiguousarray(reps, dtype=np.int64),
-            np.ascontiguousarray(end_state, dtype=np.int64),
-            backptr, codeword,
+            (v._out_values, np.int32), (reps, np.int64),
+            (end_state, np.int64), (backptr, np.uint8), (codeword, np.int64),
         )
         return codeword
 

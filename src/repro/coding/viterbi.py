@@ -21,7 +21,9 @@ the small state counts the paper uses (64 states at K=7) the wall clock
 is dispatch, not arithmetic.  The search (forward pass and backtrace)
 runs through a pluggable backend from :mod:`repro.coding.kernels`: a
 fused C kernel built on first use, or the always-available numpy loop
-over steps.  Both run the same one-step recursion.  The backend is chosen
+over steps.  Both run the same one-step recursion; for the C kernel
+the branch costs are laid out ahead, one contiguous vector per (level
+row, coset chunk), so a trellis step gathers nothing.  The backend is chosen
 per ``CosetViterbi`` via the ``backend`` argument or
 ``REPRO_VITERBI_BACKEND``; a searcher the C kernel does not serve (a
 non-integral metric, a trellis that is not a shift register, a level
@@ -57,6 +59,10 @@ __all__ = ["CosetViterbi", "ViterbiResult", "ViterbiBatchResult"]
 _SEARCHES = _metrics.counter("viterbi.searches")
 _LANES = _metrics.counter("viterbi.lanes")
 _UNWRITABLE = _metrics.counter("viterbi.unwritable_lanes")
+
+#: Largest expanded branch-cost table built for the native kernel: covers
+#: every MFC variant at K=7 but mfc-4/5, which would take 16 MiB.
+_EXPANDED_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -171,7 +177,6 @@ class CosetViterbi:
         )
         prev = trellis.prev_state.astype(np.int64)
         self._prev_src = prev
-        self._out_values = trellis.output_values.astype(np.int64)
         self._prev_flat = np.ascontiguousarray(prev.T).reshape(-1).astype(np.intp)
         # Fused per-step cost table: cost of writing packed chunk v onto a
         # step whose cells sit at the level combination i (base-L digits,
@@ -212,18 +217,35 @@ class CosetViterbi:
             float(finite.max()) * self.cells_per_step if finite.size else 0.0
         )
         # Only the numpy backend is required to serve a non-integral metric,
-        # or a trellis that does not label the input consumed entering a
-        # state in that state's low bit (every registry code does): such a
-        # searcher resolves to numpy here, and its backend.name says so.
-        shift_register_inputs = (
-            trellis.prev_input == (np.arange(num_states) & 1)[:, None]
+        # or a trellis that is not a shift register (every registry code is
+        # one): state s is entered from s >> 1 and (s >> 1) + S/2, consuming
+        # the input in its low bit.  Such a searcher resolves to numpy here,
+        # and its backend.name says so.
+        states = np.arange(num_states)[:, None]
+        shift_register = (trellis.prev_input == states & 1).all() and (
+            trellis.prev_state == (states >> 1) + [0, num_states // 2]
         ).all()
         if (
             not self._integral_costs
-            or not shift_register_inputs
+            or not shift_register
             or (self.backend.needs_fused_table and self._fused_flat is None)
         ):
             self.backend = resolve_backend("numpy")
+        if self.backend.needs_fused_table:
+            # The native kernel's tables, converted once.  It walks a step as
+            # S/2 butterflies, so _order lists the branch outputs as [u][k][j]
+            # (entering state 2j+u from its k-th predecessor) and _expanded is
+            # the float32 fused table gathered through them: one contiguous 2S
+            # cost vector per (level row, coset chunk), when that fits the cap.
+            self._out_values = trellis.output_values.astype(np.int32)
+            order = self._pred_output.astype(np.int32).reshape(-1, 2, 2)
+            self._order = order.transpose(1, 2, 0).ravel()  # [j][u][k] as [u][k][j]
+            fused = self._fused_flat[np.dtype(np.float32)]
+            self._expanded = None
+            if fused.nbytes * 2 * num_states <= _EXPANDED_BYTES:
+                self._expanded = fused.reshape(-1, self.num_values).take(
+                    self._order ^ values[:, None], axis=1
+                )
 
     def step_cost_table(self, step_levels: np.ndarray) -> np.ndarray:
         """Cost of writing each packed chunk value at each step.
@@ -319,7 +341,7 @@ class CosetViterbi:
         _LANES.inc(lanes)
         if not writable.all():
             _UNWRITABLE.inc(int(lanes - np.count_nonzero(writable)))
-        symbols = self.symbol_of_value[codeword_values]  # (B, steps, cells)
+        symbols = self.symbol_of_value.take(codeword_values, axis=0)
         target_levels = self.codebook.chunk_targets(levels, symbols)
         return ViterbiBatchResult(
             codeword_values=codeword_values,

@@ -26,7 +26,7 @@ needs_compiler = pytest.mark.skipif(
 )
 
 #: Resolve ``native`` in a fresh interpreter against the cache directory in
-#: argv[1] (without a compiler when argv[2] says so) and print what it built.
+#: argv[1] (without a compiler when argv[2] says so) and print what is there.
 _RESOLVE = """
 import glob, os, sys
 from repro.coding import kernels
@@ -34,14 +34,16 @@ kernels._CACHE_DIR = sys.argv[1]
 if sys.argv[2] == "no-compiler":
     kernels._find_compiler = lambda: None
 backend = kernels.resolve_backend("native")
-(artefact,) = glob.glob(os.path.join(sys.argv[1], "_viterbi-*.so"))
-print(backend.name, os.stat(artefact).st_mtime_ns)
+artefacts = sorted(glob.glob(os.path.join(sys.argv[1], "_viterbi-*.so")))
+print(backend.name, *(os.stat(artefact).st_mtime_ns for artefact in artefacts))
 """
 
 
-def _fresh_interpreter(cache_dir, compiler: str = "compiler"):
+def _fresh_interpreter(cache_dir, compiler: str = "compiler", cc: str = ""):
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     env.pop(kernels.BACKEND_ENV, None)
+    if cc:
+        env["CC"] = cc
     return subprocess.Popen(
         [sys.executable, "-c", _RESOLVE, str(cache_dir), compiler],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -112,6 +114,20 @@ def test_second_interpreter_reuses_the_artefact(tmp_path) -> None:
     assert name == again == "native"
     assert built == reused  # same file, not rebuilt: no compiler was to be had
     assert len(os.listdir(tmp_path)) == 1
+
+
+@needs_compiler
+def test_artefact_is_keyed_by_the_compiler_named(tmp_path) -> None:
+    """``$CC`` picks the build, so it picks the artefact: a wrapper (sanitizer
+    flags, another compiler) must not load what plain ``cc`` left behind."""
+    plain = kernels._find_compiler()
+    wrapper = tmp_path / "wrapped-cc"
+    wrapper.write_text(f'#!/bin/sh\nexec {plain} "$@"\n')
+    wrapper.chmod(0o755)
+    cache = tmp_path / "cache"
+    for cc, artefacts in ((plain, 1), (str(wrapper), 2), (plain, 2)):
+        assert _finish(_fresh_interpreter(cache, cc=cc))[0] == "native"
+        assert len(os.listdir(cache)) == artefacts
 
 
 @needs_compiler

@@ -12,6 +12,9 @@ across fractional metrics and relabelled trellises that no scheme builds.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from repro.coding import kernels
 from repro.coding.convolutional import Trellis
 from repro.coding.coset import ConvolutionalCosetCode
 from repro.coding.cost import make_codebook, methuselah_metric
-from repro.coding.registry import get_code
+from repro.coding.registry import get_code, list_codes
 from repro.coding.viterbi import CosetViterbi
 from repro.errors import ConfigurationError
 from repro.core.mfc import MFC_VARIANTS
@@ -152,6 +155,21 @@ def _with_backend(code, backend: str) -> CosetViterbi:
     return viterbi
 
 
+def _cost_paths(viterbi: CosetViterbi):
+    """The searcher, then again with its expanded branch-cost table withheld:
+    the native kernel's two cost paths (numpy has the one)."""
+    yield viterbi
+    if viterbi.backend.name == "native" and viterbi._expanded is not None:
+        gathering = copy.copy(viterbi)
+        gathering._expanded = None
+        yield gathering
+
+
+needs_native = pytest.mark.skipif(
+    "native" not in BACKENDS, reason="no C compiler here"
+)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
 def test_every_available_backend_bit_identical(backend, variant) -> None:
@@ -164,6 +182,50 @@ def test_every_available_backend_bit_identical(backend, variant) -> None:
                     viterbi, lanes, steps, seed, num_levels - 2
                 )
                 _assert_bit_identical(viterbi, reps, levels)
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "variant, constraint_length",
+    [
+        (variant, constraint_length)
+        for variant in sorted(MFC_VARIANTS)
+        for constraint_length in (3, 5, 7, 9)  # 9: the rate-1/2 codes only
+        if (MFC_VARIANTS[variant][0], constraint_length) in list_codes()
+    ],
+)
+def test_native_cost_paths_agree_with_numpy(variant, constraint_length) -> None:
+    """Expanded table, per-step gather and numpy: one result, saturated
+    cells and the degenerate step counts included."""
+    code = _make_code(variant, constraint_length)
+    native = _with_backend(code, "native")
+    reference = _with_backend(code, "numpy")
+    num_levels = native.codebook.num_levels
+    for lanes in (1, 5):
+        for seed, steps in ((0, 0), (1, 1), (4, 12), (5, 13)):
+            reps, levels = _random_case(
+                native, lanes, steps, seed, num_levels - 1
+            )
+            expected = reference.search_batch(reps, levels)
+            for viterbi in _cost_paths(native):
+                result = viterbi.search_batch(reps, levels)
+                assert np.array_equal(result.writable, expected.writable)
+                assert np.array_equal(result.total_costs, expected.total_costs)
+                assert np.array_equal(
+                    result.codeword_values[expected.writable],
+                    expected.codeword_values[expected.writable],
+                )
+
+
+@needs_native
+def test_native_serves_a_searcher_too_large_to_expand() -> None:
+    """mfc-4/5 at K=7 would expand to 16 MiB: no table, same kernel."""
+    viterbi = _with_backend(_make_code("mfc-4/5", 7), "native")
+    assert viterbi._expanded is None
+    assert _with_backend(_make_code("mfc-3/4", 7), "native")._expanded is not None
+    for lanes, steps in ((1, 12), (5, 13)):
+        reps, levels = _random_case(viterbi, lanes, steps, steps, 3)
+        _assert_bit_identical(viterbi, reps, levels)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -185,6 +247,10 @@ def test_backend_saturated_lanes_mixed_with_writable(backend, variant) -> None:
 def test_backend_float64_branch(backend) -> None:
     viterbi = _with_backend(_make_code("mfc-2/3", 5), backend)
     viterbi._max_step_cost = float(2**24)  # past the float32-exact bound
+    if backend == "native":
+        # The expanded table is float32 only: these searches must gather
+        # from the float64 fused table and never read it.
+        viterbi._expanded = np.full_like(viterbi._expanded, np.inf)
     for lanes, steps in ((1, 10), (5, 11)):
         reps, levels = _random_case(viterbi, lanes, steps, steps, 3)
         _assert_bit_identical(viterbi, reps, levels)
@@ -227,21 +293,31 @@ def test_backend_accepts_strided_and_narrow_inputs(backend) -> None:
     _assert_bit_identical(viterbi, reps[:, ::2], levels[:, ::2])
 
 
+#: The ``CosetViterbi`` tables each backend's search reads.
+KERNEL_TABLES = {
+    "numpy": ("_prev_src", "_pred_output", "_prev_flat"),
+    "native": ("_out_values", "_order", "_expanded"),
+}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_tables_need_not_be_contiguous(backend) -> None:
     """Tables reach the kernel through a copy-if-needed, never as they are."""
     viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 5), backend)
     reps, levels = _random_case(viterbi, 3, 13, 2, 2)
     reference = viterbi.search_batch(reps, levels)
-    for name in ("_prev_src", "_pred_output", "_out_values"):
+    for name in KERNEL_TABLES[backend]:
         table = getattr(viterbi, name)
-        wide = np.zeros((table.shape[0], 2 * table.shape[1]), dtype=table.dtype)
-        wide[:, ::2] = table
-        setattr(viterbi, name, wide[:, ::2])  # same values, strided view
+        wide = np.zeros(
+            (*table.shape[:-1], 2 * table.shape[-1]), dtype=table.dtype
+        )
+        wide[..., ::2] = table
+        setattr(viterbi, name, wide[..., ::2])  # same values, strided view
         assert not getattr(viterbi, name).flags.c_contiguous
-    result = viterbi.search_batch(reps, levels)
-    assert np.array_equal(result.codeword_values, reference.codeword_values)
-    assert np.array_equal(result.total_costs, reference.total_costs)
+    for strided in _cost_paths(viterbi):
+        result = strided.search_batch(reps, levels)
+        assert np.array_equal(result.codeword_values, reference.codeword_values)
+        assert np.array_equal(result.total_costs, reference.total_costs)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -274,22 +350,37 @@ def test_backend_empty_batch(backend) -> None:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_rejects_out_of_range_chunks(backend) -> None:
-    viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 3), backend)
-    reps, levels = _random_case(viterbi, 2, 8, 0, 2)
-    reps[1, 5] = viterbi.num_values
-    with pytest.raises(IndexError):
-        viterbi.search_batch(reps, levels)
+    searcher = _with_backend(_make_code("mfc-1/2-1bpc", 3), backend)
+    reps, levels = _random_case(searcher, 2, 8, 0, 2)
+    reps[1, 5] = searcher.num_values
+    for viterbi in _cost_paths(searcher):
+        with pytest.raises(IndexError):
+            viterbi.search_batch(reps, levels)
 
 
-@pytest.mark.skipif("native" not in BACKENDS, reason="no C compiler here")
+@needs_native
 def test_native_rejects_out_of_range_levels() -> None:
+    searcher = _with_backend(_make_code("mfc-1/2-1bpc", 3), "native")
+    reps, levels = _random_case(searcher, 2, 9, 0, 2)
+    for viterbi in _cost_paths(searcher):
+        for bad in (-1, viterbi.codebook.num_levels):
+            broken = levels.copy()
+            broken[1, 8, 0] = bad
+            with pytest.raises(IndexError, match="out of range"):
+                viterbi.search_batch(reps, broken)
+
+
+@needs_native
+def test_native_rejects_out_of_range_end_state() -> None:
+    """``search_batch`` takes end states from ``argmin``; the seam does not."""
     viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 3), "native")
     reps, levels = _random_case(viterbi, 2, 9, 0, 2)
-    for bad in (-1, viterbi.codebook.num_levels):
-        broken = levels.copy()
-        broken[1, 8, 0] = bad
+    _path, backptr = viterbi.backend.forward(viterbi, reps, levels, np.float32)
+    for bad in (-1, viterbi.trellis.num_states):
         with pytest.raises(IndexError, match="out of range"):
-            viterbi.search_batch(reps, broken)
+            viterbi.backend.backtrace(
+                viterbi, reps, np.array([0, bad]), backptr
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +416,30 @@ def _permuted_trellis(trellis: Trellis) -> Trellis:
     return permuted
 
 
+def _swapped_predecessors(trellis: Trellis) -> Trellis:
+    """The same trellis listing each state's two predecessors high one first:
+    input labels still in the low bit, but not the butterfly's order."""
+    return dataclasses.replace(
+        trellis,
+        prev_state=trellis.prev_state[:, ::-1],
+        prev_input=trellis.prev_input[:, ::-1],
+    )
+
+
+#: Metric, and what is done to the registry code's trellis.
 GENERIC_CASES = {
-    "fractional-metric": (_fractional_metric, False),
-    "permuted-states": (methuselah_metric, True),
-    "fractional-metric-permuted-states": (_fractional_metric, True),
+    "fractional-metric": (_fractional_metric, None),
+    "permuted-states": (methuselah_metric, _permuted_trellis),
+    "fractional-metric-permuted-states": (_fractional_metric, _permuted_trellis),
+    "swapped-predecessors": (methuselah_metric, _swapped_predecessors),
 }
 
 
 def _generic_searcher(case: str, denominator: int, backend: str) -> CosetViterbi:
-    metric, permute = GENERIC_CASES[case]
+    metric, rebuild = GENERIC_CASES[case]
     trellis = get_code(denominator, 5).build_trellis()
-    if permute:
-        trellis = _permuted_trellis(trellis)
+    if rebuild is not None:
+        trellis = rebuild(trellis)
     return CosetViterbi(
         trellis, make_codebook(1, 4, metric=metric), backend=backend
     )
@@ -356,7 +459,8 @@ def test_generic_searchers_bit_identical(backend, denominator, case) -> None:
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", sorted(GENERIC_CASES))
 def test_generic_searcher_names_the_backend_that_ran(backend, case) -> None:
-    """The C kernel serves integer costs on shift-register trellises only;
+    """The C kernel serves integer costs on shift-register trellises only
+    (low-bit input labels *and* predecessors ``s >> 1``, ``(s >> 1) + S/2``);
     telemetry prints ``backend.name``, so it has to say what ran instead."""
     assert _generic_searcher(case, 2, backend).backend.name == "numpy"
 
