@@ -30,28 +30,35 @@ from repro.cluster.supervisor import (
     endpoints_from_state,
     read_state_file,
 )
+from repro.durability import FSYNC_POLICIES
 from repro.errors import ConfigurationError, DurabilityError, ServerError
 from repro.obs import registry as _metrics
 from repro.obs.export import write_metrics, write_trace
-from repro.server.runner import _HEADER, _result_row
+from repro.server.runner import (
+    HEADER,
+    add_device_args,
+    add_server_args,
+    result_row,
+)
 
 __all__ = ["main"]
 
-#: Device/server/durability flags forwarded verbatim to every shard's
-#: ``repro.server serve`` command line: (flag, default-as-string).
-_FORWARDED_FLAGS = (
-    ("--scheme", "mfc-1/2-1bpc"),
-    ("--blocks", "16"),
-    ("--pages-per-block", "16"),
-    ("--page-bytes", "512"),
-    ("--erase-limit", "10000"),
-    ("--utilization", "0.5"),
-    ("--constraint-length", "7"),
-    ("--max-batch", "32"),
-    ("--queue-depth", "256"),
-    ("--credit-window", "64"),
-    ("--fsync-policy", "batch"),
-)
+
+def _shard_flags() -> argparse.ArgumentParser:
+    """The ``repro.server serve`` flags a fleet command takes for its shards.
+
+    Declared by the server runner's own functions, so this CLI checks types
+    and choices itself instead of each shard dying on its usage text, and a
+    flag the server gains is forwarded without a second list here.
+    """
+    parser = argparse.ArgumentParser(add_help=False)
+    add_device_args(parser)
+    add_server_args(parser)
+    parser.add_argument("--fsync-policy", choices=FSYNC_POLICIES,
+                        default="batch",
+                        help="journal sync cadence of every shard "
+                             "(with --data-dir)")
+    return parser
 
 
 def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
@@ -71,16 +78,15 @@ def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
                        help="write fleet endpoints + pids here as JSON")
     group.add_argument("--start-timeout", type=float, default=30.0,
                        help="seconds to wait for each shard's banner")
-    for flag, default in _FORWARDED_FLAGS:
-        group.add_argument(flag, default=default,
-                           help=f"forwarded to every shard "
-                                f"(default {default})")
 
 
 def _shard_extra_args(args: argparse.Namespace) -> tuple[str, ...]:
+    """Every shard flag as parsed, back in argv form (unset ones left out)."""
     extra: list[str] = []
-    for flag, _default in _FORWARDED_FLAGS:
-        extra += [flag, str(getattr(args, flag.lstrip("-").replace("-", "_")))]
+    for dest in vars(_shard_flags().parse_args([])):
+        value = getattr(args, dest)
+        if value is not None:
+            extra += ["--" + dest.replace("_", "-"), str(value)]
     return tuple(extra)
 
 
@@ -104,7 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     serve = commands.add_parser(
-        "serve", help="run a shard fleet until SIGINT/SIGTERM"
+        "serve", parents=[_shard_flags()],
+        help="run a shard fleet until SIGINT/SIGTERM",
     )
     _add_fleet_args(serve)
     serve.add_argument("--obs-port", type=int, default=0, metavar="PORT",
@@ -115,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="write the merged cluster metrics here on stop")
 
     bench = commands.add_parser(
-        "bench", help="drive a cluster with the load generator"
+        "bench", parents=[_shard_flags()],
+        help="drive a cluster with the load generator",
     )
     _add_fleet_args(bench)
     bench.add_argument("--connect-state", metavar="PATH",
@@ -238,7 +246,7 @@ def _bench(args: argparse.Namespace) -> int:
 def _bench_endpoints(
     args: argparse.Namespace, endpoints: dict[int, tuple[str, int]]
 ) -> int:
-    print(_HEADER)
+    print(HEADER)
     for clients in args.clients:
         result = asyncio.run(run_cluster_closed_loop(
             endpoints,
@@ -250,7 +258,7 @@ def _bench_endpoints(
             seed=args.seed,
             connect_timeout=args.connect_timeout,
         ))
-        print(_result_row(result), flush=True)
+        print(result_row(result), flush=True)
     return 0
 
 

@@ -118,10 +118,10 @@ def cell_key(cell, fingerprint: str | None = None) -> str:
     """Content address of a cell's result (includes the code fingerprint).
 
     :class:`SweepCell` keeps its historical key layout; any other cell
-    type provides a ``key_payload()`` dict (the generic cell protocol —
-    see :class:`repro.server.bench.ServerBenchCell`).  Callers keying many
-    cells pass ``fingerprint`` explicitly so the package hash is computed
-    once per sweep, not once per cell.
+    type provides a ``key_payload()`` dict (the generic cell protocol:
+    ``key_payload()``, ``run()`` and an optional ``cacheable``).  Callers
+    keying many cells pass ``fingerprint`` explicitly so the package hash
+    is computed once per sweep, not once per cell.
     """
     if isinstance(cell, SweepCell):
         payload: dict = {
@@ -142,8 +142,7 @@ def cell_cacheable(cell) -> bool:
     """May this cell's result be served from the cache?
 
     Lifetime cells are always deterministic; generic cells opt out via a
-    ``cacheable`` attribute (e.g. a multi-client server bench whose
-    interleaving — and therefore device outcome — is timing-dependent).
+    ``cacheable`` attribute (a cell whose outcome depends on timing).
     """
     return bool(getattr(cell, "cacheable", True))
 

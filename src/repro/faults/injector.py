@@ -54,15 +54,6 @@ class FaultCounters:
         """Flat dict of all counters, for printing or logging."""
         return dict(self.__dict__)
 
-    def snapshot(self) -> "FaultCounters":
-        """An independent copy safe to ship across processes."""
-        return FaultCounters(**self.__dict__)
-
-    def merge(self, other: "FaultCounters") -> None:
-        """Fold another injector's counts into this one."""
-        for name, value in other.__dict__.items():
-            setattr(self, name, getattr(self, name) + value)
-
 
 class FaultInjector:
     """Pluggable fault source for one flash chip.

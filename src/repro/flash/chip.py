@@ -9,20 +9,8 @@ from repro.flash.block import Block
 from repro.flash.geometry import FlashGeometry
 from repro.flash.noise import WearNoiseModel
 from repro.flash.stats import FlashStats
-from repro.obs import registry as _metrics
 
 __all__ = ["FlashChip"]
-
-#: Chip-level physical-operation telemetry.  These are the *live* mirrors of
-#: :class:`~repro.flash.stats.FlashStats` — the per-chip stats objects stay
-#: authoritative for chip-local queries, while these registry counters
-#: aggregate across every chip in the process (and, via snapshot/merge,
-#: across sweep workers).
-_PAGE_READS = _metrics.counter("flash.page_reads")
-_PAGE_PROGRAMS = _metrics.counter("flash.page_programs")
-_PROGRAM_FAILURES = _metrics.counter("flash.program_failures")
-_BLOCK_ERASES = _metrics.counter("flash.block_erases")
-_BITS_PROGRAMMED = _metrics.counter("flash.bits_programmed")
 
 
 class FlashChip:
@@ -100,7 +88,6 @@ class FlashChip:
         block = self._block(block_index)
         self._check_page(block, page_index)
         self.stats.record_read()
-        _PAGE_READS.inc()
         bits = block.read_page(page_index)
         if self.faults is not None:
             bits = self.faults.on_read(
@@ -130,21 +117,17 @@ class FlashChip:
                 )
             except ProgramFailedError:
                 self.stats.record_program_failure()
-                _PROGRAM_FAILURES.inc()
                 raise
         before = int(block.pages[page_index].bits.sum())
         block.program_page(page_index, new_bits)
         after = int(block.pages[page_index].bits.sum())
         self.stats.record_program(after - before)
-        _PAGE_PROGRAMS.inc()
-        _BITS_PROGRAMMED.inc(after - before)
 
     def erase_block(self, block_index: int) -> None:
         """Erase one block, consuming a program/erase cycle."""
         block = self._block(block_index)
         block.erase()
         self.stats.record_erase(block_index)
-        _BLOCK_ERASES.inc()
         if self.faults is not None:
             self.faults.on_erase(block_index, block.erase_count)
 

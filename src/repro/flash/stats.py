@@ -65,15 +65,3 @@ class FlashStats:
             bits_programmed=self.bits_programmed,
             erases_per_block=dict(self.erases_per_block),
         )
-
-    def merge(self, other: "FlashStats") -> None:
-        """Fold another chip's (or process's) counts into this one."""
-        self.page_reads += other.page_reads
-        self.page_programs += other.page_programs
-        self.program_failures += other.program_failures
-        self.block_erases += other.block_erases
-        self.bits_programmed += other.bits_programmed
-        for block_index, erases in other.erases_per_block.items():
-            self.erases_per_block[block_index] = (
-                self.erases_per_block.get(block_index, 0) + erases
-            )

@@ -24,7 +24,6 @@ from repro.obs.tracing import span as _span
 
 __all__ = ["BasicFTL", "FTLStats"]
 
-_GC_RUNS = _metrics.counter("ftl.gc_runs")
 _SCRUB_PASSES = _metrics.counter("ftl.scrub_passes")
 
 
@@ -62,11 +61,6 @@ class FTLStats:
     def snapshot(self) -> "FTLStats":
         """An independent copy safe to ship across processes."""
         return FTLStats(**self.__dict__)
-
-    def merge(self, other: "FTLStats") -> None:
-        """Fold another FTL's (or process's) counts into this one."""
-        for name, value in other.__dict__.items():
-            setattr(self, name, getattr(self, name) + value)
 
 
 class BasicFTL:
@@ -398,7 +392,6 @@ class BasicFTL:
                 if victim is None:
                     return
                 self.stats.gc_runs += 1
-                _GC_RUNS.inc()
                 try:
                     with _span("ftl.gc.reclaim", victim=victim):
                         self._reclaim_block(victim)

@@ -20,8 +20,8 @@ Quick tour::
     snap = obs.get_registry().snapshot()  # picklable; ships across processes
     obs.get_registry().merge(snap)        # counters sum, gauges max
 
-See ``docs/architecture.md`` ("Telemetry and tracing") for the
-instrumented-layer map and the cross-process aggregation contract.
+See ``docs/architecture.md`` ("Telemetry") for who counts what, who
+publishes it when, and the cross-process aggregation contract.
 """
 
 from repro.obs.export import to_prometheus, trace_lines, write_metrics, write_trace

@@ -84,8 +84,9 @@ class ObsHttpServer:
     alive and ready.  ``slo`` attaches a
     :class:`~repro.obs.slo.SLOTracker` whose gauges refresh on every
     scrape; ``debug_vars`` is a callable returning extra ``/debug/vars``
-    entries; ``collectors`` are zero-arg callables invoked before each
-    ``/metrics`` snapshot (e.g. refreshing point-in-time gauges).
+    entries; ``collectors`` are zero-arg callables invoked before the
+    registry is read for ``/metrics`` or for ``/healthz``' SLO status
+    (publishing stats deltas, refreshing point-in-time gauges).
     """
 
     def __init__(
@@ -215,10 +216,13 @@ class ObsHttpServer:
                         "/debug/vars"]}
         )
 
-    def _metrics(self) -> tuple[int, str, bytes]:
-        _SCRAPES.inc()
+    def _collect(self) -> None:
         for collect in self._collectors:
             collect()
+
+    def _metrics(self) -> tuple[int, str, bytes]:
+        _SCRAPES.inc()
+        self._collect()
         if self.slo is not None:
             self.slo.update()
         text = to_prometheus(self.registry.snapshot(include_events=False))
@@ -235,6 +239,7 @@ class ObsHttpServer:
         # restarting a server mid-journal-replay would only lose progress.
         state = self._health_state()
         if self.slo is not None:
+            self._collect()
             state["slo"] = self.slo.status()
         return 200, "application/json", _json_bytes(state)
 

@@ -395,11 +395,13 @@ class MetricsRegistry:
             self.counter("obs.events_dropped").value += dropped
 
     def absorb(self, prefix: str, summary: dict[str, float]) -> None:
-        """Publish a legacy stats summary (``FTLStats`` etc.) as counters.
+        """Add ``summary``'s values to the counters ``<prefix>.<key>``.
 
-        Each call *adds* the given values under ``<prefix>.<key>``, so it
-        must be made once per finished run (the stats objects' lifetime),
-        not repeatedly on live objects.
+        This is how the stats dataclasses (``FlashStats``, ``FTLStats``,
+        ``FaultCounters``, ``ServerStats``) reach the registry.  It adds
+        what it is given: a finished run passes its totals once, a caller
+        publishing from live objects passes what they gained since its
+        previous call.  A disabled registry absorbs nothing.
         """
         if not self.enabled:
             return

@@ -15,22 +15,16 @@ north-star "production-scale serving" direction of the roadmap:
   replay the same :mod:`repro.workload` op streams the simulator runs
   (synthetic, trace, phased, multi-tenant mixes) and report latency
   percentiles plus IOPS, per tenant and overall.
-* :mod:`repro.server.bench` — :class:`ServerBenchCell`, packaging one
-  loopback serving experiment as a sweep-fabric cell (parallelizable via
-  ``--jobs``, cacheable when deterministic).
 
 Run ``python -m repro.server serve`` / ``... bench`` for the CLI.
 """
 
-from repro.server.bench import ServerBenchCell, ServerBenchResult
 from repro.server.client import StorageClient
 from repro.server.loadgen import (
     WORKLOADS,
     LoadgenResult,
     TenantResult,
-    closed_loop,
     make_workload,
-    open_loop,
     run_closed_loop,
     run_open_loop,
 )
@@ -43,17 +37,13 @@ __all__ = [
     "Opcode",
     "Request",
     "Response",
-    "ServerBenchCell",
-    "ServerBenchResult",
     "ServerConfig",
     "ServerStats",
     "Status",
     "StorageClient",
     "StorageService",
     "TenantResult",
-    "closed_loop",
     "make_workload",
-    "open_loop",
     "run_closed_loop",
     "run_open_loop",
 ]

@@ -72,8 +72,6 @@ __all__ = [
     "make_workload",
     "run_closed_loop",
     "run_open_loop",
-    "closed_loop",
-    "open_loop",
 ]
 
 _LG_REQUESTS = _metrics.counter("loadgen.requests")
@@ -498,12 +496,3 @@ async def run_open_loop(
                 await client.close()
     return tally.result("open", tenants, wall, offered=rate, tenants=tenants)
 
-
-def closed_loop(host: str, port: int, **kwargs) -> LoadgenResult:
-    """Synchronous wrapper around :func:`run_closed_loop`."""
-    return asyncio.run(run_closed_loop(host, port, **kwargs))
-
-
-def open_loop(host: str, port: int, **kwargs) -> LoadgenResult:
-    """Synchronous wrapper around :func:`run_open_loop`."""
-    return asyncio.run(run_open_loop(host, port, **kwargs))

@@ -10,8 +10,8 @@ Two subcommands::
     # journal + checkpoints in DIR; crash recovery replays on startup)
     python -m repro.server serve --data-dir /var/tmp/repro-dev --port 7631
 
-    # loopback concurrency sweep through the sweep fabric (--jobs/--cache),
-    # or drive an already-running server with --connect
+    # loopback concurrency sweep (one in-process server per --clients
+    # point), or drive an already-running server with --connect
     python -m repro.server bench --clients 1 4 16
     python -m repro.server bench --connect 127.0.0.1:7631 --ops 200
 """
@@ -28,27 +28,25 @@ import time
 from repro.durability import FSYNC_POLICIES, DurableStore
 from repro.durability.checkpoint import read_manifest
 from repro.errors import ConfigurationError, DurabilityError, ServerError
-from repro.experiments.pool import run_cells
 from repro.flash.geometry import FlashGeometry
 from repro.obs import registry as _metrics
 from repro.obs.export import write_metrics, write_trace
 from repro.obs.http import ObsHttpServer
 from repro.obs.slo import SLOConfig, SLOTracker
-from repro.server.bench import ServerBenchCell, ServerBenchResult
 from repro.server.loadgen import (
     WORKLOADS,
     LoadgenResult,
-    closed_loop,
-    open_loop,
+    run_closed_loop,
+    run_open_loop,
 )
 from repro.server.service import ServerConfig, StorageService
 from repro.ssd.device import SSD
 from repro.workload import parse_phase_spec
 
-__all__ = ["main"]
+__all__ = ["HEADER", "add_device_args", "add_server_args", "main", "result_row"]
 
 
-def _add_device_args(parser: argparse.ArgumentParser) -> None:
+def add_device_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("device", "the simulated SSD to front")
     group.add_argument("--scheme", default="mfc-1/2-1bpc")
     group.add_argument("--blocks", type=int, default=16)
@@ -60,7 +58,7 @@ def _add_device_args(parser: argparse.ArgumentParser) -> None:
                        help="trellis size for MFC schemes")
 
 
-def _add_server_args(parser: argparse.ArgumentParser) -> None:
+def add_server_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("server", "serving-layer knobs")
     group.add_argument("--max-batch", type=int, default=32,
                        help="WRITEs coalesced into one device flush")
@@ -213,8 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="0 picks an ephemeral port (printed at startup)")
-    _add_device_args(serve)
-    _add_server_args(serve)
+    add_device_args(serve)
+    add_server_args(serve)
     _add_durability_args(serve)
     _add_obs_args(serve)
     _add_obs_http_args(serve)
@@ -252,14 +250,8 @@ def main(argv: list[str] | None = None) -> int:
                             "mode, one tenant per client in closed mode) "
                             "and report per-tenant percentiles")
     bench.add_argument("--seed", type=int, default=2016)
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="loopback sweep: worker processes (one loopback "
-                            "server per cell)")
-    bench.add_argument("--cache", action="store_true",
-                       help="loopback sweep: serve deterministic cells from "
-                            "the result cache")
-    _add_device_args(bench)
-    _add_server_args(bench)
+    add_device_args(bench)
+    add_server_args(bench)
     _add_obs_args(bench)
 
     args = parser.parse_args(argv)
@@ -345,7 +337,7 @@ async def _serve(args: argparse.Namespace) -> int:
             service=service,
             slo=slo,
             debug_vars=_debug_vars,
-            collectors=(_collect_durability,),
+            collectors=(service.publish_stats, _collect_durability),
         )
         await obs_server.start(host=args.obs_host, port=args.obs_port)
         print(
@@ -427,13 +419,13 @@ def _wait_ready(host: str, port: int, timeout: float) -> None:
             time.sleep(0.1)
 
 
-_HEADER = (
+HEADER = (
     f"{'clients':>7} {'mode':>6} {'ops':>6} {'IOPS':>8} "
     f"{'p50ms':>8} {'p95ms':>8} {'p99ms':>8} {'busy':>5} {'errors':>6}"
 )
 
 
-def _result_row(result: LoadgenResult) -> str:
+def result_row(result: LoadgenResult) -> str:
     return (
         f"{result.clients:>7} {result.mode:>6} {result.ops:>6} "
         f"{result.achieved_iops:>8.0f} {result.p50_ms:>8.2f} "
@@ -457,88 +449,66 @@ def _print_tenants(result: LoadgenResult) -> None:
 
 
 def _bench(args: argparse.Namespace) -> int:
+    workload, params = _workload_choice(args)
+    load = dict(
+        workload=workload,
+        read_fraction=args.read_fraction,
+        seed=args.seed,
+        tenants=args.tenants,
+        connect_timeout=args.connect_timeout,
+        **params,
+    )
     if args.connect:
-        return _bench_connect(args)
-    return _bench_loopback(args)
+        return _bench_connect(args, load)
+    return _bench_loopback(args, load)
 
 
-def _bench_connect(args: argparse.Namespace) -> int:
+async def _drive(
+    args: argparse.Namespace, host: str, port: int, clients: int, load: dict
+) -> LoadgenResult:
+    """One --clients sweep point of the load generator against host:port."""
+    if args.mode == "open":
+        return await run_open_loop(
+            host, port, rate=args.rate, total_ops=clients * args.ops, **load
+        )
+    return await run_closed_loop(
+        host, port, clients=clients, ops_per_client=args.ops, **load
+    )
+
+
+def _bench_connect(args: argparse.Namespace, load: dict) -> int:
     """Drive an external server once per --clients sweep point."""
     host, port = _parse_hostport(args.connect)
-    workload, params = _workload_choice(args)
     _wait_ready(host, port, args.connect_timeout)
-    print(_HEADER)
+    print(HEADER)
     for clients in args.clients:
-        if args.mode == "open":
-            result = open_loop(
-                host, port,
-                rate=args.rate,
-                total_ops=clients * args.ops,
-                workload=workload,
-                read_fraction=args.read_fraction,
-                seed=args.seed,
-                tenants=args.tenants,
-                connect_timeout=args.connect_timeout,
-                **params,
-            )
-        else:
-            result = closed_loop(
-                host, port,
-                clients=clients,
-                ops_per_client=args.ops,
-                workload=workload,
-                read_fraction=args.read_fraction,
-                seed=args.seed,
-                tenants=args.tenants,
-                connect_timeout=args.connect_timeout,
-                **params,
-            )
-        print(_result_row(result), flush=True)
+        result = asyncio.run(_drive(args, host, port, clients, load))
+        print(result_row(result), flush=True)
         _print_tenants(result)
     return 0
 
 
-def _bench_loopback(args: argparse.Namespace) -> int:
-    """Concurrency sweep over self-contained loopback cells."""
-    workload, params = _workload_choice(args)
-    cells = [
-        ServerBenchCell(
-            scheme=args.scheme,
-            page_bits=args.page_bytes * 8,
-            blocks=args.blocks,
-            pages_per_block=args.pages_per_block,
-            erase_limit=args.erase_limit,
-            utilization=args.utilization,
-            mode=args.mode,
-            clients=clients,
-            ops_per_client=args.ops,
-            rate=args.rate if args.mode == "open" else None,
-            read_fraction=args.read_fraction,
-            workload=workload,
-            workload_params=tuple(sorted(params.items())),
-            tenants=args.tenants,
-            seed=args.seed,
-            max_batch=args.max_batch,
-            queue_depth=args.queue_depth,
-            credit_window=args.credit_window,
-            tenant_credit_window=args.tenant_credit_window,
-            admission=args.admission,
-            kwargs=tuple(sorted(_scheme_kwargs(args).items())),
-        )
-        for clients in args.clients
-    ]
-    results: list[ServerBenchResult] = run_cells(
-        cells, jobs=args.jobs, cache=None if args.cache else False
-    )
-    print(_HEADER + f" {'flushes':>7} {'maxB':>4} {'state':>9}")
-    for result in results:
+def _bench_loopback(args: argparse.Namespace, load: dict) -> int:
+    """Drive a fresh in-process device + server per --clients sweep point."""
+
+    async def point(clients: int) -> tuple[LoadgenResult, StorageService]:
+        service = StorageService(_make_ssd(args), _server_config(args))
+        async with service:
+            result = await _drive(
+                args, "127.0.0.1", service.port, clients, load
+            )
+        return result, service
+
+    print(HEADER + f" {'flushes':>7} {'maxB':>4} {'state':>9}")
+    for clients in args.clients:
+        result, service = asyncio.run(point(clients))
         print(
-            _result_row(result.loadgen)
-            + f" {result.batches:>7} {result.max_batch_size:>4} "
-              f"{result.lifetime_state:>9}",
+            result_row(result)
+            + f" {service.stats.batches:>7} {service.stats.max_batch_size:>4} "
+              f"{service.ssd.lifetime_state:>9}",
             flush=True,
         )
-        _print_tenants(result.loadgen)
+        _print_tenants(result)
     return 0
 
 

@@ -50,17 +50,21 @@ that exhausts its window gets ``Status.BUSY`` on the spot while other
 tenants sail through; in block mode only the offender's readers pause.
 That isolates a pipelining hog from well-behaved neighbours without
 partitioning the device.  Per-tenant request/op/busy counts are kept in
-``tenant_stats`` (exposed through STAT) and mirrored into
-:mod:`repro.obs` as ``server.tenant<N>.*`` counters.  Once the device latches end-of-life read-only mode every write is
-answered with the typed ``Status.READ_ONLY`` error while reads keep
-serving — the wire-level version of the PR 1 graceful-degradation
-contract.
+``tenant_stats`` (exposed through STAT).  Once the device latches
+end-of-life read-only mode every write is answered with the typed
+``Status.READ_ONLY`` error while reads keep serving — the wire-level
+version of the graceful-degradation contract.
 
-Every request is counted and timed into :mod:`repro.obs`
-(``server.requests``, ``server.queue_depth``, ``server.batch_size`` and
-``server.request_seconds`` histograms) and spans are emitted per request
-and per flush, so ``--metrics-out``/``--trace-out`` expose the full
-serving path.
+**Accounting.**  Every event is counted once, in :class:`ServerStats`, the
+``tenant_stats`` buckets and the device's own stats dataclasses.
+:meth:`StorageService.publish_stats` absorbs what they gained since its
+previous call into :mod:`repro.obs` (``server.*``, ``server.tenant<N>.*``,
+``ftl.*``, ``flash.*``, ``faults.*``); the telemetry sidecar calls it before
+each scrape and :meth:`StorageService.stop` calls it a last time.  Only
+what has no dataclass goes to the registry directly: the
+``server.queue_depth`` gauge, the ``server.batch_size``,
+``server.request_seconds`` and ``server.queue_wait_seconds`` histograms,
+and the per-request and per-flush spans.
 """
 
 from __future__ import annotations
@@ -99,16 +103,6 @@ from repro.ssd.device import SSD
 
 __all__ = ["ServerConfig", "ServerStats", "StorageService"]
 
-_REQUESTS = _metrics.counter("server.requests")
-_READS = _metrics.counter("server.reads")
-_WRITES = _metrics.counter("server.writes")
-_TRIMS = _metrics.counter("server.trims")
-_STATS = _metrics.counter("server.stat_requests")
-_ERRORS = _metrics.counter("server.errors")
-_REJECTED = _metrics.counter("server.rejected")
-_BATCHES = _metrics.counter("server.batches")
-_COALESCED = _metrics.counter("server.coalesced_writes")
-_CONNECTIONS = _metrics.counter("server.connections")
 _QUEUE_DEPTH = _metrics.gauge("server.queue_depth")
 
 #: Batch-size buckets: powers of two up to the largest sensible window.
@@ -121,14 +115,7 @@ _QUEUE_WAIT = _metrics.histogram("server.queue_wait_seconds", TIME_BUCKETS)
 #: batches record a truncated list plus the true batch size.
 _SPAN_TRACE_IDS = 32
 
-_OP_COUNTERS = {
-    Opcode.READ: _READS,
-    Opcode.WRITE: _WRITES,
-    Opcode.TRIM: _TRIMS,
-    Opcode.STAT: _STATS,
-}
-
-#: Opcode -> ServerStats attribute bumped alongside the obs counter.
+#: Opcode -> the ServerStats field (and tenant bucket key) that counts it.
 _OP_FIELDS = {
     Opcode.READ: "reads",
     Opcode.WRITE: "writes",
@@ -294,6 +281,8 @@ class StorageService:
         self.store = store
         self.stats = ServerStats()
         self.tenant_stats: dict[int, dict[str, int]] = {}
+        #: Totals as of the last :meth:`publish_stats`, by registry prefix.
+        self._published: dict[str, dict[str, int]] = {}
         self._tenant_credits: dict[int, asyncio.Semaphore] = {}
         self.recovery_report: RecoveryReport | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -381,6 +370,33 @@ class StorageService:
         self._connections.clear()
         self._executor.shutdown(wait=True)
         self._executor = None
+        self.publish_stats()
+
+    def publish_stats(self) -> None:
+        """Absorb what the stats gained since the last call into the registry.
+
+        Covers the device (:meth:`~repro.ssd.device.SSD.counter_totals`),
+        :attr:`stats` and the tenant buckets; ``max_batch_size`` is a
+        maximum, not a count, and stays out.  While the registry is
+        disabled nothing is marked as published, so the first call after it
+        is enabled carries everything counted until then.  Runs on the
+        event-loop thread (sidecar collector, :meth:`stop`).
+        """
+        registry = _metrics.get_registry()
+        if not registry.enabled:
+            return
+        totals = self.ssd.counter_totals()
+        totals["server"] = self.stats.summary()
+        del totals["server"]["max_batch_size"]
+        for tenant, bucket in self.tenant_stats.items():
+            totals[f"server.tenant{tenant}"] = dict(bucket)
+        for prefix, now in totals.items():
+            before = self._published.get(prefix, {})
+            registry.absorb(prefix, {
+                name: value - before.get(name, 0)
+                for name, value in now.items()
+            })
+        self._published = totals
 
     async def __aenter__(self) -> "StorageService":
         if self._server is None:
@@ -399,7 +415,6 @@ class StorageService:
         self._connections.add(conn)
         self._handler_tasks.add(asyncio.current_task())
         self.stats.connections += 1
-        _CONNECTIONS.inc()
         try:
             while True:
                 body = await protocol.read_frame(
@@ -431,7 +446,6 @@ class StorageService:
             # Framing is broken (truncated/oversized frame): the stream
             # cannot be re-synchronized, so the connection must die.
             self.stats.protocol_errors += 1
-            _ERRORS.inc()
         except (ConnectionError, OSError):
             pass
         except asyncio.CancelledError:
@@ -471,12 +485,7 @@ class StorageService:
                 # tenant's request while its neighbours stay unaffected.
                 conn.credits.release()
                 self.stats.rejected += 1
-                _REJECTED.inc()
-                bucket = self._tenant(conn.tenant)
-                bucket["busy_rejected"] += 1
-                _metrics.counter(
-                    f"server.tenant{conn.tenant}.busy_rejected"
-                ).inc()
+                self._tenant(conn.tenant)["busy_rejected"] += 1
                 self._send_error(
                     conn, request.request_id, Status.BUSY,
                     f"tenant {conn.tenant} credit window is full",
@@ -494,7 +503,6 @@ class StorageService:
                 if tenant_credits is not None:
                     tenant_credits.release()
                 self.stats.rejected += 1
-                _REJECTED.inc()
                 self._send_error(conn, request.request_id, Status.BUSY,
                                  "server queue is full")
                 return
@@ -523,7 +531,6 @@ class StorageService:
         self, conn: _Connection, request_id: int, status: Status, message: str
     ) -> None:
         self.stats.errors += 1
-        _ERRORS.inc()
         conn.respond(protocol.encode_response(
             Response(status, request_id, message=message)
         ))
@@ -566,15 +573,11 @@ class StorageService:
         """Account one completed request and hand its reply to the writer."""
         _LATENCY.observe(time.perf_counter() - op.arrival)
         self.stats.requests += 1
-        _REQUESTS.inc()
         field = _OP_FIELDS[op.request.opcode]
         setattr(self.stats, field, getattr(self.stats, field) + 1)
-        _OP_COUNTERS[op.request.opcode].inc()
         bucket = self._tenant(op.tenant)
         bucket["requests"] += 1
         bucket[field] += 1
-        _metrics.counter(f"server.tenant{op.tenant}.requests").inc()
-        _metrics.counter(f"server.tenant{op.tenant}.{field}").inc()
         if op.tenant_credits is not None:
             op.tenant_credits.release()
         op.conn.credits.release()
@@ -617,11 +620,9 @@ class StorageService:
     def _execute_write_batch(self, batch: list[_Op]) -> list[tuple[_Op, bytes]]:
         """Flush a contiguous run of WRITEs as one coalesced device call."""
         self.stats.batches += 1
-        _BATCHES.inc()
         _BATCH_SIZE.observe(len(batch))
         if len(batch) > 1:
             self.stats.coalesced_writes += len(batch)
-            _COALESCED.inc(len(batch))
         self.stats.max_batch_size = max(self.stats.max_batch_size, len(batch))
         dataword_bits = self.ssd.logical_page_bits
         logical_pages = self.ssd.logical_pages
@@ -694,7 +695,6 @@ class StorageService:
                     ok += 1
                 else:
                     self.stats.errors += 1
-                    _ERRORS.inc()
                 with _span(
                     "server.request", op="WRITE", lpn=op.request.lpn,
                     status=response.status.name,
@@ -745,7 +745,6 @@ class StorageService:
             )
         if response.status is not Status.OK:
             self.stats.errors += 1
-            _ERRORS.inc()
         return [(op, protocol.encode_response(response))]
 
     def _apply(self, request: Request) -> Response:

@@ -149,6 +149,28 @@ class SSD:
             return "degraded"
         return "healthy"
 
+    def counter_totals(self) -> dict[str, dict[str, int]]:
+        """Every event count the device keeps, by metrics-registry prefix.
+
+        The int fields of ``chip.stats``, ``ftl.stats`` and (with an
+        injector) ``faults.counters`` — not derived maxima such as
+        ``max_block_erases``, which do not sum.  This is the one list of
+        what :meth:`~repro.obs.registry.MetricsRegistry.absorb` publishes
+        for a device.  Only fixed-size instance dicts are read, so the
+        serving layer's event loop may call it while the device thread
+        counts.
+        """
+        sources = {"flash": self.chip.stats, "ftl": self.ftl.stats}
+        if self.faults is not None:
+            sources["faults"] = self.faults.counters
+        return {
+            prefix: {
+                name: value for name, value in vars(stats).items()
+                if isinstance(value, int)
+            }
+            for prefix, stats in sources.items()
+        }
+
     def enter_read_only(self) -> None:
         """Latch the device read-only (idempotent, never un-latched)."""
         self._read_only = True

@@ -179,17 +179,14 @@ def run_until_death(
             audit_survivors(ssd)
         if event is not None:
             event["attrs"]["host_writes"] = writes
-    # Publish this run's end-of-life accounting: FTL and fault-injection
-    # totals are absorbed once per finished run (the live flash.* counters
-    # already track chip ops, so FlashStats is NOT re-absorbed here).
+    # The stats dataclasses have no live mirror in the registry; the run is
+    # their publishing scope, so the finished totals are absorbed here, once.
     registry = _metrics.get_registry()
-    if registry.enabled:
-        registry.absorb("ftl", stats.summary())
-        if ssd.faults is not None:
-            registry.absorb("faults", ssd.faults.counters.summary())
-        registry.gauge("flash.max_block_erases").set(
-            ssd.chip.stats.max_block_erases
-        )
+    for prefix, totals in ssd.counter_totals().items():
+        registry.absorb(prefix, totals)
+    registry.gauge("flash.max_block_erases").set(
+        ssd.chip.stats.max_block_erases
+    )
     return DeviceLifetimeResult(
         scheme_name=ssd.scheme_name,
         host_writes=writes,

@@ -15,7 +15,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.cluster.runner import main
+import pytest
+
+from repro.cluster.runner import _shard_extra_args, _shard_flags, main
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -64,6 +66,34 @@ class TestBenchCli:
         code = main(["bench", "--connect-state", str(state)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestShardFlags:
+    def test_bad_value_is_rejected_by_this_cli(self, capsys) -> None:
+        # Not by a shard's ``repro.server serve`` usage text in a log file.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--blocks", "x"])
+        assert excinfo.value.code == 2
+        assert (
+            "python -m repro.cluster serve: error: argument --blocks"
+            in capsys.readouterr().err
+        )
+
+    def test_every_server_flag_is_forwarded(self) -> None:
+        args = _shard_flags().parse_args([
+            "--admission", "reject", "--tenant-credit-window", "8",
+            "--blocks", "4", "--fsync-policy", "always",
+        ])
+        extra = _shard_extra_args(args)
+        pairs = dict(zip(extra[::2], extra[1::2]))
+        assert pairs["--admission"] == "reject"
+        assert pairs["--tenant-credit-window"] == "8"
+        assert pairs["--blocks"] == "4"
+        assert pairs["--fsync-policy"] == "always"
+        assert pairs["--page-bytes"] == "512"  # the server runner's default
+        # Off unless given: the shard keeps its own default (no QoS window).
+        unset = _shard_extra_args(_shard_flags().parse_args([]))
+        assert "--tenant-credit-window" not in unset
 
 
 class TestServeCli:

@@ -1,10 +1,10 @@
 """The workload-unification acceptance test.
 
-One :class:`~repro.workload.registry.WorkloadSpec`, replayed through all
-three harnesses — the offline lifetime simulator, the TCP serving stack,
-and a sweep-fabric :class:`~repro.server.bench.ServerBenchCell` — must
-drive the device through the identical op sequence: same LPNs in the same
-order with the same payload bytes, hence bit-identical device end state.
+One :class:`~repro.workload.registry.WorkloadSpec`, replayed through both
+harnesses — the offline lifetime simulator and the TCP serving stack —
+must drive the device through the identical op sequence: same LPNs in the
+same order with the same payload bytes, hence bit-identical device end
+state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.flash import FlashGeometry
 from repro.server import StorageService
-from repro.server.bench import ServerBenchCell
 from repro.server.loadgen import run_closed_loop
 from repro.ssd import SSD
 from repro.ssd.simulator import run_until_death
@@ -78,25 +77,9 @@ class TestThreeHarnessEquivalence:
 
         srv_outcome, srv_image = asyncio.run(serve())
 
-        # Harness 3: the sweep-fabric cell wraps the same spec.
-        cell = ServerBenchCell(
-            scheme=SCHEME, page_bits=GEOM.page_bits, blocks=GEOM.blocks,
-            pages_per_block=GEOM.pages_per_block,
-            erase_limit=GEOM.erase_limit, utilization=0.5,
-            mode="closed", clients=1, ops_per_client=OPS,
-            workload=SPEC.name, workload_params=SPEC.params, seed=SEED,
-            kwargs=(("constraint_length", 4),),
-        )
-        assert cell.workload_spec == SPEC
-        assert cell.cacheable
-        cell_result = cell.run()
-
         # Identical op sequence => identical device trajectory: the FTL
         # counters agree and every physical page stores the same bits.
         assert outcome(sim_ssd) == srv_outcome
-        cell_outcome = cell_result.device_outcome()
-        del cell_outcome["lifetime_state"]  # simulator SSD is not stat()ed
-        assert cell_outcome == srv_outcome
         assert np.array_equal(chip_image(sim_ssd), srv_image)
 
     def test_mixed_spec_builds_identical_streams_for_all_harnesses(

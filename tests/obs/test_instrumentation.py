@@ -8,6 +8,8 @@ import pytest
 from repro.coding.coset import ConvolutionalCosetCode
 from repro.core.lifetime import LifetimeSimulator
 from repro.core.scheme import PageCodeScheme
+from repro.faults import FaultProfile
+from repro.flash import FlashGeometry
 from repro.obs import registry as obs
 from repro.ssd.device import SSD
 from repro.ssd.simulator import run_until_death
@@ -112,6 +114,39 @@ class TestDevicePathInstrumentation:
         names = {event["name"] for event in snap.events}
         assert "ssd.run_until_death" in names
         assert "ftl.gc.reclaim" in names
+
+    def test_every_stats_field_equals_its_counter_after_a_run(
+        self, enabled_registry
+    ):
+        geometry = FlashGeometry(
+            blocks=8, pages_per_block=8, page_bits=384, erase_limit=25
+        )
+        ssd = SSD(
+            geometry=geometry,
+            scheme="wom",
+            fault_profile=FaultProfile(
+                transient_program_failure_rate=0.01, read_disturb_rate=1e-4
+            ),
+            fault_seed=3,
+        )
+        run_until_death(
+            ssd, UniformWorkload(ssd.logical_pages, seed=1), scrub_interval=50
+        )
+        assert ssd.ftl.stats.gc_runs > 0
+        assert ssd.faults.counters.disturb_events > 0
+        counters = enabled_registry.snapshot().counters
+        for prefix, stats in (
+            ("ftl", ssd.ftl.stats),
+            ("flash", ssd.chip.stats),
+            ("faults", ssd.faults.counters),
+        ):
+            for name, value in vars(stats).items():
+                if isinstance(value, int):
+                    assert counters.get(f"{prefix}.{name}", 0) == value, (
+                        prefix, name,
+                    )
+        # A maximum is a gauge, never a summed counter.
+        assert "flash.max_block_erases" not in counters
 
     def test_disabled_device_run_is_silent(self, mfc_scheme):
         registry = obs.get_registry()

@@ -1,8 +1,7 @@
-"""merge()/snapshot() on the legacy stats objects (FlashStats, FTLStats, ...)."""
+"""snapshot() on the stats dataclasses (FlashStats, FTLStats)."""
 
 from __future__ import annotations
 
-from repro.faults.injector import FaultCounters
 from repro.flash.stats import FlashStats
 from repro.ftl.ftl import FTLStats
 
@@ -25,50 +24,12 @@ class TestFlashStats:
         assert snap.erases_per_block == {0: 1}
         assert stats.erases_per_block == {0: 2}
 
-    def test_merge_sums_everything(self):
-        a = FlashStats()
-        a.record_read()
-        a.record_program(4)
-        a.record_erase(0)
-        b = FlashStats()
-        b.record_program(6)
-        b.record_program_failure()
-        b.record_erase(0)
-        b.record_erase(2)
-        a.merge(b.snapshot())
-        assert a.page_reads == 1
-        assert a.page_programs == 2
-        assert a.bits_programmed == 10
-        assert a.program_failures == 1
-        assert a.block_erases == 3
-        assert a.erases_per_block == {0: 2, 2: 1}
-        assert a.max_block_erases == 2
-
 
 class TestFTLStats:
-    def test_snapshot_and_merge(self):
-        a = FTLStats(host_writes=3, gc_runs=1)
-        b = FTLStats(host_writes=4, gc_runs=2, scrub_relocations=5)
-        snap = b.snapshot()
-        assert snap is not b
+    def test_snapshot_is_independent(self):
+        stats = FTLStats(host_writes=4, gc_runs=2, scrub_relocations=5)
+        snap = stats.snapshot()
+        stats.host_writes += 1
+        assert snap is not stats
         assert snap.host_writes == 4
-        a.merge(snap)
-        assert a.host_writes == 7
-        assert a.gc_runs == 3
-        assert a.scrub_relocations == 5
-
-    def test_merge_covers_every_field(self):
-        ones = FTLStats(**{name: 1 for name in FTLStats().__dict__})
-        total = FTLStats()
-        total.merge(ones)
-        total.merge(ones)
-        assert all(value == 2 for value in total.summary().values())
-
-
-class TestFaultCounters:
-    def test_snapshot_and_merge(self):
-        a = FaultCounters(disturb_events=2)
-        b = FaultCounters(disturb_events=3, retention_events=1)
-        a.merge(b.snapshot())
-        assert a.disturb_events == 5
-        assert a.retention_events == 1
+        assert snap.summary() == {**stats.summary(), "host_writes": 4}

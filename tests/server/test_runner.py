@@ -9,11 +9,13 @@ import socket
 import subprocess
 import sys
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.console import parse_prometheus
 from repro.server.runner import _parse_hostport, main
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -47,6 +49,19 @@ class TestBenchCli:
         rows = [line for line in out.splitlines()
                 if re.match(r"\s+\d+\s+closed", line)]
         assert len(rows) == 2
+        # Loopback rows also carry the server's flush count, its largest
+        # batch and the device state.
+        assert "flushes" in out and "maxB" in out
+        assert all(row.split()[-1] == "healthy" for row in rows)
+
+    def test_loopback_open_loop(self, capsys) -> None:
+        code = main(["bench", "--mode", "open", "--rate", "400",
+                     "--clients", "2", "--ops", "5", *FAST_DEVICE])
+        out = capsys.readouterr().out
+        assert code == 0
+        (row,) = [line for line in out.splitlines()
+                  if re.match(r"\s+\d+\s+open", line)]
+        assert row.split()[2] == "10"  # clients x ops requests offered
 
     def test_connect_refused_is_a_config_error(self, capsys) -> None:
         code = main(["bench", "--connect", "127.0.0.1:1",
@@ -79,6 +94,9 @@ class TestBenchCli:
         assert code == 0
         text = metrics.read_text()
         assert re.search(r"^repro_loadgen_requests 5", text, re.M)
+        # The in-process server published on stop (5 writes + one STAT).
+        assert re.search(r"^repro_server_requests 6$", text, re.M)
+        assert re.search(r"^repro_ftl_host_writes 5$", text, re.M)
 
 
 class TestServeCli:
@@ -113,6 +131,55 @@ class TestServeCli:
         text = metrics.read_text()
         requests = re.search(r"^repro_server_requests (\d+)", text, re.M)
         assert requests and int(requests.group(1)) >= 10
+        # Without a sidecar nothing scraped: stop() published the device's
+        # counters too, not only the serving layer's.
+        assert re.search(r"^repro_ftl_host_writes 10$", text, re.M)
+        assert re.search(r"^repro_flash_page_programs [1-9]", text, re.M)
+
+    def test_sidecar_scrape_and_exit_dump_carry_device_counters(
+        self, tmp_path
+    ) -> None:
+        metrics = tmp_path / "server.prom"
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "serve", "--port", "0",
+             "--obs-port", "0", *FAST_DEVICE, "--metrics-out", str(metrics)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=env,
+        )
+        try:
+            obs_banner = process.stdout.readline()
+            obs = re.search(r"http://127\.0\.0\.1:(\d+)", obs_banner)
+            assert obs, obs_banner
+            banner = process.stdout.readline()
+            match = re.search(r"on 127\.0\.0\.1:(\d+)", banner)
+            assert match, banner
+
+            code = main(["bench", "--connect",
+                         f"127.0.0.1:{match.group(1)}",
+                         "--clients", "2", "--ops", "5"])
+            assert code == 0
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{obs.group(1)}/metrics", timeout=5.0
+            ) as response:
+                live = parse_prometheus(response.read().decode())
+
+            process.send_signal(signal.SIGINT)
+            out, _ = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, out
+        final = parse_prometheus(metrics.read_text())
+        # "How much rewrite budget is left" can be put to a running server,
+        # and the exit-time dump agrees with the last scrape.
+        assert live.value("repro_ftl_host_writes") == 10
+        for name in ("repro_ftl_host_writes", "repro_ftl_in_place_rewrites",
+                     "repro_flash_page_programs", "repro_flash_block_erases",
+                     "repro_server_requests", "repro_server_writes"):
+            assert final.value(name) == live.value(name), name
+        assert live.value("repro_server_tenant_requests", tenant="0") >= 10
 
     def test_bad_device_knob_exits_2(self, capsys) -> None:
         code = main(["serve", "--utilization", "0.0"])

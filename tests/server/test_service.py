@@ -17,6 +17,7 @@ from repro.errors import (
     ServerError,
 )
 from repro.flash import FlashGeometry
+from repro.obs import registry as obs_registry
 from repro.server import ServerConfig, StorageClient, StorageService
 from repro.server import protocol
 from repro.ssd import SSD
@@ -350,6 +351,9 @@ class TestProtocolViolations:
         assert second.status is protocol.Status.OK
 
     def test_oversized_frame_drops_connection(self) -> None:
+        registry = obs_registry.get_registry()
+        registry.enabled = True
+
         async def go():
             ssd = make_ssd()
             async with StorageService(ssd) as service:
@@ -363,11 +367,15 @@ class TestProtocolViolations:
                 closed = (await reader.read(64)) == b""
                 writer.close()
                 await writer.wait_closed()
-                return closed, service.stats.protocol_errors
+                return closed, service.stats
 
-        closed, protocol_errors = asyncio.run(go())
+        closed, stats = asyncio.run(go())
         assert closed
-        assert protocol_errors == 1
+        # A dropped connection is a protocol error, not an error response:
+        # the dataclass and the registry count it in the same place.
+        assert (stats.protocol_errors, stats.errors) == (1, 0)
+        assert registry.counter("server.protocol_errors").value == 1
+        assert registry.counter("server.errors").value == 0
 
 
 class TestLifecycle:
