@@ -36,12 +36,15 @@ bench-smoke:
 bench-e2e-quick:
 	python -m benchmarks.e2e run --quick
 
-# Bit-identity of both Viterbi kernel backends against the reference kernel:
-# once forced to numpy, once forced to native (which fails, not skips, when
-# the C kernel does not build here).
+# What pins a kernel backend: the search against the reference kernel, the
+# page program and the g1 division against their numpy twins.
+KERNEL_TESTS = tests/coding/test_viterbi_kernel.py tests/coding/test_page_kernel.py
+
+# Bit-identity of both kernel backends: once forced to numpy, once forced to
+# native (which fails, not skips, when the C kernel does not build here).
 kernel-equivalence:
-	REPRO_VITERBI_BACKEND=numpy PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
-	REPRO_VITERBI_BACKEND=native PYTHONPATH=src python -m pytest tests/coding/test_viterbi_kernel.py -q
+	REPRO_VITERBI_BACKEND=numpy PYTHONPATH=src python -m pytest $(KERNEL_TESTS) -q
+	REPRO_VITERBI_BACKEND=native PYTHONPATH=src python -m pytest $(KERNEL_TESTS) -q
 
 # The native kernel's tests once more under AddressSanitizer + UBSan: it is
 # handed raw pointers, so its index arithmetic is a trust boundary.  $CC is
@@ -56,7 +59,7 @@ kernel-sanitize:
 	else \
 		CC=$(CURDIR)/tests/coding/cc-sanitize.sh LD_PRELOAD=$$asan \
 		ASAN_OPTIONS=detect_leaks=0 REPRO_VITERBI_BACKEND=native PYTHONPATH=src \
-		python -m pytest tests/coding/test_viterbi_kernel.py -q -s; \
+		python -m pytest $(KERNEL_TESTS) -q -s; \
 	fi
 
 # The FTL's standing oracle (dict model, batched == sequential) under three

@@ -15,6 +15,9 @@
  * halves of the old metrics, and its 2S branch costs are indexed [u][k][j]:
  * entering state 2j+u from its k-th predecessor.
  *
+ * program and divide are the rest of a page write, either side of the search:
+ * each is the plain loop of what kernels.py names as its numpy twin.
+ *
  * All tables are C-contiguous.  Every function returns 0, -1 when scratch
  * cannot be allocated, or -2 when an input value is out of range.
  */
@@ -52,6 +55,92 @@ int backtrace(int64_t lanes, int64_t steps, int64_t S,
             state = src;
         }
     }
+    return 0;
+}
+
+/* Raise one page's cells to the levels that store its codeword.  A cell is
+ * `width` one-byte bits and its level how many are set; the i-th cell of step
+ * t stores symbol (codeword[t] >> i * bpc) & (symbols - 1) at the level
+ * target_of names for it, reached by setting its lowest unset bits.  The fill
+ * has no branch on the bits, which would mispredict on every other cell.  gcc
+ * specialises this for the literal width it is called with below, worth 1.4x;
+ * it never does that for an exported function's argument. */
+static int program_page(int64_t width, int64_t steps, int64_t per_step,
+                        int64_t bpc, const int64_t *target_of,
+                        const int64_t *codeword, uint8_t *cell)
+{
+    int64_t symbols = (int64_t)1 << bpc;
+    for (int64_t t = 0; t < steps; t++) {
+        int64_t value = codeword[t];
+        for (int64_t i = 0; i < per_step; i++, value >>= bpc, cell += width) {
+            int64_t level = 0;
+            for (int64_t j = 0; j < width; j++)
+                level += cell[j];
+            int64_t target = target_of[level * symbols + (value & (symbols - 1))];
+            if (target < level || target > width)
+                return -2;
+            for (int64_t j = 0, deficit = target - level; j < width; j++) {
+                uint8_t fill = !cell[j] & (deficit > 0);
+                cell[j] |= fill;
+                deficit -= fill;
+            }
+        }
+    }
+    return 0;
+}
+
+int program(int64_t lanes, int64_t page_bits, int64_t width, int64_t steps,
+            int64_t per_step, int64_t bpc,
+            const int64_t *target_of, /* (width + 1, 1 << bpc) post-write level */
+            const int64_t *codeword,  /* (lanes, steps) */
+            const uint8_t *writable,  /* (lanes,): 0 leaves the page as it is */
+            uint8_t *pages)           /* in/out (lanes, page_bits) */
+{
+    if (width < 1 || bpc < 1 || per_step < 1 || per_step * bpc > 62 ||
+        steps < 0 || steps * per_step * width > page_bits)
+        return -2;
+    for (int64_t b = 0; b < lanes; b++) {
+        const int64_t *word = codeword + b * steps;
+        uint8_t *page = pages + b * page_bits;
+        /* What indexes target_of is checked here, in a lane left alone too:
+         * every chunk below 2**m, every byte of a used cell a bit. */
+        int64_t chunks = 0;
+        uint8_t bits = 0;
+        for (int64_t t = 0; t < steps; t++)
+            chunks |= word[t];
+        for (int64_t i = 0; i < steps * per_step * width; i++)
+            bits |= page[i];
+        if ((uint64_t)chunks >> (per_step * bpc) || bits > 1)
+            return -2;
+        if (!writable[b])
+            continue;
+        /* 3: the paper's 4-level cell (Fig. 6). */
+        int status = width == 3 ? program_page(3, steps, per_step, bpc,
+                                               target_of, word, page)
+                                : program_page(width, steps, per_step, bpc,
+                                               target_of, word, page);
+        if (status)
+            return status;
+    }
+    return 0;
+}
+
+/* Causal division by g1(D) of `rows` streams, in place: the shift register
+ * out[t] = in[t] ^ out[t - tap] ^ ... over g1's nonzero powers >= 1. */
+int divide(int64_t rows, int64_t steps, int64_t ntaps, const int64_t *taps,
+           uint8_t *out)
+{
+    for (int64_t k = 0; k < ntaps; k++)
+        if (taps[k] < 1)
+            return -2;
+    for (int64_t r = 0; r < rows; r++, out += steps)
+        for (int64_t t = 0; t < steps; t++) {
+            uint8_t bit = out[t];
+            for (int64_t k = 0; k < ntaps; k++)
+                if (taps[k] <= t)
+                    bit ^= out[t - taps[k]];
+            out[t] = bit;
+        }
     return 0;
 }
 

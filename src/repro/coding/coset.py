@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.bitops import pack_values_axis, unpack_values_axis
+from repro.coding.bitops import unpack_values_axis
 from repro.coding.convolutional import ConvolutionalCode
 from repro.coding.cost import CellCodebook, make_codebook
 from repro.coding.page_code import PageCode
@@ -93,8 +93,9 @@ class ConvolutionalCosetCode(PageCode):
                 f"the {self.guard_steps}-step guard region"
             )
         self.dataword_bits = (self.steps - self.guard_steps) * (m - 1)
-        self.former = SyndromeFormer(code)
         self.viterbi = CosetViterbi(code.build_trellis(), self.codebook)
+        # One backend serves the whole write: division, search, page program.
+        self.former = SyndromeFormer(code, divide=self.viterbi.backend.divide)
         self._last_cost = float("nan")
         self._last_costs = np.full(0, np.nan)
 
@@ -129,10 +130,6 @@ class ConvolutionalCosetCode(PageCode):
         Unwritable lanes hold ``inf``.
         """
         return self._last_costs.copy()
-
-    def _step_levels(self, page: np.ndarray) -> np.ndarray:
-        levels = self.varray.levels(page)
-        return levels[: self.used_cells].reshape(self.steps, self.cells_per_step)
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
         """Encode one page — a ``B = 1`` wrapper over :meth:`encode_batch`."""
@@ -179,23 +176,20 @@ class ConvolutionalCosetCode(PageCode):
                 lanes, self.steps - self.guard_steps, m - 1
             )
             representative = self.former.representative_batch(syndrome)
-            rep_values = pack_values_axis(representative.reshape(lanes, -1), m)
+            # t_1 = 0, so a packed chunk is stream j at bit j for j >= 1.
+            rep_values = np.left_shift(representative[:, :, 1], 1, dtype=np.int64)
+            for j in range(2, m):
+                rep_values |= np.left_shift(
+                    representative[:, :, j], j, dtype=np.int64
+                )
             all_levels = self.varray.levels_batch(pages)
             step_levels = all_levels[:, : self.used_cells].reshape(
                 lanes, self.steps, self.cells_per_step
             )
             result = self.viterbi.search_batch(rep_values, step_levels)
             self._last_costs = result.total_costs
-            # Unwritable lanes are reprogrammed to their current levels (a
-            # no-op) so their bits pass through unchanged.
-            targets = all_levels.copy()
-            targets[:, : self.used_cells] = np.where(
-                result.writable[:, None],
-                result.target_levels.reshape(lanes, -1),
-                all_levels[:, : self.used_cells],
-            )
-            new_pages = self.varray.program_levels_batch(pages, targets)
-            return new_pages, result.writable
+            program = self.viterbi.backend.program
+            return program(self, pages, all_levels, result), result.writable
 
     def decode(self, page: np.ndarray) -> np.ndarray:
         """Decode one page — a ``B = 1`` wrapper over :meth:`decode_batch`."""

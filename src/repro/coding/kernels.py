@@ -1,11 +1,12 @@
-"""Pluggable kernel backends for the Viterbi search.
+"""Pluggable kernel backends for the page write.
 
 Every page write runs one minimum-cost coset search, the hottest code in
-the repository.  :class:`~repro.coding.viterbi.CosetViterbi` owns the
-tables and the dispatch; the search sits behind this registry.
+the repository, between a division by ``g1`` and the programming of the
+page.  :class:`~repro.coding.viterbi.CosetViterbi` owns the search's
+tables and the dispatch; the loops sit behind this registry.
 
-A backend is two functions reading the tables of the ``CosetViterbi``
-they are handed::
+A backend is four functions.  Two are the search, reading the tables of
+the ``CosetViterbi`` they are handed::
 
     forward(viterbi, reps, levels, dtype) -> (path, backptr)
     backtrace(viterbi, reps, end_state, backptr) -> codeword_values
@@ -21,12 +22,26 @@ recorded result) follows.  A backend that breaks ties differently is
 ``tests/coding/test_viterbi_kernel.py`` pins every available backend to
 byte-identical codewords, costs and writability.
 
+Two are the page either side of it, pinned byte for byte to the numpy
+backend's by ``tests/coding/test_page_kernel.py``::
+
+    divide(numerators, feedback_taps) -> quotients
+    program(code, pages, levels, result) -> new_pages
+
+``divide`` is :func:`~repro.coding.bitops.gf2_divide_causal`.  ``program``
+takes the :class:`~repro.coding.coset.ConvolutionalCosetCode`, its pages,
+their ``(B, num_cells)`` levels (the caller has them; ``native`` recounts
+as it goes) and the search's ``ViterbiBatchResult``, and returns new
+pages: each used cell of a writable lane raised to the level that stores
+its codeword symbol, lowest unset bit first, all else as it was.
+
 Both backends run the same recursion, one add-compare-select per trellis
 step.  ``numpy`` (always available, the reference) vectorizes it over
 lanes and serves every metric and every 2-regular trellis.  ``native``
 is ``_viterbi.c``: cost lookup, ACS and backtrace fused into two foreign
-calls per search, compiled on first use into this package's
-``__pycache__`` and loaded with ``ctypes``.  It walks a step as ``S/2``
+calls per search, division and program one plain loop each, compiled on
+first use into this package's ``__pycache__`` and loaded with ``ctypes``.
+The search walks a step as ``S/2``
 butterflies (states ``2j`` and ``2j+1`` both come from ``j`` and
 ``j + S/2``) over a branch-cost vector ``CosetViterbi`` expanded ahead
 per (level row, coset chunk), a loop the compiler vectorises; without
@@ -34,7 +49,7 @@ that table it gathers the same costs from the fused row as it goes.  It
 is only ever handed the paper's case (costs that are non-negative
 integers or ``inf``, a level space small enough to tabulate, a
 shift-register trellis); a ``CosetViterbi`` outside it resolves to
-numpy.  Nothing is probed,
+numpy, for the whole write.  Nothing is probed,
 imported or written until a ``CosetViterbi`` resolves its backend: by
 explicit name, then the ``REPRO_VITERBI_BACKEND`` variable, then
 ``"auto"`` (native when it builds, else numpy), memoized per name.
@@ -49,7 +64,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro.coding.bitops import gf2_divide_causal
 from repro.errors import ConfigurationError
+from repro.obs import registry as _metrics
 
 __all__ = [
     "KernelBackend",
@@ -68,11 +85,13 @@ _CHUNK_BYTES = 8 << 20
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One registered implementation of the search."""
+    """One registered implementation of the page-write loops."""
 
     name: str
     forward: Callable
     backtrace: Callable
+    program: Callable
+    divide: Callable
     #: Reads ``CosetViterbi._fused_flat`` and the tables built from it: a
     #: searcher whose level space is too large to tabulate runs numpy instead.
     needs_fused_table: bool = False
@@ -148,6 +167,18 @@ def _backtrace_numpy(v, reps, end_state, backptr):
     return v._pred_output.reshape(-1)[branch] ^ reps
 
 
+def _program_numpy(code, pages, levels, result):
+    """Unwritable lanes and the cells past ``used_cells`` are reprogrammed to
+    their current levels (a no-op), so their bits pass through unchanged."""
+    targets = levels.copy()
+    targets[:, : code.used_cells] = np.where(
+        result.writable[:, None],
+        result.target_levels.reshape(len(levels), code.used_cells),
+        levels[:, : code.used_cells],
+    )
+    return code.varray.program_levels_batch(pages, targets)
+
+
 # -- native backend -------------------------------------------------------------
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_viterbi.c")
@@ -217,6 +248,8 @@ def _make_native_backend() -> KernelBackend:
     for function in forwards.values():
         function.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 7
     library.backtrace.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
+    library.program.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 4
+    library.divide.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
 
     def call(function, sizes, *typed):
         # The kernel assumes C order and exactly these dtypes, so every
@@ -261,7 +294,52 @@ def _make_native_backend() -> KernelBackend:
         )
         return codeword
 
-    return KernelBackend("native", forward, backtrace, needs_fused_table=True)
+    def program(code, pages, levels, result):
+        varray, codebook = code.varray, code.codebook
+        width = varray.bits_per_cell
+        # The kernel's in/out page is this copy, never the caller's array:
+        # `call` would hand it a second copy of anything not C-order uint8.
+        out = np.array(pages, dtype=np.uint8, order="C")
+        lanes = len(out)
+        handed = (out, result.codeword_values, result.writable, codebook.target_table)
+        try:
+            if [array.shape for array in handed] != [
+                (lanes, varray.page_bits), (lanes, code.steps), (lanes,),
+                (width + 1, codebook.symbols),
+            ]:
+                raise IndexError("program kernel handed arrays of other shapes")
+            call(
+                library.program,
+                (lanes, varray.page_bits, width, code.steps,
+                 code.cells_per_step, codebook.bits_per_cell),
+                (codebook.target_table, np.int64),
+                (result.codeword_values, np.int64),
+                (result.writable, np.uint8), (out, np.uint8),
+            )
+        except IndexError:
+            # The kernel recounts the cells and only says "out of range": the
+            # twin raises what its checks name, with the lane and the cell.
+            return _program_numpy(code, pages, levels, result)
+        if _metrics.is_enabled():  # what varray._fill counts on the numpy path
+            _metrics.counter("vcell.programs").inc(lanes)
+            _metrics.counter("vcell.level_increments").inc(
+                int(np.count_nonzero(out != pages))
+            )
+        return out
+
+    def divide(numerators, feedback_taps):
+        out = np.array(numerators, dtype=np.uint8, order="C")
+        if out.size:
+            steps = out.shape[-1]
+            call(
+                library.divide, (out.size // steps, steps, len(feedback_taps)),
+                (feedback_taps, np.int64), (out, np.uint8),
+            )
+        return out
+
+    return KernelBackend(
+        "native", forward, backtrace, program, divide, needs_fused_table=True
+    )
 
 
 # -- registry -------------------------------------------------------------------
@@ -270,7 +348,10 @@ def _make_native_backend() -> KernelBackend:
 #: One that raises ``ImportError`` is unavailable: ``"auto"`` skips it, naming
 #: it explicitly is a :class:`~repro.errors.ConfigurationError`.
 _FACTORIES: dict[str, Callable[[], KernelBackend]] = {
-    "numpy": lambda: KernelBackend("numpy", _forward_numpy, _backtrace_numpy),
+    "numpy": lambda: KernelBackend(
+        "numpy", _forward_numpy, _backtrace_numpy, _program_numpy,
+        gf2_divide_causal,
+    ),
     "native": _make_native_backend,
 }
 #: Memoized resolutions, including the "auto" alias.

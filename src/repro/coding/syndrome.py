@@ -8,9 +8,11 @@ vanish exactly on codewords, so the length-``(m-1)N`` syndrome sequence of a
 stored page identifies the dataword (the coset index).  Writing uses the
 canonical coset representative with ``t_1 = 0`` and
 ``t_{j+1}(D) = s_j(D) / g_1(D)`` — the division is causal because ``g_1`` has
-a nonzero constant term, and :func:`~repro.coding.bitops.gf2_divide_causal`
-runs it as the product ``s_j * g_1(D) * g_1(D**2) * g_1(D**4) * ...``, a few
-slice XORs per factor over all lanes and streams at once.
+a nonzero constant term.  The coset code hands its kernel backend's ``divide``
+to the former: the shift register ``t[n] = s[n] ^ t[n - tap] ^ ...`` in C, or
+its numpy twin :func:`~repro.coding.bitops.gf2_divide_causal`, which runs the
+product ``s_j * g_1(D) * g_1(D**2) * g_1(D**4) * ...``, a few slice XORs per
+factor over all lanes and streams at once.
 
 Both directions are exact for *unterminated* trellis paths: the syndrome at
 step ``t`` only involves stored bits at steps ``<= t``, so truncation at the
@@ -38,13 +40,18 @@ class SyndromeFormer:
 
     Both directions carry an explicit batch axis (``syndrome_batch`` /
     ``representative_batch``); the scalar methods are their ``B = 1``
-    wrappers.
+    wrappers.  ``divide`` is a kernel backend's, with the signature and the
+    bytes of :func:`~repro.coding.bitops.gf2_divide_causal`.
     """
 
-    def __init__(self, code: ConvolutionalCode) -> None:
+    def __init__(self, code: ConvolutionalCode, divide=gf2_divide_causal) -> None:
         self.code = code
+        self._divide = divide
         self._coeffs = code.coefficient_matrix.astype(np.int64)
-        self._feedback_taps = np.flatnonzero(self._coeffs[0, 1:]) + 1  # powers >= 1
+        # A step's m-1 streams lie interleaved, which makes them one stream
+        # divided by g1(D**(m-1)): its powers >= 1 are the feedback taps.
+        powers = np.flatnonzero(self._coeffs[0, 1:]) + 1
+        self._feedback_taps = powers * (code.num_outputs - 1)
 
     @property
     def syndrome_bits_per_step(self) -> int:
@@ -129,12 +136,13 @@ class SyndromeFormer:
                 f"expected (lanes, steps, {self.syndrome_bits_per_step}) "
                 f"syndromes, got shape {s.shape}"
             )
-        lanes, steps, _ = s.shape
+        lanes, steps, width = s.shape
         rep = np.zeros((lanes, steps, self.code.num_outputs), dtype=np.uint8)
-        # The step axis goes last so every slice XOR of the division runs
-        # over contiguous memory; the divider makes that one C-order copy.
+        # Dividing the streams as they lie keeps every access contiguous.
         with _span("syndrome.divide", lanes=lanes, steps=steps):
-            streams = gf2_divide_causal(s.transpose(0, 2, 1), self._feedback_taps)
+            streams = self._divide(
+                s.reshape(lanes, steps * width), self._feedback_taps
+            )
         _DIVISIONS.inc(lanes)
-        rep[:, :, 1:] = streams.transpose(0, 2, 1)
+        rep[:, :, 1:] = streams.reshape(s.shape)
         return rep

@@ -41,6 +41,7 @@ historical recursion for every metric (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,20 +94,28 @@ class ViterbiBatchResult:
     ----------
     codeword_values:
         ``(B, steps)`` packed codeword chunks per lane.
-    target_levels:
-        ``(B, steps, cells_per_step)`` post-write levels per lane.
     total_costs:
         ``(B,)`` metric cost per lane (``inf`` on unwritable lanes).
     writable:
         ``(B,)`` bool; False marks lanes whose page must be erased.  The
         codeword and target entries of unwritable lanes are meaningless and
         must not be committed.
+    step_levels, searcher:
+        What was searched and by whom: :attr:`target_levels` is made of them.
     """
 
     codeword_values: np.ndarray
-    target_levels: np.ndarray
     total_costs: np.ndarray
     writable: np.ndarray
+    step_levels: np.ndarray
+    searcher: CosetViterbi
+
+    @cached_property
+    def target_levels(self) -> np.ndarray:
+        """``(B, steps, cells_per_step)`` post-write levels per lane, computed
+        on first access: the native page program never asks."""
+        symbols = self.searcher.symbol_of_value.take(self.codeword_values, axis=0)
+        return self.searcher.codebook.chunk_targets(self.step_levels, symbols)
 
     def __len__(self) -> int:
         return len(self.total_costs)
@@ -341,11 +350,10 @@ class CosetViterbi:
         _LANES.inc(lanes)
         if not writable.all():
             _UNWRITABLE.inc(int(lanes - np.count_nonzero(writable)))
-        symbols = self.symbol_of_value.take(codeword_values, axis=0)
-        target_levels = self.codebook.chunk_targets(levels, symbols)
         return ViterbiBatchResult(
             codeword_values=codeword_values,
-            target_levels=target_levels,
             total_costs=total_costs,
             writable=writable,
+            step_levels=levels,
+            searcher=self,
         )

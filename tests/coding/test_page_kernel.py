@@ -1,0 +1,329 @@
+"""Bit-identity of the page kernels against their numpy twins.
+
+Beside the search, a kernel backend carries the rest of a page write:
+``program`` (raise every v-cell to the level its codeword symbol asks for)
+and ``divide`` (the causal division by ``g1`` behind the coset
+representative).  The numpy backend's callables *are* the reference (the
+column walk of ``VCellArray.program_levels_batch`` and
+``gf2_divide_causal``); every other available backend must return the same
+bytes and raise the same exception types.  ``make kernel-sanitize`` runs
+this file under ASan + UBSan: the native entries take raw pointers.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.coding import kernels
+from repro.coding.bitops import gf2_divide_causal
+from repro.coding.coset import ConvolutionalCosetCode
+from repro.coding.registry import get_code, list_codes
+from repro.coding.viterbi import ViterbiBatchResult
+from repro.core.mfc import MFC_VARIANTS
+
+BACKENDS = kernels.available_backends()
+
+needs_native = pytest.mark.skipif(
+    "native" not in BACKENDS, reason="no C compiler here"
+)
+
+#: A prime page: every cell width leaves tail bits, every step size tail cells.
+PAGE_BITS = 2003
+
+#: Every MFC variant on the paper's 4-level cells (width 3, the one the native
+#: kernel specialises), and the 1BPC ones on cells of width 5, 7 and 15, which
+#: take its generic loop.
+CODES = [(variant, 4) for variant in sorted(MFC_VARIANTS)] + [
+    (variant, levels)
+    for variant in ("mfc-1/2-1bpc", "mfc-4/5")
+    for levels in (6, 8, 16)
+]
+
+
+def _make_code(variant: str, vcell_levels: int = 4, codebook=None):
+    denominator, bits_per_cell = MFC_VARIANTS[variant]
+    return ConvolutionalCosetCode(
+        page_bits=PAGE_BITS,
+        rate_denominator=denominator,
+        constraint_length=7,
+        bits_per_cell=bits_per_cell,
+        vcell_levels=vcell_levels,
+        codebook=codebook,
+    )
+
+
+def _random_pages(code, lanes: int, seed: int) -> np.ndarray:
+    """Mid-life pages whose cells are *not* thermometer-coded: each cell has
+    a random level's worth of bits set at random positions.  The cells past
+    ``used_cells`` and the bits past ``used_bits`` are all set."""
+    rng = np.random.default_rng(seed)
+    varray = code.varray
+    width = varray.bits_per_cell
+    levels = rng.integers(0, width + 1, (lanes, varray.num_cells, 1))
+    cells = (np.arange(width) < levels).astype(np.uint8)
+    cells = rng.permuted(cells, axis=2)
+    cells[:, code.used_cells :] = 1
+    pages = np.ones((lanes, PAGE_BITS), dtype=np.uint8)
+    pages[:, : varray.used_bits] = cells.reshape(lanes, varray.used_bits)
+    return pages
+
+
+def _program(backend: str, code, pages, codeword_values, writable):
+    """``program`` on what ``search_batch`` would hand it for this codeword."""
+    levels = code.varray.levels_batch(pages)
+    result = ViterbiBatchResult(
+        codeword_values=np.asarray(codeword_values, dtype=np.int64),
+        total_costs=np.where(writable, 0.0, np.inf),
+        writable=np.asarray(writable, dtype=bool),
+        step_levels=levels[:, : code.used_cells].reshape(
+            len(pages), code.steps, code.cells_per_step
+        ),
+        searcher=code.viterbi,
+    )
+    return kernels.resolve_backend(backend).program(code, pages, levels, result)
+
+
+def _random_codeword(code, lanes: int, seed: int) -> np.ndarray:
+    """Any chunk is programmable: a symbol the cell cannot take keeps its
+    level (``CellCodebook.target_table``), as on a search's infeasible branch."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, code.viterbi.num_values, (lanes, code.steps))
+
+
+# -- program ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_program_matches_the_column_walk(backend, variant, vcell_levels) -> None:
+    code = _make_code(variant, vcell_levels)
+    for lanes in (0, 1, 33):
+        pages = _random_pages(code, lanes, seed=lanes)
+        before = pages.copy()
+        codeword = _random_codeword(code, lanes, seed=lanes + 1)
+        writable = np.ones(lanes, dtype=bool)
+        writable[lanes // 2 : lanes // 2 + 1] = lanes < 2  # one in the middle
+        expected = _program("numpy", code, pages, codeword, writable)
+        got = _program(backend, code, pages, codeword, writable)
+        assert got.dtype == np.uint8 and got.shape == pages.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(pages, before)  # never programmed in place
+        assert got is not pages
+        # Unwritable lanes, tail cells and tail bits come back byte for byte.
+        assert np.array_equal(got[~writable], pages[~writable])
+        tail = code.used_cells * code.varray.bits_per_cell
+        assert np.array_equal(got[:, tail:], pages[:, tail:])
+        if lanes == 33:
+            assert (got != pages).any()
+
+
+@needs_native
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_native_program_needs_no_twin_on_valid_input(
+    variant, vcell_levels, monkeypatch
+) -> None:
+    """The native ``program`` re-runs the twin for what its kernel refuses,
+    to raise the reference's exception; a kernel that refused everything
+    would pass every comparison in this file that way."""
+    code = _make_code(variant, vcell_levels)
+    pages = _random_pages(code, 5, seed=1)
+    codeword = _random_codeword(code, 5, seed=2)
+    writable = np.array([True, True, False, True, True])
+    expected = _program("numpy", code, pages, codeword, writable)
+
+    def no_twin(*_args):
+        raise AssertionError("the kernel refused a valid page")
+
+    monkeypatch.setattr(kernels, "_program_numpy", no_twin)
+    got = _program("native", code, pages, codeword, writable)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_program_sets_the_lowest_unset_bits(backend) -> None:
+    """One cell by hand: bits (0, 1, 0) at level 1, asked for level 2 and 3."""
+    code = _make_code("mfc-1/2-2bpc")
+    pages = np.zeros((2, PAGE_BITS), dtype=np.uint8)
+    pages[:, :3] = (0, 1, 0)
+    codeword = np.zeros((2, code.steps), dtype=np.int64)
+    codeword[:, 0] = (2, 3)  # 2 bits per cell: the symbol is the level
+    got = _program(backend, code, pages, codeword, np.ones(2, dtype=bool))
+    assert got[0, :3].tolist() == [1, 1, 0]
+    assert got[1, :3].tolist() == [1, 1, 1]
+    assert not got[:, 3:].any()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_program_accepts_strided_and_narrow_inputs(backend) -> None:
+    code = _make_code("mfc-2/3")
+    pages = _random_pages(code, 4, seed=7)
+    codeword = _random_codeword(code, 4, seed=8)
+    writable = np.array([True, False, True, True])
+    expected = _program("numpy", code, pages, codeword, writable)
+    wide = np.zeros((4, 2 * PAGE_BITS), dtype=np.int64)
+    wide[:, ::2] = pages
+    for odd_pages, odd_codeword in (
+        (wide[:, ::2], np.asfortranarray(codeword)),
+        (np.asfortranarray(pages), codeword.astype(np.int32)),
+    ):
+        got = _program(backend, code, odd_pages, odd_codeword, writable)
+        assert np.array_equal(got, expected)
+
+
+def _broken_codebook(code, level: int, symbol: int, target: int):
+    table = code.codebook.target_table.copy()
+    table[level, symbol] = target
+    return dataclasses.replace(code.codebook, target_table=table)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_program_refuses_what_the_column_walk_refuses(backend) -> None:
+    """Every check of the numpy path survives: same exception types, raised
+    before the caller sees a page, and the input left as it was."""
+    plain = _make_code("mfc-1/2-1bpc")
+    lowering = _make_code(
+        "mfc-1/2-1bpc", codebook=_broken_codebook(plain, 2, 0, 1)
+    )
+    overshooting = _make_code(
+        "mfc-1/2-1bpc", codebook=_broken_codebook(plain, 1, 0, 4)
+    )
+    pages = np.zeros((3, PAGE_BITS), dtype=np.uint8)
+    pages[1, 3:6] = (1, 0, 1)  # lane 1, cell 1 at level 2
+    pages[1, 6:9] = (0, 0, 1)  # lane 1, cell 2 at level 1
+    zeros = np.zeros((3, plain.steps), dtype=np.int64)
+    chunk_out_of_range = zeros.copy()
+    chunk_out_of_range[2, -1] = plain.viterbi.num_values
+    not_a_bit = pages.copy()
+    not_a_bit[1, 3:6] = (2, 1, 1)  # counts as level 4 of a 4-level cell
+    writable = np.ones(3, dtype=bool)
+    skipping = np.array([True, False, False])
+    cases = (
+        # The legality of a target is a written lane's matter ...
+        (lowering, pages, zeros, "VCellError", True),
+        (overshooting, pages, zeros, "CellSaturatedError", True),
+        # ... what indexes a table is checked in every lane: a level past the
+        # target table, a chunk value >= 2**m.
+        (plain, not_a_bit, zeros, "IndexError", False),
+        (plain, pages, chunk_out_of_range, "IndexError", False),
+    )
+    for code, case_pages, codeword, error, fine_when_skipped in cases:
+        before = case_pages.copy()
+        with pytest.raises(Exception) as reference:
+            _program("numpy", code, case_pages, codeword, writable)
+        assert reference.type.__name__ == error
+        with pytest.raises(reference.type):
+            _program(backend, code, case_pages, codeword, writable)
+        assert np.array_equal(case_pages, before)
+        if fine_when_skipped:
+            assert np.array_equal(
+                _program(backend, code, case_pages, codeword, skipping),
+                _program("numpy", code, case_pages, codeword, skipping),
+            )
+        else:
+            with pytest.raises(reference.type):
+                _program(backend, code, case_pages, codeword, skipping)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_whole_writes_agree_until_the_page_wears_out(
+    backend, variant, vcell_levels, monkeypatch
+) -> None:
+    """``encode_batch`` end to end (division, search, program) on each
+    backend, write after write, down to the unwritable mask."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
+    reference = _make_code(variant, vcell_levels)
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    code = _make_code(variant, vcell_levels)
+    rng = np.random.default_rng(11)
+    pages = np.zeros((3, PAGE_BITS), dtype=np.uint8)
+    for _ in range(400):
+        data = rng.integers(0, 2, (3, code.dataword_bits), dtype=np.uint8)
+        expected, expected_writable = reference.encode_batch(data, pages)
+        got, writable = code.encode_batch(data, pages)
+        assert np.array_equal(writable, expected_writable)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(code.last_write_costs, reference.last_write_costs)
+        assert np.array_equal(code.decode_batch(got)[writable], data[writable])
+        if not writable.any():
+            break
+        pages = got
+    else:
+        pytest.fail("the pages never wore out")
+
+
+# -- divide ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("key", list_codes())
+def test_divide_matches_the_squaring_product(backend, key) -> None:
+    divide = kernels.resolve_backend(backend).divide
+    g1 = get_code(*key).coefficient_matrix[0]
+    taps = np.flatnonzero(g1[1:]) + 1
+    rng = np.random.default_rng(sum(key))
+    # 0 steps, fewer steps than the largest tap, and either side of it.
+    for steps in (0, 1, int(taps.max()) - 1, int(taps.max()), 65, 683):
+        for lanes in (0, 1, 33):
+            numerators = rng.integers(0, 2, (lanes, steps), dtype=np.uint8)
+            before = numerators.copy()
+            quotient = divide(numerators, taps)
+            assert quotient.dtype == np.uint8
+            assert np.array_equal(quotient, gf2_divide_causal(numerators, taps))
+            assert np.array_equal(numerators, before)
+            assert quotient is not numerators
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_divide_accepts_any_layout_and_leading_axes(backend) -> None:
+    divide = kernels.resolve_backend(backend).divide
+    rng = np.random.default_rng(3)
+    block = rng.integers(0, 2, (4, 3, 50), dtype=np.uint8)
+    taps = [1, 3, 4, 6]
+    expected = gf2_divide_causal(block, taps)
+    for odd in (
+        block.astype(np.int64), block.astype(bool), np.asfortranarray(block),
+        block.transpose(1, 0, 2), block.tolist(),
+    ):
+        reference = gf2_divide_causal(odd, taps)
+        assert np.array_equal(divide(odd, np.array(taps)), reference)
+        assert np.array_equal(divide(odd, taps), reference)
+    assert np.array_equal(divide(block, taps), expected)
+    # The former's layout: a step's streams interleaved, taps scaled to match.
+    interleaved = block.transpose(0, 2, 1).reshape(4, -1)
+    assert np.array_equal(
+        divide(interleaved, np.array(taps) * 3).reshape(4, 50, 3),
+        expected.transpose(0, 2, 1),
+    )
+
+
+@needs_native
+def test_native_divide_rejects_a_tap_below_one() -> None:
+    """``g1`` has constant term 1 and its feedback taps are powers >= 1; a
+    tap of 0 or below would read past the row."""
+    numerators = np.ones((2, 9), dtype=np.uint8)
+    for taps in ([0, 2], [3, -1]):
+        with pytest.raises(IndexError, match="out of range"):
+            kernels.resolve_backend("native").divide(numerators, taps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    taps=st.sets(st.integers(1, 40), min_size=1, max_size=6),
+    steps=st.integers(0, 120),
+    lanes=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_divide_property(taps, steps, lanes, seed) -> None:
+    numerators = np.random.default_rng(seed).integers(
+        0, 2, (lanes, steps), dtype=np.uint8
+    )
+    taps = np.array(sorted(taps))
+    expected = gf2_divide_causal(numerators, taps)
+    for backend in BACKENDS:
+        quotient = kernels.resolve_backend(backend).divide(numerators, taps)
+        assert np.array_equal(quotient, expected), backend

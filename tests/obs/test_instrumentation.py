@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.coding import kernels
 from repro.coding.coset import ConvolutionalCosetCode
 from repro.core.lifetime import LifetimeSimulator
 from repro.core.scheme import PageCodeScheme
@@ -50,6 +51,35 @@ class TestWritePathInstrumentation:
         ):
             assert snap.counters.get(name, 0) > 0, name
         assert snap.counters["lifetime.cycles"] == 2
+
+    def test_every_kernel_backend_counts_the_same_write_path(
+        self, enabled_registry, monkeypatch
+    ):
+        """The native page program never reaches ``varray._fill``, which does
+        the counting on the numpy path: it has to count the same itself."""
+        exported = {}
+        for backend in kernels.available_backends():
+            monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+            code = ConvolutionalCosetCode(page_bits=256)
+            assert code.viterbi.backend.name == backend
+            enabled_registry.reset()
+            LifetimeSimulator(PageCodeScheme("MFC-test", code), seed=3).run(
+                cycles=2
+            )
+            exported[backend] = {
+                name: value
+                for name, value in enabled_registry.snapshot().counters.items()
+                if name.startswith("vcell.")
+                or name in ("syndrome.divisions", "scheme.bits_programmed")
+            }
+        reference = exported["numpy"]
+        assert reference["vcell.programs"] > 0
+        assert (
+            reference["vcell.level_increments"]
+            == reference["scheme.bits_programmed"]
+        )
+        assert len(reference) == 4
+        assert all(counts == reference for counts in exported.values())
 
     def test_span_tree_covers_viterbi_phases(self, enabled_registry, mfc_scheme):
         LifetimeSimulator(mfc_scheme, seed=3).run(cycles=1)
