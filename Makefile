@@ -22,7 +22,7 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Fast coding-path throughput check (batched vs scalar engine, Viterbi
-# kernel, sweep fabric, disabled-telemetry overhead); writes
+# kernel, sweep cache, disabled-telemetry overhead); writes
 # BENCH_coding.json at the repo root.  CI runs this and uploads the JSON.
 # benchmarks/test_bench_server.py is not in the gate: its three ratio bars
 # do not hold on a 2-CPU box since the device write got short, so it runs

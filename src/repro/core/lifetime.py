@@ -136,8 +136,8 @@ class BatchLifetimeResult:
 
 
 #: Erase cycles completed across all lifetime simulations in this process.
-#: Lane-deterministic (a ``cycles x lanes`` run always completes exactly
-#: ``cycles * lanes``), so jobs=1 and jobs=N sweeps agree exactly.
+#: Lane-deterministic: a ``cycles x lanes`` run always completes exactly
+#: ``cycles * lanes``.
 _CYCLES = _metrics.counter("lifetime.cycles")
 
 

@@ -8,7 +8,6 @@ page and fewer erase cycles; both are overridable:
 * ``REPRO_CYCLES`` — erase cycles averaged per scheme,
 * ``REPRO_CONSTRAINT_LENGTH`` — trellis size for the MFC coset codes,
 * ``REPRO_LANES`` — concurrent pages per simulation (batched engine),
-* ``REPRO_JOBS`` — worker processes for sweep fan-out (1 = in-process),
 * ``REPRO_CACHE`` — set to ``0`` to disable the on-disk result cache,
 * ``REPRO_METRICS`` — set to ``1`` to collect telemetry (metrics + traces)
   even without ``--metrics-out``/``--trace-out``,
@@ -30,6 +29,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
+
 __all__ = ["ExperimentConfig"]
 
 
@@ -42,10 +43,23 @@ class ExperimentConfig:
     seed: int = 2016  # the paper's year; any fixed seed works
     constraint_length: int = 7
     lanes: int = 1  # concurrent pages; lane i is seeded seed + i
-    jobs: int = 1  # worker processes for sweep fan-out; 1 = in-process
+    #: Inert: spelled by ``benchmarks/e2e/inprocess.py``, which only a
+    #: benchmark PR may edit; that PR deletes this field and its check.
+    jobs: int = 1
     cache: bool = True  # consult/populate the on-disk result cache
     metrics: bool = False  # collect telemetry (registry counters + traces)
     viterbi_backend: str = "auto"  # Viterbi kernel backend (auto/numpy/native)
+
+    def __post_init__(self) -> None:
+        for knob in ("page_bytes", "cycles", "lanes"):
+            if getattr(self, knob) < 1:
+                raise ConfigurationError(
+                    f"{knob} must be >= 1, got {getattr(self, knob)}"
+                )
+        if self.jobs != 1:
+            raise ConfigurationError(
+                f"jobs={self.jobs}: the sweep runs in one process"
+            )
 
     @classmethod
     def from_env(cls) -> "ExperimentConfig":
@@ -56,7 +70,6 @@ class ExperimentConfig:
             seed=int(os.environ.get("REPRO_SEED", "2016")),
             constraint_length=int(os.environ.get("REPRO_CONSTRAINT_LENGTH", "7")),
             lanes=int(os.environ.get("REPRO_LANES", "1")),
-            jobs=int(os.environ.get("REPRO_JOBS", "1")),
             cache=os.environ.get("REPRO_CACHE", "1") != "0",
             metrics=os.environ.get("REPRO_METRICS", "0").lower()
             in ("1", "true", "yes", "on"),

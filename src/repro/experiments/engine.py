@@ -1,7 +1,8 @@
-"""Batch-aware simulation entry point shared by every experiment.
+"""Batch-aware simulation entry point and scheme memo for every experiment.
 
-All experiment drivers (Table I, Figs. 11-16) go through
-:func:`simulate` so the ``REPRO_LANES`` knob applies uniformly.  With
+Every sweep cell (Table I, Figs. 11-16, extensions) takes its scheme from
+:func:`scheme_for` and runs it through :func:`simulate_lanes`, so the
+``REPRO_LANES`` knob applies uniformly.  With
 ``lanes=1`` (the default) this is exactly the historical scalar
 :class:`~repro.core.lifetime.LifetimeSimulator` run — same seed, same
 numbers bit for bit.  With more lanes, the vectorized
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.coding.kernels import resolve_backend
 from repro.core import (
     BatchLifetimeSimulator,
     LifetimeResult,
@@ -33,11 +35,10 @@ __all__ = [
 ]
 
 #: Constructed schemes (and their Viterbi trellis/cost/gather tables) keyed
-#: by ``(name, page_bits, kwargs)``.  Schemes are stateless after
-#: construction — lane state is passed in and out of ``scheme.write`` — so
-#: sharing one instance across cells is determinism-safe.  The warm sweep
-#: workers lean on this: repeated cells for the same configuration skip
-#: table construction entirely.
+#: by ``(name, page_bits, kwargs, backend name)``.  Schemes are stateless
+#: after construction — lane state is passed in and out of ``scheme.write``
+#: — so sharing one instance across cells is determinism-safe, and repeated
+#: cells for one configuration skip table construction entirely.
 _SCHEME_MEMO: OrderedDict[tuple, RewritingScheme] = OrderedDict()
 _SCHEME_MEMO_CAP = 64
 
@@ -48,11 +49,13 @@ def scheme_for(
     """A memoized scheme instance for ``(name, page_bits, kwargs)``.
 
     ``kwargs`` is the sorted ``tuple(sorted(d.items()))`` form a
-    :class:`~repro.experiments.pool.SweepCell` carries.  Construction is
-    wrapped in a ``sweep.scheme_build`` span so tests (and traces) can
-    count how often tables are actually built versus reused.
+    :class:`~repro.experiments.pool.SweepCell` carries.  A scheme binds
+    its kernel backend when it is built, so the backend the environment
+    resolves to now is part of the key.  Construction is wrapped in a
+    ``sweep.scheme_build`` span so tests (and traces) can count how often
+    tables are actually built versus reused.
     """
-    key = (name, page_bits, kwargs)
+    key = (name, page_bits, kwargs, resolve_backend().name)
     scheme = _SCHEME_MEMO.get(key)
     if scheme is not None:
         _SCHEME_MEMO.move_to_end(key)
@@ -66,7 +69,7 @@ def scheme_for(
 
 
 def clear_scheme_memo() -> None:
-    """Drop all memoized schemes (tests; also worker initialization)."""
+    """Drop all memoized schemes (tests and benchmarks start cold)."""
     _SCHEME_MEMO.clear()
 
 
@@ -75,9 +78,9 @@ def simulate_lanes(
 ) -> LifetimeResult:
     """Run ``scheme``'s lifetime simulation with explicit knobs.
 
-    This is the primitive the sweep fabric's worker processes call
-    (cells carry the knobs, not a full config); :func:`simulate` is its
-    config-driven wrapper.  Returns a scalar-shaped
+    This is the primitive sweep cells call (a cell carries the knobs, not
+    a full config); :func:`simulate` is its config-driven wrapper.
+    Returns a scalar-shaped
     :class:`~repro.core.lifetime.LifetimeResult` either way; batched runs
     pool all lanes' cycles into it.
     """

@@ -19,8 +19,8 @@ __all__ = ["run_extensions", "format_extensions"]
 def run_extensions(config: ExperimentConfig | None = None) -> list[SchemeSummary]:
     """Lifetime/rate/aggregate rows for the extension schemes.
 
-    Decomposed into named sweep cells so the runs fan out and cache like
-    every other experiment (``lanes=1`` reproduces the historical direct
+    Decomposed into named sweep cells so the runs cache like every other
+    experiment (``lanes=1`` reproduces the historical direct
     :class:`~repro.core.lifetime.LifetimeSimulator` numbers bit for bit).
     """
     config = config or ExperimentConfig.from_env()

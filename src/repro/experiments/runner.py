@@ -4,7 +4,7 @@ Examples::
 
     python -m repro.experiments table1
     python -m repro.experiments table1 --page-bytes 4096 --cycles 5
-    python -m repro.experiments fig14 --jobs 4
+    python -m repro.experiments fig14 --lanes 8
     python -m repro.experiments all --no-cache
 """
 
@@ -17,9 +17,8 @@ import time
 
 from repro.cache import get_default_cache
 from repro.coding.kernels import BACKEND_ENV, resolve_backend
-from repro.errors import ConfigurationError
+from repro.errors import ReproError
 from repro.experiments import extensions, figures, table1
-from repro.experiments import pool as _pool
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.summary import build_summary, format_summary
 from repro.obs import registry as _metrics
@@ -70,7 +69,10 @@ def main(argv: list[str] | None = None) -> int:
         choices=EXPERIMENTS + ("all",),
         help="which table/figure to regenerate",
     )
-    defaults = ExperimentConfig.from_env()
+    try:
+        defaults = ExperimentConfig.from_env()
+    except ReproError as exc:  # a bad REPRO_* value, e.g. REPRO_LANES=0
+        parser.error(str(exc))
     parser.add_argument("--page-bytes", type=int, default=defaults.page_bytes,
                         help="flash page size in bytes (paper: 4096)")
     parser.add_argument("--cycles", type=int, default=defaults.cycles,
@@ -82,9 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lanes", type=int, default=defaults.lanes,
                         help="concurrent pages per simulation (batched "
                              "engine; 1 = historical scalar numbers)")
-    parser.add_argument("--jobs", type=int, default=defaults.jobs,
-                        help="worker processes for the sweep fan-out "
-                             "(1 = in-process; output is identical for any N)")
     parser.add_argument("--no-cache", dest="cache", action="store_false",
                         default=defaults.cache,
                         help="skip the on-disk result cache entirely")
@@ -100,32 +99,28 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the JSON-lines span trace here "
                              "(implies telemetry collection)")
     args = parser.parse_args(argv)
-    config = ExperimentConfig(
-        page_bytes=args.page_bytes,
-        cycles=args.cycles,
-        seed=args.seed,
-        constraint_length=args.constraint_length,
-        lanes=args.lanes,
-        jobs=args.jobs,
-        cache=args.cache,
-        metrics=bool(
-            defaults.metrics or args.metrics_out or args.trace_out
-        ),
-        viterbi_backend=args.viterbi_backend.lower(),
-    )
     try:
+        config = ExperimentConfig(
+            page_bytes=args.page_bytes,
+            cycles=args.cycles,
+            seed=args.seed,
+            constraint_length=args.constraint_length,
+            lanes=args.lanes,
+            cache=args.cache,
+            metrics=bool(
+                defaults.metrics or args.metrics_out or args.trace_out
+            ),
+            viterbi_backend=args.viterbi_backend.lower(),
+        )
         backend = resolve_backend(config.viterbi_backend).name
-    except ConfigurationError as exc:
-        parser.error(str(exc))
-    # Workers fork after this point; the env var is how the choice
-    # reaches every CosetViterbi constructed anywhere in the sweep.
-    os.environ[BACKEND_ENV] = config.viterbi_backend
-    if config.metrics:
-        _metrics.set_enabled(True)
-    cache = get_default_cache() if config.cache else None
-    names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    registry = _metrics.get_registry()
-    try:
+        # The env var is how the choice reaches every CosetViterbi built
+        # anywhere in the sweep, and the scheme memo's key.
+        os.environ[BACKEND_ENV] = config.viterbi_backend
+        if config.metrics:
+            _metrics.set_enabled(True)
+        cache = get_default_cache() if config.cache else None
+        names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+        registry = _metrics.get_registry()
         for name in names:
             cache_before = cache.stats.snapshot() if cache is not None else None
             registry_before = (
@@ -144,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
             summary = build_summary(
                 name,
                 elapsed=elapsed,
-                jobs=config.jobs,
                 lanes=config.lanes,
                 cache_delta=(
                     cache.stats.since(cache_before) if cache is not None else None
@@ -154,10 +148,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(format_summary(summary))
             print()
-    finally:
-        # Atexit would catch this too, but tearing the warm pool down
-        # here keeps worker processes from outliving an interactive run.
-        _pool.shutdown()
+    except ReproError as exc:
+        # A bad knob value is a user error, not a crash.
+        parser.error(str(exc))
     if args.metrics_out:
         write_metrics(args.metrics_out)
         print(f"metrics written to {args.metrics_out}")

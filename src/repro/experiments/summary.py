@@ -1,7 +1,6 @@
 """Structured per-experiment run summaries.
 
-The runner used to print an ad-hoc wall-clock/jobs/cache line; this module
-replaces it with a structured summary dict assembled from the metrics
+One structured summary dict per experiment, assembled from the metrics
 registry (plus the cache's own stats), so the same numbers flow to the
 human-readable footer line, the Prometheus dump, and any notebook that
 wants them programmatically.
@@ -44,7 +43,6 @@ def build_summary(
     name: str,
     *,
     elapsed: float,
-    jobs: int,
     lanes: int,
     cache_delta: CacheStats | None = None,
     cache_root: str | None = None,
@@ -64,7 +62,6 @@ def build_summary(
     summary: dict[str, Any] = {
         "experiment": name,
         "wall_seconds": elapsed,
-        "jobs": jobs,
         "lanes": lanes,
         "telemetry": registry.enabled,
     }
@@ -120,10 +117,7 @@ def build_summary(
 
 def format_summary(summary: dict[str, Any]) -> str:
     """The human-readable footer line, derived from the structured summary."""
-    parts = [
-        f"wall {summary['wall_seconds']:.2f}s",
-        f"jobs={summary['jobs']}",
-    ]
+    parts = [f"wall {summary['wall_seconds']:.2f}s"]
     cache = summary.get("cache")
     if cache is not None:
         note = f"cache: {cache['hits']} hits, {cache['misses']} misses"

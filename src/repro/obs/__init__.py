@@ -2,7 +2,7 @@
 
 ``repro.obs`` is the one observability surface for the whole write path —
 Viterbi phases, syndrome division, scheme writes, v-cell programming,
-chip/FTL/SSD operations, fault injections and the sweep fabric all publish
+chip/FTL/SSD operations, fault injections and sweep cells all publish
 here.  Collection is **off by default**; enable it with ``REPRO_METRICS=1``
 or the CLIs' ``--metrics-out`` / ``--trace-out`` flags.
 
@@ -17,11 +17,12 @@ Quick tour::
     print(obs.to_prometheus())            # metrics text dump
     obs.write_trace("trace.jsonl")        # structured span events
 
-    snap = obs.get_registry().snapshot()  # picklable; ships across processes
-    obs.get_registry().merge(snap)        # counters sum, gauges max
+    before = obs.get_registry().snapshot()
+    ...
+    obs.get_registry().snapshot().counter_deltas(before)  # what "..." added
 
-See ``docs/architecture.md`` ("Telemetry") for who counts what, who
-publishes it when, and the cross-process aggregation contract.
+See ``docs/architecture.md`` ("Telemetry") for who counts what and who
+publishes it when.
 """
 
 from repro.obs.export import to_prometheus, trace_lines, write_metrics, write_trace

@@ -17,13 +17,12 @@ one attribute load and branch per call site — the benchmark guard
 Hot inner loops (the Viterbi step loop) are never instrumented per
 iteration; instrumentation sits at phase granularity.
 
-Cross-process aggregation
--------------------------
+Snapshots
+---------
 :meth:`MetricsRegistry.snapshot` captures all values (and trace events)
-into a plain picklable :class:`RegistrySnapshot`; :meth:`MetricsRegistry.merge`
-folds a snapshot back in (counters and histogram buckets sum, gauges take
-the max).  Sweep workers snapshot per cell and the parent merges, so
-``--jobs N`` reports the same totals as ``jobs=1``.
+into a plain :class:`RegistrySnapshot`: what the exporters render, and what
+:meth:`RegistrySnapshot.counter_deltas` / :meth:`HistogramSnapshot.since`
+subtract to attribute a cumulative registry to one experiment.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def _env_enabled() -> bool:
 
 
 class Counter:
-    """A monotonically increasing value (merged across processes by sum)."""
+    """A monotonically increasing value."""
 
     __slots__ = ("name", "value", "_registry")
 
@@ -88,7 +87,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (merged across processes by max)."""
+    """A point-in-time value."""
 
     __slots__ = ("name", "value", "_registry")
 
@@ -218,23 +217,10 @@ class Histogram:
     def quantile(self, q: float) -> float:
         return self.snapshot().quantile(q)
 
-    def _merge(self, snap: HistogramSnapshot) -> None:
-        if snap.buckets != self.buckets:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge mismatched buckets"
-            )
-        for index, bucket_count in enumerate(snap.counts):
-            self.counts[index] += bucket_count
-        self.sum += snap.sum
-        if snap.count:
-            self.count += snap.count
-            self.min = min(self.min, snap.min)
-            self.max = max(self.max, snap.max)
-
 
 @dataclass(frozen=True)
 class RegistrySnapshot:
-    """Picklable capture of a whole registry (ships between processes)."""
+    """Point-in-time capture of a whole registry."""
 
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
@@ -342,7 +328,7 @@ class MetricsRegistry:
         self._next_span_id += 1
         return span_id
 
-    # -- snapshot / merge / reset --------------------------------------------
+    # -- snapshot / absorb / reset -------------------------------------------
 
     def snapshot(self, include_events: bool = True) -> RegistrySnapshot:
         """A picklable capture of everything collected so far."""
@@ -369,30 +355,6 @@ class MetricsRegistry:
             },
             events=events,
         )
-
-    def merge(self, snap: RegistrySnapshot) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this registry.
-
-        Counters and histogram buckets sum; gauges take the max (they are
-        point-in-time values, so a high-water mark is the only aggregate
-        that stays meaningful across processes); events concatenate.
-        Merging is an explicit aggregation step and applies even while the
-        registry is disabled.
-        """
-        for name, value in snap.counters.items():
-            self.counter(name).value += value
-        for name, value in snap.gauges.items():
-            instrument = self.gauge(name)
-            instrument.value = max(instrument.value, value)
-        for name, hist_snap in snap.histograms.items():
-            self.histogram(name, hist_snap.buckets)._merge(hist_snap)
-        with self._events_lock:
-            dropped = max(
-                0, len(self.events) + len(snap.events) - self.max_events
-            )
-            self.events.extend(snap.events)  # ring: oldest evict first
-        if dropped:
-            self.counter("obs.events_dropped").value += dropped
 
     def absorb(self, prefix: str, summary: dict[str, float]) -> None:
         """Add ``summary``'s values to the counters ``<prefix>.<key>``.

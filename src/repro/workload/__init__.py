@@ -3,8 +3,8 @@
 Workloads yield :class:`~repro.workload.ops.Op` records (READ/WRITE/TRIM
 with tenant tags and deterministic payload seeds) through one iterator
 protocol consumed by the offline lifetime simulator
-(:func:`repro.ssd.simulator.run_until_death`), the TCP load generator
-(:mod:`repro.server.loadgen`) and sweep-fabric cells — the single source
+(:func:`repro.ssd.simulator.run_until_death`) and the TCP load generator
+(:mod:`repro.server.loadgen`) — the single source
 of workload truth the rewriting-code results depend on (lifetime gains
 are a function of the write *sequence*, so the sequence is owned here).
 

@@ -2,10 +2,10 @@
 
 A workload is an (infinite) iterator of :class:`Op` records — one host
 operation each — instead of bare write LPNs.  The same stream drives the
-offline lifetime simulator (:func:`repro.ssd.simulator.run_until_death`),
-the TCP load generator (:mod:`repro.server.loadgen`) and sweep-fabric
-cells, which is what makes "run the same experiment in all three
-harnesses" a meaningful sentence: rewriting-code lifetime gains depend on
+offline lifetime simulator (:func:`repro.ssd.simulator.run_until_death`)
+and the TCP load generator (:mod:`repro.server.loadgen`), which is what
+makes "run the same experiment in both harnesses" a meaningful sentence:
+rewriting-code lifetime gains depend on
 the exact write *sequence* a device sees, so the sequence has to be owned
 by one layer.
 

@@ -2,18 +2,15 @@
 
 Mirrors the scheme registry's shape: factories registered by name, a
 ``make_workload`` constructor, and a frozen :class:`WorkloadSpec` that
-names one workload + parameter set as a picklable, hashable value — the
-thing a CLI flag parses into, a sweep-fabric cell carries in its cache
-key, and every harness builds its stream from.  This replaces the two
-hand-maintained ``WORKLOADS`` dicts the simulator CLI and the server load
-generator used to keep in (imperfect) sync.
+names one workload + parameter set as a hashable value — the thing a CLI
+flag parses into and every harness builds its stream from.  This replaces
+the two hand-maintained ``WORKLOADS`` dicts the simulator CLI and the
+server load generator used to keep in (imperfect) sync.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -174,8 +171,8 @@ register_workload("mixed", _make_mixed)
 class WorkloadSpec:
     """One workload, fully specified: registry name + parameter pairs.
 
-    Frozen and built from primitives only, so specs pickle to sweep
-    workers, hash into cache keys, and compare by value.  ``params`` is a
+    Frozen and built from primitives only, so specs hash and compare by
+    value.  ``params`` is a
     sorted tuple of ``(name, value)`` pairs (the same idiom sweep cells
     use for scheme kwargs).
     """
@@ -195,21 +192,6 @@ class WorkloadSpec:
             self.name, logical_pages, seed=seed, tenant=tenant,
             **dict(self.params),
         )
-
-    def key_payload(self) -> dict:
-        """Cache-key payload.  Trace specs fold in the file's content
-        digest, so editing a trace invalidates results computed from the
-        old one even though the path is unchanged."""
-        payload: dict = {
-            "workload": self.name,
-            "params": [[key, value] for key, value in self.params],
-        }
-        path = dict(self.params).get("path")
-        if path:
-            payload["trace_sha256"] = hashlib.sha256(
-                Path(path).read_bytes()
-            ).hexdigest()
-        return payload
 
     def describe(self) -> str:
         if not self.params:

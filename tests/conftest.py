@@ -38,17 +38,15 @@ def _isolated_result_cache(tmp_path, monkeypatch) -> None:
 
 
 @pytest.fixture(autouse=True)
-def _isolated_sweep_pool() -> None:
-    """Tear down the warm sweep pool (and scheme memo) after every test.
+def _isolated_scheme_memo() -> None:
+    """Clear the experiments' scheme memo after every test.
 
-    The pool is process-lifetime by design; without this, a test's
-    workers — forked with that test's environment and memoized schemes —
-    would serve the next test's cells.
+    The memo is process-lifetime by design; tests that count
+    ``sweep.scheme_build`` spans must not see a neighbor's schemes.
     """
     yield
-    from repro.experiments import engine, pool
+    from repro.experiments import engine
 
-    pool.shutdown()
     engine.clear_scheme_memo()
 
 

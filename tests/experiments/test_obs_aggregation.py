@@ -1,4 +1,4 @@
-"""Cross-process telemetry aggregation: --jobs N must equal jobs=1."""
+"""Sweep telemetry: what ``run_cells`` counts, and that off means off."""
 
 from __future__ import annotations
 
@@ -6,64 +6,18 @@ from repro.obs import registry as obs
 from repro.experiments.pool import SweepCell, run_cells
 
 CELLS = [
-    SweepCell(scheme="mfc-1/2-1bpc", page_bits=256, cycles=2, seed=seed, lanes=2)
-    for seed in (0, 7, 21)
+    SweepCell(scheme="mfc-1/2-1bpc", page_bits=256, cycles=2, seed=0, lanes=2)
 ]
-
-
-def _sweep_counters(jobs: int):
-    registry = obs.get_registry()
-    registry.enabled = True
-    registry.reset()
-    results = run_cells(CELLS, jobs=jobs, cache=False)
-    snap = registry.snapshot()
-    return results, snap
-
-
-def test_jobs2_counters_equal_jobs1():
-    results_serial, snap_serial = _sweep_counters(jobs=1)
-    results_pool, snap_pool = _sweep_counters(jobs=2)
-    # The simulation results themselves are order-independent...
-    assert [r.writes_per_cycle for r in results_serial] == [
-        r.writes_per_cycle for r in results_pool
-    ]
-    # ...and so is every aggregated counter, exactly.
-    assert snap_serial.counters == snap_pool.counters
-    assert snap_serial.counters["sweep.cells_run"] == len(CELLS)
-    # Deterministic value histograms (bits per write) agree bucket for
-    # bucket; duration histograms agree only in count, not in timings.
-    bits_serial = snap_serial.histograms["scheme.bits_programmed_per_write"]
-    bits_pool = snap_pool.histograms["scheme.bits_programmed_per_write"]
-    assert bits_serial.counts == bits_pool.counts
-    assert bits_serial.sum == bits_pool.sum
-
-
-def test_pool_run_collects_worker_events():
-    _, snap = _sweep_counters(jobs=2)
-    cell_spans = [e for e in snap.events if e["name"] == "sweep.cell"]
-    assert len(cell_spans) == len(CELLS)
-    # Workers ran in other processes; their events carry their own pids.
-    assert len({e["pid"] for e in snap.events}) >= 2
 
 
 def test_disabled_telemetry_produces_zero_events_and_counters():
     registry = obs.get_registry()
     registry.enabled = False
     registry.reset()
-    run_cells(CELLS[:1], jobs=1, cache=False)
+    run_cells(CELLS, cache=False)
     snap = registry.snapshot()
     assert snap.counters == {}
     assert snap.histograms == {}
-    assert snap.events == ()
-
-
-def test_disabled_telemetry_stays_disabled_across_pool(tmp_path):
-    registry = obs.get_registry()
-    registry.enabled = False
-    registry.reset()
-    run_cells(CELLS[:2], jobs=2, cache=False)
-    snap = registry.snapshot()
-    assert snap.counters == {}
     assert snap.events == ()
 
 
@@ -74,11 +28,11 @@ def test_cache_hits_skip_simulation_counters():
     from repro.cache import get_default_cache
 
     cache = get_default_cache()
-    run_cells(CELLS[:1], jobs=1, cache=cache)
+    run_cells(CELLS, cache=cache)
     first = registry.snapshot()
     assert first.counters["sweep.cells_run"] == 1
     registry.reset()
-    run_cells(CELLS[:1], jobs=1, cache=cache)
+    run_cells(CELLS, cache=cache)
     warm = registry.snapshot()
     assert warm.counters.get("sweep.cells_run") is None
     assert warm.counters["sweep.cells_cached"] == 1

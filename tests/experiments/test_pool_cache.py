@@ -1,4 +1,4 @@
-"""Tests for the sweep fabric: process fan-out + content-addressed cache."""
+"""Tests for sweep cells and the content-addressed result cache."""
 
 from __future__ import annotations
 
@@ -13,10 +13,20 @@ from repro.cache import (
     default_cache_dir,
     get_default_cache,
 )
+from repro.coding.kernels import BACKEND_ENV, available_backends
+from repro.errors import ConfigurationError
+from repro.experiments import engine, pool
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.pool import SweepCell, cell_for, cell_key, run_cell, run_cells
+from repro.experiments.pool import (
+    SweepCell,
+    SweepCellError,
+    cell_for,
+    cell_key,
+    run_cell,
+    run_cells,
+)
 from repro.experiments.runner import main
-from repro.experiments.table1 import format_table1, run_table1
+from repro.obs import registry as obs
 
 FAST_ARGS = ["--page-bytes", "96", "--cycles", "1", "--constraint-length", "3"]
 
@@ -152,33 +162,79 @@ class TestRunCells:
         delta = cache.stats.since(before)
         assert delta.hits == 0 and delta.misses == 3
 
-    def test_jobs_gt_1_matches_serial(self) -> None:
-        config = _config(cache=False)
-        serial = run_cells(_cells(config), config, jobs=1)
-        fanned = run_cells(_cells(config), config, jobs=2)
-        for a, b in zip(serial, fanned):
-            assert a.writes_per_cycle == b.writes_per_cycle
-            assert a.scheme_name == b.scheme_name
-
     def test_run_cell_is_deterministic(self) -> None:
         cell = cell_for("mfc-1/2-1bpc", _config(), constraint_length=3)
         assert (
             run_cell(cell).writes_per_cycle == run_cell(cell).writes_per_cycle
         )
 
+    def test_repeated_cells_build_scheme_tables_once(self) -> None:
+        registry = obs.get_registry()
+        registry.enabled = True
+        registry.reset()
+        cells = [
+            SweepCell(scheme="mfc-1/2-1bpc", page_bits=192, cycles=1, seed=s)
+            for s in range(3)
+        ]
+        run_cells(cells, cache=False)
+        run_cells(cells, cache=False)
+        snap = registry.snapshot()
+        builds = [e for e in snap.events if e["name"] == "sweep.scheme_build"]
+        assert len(builds) == 1
+        assert snap.counters["sweep.cells_run"] == 2 * len(cells)
+
+    def test_failure_names_the_cell(self) -> None:
+        cells = [
+            SweepCell(scheme="wom", page_bits=192, cycles=1, seed=1),
+            SweepCell(scheme="no-such-scheme", page_bits=192, cycles=1, seed=3),
+        ]
+        with pytest.raises(
+            SweepCellError, match=r"scheme='no-such-scheme'.*seed=3"
+        ):
+            run_cells(cells, cache=False)
+
+    def test_cell_key_computed_once_per_cell(self, monkeypatch) -> None:
+        calls = {"count": 0}
+        original = pool.cell_key
+
+        def counting_cell_key(cell, fingerprint=None):
+            calls["count"] += 1
+            return original(cell, fingerprint)
+
+        monkeypatch.setattr(pool, "cell_key", counting_cell_key)
+        cells = _cells(_config())
+        run_cells(cells, cache=get_default_cache())
+        assert calls["count"] == len(cells)  # probe and store share keys
+
+
+def test_engine_scheme_memo_identity_and_clear() -> None:
+    first = engine.scheme_for("mfc-1/2-1bpc", 192)
+    assert engine.scheme_for("mfc-1/2-1bpc", 192) is first
+    engine.clear_scheme_memo()
+    assert engine.scheme_for("mfc-1/2-1bpc", 192) is not first
+
+
+def test_scheme_memo_is_keyed_on_the_backend(monkeypatch) -> None:
+    """A scheme binds its kernel backend when built; the memo must not
+    hand a numpy-backed one to a sweep that asked for ``native``."""
+    if "native" not in available_backends():
+        pytest.skip("needs two backends; the C kernel does not build here")
+    for name in ("numpy", "native", "numpy"):
+        monkeypatch.setenv(BACKEND_ENV, name)
+        scheme = engine.scheme_for("mfc-1/2-1bpc", 192)
+        assert scheme.code.viterbi.backend.name == name
+
+
+def test_config_rejects_more_than_one_process() -> None:
+    with pytest.raises(ConfigurationError, match="one process"):
+        ExperimentConfig(jobs=2)
+
 
 class TestCliIntegration:
-    def test_jobs_output_identical(self) -> None:
-        config1 = _config(cache=False, jobs=1)
-        config4 = _config(cache=False, jobs=4)
-        assert format_table1(run_table1(config1)) == format_table1(
-            run_table1(config4)
-        )
-
     def test_runner_reports_cache_and_jobs(self, capsys) -> None:
         assert main(["table1", *FAST_ARGS]) == 0
         cold = capsys.readouterr().out
-        assert "jobs=1" in cold and "misses" in cold
+        assert "cache: 0 hits, 8 misses" in cold and "jobs=" not in cold
         assert main(["table1", *FAST_ARGS]) == 0
         warm = capsys.readouterr().out
         assert "cache: 8 hits, 0 misses" in warm
@@ -188,9 +244,3 @@ class TestCliIntegration:
         out = capsys.readouterr().out
         assert "cache: disabled" in out
         assert get_default_cache().entry_count() == 0
-
-    @pytest.mark.parametrize("jobs", ["2"])
-    def test_runner_jobs_flag(self, jobs: str, capsys) -> None:
-        assert main(["table1", *FAST_ARGS, "--jobs", jobs, "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert f"jobs={jobs}" in out and "MFC-1/2-1BPC" in out

@@ -29,3 +29,32 @@ class TestExperimentsCli:
     def test_unknown_experiment_rejected(self) -> None:
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--cycles", "0", "cycles must be >= 1"),
+            ("--lanes", "0", "lanes must be >= 1"),
+            ("--page-bytes", "0", "page_bytes must be >= 1"),
+            ("--page-bytes", "1", "page too small"),
+            ("--constraint-length", "99", "K=99"),
+            ("--viterbi-backend", "fortran", "fortran"),
+            ("--jobs", "2", "unrecognized arguments"),
+        ],
+    )
+    def test_bad_knob_is_one_line_and_exit_2(
+        self, flag: str, value: str, message: str, capsys
+    ) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", *FAST_ARGS, flag, value])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err.splitlines()[-1]
+
+    def test_bad_environment_knob_is_reported_the_same_way(
+        self, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.setenv("REPRO_LANES", "0")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", *FAST_ARGS])
+        assert exit_info.value.code == 2
+        assert "lanes must be >= 1" in capsys.readouterr().err.splitlines()[-1]

@@ -52,7 +52,7 @@ def outcome(ssd: SSD) -> dict:
     }
 
 
-class TestThreeHarnessEquivalence:
+class TestTwoHarnessEquivalence:
     def test_same_spec_same_device_state_everywhere(self) -> None:
         # Harness 1: the offline simulator consumes the spec's stream.
         sim_ssd = make_ssd()

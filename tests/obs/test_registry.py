@@ -95,45 +95,6 @@ class TestSnapshotMerge:
         assert restored.histograms["h"].count == 1
         assert len(restored.events) == 1
 
-    def test_merge_sums_counters_and_histograms(self, registry):
-        registry.counter("c").inc(3)
-        registry.histogram("h").observe(4)
-        other = obs.MetricsRegistry(enabled=True)
-        other.counter("c").inc(5)
-        other.histogram("h").observe(100)
-        registry.merge(other.snapshot())
-        assert registry.counter("c").value == 8
-        assert registry.histogram("h").count == 2
-        assert registry.histogram("h").max == 100
-
-    def test_merge_takes_gauge_max(self, registry):
-        registry.gauge("g").set(10)
-        other = obs.MetricsRegistry(enabled=True)
-        other.gauge("g").set(4)
-        registry.merge(other.snapshot())
-        assert registry.gauge("g").value == 10
-
-    def test_merge_is_commutative_on_counters(self):
-        snaps = []
-        for amount in (2, 7):
-            source = obs.MetricsRegistry(enabled=True)
-            source.counter("c").inc(amount)
-            snaps.append(source.snapshot())
-        forward = obs.MetricsRegistry(enabled=True)
-        backward = obs.MetricsRegistry(enabled=True)
-        for snap in snaps:
-            forward.merge(snap)
-        for snap in reversed(snaps):
-            backward.merge(snap)
-        assert forward.snapshot().counters == backward.snapshot().counters
-
-    def test_merge_applies_even_when_disabled(self):
-        registry = obs.MetricsRegistry(enabled=False)
-        source = obs.MetricsRegistry(enabled=True)
-        source.counter("c").inc(2)
-        registry.merge(source.snapshot())
-        assert registry.counter("c").value == 2
-
     def test_counter_deltas(self, registry):
         registry.counter("c").inc(3)
         before = registry.snapshot()

@@ -74,20 +74,3 @@ class TestWorkloadSpec:
     def test_describe(self) -> None:
         assert WorkloadSpec.of("uniform").describe() == "uniform"
         assert "skew=1.5" in WorkloadSpec.of("zipf", skew=1.5).describe()
-
-    def test_key_payload_plain(self) -> None:
-        payload = WorkloadSpec.of("zipf", skew=1.5).key_payload()
-        assert payload["workload"] == "zipf"
-        assert payload["params"] == [["skew", 1.5]]
-        assert "trace_sha256" not in payload
-
-    def test_key_payload_digests_trace_content(self, tmp_path) -> None:
-        """Editing a trace file must invalidate cached sweep results even
-        though the spec (name + path) is unchanged."""
-        path = tmp_path / "t.csv"
-        path.write_text("0.0,Write,0,4096\n")
-        spec = WorkloadSpec.of("trace", path=str(path))
-        before = spec.key_payload()["trace_sha256"]
-        path.write_text("0.0,Write,4096,4096\n")
-        after = spec.key_payload()["trace_sha256"]
-        assert before != after
