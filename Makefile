@@ -63,10 +63,12 @@ kernel-sanitize:
 	fi
 
 # The FTL's standing oracle (dict model, batched == sequential) under three
-# fixed hypothesis seeds, so it explores more than tier-1's one draw.
+# fixed hypothesis seeds, so it explores more than tier-1's one draw; and the
+# chip's program legality check against its per-cell reference, on which the
+# oracle's chip-image equality rests.
 ftl-oracle:
 	for seed in 1 2017 65537; do \
-		PYTHONPATH=src python -m pytest tests/ftl/test_model_based.py tests/ftl/test_ftl_batch.py -q --hypothesis-seed=$$seed || exit 1; \
+		PYTHONPATH=src python -m pytest tests/ftl/test_model_based.py tests/ftl/test_ftl_batch.py tests/flash/test_wordline.py -q --hypothesis-seed=$$seed || exit 1; \
 	done
 
 # Paper-fidelity benchmark run (4 KB pages, several minutes).

@@ -33,40 +33,40 @@ def pack_values(bits: np.ndarray, width: int) -> np.ndarray:
     """Pack groups of ``width`` bits (LSB first) into integer values.
 
     ``bits`` must have a length divisible by ``width``; the result has
-    ``len(bits) // width`` entries.
+    ``len(bits) // width`` int64 entries.
     """
-    matrix = np.asarray(bits, dtype=np.int64).reshape(-1, width)
-    weights = 1 << np.arange(width, dtype=np.int64)
-    return matrix @ weights
+    return pack_values_axis(np.asarray(bits).reshape(-1), width)
 
 
 def unpack_values(values: np.ndarray, width: int) -> np.ndarray:
     """Inverse of :func:`pack_values`: expand values into bit groups (LSB first)."""
-    values = np.asarray(values, dtype=np.int64)
-    shifts = np.arange(width, dtype=np.int64)
-    return ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    return unpack_values_axis(np.asarray(values).reshape(-1), width)
 
 
 def pack_values_axis(bits: np.ndarray, width: int) -> np.ndarray:
     """Batch-aware :func:`pack_values`: packs along the last axis.
 
-    ``bits`` has shape ``(..., n * width)``; the result is ``(..., n)``.
+    ``bits`` has shape ``(..., n * width)``; the result is ``(..., n)`` and
+    int64 whatever ``bits`` is, so a caller's ``value << k`` cannot wrap.
     """
-    bits = np.asarray(bits, dtype=np.int64)
-    matrix = bits.reshape(*bits.shape[:-1], -1, width)
-    weights = 1 << np.arange(width, dtype=np.int64)
-    return matrix @ weights
+    bits = np.asarray(bits)
+    columns = bits.reshape(*bits.shape[:-1], -1, width)
+    values = columns[..., 0].astype(np.int64)
+    for shift in range(1, width):
+        values |= columns[..., shift].astype(np.int64) << shift
+    return values
 
 
 def unpack_values_axis(values: np.ndarray, width: int) -> np.ndarray:
     """Batch-aware :func:`unpack_values`: expands along the last axis.
 
-    ``values`` has shape ``(..., n)``; the result is ``(..., n * width)``.
+    ``values`` has shape ``(..., n)``; the result is uint8 ``(..., n * width)``.
     """
-    values = np.asarray(values, dtype=np.int64)
-    shifts = np.arange(width, dtype=np.int64)
-    bits = (values[..., None] >> shifts) & 1
-    return bits.astype(np.uint8).reshape(*values.shape[:-1], -1)
+    values = np.asarray(values)
+    bits = np.empty((*values.shape, width), dtype=np.uint8)
+    for shift in range(width):
+        bits[..., shift] = (values >> shift) & 1
+    return bits.reshape(*values.shape[:-1], -1)
 
 
 def gf2_convolve(sequence: np.ndarray, taps: np.ndarray, length: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.coding.bitops import pack_values
 from repro.errors import ConfigurationError
 
 __all__ = ["ConvolutionalCode", "Trellis"]
@@ -155,10 +156,9 @@ class ConvolutionalCode:
             state_bits = state_bits[:, :memory]
         past_parity = (state_bits @ past_taps.T.astype(np.int64)) & 1  # (S, m)
         current_taps = self._coeffs[:, 0].astype(np.int64)  # (m,)
-        weights = 1 << np.arange(self.num_outputs, dtype=np.int64)
         for u in (0, 1):
             bits = (past_parity + u * current_taps) & 1  # (S, m)
-            output_values[:, u] = bits @ weights
+            output_values[:, u] = pack_values(bits, self.num_outputs)
             next_state[:, u] = ((states << 1) | u) & mask
         prev_state = np.empty((num_states, 2), dtype=np.int32)
         prev_input = np.empty((num_states, 2), dtype=np.int32)

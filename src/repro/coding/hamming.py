@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.coding.bitops import pack_values_axis
 from repro.errors import ConfigurationError, DecodingError
 
 __all__ = ["HammingSecded", "DecodeReport"]
@@ -140,8 +141,7 @@ class HammingSecded:
         word = blocks[..., :-1].copy()
         overall_ok = blocks.sum(axis=-1) % 2 == 0
         syndrome = (word.astype(np.int64) @ self._columns.astype(np.int64)) % 2
-        weights = 1 << np.arange(self.r, dtype=np.int64)
-        syndrome_value = syndrome @ weights  # (...,)
+        syndrome_value = pack_values_axis(syndrome, self.r)[..., 0]  # (...,)
         nonzero = syndrome_value != 0
         single = nonzero & ~overall_ok
         uncorrectable = nonzero & overall_ok

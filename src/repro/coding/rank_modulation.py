@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from repro.coding.bitops import pack_values
 from repro.coding.page_code import PageCode
 from repro.errors import CodingError, ConfigurationError, UnwritableError
 from repro.vcell import VCellArray, VCellSpec
@@ -139,9 +140,7 @@ class RankModulationCode(PageCode):
                 f"dataword must be {self.dataword_bits} bits, got {data.shape}"
             )
         charges = self._group_charges(page)
-        values = data.reshape(self.num_groups, self.bits_per_group)
-        weights = 1 << np.arange(self.bits_per_group, dtype=np.int64)
-        indices = values.astype(np.int64) @ weights
+        indices = pack_values(data, self.bits_per_group)
         new_charges = charges.copy()
         for group in range(self.num_groups):
             permutation = permutation_from_index(

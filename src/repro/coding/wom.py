@@ -32,11 +32,11 @@ _FIRST_GENERATION = (0b000, 0b001, 0b010, 0b100)  # value -> low-weight pattern
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    value_of_pattern = np.empty(8, dtype=np.int64)
+    value_of_pattern = np.empty(8, dtype=np.int8)
     for value, pattern in enumerate(_FIRST_GENERATION):
         value_of_pattern[pattern] = value
         value_of_pattern[pattern ^ 0b111] = value
-    next_pattern = np.full((8, 4), -1, dtype=np.int64)
+    next_pattern = np.full((8, 4), -1, dtype=np.int8)
     for pattern in range(8):
         for value in range(4):
             if value_of_pattern[pattern] == value:
@@ -58,7 +58,10 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
     return value_of_pattern, next_pattern
 
 
-#: value stored by each 3-bit pattern.
+#: ``WOM_VALUE_OF_PATTERN[pattern]``: the value a 3-bit pattern stores.
+#: ``WOM_NEXT_PATTERN[pattern, value]``: the pattern that writes ``value``
+#: over ``pattern``, -1 where none is reachable; int8, and
+#: ``take`` reads it flat, at ``pattern << 2 | value``.
 WOM_VALUE_OF_PATTERN, WOM_NEXT_PATTERN = _build_tables()
 
 
@@ -90,7 +93,7 @@ class WomVCellCode(PageCode):
             )
         values = pack_values(data, self.BITS_PER_VALUE)
         patterns = self._patterns(page)
-        targets = WOM_NEXT_PATTERN[patterns, values]
+        targets = WOM_NEXT_PATTERN.take(patterns << 2 | values)
         if (targets < 0).any():
             raise UnwritableError(
                 "a v-cell has no reachable pattern for its new value; "
@@ -101,7 +104,7 @@ class WomVCellCode(PageCode):
         return new_page
 
     def decode(self, page: np.ndarray) -> np.ndarray:
-        values = WOM_VALUE_OF_PATTERN[self._patterns(page)]
+        values = WOM_VALUE_OF_PATTERN.take(self._patterns(page))
         return unpack_values(values, self.BITS_PER_VALUE)
 
     # -- batched interface -----------------------------------------------------
@@ -131,7 +134,7 @@ class WomVCellCode(PageCode):
             )
         values = pack_values_axis(data, self.BITS_PER_VALUE)
         patterns = self._patterns_batch(pages)
-        targets = WOM_NEXT_PATTERN[patterns, values]
+        targets = WOM_NEXT_PATTERN.take(patterns << 2 | values)
         writable = ~(targets < 0).any(axis=1)
         new_pages = np.asarray(pages, dtype=np.uint8).copy()
         safe_targets = np.where(writable[:, None], targets, patterns)
@@ -139,7 +142,7 @@ class WomVCellCode(PageCode):
         return new_pages, writable
 
     def decode_batch(self, pages: np.ndarray) -> np.ndarray:
-        values = WOM_VALUE_OF_PATTERN[self._patterns_batch(pages)]
+        values = WOM_VALUE_OF_PATTERN.take(self._patterns_batch(pages))
         return unpack_values_axis(values, self.BITS_PER_VALUE)
 
     def updates_guaranteed(self) -> int:

@@ -118,10 +118,10 @@ class FlashChip:
             except ProgramFailedError:
                 self.stats.record_program_failure()
                 raise
-        before = int(block.pages[page_index].bits.sum())
+        bits = block.pages[page_index].bits
+        before = np.count_nonzero(bits)
         block.program_page(page_index, new_bits)
-        after = int(block.pages[page_index].bits.sum())
-        self.stats.record_program(after - before)
+        self.stats.record_program(np.count_nonzero(bits) - before)
 
     def erase_block(self, block_index: int) -> None:
         """Erase one block, consuming a program/erase cycle."""

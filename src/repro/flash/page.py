@@ -77,15 +77,20 @@ class Page:
                 f"page already programmed {self.program_count} times "
                 f"(NOP limit {self.max_partial_programs}); erase required"
             )
-        target = np.asarray(new_bits, dtype=np.uint8)
+        target = np.asarray(new_bits)
         if target.shape != (self.page_bits,):
             raise PageProgramError(
                 f"program buffer has shape {target.shape}, page holds "
                 f"{self.page_bits} bits"
             )
-        if target.max(initial=0) > 1:
+        if target.dtype == np.uint8:
+            binary = target.max(initial=0) <= 1
+        else:  # before narrowing: as uint8, 256 is a 0, 257 a 1 and 0.9 a 0
+            binary = ((target == 0) | (target == 1)).all()
+        if not binary:
             raise PageProgramError("program buffer must contain only 0/1 values")
-        cleared = (self._bits == 1) & (target == 0)
+        target = target.astype(np.uint8, copy=False)
+        cleared = self._bits > target
         if cleared.any():
             positions = np.flatnonzero(cleared)[:8]
             raise PageProgramError(

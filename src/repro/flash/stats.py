@@ -56,7 +56,7 @@ class FlashStats:
         }
 
     def snapshot(self) -> "FlashStats":
-        """An independent copy safe to ship across processes."""
+        """An independent copy; two of them bracket a window's counts."""
         return FlashStats(
             page_reads=self.page_reads,
             page_programs=self.page_programs,

@@ -8,15 +8,67 @@ must correspond to a legal transition of every affected cell.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
+from typing import NoReturn
 
 import numpy as np
 
-from repro.errors import IllegalTransitionError, PageProgramError
+from repro.errors import (
+    ConfigurationError,
+    IllegalTransitionError,
+    PageProgramError,
+)
 from repro.flash.cell import CellModel
 from repro.flash.page import Page
 
 __all__ = ["Wordline"]
+
+
+@functools.lru_cache
+def _cell_tables(cell: CellModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pattern_to_level, legal, program_ok)`` of one cell model, read-only.
+
+    A cell's *pattern* is ``sum(bit[page] << page)``; ``pattern_to_level``
+    holds -1 where no level has that pattern and ``legal[current, target]``
+    is :meth:`CellModel.is_legal_transition`.  ``program_ok[page][2 * pattern
+    + new_bit]`` says whether a cell holding ``pattern`` may have ``new_bit``
+    programmed on ``page``: both patterns have a level and the move is legal.
+    Every wordline of a chip shares these arrays.
+    """
+    width = cell.pages_per_wordline
+    if width > 7:
+        raise ConfigurationError(
+            f"{cell.kind}: a cell's bit pattern is indexed in uint8, so a "
+            f"wordline holds at most 7 pages, not {width}"
+        )
+    pattern_to_level = np.full(1 << width, -1, dtype=np.int16)
+    for level, bits in enumerate(cell.level_to_bits):
+        pattern_to_level[sum(bit << page for page, bit in enumerate(bits))] = level
+    legal = np.array(
+        [[cell.is_legal_transition(current, target)
+          for target in range(cell.levels)] for current in range(cell.levels)]
+    )
+    patterns = np.arange(1 << width)
+    program_ok = np.zeros((width, 2 << width), dtype=bool)
+    for page in range(width):
+        for new_bit in (0, 1):
+            target = pattern_to_level[patterns & ~(1 << page) | new_bit << page]
+            program_ok[page, new_bit::2] = (
+                (pattern_to_level >= 0) & (target >= 0)
+                & legal[pattern_to_level, target]
+            )
+    for table in (pattern_to_level, legal, program_ok):
+        table.flags.writeable = False
+    return pattern_to_level, legal, program_ok
+
+
+def _stack_bits(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum(rows[k] << k)`` per cell, in the rows' own uint8."""
+    stacked = rows[0]
+    for shift, row in enumerate(rows[1:], start=1):
+        stacked = stacked | row << shift
+    return stacked
 
 
 class Wordline:
@@ -28,7 +80,7 @@ class Wordline:
     charge level via the :class:`~repro.flash.cell.CellModel`.
     """
 
-    __slots__ = ("cell", "pages", "_pattern_to_level", "_legal", "_weights")
+    __slots__ = ("cell", "pages", "_pattern_to_level", "_legal", "_program_ok")
 
     def __init__(self, cell: CellModel, pages: Sequence[Page]) -> None:
         if len(pages) != cell.pages_per_wordline:
@@ -41,28 +93,15 @@ class Wordline:
             raise PageProgramError("all pages of a wordline must be the same size")
         self.cell = cell
         self.pages = tuple(pages)
-        # pattern index = sum(bit[page] << page); -1 marks invalid patterns.
-        num_patterns = 1 << cell.pages_per_wordline
-        pattern_to_level = np.full(num_patterns, -1, dtype=np.int16)
-        for level, bits in enumerate(cell.level_to_bits):
-            index = sum(bit << page for page, bit in enumerate(bits))
-            pattern_to_level[index] = level
-        self._pattern_to_level = pattern_to_level
-        legal = np.zeros((cell.levels, cell.levels), dtype=bool)
-        for current in range(cell.levels):
-            for target in range(cell.levels):
-                legal[current, target] = cell.is_legal_transition(current, target)
-        self._legal = legal
-        self._weights = (1 << np.arange(cell.pages_per_wordline)).astype(np.int64)
+        self._pattern_to_level, self._legal, self._program_ok = _cell_tables(cell)
 
     @property
     def page_bits(self) -> int:
         return self.pages[0].page_bits
 
-    def _levels_of(self, bit_rows: np.ndarray) -> np.ndarray:
-        """Map a (pages, page_bits) bit matrix to per-cell levels."""
-        patterns = (bit_rows.astype(np.int64).T @ self._weights)
-        levels = self._pattern_to_level[patterns]
+    def _levels_of(self, bit_rows: Sequence[np.ndarray]) -> np.ndarray:
+        """Map one uint8 bit row per page to per-cell levels."""
+        levels = self._pattern_to_level.take(_stack_bits(bit_rows))
         if (levels < 0).any():
             bad = int(np.flatnonzero(levels < 0)[0])
             raise IllegalTransitionError(
@@ -73,33 +112,39 @@ class Wordline:
 
     def read_levels(self) -> np.ndarray:
         """Current charge level of every cell on the wordline."""
-        rows = np.stack([page.bits for page in self.pages])
-        return self._levels_of(rows)
+        return self._levels_of([page.bits for page in self.pages])
 
     def program_page(self, page_index: int, new_bits: np.ndarray) -> None:
         """Program one page of the wordline (a single program request).
 
         Validates bit monotonicity (via the page) *and* that every cell's
-        implied level transition is physically legal, then commits.
+        implied level transition is physically legal, then commits.  The
+        legality check is one pass over the wordline: each cell's ``2 *
+        pattern + new_bit`` looked up in ``program_ok``.
         """
         if not 0 <= page_index < len(self.pages):
             raise PageProgramError(f"wordline has no page {page_index}")
         page = self.pages[page_index]
         target = page.validate_program(new_bits)
-        current_rows = np.stack([p.bits for p in self.pages])
-        proposed_rows = current_rows.copy()
+        index = _stack_bits([target, *(sibling.bits for sibling in self.pages)])
+        if not self._program_ok[page_index].take(index).all():
+            self._refuse_program(page_index, target)
+        page.apply_program(target)
+
+    def _refuse_program(self, page_index: int, target: np.ndarray) -> NoReturn:
+        """Level by level, to name the first offending cell and its move."""
+        current_rows = [page.bits for page in self.pages]
+        proposed_rows = list(current_rows)
         proposed_rows[page_index] = target
         current_levels = self._levels_of(current_rows)
         proposed_levels = self._levels_of(proposed_rows)
         ok = self._legal[current_levels, proposed_levels]
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            raise IllegalTransitionError(
-                f"programming page {page_index} would move cell {bad} from "
-                f"L{current_levels[bad]} to L{proposed_levels[bad]}, which a "
-                f"{self.cell.kind} cell does not support"
-            )
-        page.apply_program(target)
+        bad = int(np.flatnonzero(~ok)[0])
+        raise IllegalTransitionError(
+            f"programming page {page_index} would move cell {bad} from "
+            f"L{current_levels[bad]} to L{proposed_levels[bad]}, which a "
+            f"{self.cell.kind} cell does not support"
+        )
 
     def program_levels(self, target_levels: np.ndarray) -> None:
         """Move every cell to ``target_levels`` using one program per page.

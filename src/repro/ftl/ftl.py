@@ -59,7 +59,7 @@ class FTLStats:
         return dict(self.__dict__)
 
     def snapshot(self) -> "FTLStats":
-        """An independent copy safe to ship across processes."""
+        """An independent copy; two of them bracket a window's counts."""
         return FTLStats(**self.__dict__)
 
 

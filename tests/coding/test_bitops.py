@@ -12,8 +12,10 @@ from repro.coding.bitops import (
     bytes_from_bits,
     gf2_convolve,
     pack_values,
+    pack_values_axis,
     random_bits,
     unpack_values,
+    unpack_values_axis,
 )
 
 
@@ -46,6 +48,72 @@ class TestPackUnpack:
     def test_roundtrip_property(self, values: list[int]) -> None:
         array = np.array(values)
         assert pack_values(unpack_values(array, 5), 5).tolist() == values
+
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_roundtrip_every_width_against_python(self, width: int) -> None:
+        rng = np.random.default_rng(width)
+        values = rng.integers(0, 1 << width, 37)
+        bits = unpack_values(values, width)
+        assert bits.tolist() == [
+            (int(value) >> k) & 1 for value in values for k in range(width)
+        ]
+        assert pack_values(bits, width).tolist() == values.tolist()
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_axis_form_equals_scalar_form_per_lane(self, width: int) -> None:
+        rng = np.random.default_rng(100 + width)
+        bits = rng.integers(0, 2, (3, 5, 4 * width), dtype=np.uint8)
+        packed = pack_values_axis(bits, width)
+        assert packed.shape == (3, 5, 4)
+        unpacked = unpack_values_axis(packed, width)
+        assert np.array_equal(unpacked, bits)
+        for i in range(3):
+            for j in range(5):
+                assert np.array_equal(packed[i, j], pack_values(bits[i, j], width))
+                assert np.array_equal(
+                    unpacked[i, j], unpack_values(packed[i, j], width)
+                )
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int8, np.int64])
+    def test_result_dtypes_do_not_follow_the_input(self, dtype) -> None:
+        """A caller's ``value << k`` on the result must not wrap at 8 bits."""
+        bits = np.array([1, 0, 1, 1, 1, 1], dtype=dtype)
+        for packed in (pack_values(bits, 3), pack_values_axis(bits[None], 3)[0]):
+            assert packed.dtype == np.int64
+            assert packed.tolist() == [5, 7]
+        values = np.array([5, 7], dtype=np.uint8 if dtype == np.bool_ else dtype)
+        for bits_out in (
+            unpack_values(values, 3), unpack_values_axis(values[None], 3)[0]
+        ):
+            assert bits_out.dtype == np.uint8
+            assert bits_out.tolist() == [1, 0, 1, 1, 1, 1]
+
+    def test_wide_groups_do_not_overflow(self) -> None:
+        bits = np.ones(40, np.uint8)
+        assert pack_values(bits, 20).tolist() == [(1 << 20) - 1] * 2
+        assert np.array_equal(unpack_values(pack_values(bits, 20), 20), bits)
+
+    def test_strided_and_non_contiguous_inputs(self) -> None:
+        rng = np.random.default_rng(7)
+        wide = rng.integers(0, 2, (4, 24), dtype=np.uint8)
+        view = wide[::2, :18]  # what WomVCellCode hands over: a column slice
+        assert not view.flags.c_contiguous
+        assert np.array_equal(
+            pack_values_axis(view, 3), pack_values_axis(view.copy(), 3)
+        )
+        every_other = wide[0, ::2]
+        assert np.array_equal(
+            pack_values(every_other, 4), pack_values(every_other.copy(), 4)
+        )
+        values = pack_values_axis(wide, 3)[:, ::2]
+        assert np.array_equal(
+            unpack_values_axis(values, 3), unpack_values_axis(values.copy(), 3)
+        )
+
+    def test_plain_lists_accepted(self) -> None:
+        assert pack_values([1, 0, 0, 1, 1, 0], 3).tolist() == [1, 3]
+        assert unpack_values([1, 3], 3).tolist() == [1, 0, 0, 1, 1, 0]
 
 
 class TestGf2Convolve:

@@ -145,3 +145,106 @@ class TestPageCode:
             data = rng.integers(0, 2, code.dataword_bits).astype(np.uint8)
             page = code.encode(data, page)
             assert np.array_equal(code.decode(page), data)
+
+
+def table_walk_encode(code, data, page):
+    """One WOM write, one cell at a time; ``None`` where a cell is stuck."""
+    new_page = [int(bit) for bit in page]
+    for cell in range(code.num_cells):
+        pattern = sum(int(page[3 * cell + k]) << k for k in range(3))
+        value = int(data[2 * cell]) | int(data[2 * cell + 1]) << 1
+        target = int(WOM_NEXT_PATTERN[pattern, value])
+        if target < 0:
+            return None
+        for k in range(3):
+            new_page[3 * cell + k] = (target >> k) & 1
+    return new_page
+
+
+def table_walk_decode(code, page):
+    data = []
+    for cell in range(code.num_cells):
+        pattern = sum(int(page[3 * cell + k]) << k for k in range(3))
+        value = int(WOM_VALUE_OF_PATTERN[pattern])
+        data += [value & 1, value >> 1]
+    return data
+
+
+class TestAgainstTableWalk:
+    """``encode``/``decode`` and their batch forms against a per-cell walk."""
+
+    PAGE_BITS = 32  # 10 cells and two tail bits no cell owns
+
+    def written_pages(self, code, rng, lanes: int) -> np.ndarray:
+        """Pages after zero to two writes, with random tail bits set."""
+        pages = np.zeros((lanes, self.PAGE_BITS), np.uint8)
+        for lane in range(lanes):
+            for _ in range(rng.integers(0, 3)):
+                data = rng.integers(0, 2, code.dataword_bits, dtype=np.uint8)
+                pages[lane] = code.encode(data, pages[lane])
+        pages[:, code.varray.used_bits:] = rng.integers(
+            0, 2, (lanes, self.PAGE_BITS - code.varray.used_bits)
+        )
+        return pages
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_forms(self, seed: int) -> None:
+        code = WomVCellCode(self.PAGE_BITS)
+        assert code.varray.used_bits == 30
+        rng = np.random.default_rng(seed)
+        page = self.written_pages(code, rng, 1)[0]
+        assert code.decode(page).tolist() == table_walk_decode(code, page)
+        data = rng.integers(0, 2, code.dataword_bits, dtype=np.uint8)
+        expected = table_walk_encode(code, data, page)
+        before = page.copy()
+        if expected is None:
+            with pytest.raises(UnwritableError, match="no reachable pattern"):
+                code.encode(data, page)
+        else:
+            new_page = code.encode(data, page)
+            assert new_page.dtype == np.uint8
+            assert new_page.tolist() == expected  # tail bits carried over
+            assert code.decode(new_page).tolist() == data.tolist()
+        assert np.array_equal(page, before)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_batch_forms(self, seed: int) -> None:
+        code = WomVCellCode(self.PAGE_BITS)
+        rng = np.random.default_rng(seed)
+        pages = self.written_pages(code, rng, 5)
+        datawords = rng.integers(0, 2, (5, code.dataword_bits), dtype=np.uint8)
+        decoded = code.decode_batch(pages)
+        assert decoded.dtype == np.uint8
+        assert decoded.tolist() == [table_walk_decode(code, p) for p in pages]
+        before = pages.copy()
+        new_pages, writable = code.encode_batch(datawords, pages)
+        assert np.array_equal(pages, before)
+        assert new_pages.dtype == np.uint8 and writable.dtype == bool
+        for lane in range(5):
+            expected = table_walk_encode(code, datawords[lane], pages[lane])
+            assert writable[lane] == (expected is not None)
+            assert new_pages[lane].tolist() == (
+                pages[lane].tolist() if expected is None else expected
+            )
+
+    def test_unwritable_lane_in_the_middle_of_a_batch(self) -> None:
+        code = WomVCellCode(self.PAGE_BITS)
+        rng = np.random.default_rng(5)
+        pages = np.zeros((3, self.PAGE_BITS), np.uint8)
+        pages[1, :3] = 1  # cell 0 of lane 1 saturated at 111 (value 00)
+        pages[:, 30:] = 1
+        datawords = rng.integers(0, 2, (3, code.dataword_bits), dtype=np.uint8)
+        datawords[1, :2] = (1, 0)  # ... and asked for value 01
+        new_pages, writable = code.encode_batch(datawords, pages)
+        assert writable.tolist() == [True, False, True]
+        assert np.array_equal(new_pages[1], pages[1])
+        for lane in (0, 2):
+            assert np.array_equal(
+                new_pages[lane], code.encode(datawords[lane], pages[lane])
+            )
+            assert new_pages[lane, 30:].tolist() == [1, 1]
+        assert np.array_equal(
+            code.decode_batch(new_pages)[[0, 2]], datawords[[0, 2]]
+        )

@@ -60,6 +60,30 @@ class TestProgramValidation:
         with pytest.raises(PageProgramError, match="0/1"):
             page.validate_program(np.array([0, 2, 0, 0], np.uint8))
 
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [(256, np.int64), (257, np.int64), (-1, np.int64), (2, np.uint16),
+         (256.0, np.float64), (0.9, np.float64), (1.5, np.float32)],
+    )
+    def test_non_binary_rejected_before_narrowing(self, value, dtype) -> None:
+        """As uint8, 256 would program a 0, 257 a 1 and 0.9 a 0."""
+        page = Page(4)
+        buffer = np.array([0, 1, value, 0], dtype=dtype)
+        with pytest.raises(PageProgramError, match="only 0/1 values"):
+            page.validate_program(buffer)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64, np.float64])
+    def test_binary_buffer_of_any_dtype_programs_as_uint8(self, dtype) -> None:
+        page = Page(4)
+        target = page.validate_program(np.array([0, 1, 1, 0], dtype=dtype))
+        assert target.dtype == np.uint8
+        assert target.tolist() == [0, 1, 1, 0]
+        assert page.validate_program([0, 1, 1, 0]).tolist() == [0, 1, 1, 0]
+
+    def test_shape_is_checked_before_values(self) -> None:
+        with pytest.raises(PageProgramError, match="shape"):
+            Page(4).validate_program(np.array([0, 256, 7], dtype=np.int64))
+
     def test_validation_does_not_commit(self) -> None:
         page = Page(4)
         page.validate_program(np.ones(4, np.uint8))

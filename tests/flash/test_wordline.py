@@ -4,9 +4,34 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import IllegalTransitionError, PageProgramError
-from repro.flash import IDEAL_MLC, MLC, Page, SLC, Wordline
+from repro.errors import (
+    ConfigurationError,
+    IllegalTransitionError,
+    PageProgramError,
+    PartialProgramLimitError,
+)
+from repro.flash import (
+    IDEAL_MLC, MLC, SLC, TLC, CellModel, Page, PageState, Wordline,
+)
+from repro.flash.wordline import _cell_tables
+
+#: Three levels on two pages: the bit pattern (0, 1) has no level, so the
+#: "no defined level" refusal is reachable through ``program_page``.
+THREE_LEVEL = CellModel(
+    kind="three", levels=3, level_to_bits=((0, 0), (1, 0), (1, 1))
+)
+#: An ideal-interface cell whose levels do not grow with its bits, so a
+#: single-page program can ask for a level *decrease*: the one way to reach
+#: the "would move cell" refusal through ``program_page``.
+SCRAMBLED_IDEAL = CellModel(
+    kind="scrambled", levels=4,
+    level_to_bits=((0, 0), (1, 1), (1, 0), (0, 1)),
+    single_page_program=False, ideal_interface=True,
+)
+CELLS = (SLC, MLC, TLC, IDEAL_MLC, THREE_LEVEL, SCRAMBLED_IDEAL)
 
 
 def make_wordline(cell=MLC, page_bits: int = 8) -> Wordline:
@@ -108,3 +133,173 @@ class TestEraseAndConstruction:
     def test_mismatched_page_sizes_rejected(self) -> None:
         with pytest.raises(PageProgramError):
             Wordline(MLC, [Page(4), Page(8)])
+
+
+def reference_refusal(cell, pages, page_index, buffer):
+    """Why the chip must refuse this program, cell by cell in plain Python.
+
+    ``None`` when it must accept, else ``(exception type, message)`` of the
+    first check that fails, in the order the chip makes them.
+    """
+    page = pages[page_index]
+    limit = page.max_partial_programs
+    if limit is not None and page.program_count >= limit:
+        return PartialProgramLimitError, (
+            f"page already programmed {page.program_count} times "
+            f"(NOP limit {limit}); erase required"
+        )
+    new = list(buffer)
+    if len(new) != page.page_bits:
+        return PageProgramError, (
+            f"program buffer has shape ({len(new)},), page holds "
+            f"{page.page_bits} bits"
+        )
+    if any(value not in (0, 1) for value in new):
+        return PageProgramError, "program buffer must contain only 0/1 values"
+    stored = [p.read().tolist() for p in pages]
+    cleared = [
+        i for i, (old, bit) in enumerate(zip(stored[page_index], new))
+        if old == 1 and bit == 0
+    ]
+    if cleared:
+        return PageProgramError, (
+            f"program would clear bit(s) at positions {cleared[:8]}; bits can "
+            "only be set (0 -> 1) without an erase"
+        )
+    proposed = [new if i == page_index else row for i, row in enumerate(stored)]
+    level_of = {bits: level for level, bits in enumerate(cell.level_to_bits)}
+    current_levels = [level_of.get(bits) for bits in zip(*stored)]
+    proposed_levels = [level_of.get(bits) for bits in zip(*proposed)]
+    for levels in (current_levels, proposed_levels):
+        for index, level in enumerate(levels):
+            if level is None:
+                return IllegalTransitionError, (
+                    f"cell {index} holds bit pattern with no defined level "
+                    f"for a {cell.kind} cell"
+                )
+    for index, (old, target) in enumerate(zip(current_levels, proposed_levels)):
+        if not cell.is_legal_transition(old, target):
+            return IllegalTransitionError, (
+                f"programming page {page_index} would move cell {index} from "
+                f"L{old} to L{target}, which a {cell.kind} cell does not support"
+            )
+    return None
+
+
+class TestProgramTable:
+    """``program_ok[page][2 * pattern + new_bit]``, one table per cell model."""
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.kind)
+    def test_equals_is_legal_transition_exhaustively(self, cell) -> None:
+        program_ok = _cell_tables(cell)[2]
+        width = cell.pages_per_wordline
+        assert program_ok.shape == (width, 2 << width)
+        assert program_ok.dtype == bool
+        level_of = {bits: level for level, bits in enumerate(cell.level_to_bits)}
+        for page in range(width):
+            for pattern in range(1 << width):
+                bits = tuple((pattern >> p) & 1 for p in range(width))
+                for new_bit in (0, 1):
+                    proposed = bits[:page] + (new_bit,) + bits[page + 1:]
+                    current, target = level_of.get(bits), level_of.get(proposed)
+                    expected = (
+                        current is not None
+                        and target is not None
+                        and cell.is_legal_transition(current, target)
+                    )
+                    assert program_ok[page, 2 * pattern + new_bit] == expected
+
+    def test_built_once_per_cell_model_and_read_only(self) -> None:
+        assert _cell_tables(MLC) is _cell_tables(MLC)
+        for table in _cell_tables(MLC):
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+    def test_more_pages_than_a_uint8_pattern_holds_refused(self) -> None:
+        wide = CellModel(
+            kind="wide", levels=256,
+            level_to_bits=tuple(
+                tuple((value >> page) & 1 for page in range(8))
+                for value in range(256)
+            ),
+        )
+        with pytest.raises(ConfigurationError, match="at most 7 pages"):
+            Wordline(wide, [Page(2) for _ in range(8)])
+
+
+class TestProgramPageAgainstReference:
+    """The chip's legality check against a per-cell reference.
+
+    ``make ftl-oracle`` runs this under its three fixed hypothesis seeds:
+    the FTL oracle's chip-image equality rests on this check.
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_and_refuses_like_the_reference(self, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        cell = CELLS[rng.integers(len(CELLS))]
+        page_bits = int(rng.integers(1, 13))
+        limit = None if rng.random() < 0.7 else 2
+        pages = [
+            Page(page_bits, max_partial_programs=limit)
+            for _ in range(cell.pages_per_wordline)
+        ]
+        # Any stored state, patterns without a level included: committed
+        # behind the wordline's back, the way a snapshot restore would.
+        for page in pages:
+            for _ in range(rng.integers(0, 3)):
+                page.apply_program(
+                    page.read() | (rng.random(page_bits) < 0.3).astype(np.uint8)
+                )
+        wordline = Wordline(cell, pages)
+        page_index = int(rng.integers(len(pages)))
+        stored = pages[page_index].read()
+        flips = (rng.random(page_bits) < 0.4).astype(np.uint8)
+        kind = rng.choice(
+            ["monotone", "any", "non-binary", "wrong-shape"],
+            p=[0.5, 0.3, 0.1, 0.1],
+        )
+        if kind == "monotone":
+            buffer = stored | flips
+        elif kind == "any":
+            buffer = stored ^ flips
+        elif kind == "non-binary":
+            buffer = stored | flips
+            buffer[rng.integers(page_bits)] = rng.integers(2, 256)
+        else:
+            buffer = np.zeros(page_bits + int(rng.choice([-1, 1])), np.uint8)
+
+        before = [(p.read(), p.state, p.program_count) for p in pages]
+        expected = reference_refusal(cell, pages, page_index, buffer.tolist())
+        if expected is None:
+            wordline.program_page(page_index, buffer)
+            before[page_index] = (
+                buffer, PageState.PROGRAMMED, before[page_index][2] + 1
+            )
+        else:
+            error, message = expected
+            with pytest.raises(error) as raised:
+                wordline.program_page(page_index, buffer)
+            assert type(raised.value) is error
+            assert str(raised.value) == message
+        for page, (bits, state, count) in zip(pages, before):
+            assert np.array_equal(page.read(), bits)
+            assert page.state is state
+            assert page.program_count == count
+
+    def test_every_refusal_is_reachable(self) -> None:
+        """The property above is vacuous for a refusal it never draws."""
+        refusals = set()
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            cell = CELLS[rng.integers(len(CELLS))]
+            pages = [Page(4) for _ in range(cell.pages_per_wordline)]
+            for page in pages:
+                page.apply_program((rng.random(4) < 0.3).astype(np.uint8))
+            page_index = int(rng.integers(len(pages)))
+            buffer = pages[page_index].read() | (rng.random(4) < 0.4)
+            refused = reference_refusal(cell, pages, page_index, buffer.tolist())
+            if refused is not None:
+                refusals.add(refused[1].split(" ")[0])
+        assert refusals == {"cell", "programming"}
