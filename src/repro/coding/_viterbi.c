@@ -1,10 +1,7 @@
 /* Fused Viterbi kernel: the "native" backend of repro.coding.kernels.
  *
  * kernels.py compiles this file on first use (-O3 -shared -fPIC; gcc vectorises
- * the butterfly loop only at -O3) and loads it with ctypes.  Never build it with
- * -ffast-math: unwritable branches cost IEEE +inf and have to add and compare
- * as such.  The forward pass is instantiated for float and double by including
- * this file from itself.
+ * the butterfly loop only at -O3) and loads it with ctypes.
  *
  * The recursion is one add-compare-select per trellis step, ties to the first
  * minimum: the same one the numpy backend runs a vector of lanes at a time.
@@ -15,23 +12,39 @@
  * halves of the old metrics, and its 2S branch costs are indexed [u][k][j]:
  * entering state 2j+u from its k-th predecessor.
  *
+ * Integer costs make every finite metric an integer, so the forward pass runs
+ * on int16_t, eight states to an SSE2 register.  Infeasible is BIG, and every
+ * candidate is clamped to BIG before the compare, so two infeasible ones tie
+ * as two infs do; old + cost <= 2 * BIG stays in int16.  Every RENORM steps
+ * the least finite metric moves into an int64 offset; a finite one still above
+ * `limit` could reach BIG before the next, so forward_i16 returns WIDEN and
+ * kernels.py redoes the call in double.  Both are one body, this file
+ * including itself.  In the double one BIG is IEEE inf, the clamp a no-op and
+ * nothing renormalises: never build it with -ffast-math.
+ *
  * program and divide are the rest of a page write, either side of the search:
  * each is the plain loop of what kernels.py names as its numpy twin.
  *
  * All tables are C-contiguous.  Every function returns 0, -1 when scratch
- * cannot be allocated, or -2 when an input value is out of range.
+ * cannot be allocated, -2 when an input value is out of range, or WIDEN.
  */
 #ifndef T
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
-#define T float
-#define NAME(f) f##_f32
+#define WIDEN 1
+#define RENORM 16
+
+#define T int16_t
+#define BIG 16383
+#define NAME(f) f##_i16
 #include __FILE__
 #undef T
+#undef BIG
 #undef NAME
 #define T double
+#define BIG INFINITY
 #define NAME(f) f##_f64
 #include __FILE__
 
@@ -146,6 +159,13 @@ int divide(int64_t rows, int64_t steps, int64_t ntaps, const int64_t *taps,
 
 #else
 
+/* old + cost, clamped to BIG (infeasible): see the top of the file. */
+static inline T NAME(add)(T old, T cost)
+{
+    T sum = old + cost;
+    return sum < BIG ? sum : BIG;
+}
+
 /* One trellis step over its cost vector.  The select is strict-less, so a tie
  * keeps predecessor 0: argmin's first-occurrence rule, which every recorded
  * result depends on.  Contiguous loads, no branch on the comparison and no
@@ -155,9 +175,10 @@ static void NAME(butterflies)(int64_t half, const T *restrict old,
                               uint8_t *restrict k)
 {
     for (int64_t j = 0; j < half; j++) {
-        T a0 = old[j] + cost[j], a1 = old[half + j] + cost[half + j];
-        T b0 = old[j] + cost[2 * half + j];
-        T b1 = old[half + j] + cost[3 * half + j];
+        T a0 = NAME(add)(old[j], cost[j]);
+        T a1 = NAME(add)(old[half + j], cost[half + j]);
+        T b0 = NAME(add)(old[j], cost[2 * half + j]);
+        T b1 = NAME(add)(old[half + j], cost[3 * half + j]);
         k[2 * j] = a1 < a0;
         new[2 * j] = a1 < a0 ? a1 : a0;
         k[2 * j + 1] = b1 < b0;
@@ -166,18 +187,19 @@ static void NAME(butterflies)(int64_t half, const T *restrict old,
 }
 
 /* The same step when that vector was not tabulated: its entry i is the fused
- * row read through the branch outputs, row[order[i] ^ v].  Scalar, and still
- * faster than gathering the vector into scratch to run the loop above. */
+ * row read through the coset chunk's branch entries, row[order[i]].  gcc
+ * vectorises this too, building each vector from 16-bit indices as it goes;
+ * gathering the vector into scratch first stalls its loads on those stores. */
 static void NAME(butterflies_gather)(int64_t half, const T *restrict old,
                                      const T *restrict row,
-                                     const int32_t *restrict order, int64_t v,
+                                     const uint16_t *restrict order,
                                      T *restrict new, uint8_t *restrict k)
 {
     for (int64_t j = 0; j < half; j++) {
-        T a0 = old[j] + row[order[j] ^ v];
-        T a1 = old[half + j] + row[order[half + j] ^ v];
-        T b0 = old[j] + row[order[2 * half + j] ^ v];
-        T b1 = old[half + j] + row[order[3 * half + j] ^ v];
+        T a0 = NAME(add)(old[j], row[order[j]]);
+        T a1 = NAME(add)(old[half + j], row[order[half + j]]);
+        T b0 = NAME(add)(old[j], row[order[2 * half + j]]);
+        T b1 = NAME(add)(old[half + j], row[order[3 * half + j]]);
         k[2 * j] = a1 < a0;
         new[2 * j] = a1 < a0 ? a1 : a0;
         k[2 * j + 1] = b1 < b0;
@@ -188,13 +210,14 @@ static void NAME(butterflies_gather)(int64_t half, const T *restrict old,
 /* Add-compare-select over the whole trellis, one lane after another. */
 int NAME(forward)(int64_t lanes, int64_t steps, int64_t S, int64_t cells,
                   int64_t L, int64_t V,
-                  const int32_t *order,  /* (2S,) branch outputs, as above */
+                  int64_t limit,         /* int16 only: see the top */
+                  const uint16_t *order, /* (V, 2S) branch outputs ^ chunk */
                   const T *costs,        /* (L**cells, V) fused cost table */
                   const T *expanded,     /* (L**cells * V, 2S) cost vector of
                                             each (row, coset chunk), or NULL */
                   const int64_t *reps,   /* (lanes, steps) coset chunks */
                   const int64_t *levels, /* (lanes, steps, cells) */
-                  T *path,               /* out (lanes, S) final metrics */
+                  double *path,          /* out (lanes, S) final metrics */
                   uint8_t *choice)       /* out (lanes, steps, S) winning k */
 {
     /* Old and new metrics: step t reads half t & 1 and writes the other. */
@@ -203,6 +226,7 @@ int NAME(forward)(int64_t lanes, int64_t steps, int64_t S, int64_t cells,
         return -1;
     int status = 0;
     for (int64_t b = 0; b < lanes && !status; b++) {
+        int64_t offset = 0;
         for (int64_t s = 0; s < S; s++)
             scratch[s] = 0;
         for (int64_t t = 0; t < steps; t++) {
@@ -217,18 +241,31 @@ int NAME(forward)(int64_t lanes, int64_t steps, int64_t S, int64_t cells,
             }
             if ((uint64_t)v >= (uint64_t)V)
                 status = -2;
+            T *old = scratch + (t & 1) * S, *new = scratch + (~t & 1) * S;
+            if (!status && BIG < INFINITY && t && t % RENORM == 0) {
+                T least = BIG; /* BIG in a dead lane: its offset is never read */
+                for (int64_t s = 0; s < S; s++)
+                    least = old[s] < least ? old[s] : least;
+                for (int64_t s = 0; s < S; s++) {
+                    old[s] = old[s] < BIG ? old[s] - least : BIG;
+                    if (old[s] < BIG && old[s] > limit)
+                        status = WIDEN;
+                }
+                offset += least;
+            }
             if (status)
                 break;
-            T *old = scratch + (t & 1) * S, *new = scratch + (~t & 1) * S;
             uint8_t *k = choice + (b * steps + t) * S;
             if (expanded)
                 NAME(butterflies)(S / 2, old, expanded + (row * V + v) * 2 * S,
                                   new, k);
             else
-                NAME(butterflies_gather)(S / 2, old, costs + row * V, order, v,
-                                         new, k);
+                NAME(butterflies_gather)(S / 2, old, costs + row * V,
+                                         order + v * 2 * S, new, k);
         }
-        memcpy(path + b * S, scratch + (steps & 1) * S, (size_t)S * sizeof(T));
+        const T *last = scratch + (steps & 1) * S;
+        for (int64_t s = 0; s < S; s++)
+            path[b * S + s] = last[s] < BIG ? (double)last[s] + offset : INFINITY;
     }
     free(scratch);
     return status;

@@ -49,10 +49,13 @@ that table it gathers the same costs from the fused row as it goes.  It
 is only ever handed the paper's case (costs that are non-negative
 integers or ``inf``, a level space small enough to tabulate, a
 shift-register trellis); a ``CosetViterbi`` outside it resolves to
-numpy, for the whole write.  Nothing is probed,
-imported or written until a ``CosetViterbi`` resolves its backend: by
-explicit name, then the ``REPRO_VITERBI_BACKEND`` variable, then
-``"auto"`` (native when it builds, else numpy), memoized per name.
+numpy, for the whole write.  Its path metrics are int16, clamped and
+renormalised so that they stay exact; a call they could overflow is
+redone in float64, and ``path`` leaves in ``dtype`` either way.
+Nothing is probed, imported or written until a ``CosetViterbi`` resolves
+its backend: by explicit name, then the ``REPRO_VITERBI_BACKEND``
+variable, then ``"auto"`` (native when it builds, else numpy), memoized
+per name.
 """
 
 from __future__ import annotations
@@ -183,14 +186,28 @@ def _program_numpy(code, pages, levels, result):
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_viterbi.c")
 _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-#: No -ffast-math, ever: unwritable lanes carry IEEE inf through the ACS.
+#: No -ffast-math, ever: the float64 ACS carries IEEE inf for unwritable lanes.
 _CFLAGS = ("-O3", "-shared", "-fPIC")
+#: ``_viterbi.c``'s BIG (int16's inf) and RENORM (steps per renormalisation).
+INT16_BIG, INT16_RENORM = 16383, 16
+_WIDEN = 1  # forward_i16's status when its metrics could leave int16
+
+
+def _compiler_words() -> list[str]:
+    """``$CC`` (or ``cc``) as a shell splits it: ``ccache cc``, ``gcc -m64``."""
+    import shlex
+
+    try:
+        return shlex.split(os.environ.get("CC") or "cc")
+    except ValueError as exc:
+        raise ImportError(f"cannot parse $CC: {exc}") from exc
 
 
 def _find_compiler() -> str | None:
     import shutil
 
-    return shutil.which(os.environ.get("CC") or "cc")
+    words = _compiler_words()
+    return shutil.which(words[0]) if words else None
 
 
 def _load_native():
@@ -223,7 +240,8 @@ def _load_native():
             with tempfile.TemporaryDirectory(dir=_CACHE_DIR) as scratch:
                 built = os.path.join(scratch, name)
                 subprocess.run(
-                    [compiler, *_CFLAGS, "-o", built, _SOURCE],
+                    [compiler, *_compiler_words()[1:], *_CFLAGS, "-o", built,
+                     _SOURCE],
                     check=True, capture_output=True, text=True,
                 )
                 os.replace(built, library)
@@ -241,12 +259,8 @@ def _make_native_backend() -> KernelBackend:
     import ctypes
 
     library = _load_native()
-    forwards = {
-        np.dtype(np.float32): library.forward_f32,
-        np.dtype(np.float64): library.forward_f64,
-    }
-    for function in forwards.values():
-        function.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 7
+    for function in (library.forward_i16, library.forward_f64):
+        function.argtypes = [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 7
     library.backtrace.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
     library.program.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 4
     library.divide.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
@@ -265,25 +279,33 @@ def _make_native_backend() -> KernelBackend:
         )
         if status == -1:
             raise MemoryError("Viterbi kernel could not allocate scratch")
-        if status:
+        if status < 0:
             raise IndexError("Viterbi kernel input out of range")
+        return status
 
     def forward(v, reps, levels, dtype):
         lanes, steps = reps.shape
         num_states = v.trellis.num_states
-        dtype = np.dtype(dtype)
-        path = np.empty((lanes, num_states), dtype=dtype)
+        path = np.empty((lanes, num_states))
         choice = np.empty((lanes, steps, num_states), dtype=np.uint8)
-        call(
-            forwards[dtype],
-            (lanes, steps, num_states, v.cells_per_step, v._num_levels,
-             v.num_values),
-            (v._order, np.int32), (v._fused_flat[dtype], dtype),
-            (v._expanded if dtype == np.float32 else None, dtype),
-            (reps, np.int64), (levels, np.int64), (path, dtype),
-            (choice, np.uint8),
-        )
-        return path, choice
+
+        def run(function, limit, metric, expanded):
+            return call(
+                function,
+                (lanes, steps, num_states, v.cells_per_step, v._num_levels,
+                 v.num_values, limit),
+                (v._order, np.uint16), (v._fused_flat[np.dtype(metric)], metric),
+                (expanded, metric), (reps, np.int64), (levels, np.int64),
+                (path, np.float64), (choice, np.uint8),
+            )
+
+        # int16 unless the searcher's costs rule it out (_limit < 0) or this
+        # call's finite metrics spread too far for it: then float64, exact.
+        if v._limit < 0 or run(
+            library.forward_i16, v._limit, np.int16, v._expanded
+        ) == _WIDEN:
+            run(library.forward_f64, 0, np.float64, None)
+        return path.astype(dtype, copy=False), choice
 
     def backtrace(v, reps, end_state, backptr):
         codeword = np.empty(reps.shape, dtype=np.int64)

@@ -30,11 +30,12 @@ non-integral metric, a trellis that is not a shift register, a level
 space too large to tabulate) runs numpy whatever was asked for.
 
 When every finite metric cost is a non-negative integer (true for the
-paper's metric and both ablations), path metrics drop to float32 whenever
-the worst-case total fits its 2**24 exact-integer range; integer-valued
-float sums are exact in either width, so results do not depend on it.
-Any other metric keeps float64.  Every backend is bit-identical to the
-historical recursion for every metric (pinned by
+paper's metric and both ablations), numpy's path metrics drop to float32
+whenever the worst-case total fits its 2**24 exact-integer range, and the
+C kernel's are int16, renormalised as it goes and redone in float64 when
+they could overflow; integer sums are exact in each, so results do not
+depend on it.  Any other metric keeps float64.  Every backend is
+bit-identical to the historical recursion for every metric (pinned by
 ``tests/coding/test_viterbi_kernel.py``).
 """
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.coding.convolutional import Trellis
 from repro.coding.cost import CellCodebook
-from repro.coding.kernels import resolve_backend
+from repro.coding.kernels import INT16_BIG, INT16_RENORM, resolve_backend
 from repro.errors import ConfigurationError, UnwritableError
 from repro.obs import registry as _metrics
 from repro.obs.tracing import span as _span
@@ -61,8 +62,8 @@ _SEARCHES = _metrics.counter("viterbi.searches")
 _LANES = _metrics.counter("viterbi.lanes")
 _UNWRITABLE = _metrics.counter("viterbi.unwritable_lanes")
 
-#: Largest expanded branch-cost table built for the native kernel: covers
-#: every MFC variant at K=7 but mfc-4/5, which would take 16 MiB.
+#: Largest expanded int16 branch-cost table built for the native kernel:
+#: covers every MFC variant at K=7 but mfc-4/5, which would take 8 MiB.
 _EXPANDED_BYTES = 4 << 20
 
 
@@ -242,19 +243,28 @@ class CosetViterbi:
             self.backend = resolve_backend("numpy")
         if self.backend.needs_fused_table:
             # The native kernel's tables, converted once.  It walks a step as
-            # S/2 butterflies, so _order lists the branch outputs as [u][k][j]
-            # (entering state 2j+u from its k-th predecessor) and _expanded is
-            # the float32 fused table gathered through them: one contiguous 2S
+            # S/2 butterflies, so _order[v] lists the branch outputs as [u][k][j]
+            # (entering state 2j+u from its k-th predecessor) XOR coset chunk v,
+            # in 16 bits, which gcc vectorises a gather through, and _expanded is
+            # the int16 fused table gathered through them: one contiguous 2S
             # cost vector per (level row, coset chunk), when that fits the cap.
             self._out_values = trellis.output_values.astype(np.int32)
-            order = self._pred_output.astype(np.int32).reshape(-1, 2, 2)
-            self._order = order.transpose(1, 2, 0).ravel()  # [j][u][k] as [u][k][j]
-            fused = self._fused_flat[np.dtype(np.float32)]
+            order = self._pred_output.reshape(-1, 2, 2).transpose(1, 2, 0).ravel()
+            self._order = (order ^ values[:, None]).astype(np.uint16)
+            # int16 metrics are exact while no finite one reaches INT16_BIG:
+            # one above _limit after a renormalisation could before the next
+            # (with a step to spare).  Costs making it negative run float64.
+            self._limit = int(INT16_BIG - 1 - (INT16_RENORM + 1) * self._max_step_cost)
             self._expanded = None
-            if fused.nbytes * 2 * num_states <= _EXPANDED_BYTES:
-                self._expanded = fused.reshape(-1, self.num_values).take(
-                    self._order ^ values[:, None], axis=1
-                )
+            if self._limit >= 0:
+                fused = np.minimum(
+                    self._fused_flat[np.dtype(np.float64)], INT16_BIG
+                ).astype(np.int16)
+                self._fused_flat[np.dtype(np.int16)] = fused
+                if fused.nbytes * 2 * num_states <= _EXPANDED_BYTES:
+                    self._expanded = fused.reshape(-1, self.num_values).take(
+                        self._order, axis=1
+                    )
 
     def step_cost_table(self, step_levels: np.ndarray) -> np.ndarray:
         """Cost of writing each packed chunk value at each step.

@@ -131,6 +131,27 @@ def test_artefact_is_keyed_by_the_compiler_named(tmp_path) -> None:
 
 
 @needs_compiler
+def test_cc_may_carry_a_wrapper_and_arguments(tmp_path) -> None:
+    """``$CC`` is a command line, as make reads it (``ccache cc``, ``gcc
+    -m64``): its first word is the program and the rest go before our flags."""
+    if shutil.which("env") is None:
+        pytest.skip("no `env` to stand in for a compiler wrapper")
+    plain = kernels._find_compiler()
+    cache = tmp_path / "cache"
+    for cc in (f"env {plain}", f"{plain} -Wall"):
+        assert _finish(_fresh_interpreter(cache, cc=cc))[0] == "native"
+    assert len(os.listdir(cache)) == 2  # still keyed by the $CC string
+
+
+def test_unparsable_cc_falls_back_with_the_reason(
+    empty_cache, monkeypatch
+) -> None:
+    monkeypatch.setenv("CC", 'cc "-O2')
+    with pytest.warns(RuntimeWarning, match="cannot parse"):
+        assert kernels.resolve_backend("auto").name == "numpy"
+
+
+@needs_compiler
 def test_concurrent_first_users_all_load_a_whole_library(tmp_path) -> None:
     racers = [_fresh_interpreter(tmp_path) for _ in range(4)]
     assert [_finish(racer)[0] for racer in racers] == ["native"] * 4

@@ -2,10 +2,11 @@
 
 ``_reference_search_batch`` is a faithful port of the pre-optimization
 add-compare-select loop (per-step gather, ``inc1 < inc0`` tie-break, argmin
-end state).  The production search runs on float32 metrics where exact,
-through whichever kernel backend is selected (the first half of this file
-takes the default, so ``REPRO_VITERBI_BACKEND`` steers it; the second half
-names every available backend) — every case asserts byte-identical
+end state).  The production search runs through whichever kernel backend is
+selected, numpy on float32 metrics where exact and native on int16 ones with
+a float64 fallback (the first half of this file takes the default, so
+``REPRO_VITERBI_BACKEND`` steers it; the second half names every available
+backend) — every case asserts byte-identical
 codewords, total costs, and writability masks across all MFC rates, and
 across fractional metrics and relabelled trellises that no scheme builds.
 """
@@ -13,7 +14,9 @@ across fractional metrics and relabelled trellises that no scheme builds.
 from __future__ import annotations
 
 import copy
+import ctypes
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -124,17 +127,13 @@ def test_8_level_vcells_bit_identical() -> None:
 
 
 def test_float32_metric_bound_falls_back_to_float64() -> None:
-    """Cost sums past the float32-exact bound must switch dtypes, not drift."""
-    code = _make_code("mfc-1/2-1bpc", 3)
-    viterbi = code.viterbi
+    """numpy's dtype switch: cost sums past the float32-exact bound run its
+    recursion in float64, and the result does not drift."""
+    viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 3), "numpy")
     reps, levels = _random_case(viterbi, 2, 9, 5, 2)
     fast = viterbi.search_batch(reps, levels)
-    original = viterbi._max_step_cost
     viterbi._max_step_cost = float(2**24)  # force the float64 branch
-    try:
-        wide = viterbi.search_batch(reps, levels)
-    finally:
-        viterbi._max_step_cost = original
+    wide = viterbi.search_batch(reps, levels)
     assert np.array_equal(fast.codeword_values, wide.codeword_values)
     assert np.array_equal(fast.total_costs, wide.total_costs)
 
@@ -228,6 +227,155 @@ def test_native_serves_a_searcher_too_large_to_expand() -> None:
         _assert_bit_identical(viterbi, reps, levels)
 
 
+# ---------------------------------------------------------------------------
+# The native forward pass runs int16 path metrics and redoes a call in float64
+# when they could overflow.  Its two instantiations are called directly here,
+# without that redo, so each test knows which one answered.
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _native_library():
+    library = kernels._load_native()
+    for function in (library.forward_i16, library.forward_f64):
+        function.argtypes = [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 7
+    return library
+
+
+def _instantiation(viterbi, reps, levels, metric, expanded=None):
+    """``(status, final metrics, choice plane)`` of ``forward_i16`` (metric
+    int16) or ``forward_f64`` over the searcher's tables."""
+    lanes, steps = reps.shape
+    states = viterbi.trellis.num_states
+    path = np.empty((lanes, states))
+    choice = np.empty((lanes, steps, states), dtype=np.uint8)
+    tables = (viterbi._order, viterbi._fused_flat[np.dtype(metric)], expanded)
+    buffers = (
+        *(None if t is None else np.ascontiguousarray(t) for t in tables),
+        np.ascontiguousarray(reps, dtype=np.int64),
+        np.ascontiguousarray(levels, dtype=np.int64), path, choice,
+    )
+    library = _native_library()
+    function = library.forward_i16 if metric == np.int16 else library.forward_f64
+    status = function(
+        lanes, steps, states, viterbi.cells_per_step, viterbi._num_levels,
+        viterbi.num_values, viterbi._limit,
+        *(None if b is None else b.ctypes.data for b in buffers),
+    )
+    return status, path, choice
+
+
+def _assert_int16_is_float64(viterbi, reps, levels) -> None:
+    """Both int16 cost paths give the float64 instantiation's choice plane and
+    final metrics byte for byte, on every state, with no redo."""
+    _status, path, choice = _instantiation(viterbi, reps, levels, np.float64)
+    for expanded in {id(e): e for e in (viterbi._expanded, None)}.values():
+        status, narrow_path, narrow_choice = _instantiation(
+            viterbi, reps, levels, np.int16, expanded
+        )
+        assert status == 0
+        assert narrow_path.tobytes() == path.tobytes()
+        assert narrow_choice.tobytes() == choice.tobytes()
+
+
+def _page_lifetime(code, lanes, seed):
+    """Every search a batch of pages asks for, write after write of random
+    datawords, until no lane is writable.  The middle lane's page starts
+    with every cell at the top level, so each batch has an unwritable lane
+    between writable ones, and its paths die part way along the page."""
+    rng = np.random.default_rng(seed)
+    searches = []
+    search_batch = code.viterbi.search_batch
+
+    def recording(reps, levels):
+        searches.append((reps, levels))
+        return search_batch(reps, levels)
+
+    code.viterbi.search_batch = recording
+    pages = np.zeros((lanes, code.page_bits), dtype=np.uint8)
+    pages[lanes // 2] = 1
+    writable = np.ones(lanes, dtype=bool)
+    while writable.any():
+        data = rng.integers(0, 2, (lanes, code.dataword_bits), dtype=np.uint8)
+        pages, writable = code.encode_batch(data, pages)
+        assert not writable[lanes // 2]
+    return searches
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "variant, constraint_length",
+    [
+        (variant, constraint_length)
+        for variant in sorted(MFC_VARIANTS)
+        for constraint_length in (3, 5, 7, 9)  # 9: the rate-1/2 codes only
+        if (MFC_VARIANTS[variant][0], constraint_length) in list_codes()
+    ],
+)
+def test_int16_forward_equals_float64_on_every_state(
+    variant, constraint_length
+) -> None:
+    code = _make_code(variant, constraint_length)
+    native = _with_backend(code, "native")
+    code.viterbi = native
+    searches = _page_lifetime(code, 5, constraint_length)
+    assert len(searches) > 2
+    for reps, levels in searches:
+        _assert_int16_is_float64(native, reps, levels)
+    # Either side of the renormalisation period, saturated cells included.
+    num_levels = native.codebook.num_levels
+    for steps in (15, 16, 17, 31, 32, 33):
+        reps, levels = _random_case(native, 5, steps, steps, num_levels - 1)
+        _assert_int16_is_float64(native, reps, levels)
+
+
+@needs_native
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
+def test_forced_int16_overflow_redoes_the_call_in_float64(variant) -> None:
+    code = _make_code(variant, 5)
+    native = _with_backend(code, "native")
+    reference = _with_backend(code, "numpy")
+    reps, levels = _random_case(native, 6, 40, 7, 2)
+    unforced = native.search_batch(reps, levels)
+    native._limit = 0  # any finite spread after a renormalisation overflows
+    for lane in range(len(reps)):
+        status, _path, _choice = _instantiation(
+            native, reps[lane : lane + 1], levels[lane : lane + 1], np.int16,
+            native._expanded,
+        )
+        assert status == kernels._WIDEN
+    forced = native.search_batch(reps, levels)
+    for expected in (reference.search_batch(reps, levels), unforced):
+        assert np.array_equal(forced.codeword_values, expected.codeword_values)
+        assert np.array_equal(forced.total_costs, expected.total_costs)
+        assert np.array_equal(forced.writable, expected.writable)
+
+
+@needs_native
+@pytest.mark.parametrize("denominator", [2, 5])
+def test_costs_too_large_for_int16_route_to_float64(denominator) -> None:
+    """An integral metric whose step costs would leave no int16 headroom
+    builds no int16 table and searches in float64 from the start."""
+
+    def heavy(level: int, target: int, num_levels: int) -> float:
+        return 4000 * methuselah_metric(level, target, num_levels)
+
+    trellis = get_code(denominator, 5).build_trellis()
+    codebook = make_codebook(1, 4, metric=heavy)
+    native = CosetViterbi(trellis, codebook, backend="native")
+    reference = CosetViterbi(trellis, codebook, backend="numpy")
+    assert native.backend.name == "native"
+    assert native._limit < 0 and native._expanded is None
+    assert np.dtype(np.int16) not in native._fused_flat
+    for lanes, steps in ((1, 20), (5, 33)):
+        reps, levels = _random_case(native, lanes, steps, steps, 3)
+        expected = reference.search_batch(reps, levels)
+        result = native.search_batch(reps, levels)
+        assert np.array_equal(result.codeword_values, expected.codeword_values)
+        assert np.array_equal(result.total_costs, expected.total_costs)
+        _assert_bit_identical(native, reps, levels)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
 def test_backend_saturated_lanes_mixed_with_writable(backend, variant) -> None:
@@ -245,15 +393,16 @@ def test_backend_saturated_lanes_mixed_with_writable(backend, variant) -> None:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_float64_branch(backend) -> None:
+    """Sums past the float32-exact bound ask the seam for float64 metrics:
+    numpy runs its recursion in float64, native still runs int16 (its metric
+    has not changed) and hands its exact metrics back as float64."""
     viterbi = _with_backend(_make_code("mfc-2/3", 5), backend)
     viterbi._max_step_cost = float(2**24)  # past the float32-exact bound
-    if backend == "native":
-        # The expanded table is float32 only: these searches must gather
-        # from the float64 fused table and never read it.
-        viterbi._expanded = np.full_like(viterbi._expanded, np.inf)
     for lanes, steps in ((1, 10), (5, 11)):
         reps, levels = _random_case(viterbi, lanes, steps, steps, 3)
         _assert_bit_identical(viterbi, reps, levels)
+        path, _choice = viterbi.backend.forward(viterbi, reps, levels, np.float64)
+        assert path.dtype == np.float64
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
