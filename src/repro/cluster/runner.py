@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
-import sys
 import tempfile
 from pathlib import Path
 
+from repro import cli
 from repro.cluster.loadgen import run_cluster_closed_loop
 from repro.cluster.obs import ClusterObsServer
 from repro.cluster.supervisor import (
@@ -31,28 +30,28 @@ from repro.cluster.supervisor import (
     read_state_file,
 )
 from repro.durability import FSYNC_POLICIES
-from repro.errors import ConfigurationError, DurabilityError, ServerError
-from repro.obs import registry as _metrics
-from repro.obs.export import write_metrics, write_trace
+from repro.errors import DurabilityError, ServerError
 from repro.server.runner import (
+    DEVICE_DEFAULTS,
     HEADER,
-    add_device_args,
     add_server_args,
     result_row,
 )
+from repro.workload import WORKLOADS
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
 def _shard_flags() -> argparse.ArgumentParser:
     """The ``repro.server serve`` flags a fleet command takes for its shards.
 
-    Declared by the server runner's own functions, so this CLI checks types
-    and choices itself instead of each shard dying on its usage text, and a
-    flag the server gains is forwarded without a second list here.
+    Declared by the server's own flag functions and device defaults, so
+    this CLI checks types and choices itself instead of each shard dying on
+    its usage text, and a flag the server gains is forwarded without a
+    second list here.
     """
     parser = argparse.ArgumentParser(add_help=False)
-    add_device_args(parser)
+    cli.add_device_args(parser, **DEVICE_DEFAULTS)
     add_server_args(parser)
     parser.add_argument("--fsync-policy", choices=FSYNC_POLICIES,
                         default="batch",
@@ -101,8 +100,7 @@ def _make_supervisor(args: argparse.Namespace) -> ClusterSupervisor:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster",
         description="Serve a sharded SSD cluster, or benchmark one.",
@@ -131,39 +129,30 @@ def main(argv: list[str] | None = None) -> int:
                             "state file instead of launching one")
     bench.add_argument("--connect-timeout", type=float, default=10.0,
                        help="seconds to wait for each shard connection")
-    bench.add_argument("--clients", type=int, nargs="+", default=[1, 4, 16],
-                       help="closed-loop concurrency sweep points")
-    bench.add_argument("--ops", type=int, default=100,
-                       help="requests per client")
-    bench.add_argument("--read-fraction", type=float, default=0.0)
-    bench.add_argument("--workload", default="uniform")
-    bench.add_argument("--seed", type=int, default=2016)
-    bench.add_argument("--metrics-out", metavar="PATH",
-                       help="write the bench process's metrics dump here "
-                            "(includes repro_cluster_* router counters)")
-    bench.add_argument("--trace-out", metavar="PATH",
-                       help="write the bench process's span trace here")
+    cli.add_load_args(bench)
+    bench.add_argument("--workload", choices=sorted(WORKLOADS),
+                       default="uniform")
+    cli.add_telemetry_args(bench)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = build_parser()
     args = parser.parse_args(argv)
-    if args.metrics_out or getattr(args, "trace_out", None):
-        _metrics.set_enabled(True)
-    try:
-        if args.command == "serve":
-            code = asyncio.run(_serve(args))
-        else:
-            code = _bench(args)
-    except (ConfigurationError, DurabilityError, ServerError, OSError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-    if args.metrics_out and args.command == "bench":
-        # serve writes its own dump: the shard-labelled *merged* text,
-        # not this process's (mostly empty) local registry.
-        write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}", flush=True)
-    if getattr(args, "trace_out", None):
-        write_trace(args.trace_out)
-        print(f"trace written to {args.trace_out}", flush=True)
-    return code
+    # serve writes its own dump: the shard-labelled *merged* text, not this
+    # process's (mostly empty) local registry.
+    return cli.run(
+        parser, args, _command,
+        errors=(DurabilityError, ServerError, OSError),
+        write_dumps=args.command == "bench",
+    )
+
+
+def _command(args: argparse.Namespace) -> int:
+    if args.command == "serve":
+        return asyncio.run(_serve(args))
+    return _bench(args)
 
 
 # -- serve --------------------------------------------------------------------
@@ -182,16 +171,7 @@ async def _serve(args: argparse.Namespace) -> int:
         # Install the handlers before announcing readiness: tooling that
         # reads the banner may signal immediately, and a SIGTERM landing
         # in the gap would skip the graceful fleet teardown.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # non-Unix loops
-                signal.signal(
-                    signum,
-                    lambda *_: loop.call_soon_threadsafe(stop.set),
-                )
+        stop = cli.stop_event()
         print(
             f"cluster telemetry on http://{args.obs_host}:{obs_server.port} "
             "(/metrics /healthz)",
@@ -231,8 +211,7 @@ async def _serve(args: argparse.Namespace) -> int:
 def _bench(args: argparse.Namespace) -> int:
     if args.connect_state:
         state = read_state_file(args.connect_state)
-        endpoints = endpoints_from_state(state)
-        return _bench_endpoints(args, endpoints)
+        return _bench_endpoints(args, endpoints_from_state(state))
     supervisor = _make_supervisor(args)
     supervisor.start(timeout=args.start_timeout)
     try:
@@ -260,7 +239,3 @@ def _bench_endpoints(
         ))
         print(result_row(result), flush=True)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

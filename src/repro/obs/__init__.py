@@ -44,7 +44,7 @@ from repro.obs.registry import (
     set_enabled,
 )
 from repro.obs.slo import SLOConfig, SLOStatus, SLOTracker
-from repro.obs.tracing import new_trace_id, span, traced
+from repro.obs.tracing import new_trace_id, span
 
 __all__ = [
     "TIME_BUCKETS",
@@ -69,7 +69,6 @@ __all__ = [
     "span",
     "to_prometheus",
     "trace_lines",
-    "traced",
     "write_metrics",
     "write_trace",
 ]

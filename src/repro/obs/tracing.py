@@ -24,20 +24,18 @@ default (1) records everything.
 
 Disabled-path cost is deliberately tiny: :func:`span` returns a shared
 no-op context manager (no generator frame, no allocation beyond the attrs
-dict at the call site), and ``@traced`` checks the enabled flag before
-touching any context-manager machinery at all.
+dict at the call site).
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from typing import Any
 
 from repro.obs.registry import TIME_BUCKETS, MetricsRegistry, get_registry
 
-__all__ = ["new_trace_id", "span", "traced"]
+__all__ = ["new_trace_id", "span"]
 
 
 def new_trace_id() -> int:
@@ -163,26 +161,3 @@ def span(
         if reg._head_spans % reg.trace_sample_every != 1:
             return _SuppressedSpan(reg)
     return _Span(reg, name, attrs, trace_id=trace_id)
-
-
-def traced(name: str | None = None):
-    """Decorator form of :func:`span` for hot functions.
-
-    ``@traced()`` uses the function's qualified name; ``@traced("x.y")``
-    overrides it.  Disabled-registry calls bypass the span machinery
-    entirely (one branch of overhead).
-    """
-
-    def decorate(fn):
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not get_registry().enabled:
-                return fn(*args, **kwargs)
-            with span(label):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -20,42 +20,28 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
 import socket
-import sys
 import time
 
+from repro import cli
 from repro.durability import FSYNC_POLICIES, DurableStore
 from repro.durability.checkpoint import read_manifest
 from repro.errors import ConfigurationError, DurabilityError, ServerError
-from repro.flash.geometry import FlashGeometry
 from repro.obs import registry as _metrics
-from repro.obs.export import write_metrics, write_trace
 from repro.obs.http import ObsHttpServer
 from repro.obs.slo import SLOConfig, SLOTracker
-from repro.server.loadgen import (
-    WORKLOADS,
-    LoadgenResult,
-    run_closed_loop,
-    run_open_loop,
-)
+from repro.server.loadgen import LoadgenResult, run_closed_loop, run_open_loop
 from repro.server.service import ServerConfig, StorageService
-from repro.ssd.device import SSD
-from repro.workload import parse_phase_spec
 
-__all__ = ["HEADER", "add_device_args", "add_server_args", "main", "result_row"]
+__all__ = ["DEVICE_DEFAULTS", "HEADER", "add_server_args", "build_parser",
+           "main", "result_row"]
 
-
-def add_device_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("device", "the simulated SSD to front")
-    group.add_argument("--scheme", default="mfc-1/2-1bpc")
-    group.add_argument("--blocks", type=int, default=16)
-    group.add_argument("--pages-per-block", type=int, default=16)
-    group.add_argument("--page-bytes", type=int, default=512)
-    group.add_argument("--erase-limit", type=int, default=10_000)
-    group.add_argument("--utilization", type=float, default=0.5)
-    group.add_argument("--constraint-length", type=int, default=7,
-                       help="trellis size for MFC schemes")
+#: The served device, and every ``repro.cluster`` shard's: bigger pages and
+#: a longer-lived chip than ``repro.ssd``'s run-to-death defaults.
+DEVICE_DEFAULTS = dict(
+    scheme="mfc-1/2-1bpc", blocks=16, pages_per_block=16, page_bytes=512,
+    erase_limit=10_000, utilization=0.5, constraint_length=7,
+)
 
 
 def add_server_args(parser: argparse.ArgumentParser) -> None:
@@ -94,15 +80,6 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                             "(0 disables; recovery always checkpoints once)")
 
 
-def _add_obs_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write a Prometheus-style metrics dump here "
-                             "(implies telemetry collection)")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="write the JSON-lines span trace here "
-                             "(implies telemetry collection)")
-
-
 def _add_obs_http_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
         "telemetry plane", "live HTTP scrape/health sidecar (off by default)"
@@ -130,47 +107,24 @@ def _add_obs_http_args(parser: argparse.ArgumentParser) -> None:
                             "--slo-latency-ms (default %(default)s)")
 
 
-def _validate_obs_args(args: argparse.Namespace) -> None:
-    """Reject bad telemetry knobs up front, even with the sidecar off.
+def _slo_config(args: argparse.Namespace) -> SLOConfig:
+    """Check the telemetry knobs up front, even with the sidecar off.
 
     Without this an SLO target typo would only surface once --obs-port
     builds the tracker — or never, silently, when the sidecar is off.
     """
-    if getattr(args, "trace_sample", 1) < 1:
+    if args.trace_sample < 1:
         raise ConfigurationError(
             f"--trace-sample must be >= 1, got {args.trace_sample}"
         )
-    port = getattr(args, "obs_port", None)
-    if port is not None and not 0 <= port <= 65535:
+    if args.obs_port is not None and not 0 <= args.obs_port <= 65535:
         raise ConfigurationError(
-            f"--obs-port must lie in [0, 65535], got {port}"
+            f"--obs-port must lie in [0, 65535], got {args.obs_port}"
         )
-    if hasattr(args, "slo_availability"):
-        SLOConfig(
-            availability_target=args.slo_availability,
-            latency_threshold_s=args.slo_latency_ms / 1000.0,
-            latency_target=args.slo_latency_target,
-        )
-
-
-def _scheme_kwargs(args: argparse.Namespace) -> dict:
-    if args.scheme.startswith("mfc") and args.scheme != "mfc-ecc":
-        return {"constraint_length": args.constraint_length}
-    return {}
-
-
-def _make_ssd(args: argparse.Namespace) -> SSD:
-    geometry = FlashGeometry(
-        blocks=args.blocks,
-        pages_per_block=args.pages_per_block,
-        page_bits=args.page_bytes * 8,
-        erase_limit=args.erase_limit,
-    )
-    return SSD(
-        geometry=geometry,
-        scheme=args.scheme,
-        utilization=args.utilization,
-        **_scheme_kwargs(args),
+    return SLOConfig(
+        availability_target=args.slo_availability,
+        latency_threshold_s=args.slo_latency_ms / 1000.0,
+        latency_target=args.slo_latency_target,
     )
 
 
@@ -184,21 +138,7 @@ def _server_config(args: argparse.Namespace) -> ServerConfig:
     )
 
 
-def _workload_choice(args: argparse.Namespace) -> tuple[str, dict]:
-    """Resolve the bench workload flags into (registry name, parameters)."""
-    if args.trace and args.phase:
-        raise ConfigurationError("--trace and --phase are mutually exclusive")
-    if args.trace:
-        return "trace", {
-            "path": args.trace, "page_bytes": args.trace_page_bytes,
-        }
-    if args.phase:
-        return "phased", {"schedule": parse_phase_spec(args.phase)}
-    return args.workload, {}
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.server",
         description="Serve a simulated SSD over TCP, or benchmark one.",
@@ -211,10 +151,10 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="0 picks an ephemeral port (printed at startup)")
-    add_device_args(serve)
+    cli.add_device_args(serve, **DEVICE_DEFAULTS)
     add_server_args(serve)
     _add_durability_args(serve)
-    _add_obs_args(serve)
+    cli.add_telemetry_args(serve)
     _add_obs_http_args(serve)
 
     bench = commands.add_parser(
@@ -226,72 +166,47 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--connect-timeout", type=float, default=10.0,
                        help="seconds to wait for --connect to accept")
     bench.add_argument("--mode", choices=("closed", "open"), default="closed")
-    bench.add_argument("--clients", type=int, nargs="+", default=[1, 4, 16],
-                       help="closed-loop concurrency sweep points")
-    bench.add_argument("--ops", type=int, default=100,
-                       help="requests per client")
+    cli.add_load_args(bench)
     bench.add_argument("--rate", type=float, default=500.0,
                        help="open loop: offered requests per second")
-    bench.add_argument("--read-fraction", type=float, default=0.0)
-    bench.add_argument("--workload", choices=sorted(WORKLOADS),
-                       default="uniform")
-    bench.add_argument("--trace", metavar="PATH",
-                       help="replay a block trace instead of a synthetic "
-                            "workload (CSV timestamp,op,offset,size or "
-                            "newline-LPN format, sniffed)")
-    bench.add_argument("--trace-page-bytes", type=int, default=4096,
-                       help="logical page size used to map CSV trace byte "
-                            "offsets to pages")
-    bench.add_argument("--phase", metavar="SPEC",
-                       help="time-varying load: comma-separated NAME:OPS "
-                            "phases, e.g. 'uniform:200,hotcold:100'")
-    bench.add_argument("--tenants", type=int, default=1,
-                       help="drive N tenants (weighted interleave in open "
-                            "mode, one tenant per client in closed mode) "
-                            "and report per-tenant percentiles")
-    bench.add_argument("--seed", type=int, default=2016)
-    add_device_args(bench)
+    cli.add_workload_args(
+        bench,
+        tenants_help="drive N tenants (weighted interleave in open mode, one "
+                     "tenant per client in closed mode) and report "
+                     "per-tenant percentiles",
+    )
+    cli.add_device_args(bench, **DEVICE_DEFAULTS)
     add_server_args(bench)
-    _add_obs_args(bench)
+    cli.add_telemetry_args(bench)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        args.metrics_out
-        or args.trace_out
-        or getattr(args, "obs_port", None) is not None
-    ):
-        _metrics.set_enabled(True)
-    try:
-        _validate_obs_args(args)
-        if getattr(args, "trace_sample", 1) > 1:
-            _metrics.get_registry().trace_sample_every = args.trace_sample
-        if args.command == "serve":
-            code = asyncio.run(_serve(args))
-        else:
-            code = _bench(args)
-    except (ConfigurationError, DurabilityError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-    except (ServerError, OSError) as exc:
-        # Unreachable/unresponsive peers (connect refused, HELLO timeout,
-        # non-repro server) are operator errors: report and exit 2 rather
-        # than dumping a traceback or hanging.
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-    if args.metrics_out:
-        write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}", flush=True)
-    if args.trace_out:
-        write_trace(args.trace_out)
-        print(f"trace written to {args.trace_out}", flush=True)
-    return code
+    # Unreachable/unresponsive peers (connect refused, HELLO timeout,
+    # non-repro server) are operator errors too: exit 2, no traceback.
+    return cli.run(
+        parser, args, _command,
+        errors=(DurabilityError, ServerError, OSError),
+        telemetry=getattr(args, "obs_port", None) is not None,
+    )
+
+
+def _command(args: argparse.Namespace) -> int:
+    if args.command == "bench":
+        return _bench(args)
+    slo = _slo_config(args)
+    _metrics.get_registry().trace_sample_every = args.trace_sample
+    return asyncio.run(_serve(args, slo))
 
 
 # -- serve --------------------------------------------------------------------
 
 
-async def _serve(args: argparse.Namespace) -> int:
-    ssd = _make_ssd(args)
+async def _serve(args: argparse.Namespace, slo_config: SLOConfig) -> int:
+    ssd = cli.make_ssd(args, args.scheme)
     store = None
     if args.data_dir:
         store = DurableStore(
@@ -306,11 +221,7 @@ async def _serve(args: argparse.Namespace) -> int:
     await service.start(host=args.host, port=args.port)
     obs_server = None
     if args.obs_port is not None:
-        slo = SLOTracker(SLOConfig(
-            availability_target=args.slo_availability,
-            latency_threshold_s=args.slo_latency_ms / 1000.0,
-            latency_target=args.slo_latency_target,
-        ))
+        slo = SLOTracker(slo_config)
 
         def _collect_durability() -> None:
             if store is not None:
@@ -345,16 +256,7 @@ async def _serve(args: argparse.Namespace) -> int:
             "(/metrics /healthz /readyz /traces /debug/vars)",
             flush=True,
         )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # non-Unix loops
-            signal.signal(
-                signum,
-                lambda *_: loop.call_soon_threadsafe(stop.set),
-            )
+    stop = cli.stop_event()
     # Only the MFC schemes search a coset; name the kernel that will do it.
     viterbi = getattr(getattr(ssd.scheme, "code", None), "viterbi", None)
     kernel = f", viterbi {viterbi.backend.name}" if viterbi is not None else ""
@@ -449,7 +351,7 @@ def _print_tenants(result: LoadgenResult) -> None:
 
 
 def _bench(args: argparse.Namespace) -> int:
-    workload, params = _workload_choice(args)
+    workload, params = cli.workload_choice(args)
     load = dict(
         workload=workload,
         read_fraction=args.read_fraction,
@@ -492,7 +394,9 @@ def _bench_loopback(args: argparse.Namespace, load: dict) -> int:
     """Drive a fresh in-process device + server per --clients sweep point."""
 
     async def point(clients: int) -> tuple[LoadgenResult, StorageService]:
-        service = StorageService(_make_ssd(args), _server_config(args))
+        service = StorageService(
+            cli.make_ssd(args, args.scheme), _server_config(args)
+        )
         async with service:
             result = await _drive(
                 args, "127.0.0.1", service.port, clients, load
@@ -510,7 +414,3 @@ def _bench_loopback(args: argparse.Namespace, load: dict) -> int:
         )
         _print_tenants(result)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,20 +12,16 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import sys
+from dataclasses import replace
 
-from repro.errors import ConfigurationError
+from repro import cli
 from repro.faults import FaultProfile
-from repro.flash import FlashGeometry
-from repro.obs import registry as _metrics
-from repro.obs.export import write_metrics, write_trace
 from repro.ftl import DynamicWearLeveling, NoWearLeveling, StaticWearLeveling
-from repro.ssd.device import SSD
 from repro.ssd.report import format_device_report, format_reliability_report
 from repro.ssd.simulator import run_until_death
-from repro.workload import WORKLOADS, make_workload, parse_phase_spec
+from repro.workload import make_workload
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 WEAR_POLICIES = {
     "none": NoWearLeveling,
@@ -34,37 +30,24 @@ WEAR_POLICIES = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.ssd",
         description="Run SSDs to death and compare schemes/policies.",
     )
     parser.add_argument("--schemes", nargs="+",
                         default=["uncoded", "wom", "mfc-1/2-1bpc"])
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        default="uniform")
-    parser.add_argument("--trace", help="replay a trace file instead of a "
-                        "synthetic workload (CSV timestamp,op,offset,size "
-                        "or newline-LPN format, sniffed)")
-    parser.add_argument("--trace-page-bytes", type=int, default=4096,
-                        help="logical page size used to map CSV trace byte "
-                        "offsets to pages")
-    parser.add_argument("--phase", metavar="SPEC",
-                        help="time-varying load: comma-separated NAME:OPS "
-                        "phases, e.g. 'uniform:200,hotcold:100'")
-    parser.add_argument("--tenants", type=int, default=1,
-                        help="interleave N tenant streams of the chosen "
-                        "workload (weighted multi-tenant mix)")
+    cli.add_workload_args(
+        parser,
+        tenants_help="interleave N tenant streams of the chosen workload "
+                     "(weighted multi-tenant mix)",
+    )
     parser.add_argument("--wear-leveling", nargs="+",
                         choices=sorted(WEAR_POLICIES), default=["dynamic"])
-    parser.add_argument("--blocks", type=int, default=8)
-    parser.add_argument("--pages-per-block", type=int, default=8)
-    parser.add_argument("--page-bytes", type=int, default=48)
-    parser.add_argument("--erase-limit", type=int, default=25)
-    parser.add_argument("--utilization", type=float, default=0.6)
-    parser.add_argument("--constraint-length", type=int, default=4,
-                        help="trellis size for MFC schemes")
+    cli.add_device_args(
+        parser, blocks=8, pages_per_block=8, page_bytes=48, erase_limit=25,
+        utilization=0.6, constraint_length=4,
+    )
     parser.add_argument("--max-writes", type=int, default=500_000)
     parser.add_argument("--seed", type=int, default=1)
     fault_group = parser.add_argument_group(
@@ -93,53 +76,28 @@ def main(argv: list[str] | None = None) -> int:
     fault_group.add_argument("--scrub-interval", type=int, default=None,
                              help="host writes between background scrub "
                              "passes")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write a Prometheus-style metrics dump here "
-                             "(implies telemetry collection)")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="write the JSON-lines span trace here "
-                             "(implies telemetry collection)")
-    args = parser.parse_args(argv)
-    if args.metrics_out or args.trace_out:
-        _metrics.set_enabled(True)
-    try:
-        return _run(args)
-    except ConfigurationError as exc:
-        # Bad knob values (rates outside [0, 1], zero scrub interval, ...)
-        # are user errors, not crashes: report them argparse-style.
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
+    cli.add_telemetry_args(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = build_parser()
+    return cli.run(parser, parser.parse_args(argv), _run)
 
 
 def _run(args: argparse.Namespace) -> int:
-    geometry = FlashGeometry(
-        blocks=args.blocks,
-        pages_per_block=args.pages_per_block,
-        page_bits=args.page_bytes * 8,
-        erase_limit=args.erase_limit,
-    )
     fault_profile = FaultProfile(
         transient_program_failure_rate=args.fault_transient,
         permanent_program_failure_rate=args.fault_permanent,
         manufacture_stuck_fraction=args.fault_stuck,
         wear_stuck_rate=args.fault_wear_stuck,
-        wear_stuck_onset=(
-            args.fault_wear_onset if args.fault_wear_onset is not None else 0
-        ),
+        wear_stuck_onset=args.fault_wear_onset or 0,
         read_disturb_rate=args.fault_read_disturb,
         retention_rate=args.fault_retention,
     )
     faults_on = fault_profile.active
-    if args.trace and args.phase:
-        raise ConfigurationError("--trace and --phase are mutually exclusive")
-    if args.trace:
-        name, params = "trace", {
-            "path": args.trace, "page_bytes": args.trace_page_bytes,
-        }
-    elif args.phase:
-        name, params = "phased", {"schedule": parse_phase_spec(args.phase)}
-    else:
-        name, params = args.workload, {}
+    name, params = cli.workload_choice(args)
     if args.tenants > 1:
         name, params = "mixed", {
             "base": name, "tenants": args.tenants, **params,
@@ -147,19 +105,12 @@ def _run(args: argparse.Namespace) -> int:
     results = []
     for policy_name in args.wear_leveling:
         for scheme in args.schemes:
-            kwargs = (
-                {"constraint_length": args.constraint_length}
-                if scheme.startswith("mfc") and scheme != "mfc-ecc"
-                else {}
-            )
-            ssd = SSD(
-                geometry=geometry,
-                scheme=scheme,
-                utilization=args.utilization,
+            ssd = cli.make_ssd(
+                args,
+                scheme,
                 wear_leveling=WEAR_POLICIES[policy_name](),
                 fault_profile=fault_profile if faults_on else None,
                 fault_seed=args.fault_seed,
-                **kwargs,
             )
             workload = make_workload(
                 name, ssd.logical_pages, seed=args.seed, **params
@@ -168,23 +119,10 @@ def _run(args: argparse.Namespace) -> int:
                                      max_writes=args.max_writes,
                                      scrub_interval=args.scrub_interval)
             if len(args.wear_leveling) > 1:
-                result = type(result)(
-                    **{**result.__dict__,
-                       "scheme_name": f"{scheme}/{policy_name}"},
-                )
+                result = replace(result, scheme_name=f"{scheme}/{policy_name}")
             results.append(result)
     print(format_device_report(results))
     if faults_on:
         print()
         print(format_reliability_report(results))
-    if args.metrics_out:
-        write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-    if args.trace_out:
-        write_trace(args.trace_out)
-        print(f"trace written to {args.trace_out}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -67,6 +67,19 @@ class TestBenchCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_workload_is_refused_before_any_shard_starts(
+        self, tmp_path, capsys
+    ) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--shards", "2", "--workload", "bogus",
+                  "--run-dir", str(tmp_path / "run")])
+        assert excinfo.value.code == 2
+        assert (
+            "argument --workload: invalid choice: 'bogus'"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "run").exists()
+
 
 class TestShardFlags:
     def test_bad_value_is_rejected_by_this_cli(self, capsys) -> None:

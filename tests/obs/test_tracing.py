@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import span, traced
+from repro.obs.tracing import span
 
 
 @pytest.fixture
@@ -67,42 +67,3 @@ class TestSpan:
             assert event is None
         assert len(registry.events) == 0
         assert registry.snapshot().histograms == {}
-
-
-class TestTraced:
-    def test_decorator_wraps_and_records(self, registry, monkeypatch):
-        import repro.obs.tracing as tracing
-
-        monkeypatch.setattr(tracing, "get_registry", lambda: registry)
-
-        @traced("math.double")
-        def double(x):
-            return 2 * x
-
-        assert double(21) == 42
-        assert registry.events[0]["name"] == "math.double"
-
-    def test_decorator_defaults_to_qualname(self, registry, monkeypatch):
-        import repro.obs.tracing as tracing
-
-        monkeypatch.setattr(tracing, "get_registry", lambda: registry)
-
-        @traced()
-        def helper():
-            return 1
-
-        helper()
-        assert "helper" in registry.events[0]["name"]
-
-    def test_disabled_is_passthrough(self, monkeypatch):
-        import repro.obs.tracing as tracing
-
-        registry = MetricsRegistry(enabled=False)
-        monkeypatch.setattr(tracing, "get_registry", lambda: registry)
-
-        @traced("t")
-        def f():
-            return "ok"
-
-        assert f() == "ok"
-        assert len(registry.events) == 0

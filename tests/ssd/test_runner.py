@@ -40,3 +40,12 @@ class TestSsdCli:
     def test_bad_workload_rejected(self) -> None:
         with pytest.raises(SystemExit):
             main(["--workload", "nonsense"])
+
+    @pytest.mark.parametrize("tenants", ["0", "-3"])
+    def test_fewer_than_one_tenant_exits_2(self, tenants: str, capsys) -> None:
+        exit_code = main(["--tenants", tenants, "--schemes", "wom",
+                          "--max-writes", "50"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "--tenants must be >= 1" in captured.err
+        assert "host writes" not in captured.out
