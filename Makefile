@@ -28,7 +28,7 @@ bench:
 # do not hold on a 2-CPU box since the device write got short, so it runs
 # under `make bench` only until a benchmark PR re-bars or ports it.
 bench-smoke:
-	PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py benchmarks/test_bench_sweep.py benchmarks/test_bench_obs.py -q
+	PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py benchmarks/test_bench_sweep.py -q
 
 # Every benchmarks/e2e workload once with 3 s windows (~30 s): exits non-zero
 # when a workload's oracle does not say "correct", so a renamed tracer

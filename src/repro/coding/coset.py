@@ -22,7 +22,6 @@ from repro.coding.registry import get_code
 from repro.coding.syndrome import SyndromeFormer
 from repro.coding.viterbi import CosetViterbi
 from repro.errors import CodingError, ConfigurationError, UnwritableError
-from repro.obs.tracing import span as _span
 from repro.vcell import VCellArray, VCellSpec
 
 __all__ = ["ConvolutionalCosetCode"]
@@ -170,26 +169,23 @@ class ConvolutionalCosetCode(PageCode):
                 f"{lanes} datawords but {len(pages)} pages"
             )
         m = self.code.num_outputs
-        with _span("coset.encode_batch", lanes=lanes, steps=self.steps):
-            syndrome = np.zeros((lanes, self.steps, m - 1), dtype=np.uint8)
-            syndrome[:, self.guard_steps :] = data.reshape(
-                lanes, self.steps - self.guard_steps, m - 1
-            )
-            representative = self.former.representative_batch(syndrome)
-            # t_1 = 0, so a packed chunk is stream j at bit j for j >= 1.
-            rep_values = np.left_shift(representative[:, :, 1], 1, dtype=np.int64)
-            for j in range(2, m):
-                rep_values |= np.left_shift(
-                    representative[:, :, j], j, dtype=np.int64
-                )
-            all_levels = self.varray.levels_batch(pages)
-            step_levels = all_levels[:, : self.used_cells].reshape(
-                lanes, self.steps, self.cells_per_step
-            )
-            result = self.viterbi.search_batch(rep_values, step_levels)
-            self._last_costs = result.total_costs
-            program = self.viterbi.backend.program
-            return program(self, pages, all_levels, result), result.writable
+        syndrome = np.zeros((lanes, self.steps, m - 1), dtype=np.uint8)
+        syndrome[:, self.guard_steps :] = data.reshape(
+            lanes, self.steps - self.guard_steps, m - 1
+        )
+        representative = self.former.representative_batch(syndrome)
+        # t_1 = 0, so a packed chunk is stream j at bit j for j >= 1.
+        rep_values = np.left_shift(representative[:, :, 1], 1, dtype=np.int64)
+        for j in range(2, m):
+            rep_values |= np.left_shift(representative[:, :, j], j, dtype=np.int64)
+        all_levels = self.varray.levels_batch(pages)
+        step_levels = all_levels[:, : self.used_cells].reshape(
+            lanes, self.steps, self.cells_per_step
+        )
+        result = self.viterbi.search_batch(rep_values, step_levels)
+        self._last_costs = result.total_costs
+        program = self.viterbi.backend.program
+        return program(self, pages, all_levels, result), result.writable
 
     def decode(self, page: np.ndarray) -> np.ndarray:
         """Decode one page — a ``B = 1`` wrapper over :meth:`decode_batch`."""
@@ -199,17 +195,12 @@ class ConvolutionalCosetCode(PageCode):
         """Decode ``B`` pages to their ``(B, dataword_bits)`` datawords."""
         pages = np.asarray(pages, dtype=np.uint8)
         lanes = len(pages)
-        with _span("coset.decode_batch", lanes=lanes):
-            levels = self.varray.levels_batch(pages)[:, : self.used_cells]
-            symbols = self.codebook.read_table[levels]
-            codeword_bits = unpack_values_axis(
-                symbols, self.codebook.bits_per_cell
-            )
-            streams = codeword_bits.reshape(
-                lanes, self.steps, self.code.num_outputs
-            )
-            syndrome = self.former.syndrome_batch(streams)
-            return syndrome[:, self.guard_steps :].reshape(lanes, -1)
+        levels = self.varray.levels_batch(pages)[:, : self.used_cells]
+        symbols = self.codebook.read_table[levels]
+        codeword_bits = unpack_values_axis(symbols, self.codebook.bits_per_cell)
+        streams = codeword_bits.reshape(lanes, self.steps, self.code.num_outputs)
+        syndrome = self.former.syndrome_batch(streams)
+        return syndrome[:, self.guard_steps :].reshape(lanes, -1)
 
     def __str__(self) -> str:
         return (

@@ -69,7 +69,6 @@ import numpy as np
 
 from repro.coding.bitops import gf2_divide_causal
 from repro.errors import ConfigurationError
-from repro.obs import registry as _metrics
 
 __all__ = [
     "KernelBackend",
@@ -342,11 +341,6 @@ def _make_native_backend() -> KernelBackend:
             # The kernel recounts the cells and only says "out of range": the
             # twin raises what its checks name, with the lane and the cell.
             return _program_numpy(code, pages, levels, result)
-        if _metrics.is_enabled():  # what varray._fill counts on the numpy path
-            _metrics.counter("vcell.programs").inc(lanes)
-            _metrics.counter("vcell.level_increments").inc(
-                int(np.count_nonzero(out != pages))
-            )
         return out
 
     def divide(numerators, feedback_taps):

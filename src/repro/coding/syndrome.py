@@ -26,13 +26,8 @@ import numpy as np
 from repro.coding.bitops import gf2_convolve_axis, gf2_divide_causal
 from repro.coding.convolutional import ConvolutionalCode
 from repro.errors import CodingError
-from repro.obs import registry as _metrics
-from repro.obs.tracing import span as _span
 
 __all__ = ["SyndromeFormer"]
-
-_DIVISIONS = _metrics.counter("syndrome.divisions")
-_SYNDROMES = _metrics.counter("syndrome.formed")
 
 
 class SyndromeFormer:
@@ -91,7 +86,6 @@ class SyndromeFormer:
                 f"got shape {streams.shape}"
             )
         lanes, steps, _ = streams.shape
-        _SYNDROMES.inc(lanes)
         result = np.empty(
             (lanes, steps, self.syndrome_bits_per_step), dtype=np.uint8
         )
@@ -139,10 +133,6 @@ class SyndromeFormer:
         lanes, steps, width = s.shape
         rep = np.zeros((lanes, steps, self.code.num_outputs), dtype=np.uint8)
         # Dividing the streams as they lie keeps every access contiguous.
-        with _span("syndrome.divide", lanes=lanes, steps=steps):
-            streams = self._divide(
-                s.reshape(lanes, steps * width), self._feedback_taps
-            )
-        _DIVISIONS.inc(lanes)
+        streams = self._divide(s.reshape(lanes, steps * width), self._feedback_taps)
         rep[:, :, 1:] = streams.reshape(s.shape)
         return rep

@@ -50,17 +50,8 @@ from repro.coding.convolutional import Trellis
 from repro.coding.cost import CellCodebook
 from repro.coding.kernels import INT16_BIG, INT16_RENORM, resolve_backend
 from repro.errors import ConfigurationError, UnwritableError
-from repro.obs import registry as _metrics
-from repro.obs.tracing import span as _span
 
 __all__ = ["CosetViterbi", "ViterbiResult", "ViterbiBatchResult"]
-
-#: Telemetry handles (live forever; self-gated on the registry's enabled
-#: flag).  The ACS and backtrace phases additionally get spans per search —
-#: never per trellis step, which keeps disabled overhead out of the kernel.
-_SEARCHES = _metrics.counter("viterbi.searches")
-_LANES = _metrics.counter("viterbi.lanes")
-_UNWRITABLE = _metrics.counter("viterbi.unwritable_lanes")
 
 #: Largest expanded int16 branch-cost table built for the native kernel:
 #: covers every MFC variant at K=7 but mfc-4/5, which would take 8 MiB.
@@ -345,25 +336,14 @@ class CosetViterbi:
             and steps * self._max_step_cost <= float(2**24 - 1)
             else np.float64
         )
-        with _span(
-            "viterbi.acs", lanes=lanes, steps=steps, backend=self.backend.name
-        ):
-            path, backptr = self.backend.forward(self, reps, levels, dtype)
+        path, backptr = self.backend.forward(self, reps, levels, dtype)
         end_state = np.argmin(path, axis=1)
         total_costs = path[np.arange(lanes), end_state].astype(np.float64)
-        with _span("viterbi.backtrace", lanes=lanes, steps=steps):
-            codeword_values = self.backend.backtrace(
-                self, reps, end_state, backptr
-            )
-        writable = np.isfinite(total_costs)
-        _SEARCHES.inc()
-        _LANES.inc(lanes)
-        if not writable.all():
-            _UNWRITABLE.inc(int(lanes - np.count_nonzero(writable)))
+        codeword_values = self.backend.backtrace(self, reps, end_state, backptr)
         return ViterbiBatchResult(
             codeword_values=codeword_values,
             total_costs=total_costs,
-            writable=writable,
+            writable=np.isfinite(total_costs),
             step_levels=levels,
             searcher=self,
         )

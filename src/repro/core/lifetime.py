@@ -27,8 +27,6 @@ import numpy as np
 from repro.core.analysis import UpdateTrace
 from repro.core.scheme import RewritingScheme
 from repro.errors import ConfigurationError, DecodingError, UnwritableError
-from repro.obs import registry as _metrics
-from repro.obs.tracing import span as _span
 
 __all__ = [
     "LifetimeSimulator",
@@ -135,12 +133,6 @@ class BatchLifetimeResult:
         )
 
 
-#: Erase cycles completed across all lifetime simulations in this process.
-#: Lane-deterministic: a ``cycles x lanes`` run always completes exactly
-#: ``cycles * lanes``.
-_CYCLES = _metrics.counter("lifetime.cycles")
-
-
 def _as_rng(seed) -> np.random.Generator:
     """Accept an int seed or an already-built Generator."""
     if isinstance(seed, np.random.Generator):
@@ -218,14 +210,8 @@ class LifetimeSimulator:
             raise ConfigurationError("need at least one erase cycle")
         writes_per_cycle: list[int] = []
         trace = UpdateTrace()
-        with _span(
-            "lifetime.run", scheme=self.scheme.name, lanes=1, cycles=cycles
-        ):
-            for _ in range(cycles):
-                writes_per_cycle.append(
-                    self._run_cycle(trace, max_writes_per_cycle)
-                )
-                _CYCLES.inc()
+        for _ in range(cycles):
+            writes_per_cycle.append(self._run_cycle(trace, max_writes_per_cycle))
         return LifetimeResult(
             scheme_name=self.scheme.name,
             rate=self.scheme.rate,
@@ -427,7 +413,6 @@ class BatchLifetimeSimulator:
                 counts[lane].append(int(writes[lane]))
                 writes[lane] = 0
                 cycles_done[lane] += 1
-                _CYCLES.inc()
                 if levels is not None:
                     trace.record_erase(levels[lane], self.num_levels)
                 if cycles_done[lane] >= cycles:

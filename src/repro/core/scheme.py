@@ -21,19 +21,8 @@ import numpy as np
 
 from repro.coding.page_code import PageCode
 from repro.errors import UnwritableError
-from repro.obs import registry as _metrics
 
 __all__ = ["RewritingScheme", "PageCodeScheme"]
-
-#: Write-path telemetry for every page-granularity scheme (MFC, WOM, ...):
-#: write/read counts, lanes that demanded an erase, and the per-write
-#: ``bits_programmed`` histogram — the program-energy proxy of the
-#: trajectory-code write-cost model (0 -> 1 transitions per host write).
-_WRITES = _metrics.counter("scheme.writes")
-_UNWRITABLE = _metrics.counter("scheme.unwritable_writes")
-_READS = _metrics.counter("scheme.reads")
-_BITS_TOTAL = _metrics.counter("scheme.bits_programmed")
-_BITS_PER_WRITE = _metrics.histogram("scheme.bits_programmed_per_write")
 
 
 class RewritingScheme(abc.ABC):
@@ -146,20 +135,9 @@ class PageCodeScheme(RewritingScheme):
         return np.zeros(self.raw_bits, dtype=np.uint8)
 
     def write(self, state: np.ndarray, dataword: np.ndarray) -> np.ndarray:
-        try:
-            new_state = self.code.encode(dataword, state)
-        except UnwritableError:
-            _UNWRITABLE.inc()
-            raise
-        _WRITES.inc()
-        if _metrics.is_enabled():
-            bits = int(np.count_nonzero(np.asarray(new_state) != np.asarray(state)))
-            _BITS_TOTAL.inc(bits)
-            _BITS_PER_WRITE.observe(bits)
-        return new_state
+        return self.code.encode(dataword, state)
 
     def read(self, state: np.ndarray) -> np.ndarray:
-        _READS.inc()
         return self.code.decode(state)
 
     def cell_levels(self, state: np.ndarray) -> np.ndarray | None:
@@ -178,26 +156,12 @@ class PageCodeScheme(RewritingScheme):
     ) -> tuple[np.ndarray, np.ndarray]:
         states = np.asarray(states, dtype=np.uint8)
         datawords = np.asarray(datawords, dtype=np.uint8)
-        new_states, writable = self.code.encode_batch(datawords, states)
-        if _metrics.is_enabled():
-            lanes = len(writable)
-            written = int(np.count_nonzero(writable))
-            _WRITES.inc(written)
-            if written != lanes:
-                _UNWRITABLE.inc(lanes - written)
-            if written:
-                per_lane = np.count_nonzero(new_states != states, axis=1)
-                per_lane = per_lane[np.asarray(writable, dtype=bool)]
-                _BITS_TOTAL.inc(int(per_lane.sum()))
-                _BITS_PER_WRITE.observe_many(per_lane)
-        return new_states, writable
+        return self.code.encode_batch(datawords, states)
 
     def read_batch(
         self, states: np.ndarray | Sequence[np.ndarray]
     ) -> np.ndarray:
-        states = np.asarray(states, dtype=np.uint8)
-        _READS.inc(len(states))
-        return self.code.decode_batch(states)
+        return self.code.decode_batch(np.asarray(states, dtype=np.uint8))
 
     def cell_levels_batch(
         self, states: np.ndarray | Sequence[np.ndarray]

@@ -26,16 +26,7 @@ __all__ = ["build_summary", "format_summary"]
 _FOOTER_COUNTERS = (
     "sweep.cells_run",
     "sweep.cells_cached",
-    "scheme.writes",
-    "viterbi.searches",
     "obs.events_dropped",
-)
-
-#: (footer label, histogram name) pairs whose p50/p99 deltas land in
-#: ``summary["latencies"]`` and the footer line.
-_FOOTER_HISTOGRAMS = (
-    ("encode", "span.coset.encode_batch.seconds"),
-    ("flush", "span.server.flush.seconds"),
 )
 
 
@@ -51,10 +42,9 @@ def build_summary(
     """One experiment's structured summary (plain dict, JSON-friendly).
 
     ``before`` is the registry snapshot taken just before the experiment
-    ran; counters and the bits-per-write histogram are reported as deltas
-    against it.  Also publishes ``experiment.runs`` / the
-    ``experiment.seconds`` histogram into the registry so exports carry
-    per-experiment wall time.
+    ran; counters are reported as deltas against it.  Also publishes
+    ``experiment.runs`` / the ``experiment.seconds`` histogram into the
+    registry so exports carry per-experiment wall time.
     """
     registry = _metrics.get_registry()
     registry.counter("experiment.runs").inc()
@@ -74,44 +64,12 @@ def build_summary(
         }
     else:
         summary["cache"] = None
+    summary["counters"] = {}
     if registry.enabled:
         now = registry.snapshot(include_events=False)
         summary["counters"] = (
             now.counter_deltas(before) if before is not None else dict(now.counters)
         )
-        bits = now.histograms.get("scheme.bits_programmed_per_write")
-        if bits is not None and before is not None:
-            earlier = before.histograms.get("scheme.bits_programmed_per_write")
-            if earlier is not None:
-                bits = bits.since(earlier)
-        if bits is not None and bits.count:
-            summary["bits_per_write"] = {
-                "count": bits.count,
-                "mean": bits.mean,
-                "p50": bits.quantile(0.5),
-                "p99": bits.quantile(0.99),
-                "max": bits.max,
-            }
-        else:
-            summary["bits_per_write"] = None
-        latencies: dict[str, dict[str, float]] = {}
-        for label, hist_name in _FOOTER_HISTOGRAMS:
-            hist = now.histograms.get(hist_name)
-            if hist is not None and before is not None:
-                earlier = before.histograms.get(hist_name)
-                if earlier is not None:
-                    hist = hist.since(earlier)
-            if hist is not None and hist.count:
-                latencies[label] = {
-                    "count": hist.count,
-                    "p50": hist.quantile(0.5),
-                    "p99": hist.quantile(0.99),
-                }
-        summary["latencies"] = latencies
-    else:
-        summary["counters"] = {}
-        summary["bits_per_write"] = None
-        summary["latencies"] = {}
     return summary
 
 
@@ -134,15 +92,4 @@ def format_summary(summary: dict[str, Any]) -> str:
     ]
     if counter_bits:
         parts.append(", ".join(counter_bits))
-    bits = summary.get("bits_per_write")
-    if bits:
-        parts.append(
-            f"bits/write p50 {bits['p50']:.0f} p99 {bits['p99']:.0f} "
-            f"(n={bits['count']})"
-        )
-    for label, quantiles in (summary.get("latencies") or {}).items():
-        parts.append(
-            f"{label} p50 {quantiles['p50'] * 1e3:.2f}ms "
-            f"p99 {quantiles['p99'] * 1e3:.2f}ms"
-        )
     return f"[{summary['experiment']}] " + ", ".join(parts)

@@ -19,12 +19,8 @@ from repro.flash.chip import FlashChip
 from repro.ftl.gc import GreedyVictimPolicy, VictimPolicy
 from repro.ftl.mapping import PageMapping, PhysicalPageState
 from repro.ftl.wear_leveling import DynamicWearLeveling, WearLevelingPolicy
-from repro.obs import registry as _metrics
-from repro.obs.tracing import span as _span
 
 __all__ = ["BasicFTL", "FTLStats"]
-
-_SCRUB_PASSES = _metrics.counter("ftl.scrub_passes")
 
 
 @dataclass
@@ -393,8 +389,7 @@ class BasicFTL:
                     return
                 self.stats.gc_runs += 1
                 try:
-                    with _span("ftl.gc.reclaim", victim=victim):
-                        self._reclaim_block(victim)
+                    self._reclaim_block(victim)
                 except (OutOfSpaceError, ProgramFailedError):
                     # Relocation burned more pages than the headroom
                     # estimate promised (failed programs consume pages
@@ -501,27 +496,22 @@ class BasicFTL:
         """
         budget = max_relocations if max_relocations is not None else float("inf")
         moved = 0
-        _SCRUB_PASSES.inc()
-        with _span("ftl.scrub") as event:
-            try:
-                for block in sorted(self._retired):
-                    for addr in self.mapping.live_pages_in_block(block):
-                        if moved >= budget:
-                            return moved
+        try:
+            for block in sorted(self._retired):
+                for addr in self.mapping.live_pages_in_block(block):
+                    if moved >= budget:
+                        return moved
+                    moved += self._scrub_relocate(addr)
+            for block in range(self.chip.geometry.blocks):
+                if block in self._retired or block == self._open_block:
+                    continue
+                for addr in self.mapping.live_pages_in_block(block):
+                    if moved >= budget:
+                        return moved
+                    if not self._scrub_page_ok(self.chip.read_page(*addr)):
                         moved += self._scrub_relocate(addr)
-                for block in range(self.chip.geometry.blocks):
-                    if block in self._retired or block == self._open_block:
-                        continue
-                    for addr in self.mapping.live_pages_in_block(block):
-                        if moved >= budget:
-                            return moved
-                        if not self._scrub_page_ok(self.chip.read_page(*addr)):
-                            moved += self._scrub_relocate(addr)
-            except (OutOfSpaceError, ProgramFailedError):
-                pass  # scrub never escalates; the remaining pages wait
-            finally:
-                if event is not None:
-                    event["attrs"]["moved"] = moved
+        except (OutOfSpaceError, ProgramFailedError):
+            pass  # scrub never escalates; the remaining pages wait
         return moved
 
     def _scrub_page_ok(self, raw: np.ndarray) -> bool:

@@ -1,10 +1,12 @@
 """Unified telemetry: metrics registry, span tracing, exporters.
 
-``repro.obs`` is the one observability surface for the whole write path —
-Viterbi phases, syndrome division, scheme writes, v-cell programming,
-chip/FTL/SSD operations, fault injections and sweep cells all publish
-here.  Collection is **off by default**; enable it with ``REPRO_METRICS=1``
-or the CLIs' ``--metrics-out`` / ``--trace-out`` flags.
+``repro.obs`` is the one observability surface of the runners: the device
+run (its flash, FTL and fault stats), the server and its requests,
+durability, the load generators, the cluster, sweep cells and the result
+cache publish here.  The coding, v-cell, core and FTL layers publish
+nothing; the benchmark tracer (``benchmarks/e2e/tracer.py``) times them.
+Collection is **off by default**; enable it with ``REPRO_METRICS=1`` or
+the CLIs' ``--metrics-out`` / ``--trace-out`` flags.
 
 Quick tour::
 

@@ -2,7 +2,7 @@
 
 The registry is the process-wide sink every instrumented layer publishes
 into.  Instruments are named with dotted paths (``flash.page_programs``,
-``viterbi.lanes``) so exports group naturally, and are *live objects*:
+``sweep.cells_run``) so exports group naturally, and are *live objects*:
 ``counter(name)`` is get-or-create, so call sites can cache the handle once
 and increment forever — :meth:`MetricsRegistry.reset` zeroes values in
 place without invalidating handles.
@@ -12,17 +12,16 @@ Overhead discipline
 Telemetry is **off by default** (enable with ``REPRO_METRICS=1`` or the
 CLIs' ``--metrics-out``/``--trace-out``).  Every mutating instrument method
 first checks its registry's ``enabled`` flag, so a disabled registry costs
-one attribute load and branch per call site — the benchmark guard
-(``benchmarks/test_bench_obs.py``) pins the total at < 5% on a 4 KB encode.
-Hot inner loops (the Viterbi step loop) are never instrumented per
-iteration; instrumentation sits at phase granularity.
+one attribute load and branch per call site.  The coding, v-cell, core and
+FTL layers publish nothing at all: their per-layer timing is the
+benchmark tracer's job (``benchmarks/e2e/tracer.py``).
 
 Snapshots
 ---------
 :meth:`MetricsRegistry.snapshot` captures all values (and trace events)
 into a plain :class:`RegistrySnapshot`: what the exporters render, and what
-:meth:`RegistrySnapshot.counter_deltas` / :meth:`HistogramSnapshot.since`
-subtract to attribute a cumulative registry to one experiment.
+:meth:`RegistrySnapshot.counter_deltas` subtracts to attribute a
+cumulative registry to one experiment.
 """
 
 from __future__ import annotations
@@ -137,19 +136,6 @@ class HistogramSnapshot:
                 return min(upper, self.max)
         return self.max
 
-    def since(self, earlier: "HistogramSnapshot") -> "HistogramSnapshot":
-        """The observations accumulated after ``earlier`` was captured."""
-        return HistogramSnapshot(
-            buckets=self.buckets,
-            counts=tuple(
-                now - before for now, before in zip(self.counts, earlier.counts)
-            ),
-            sum=self.sum - earlier.sum,
-            count=self.count - earlier.count,
-            min=self.min,
-            max=self.max,
-        )
-
 
 class Histogram:
     """Fixed-bucket histogram with sum/count/min/max and quantile estimates.
@@ -196,10 +182,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def observe_many(self, values) -> None:
-        for value in values:
-            self.observe(value)
 
     def snapshot(self) -> HistogramSnapshot:
         return HistogramSnapshot(
@@ -320,7 +302,7 @@ class MetricsRegistry:
                 or trace_id in (event.get("attrs") or {}).get("trace_ids", ())
             ]
         if limit is not None and limit >= 0:
-            events = events[-limit:]
+            events = events[-limit:] if limit else []
         return events
 
     def next_span_id(self) -> int:

@@ -1,6 +1,6 @@
 """Span tracing: structured, nested start/stop/duration events.
 
-``span("viterbi.acs", lanes=4)`` times a region and records one structured
+``span("server.flush", batch=4)`` times a region and records one structured
 event into the registry's trace ring buffer; nesting is tracked through a
 per-registry stack so exported traces reconstruct the call tree
 (``parent_id``).  Every span also feeds a ``span.<name>.seconds`` histogram,
@@ -143,7 +143,7 @@ def span(
 ):
     """Time a region; record one structured trace event with nesting.
 
-    Use as ``with span("coset.encode_batch", lanes=B) as event:`` — the
+    Use as ``with span("server.flush", batch=B) as event:`` — the
     yielded ``event`` dict is mutable, so callers can attach result attrs
     mid-span.  ``trace_id`` stamps the event with a wire-level correlation
     id (child spans inherit it).  When the registry is disabled this

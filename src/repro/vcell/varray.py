@@ -9,16 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CellSaturatedError, VCellError
-from repro.obs import registry as _metrics
 from repro.vcell.vcell import VCellSpec
 
 __all__ = ["VCellArray"]
-
-#: Level-domain programming telemetry: pages pushed through
-#: ``program_levels*`` and the total level increments applied (the v-cell
-#: wear currency of the paper's cost model).
-_PROGRAMS = _metrics.counter("vcell.programs")
-_LEVEL_INCREMENTS = _metrics.counter("vcell.level_increments")
 
 
 def _popcount(cells: np.ndarray) -> np.ndarray:
@@ -29,11 +22,8 @@ def _popcount(cells: np.ndarray) -> np.ndarray:
     return levels
 
 
-def _fill(cells: np.ndarray, deficits: np.ndarray, pages: int) -> None:
-    """Program ``pages`` pages in place: set each cell's ``deficits`` lowest unset bits."""
-    if _metrics.is_enabled():
-        _PROGRAMS.inc(pages)
-        _LEVEL_INCREMENTS.inc(int(deficits.sum()))
+def _fill(cells: np.ndarray, deficits: np.ndarray) -> None:
+    """Program in place: set each cell's ``deficits`` lowest unset bits."""
     for j in range(cells.shape[-1]):
         fill = (cells[..., j] == 0) & (deficits > 0)
         cells[..., j] |= fill
@@ -130,7 +120,7 @@ class VCellArray:
                 f"cell {bad}: cannot lower level from L{current[bad]} to "
                 f"L{targets[bad]} without an erase"
             )
-        _fill(cells, targets - current, 1)
+        _fill(cells, targets - current)
         return new_page
 
     def program_levels_batch(
@@ -161,7 +151,7 @@ class VCellArray:
                 f"L{current[lane, cell]} to L{targets[lane, cell]} without "
                 "an erase"
             )
-        _fill(cells, targets - current, len(cells))
+        _fill(cells, targets - current)
         return new_pages
 
     def saturated(self, page_bits: np.ndarray) -> np.ndarray:

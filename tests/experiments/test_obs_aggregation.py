@@ -21,6 +21,21 @@ def test_disabled_telemetry_produces_zero_events_and_counters():
     assert snap.events == ()
 
 
+def test_sweep_publishes_only_sweep_telemetry():
+    """The coding, v-cell, core and FTL layers publish nothing: a sweep's
+    trace is the sweep's spans, its counters the sweep's and the cache's."""
+    registry = obs.get_registry()
+    registry.enabled = True
+    registry.reset()
+    run_cells(CELLS, cache=False)
+    snap = registry.snapshot()
+    names = {event["name"] for event in snap.events}
+    assert "sweep.cell" in names
+    assert all(name.startswith("sweep.") for name in names)
+    assert snap.counters
+    assert all(name.startswith(("sweep.", "cache.")) for name in snap.counters)
+
+
 def test_cache_hits_skip_simulation_counters():
     registry = obs.get_registry()
     registry.enabled = True

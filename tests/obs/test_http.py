@@ -160,11 +160,13 @@ class TestEndpoints:
                 with span("s", registry=registry):
                     pass
             async with ObsHttpServer(registry=registry) as server:
-                _, _, body = await get(server, "/traces?limit=2")
-            return body
+                return [
+                    json.loads((await get(server, f"/traces?limit={limit}"))[2])
+                    for limit in (2, 0, -1)
+                ]
 
-        payload = json.loads(asyncio.run(go()))
-        assert payload["count"] == 2
+        counts = [payload["count"] for payload in asyncio.run(go())]
+        assert counts == [2, 0, 0]
 
     def test_debug_vars_includes_extras(self, registry):
         async def go():

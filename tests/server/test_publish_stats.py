@@ -51,7 +51,6 @@ def published_counters() -> dict[str, float]:
     return {
         name: value for name, value in counters.items()
         if name.startswith(("flash.", "ftl.", "faults.", "server."))
-        and name != "ftl.scrub_passes"
     }
 
 
