@@ -22,13 +22,13 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Fast coding-path throughput check (batched vs scalar engine, Viterbi
-# kernel, sweep cache, disabled-telemetry overhead); writes
-# BENCH_coding.json at the repo root.  CI runs this and uploads the JSON.
+# kernel); writes BENCH_coding.json at the repo root.  CI runs this and
+# uploads the JSON.
 # benchmarks/test_bench_server.py is not in the gate: its three ratio bars
 # do not hold on a 2-CPU box since the device write got short, so it runs
 # under `make bench` only until a benchmark PR re-bars or ports it.
 bench-smoke:
-	PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py benchmarks/test_bench_sweep.py -q
+	PYTHONPATH=src python -m pytest benchmarks/test_bench_batch.py benchmarks/test_bench_viterbi.py -q
 
 # Every benchmarks/e2e workload once with 3 s windows (~30 s): exits non-zero
 # when a workload's oracle does not say "correct", so a renamed tracer

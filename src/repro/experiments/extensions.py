@@ -11,35 +11,22 @@ from __future__ import annotations
 
 from repro.core import SchemeSummary
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.pool import cell_for, run_cells
+from repro.experiments.engine import simulate
 
 __all__ = ["run_extensions", "format_extensions"]
 
 
 def run_extensions(config: ExperimentConfig | None = None) -> list[SchemeSummary]:
-    """Lifetime/rate/aggregate rows for the extension schemes.
-
-    Decomposed into named sweep cells so the runs cache like every other
-    experiment (``lanes=1`` reproduces the historical direct
-    :class:`~repro.core.lifetime.LifetimeSimulator` numbers bit for bit).
-    """
+    """Lifetime/rate/aggregate rows for the extension schemes."""
     config = config or ExperimentConfig.from_env()
     k = min(config.constraint_length, 4)  # ECC interleaving likes small K
-    cells = [
-        cell_for("waterfall", config),
-        cell_for(
-            "mfc-1/2-1bpc", config, constraint_length=config.constraint_length
-        ),
-        cell_for(
-            "mfc-1/2-1bpc",
-            config,
-            constraint_length=config.constraint_length,
-            vcell_levels=8,
-        ),
-        cell_for("mfc-ecc", config, constraint_length=k),
-        cell_for("rank-modulation", config),
+    results = [
+        simulate("waterfall", config),
+        simulate("mfc-1/2-1bpc", config),
+        simulate("mfc-1/2-1bpc", config, vcell_levels=8),
+        simulate("mfc-ecc", config, constraint_length=k),
+        simulate("rank-modulation", config),
     ]
-    results = run_cells(cells, config)
     return [SchemeSummary.from_result(result) for result in results]
 
 

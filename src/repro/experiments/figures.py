@@ -10,7 +10,7 @@ from repro.core import (
     rectangle_for,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.pool import cell_for, run_cells
+from repro.experiments.engine import simulate
 from repro.experiments.table1 import run_table1
 
 __all__ = [
@@ -99,35 +99,15 @@ def fig14_data(
             for size in (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
             if size <= ceiling
         )
-    cells, labels = [], []
+    series: dict[str, list[tuple[int, float]]] = {name: [] for name in FIG14_SCHEMES}
     for page_bytes in page_bytes_values:
         for name in FIG14_SCHEMES:
-            kwargs = (
-                {"constraint_length": config.constraint_length}
-                if name.startswith("mfc")
-                else {}
-            )
-            cells.append(
-                cell_for(name, config, page_bits=page_bytes * 8, **kwargs)
-            )
-            labels.append((page_bytes, name))
-    results = run_cells(cells, config)
-    series: dict[str, list[tuple[int, float]]] = {name: [] for name in FIG14_SCHEMES}
-    for (page_bytes, name), result in zip(labels, results):
-        series[name].append((page_bytes, result.lifetime_gain))
+            result = simulate(name, config, page_bits=page_bytes * 8)
+            series[name].append((page_bytes, result.lifetime_gain))
     return series
 
 
 FIG15_SCHEMES = ("wom", "mfc-1/2-1bpc")
-
-
-def _traced_run(config: ExperimentConfig, name: str):
-    kwargs = (
-        {"constraint_length": config.constraint_length}
-        if name.startswith("mfc")
-        else {}
-    )
-    return run_cells([cell_for(name, config, **kwargs)], config)[0]
 
 
 def fig15_data(
@@ -140,7 +120,7 @@ def fig15_data(
     config = config or ExperimentConfig.from_env()
     series = {}
     for name in FIG15_SCHEMES:
-        result = _traced_run(config, name)
+        result = simulate(name, config)
         data = dict(result.trace.increment_fraction_by_update())
         data[0] = result.trace.mean_increment_fraction()
         series[result.scheme_name] = data
@@ -153,7 +133,7 @@ def fig16_data(
     """Fig. 16: histogram of v-cell levels at erase time."""
     config = config or ExperimentConfig.from_env()
     return {
-        (result := _traced_run(config, name)).scheme_name: (
+        (result := simulate(name, config)).scheme_name: (
             result.trace.level_histogram()
         )
         for name in FIG15_SCHEMES

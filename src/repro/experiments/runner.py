@@ -5,7 +5,7 @@ Examples::
     python -m repro.experiments table1
     python -m repro.experiments table1 --page-bytes 4096 --cycles 5
     python -m repro.experiments fig14 --lanes 8
-    python -m repro.experiments all --no-cache
+    python -m repro.experiments all
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ import time
 from collections.abc import Callable
 
 from repro import cli
-from repro.cache import get_default_cache
 from repro.coding.kernels import BACKEND_ENV, resolve_backend
 from repro.errors import ReproError
 from repro.experiments import extensions, figures, table1
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.summary import build_summary, format_summary
 from repro.obs import registry as _metrics
 
 __all__ = ["build_parser", "main"]
@@ -73,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lanes", type=int, default=defaults.lanes,
                         help="concurrent pages per simulation (batched "
                              "engine; 1 = historical scalar numbers)")
-    parser.add_argument("--no-cache", dest="cache", action="store_false",
-                        default=defaults.cache,
-                        help="skip the on-disk result cache entirely")
     parser.add_argument("--viterbi-backend", default=defaults.viterbi_backend,
                         help="Viterbi kernel backend for the MFC coset codes "
                              "(auto/numpy/native; auto is native when the C "
@@ -104,36 +99,37 @@ def _run(args: argparse.Namespace) -> int:
         seed=args.seed,
         constraint_length=args.constraint_length,
         lanes=args.lanes,
-        cache=args.cache,
         metrics=bool(args.metrics or args.metrics_out or args.trace_out),
         viterbi_backend=args.viterbi_backend.lower(),
     )
     backend = resolve_backend(config.viterbi_backend).name
     # The env var is how the choice reaches every CosetViterbi built
-    # anywhere in the sweep, and the scheme memo's key.
+    # anywhere in the sweep, and the scheme memo's key; it is this run's
+    # alone, so an in-process caller gets its own value back.
+    previous = os.environ.get(BACKEND_ENV)
     os.environ[BACKEND_ENV] = config.viterbi_backend
-    cache = get_default_cache() if config.cache else None
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    registry = _metrics.get_registry()
-    for name in names:
-        cache_before = cache.stats.snapshot() if cache is not None else None
-        registry_before = registry.snapshot(include_events=False) if registry.enabled else None
-        start = time.time()
-        output = EXPERIMENTS[name](config)
-        elapsed = time.time() - start
-        lanes_note = f", {config.lanes} lanes" if config.lanes > 1 else ""
-        print(f"=== {name} (page {config.page_bytes} B, {config.cycles} cycles, "
-              f"K={config.constraint_length}, viterbi {backend}{lanes_note}, "
-              f"{elapsed:.1f}s) ===")
-        print(output)
-        summary = build_summary(
-            name,
-            elapsed=elapsed,
-            lanes=config.lanes,
-            cache_delta=cache.stats.since(cache_before) if cache is not None else None,
-            cache_root=str(cache.root) if cache is not None else None,
-            before=registry_before,
-        )
-        print(format_summary(summary))
-        print()
+    cells_run = _metrics.counter("sweep.cells_run")
+    telemetry = _metrics.get_registry().enabled
+    try:
+        for name in names:
+            cells_before = cells_run.value
+            start = time.time()
+            output = EXPERIMENTS[name](config)
+            elapsed = time.time() - start
+            lanes_note = f", {config.lanes} lanes" if config.lanes > 1 else ""
+            print(f"=== {name} (page {config.page_bytes} B, {config.cycles} cycles, "
+                  f"K={config.constraint_length}, viterbi {backend}{lanes_note}, "
+                  f"{elapsed:.1f}s) ===")
+            print(output)
+            footer = f"[{name}] wall {elapsed:.2f}s"
+            if telemetry:
+                footer += f", cells_run {int(cells_run.value - cells_before)}"
+            print(footer)
+            print()
+    finally:
+        if previous is None:
+            os.environ.pop(BACKEND_ENV, None)
+        else:
+            os.environ[BACKEND_ENV] = previous
     return 0

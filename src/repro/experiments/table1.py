@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core import SchemeSummary
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.pool import cell_for, run_cells
+from repro.experiments.engine import simulate
 
 __all__ = ["TABLE1_SCHEMES", "run_table1", "format_table1"]
 
@@ -31,16 +31,7 @@ def run_table1(
     anyway — they are one-line sanity checks of the whole pipeline.
     """
     config = config or ExperimentConfig.from_env()
-    cells = []
-    for name in schemes:
-        kwargs = (
-            {"constraint_length": config.constraint_length}
-            if name.startswith("mfc") and name != "mfc-ecc"
-            else {}
-        )
-        cells.append(cell_for(name, config, **kwargs))
-    results = run_cells(cells, config)
-    return [SchemeSummary.from_result(result) for result in results]
+    return [SchemeSummary.from_result(simulate(name, config)) for name in schemes]
 
 
 def format_table1(rows: list[SchemeSummary]) -> str:

@@ -27,17 +27,6 @@ def _isolated_metrics_registry() -> None:
 
 
 @pytest.fixture(autouse=True)
-def _isolated_result_cache(tmp_path, monkeypatch) -> None:
-    """Point the experiment result cache at a per-test directory.
-
-    Keeps the suite hermetic: no test reads another test's (or the
-    user's) cached simulation results, and nothing is written under the
-    real user-cache dir.
-    """
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "result-cache"))
-
-
-@pytest.fixture(autouse=True)
 def _isolated_scheme_memo() -> None:
     """Clear the experiments' scheme memo after every test.
 

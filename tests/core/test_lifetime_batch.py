@@ -170,16 +170,15 @@ class TestExperimentRouting:
         """The default config must keep every experiment bit-identical."""
         scheme = make_scheme("wom", PAGE)
         config = ExperimentConfig(page_bytes=PAGE // 8, cycles=2, seed=11)
-        routed = simulate(scheme, config)
+        routed = simulate("wom", config)
         direct = LifetimeSimulator(scheme, seed=11).run(cycles=2)
         assert routed.writes_per_cycle == direct.writes_per_cycle
 
     def test_multi_lane_pools_cycles(self) -> None:
-        scheme = make_scheme("wom", PAGE)
         config = ExperimentConfig(
             page_bytes=PAGE // 8, cycles=2, seed=11, lanes=3
         )
-        routed = simulate(scheme, config)
+        routed = simulate("wom", config)
         assert len(routed.writes_per_cycle) == 3 * 2
         assert isinstance(routed, LifetimeResult)
 

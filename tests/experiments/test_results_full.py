@@ -33,5 +33,5 @@ def test_all_experiments_match_results_full(capsys) -> None:
             "20 s on the numpy backend (0.8 s on native), whose bit-identity "
             "to native `make kernel-equivalence` pins"
         )
-    assert main(["all", "--page-bytes", "4096", "--cycles", "5", "--no-cache"]) == 0
+    assert main(["all", "--page-bytes", "4096", "--cycles", "5"]) == 0
     assert _body(capsys.readouterr().out) == _body(RECORDED.read_text())

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import re
+
 import pytest
 
+from repro.coding.kernels import BACKEND_ENV
 from repro.experiments.runner import main
 
 FAST_ARGS = ["--page-bytes", "96", "--cycles", "1", "--constraint-length", "3"]
@@ -62,3 +66,34 @@ class TestExperimentsCli:
         monkeypatch.setenv("REPRO_LANES", "0")
         assert _exit_code(["table1", *FAST_ARGS]) == 2
         assert "lanes must be >= 1" in capsys.readouterr().err.splitlines()[-1]
+
+    def test_non_integer_environment_knob_is_one_line_and_exit_2(
+        self, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.setenv("REPRO_PAGE_BYTES", "abc")
+        assert _exit_code(["table1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "repro-experiments: error: "
+            "REPRO_PAGE_BYTES must be an integer, got 'abc'"
+        )
+
+    def test_footer_is_wall_time_then_cells_run(self, capsys) -> None:
+        assert main(["table1", *FAST_ARGS]) == 0
+        assert re.search(r"^\[table1\] wall \d+\.\d\ds$",
+                         capsys.readouterr().out, re.MULTILINE)
+        assert main(["table1", *FAST_ARGS, "--metrics-out", os.devnull]) == 0
+        assert re.search(r"^\[table1\] wall \d+\.\d\ds, cells_run 8$",
+                         capsys.readouterr().out, re.MULTILINE)
+
+    @pytest.mark.parametrize("before", [None, "auto"])
+    def test_viterbi_backend_is_scoped_to_the_run(
+        self, before: str | None, monkeypatch
+    ) -> None:
+        if before is None:
+            monkeypatch.delenv(BACKEND_ENV, raising=False)
+        else:
+            monkeypatch.setenv(BACKEND_ENV, before)
+        assert main(["table1", *FAST_ARGS, "--viterbi-backend", "numpy"]) == 0
+        assert os.environ.get(BACKEND_ENV) == before
