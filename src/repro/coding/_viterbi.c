@@ -1,32 +1,30 @@
-/* Fused Viterbi kernel: the "native" backend of repro.coding.kernels.
+/* Page-write kernel: the "native" backend of repro.coding.kernels, one
+ * exported function per stage of an MFC write: divide, levels, search and
+ * program.  kernels.py compiles it on first use (-O3 -shared -fPIC; gcc
+ * vectorises the butterfly loop only at -O3) and loads it with ctypes.
  *
- * kernels.py compiles this file on first use (-O3 -shared -fPIC; gcc vectorises
- * the butterfly loop only at -O3) and loads it with ctypes.
+ * search is the add-compare-select recursion, ties to the first minimum: the
+ * one the numpy backend runs a vector of lanes at a time.  CosetViterbi hands
+ * it only integer (or inf) costs in a fused table and a shift-register
+ * trellis, where states 2j and 2j+1 both come from j (predecessor 0) and
+ * j + S/2 (predecessor 1): a step is S/2 butterflies over two contiguous
+ * halves of the old metrics, its 2S branch costs indexed [u][k][j] (entering
+ * state 2j+u from its k-th predecessor).  Survivors are one bit per (step,
+ * state), bit t % 8 of byte (t / 8) * S + s the predecessor s took at step
+ * t: one lane's plane at a time, walked back as soon as it is full.
  *
- * The recursion is one add-compare-select per trellis step, ties to the first
- * minimum: the same one the numpy backend runs a vector of lanes at a time.
- * CosetViterbi hands this kernel only searches with a fused cost table,
- * integer (or inf) costs and a shift-register trellis; the rest run numpy.
- * In such a trellis states 2j and 2j+1 both come from j (predecessor 0) and
- * j + S/2 (predecessor 1), so a step is S/2 butterflies over two contiguous
- * halves of the old metrics, and its 2S branch costs are indexed [u][k][j]:
- * entering state 2j+u from its k-th predecessor.
+ * The forward pass runs on int16_t, eight states to an SSE2 register.
+ * Infeasible is BIG, and every candidate is clamped to BIG before the
+ * compare, so two infeasible ones tie as two infs do; old + cost <= 2 * BIG
+ * stays in int16.  Every RENORM steps the least finite metric moves into an
+ * int64 offset; a finite one still above `limit` could reach BIG before the
+ * next, so that lane WIDENs and is redone in double.  Both are one body, this
+ * file including itself; in the double one BIG is IEEE inf, the clamp a no-op
+ * and nothing renormalises: never build it with -ffast-math.
  *
- * Integer costs make every finite metric an integer, so the forward pass runs
- * on int16_t, eight states to an SSE2 register.  Infeasible is BIG, and every
- * candidate is clamped to BIG before the compare, so two infeasible ones tie
- * as two infs do; old + cost <= 2 * BIG stays in int16.  Every RENORM steps
- * the least finite metric moves into an int64 offset; a finite one still above
- * `limit` could reach BIG before the next, so forward_i16 returns WIDEN and
- * kernels.py redoes the call in double.  Both are one body, this file
- * including itself.  In the double one BIG is IEEE inf, the clamp a no-op and
- * nothing renormalises: never build it with -ffast-math.
- *
- * program and divide are the rest of a page write, either side of the search:
- * each is the plain loop of what kernels.py names as its numpy twin.
- *
- * All tables are C-contiguous.  Every function returns 0, -1 when scratch
- * cannot be allocated, -2 when an input value is out of range, or WIDEN.
+ * Tables are C-contiguous.  Every function returns -1 when scratch cannot be
+ * allocated, -2 when an input is out of range, else 0 (search: the number of
+ * lanes it redid in double).
  */
 #ifndef T
 #include <math.h>
@@ -35,6 +33,19 @@
 
 #define WIDEN 1
 #define RENORM 16
+
+/* Eight steps' survivors, rows of S bytes each 0 or 1, into one byte per
+ * state: step q's at bit q.  Vector loads of what the butterflies stored as
+ * vectors, so nothing waits on a store to forward. */
+static void pack(int64_t S, const uint8_t *restrict k, uint8_t *restrict bits)
+{
+    for (int64_t s = 0; s < S; s++) {
+        uint8_t byte = 0;
+        for (int q = 0; q < 8; q++)
+            byte |= k[q * S + s] << q;
+        bits[s] = byte;
+    }
+}
 
 #define T int16_t
 #define BIG 16383
@@ -48,51 +59,116 @@
 #define NAME(f) f##_f64
 #include __FILE__
 
-/* Walk the winning path back from end_state[b] and emit the codeword chunks
- * (branch output ^ coset chunk).  The input consumed on entering a state is
- * that state's low bit, and its k-th predecessor is (state >> 1) + k * S/2. */
-int backtrace(int64_t lanes, int64_t steps, int64_t S,
-              const int32_t *out_values, /* (S, 2): output of state s on input u */
-              const int64_t *reps, const int64_t *end_state,
-              const uint8_t *choice, int64_t *codeword)
+int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
+           int64_t V,
+           int64_t limit,             /* int16 only, < 0 for never: see the top */
+           const uint16_t *order,     /* (V, 2S) branch outputs ^ chunk */
+           const int16_t *costs16,    /* (L**cells, V) fused cost table, or NULL */
+           const int16_t *expanded,   /* (L**cells * V, 2S) cost vector of each
+                                         (row, coset chunk), or NULL */
+           const double *costs64,     /* (L**cells, V) the same in double */
+           const int32_t *out_values, /* (S, 2): output of state s on input u */
+           const int64_t *reps,       /* (lanes, steps) coset chunks */
+           const int64_t *levels,     /* (lanes, steps, cells) */
+           int64_t *codeword,         /* out (lanes, steps) */
+           double *total,             /* out (lanes,) */
+           uint8_t *writable)         /* out (lanes,) */
 {
-    for (int64_t b = 0; b < lanes; b++) {
-        int64_t state = end_state[b];
-        if ((uint64_t)state >= (uint64_t)S)
-            return -2;
+    double *metrics = malloc((size_t)S * 2 * sizeof(double));
+    uint8_t *k = calloc((size_t)S * 8, 1); /* the last 8 steps' survivors */
+    uint8_t *bits = malloc((size_t)((steps + 7) / 8 * S) + 1);
+    int status = metrics && k && bits ? 0 : -1, widened = 0;
+    for (int64_t b = 0; b < lanes && !status; b++) {
+        const int64_t *rep = reps + b * steps, *level = levels + b * steps * cells;
+        int64_t state;
+        /* 64: the paper's K=7, which gcc specialises the int16 pass for. */
+        status = limit < 0 ? WIDEN
+                 : S == 64 ? lane_i16(steps, 64, cells, L, V, limit, order, costs16,
+                                      expanded, rep, level, (int16_t *)metrics,
+                                      k, bits, &state, total + b)
+                           : lane_i16(steps, S, cells, L, V, limit, order, costs16,
+                                      expanded, rep, level, (int16_t *)metrics,
+                                      k, bits, &state, total + b);
+        if (status == WIDEN) {
+            widened++;
+            status = lane_f64(steps, S, cells, L, V, 0, order, costs64, NULL, rep,
+                              level, metrics, k, bits, &state, total + b);
+        }
+        if (status)
+            break;
+        writable[b] = total[b] < INFINITY;
+        /* The input consumed on entering a state is its low bit, and its k-th
+         * predecessor is (state >> 1) + k * S/2. */
         for (int64_t t = steps - 1; t >= 0; t--) {
-            int64_t src =
-                (state >> 1) + choice[(b * steps + t) * S + state] * (S / 2);
-            codeword[b * steps + t] =
-                out_values[2 * src + (state & 1)] ^ reps[b * steps + t];
+            int64_t src = (state >> 1) +
+                          (bits[t / 8 * S + state] >> t % 8 & 1) * (S / 2);
+            codeword[b * steps + t] = out_values[2 * src + (state & 1)] ^ rep[t];
             state = src;
         }
     }
-    return 0;
+    free(metrics);
+    free(k);
+    free(bits);
+    return status ? status : widened;
+}
+
+/* Per-cell levels: the sum of each cell's `width` one-byte bits, rows of
+ * `cells` cells `stride` bytes apart.  A cell is a strided read, so a span of
+ * cells at a time sums windows instead: sum[x] = page[x] + ... +
+ * page[x + width - 1] is `width` vector adds over contiguous bytes, and a
+ * cell's level is the sum at its first bit.  The same pass ORs every byte,
+ * for the check that each is a bit. */
+int levels(int64_t rows, int64_t cells, int64_t width, int64_t stride,
+           const uint8_t *pages, /* (rows, stride), the cells at the front */
+           int64_t *out)         /* out (rows, cells) */
+{
+    uint8_t sum[4096], bits = 0;
+    if (width < 1 || width > 255 || cells < 0 ||
+        (rows > 1 && stride < cells * width))
+        return -2;
+    int64_t span = sizeof sum / width * width; /* bytes: whole cells */
+    for (int64_t r = 0; r < rows; r++, pages += stride)
+        for (int64_t x0 = 0; x0 < cells * width; x0 += span) {
+            const uint8_t *page = pages + x0;
+            int64_t n = cells * width - x0 < span ? cells * width - x0 : span;
+            for (int64_t x = 0; x < n; x++) {
+                sum[x] = page[x];
+                bits |= page[x];
+            }
+            for (int64_t j = 1; j < width; j++)
+                for (int64_t x = 0; x < n - j; x++)
+                    sum[x] += page[x + j];
+            for (int64_t x = 0; x < n; x += width)
+                *out++ = sum[x];
+        }
+    return bits > 1 ? -2 : 0;
 }
 
 /* Raise one page's cells to the levels that store its codeword.  A cell is
- * `width` one-byte bits and its level how many are set; the i-th cell of step
- * t stores symbol (codeword[t] >> i * bpc) & (symbols - 1) at the level
+ * `width` one-byte bits at the level handed in for it; the i-th cell of step t
+ * stores symbol (codeword[t] >> i * bpc) & (symbols - 1) at the level
  * target_of names for it, reached by setting its lowest unset bits.  The fill
  * has no branch on the bits, which would mispredict on every other cell.  gcc
- * specialises this for the literal width it is called with below, worth 1.4x;
- * it never does that for an exported function's argument. */
+ * specialises this for the literal width it is called with below, worth
+ * 1.4x; it never does that for an exported function's argument. */
 static int program_page(int64_t width, int64_t steps, int64_t per_step,
                         int64_t bpc, const int64_t *target_of,
-                        const int64_t *codeword, uint8_t *cell)
+                        const int64_t *level, const int64_t *codeword,
+                        uint8_t *cell)
 {
     int64_t symbols = (int64_t)1 << bpc;
     for (int64_t t = 0; t < steps; t++) {
         int64_t value = codeword[t];
         for (int64_t i = 0; i < per_step; i++, value >>= bpc, cell += width) {
-            int64_t level = 0;
-            for (int64_t j = 0; j < width; j++)
-                level += cell[j];
-            int64_t target = target_of[level * symbols + (value & (symbols - 1))];
-            if (target < level || target > width)
+            int64_t now = *level++;
+            if ((uint64_t)now > (uint64_t)width)
                 return -2;
-            for (int64_t j = 0, deficit = target - level; j < width; j++) {
+            int64_t target = target_of[now * symbols + (value & (symbols - 1))];
+            if (target < now || target > width)
+                return -2;
+            if (target == now)
+                continue;
+            for (int64_t j = 0, deficit = target - now; j < width; j++) {
                 uint8_t fill = !cell[j] & (deficit > 0);
                 cell[j] |= fill;
                 deficit -= fill;
@@ -102,36 +178,41 @@ static int program_page(int64_t width, int64_t steps, int64_t per_step,
     return 0;
 }
 
-int program(int64_t lanes, int64_t page_bits, int64_t width, int64_t steps,
-            int64_t per_step, int64_t bpc,
+int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
+            int64_t steps, int64_t per_step, int64_t bpc,
             const int64_t *target_of, /* (width + 1, 1 << bpc) post-write level */
+            const int64_t *levels,    /* (lanes, num_cells) the pages' levels */
             const int64_t *codeword,  /* (lanes, steps) */
             const uint8_t *writable,  /* (lanes,): 0 leaves the page as it is */
             uint8_t *pages)           /* in/out (lanes, page_bits) */
 {
+    int64_t used = steps * per_step;
     if (width < 1 || bpc < 1 || per_step < 1 || per_step * bpc > 62 ||
-        steps < 0 || steps * per_step * width > page_bits)
+        steps < 0 || used > num_cells || num_cells * width > page_bits)
         return -2;
     for (int64_t b = 0; b < lanes; b++) {
-        const int64_t *word = codeword + b * steps;
+        const int64_t *word = codeword + b * steps, *level = levels + b * num_cells;
         uint8_t *page = pages + b * page_bits;
         /* What indexes target_of is checked here, in a lane left alone too:
-         * every chunk below 2**m, every byte of a used cell a bit. */
+         * every chunk below 2**m, every level at most width, every byte of a
+         * used cell a bit. */
         int64_t chunks = 0;
+        uint64_t high = 0;
         uint8_t bits = 0;
         for (int64_t t = 0; t < steps; t++)
             chunks |= word[t];
-        for (int64_t i = 0; i < steps * per_step * width; i++)
+        for (int64_t i = 0; i < used * width; i++)
             bits |= page[i];
-        if ((uint64_t)chunks >> (per_step * bpc) || bits > 1)
+        for (int64_t i = 0; i < used && !writable[b]; i++)
+            high |= (uint64_t)level[i] > (uint64_t)width;
+        if ((uint64_t)chunks >> (per_step * bpc) || bits > 1 || high)
             return -2;
         if (!writable[b])
             continue;
-        /* 3: the paper's 4-level cell (Fig. 6). */
-        int status = width == 3 ? program_page(3, steps, per_step, bpc,
-                                               target_of, word, page)
+        int status = width == 3 ? program_page(3, steps, per_step, bpc, target_of,
+                                               level, word, page)
                                 : program_page(width, steps, per_step, bpc,
-                                               target_of, word, page);
+                                               target_of, level, word, page);
         if (status)
             return status;
     }
@@ -139,22 +220,30 @@ int program(int64_t lanes, int64_t page_bits, int64_t width, int64_t steps,
 }
 
 /* Causal division by g1(D) of `rows` streams, in place: the shift register
- * out[t] = in[t] ^ out[t - tap] ^ ... over g1's nonzero powers >= 1. */
+ * out[t] = in[t] ^ out[t - tap] ^ ... over g1's nonzero powers >= 1, held in
+ * one word.  Bit i of `pending` is what out[t + i] takes from the outputs
+ * already made: each output XORs `feedback` (bit tap - 1 for every tap) in,
+ * and the word shifts once a step.  A tap past 64 does not fit. */
 int divide(int64_t rows, int64_t steps, int64_t ntaps, const int64_t *taps,
            uint8_t *out)
 {
-    for (int64_t k = 0; k < ntaps; k++)
-        if (taps[k] < 1)
+    uint64_t feedback = 0;
+    uint8_t bits = 0;
+    for (int64_t k = 0; k < ntaps; k++) {
+        if (taps[k] < 1 || taps[k] > 64)
             return -2;
-    for (int64_t r = 0; r < rows; r++, out += steps)
+        feedback |= (uint64_t)1 << (taps[k] - 1);
+    }
+    for (int64_t r = 0; r < rows; r++, out += steps) {
+        uint64_t pending = 0;
         for (int64_t t = 0; t < steps; t++) {
-            uint8_t bit = out[t];
-            for (int64_t k = 0; k < ntaps; k++)
-                if (taps[k] <= t)
-                    bit ^= out[t - taps[k]];
-            out[t] = bit;
+            uint64_t bit = (out[t] ^ pending) & 1;
+            bits |= out[t];
+            out[t] = (uint8_t)bit;
+            pending = pending >> 1 ^ (feedback & -bit);
         }
-    return 0;
+    }
+    return bits > 1 ? -2 : 0;
 }
 
 #else
@@ -207,68 +296,61 @@ static void NAME(butterflies_gather)(int64_t half, const T *restrict old,
     }
 }
 
-/* Add-compare-select over the whole trellis, one lane after another. */
-int NAME(forward)(int64_t lanes, int64_t steps, int64_t S, int64_t cells,
-                  int64_t L, int64_t V,
-                  int64_t limit,         /* int16 only: see the top */
-                  const uint16_t *order, /* (V, 2S) branch outputs ^ chunk */
-                  const T *costs,        /* (L**cells, V) fused cost table */
-                  const T *expanded,     /* (L**cells * V, 2S) cost vector of
-                                            each (row, coset chunk), or NULL */
-                  const int64_t *reps,   /* (lanes, steps) coset chunks */
-                  const int64_t *levels, /* (lanes, steps, cells) */
-                  double *path,          /* out (lanes, S) final metrics */
-                  uint8_t *choice)       /* out (lanes, steps, S) winning k */
+/* One lane's add-compare-select over the whole trellis, survivors packed into
+ * `bits`, then its end state (the first minimum) and total cost.  Returns 0,
+ * -2 or WIDEN. */
+static int NAME(lane)(int64_t steps, int64_t S, int64_t cells, int64_t L,
+                      int64_t V, int64_t limit, const uint16_t *order,
+                      const T *costs, const T *expanded, const int64_t *reps,
+                      const int64_t *levels, T *scratch, uint8_t *k,
+                      uint8_t *bits, int64_t *end, double *total)
 {
     /* Old and new metrics: step t reads half t & 1 and writes the other. */
-    T *scratch = malloc((size_t)S * 2 * sizeof(T));
-    if (!scratch)
-        return -1;
-    int status = 0;
-    for (int64_t b = 0; b < lanes && !status; b++) {
-        int64_t offset = 0;
-        for (int64_t s = 0; s < S; s++)
-            scratch[s] = 0;
-        for (int64_t t = 0; t < steps; t++) {
-            /* The step's cost row: its cells' levels are the base-L digits
-             * of the row number, most significant first. */
-            const int64_t *level = levels + (b * steps + t) * cells;
-            int64_t v = reps[b * steps + t], row = 0;
-            for (int64_t c = 0; c < cells; c++) {
-                if ((uint64_t)level[c] >= (uint64_t)L)
-                    status = -2;
-                row = row * L + level[c];
-            }
-            if ((uint64_t)v >= (uint64_t)V)
-                status = -2;
-            T *old = scratch + (t & 1) * S, *new = scratch + (~t & 1) * S;
-            if (!status && BIG < INFINITY && t && t % RENORM == 0) {
-                T least = BIG; /* BIG in a dead lane: its offset is never read */
-                for (int64_t s = 0; s < S; s++)
-                    least = old[s] < least ? old[s] : least;
-                for (int64_t s = 0; s < S; s++) {
-                    old[s] = old[s] < BIG ? old[s] - least : BIG;
-                    if (old[s] < BIG && old[s] > limit)
-                        status = WIDEN;
-                }
-                offset += least;
-            }
-            if (status)
-                break;
-            uint8_t *k = choice + (b * steps + t) * S;
-            if (expanded)
-                NAME(butterflies)(S / 2, old, expanded + (row * V + v) * 2 * S,
-                                  new, k);
-            else
-                NAME(butterflies_gather)(S / 2, old, costs + row * V,
-                                         order + v * 2 * S, new, k);
+    int64_t offset = 0;
+    for (int64_t s = 0; s < S; s++)
+        scratch[s] = 0;
+    for (int64_t t = 0; t < steps; t++, levels += cells) {
+        /* The step's cost row: its cells' levels are the base-L digits of
+         * the row number, most significant first. */
+        int64_t v = reps[t], row = 0;
+        for (int64_t c = 0; c < cells; c++) {
+            if ((uint64_t)levels[c] >= (uint64_t)L)
+                return -2;
+            row = row * L + levels[c];
         }
-        const T *last = scratch + (steps & 1) * S;
-        for (int64_t s = 0; s < S; s++)
-            path[b * S + s] = last[s] < BIG ? (double)last[s] + offset : INFINITY;
+        if ((uint64_t)v >= (uint64_t)V)
+            return -2;
+        T *old = scratch + (t & 1) * S, *new = scratch + (~t & 1) * S;
+        if (BIG < INFINITY && t && t % RENORM == 0) {
+            T least = BIG; /* BIG in a dead lane: its offset is never read */
+            for (int64_t s = 0; s < S; s++)
+                least = old[s] < least ? old[s] : least;
+            int wide = 0;
+            for (int64_t s = 0; s < S; s++) {
+                old[s] = old[s] < BIG ? old[s] - least : BIG;
+                wide |= old[s] < BIG && old[s] > limit;
+            }
+            if (wide)
+                return WIDEN;
+            offset += least;
+        }
+        uint8_t *chosen = k + t % 8 * S;
+        if (expanded)
+            NAME(butterflies)(S / 2, old, expanded + (row * V + v) * 2 * S, new,
+                              chosen);
+        else
+            NAME(butterflies_gather)(S / 2, old, costs + row * V, order + v * 2 * S,
+                                     new, chosen);
+        if (t % 8 == 7 || t == steps - 1)
+            pack(S, k, bits + t / 8 * S);
     }
-    free(scratch);
-    return status;
+    const T *last = scratch + (steps & 1) * S;
+    int64_t best = 0;
+    for (int64_t s = 1; s < S; s++)
+        best = last[s] < last[best] ? s : best;
+    *end = best;
+    *total = last[best] < BIG ? (double)last[best] + offset : INFINITY;
+    return 0;
 }
 
 #endif

@@ -66,7 +66,6 @@ class ConvolutionalCosetCode(PageCode):
         self.codebook = codebook or make_codebook(bits_per_cell, vcell_levels)
         if self.codebook.num_levels != vcell_levels and codebook is None:
             raise ConfigurationError("codebook level count mismatch")
-        self.varray = VCellArray(VCellSpec(self.codebook.num_levels), page_bits)
         self.page_bits = int(page_bits)
         m = code.num_outputs
         if m % self.codebook.bits_per_cell != 0:
@@ -74,6 +73,11 @@ class ConvolutionalCosetCode(PageCode):
                 f"rate-1/{m} outputs do not divide into "
                 f"{self.codebook.bits_per_cell}-bit symbols"
             )
+        # One backend serves the whole write: division, levels, search, program.
+        self.viterbi = CosetViterbi(code.build_trellis(), self.codebook)
+        backend = self.viterbi.backend
+        self.varray = VCellArray(VCellSpec(self.codebook.num_levels), page_bits, backend.levels)
+        self.former = SyndromeFormer(code, divide=backend.divide)
         self.cells_per_step = m // self.codebook.bits_per_cell
         self.steps = self.varray.num_cells // self.cells_per_step
         if self.steps == 0:
@@ -92,9 +96,6 @@ class ConvolutionalCosetCode(PageCode):
                 f"the {self.guard_steps}-step guard region"
             )
         self.dataword_bits = (self.steps - self.guard_steps) * (m - 1)
-        self.viterbi = CosetViterbi(code.build_trellis(), self.codebook)
-        # One backend serves the whole write: division, search, page program.
-        self.former = SyndromeFormer(code, divide=self.viterbi.backend.divide)
         self._last_cost = float("nan")
         self._last_costs = np.full(0, np.nan)
 

@@ -5,53 +5,54 @@ the repository, between a division by ``g1`` and the programming of the
 page.  :class:`~repro.coding.viterbi.CosetViterbi` owns the search's
 tables and the dispatch; the loops sit behind this registry.
 
-A backend is four functions.  Two are the search, reading the tables of
-the ``CosetViterbi`` they are handed::
-
-    forward(viterbi, reps, levels, dtype) -> (path, backptr)
-    backtrace(viterbi, reps, end_state, backptr) -> codeword_values
-
-``reps`` is ``(B, steps)`` and ``levels`` ``(B, steps, cells)``, int64
-but not necessarily contiguous; ``path`` is the ``(B, S)`` final metrics
-in ``dtype`` (float32/float64), ``codeword_values`` ``(B, steps)`` int64,
-and ``backptr`` is private to the backend.  Strict-less selects are
-load-bearing: a tie keeps the lower predecessor, ``argmin``'s
-first-occurrence rule, which the historical recursion (and so every
-recorded result) follows.  A backend that breaks ties differently is
-*wrong* even if its total costs agree;
-``tests/coding/test_viterbi_kernel.py`` pins every available backend to
-byte-identical codewords, costs and writability.
-
-Two are the page either side of it, pinned byte for byte to the numpy
-backend's by ``tests/coding/test_page_kernel.py``::
+A backend is four functions, one per stage of the write, in the order
+the write runs them::
 
     divide(numerators, feedback_taps) -> quotients
+    levels(cells) -> levels
+    search(viterbi, reps, levels) -> (codeword_values, total_costs, writable)
     program(code, pages, levels, result) -> new_pages
 
-``divide`` is :func:`~repro.coding.bitops.gf2_divide_causal`.  ``program``
-takes the :class:`~repro.coding.coset.ConvolutionalCosetCode`, its pages,
-their ``(B, num_cells)`` levels (the caller has them; ``native`` recounts
-as it goes) and the search's ``ViterbiBatchResult``, and returns new
-pages: each used cell of a writable lane raised to the level that stores
-its codeword symbol, lowest unset bit first, all else as it was.
+``divide`` is :func:`~repro.coding.bitops.gf2_divide_causal` on bits
+(``native`` holds the ``g1`` register in one word: a tap past 64, or a
+byte that is not a bit, is an ``IndexError`` there), and
+``levels`` is :func:`~repro.vcell.varray._popcount`: ``cells`` is
+``(..., num_cells, bits_per_cell)`` uint8, the result int64
+``(..., num_cells)``, and a byte that is not a bit is a ``VCellError``
+naming its lane and bit.  ``search`` reads the tables of the
+``CosetViterbi`` it is handed; ``reps`` is ``(B, steps)`` and ``levels``
+``(B, steps, cells)``, int64 but not necessarily contiguous.  It returns
+the ``(B, steps)`` int64 codeword chunks, the ``(B,)`` float64 total
+costs (``inf`` on an unwritable lane) and the ``(B,)`` bool writability.
+Strict-less selects are load-bearing: a tie keeps the lower predecessor,
+and the end state is the first minimum, ``argmin``'s rule, which the
+historical recursion (and so every recorded result) follows.  A backend
+that breaks ties differently is *wrong* even if its total costs agree.
+``program`` takes the :class:`~repro.coding.coset.ConvolutionalCosetCode`,
+its pages, their ``(B, num_cells)`` levels and the search's
+``ViterbiBatchResult``, and returns new pages: each used cell of a
+writable lane raised to the level that stores its codeword symbol,
+lowest unset bit first, all else as it was.
+``tests/coding/test_viterbi_kernel.py`` pins every available backend's
+``search`` to byte-identical codewords, costs and writability, and
+``tests/coding/test_page_kernel.py`` the other three to the numpy
+backend's bytes and exception types.
 
-Both backends run the same recursion, one add-compare-select per trellis
-step.  ``numpy`` (always available, the reference) vectorizes it over
-lanes and serves every metric and every 2-regular trellis.  ``native``
-is ``_viterbi.c``: cost lookup, ACS and backtrace fused into two foreign
-calls per search, division and program one plain loop each, compiled on
+``numpy`` (always available, the reference) vectorizes the recursion
+over lanes and serves every metric and every 2-regular trellis.
+``native`` is ``_viterbi.c``, one plain C pass per function, compiled on
 first use into this package's ``__pycache__`` and loaded with ``ctypes``.
-The search walks a step as ``S/2``
-butterflies (states ``2j`` and ``2j+1`` both come from ``j`` and
-``j + S/2``) over a branch-cost vector ``CosetViterbi`` expanded ahead
-per (level row, coset chunk), a loop the compiler vectorises; without
-that table it gathers the same costs from the fused row as it goes.  It
-is only ever handed the paper's case (costs that are non-negative
-integers or ``inf``, a level space small enough to tabulate, a
-shift-register trellis); a ``CosetViterbi`` outside it resolves to
-numpy, for the whole write.  Its path metrics are int16, clamped and
-renormalised so that they stay exact; a call they could overflow is
-redone in float64, and ``path`` leaves in ``dtype`` either way.
+Its search walks a step as ``S/2`` butterflies (states ``2j`` and
+``2j+1`` both come from ``j`` and ``j + S/2``) over a branch-cost vector
+``CosetViterbi`` expanded ahead per (level row, coset chunk), a loop the
+compiler vectorises; without that table it gathers the same costs from
+the fused row as it goes.  It is only ever handed the paper's case
+(costs that are non-negative integers or ``inf``, a level space small
+enough to tabulate, a shift-register trellis); a ``CosetViterbi``
+outside it resolves to numpy, for the whole write.  Its path metrics are
+int16, clamped and renormalised so that they stay exact, and a lane they
+could overflow is redone in float64 inside the call.  Survivors are one
+bit per (step, state), walked back per lane.
 Nothing is probed, imported or written until a ``CosetViterbi`` resolves
 its backend: by explicit name, then the ``REPRO_VITERBI_BACKEND``
 variable, then ``"auto"`` (native when it builds, else numpy), memoized
@@ -69,6 +70,7 @@ import numpy as np
 
 from repro.coding.bitops import gf2_divide_causal
 from repro.errors import ConfigurationError
+from repro.vcell.varray import _popcount
 
 __all__ = [
     "KernelBackend",
@@ -90,10 +92,10 @@ class KernelBackend:
     """One registered implementation of the page-write loops."""
 
     name: str
-    forward: Callable
-    backtrace: Callable
+    search: Callable
     program: Callable
     divide: Callable
+    levels: Callable
     #: Reads ``CosetViterbi._fused_flat`` and the tables built from it: a
     #: searcher whose level space is too large to tabulate runs numpy instead.
     needs_fused_table: bool = False
@@ -169,6 +171,17 @@ def _backtrace_numpy(v, reps, end_state, backptr):
     return v._pred_output.reshape(-1)[branch] ^ reps
 
 
+def _search_numpy(v, reps, levels):
+    """The forward pass, in float32 when every integer sum stays exact in it,
+    then ``argmin``'s end state and the backtrace from it."""
+    exact = v._integral_costs and reps.shape[1] * v._max_step_cost < 2**24
+    path, backptr = _forward_numpy(v, reps, levels, np.float32 if exact else np.float64)
+    end_state = np.argmin(path, axis=1)
+    total_costs = path[np.arange(len(path)), end_state].astype(np.float64)
+    codeword_values = _backtrace_numpy(v, reps, end_state, backptr)
+    return codeword_values, total_costs, np.isfinite(total_costs)
+
+
 def _program_numpy(code, pages, levels, result):
     """Unwritable lanes and the cells past ``used_cells`` are reprogrammed to
     their current levels (a no-op), so their bits pass through unchanged."""
@@ -189,7 +202,8 @@ _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 #: ``_viterbi.c``'s BIG (int16's inf) and RENORM (steps per renormalisation).
 INT16_BIG, INT16_RENORM = 16383, 16
-_WIDEN = 1  # forward_i16's status when its metrics could leave int16
+#: What ``_viterbi.c`` exports: (int64 arguments, pointer arguments) by name.
+_SIGNATURES = {"search": (7, 10), "program": (7, 5), "divide": (3, 2), "levels": (4, 2)}
 
 
 def _compiler_words() -> list[str]:
@@ -254,15 +268,29 @@ def _load_native():
         raise ImportError(f"cannot load {library}: {exc}") from exc
 
 
+def _bind(library):
+    """Set the argument types of the functions ``_SIGNATURES`` names."""
+    import ctypes
+
+    for name, (sizes, pointers) in _SIGNATURES.items():
+        getattr(library, name).argtypes = (
+            [ctypes.c_int64] * sizes + [ctypes.c_void_p] * pointers
+        )
+    return library
+
+
 def _make_native_backend() -> KernelBackend:
     import ctypes
 
-    library = _load_native()
-    for function in (library.forward_i16, library.forward_f64):
-        function.argtypes = [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 7
-    library.backtrace.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
-    library.program.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 4
-    library.divide.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
+    library = _bind(_load_native())
+
+    def address(array):
+        # Through the buffer protocol: a few times cheaper than
+        # array.ctypes.data, which builds the array interface.
+        try:
+            return ctypes.addressof(ctypes.c_char.from_buffer(array))
+        except (TypeError, ValueError):  # read-only, strided or empty
+            return array.ctypes.data
 
     def call(function, sizes, *typed):
         # The kernel assumes C order and exactly these dtypes, so every
@@ -274,7 +302,7 @@ def _make_native_backend() -> KernelBackend:
             a if a is None else np.ascontiguousarray(a, dtype=t) for a, t in typed
         ]
         status = function(
-            *sizes, *(a if a is None else a.ctypes.data for a in arrays)
+            *sizes, *(a if a is None else address(a) for a in arrays)
         )
         if status == -1:
             raise MemoryError("Viterbi kernel could not allocate scratch")
@@ -282,38 +310,38 @@ def _make_native_backend() -> KernelBackend:
             raise IndexError("Viterbi kernel input out of range")
         return status
 
-    def forward(v, reps, levels, dtype):
+    def search(v, reps, levels):
         lanes, steps = reps.shape
-        num_states = v.trellis.num_states
-        path = np.empty((lanes, num_states))
-        choice = np.empty((lanes, steps, num_states), dtype=np.uint8)
-
-        def run(function, limit, metric, expanded):
-            return call(
-                function,
-                (lanes, steps, num_states, v.cells_per_step, v._num_levels,
-                 v.num_values, limit),
-                (v._order, np.uint16), (v._fused_flat[np.dtype(metric)], metric),
-                (expanded, metric), (reps, np.int64), (levels, np.int64),
-                (path, np.float64), (choice, np.uint8),
-            )
-
-        # int16 unless the searcher's costs rule it out (_limit < 0) or this
-        # call's finite metrics spread too far for it: then float64, exact.
-        if v._limit < 0 or run(
-            library.forward_i16, v._limit, np.int16, v._expanded
-        ) == _WIDEN:
-            run(library.forward_f64, 0, np.float64, None)
-        return path.astype(dtype, copy=False), choice
-
-    def backtrace(v, reps, end_state, backptr):
-        codeword = np.empty(reps.shape, dtype=np.int64)
+        codeword = np.empty((lanes, steps), dtype=np.int64)
+        total = np.empty(lanes)
+        writable = np.empty(lanes, dtype=np.uint8)
+        # _limit < 0: costs too large for int16, every lane runs float64.
+        narrow = v._fused_flat.get(np.dtype(np.int16))
         call(
-            library.backtrace, (*reps.shape, v.trellis.num_states),
-            (v._out_values, np.int32), (reps, np.int64),
-            (end_state, np.int64), (backptr, np.uint8), (codeword, np.int64),
+            library.search,
+            (lanes, steps, v.trellis.num_states, v.cells_per_step,
+             v._num_levels, v.num_values, v._limit),
+            (v._order, np.uint16), (narrow, np.int16), (v._expanded, np.int16),
+            (v._fused_flat[np.dtype(np.float64)], np.float64),
+            (v._out_values, np.int32), (reps, np.int64), (levels, np.int64),
+            (codeword, np.int64), (total, np.float64), (writable, np.uint8),
         )
-        return codeword
+        return codeword, total, writable.view(bool)
+
+    def count(cells):
+        cells = np.asarray(cells, dtype=np.uint8)
+        rows = cells.reshape(-1, *cells.shape[-2:])  # a view where it can be
+        num_cells, width = rows.shape[1:]
+        if rows.strides[1:] != (width, 1):
+            rows = np.ascontiguousarray(rows)
+        out = np.empty(rows.shape[:2], dtype=np.int64)
+        # Rows need not be adjacent: a batch of pages with tail bits is not.
+        if library.levels(
+            len(rows), num_cells, width, rows.strides[0], address(rows),
+            address(out),
+        ):
+            return _popcount(cells)  # raises, naming the lane and the bit
+        return out.reshape(cells.shape[:-1])
 
     def program(code, pages, levels, result):
         varray, codebook = code.varray, code.codebook
@@ -322,24 +350,27 @@ def _make_native_backend() -> KernelBackend:
         # `call` would hand it a second copy of anything not C-order uint8.
         out = np.array(pages, dtype=np.uint8, order="C")
         lanes = len(out)
-        handed = (out, result.codeword_values, result.writable, codebook.target_table)
+        handed = (
+            out, levels, result.codeword_values, result.writable,
+            codebook.target_table,
+        )
         try:
             if [array.shape for array in handed] != [
-                (lanes, varray.page_bits), (lanes, code.steps), (lanes,),
-                (width + 1, codebook.symbols),
+                (lanes, varray.page_bits), (lanes, varray.num_cells),
+                (lanes, code.steps), (lanes,), (width + 1, codebook.symbols),
             ]:
                 raise IndexError("program kernel handed arrays of other shapes")
             call(
                 library.program,
-                (lanes, varray.page_bits, width, code.steps,
+                (lanes, varray.page_bits, varray.num_cells, width, code.steps,
                  code.cells_per_step, codebook.bits_per_cell),
-                (codebook.target_table, np.int64),
+                (codebook.target_table, np.int64), (levels, np.int64),
                 (result.codeword_values, np.int64),
                 (result.writable, np.uint8), (out, np.uint8),
             )
         except IndexError:
-            # The kernel recounts the cells and only says "out of range": the
-            # twin raises what its checks name, with the lane and the cell.
+            # The kernel only says "out of range": the twin raises what its
+            # checks name, with the lane and the cell or bit.
             return _program_numpy(code, pages, levels, result)
         return out
 
@@ -354,7 +385,7 @@ def _make_native_backend() -> KernelBackend:
         return out
 
     return KernelBackend(
-        "native", forward, backtrace, program, divide, needs_fused_table=True
+        "native", search, program, divide, count, needs_fused_table=True
     )
 
 
@@ -365,8 +396,7 @@ def _make_native_backend() -> KernelBackend:
 #: it explicitly is a :class:`~repro.errors.ConfigurationError`.
 _FACTORIES: dict[str, Callable[[], KernelBackend]] = {
     "numpy": lambda: KernelBackend(
-        "numpy", _forward_numpy, _backtrace_numpy, _program_numpy,
-        gf2_divide_causal,
+        "numpy", _search_numpy, _program_numpy, gf2_divide_causal, _popcount
     ),
     "native": _make_native_backend,
 }

@@ -18,24 +18,25 @@ Kernel layout
 -------------
 The add-compare-select recursion is sequential in trellis steps, so for
 the small state counts the paper uses (64 states at K=7) the wall clock
-is dispatch, not arithmetic.  The search (forward pass and backtrace)
-runs through a pluggable backend from :mod:`repro.coding.kernels`: a
-fused C kernel built on first use, or the always-available numpy loop
-over steps.  Both run the same one-step recursion; for the C kernel
-the branch costs are laid out ahead, one contiguous vector per (level
-row, coset chunk), so a trellis step gathers nothing.  The backend is chosen
-per ``CosetViterbi`` via the ``backend`` argument or
-``REPRO_VITERBI_BACKEND``; a searcher the C kernel does not serve (a
-non-integral metric, a trellis that is not a shift register, a level
-space too large to tabulate) runs numpy whatever was asked for.
+is dispatch, not arithmetic.  The whole search (forward pass, end state,
+backtrace) is one call of a pluggable backend from
+:mod:`repro.coding.kernels`: a C kernel built on first use, or the
+always-available numpy loop over steps.  Both run the same one-step
+recursion; for the C kernel the branch costs are laid out ahead, one
+contiguous vector per (level row, coset chunk), so a trellis step
+gathers nothing.  The backend is chosen per ``CosetViterbi`` via the
+``backend`` argument or ``REPRO_VITERBI_BACKEND``; a searcher the C
+kernel does not serve (a non-integral metric, a trellis that is not a
+shift register, a level space too large to tabulate) runs numpy whatever
+was asked for.
 
-When every finite metric cost is a non-negative integer (true for the
-paper's metric and both ablations), numpy's path metrics drop to float32
-whenever the worst-case total fits its 2**24 exact-integer range, and the
-C kernel's are int16, renormalised as it goes and redone in float64 when
-they could overflow; integer sums are exact in each, so results do not
-depend on it.  Any other metric keeps float64.  Every backend is
-bit-identical to the historical recursion for every metric (pinned by
+Path metrics are exact integers when every finite metric cost is a
+non-negative integer (the paper's metric and both ablations), so each
+backend narrows them as far as stays exact: numpy's to float32 when the
+worst-case total fits 2**24, the C kernel's to int16, renormalised every
+16 steps, with a lane that could overflow redone in float64 in the same
+call.  Any other metric keeps float64.  Every backend is bit-identical to
+the historical recursion for every metric (pinned by
 ``tests/coding/test_viterbi_kernel.py``).
 """
 
@@ -313,7 +314,7 @@ class CosetViterbi:
 
         The numpy backend vectorizes the add-compare-select recursion
         over the batch axis and loops over trellis steps in Python; the
-        native kernel loops over lanes in C.  Unwritable lanes
+        native kernel runs each lane to its codeword in C.  Unwritable lanes
         are flagged in the result mask instead of raising, so callers can
         recycle those pages and keep the batch going.
         """
@@ -330,20 +331,13 @@ class CosetViterbi:
                 f"step_levels must be ({lanes}, {steps}, "
                 f"{self.cells_per_step}), got {levels.shape}"
             )
-        dtype = (
-            np.float32
-            if self._integral_costs
-            and steps * self._max_step_cost <= float(2**24 - 1)
-            else np.float64
+        codeword_values, total_costs, writable = self.backend.search(
+            self, reps, levels
         )
-        path, backptr = self.backend.forward(self, reps, levels, dtype)
-        end_state = np.argmin(path, axis=1)
-        total_costs = path[np.arange(lanes), end_state].astype(np.float64)
-        codeword_values = self.backend.backtrace(self, reps, end_state, backptr)
         return ViterbiBatchResult(
             codeword_values=codeword_values,
             total_costs=total_costs,
-            writable=np.isfinite(total_costs),
+            writable=writable,
             step_levels=levels,
             searcher=self,
         )

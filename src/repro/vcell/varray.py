@@ -15,7 +15,14 @@ __all__ = ["VCellArray"]
 
 
 def _popcount(cells: np.ndarray) -> np.ndarray:
-    """Per-cell levels; adds the bit columns, as numpy reduces a short trailing axis slowly."""
+    """Per-cell levels of ``(..., num_cells, bits_per_cell)`` uint8 cells, by
+    column adds (numpy reduces a short trailing axis slowly).  A byte that is
+    not a bit raises, naming the lane (the flattened leading axes) and bit."""
+    if cells.size and cells.max() > 1:
+        first = int(np.argmax(cells > 1))  # flat, in C order
+        lane, bit = divmod(first, cells.shape[-2] * cells.shape[-1])
+        value = cells.reshape(-1)[first]
+        raise VCellError(f"lane {lane}, bit {bit}: byte {value} is not a bit")
     levels = cells[..., 0].astype(np.int64)
     for j in range(1, cells.shape[-1]):
         levels += cells[..., j]
@@ -38,10 +45,15 @@ class VCellArray:
     A page of ``page_bits`` bits holds ``page_bits // (levels - 1)`` v-cells;
     leftover bits (when ``levels - 1`` does not divide the page) are ignored,
     mirroring how a real FTL would leave them unused.
+
+    ``popcount`` is a kernel backend's ``levels``, with the signature, bytes
+    and errors of :func:`_popcount`; every level read and program counts
+    through it.
     """
 
-    def __init__(self, spec: VCellSpec, page_bits: int) -> None:
+    def __init__(self, spec: VCellSpec, page_bits: int, popcount=_popcount) -> None:
         self.spec = spec
+        self._popcount = popcount
         self.page_bits = int(page_bits)
         self.bits_per_cell = spec.bits_per_cell
         self.num_cells = self.page_bits // self.bits_per_cell
@@ -74,11 +86,11 @@ class VCellArray:
 
     def levels(self, page_bits: np.ndarray) -> np.ndarray:
         """Per-cell levels (popcount of each cell's bit group)."""
-        return _popcount(self._cell_matrix(page_bits))
+        return self._popcount(self._cell_matrix(page_bits))
 
     def levels_batch(self, pages: np.ndarray) -> np.ndarray:
         """Per-cell levels for ``B`` pages at once: ``(B, num_cells)``."""
-        return _popcount(self._cell_matrix_batch(pages))
+        return self._popcount(self._cell_matrix_batch(pages))
 
     def erased_page(self) -> np.ndarray:
         """A fresh all-zero page buffer."""
@@ -96,7 +108,8 @@ class VCellArray:
         Raises
         ------
         VCellError
-            If any target is below the cell's current level.
+            If any target is below the cell's current level, or a byte of the
+            page is not a bit.
         CellSaturatedError
             If any target exceeds the maximum level.
         """
@@ -113,7 +126,7 @@ class VCellArray:
             )
         new_page = np.array(page_bits, dtype=np.uint8, order="C")
         cells = self._cell_matrix(new_page)  # a view: filled in place below
-        current = _popcount(cells)
+        current = self._popcount(cells)
         if (targets < current).any():
             bad = int(np.flatnonzero(targets < current)[0])
             raise VCellError(
@@ -143,7 +156,7 @@ class VCellArray:
                 f"lane {lane}, cell {cell}: target level "
                 f"{targets[lane, cell]} exceeds L{self.spec.max_level}"
             )
-        current = _popcount(cells)
+        current = self._popcount(cells)
         if (targets < current).any():
             lane, cell = (arr[0] for arr in np.nonzero(targets < current))
             raise VCellError(

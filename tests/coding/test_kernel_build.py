@@ -171,3 +171,23 @@ def test_build_leaves_the_checkout_clean() -> None:
         cwd=root, capture_output=True, text=True, check=True,
     )
     assert status.stdout == ""
+
+
+@needs_compiler
+def test_library_exports_exactly_what_the_backend_binds() -> None:
+    """A function ``_viterbi.c`` stops exporting, or one that nothing binds
+    any more, fails here rather than at first use."""
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("no `nm` to list the library's symbols")
+    listed = subprocess.run(
+        [nm, "-D", "--defined-only", kernels._load_native()._name],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    exported = {
+        fields[2] for fields in map(str.split, listed.splitlines())
+        if len(fields) == 3 and fields[1] == "T"
+    }
+    assert exported == set(kernels._SIGNATURES) == {
+        "search", "program", "divide", "levels"
+    }

@@ -1,13 +1,15 @@
 """Bit-identity of the page kernels against their numpy twins.
 
 Beside the search, a kernel backend carries the rest of a page write:
-``program`` (raise every v-cell to the level its codeword symbol asks for)
-and ``divide`` (the causal division by ``g1`` behind the coset
-representative).  The numpy backend's callables *are* the reference (the
-column walk of ``VCellArray.program_levels_batch`` and
-``gf2_divide_causal``); every other available backend must return the same
-bytes and raise the same exception types.  ``make kernel-sanitize`` runs
-this file under ASan + UBSan: the native entries take raw pointers.
+``divide`` (the causal division by ``g1`` behind the coset
+representative), ``levels`` (each v-cell's level, the popcount of its
+bits) and ``program`` (raise every v-cell to the level its codeword symbol
+asks for).  The numpy backend's callables *are* the reference
+(``gf2_divide_causal``, ``_popcount`` and the column walk of
+``VCellArray.program_levels_batch``); every other available backend must
+return the same bytes and raise the same exception types.  ``make
+kernel-sanitize`` runs this file under ASan + UBSan: the native entries
+take raw pointers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.coding.coset import ConvolutionalCosetCode
 from repro.coding.registry import get_code, list_codes
 from repro.coding.viterbi import ViterbiBatchResult
 from repro.core.mfc import MFC_VARIANTS
+from repro.errors import VCellError
+from repro.vcell.varray import _popcount
 
 BACKENDS = kernels.available_backends()
 
@@ -72,9 +76,11 @@ def _random_pages(code, lanes: int, seed: int) -> np.ndarray:
     return pages
 
 
-def _program(backend: str, code, pages, codeword_values, writable):
-    """``program`` on what ``search_batch`` would hand it for this codeword."""
-    levels = code.varray.levels_batch(pages)
+def _program(backend: str, code, pages, codeword_values, writable, levels=None):
+    """``program`` on what ``search_batch`` would hand it for this codeword,
+    with the pages' levels unless others are handed."""
+    if levels is None:
+        levels = code.varray.levels_batch(pages)
     result = ViterbiBatchResult(
         codeword_values=np.asarray(codeword_values, dtype=np.int64),
         total_costs=np.where(writable, 0.0, np.inf),
@@ -198,34 +204,40 @@ def test_program_refuses_what_the_column_walk_refuses(backend) -> None:
     chunk_out_of_range = zeros.copy()
     chunk_out_of_range[2, -1] = plain.viterbi.num_values
     not_a_bit = pages.copy()
-    not_a_bit[1, 3:6] = (2, 1, 1)  # counts as level 4 of a 4-level cell
+    not_a_bit[1, 3:6] = (2, 1, 1)  # would count as level 4 of a 4-level cell
+    # Handed levels in range, so the page's own bytes are what is refused.
+    in_range = np.ones((3, plain.varray.num_cells), dtype=np.int64)
+    level_past_table = plain.varray.levels_batch(pages)
+    level_past_table[1, 2] = plain.varray.bits_per_cell + 1
     writable = np.ones(3, dtype=bool)
     skipping = np.array([True, False, False])
     cases = (
         # The legality of a target is a written lane's matter ...
-        (lowering, pages, zeros, "VCellError", True),
-        (overshooting, pages, zeros, "CellSaturatedError", True),
-        # ... what indexes a table is checked in every lane: a level past the
-        # target table, a chunk value >= 2**m.
-        (plain, not_a_bit, zeros, "IndexError", False),
-        (plain, pages, chunk_out_of_range, "IndexError", False),
+        (lowering, pages, zeros, None, "VCellError", True),
+        (overshooting, pages, zeros, None, "CellSaturatedError", True),
+        # ... what indexes a table is checked in every lane: a byte that is
+        # not a bit, a handed level past the target table, a chunk value
+        # >= 2**m.
+        (plain, not_a_bit, zeros, in_range, "VCellError", False),
+        (plain, pages, zeros, level_past_table, "IndexError", False),
+        (plain, pages, chunk_out_of_range, None, "IndexError", False),
     )
-    for code, case_pages, codeword, error, fine_when_skipped in cases:
+    for code, case_pages, codeword, levels, error, fine_when_skipped in cases:
         before = case_pages.copy()
         with pytest.raises(Exception) as reference:
-            _program("numpy", code, case_pages, codeword, writable)
+            _program("numpy", code, case_pages, codeword, writable, levels)
         assert reference.type.__name__ == error
         with pytest.raises(reference.type):
-            _program(backend, code, case_pages, codeword, writable)
+            _program(backend, code, case_pages, codeword, writable, levels)
         assert np.array_equal(case_pages, before)
         if fine_when_skipped:
             assert np.array_equal(
-                _program(backend, code, case_pages, codeword, skipping),
-                _program("numpy", code, case_pages, codeword, skipping),
+                _program(backend, code, case_pages, codeword, skipping, levels),
+                _program("numpy", code, case_pages, codeword, skipping, levels),
             )
         else:
             with pytest.raises(reference.type):
-                _program(backend, code, case_pages, codeword, skipping)
+                _program(backend, code, case_pages, codeword, skipping, levels)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -254,6 +266,69 @@ def test_whole_writes_agree_until_the_page_wears_out(
         pages = got
     else:
         pytest.fail("the pages never wore out")
+
+
+# -- levels ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_levels_matches_the_popcount(
+    backend, variant, vcell_levels, monkeypatch
+) -> None:
+    """One page, a batch, a batch whose rows are not adjacent (the pages'
+    tail bits lie between them) and views in other layouts."""
+    levels = kernels.resolve_backend(backend).levels
+    code = _make_code(variant, vcell_levels)
+    varray = code.varray
+    for lanes in (0, 1, 33):
+        pages = _random_pages(code, lanes, seed=lanes)
+        cells = pages[:, : varray.used_bits].reshape(
+            lanes, varray.num_cells, varray.bits_per_cell
+        )
+        expected = _popcount(cells)
+        for view in (cells, np.asfortranarray(cells), cells[:, ::-1]):
+            got = levels(view)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _popcount(view))
+        assert np.array_equal(levels(cells), expected)
+        if lanes:
+            assert np.array_equal(levels(cells[0]), expected[0])
+    # The code hands its v-cell array the backend it resolved to.
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    with_backend = _make_code(variant, vcell_levels)
+    assert with_backend.varray._popcount is with_backend.viterbi.backend.levels
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_byte_that_is_not_a_bit_is_refused_by_every_page_read(
+    backend, monkeypatch
+) -> None:
+    """A page byte of 2 would count as two levels: encoding, decoding,
+    reading the levels and programming such a page all refuse it, naming the
+    lane and the bit."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    code = _make_code("mfc-1/2-1bpc")
+    assert code.viterbi.backend.name == backend
+    page = code.varray.erased_page()
+    page[7] = 2
+    data = np.zeros(code.dataword_bits, dtype=np.uint8)
+    pages = np.stack([code.varray.erased_page(), page])
+    for refused in (
+        lambda: code.encode(data, page),
+        lambda: code.decode(page),
+        lambda: code.varray.levels(page),
+        lambda: code.varray.program_levels(page, np.zeros(code.varray.num_cells)),
+    ):
+        with pytest.raises(VCellError, match="lane 0, bit 7: byte 2 is not a bit"):
+            refused()
+    for refused in (
+        lambda: code.encode_batch(np.stack([data, data]), pages),
+        lambda: code.decode_batch(pages),
+        lambda: code.varray.levels_batch(pages),
+    ):
+        with pytest.raises(VCellError, match="lane 1, bit 7"):
+            refused()
 
 
 # -- divide ----------------------------------------------------------------------
@@ -309,6 +384,24 @@ def test_native_divide_rejects_a_tap_below_one() -> None:
     for taps in ([0, 2], [3, -1]):
         with pytest.raises(IndexError, match="out of range"):
             kernels.resolve_backend("native").divide(numerators, taps)
+
+
+@needs_native
+def test_native_divide_refuses_what_its_word_cannot_hold() -> None:
+    """The register is one 64-bit word: a tap of 64 divides as the squaring
+    product does, a tap past it and a byte that is not a bit are typed
+    errors, not a wrong quotient."""
+    divide = kernels.resolve_backend("native").divide
+    numerators = np.random.default_rng(5).integers(0, 2, (2, 300), dtype=np.uint8)
+    for taps in ([1, 64], [64]):
+        assert np.array_equal(
+            divide(numerators, taps), gf2_divide_causal(numerators, taps)
+        )
+    with pytest.raises(IndexError, match="out of range"):
+        divide(numerators, [1, 65])
+    numerators[1, 77] = 2
+    with pytest.raises(IndexError, match="out of range"):
+        divide(numerators, [1, 3])
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,6 @@ across fractional metrics and relabelled trellises that no scheme builds.
 from __future__ import annotations
 
 import copy
-import ctypes
 import dataclasses
 import functools
 
@@ -139,8 +138,8 @@ def test_float32_metric_bound_falls_back_to_float64() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pluggable kernel backends: every available backend must be bit-identical
-# to the reference on everything the seam (forward pass + backtrace) sees.
+# Pluggable kernel backends: every available backend's search must be
+# bit-identical to the reference on everything it returns.
 # ---------------------------------------------------------------------------
 
 BACKENDS = kernels.available_backends()
@@ -218,64 +217,69 @@ def test_native_cost_paths_agree_with_numpy(variant, constraint_length) -> None:
 
 @needs_native
 def test_native_serves_a_searcher_too_large_to_expand() -> None:
-    """mfc-4/5 at K=7 would expand to 16 MiB: no table, same kernel."""
-    viterbi = _with_backend(_make_code("mfc-4/5", 7), "native")
+    """mfc-4/5 at K=7 would expand to 16 MiB: no table, every step gathers
+    its costs, and the result is numpy's byte for byte."""
+    code = _make_code("mfc-4/5", 7)
+    viterbi = _with_backend(code, "native")
     assert viterbi._expanded is None
     assert _with_backend(_make_code("mfc-3/4", 7), "native")._expanded is not None
-    for lanes, steps in ((1, 12), (5, 13)):
+    for lanes, steps in ((1, 0), (1, 9), (1, 12), (5, 13), (3, 70)):
         reps, levels = _random_case(viterbi, lanes, steps, steps, 3)
         _assert_bit_identical(viterbi, reps, levels)
+        _assert_native_is_numpy(code, reps, levels)
 
 
 # ---------------------------------------------------------------------------
-# The native forward pass runs int16 path metrics and redoes a call in float64
-# when they could overflow.  Its two instantiations are called directly here,
-# without that redo, so each test knows which one answered.
+# The native search runs int16 path metrics and redoes a lane in float64 when
+# they could overflow.  It is called directly here, with the limit it is
+# handed chosen, so each test knows which width answered: its status is the
+# number of lanes it redid in float64, and a limit below zero redoes them all.
 # ---------------------------------------------------------------------------
 
 
 @functools.cache
 def _native_library():
-    library = kernels._load_native()
-    for function in (library.forward_i16, library.forward_f64):
-        function.argtypes = [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 7
-    return library
+    return kernels._bind(kernels._load_native())
 
 
-def _instantiation(viterbi, reps, levels, metric, expanded=None):
-    """``(status, final metrics, choice plane)`` of ``forward_i16`` (metric
-    int16) or ``forward_f64`` over the searcher's tables."""
+def _native_search(viterbi, reps, levels, limit=None, expanded=None):
+    """``(status, codewords, costs, writable)`` of one ``search`` call over
+    the searcher's tables, with its own limit and expanded table."""
     lanes, steps = reps.shape
-    states = viterbi.trellis.num_states
-    path = np.empty((lanes, states))
-    choice = np.empty((lanes, steps, states), dtype=np.uint8)
-    tables = (viterbi._order, viterbi._fused_flat[np.dtype(metric)], expanded)
+    codeword = np.empty((lanes, steps), dtype=np.int64)
+    total = np.empty(lanes)
+    writable = np.empty(lanes, dtype=np.uint8)
+    tables = (
+        viterbi._order, viterbi._fused_flat[np.dtype(np.int16)], expanded,
+        viterbi._fused_flat[np.dtype(np.float64)], viterbi._out_values,
+    )
     buffers = (
         *(None if t is None else np.ascontiguousarray(t) for t in tables),
         np.ascontiguousarray(reps, dtype=np.int64),
-        np.ascontiguousarray(levels, dtype=np.int64), path, choice,
+        np.ascontiguousarray(levels, dtype=np.int64), codeword, total, writable,
     )
-    library = _native_library()
-    function = library.forward_i16 if metric == np.int16 else library.forward_f64
-    status = function(
-        lanes, steps, states, viterbi.cells_per_step, viterbi._num_levels,
-        viterbi.num_values, viterbi._limit,
+    status = _native_library().search(
+        lanes, steps, viterbi.trellis.num_states, viterbi.cells_per_step,
+        viterbi._num_levels, viterbi.num_values,
+        viterbi._limit if limit is None else limit,
         *(None if b is None else b.ctypes.data for b in buffers),
     )
-    return status, path, choice
+    return status, codeword, total, writable.view(bool)
 
 
 def _assert_int16_is_float64(viterbi, reps, levels) -> None:
-    """Both int16 cost paths give the float64 instantiation's choice plane and
-    final metrics byte for byte, on every state, with no redo."""
-    _status, path, choice = _instantiation(viterbi, reps, levels, np.float64)
+    """Both int16 cost paths give the float64 search's codewords, costs and
+    writability byte for byte, with no lane redone.  Unwritable lanes count
+    too: their walk from state 0 crosses the ties between infeasible
+    branches, which int16 must break as float64's infs do."""
+    lanes = len(reps)
+    status, *wide = _native_search(viterbi, reps, levels, limit=-1)
+    assert status == lanes
     for expanded in {id(e): e for e in (viterbi._expanded, None)}.values():
-        status, narrow_path, narrow_choice = _instantiation(
-            viterbi, reps, levels, np.int16, expanded
-        )
+        status, *narrow = _native_search(viterbi, reps, levels, expanded=expanded)
         assert status == 0
-        assert narrow_path.tobytes() == path.tobytes()
-        assert narrow_choice.tobytes() == choice.tobytes()
+        for got, expected in zip(narrow, wide):
+            assert got.tobytes() == expected.tobytes()
 
 
 def _page_lifetime(code, lanes, seed):
@@ -339,11 +343,11 @@ def test_forced_int16_overflow_redoes_the_call_in_float64(variant) -> None:
     unforced = native.search_batch(reps, levels)
     native._limit = 0  # any finite spread after a renormalisation overflows
     for lane in range(len(reps)):
-        status, _path, _choice = _instantiation(
-            native, reps[lane : lane + 1], levels[lane : lane + 1], np.int16,
-            native._expanded,
+        status, *_result = _native_search(
+            native, reps[lane : lane + 1], levels[lane : lane + 1],
+            expanded=native._expanded,
         )
-        assert status == kernels._WIDEN
+        assert status == 1
     forced = native.search_batch(reps, levels)
     for expected in (reference.search_batch(reps, levels), unforced):
         assert np.array_equal(forced.codeword_values, expected.codeword_values)
@@ -376,6 +380,75 @@ def test_costs_too_large_for_int16_route_to_float64(denominator) -> None:
         _assert_bit_identical(native, reps, levels)
 
 
+def _assert_native_is_numpy(code, reps, levels) -> np.ndarray:
+    """Native, on both cost paths, returns numpy's codewords (unwritable
+    lanes' included), costs and writability byte for byte; returns the
+    writability."""
+    expected = _with_backend(code, "numpy").search_batch(reps, levels)
+    for viterbi in _cost_paths(_with_backend(code, "native")):
+        got = viterbi.search_batch(reps, levels)
+        for name in ("codeword_values", "total_costs", "writable"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+    return expected.writable
+
+
+@needs_native
+@pytest.mark.parametrize("constraint_length", [3, 9])
+def test_packed_survivors_at_both_state_edges(constraint_length) -> None:
+    """4 states keep half a byte of survivors a step, 256 keep 32 bytes: step
+    counts either side of the 8 steps a survivor byte holds, saturated cells
+    included."""
+    code = _make_code("mfc-1/2-1bpc", constraint_length)
+    assert code.viterbi.trellis.num_states == 2 ** (constraint_length - 1)
+    for steps in (0, 1, 7, 8, 9, 15, 16, 17, 64, 65):
+        for lanes in (1, 3):
+            reps, levels = _random_case(code.viterbi, lanes, steps, steps + lanes, 3)
+            _assert_native_is_numpy(code, reps, levels)
+
+
+@needs_native
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
+def test_native_batch_of_writable_and_unwritable_lanes(variant) -> None:
+    """Every search of a page lifetime, each batch holding an unwritable lane
+    between writable ones."""
+    code = _make_code(variant, 5)
+    code.viterbi = _with_backend(code, "numpy")
+    searches = _page_lifetime(code, 5, 3)
+    mixed = 0
+    for reps, levels in searches:
+        writable = _assert_native_is_numpy(code, reps, levels)
+        mixed += bool(writable.any() and not writable.all())
+    assert mixed > 1
+
+
+@needs_native
+def test_one_lane_widens_to_float64_next_to_one_that_does_not() -> None:
+    """One call, a limit between the two lanes' spreads: the wide lane is
+    redone in float64, the narrow one is not, and both match numpy."""
+    code = _make_code("mfc-1/2-1bpc", 5)
+    native = _with_backend(code, "native")
+    reps, levels = _random_case(native, 2, 40, 9, 2)
+    levels[0] = 0  # lane 0: the cheapest cells, the narrowest spread
+
+    def least_limit(lane):
+        """The least limit at which the lane stays int16 throughout."""
+        limit = 0
+        while _native_search(
+            native, reps[lane : lane + 1], levels[lane : lane + 1], limit,
+            native._expanded,
+        )[0]:
+            limit += 1
+        return limit
+
+    narrow = least_limit(0)
+    assert narrow < least_limit(1)
+    status, *got = _native_search(native, reps, levels, narrow, native._expanded)
+    assert status == 1
+    expected = _with_backend(code, "numpy").search_batch(reps, levels)
+    for array, name in zip(got, ("codeword_values", "total_costs", "writable")):
+        assert array.tobytes() == getattr(expected, name).tobytes()
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
 def test_backend_saturated_lanes_mixed_with_writable(backend, variant) -> None:
@@ -393,16 +466,15 @@ def test_backend_saturated_lanes_mixed_with_writable(backend, variant) -> None:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_float64_branch(backend) -> None:
-    """Sums past the float32-exact bound ask the seam for float64 metrics:
-    numpy runs its recursion in float64, native still runs int16 (its metric
-    has not changed) and hands its exact metrics back as float64."""
+    """Sums past numpy's float32-exact bound run its recursion in float64;
+    native still runs int16 (its metric has not changed).  Either way the
+    costs come back as exact float64."""
     viterbi = _with_backend(_make_code("mfc-2/3", 5), backend)
     viterbi._max_step_cost = float(2**24)  # past the float32-exact bound
     for lanes, steps in ((1, 10), (5, 11)):
         reps, levels = _random_case(viterbi, lanes, steps, steps, 3)
         _assert_bit_identical(viterbi, reps, levels)
-        path, _choice = viterbi.backend.forward(viterbi, reps, levels, np.float64)
-        assert path.dtype == np.float64
+        assert viterbi.search_batch(reps, levels).total_costs.dtype == np.float64
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -517,19 +589,6 @@ def test_native_rejects_out_of_range_levels() -> None:
             broken[1, 8, 0] = bad
             with pytest.raises(IndexError, match="out of range"):
                 viterbi.search_batch(reps, broken)
-
-
-@needs_native
-def test_native_rejects_out_of_range_end_state() -> None:
-    """``search_batch`` takes end states from ``argmin``; the seam does not."""
-    viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 3), "native")
-    reps, levels = _random_case(viterbi, 2, 9, 0, 2)
-    _path, backptr = viterbi.backend.forward(viterbi, reps, levels, np.float32)
-    for bad in (-1, viterbi.trellis.num_states):
-        with pytest.raises(IndexError, match="out of range"):
-            viterbi.backend.backtrace(
-                viterbi, reps, np.array([0, bad]), backptr
-            )
 
 
 # ---------------------------------------------------------------------------
