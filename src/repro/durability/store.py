@@ -18,11 +18,10 @@ checkpoint, replay the journal tail through the normal host write path
 tail, audit every logical page with the survivor-audit machinery, and
 finally take a fresh checkpoint so the next crash replays from here.
 
-Internal FTL transitions (GC reclaims, block retirements, wear migrations)
-are journaled as informational records via the FTL's ``event_sink``: replay
-does not apply them (logical replay regenerates physical placement), but
-they make the journal a complete audit trail of device-state changes and
-are surfaced as recovery counters.
+The journal holds host records (WRITE, TRIM) and the end-of-life READ_ONLY
+latch, nothing else.  Garbage collection, block retirement and wear-leveling
+migration are not journaled: the FTL is deterministic, so replaying the
+host records on the checkpointed device rebuilds them exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import binascii
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +72,6 @@ _RECOVERY_TOTAL = _metrics.gauge("durability.recovery_records_total")
 _RECOVERY_REPLAYED = _metrics.gauge("durability.recovery_replayed_records")
 _RECOVERY_PROGRESS = _metrics.gauge("durability.recovery_progress")
 
-#: Maps FTL ``event_sink`` kinds to informational journal opcodes.
-_EVENT_OPCODES = {
-    "gc_reclaim": OpCode.GC_RECLAIM,
-    "block_retired": OpCode.RETIRE,
-    "wear_migration": OpCode.WEAR_MIGRATION,
-}
-
 _ZERO_SHA = b"\x00" * 32
 
 
@@ -102,7 +94,6 @@ class RecoveryReport:
     skipped_applies: int = 0
     torn_bytes_discarded: int = 0
     torn_reason: str | None = None
-    internal_events: dict[str, int] = field(default_factory=dict)
     audited_pages: int = 0
     audit_failures: int = 0
 
@@ -153,7 +144,6 @@ class DurableStore:
         self._records_since_checkpoint = 0
         self._checkpoint_sha = _ZERO_SHA
         self._read_only_journaled = False
-        self._replaying = False
         #: Monotonic time of the oldest uncommitted journal append (None
         #: when everything appended so far has been fsynced).
         self._pending_since: float | None = None
@@ -191,8 +181,7 @@ class DurableStore:
 
         Fresh directories are laid out (empty checkpoint, empty journal);
         existing ones are restored + replayed + audited.  Either way the
-        store is ready for :meth:`journal_write` when this returns, and the
-        FTL's event sink is attached.
+        store is ready for :meth:`journal_write` when this returns.
         """
         with _span("durability.recovery") as event:
             report = self._recover_inner(ssd)
@@ -204,7 +193,6 @@ class DurableStore:
         _REPLAYED_TRIMS.inc(report.replayed_trims)
         _TORN_BYTES.inc(report.torn_bytes_discarded)
         _AUDIT_FAILURES.inc(report.audit_failures)
-        self.attach(ssd)
         return report
 
     def _recover_inner(self, ssd: SSD) -> RecoveryReport:
@@ -246,12 +234,7 @@ class DurableStore:
                     f"journal segment {segment_path} does not start with a "
                     "segment header; it was not written by this store"
                 )
-            fmt, start_seq, sha = header.args
-            if fmt > JOURNAL_FORMAT:
-                raise DurabilityError(
-                    f"journal segment {segment_path} uses record format "
-                    f"{fmt}, this build reads format {JOURNAL_FORMAT}"
-                )
+            _, _, sha = header.args
             if sha != expected_sha:
                 raise DurabilityError(
                     f"journal segment {segment_path} extends a different "
@@ -288,7 +271,6 @@ class DurableStore:
         space) could not have been acknowledged then either, because the
         original apply must have failed the same deterministic way.
         """
-        self._replaying = True
         cursor = applied_seq
         total = len(records)
         self._recovery_progress = 0.0 if total else 1.0
@@ -322,41 +304,15 @@ class DurableStore:
                 elif record.opcode == OpCode.READ_ONLY:
                     ssd.enter_read_only()
                     report.replayed_read_only += 1
-                elif record.opcode == OpCode.SEGMENT_HEADER:
+                else:  # a segment header, the one opcode left
                     raise DurabilityError(
                         "segment header found mid-segment; journal corrupt"
                     )
-                else:
-                    # Informational records: GC/retire/wear transitions are
-                    # regenerated by logical replay, not trusted from disk.
-                    for kind, opcode in _EVENT_OPCODES.items():
-                        if record.opcode == opcode:
-                            report.internal_events[kind] = (
-                                report.internal_events.get(kind, 0) + 1
-                            )
-                            break
         finally:
-            self._replaying = False
             self._recovery_progress = 1.0
             _RECOVERY_PROGRESS.set(1.0)
 
     # -- live journaling ------------------------------------------------------
-
-    def attach(self, ssd: SSD) -> None:
-        """Subscribe to the FTL's internal transitions (GC, retire, wear)."""
-        ssd.ftl.event_sink = self._on_ftl_event
-
-    def _on_ftl_event(self, kind: str, info: dict) -> None:
-        if self._writer is None or self._replaying:
-            return
-        opcode = _EVENT_OPCODES.get(kind)
-        if opcode is None:
-            return
-        if opcode == OpCode.GC_RECLAIM:
-            args: tuple = (int(info["block"]), int(info.get("relocated", 0)))
-        else:
-            args = (int(info["block"]),)
-        self._append(opcode, args)
 
     def _append(self, opcode: int, args: tuple) -> int:
         if self._writer is None:

@@ -8,7 +8,6 @@ place many times before relocation.
 """
 
 from repro.ftl.mapping import PageMapping, PhysicalPageState
-from repro.ftl.gc import GreedyVictimPolicy, CostBenefitVictimPolicy
 from repro.ftl.wear_leveling import (
     NoWearLeveling,
     DynamicWearLeveling,
@@ -20,8 +19,6 @@ from repro.ftl.rewriting_ftl import RewritingFTL
 __all__ = [
     "PageMapping",
     "PhysicalPageState",
-    "GreedyVictimPolicy",
-    "CostBenefitVictimPolicy",
     "NoWearLeveling",
     "DynamicWearLeveling",
     "StaticWearLeveling",

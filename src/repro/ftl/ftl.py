@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ from repro.errors import (
     UncorrectableReadError,
 )
 from repro.flash.chip import FlashChip
-from repro.ftl.gc import GreedyVictimPolicy, VictimPolicy
 from repro.ftl.mapping import PageMapping, PhysicalPageState
 from repro.ftl.wear_leveling import DynamicWearLeveling, WearLevelingPolicy
 
@@ -64,7 +62,8 @@ class BasicFTL:
 
     Every host write of a logical page consumes one fresh physical page (no
     program-without-erase).  Subclasses override :meth:`_store` /
-    :meth:`_load` to insert coding layers.
+    :meth:`_load` to insert coding layers.  Garbage collection is greedy:
+    it reclaims the closed block with the most invalid pages.
 
     Parameters
     ----------
@@ -73,8 +72,8 @@ class BasicFTL:
     logical_pages:
         Host-visible address space; must fit within the chip minus
         ``reserve_blocks`` of over-provisioning.
-    victim_policy / wear_leveling:
-        Pluggable GC and allocation policies.
+    wear_leveling:
+        Pluggable allocation policy (dynamic wear leveling by default).
     reserve_blocks:
         Blocks withheld from the logical capacity so GC always has room.
     wl_check_interval:
@@ -94,7 +93,6 @@ class BasicFTL:
         self,
         chip: FlashChip,
         logical_pages: int,
-        victim_policy: VictimPolicy | None = None,
         wear_leveling: WearLevelingPolicy | None = None,
         reserve_blocks: int = 1,
         wl_check_interval: int = 32,
@@ -114,7 +112,6 @@ class BasicFTL:
         self.mapping = PageMapping(
             logical_pages, geometry.blocks, geometry.pages_per_block
         )
-        self.victim_policy = victim_policy or GreedyVictimPolicy()
         self.wear_leveling = wear_leveling or DynamicWearLeveling()
         self.reserve_blocks = reserve_blocks
         self.stats = FTLStats()
@@ -130,16 +127,6 @@ class BasicFTL:
             raise FTLError("retry budgets must be non-negative")
         self.max_program_retries = max_program_retries
         self.max_read_retries = max_read_retries
-        #: Optional observer for internal state transitions (GC reclaims,
-        #: block retirements, wear-leveling migrations).  The durability
-        #: layer subscribes here so those transitions reach the write-ahead
-        #: journal; ``None`` costs one attribute check per event.
-        self.event_sink: Callable[[str, dict], None] | None = None
-
-    def _emit(self, kind: str, **info) -> None:
-        """Publish one internal transition to the attached event sink."""
-        if self.event_sink is not None:
-            self.event_sink(kind, info)
 
     # -- storage hooks (overridden by coding FTLs) ---------------------------
 
@@ -289,11 +276,22 @@ class BasicFTL:
         if self._open_block == block:
             self._open_block = None
             self._next_page = 0
-        self._emit("block_retired", block=block)
+
+    def _open_page_left(self) -> bool:
+        """True while the open block still has an unprogrammed page."""
+        return (
+            self._open_block is not None
+            and self._next_page < self.chip.geometry.pages_per_block
+        )
+
+    def _take_open_page(self) -> tuple[int, int]:
+        """Reserve the open block's next page."""
+        addr = (self._open_block, self._next_page)
+        self._next_page += 1
+        return addr
 
     def _allocate_page(self) -> tuple[int, int]:
-        geometry = self.chip.geometry
-        if self._open_block is not None and self._next_page < geometry.pages_per_block:
+        if self._open_page_left():
             if not self._in_gc and len(self._free_blocks) < self.reserve_blocks:
                 # Replenish while the open block still has spare pages —
                 # they are the relocation headroom that lets GC make
@@ -302,13 +300,8 @@ class BasicFTL:
                 # but-unprogrammed page outstanding (a nested reclaim
                 # could erase the block under the reservation).
                 self._garbage_collect(target_free=self.reserve_blocks)
-            if (
-                self._open_block is not None
-                and self._next_page < geometry.pages_per_block
-            ):
-                addr = (self._open_block, self._next_page)
-                self._next_page += 1
-                return addr
+            if self._open_page_left():
+                return self._take_open_page()
         self._open_block = None
         if not self._in_gc and len(self._free_blocks) <= self.reserve_blocks:
             # Top up free blocks BEFORE opening a new one (proactively, so
@@ -319,17 +312,12 @@ class BasicFTL:
             # would erase it with the reservation outstanding, handing the
             # same physical page out twice.
             self._garbage_collect(target_free=self.reserve_blocks + 1)
-            if (
-                self._open_block is not None
-                and self._next_page < geometry.pages_per_block
-            ):
+            if self._open_page_left():
                 # GC opened a fresh block for its relocations and left
                 # spare pages on it.  Keep writing there — opening yet
                 # another block would strand those pages in a closed
                 # block with no invalid pages, invisible to GC forever.
-                addr = (self._open_block, self._next_page)
-                self._next_page += 1
-                return addr
+                return self._take_open_page()
         if not self._free_blocks:
             raise OutOfSpaceError(
                 "no free blocks remain (device worn out or over-full)"
@@ -340,11 +328,11 @@ class BasicFTL:
         )
         self._free_blocks.discard(block)
         self._open_block = block
-        self._next_page = 1
-        return (block, 0)
+        self._next_page = 0
+        return self._take_open_page()
 
-    def _gc_candidates(self) -> list[int]:
-        """Closed blocks that hold at least one invalid page."""
+    def _closed_blocks(self) -> list[int]:
+        """In-service blocks holding data: not free, open or mid-reclaim."""
         return [
             block
             for block in range(self.chip.geometry.blocks)
@@ -352,7 +340,6 @@ class BasicFTL:
             and block not in self._retired
             and block not in self._reclaiming
             and block != self._open_block
-            and self.mapping.invalid_pages_in_block(block) > 0
         ]
 
     def _relocation_headroom(self) -> int:
@@ -376,15 +363,14 @@ class BasicFTL:
         self._in_gc = True
         try:
             while len(self._free_blocks) < target_free:
-                candidates = [
-                    block
-                    for block in self._gc_candidates()
-                    if self._can_reclaim(block)
-                ]
-                erase_counts = self.chip.block_erase_counts()
-                victim = self.victim_policy.choose(
-                    candidates, self.mapping, erase_counts
-                )
+                # Greedy victim: the most invalid pages wins, the lowest
+                # block index wins a tie, and a block whose live pages do
+                # not fit the headroom is skipped.
+                victim, most_invalid = None, 0
+                for block in self._closed_blocks():
+                    invalid = self.mapping.invalid_pages_in_block(block)
+                    if invalid > most_invalid and self._can_reclaim(block):
+                        victim, most_invalid = block, invalid
                 if victim is None:
                     return
                 self.stats.gc_runs += 1
@@ -411,7 +397,6 @@ class BasicFTL:
         # pass must not pick the half-reclaimed victim again.
         self._reclaiming.add(victim)
         try:
-            relocated = 0
             for addr in self.mapping.live_pages_in_block(victim):
                 if self.mapping.state(addr) is not PhysicalPageState.LIVE:
                     # A nested pass relocated this page meanwhile.
@@ -424,14 +409,12 @@ class BasicFTL:
                 # data.
                 self._write_out_of_place(lpn, data, count_relocation=True)
                 self.stats.gc_relocations += 1
-                relocated += 1
             try:
                 self.chip.erase_block(victim)
             except BlockWornOutError:
                 self._retire_block(victim)
                 return
             self.mapping.release_block(victim)
-            self._emit("gc_reclaim", block=victim, relocated=relocated)
             if self.chip.blocks[victim].worn_out:
                 # That was the block's final permitted cycle; retire it
                 # rather than hand out pages that can no longer be
@@ -456,14 +439,7 @@ class BasicFTL:
             return
         self._writes_since_wl_check = 0
         erase_counts = self.chip.block_erase_counts()
-        candidates = [
-            block
-            for block in range(self.chip.geometry.blocks)
-            if block not in self._free_blocks
-            and block not in self._retired
-            and block not in self._reclaiming
-            and block != self._open_block
-        ]
+        candidates = self._closed_blocks()
         active = [erase_counts[b] for b in candidates] + [
             erase_counts[b] for b in self._free_blocks
         ]
@@ -473,7 +449,6 @@ class BasicFTL:
         if not self._can_reclaim(coldest):
             return  # not enough headroom to migrate safely; try again later
         self.stats.migrations += 1
-        self._emit("wear_migration", block=coldest)
         self._reclaim_block(coldest)
 
     # -- background scrub ----------------------------------------------------

@@ -26,7 +26,6 @@ from repro.errors import (
 )
 from repro.flash.chip import FlashChip
 from repro.ftl.ftl import BasicFTL
-from repro.ftl.gc import VictimPolicy
 from repro.ftl.wear_leveling import WearLevelingPolicy
 
 __all__ = ["RewritingFTL"]
@@ -40,7 +39,6 @@ class RewritingFTL(BasicFTL):
         chip: FlashChip,
         scheme: RewritingScheme,
         logical_pages: int,
-        victim_policy: VictimPolicy | None = None,
         wear_leveling: WearLevelingPolicy | None = None,
         reserve_blocks: int = 1,
         max_program_retries: int = 4,
@@ -62,7 +60,6 @@ class RewritingFTL(BasicFTL):
         super().__init__(
             chip,
             logical_pages,
-            victim_policy=victim_policy,
             wear_leveling=wear_leveling,
             reserve_blocks=reserve_blocks,
             max_program_retries=max_program_retries,

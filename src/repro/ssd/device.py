@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.factory import make_scheme
@@ -16,7 +18,6 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.noise import WearNoiseModel
 from repro.ftl.ftl import BasicFTL
-from repro.ftl.gc import VictimPolicy
 from repro.ftl.rewriting_ftl import RewritingFTL
 from repro.ftl.wear_leveling import WearLevelingPolicy
 
@@ -53,7 +54,6 @@ class SSD:
         geometry: FlashGeometry | None = None,
         scheme: str = "uncoded",
         utilization: float = 0.8,
-        victim_policy: VictimPolicy | None = None,
         wear_leveling: WearLevelingPolicy | None = None,
         reserve_blocks: int = 1,
         noise_model: WearNoiseModel | None = None,
@@ -87,29 +87,20 @@ class SSD:
         logical_pages = max(1, int(usable_pages * utilization))
         if self.scheme_name == "uncoded":
             self.scheme = None
-            self.ftl: BasicFTL = BasicFTL(
-                self.chip,
-                logical_pages,
-                victim_policy=victim_policy,
-                wear_leveling=wear_leveling,
-                reserve_blocks=reserve_blocks,
-                max_program_retries=max_program_retries,
-                max_read_retries=max_read_retries,
-            )
+            make_ftl = BasicFTL
         else:
             self.scheme = make_scheme(
                 self.scheme_name, self.geometry.page_bits, **scheme_kwargs
             )
-            self.ftl = RewritingFTL(
-                self.chip,
-                self.scheme,
-                logical_pages,
-                victim_policy=victim_policy,
-                wear_leveling=wear_leveling,
-                reserve_blocks=reserve_blocks,
-                max_program_retries=max_program_retries,
-                max_read_retries=max_read_retries,
-            )
+            make_ftl = partial(RewritingFTL, scheme=self.scheme)
+        self.ftl: BasicFTL = make_ftl(
+            self.chip,
+            logical_pages=logical_pages,
+            wear_leveling=wear_leveling,
+            reserve_blocks=reserve_blocks,
+            max_program_retries=max_program_retries,
+            max_read_retries=max_read_retries,
+        )
 
     @property
     def logical_pages(self) -> int:

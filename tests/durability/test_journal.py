@@ -29,10 +29,7 @@ def _sample_records(rng) -> list[JournalRecord]:
                       (JOURNAL_FORMAT, 1, b"\x5a" * 32)),
         JournalRecord(OpCode.WRITE, 1, (7, _bits(rng))),
         JournalRecord(OpCode.TRIM, 2, (7,)),
-        JournalRecord(OpCode.GC_RECLAIM, 3, (4, 11)),
-        JournalRecord(OpCode.RETIRE, 4, (5,)),
-        JournalRecord(OpCode.WEAR_MIGRATION, 5, (2,)),
-        JournalRecord(OpCode.READ_ONLY, 6, ()),
+        JournalRecord(OpCode.READ_ONLY, 3, ()),
     ]
 
 

@@ -7,13 +7,7 @@ import pytest
 
 from repro.errors import CodingError, FTLError, OutOfSpaceError
 from repro.flash import FlashChip, FlashGeometry, SLC
-from repro.ftl import (
-    BasicFTL,
-    CostBenefitVictimPolicy,
-    DynamicWearLeveling,
-    GreedyVictimPolicy,
-    NoWearLeveling,
-)
+from repro.ftl import BasicFTL, DynamicWearLeveling, NoWearLeveling
 
 
 def make_ftl(blocks=4, pages=4, page_bits=32, erase_limit=50, logical=8,
@@ -85,13 +79,49 @@ class TestGarbageCollection:
         for lpn, data in current.items():
             assert np.array_equal(ftl.read(lpn), data)
 
-    def test_cost_benefit_policy_works(self) -> None:
-        ftl = make_ftl(blocks=4, pages=4, logical=6,
-                       victim_policy=CostBenefitVictimPolicy())
-        rng = np.random.default_rng(5)
-        for _ in range(60):
-            ftl.write(int(rng.integers(0, 6)), rand_data(rng, 32))
-        assert ftl.stats.gc_runs > 0
+    @staticmethod
+    def _hand_built(layout: list[str]) -> BasicFTL:
+        """A 4x4 device with no free block, one string per block: ``L`` a
+        live page, ``I`` an invalid one, ``.`` a free one.  The last block
+        is open at its first free page; the others are closed."""
+        ftl = make_ftl(blocks=4, pages=4, logical=12)
+        lpn = 0
+        for block, pages in enumerate(layout):
+            for page, kind in enumerate(pages):
+                if kind == "L":
+                    data = np.unpackbits(np.array([lpn] * 4, dtype=np.uint8))
+                    ftl.chip.program_page(block, page, data)
+                    ftl.mapping.map(lpn, (block, page))
+                    lpn += 1
+                elif kind == "I":
+                    ftl.mapping.discard((block, page))
+        ftl._free_blocks.clear()
+        ftl._open_block = len(layout) - 1
+        ftl._next_page = layout[-1].index(".")
+        return ftl
+
+    def _victim(self, layout: list[str]) -> int:
+        """The one block a GC round erases; live data must survive it."""
+        ftl = self._hand_built(layout)
+        before = {lpn: ftl.read(lpn) for lpn in range(12)}
+        ftl._garbage_collect(target_free=1)
+        erased = [
+            block for block, count in enumerate(ftl.chip.block_erase_counts())
+            if count
+        ]
+        assert len(erased) == 1 and ftl.stats.gc_runs == 1
+        for lpn, data in before.items():
+            assert np.array_equal(ftl.read(lpn), data)
+        return erased[0]
+
+    def test_greedy_victim_rule(self) -> None:
+        # The most invalid pages wins.
+        assert self._victim(["LLLI", "LIII", "LLII", "L..."]) == 1
+        # On a tie the lower block index wins.
+        assert self._victim(["LLLL", "LLII", "LLII", "L..."]) == 1
+        # Block 0 has the most invalid pages, but its two live pages do
+        # not fit the one free page left, so it is skipped.
+        assert self._victim(["LLII", "I...", "LLLL", "LLL."]) == 1
 
     def test_overfull_logical_space_rejected(self) -> None:
         with pytest.raises(FTLError):
@@ -118,14 +148,6 @@ class TestWearLevelingPolicies:
         gap_dynamic = self._wear_gap(DynamicWearLeveling())
         gap_none = self._wear_gap(NoWearLeveling())
         assert gap_dynamic <= gap_none
-
-    def test_greedy_policy_picks_most_invalid(self) -> None:
-        ftl = make_ftl(blocks=4, pages=4, logical=6)
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            ftl.write(int(rng.integers(0, 6)), rand_data(rng, 32))
-        # Sanity: greedy is the default and GC ran without corruption.
-        assert isinstance(ftl.victim_policy, GreedyVictimPolicy)
 
 
 class TestDeviceDeath:
