@@ -31,7 +31,9 @@ class UpdateTrace:
         self, update_number: int, before: np.ndarray, after: np.ndarray
     ) -> None:
         """Record one write; ``update_number`` starts at 1 after an erase."""
-        fraction = float((np.asarray(before) != np.asarray(after)).mean())
+        # An exact count over the size, correctly rounded: .mean()'s float64.
+        changed = np.asarray(before) != np.asarray(after)
+        fraction = np.count_nonzero(changed) / changed.size
         self._fractions.setdefault(update_number, []).append(fraction)
 
     def record_erase(self, final_levels: np.ndarray, num_levels: int) -> None:

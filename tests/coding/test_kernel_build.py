@@ -191,3 +191,19 @@ def test_library_exports_exactly_what_the_backend_binds() -> None:
     assert exported == set(kernels._SIGNATURES) == {
         "search", "program", "divide", "levels"
     }
+
+
+@needs_compiler
+def test_kernel_compiles_warning_free_by_a_relative_path() -> None:
+    """From the checkout's root, by a path with a directory part, warnings as
+    errors: the self-include must find the file however its path is spelled,
+    and no program body or table builder may warn."""
+    root = Path(repro.__file__).parents[2]
+    source = os.path.relpath(kernels._SOURCE, root)
+    assert os.path.dirname(source)
+    built = subprocess.run(
+        [kernels._find_compiler(), *kernels._compiler_words()[1:], "-O3",
+         "-Wall", "-Wextra", "-Werror", "-fsyntax-only", source],
+        cwd=root, capture_output=True, text=True,
+    )
+    assert built.returncode == 0, built.stderr

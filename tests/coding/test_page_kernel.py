@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.coding import kernels
 from repro.coding.bitops import gf2_divide_causal
@@ -187,57 +187,69 @@ def _broken_codebook(code, level: int, symbol: int, target: int):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_program_refuses_what_the_column_walk_refuses(backend) -> None:
-    """Every check of the numpy path survives: same exception types, raised
-    before the caller sees a page, and the input left as it was."""
-    plain = _make_code("mfc-1/2-1bpc")
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_program_refuses_what_the_column_walk_refuses(
+    backend, variant, vcell_levels
+) -> None:
+    """Every check of the numpy path survives in every program body: same
+    exception types, raised before the caller sees a page, and the input left
+    as it was.  What is refused sits in an early cell or step and in the last
+    used one, so a check that stops short of the page's end fails here."""
+    plain = _make_code(variant, vcell_levels)
     lowering = _make_code(
-        "mfc-1/2-1bpc", codebook=_broken_codebook(plain, 2, 0, 1)
+        variant, vcell_levels, codebook=_broken_codebook(plain, 2, 0, 1)
     )
+    width = plain.varray.bits_per_cell
     overshooting = _make_code(
-        "mfc-1/2-1bpc", codebook=_broken_codebook(plain, 1, 0, 4)
+        variant, vcell_levels, codebook=_broken_codebook(plain, 1, 0, width + 1)
     )
-    pages = np.zeros((3, PAGE_BITS), dtype=np.uint8)
-    pages[1, 3:6] = (1, 0, 1)  # lane 1, cell 1 at level 2
-    pages[1, 6:9] = (0, 0, 1)  # lane 1, cell 2 at level 1
-    zeros = np.zeros((3, plain.steps), dtype=np.int64)
-    chunk_out_of_range = zeros.copy()
-    chunk_out_of_range[2, -1] = plain.viterbi.num_values
-    not_a_bit = pages.copy()
-    not_a_bit[1, 3:6] = (2, 1, 1)  # would count as level 4 of a 4-level cell
-    # Handed levels in range, so the page's own bytes are what is refused.
-    in_range = np.ones((3, plain.varray.num_cells), dtype=np.int64)
-    level_past_table = plain.varray.levels_batch(pages)
-    level_past_table[1, 2] = plain.varray.bits_per_cell + 1
     writable = np.ones(3, dtype=bool)
     skipping = np.array([True, False, False])
-    cases = (
-        # The legality of a target is a written lane's matter ...
-        (lowering, pages, zeros, None, "VCellError", True),
-        (overshooting, pages, zeros, None, "CellSaturatedError", True),
-        # ... what indexes a table is checked in every lane: a byte that is
-        # not a bit, a handed level past the target table, a chunk value
-        # >= 2**m.
-        (plain, not_a_bit, zeros, in_range, "VCellError", False),
-        (plain, pages, zeros, level_past_table, "IndexError", False),
-        (plain, pages, chunk_out_of_range, None, "IndexError", False),
-    )
-    for code, case_pages, codeword, levels, error, fine_when_skipped in cases:
-        before = case_pages.copy()
-        with pytest.raises(Exception) as reference:
-            _program("numpy", code, case_pages, codeword, writable, levels)
-        assert reference.type.__name__ == error
-        with pytest.raises(reference.type):
-            _program(backend, code, case_pages, codeword, writable, levels)
-        assert np.array_equal(case_pages, before)
-        if fine_when_skipped:
-            assert np.array_equal(
-                _program(backend, code, case_pages, codeword, skipping, levels),
-                _program("numpy", code, case_pages, codeword, skipping, levels),
-            )
-        else:
+    zeros = np.zeros((3, plain.steps), dtype=np.int64)
+    in_range = np.ones((3, plain.varray.num_cells), dtype=np.int64)
+
+    def lane_1_with(cell: int, bits) -> np.ndarray:
+        pages = np.zeros((3, PAGE_BITS), dtype=np.uint8)
+        pages[1, cell * width : cell * width + len(bits)] = bits
+        return pages
+
+    for cell, step in ((1, 1), (plain.used_cells - 1, plain.steps - 1)):
+        level_two = lane_1_with(cell, (1, 0, 1))
+        # Would count as one level past the top, from the cell's last byte.
+        not_a_bit = lane_1_with(cell, (1,) * (width - 1) + (2,))
+        level_past_table = plain.varray.levels_batch(level_two)
+        level_past_table[1, cell] = width + 1
+        chunk_out_of_range = zeros.copy()
+        chunk_out_of_range[2, step] = plain.viterbi.num_values
+        cases = (
+            # The legality of a target is a written lane's matter ...
+            (lowering, level_two, zeros, None, "VCellError", True),
+            (overshooting, lane_1_with(cell, (0, 0, 1)), zeros, None,
+             "CellSaturatedError", True),
+            # ... what indexes a table is checked in every lane: a byte that
+            # is not a bit (handed levels in range, so the page's own bytes
+            # are what is refused), a handed level past the target table, a
+            # chunk value >= 2**m.
+            (plain, not_a_bit, zeros, in_range, "VCellError", False),
+            (plain, level_two, zeros, level_past_table, "IndexError", False),
+            (plain, level_two, chunk_out_of_range, None, "IndexError", False),
+        )
+        for code, pages, codeword, levels, error, fine_when_skipped in cases:
+            before = pages.copy()
+            with pytest.raises(Exception) as reference:
+                _program("numpy", code, pages, codeword, writable, levels)
+            assert reference.type.__name__ == error
             with pytest.raises(reference.type):
-                _program(backend, code, case_pages, codeword, skipping, levels)
+                _program(backend, code, pages, codeword, writable, levels)
+            assert np.array_equal(pages, before)
+            if fine_when_skipped:
+                assert np.array_equal(
+                    _program(backend, code, pages, codeword, skipping, levels),
+                    _program("numpy", code, pages, codeword, skipping, levels),
+                )
+            else:
+                with pytest.raises(reference.type):
+                    _program(backend, code, pages, codeword, skipping, levels)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -406,11 +418,15 @@ def test_native_divide_refuses_what_its_word_cannot_hold() -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    taps=st.sets(st.integers(1, 40), min_size=1, max_size=6),
-    steps=st.integers(0, 120),
+    # Taps up to the register's 64 bits; steps enough for several table
+    # bytes before every tail length 0-7.
+    taps=st.sets(st.integers(1, 64), min_size=1, max_size=6),
+    steps=st.integers(0, 200),
     lanes=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
+# Every tap below 8: a table byte's outputs feed back into that same byte.
+@example(taps={1, 2, 5, 7}, steps=83, lanes=3, seed=1)
 def test_divide_property(taps, steps, lanes, seed) -> None:
     numerators = np.random.default_rng(seed).integers(
         0, 2, (lanes, steps), dtype=np.uint8
