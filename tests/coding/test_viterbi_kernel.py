@@ -158,9 +158,17 @@ def _cost_paths(viterbi: CosetViterbi):
     the native kernel's two cost paths (numpy has the one)."""
     yield viterbi
     if viterbi.backend.name == "native" and viterbi._expanded is not None:
-        gathering = copy.copy(viterbi)
-        gathering._expanded = None
-        yield gathering
+        yield _with_search_table(viterbi, 2, None)
+
+
+def _with_search_table(viterbi: CosetViterbi, index: int, table) -> CosetViterbi:
+    """A copy of a native searcher whose kernel reads ``table`` (None: NULL)
+    as its bound table ``index``: 2 is the expanded branch-cost table."""
+    changed = copy.copy(viterbi)
+    bound = list(viterbi._search_tables)
+    bound[index] = (table, None if table is None else table.ctypes.data)
+    changed._search_tables = tuple(bound)
+    return changed
 
 
 needs_native = pytest.mark.skipif(
@@ -213,6 +221,27 @@ def test_native_cost_paths_agree_with_numpy(variant, constraint_length) -> None:
                     result.codeword_values[expected.writable],
                     expected.codeword_values[expected.writable],
                 )
+
+
+@needs_native
+def test_native_search_reads_the_expanded_table_it_is_bound() -> None:
+    """The kernel takes its expanded table from ``_search_tables`` alone: a
+    zeroed one makes every branch free, and withholding it sends every step
+    through the per-step gather, which still gives numpy's result."""
+    code = _make_code("mfc-1/2-1bpc", 5)
+    native = _with_backend(code, "native")
+    expanded, _address = native._search_tables[2]
+    assert expanded is not None and expanded is native._expanded
+    reps, levels = _random_case(native, 3, 13, 6, 3)
+    expected = _with_backend(code, "numpy").search_batch(reps, levels)
+    assert (expected.total_costs > 0).any()
+    free = _with_search_table(native, 2, np.zeros_like(expanded))
+    assert (free.search_batch(reps, levels).total_costs == 0).all()
+    gathering = _with_search_table(native, 2, None)
+    assert gathering._search_tables[2] == (None, None)
+    result = gathering.search_batch(reps, levels)
+    assert result.total_costs.tobytes() == expected.total_costs.tobytes()
+    assert result.codeword_values.tobytes() == expected.codeword_values.tobytes()
 
 
 @needs_native
@@ -523,7 +552,8 @@ KERNEL_TABLES = {
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_tables_need_not_be_contiguous(backend) -> None:
-    """Tables reach the kernel through a copy-if-needed, never as they are."""
+    """Tables reach the kernel through a copy-if-needed, never as they are:
+    numpy's at each search, native's when they are bound."""
     viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 5), backend)
     reps, levels = _random_case(viterbi, 3, 13, 2, 2)
     reference = viterbi.search_batch(reps, levels)
@@ -535,6 +565,14 @@ def test_backend_tables_need_not_be_contiguous(backend) -> None:
         wide[..., ::2] = table
         setattr(viterbi, name, wide[..., ::2])  # same values, strided view
         assert not getattr(viterbi, name).flags.c_contiguous
+    if backend == "native":
+        viterbi._bind_search_tables()
+        for name, (table, address) in zip(
+            ("_order", "", "_expanded", "", "_out_values"), viterbi._search_tables
+        ):
+            assert table.flags.c_contiguous and address == table.ctypes.data
+            if name:
+                assert table is not getattr(viterbi, name)  # a copy was bound
     for strided in _cost_paths(viterbi):
         result = strided.search_batch(reps, levels)
         assert np.array_equal(result.codeword_values, reference.codeword_values)
