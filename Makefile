@@ -8,8 +8,11 @@ install:
 test:
 	pytest tests/
 
-# What .github/workflows/ci.yml runs: the tier-1 suite plus lint.
-# ruff is optional locally; CI always installs it.
+# Every gate of .github/workflows/ci.yml that needs no extra install: the
+# tier-1 suite, lint, then the e2e smoke, the FTL oracle and the kernel
+# equivalence in CI's order.  Not here: kernel-sanitize (needs libasan) and
+# bench-smoke (needs pytest-benchmark).  ruff is optional locally; CI always
+# installs it.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -17,6 +20,9 @@ ci:
 	else \
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
+	$(MAKE) bench-e2e-quick
+	$(MAKE) ftl-oracle
+	$(MAKE) kernel-equivalence
 
 bench:
 	pytest benchmarks/ --benchmark-only

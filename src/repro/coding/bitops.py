@@ -11,7 +11,6 @@ __all__ = [
     "unpack_values",
     "pack_values_axis",
     "unpack_values_axis",
-    "gf2_convolve",
     "gf2_convolve_axis",
     "gf2_divide_causal",
     "random_bits",
@@ -69,25 +68,12 @@ def unpack_values_axis(values: np.ndarray, width: int) -> np.ndarray:
     return bits.reshape(*values.shape[:-1], -1)
 
 
-def gf2_convolve(sequence: np.ndarray, taps: np.ndarray, length: int) -> np.ndarray:
-    """GF(2) polynomial product ``sequence * taps`` truncated to ``length`` terms.
-
-    Both inputs are coefficient arrays with index = power of D.  This is the
-    workhorse of the syndrome former.
-    """
-    product = np.convolve(
-        np.asarray(sequence, dtype=np.int64), np.asarray(taps, dtype=np.int64)
-    )
-    result = (product[:length] & 1).astype(np.uint8)
-    if len(result) < length:
-        result = np.pad(result, (0, length - len(result)))
-    return result
-
-
 def gf2_convolve_axis(sequences: np.ndarray, taps: np.ndarray, length: int) -> np.ndarray:
-    """Batch-aware :func:`gf2_convolve` along the last axis.
+    """GF(2) polynomial product ``sequences * taps`` truncated to ``length``
+    terms, along the last axis.
 
-    ``sequences`` is ``(..., n)``; the result is ``(..., length)``.  GF(2)
+    Coefficient arrays have index = power of D.  ``sequences`` is
+    ``(..., n)``; the result is uint8 ``(..., length)``, zero padded.  GF(2)
     convolution is a XOR of tap-shifted copies, so the few nonzero taps turn
     into slice XORs that vectorize over any leading batch axes.
     """

@@ -133,11 +133,7 @@ class ConvolutionalCosetCode(PageCode):
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
         """Encode one page — a ``B = 1`` wrapper over :meth:`encode_batch`."""
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
+        data = self._datawords(dataword, batch=False)
         page = np.asarray(page, dtype=np.uint8)
         new_pages, writable = self.encode_batch(data[None, :], page[None, :])
         if not writable[0]:
@@ -157,12 +153,7 @@ class ConvolutionalCosetCode(PageCode):
         coset has no writable member keep their previous bits and come back
         False in the mask.
         """
-        data = np.asarray(datawords, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[1] != self.dataword_bits:
-            raise CodingError(
-                f"datawords must be (lanes, {self.dataword_bits}) bits, "
-                f"got {data.shape}"
-            )
+        data = self._datawords(datawords, batch=True)
         pages = np.asarray(pages, dtype=np.uint8)
         lanes = len(data)
         if len(pages) != lanes:

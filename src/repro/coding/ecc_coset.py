@@ -33,7 +33,7 @@ import numpy as np
 from repro.coding.coset import ConvolutionalCosetCode
 from repro.coding.hamming import HammingSecded
 from repro.coding.page_code import PageCode
-from repro.errors import CodingError, ConfigurationError
+from repro.errors import ConfigurationError
 
 __all__ = ["EccIntegratedCosetCode", "EccDecodeResult"]
 
@@ -93,71 +93,46 @@ class EccIntegratedCosetCode(PageCode):
         self.dataword_bits = self.num_blocks * self.hamming.data_bits
         self._used_inner_bits = self.num_blocks * self.hamming.block_bits
 
-    # -- interleaving ---------------------------------------------------------
+    # -- the one body of both faces: one page, or (lanes, ...) pages ---------
 
-    def _interleave(self, coded: np.ndarray) -> np.ndarray:
-        """Spread Hamming blocks so syndrome bursts hit each block once.
+    def _protect(self, datawords: np.ndarray, batch: bool) -> np.ndarray:
+        """Hamming-encode and interleave datawords into inner datawords.
 
         Bit ``i`` of block ``b`` goes to inner position ``i * num_blocks +
         b``: any run of ``num_blocks`` consecutive inner bits touches each
-        block at most once.
+        block at most once, so a syndrome burst hits each block once.
         """
-        matrix = coded.reshape(self.num_blocks, self.hamming.block_bits)
-        inner = np.zeros(self.inner.dataword_bits, dtype=np.uint8)
-        inner[: self._used_inner_bits] = matrix.T.reshape(-1)
+        data = self._datawords(datawords, batch)
+        lead = data.shape[:-1]
+        coded = self.hamming.encode_blocks(
+            data.reshape(*lead, self.num_blocks, self.hamming.data_bits)
+        )
+        inner = np.zeros((*lead, self.inner.dataword_bits), dtype=np.uint8)
+        inner[..., : self._used_inner_bits] = coded.swapaxes(-1, -2).reshape(*lead, -1)
         return inner
 
-    def _deinterleave(self, inner: np.ndarray) -> np.ndarray:
-        matrix = inner[: self._used_inner_bits].reshape(
-            self.hamming.block_bits, self.num_blocks
+    def _recover(self, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Deinterleave decoded inner datawords and correct each block:
+        ``(data, corrected, uncorrectable)`` with per-block masks."""
+        lead = inner.shape[:-1]
+        coded = inner[..., : self._used_inner_bits].reshape(
+            *lead, self.hamming.block_bits, self.num_blocks
         )
-        return matrix.T.reshape(-1)
-
-    def _interleave_batch(self, coded: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_interleave`: ``(B, blocks * block_bits)`` in."""
-        lanes = len(coded)
-        matrix = coded.reshape(lanes, self.num_blocks, self.hamming.block_bits)
-        inner = np.zeros((lanes, self.inner.dataword_bits), dtype=np.uint8)
-        inner[:, : self._used_inner_bits] = matrix.transpose(0, 2, 1).reshape(
-            lanes, -1
+        data, corrected, uncorrectable = self.hamming.decode_blocks(
+            coded.swapaxes(-1, -2)
         )
-        return inner
-
-    def _deinterleave_batch(self, inner: np.ndarray) -> np.ndarray:
-        lanes = len(inner)
-        matrix = inner[:, : self._used_inner_bits].reshape(
-            lanes, self.hamming.block_bits, self.num_blocks
-        )
-        return matrix.transpose(0, 2, 1).reshape(lanes, -1)
+        return data.reshape(*lead, -1), corrected, uncorrectable
 
     # -- PageCode interface ----------------------------------------------------
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
-        coded = self.hamming.encode_blocks(
-            data.reshape(self.num_blocks, self.hamming.data_bits)
-        ).reshape(-1)
-        return self.inner.encode(self._interleave(coded), page)
+        return self.inner.encode(self._protect(dataword, batch=False), page)
 
     def encode_batch(
         self, datawords: np.ndarray, pages: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Hamming-protect and coset-encode ``B`` pages in lockstep."""
-        data = np.asarray(datawords, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[1] != self.dataword_bits:
-            raise CodingError(
-                f"datawords must be (lanes, {self.dataword_bits}) bits, "
-                f"got {data.shape}"
-            )
-        lanes = len(data)
-        coded = self.hamming.encode_blocks(
-            data.reshape(lanes, self.num_blocks, self.hamming.data_bits)
-        ).reshape(lanes, -1)
-        return self.inner.encode_batch(self._interleave_batch(coded), pages)
+        return self.inner.encode_batch(self._protect(datawords, batch=True), pages)
 
     def decode(self, page: np.ndarray) -> np.ndarray:
         """Plain decode (single corrected errors are transparent)."""
@@ -165,13 +140,8 @@ class EccIntegratedCosetCode(PageCode):
 
     def decode_batch(self, pages: np.ndarray) -> np.ndarray:
         """Decode ``B`` pages, applying single-error correction per block."""
-        pages = np.asarray(pages, dtype=np.uint8)
-        lanes = len(pages)
-        coded = self._deinterleave_batch(self.inner.decode_batch(pages))
-        data, _, _ = self.hamming.decode_blocks(
-            coded.reshape(lanes, self.num_blocks, self.hamming.block_bits)
-        )
-        return data.reshape(lanes, -1)
+        data, _, _ = self._recover(self.inner.decode_batch(pages))
+        return data
 
     def decode_with_report(self, page: np.ndarray) -> EccDecodeResult:
         """Decode with full ECC accounting.
@@ -179,12 +149,9 @@ class EccIntegratedCosetCode(PageCode):
         One corrupted v-cell anywhere on the page is corrected; wider
         corruption is reported via ``detected_uncorrectable``.
         """
-        coded = self._deinterleave(self.inner.decode(page))
-        data, corrected, uncorrectable = self.hamming.decode_blocks(
-            coded.reshape(self.num_blocks, self.hamming.block_bits)
-        )
+        data, corrected, uncorrectable = self._recover(self.inner.decode(page))
         return EccDecodeResult(
-            data=data.reshape(-1),
+            data=data,
             corrected_bits=int(corrected.sum()),
             detected_uncorrectable=int(uncorrectable.sum()),
         )

@@ -68,76 +68,87 @@ class HammingSecded:
 
     def encode_block(self, data: np.ndarray) -> np.ndarray:
         """Encode ``data_bits`` bits into one ``block_bits`` codeword."""
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != (self.data_bits,):
-            raise ConfigurationError(
-                f"blocks hold {self.data_bits} data bits, got {data.shape}"
-            )
-        parity = (data @ self._data_cols) % 2  # (r,)
-        word = np.concatenate([data, parity])
-        overall = word.sum() % 2
-        return np.concatenate([word, [overall]]).astype(np.uint8)
+        return self._encode(self._blocks(data, batch=False, coded=False))
 
     def decode_block(self, block: np.ndarray) -> DecodeReport:
         """Decode one codeword, correcting single and flagging double errors."""
-        block = np.asarray(block, dtype=np.uint8)
-        if block.shape != (self.block_bits,):
-            raise ConfigurationError(
-                f"blocks are {self.block_bits} bits, got {block.shape}"
-            )
-        word = block[:-1].copy()
-        overall_ok = block.sum() % 2 == 0
-        syndrome = (word @ self._columns) % 2  # (r,)
-        syndrome_value = int((syndrome * (1 << np.arange(self.r))).sum())
-        corrected = 0
-        uncorrectable = 0
-        if syndrome_value != 0:
-            if overall_ok:
-                uncorrectable = 1  # double error: syndrome set, parity even
-            else:
-                position = int(np.flatnonzero(self._order == syndrome_value - 1)[0])
-                word[position] ^= 1
-                corrected = 1
-        elif not overall_ok:
-            corrected = 1  # the overall parity bit itself flipped
+        data, corrected, uncorrectable = self._decode(
+            self._blocks(block, batch=False, coded=True)
+        )
         return DecodeReport(
-            data=word[: self.data_bits],
-            corrected_bits=corrected,
-            detected_uncorrectable=uncorrectable,
+            data=data,
+            corrected_bits=int(corrected),
+            detected_uncorrectable=int(uncorrectable),
         )
 
-    # -- array-wise helpers ---------------------------------------------------
-
     def encode_blocks(self, data: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`encode_block` over any leading axes.
+        """:meth:`encode_block` over any leading axes.
 
         ``data`` is ``(..., data_bits)``; the result is
         ``(..., block_bits)``.
         """
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape[-1] != self.data_bits:
-            raise ConfigurationError(
-                f"blocks hold {self.data_bits} data bits, got {data.shape}"
-            )
-        parity = (data.astype(np.int64) @ self._data_cols.astype(np.int64)) % 2
-        word = np.concatenate([data, parity.astype(np.uint8)], axis=-1)
-        overall = word.sum(axis=-1, keepdims=True) % 2
-        return np.concatenate([word, overall.astype(np.uint8)], axis=-1)
+        return self._encode(self._blocks(data, batch=True, coded=False))
 
     def decode_blocks(
         self, blocks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`decode_block` over any leading axes.
+        """:meth:`decode_block` over any leading axes.
 
         ``blocks`` is ``(..., block_bits)``.  Returns ``(data, corrected,
         uncorrectable)`` where ``data`` is ``(..., data_bits)`` and the two
         masks are ``(...,)`` bool arrays (one entry per block).
         """
-        blocks = np.asarray(blocks, dtype=np.uint8)
-        if blocks.shape[-1] != self.block_bits:
-            raise ConfigurationError(
-                f"blocks are {self.block_bits} bits, got {blocks.shape}"
+        return self._decode(self._blocks(blocks, batch=True, coded=True))
+
+    def blocks_for(self, data_bits: int) -> int:
+        """Blocks needed to protect ``data_bits`` bits (zero padded)."""
+        return -(-data_bits // self.data_bits)
+
+    def encode(self, data: np.ndarray) -> np.ndarray:
+        """Encode an arbitrary-length bit array blockwise (zero padded)."""
+        data = np.asarray(data, dtype=np.uint8)
+        blocks = self.blocks_for(len(data))
+        padded = np.zeros(blocks * self.data_bits, dtype=np.uint8)
+        padded[: len(data)] = data
+        return self._encode(padded.reshape(blocks, self.data_bits)).reshape(-1)
+
+    def decode(self, coded: np.ndarray, data_bits: int) -> DecodeReport:
+        """Decode a blockwise-encoded array back to ``data_bits`` bits."""
+        coded = np.asarray(coded, dtype=np.uint8)
+        blocks = self.blocks_for(data_bits)
+        if len(coded) != blocks * self.block_bits:
+            raise DecodingError(
+                f"expected {blocks * self.block_bits} coded bits for "
+                f"{data_bits} data bits, got {len(coded)}"
             )
+        data, corrected, uncorrectable = self._decode(
+            coded.reshape(blocks, self.block_bits)
+        )
+        return DecodeReport(
+            data=data.reshape(-1)[:data_bits],
+            corrected_bits=int(corrected.sum()),
+            detected_uncorrectable=int(uncorrectable.sum()),
+        )
+
+    # -- the one body of every face: blocks along the last axis ----------------
+
+    def _blocks(self, array: np.ndarray, batch: bool, coded: bool) -> np.ndarray:
+        """``array`` as uint8 data (or ``coded``) blocks: exactly one block,
+        or (``batch``) blocks along the last axis."""
+        array = np.asarray(array, dtype=np.uint8)
+        width = self.block_bits if coded else self.data_bits
+        if array.shape[-1:] != (width,) or not (batch or array.ndim == 1):
+            what = f"are {width}" if coded else f"hold {width} data"
+            raise ConfigurationError(f"blocks {what} bits, got {array.shape}")
+        return array
+
+    def _encode(self, data: np.ndarray) -> np.ndarray:
+        parity = (data.astype(np.int64) @ self._data_cols.astype(np.int64)) % 2
+        word = np.concatenate([data, parity.astype(np.uint8)], axis=-1)
+        overall = word.sum(axis=-1, keepdims=True) % 2
+        return np.concatenate([word, overall.astype(np.uint8)], axis=-1)
+
+    def _decode(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         word = blocks[..., :-1].copy()
         overall_ok = blocks.sum(axis=-1) % 2 == 0
         syndrome = (word.astype(np.int64) @ self._columns.astype(np.int64)) % 2
@@ -155,49 +166,6 @@ class HammingSecded:
         word ^= flips
         corrected = single | overall_flip
         return word[..., : self.data_bits], corrected, uncorrectable
-
-    def blocks_for(self, data_bits: int) -> int:
-        """Blocks needed to protect ``data_bits`` bits (zero padded)."""
-        return -(-data_bits // self.data_bits)
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        """Encode an arbitrary-length bit array blockwise (zero padded)."""
-        data = np.asarray(data, dtype=np.uint8)
-        blocks = self.blocks_for(len(data))
-        padded = np.zeros(blocks * self.data_bits, dtype=np.uint8)
-        padded[: len(data)] = data
-        out = np.concatenate(
-            [
-                self.encode_block(padded[i * self.data_bits : (i + 1) * self.data_bits])
-                for i in range(blocks)
-            ]
-        )
-        return out
-
-    def decode(self, coded: np.ndarray, data_bits: int) -> DecodeReport:
-        """Decode a blockwise-encoded array back to ``data_bits`` bits."""
-        coded = np.asarray(coded, dtype=np.uint8)
-        blocks = self.blocks_for(data_bits)
-        if len(coded) != blocks * self.block_bits:
-            raise DecodingError(
-                f"expected {blocks * self.block_bits} coded bits for "
-                f"{data_bits} data bits, got {len(coded)}"
-            )
-        datas = []
-        corrected = 0
-        uncorrectable = 0
-        for i in range(blocks):
-            report = self.decode_block(
-                coded[i * self.block_bits : (i + 1) * self.block_bits]
-            )
-            datas.append(report.data)
-            corrected += report.corrected_bits
-            uncorrectable += report.detected_uncorrectable
-        return DecodeReport(
-            data=np.concatenate(datas)[:data_bits],
-            corrected_bits=corrected,
-            detected_uncorrectable=uncorrectable,
-        )
 
     @property
     def rate(self) -> float:

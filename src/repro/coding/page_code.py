@@ -12,7 +12,7 @@ import abc
 
 import numpy as np
 
-from repro.errors import UnwritableError
+from repro.errors import CodingError, UnwritableError
 
 __all__ = ["PageCode"]
 
@@ -29,6 +29,17 @@ class PageCode(abc.ABC):
     def rate(self) -> float:
         """Host-visible bits per raw page bit actually achieved."""
         return self.dataword_bits / self.page_bits
+
+    def _datawords(self, datawords: np.ndarray, batch: bool) -> np.ndarray:
+        """One dataword (``batch`` False) or ``(lanes, dataword_bits)`` of
+        them, as uint8."""
+        data = np.asarray(datawords, dtype=np.uint8)
+        if data.ndim != 1 + batch or data.shape[-1] != self.dataword_bits:
+            shape = f"datawords must be (lanes, {self.dataword_bits})" if batch else (
+                f"dataword must be {self.dataword_bits}"
+            )
+            raise CodingError(f"{shape} bits, got {data.shape}")
+        return data
 
     @abc.abstractmethod
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:

@@ -134,11 +134,7 @@ class RankModulationCode(PageCode):
         return levels[:used].reshape(self.num_groups, self.group_cells)
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
+        data = self._datawords(dataword, batch=False)
         charges = self._group_charges(page)
         indices = pack_values(data, self.bits_per_group)
         new_charges = charges.copy()

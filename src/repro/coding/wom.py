@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.bitops import pack_values, pack_values_axis, unpack_values, unpack_values_axis
+from repro.coding.bitops import pack_values_axis, unpack_values_axis
 from repro.coding.page_code import PageCode
 from repro.errors import CodingError, UnwritableError
 from repro.vcell import VCellArray, VCellSpec
@@ -76,47 +76,11 @@ class WomVCellCode(PageCode):
         self.num_cells = self.varray.num_cells
         self.dataword_bits = self.num_cells * self.BITS_PER_VALUE
 
-    def _patterns(self, page: np.ndarray) -> np.ndarray:
-        """Per-cell 3-bit patterns (LSB = first bit of the cell's group)."""
-        bits = np.asarray(page, dtype=np.uint8)
-        if bits.shape != (self.page_bits,):
-            raise CodingError(
-                f"expected a page of {self.page_bits} bits, got {bits.shape}"
-            )
-        return pack_values(bits[: self.varray.used_bits], 3)
-
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
-        values = pack_values(data, self.BITS_PER_VALUE)
-        patterns = self._patterns(page)
-        targets = WOM_NEXT_PATTERN.take(patterns << 2 | values)
-        if (targets < 0).any():
-            raise UnwritableError(
-                "a v-cell has no reachable pattern for its new value; "
-                "erase required"
-            )
-        new_page = np.asarray(page, dtype=np.uint8).copy()
-        new_page[: self.varray.used_bits] = unpack_values(targets, 3)
-        return new_page
+        return self._encode(dataword, page, batch=False)[0]
 
     def decode(self, page: np.ndarray) -> np.ndarray:
-        values = WOM_VALUE_OF_PATTERN.take(self._patterns(page))
-        return unpack_values(values, self.BITS_PER_VALUE)
-
-    # -- batched interface -----------------------------------------------------
-
-    def _patterns_batch(self, pages: np.ndarray) -> np.ndarray:
-        bits = np.asarray(pages, dtype=np.uint8)
-        if bits.ndim != 2 or bits.shape[1] != self.page_bits:
-            raise CodingError(
-                f"expected (lanes, {self.page_bits}) pages, got shape "
-                f"{bits.shape}"
-            )
-        return pack_values_axis(bits[:, : self.varray.used_bits], 3)
+        return self._decode(page, batch=False)
 
     def encode_batch(
         self, datawords: np.ndarray, pages: np.ndarray
@@ -126,23 +90,52 @@ class WomVCellCode(PageCode):
         Lanes with an unreachable cell pattern keep their previous bits and
         come back False in the ``writable`` mask.
         """
-        data = np.asarray(datawords, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[1] != self.dataword_bits:
-            raise CodingError(
-                f"datawords must be (lanes, {self.dataword_bits}) bits, "
-                f"got {data.shape}"
-            )
-        values = pack_values_axis(data, self.BITS_PER_VALUE)
-        patterns = self._patterns_batch(pages)
-        targets = WOM_NEXT_PATTERN.take(patterns << 2 | values)
-        writable = ~(targets < 0).any(axis=1)
-        new_pages = np.asarray(pages, dtype=np.uint8).copy()
-        safe_targets = np.where(writable[:, None], targets, patterns)
-        new_pages[:, : self.varray.used_bits] = unpack_values_axis(safe_targets, 3)
-        return new_pages, writable
+        return self._encode(datawords, pages, batch=True)
 
     def decode_batch(self, pages: np.ndarray) -> np.ndarray:
-        values = WOM_VALUE_OF_PATTERN.take(self._patterns_batch(pages))
+        return self._decode(pages, batch=True)
+
+    # -- the one body of both faces: one page, or (lanes, page_bits) pages ----
+
+    def _patterns(self, pages: np.ndarray, batch: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The uint8 pages and their per-cell 3-bit patterns (LSB = first bit
+        of the cell's group)."""
+        bits = np.asarray(pages, dtype=np.uint8)
+        if bits.ndim != 1 + batch or bits.shape[-1] != self.page_bits:
+            shape = f"(lanes, {self.page_bits}) pages, got shape" if batch else (
+                f"a page of {self.page_bits} bits, got"
+            )
+            raise CodingError(f"expected {shape} {bits.shape}")
+        return bits, pack_values_axis(bits[..., : self.varray.used_bits], 3)
+
+    def _encode(
+        self, datawords: np.ndarray, pages: np.ndarray, batch: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(new_pages, writable)``; one page that cannot take the write
+        raises ``UnwritableError`` before a page is built for it."""
+        data = self._datawords(datawords, batch)
+        bits, patterns = self._patterns(pages, batch)
+        targets = WOM_NEXT_PATTERN.take(
+            patterns << 2 | pack_values_axis(data, self.BITS_PER_VALUE)
+        )
+        writable = np.ones(len(targets), dtype=bool) if batch else True
+        stuck = targets < 0
+        if stuck.any():  # one reduction: per lane only when a lane is stuck
+            if not batch:
+                raise UnwritableError(
+                    "a v-cell has no reachable pattern for its new value; "
+                    "erase required"
+                )
+            writable = ~stuck.any(axis=1)
+            # An unwritable lane keeps its bits.
+            targets = np.where(writable[:, None], targets, patterns)
+        new_pages = bits.copy()
+        new_pages[..., : self.varray.used_bits] = unpack_values_axis(targets, 3)
+        return new_pages, writable
+
+    def _decode(self, pages: np.ndarray, batch: bool) -> np.ndarray:
+        _, patterns = self._patterns(pages, batch)
+        values = WOM_VALUE_OF_PATTERN.take(patterns)
         return unpack_values_axis(values, self.BITS_PER_VALUE)
 
     def updates_guaranteed(self) -> int:

@@ -21,7 +21,6 @@ from repro.core.lifetime import (
     LifetimeSimulator,
     LifetimeResult,
     BatchLifetimeSimulator,
-    BatchLifetimeResult,
 )
 from repro.core.metrics import SchemeSummary, summarize
 from repro.core.tradeoff import (
@@ -47,7 +46,6 @@ __all__ = [
     "LifetimeSimulator",
     "LifetimeResult",
     "BatchLifetimeSimulator",
-    "BatchLifetimeResult",
     "SchemeSummary",
     "summarize",
     "TradeoffRectangle",

@@ -32,51 +32,20 @@ __all__ = [
     "LifetimeSimulator",
     "LifetimeResult",
     "BatchLifetimeSimulator",
-    "BatchLifetimeResult",
 ]
 
 
 @dataclass(frozen=True)
 class LifetimeResult:
-    """Outcome of a lifetime simulation.
+    """Outcome of a lifetime simulation over one page or ``lanes`` pages.
 
+    ``writes_per_cycle_by_lane[i]`` holds lane ``i``'s per-cycle write
+    counts (a scalar run is one lane), and ``writes_per_cycle`` pools them
+    lane-major.  The trace aggregates every lane (per-update and at-erase
+    statistics are averages, so pooling lanes is exact).
     ``lifetime_gain`` is the average number of writes per erase cycle;
     ``aggregate_gain`` multiplies it by the scheme's rate (the paper's key
     metric — the area of a Fig. 1 rectangle).
-    """
-
-    scheme_name: str
-    rate: float
-    writes_per_cycle: tuple[int, ...]
-    trace: UpdateTrace = field(repr=False)
-
-    @property
-    def lifetime_gain(self) -> float:
-        return float(np.mean(self.writes_per_cycle))
-
-    @property
-    def lifetime_std(self) -> float:
-        return float(np.std(self.writes_per_cycle))
-
-    @property
-    def aggregate_gain(self) -> float:
-        return self.lifetime_gain * self.rate
-
-    def __str__(self) -> str:
-        return (
-            f"{self.scheme_name}: rate {self.rate:.4f}, lifetime gain "
-            f"{self.lifetime_gain:.2f}, aggregate gain {self.aggregate_gain:.2f}"
-        )
-
-
-@dataclass(frozen=True)
-class BatchLifetimeResult:
-    """Outcome of a batched lifetime simulation over ``lanes`` pages.
-
-    ``writes_per_cycle_by_lane[i]`` holds lane ``i``'s per-cycle write
-    counts, identical to what a scalar run with that lane's seed produces.
-    The trace aggregates every lane (per-update and at-erase statistics are
-    averages, so pooling lanes is exact).
     """
 
     scheme_name: str
@@ -107,29 +76,12 @@ class BatchLifetimeResult:
     def aggregate_gain(self) -> float:
         return self.lifetime_gain * self.rate
 
-    def lane_result(self, lane: int) -> LifetimeResult:
-        """Lane ``lane``'s cycles as a scalar-shaped result (shared trace)."""
-        return LifetimeResult(
-            scheme_name=self.scheme_name,
-            rate=self.rate,
-            writes_per_cycle=self.writes_per_cycle_by_lane[lane],
-            trace=self.trace,
-        )
-
-    def merged(self) -> LifetimeResult:
-        """All lanes pooled into one scalar-shaped result."""
-        return LifetimeResult(
-            scheme_name=self.scheme_name,
-            rate=self.rate,
-            writes_per_cycle=self.writes_per_cycle,
-            trace=self.trace,
-        )
-
     def __str__(self) -> str:
+        over = f" over {self.lanes} lanes" if self.lanes > 1 else ""
         return (
             f"{self.scheme_name}: rate {self.rate:.4f}, lifetime gain "
-            f"{self.lifetime_gain:.2f} over {self.lanes} lanes, aggregate "
-            f"gain {self.aggregate_gain:.2f}"
+            f"{self.lifetime_gain:.2f}{over}, aggregate gain "
+            f"{self.aggregate_gain:.2f}"
         )
 
 
@@ -148,16 +100,42 @@ def _inject_defects(varray, rng: np.random.Generator, state, fraction):
     return varray.program_levels(state, targets)
 
 
-def _validate_defects(scheme, varray, defect_fraction: float) -> None:
-    if not 0 <= defect_fraction < 1:
-        raise ConfigurationError("defect_fraction must lie in [0, 1)")
-    if defect_fraction and varray is None:
-        raise ConfigurationError(
-            f"{scheme.name} is not cell-based; defects unsupported"
-        )
+class _PageSimulator:
+    """What both simulators bind at construction: the scheme, its v-cell
+    array (None when the scheme is not cell-based), the histogram level
+    count and the checked defect fraction."""
+
+    def __init__(
+        self,
+        scheme: RewritingScheme,
+        verify_reads: bool,
+        num_levels: int | None,
+        defect_fraction: float,
+    ) -> None:
+        varray = getattr(getattr(scheme, "code", None), "varray", None)
+        if not 0 <= defect_fraction < 1:
+            raise ConfigurationError("defect_fraction must lie in [0, 1)")
+        if defect_fraction and varray is None:
+            raise ConfigurationError(
+                f"{scheme.name} is not cell-based; defects unsupported"
+            )
+        if num_levels is None:
+            num_levels = varray.spec.levels if varray is not None else 4
+        self.scheme = scheme
+        self.verify_reads = verify_reads
+        self.num_levels = num_levels
+        self.defect_fraction = defect_fraction
+        self._varray = varray
+
+    def _fresh_state(self, rng: np.random.Generator):
+        """An erased page, with this run's defects pinned from ``rng``."""
+        state = self.scheme.fresh_state()
+        if self.defect_fraction:
+            state = _inject_defects(self._varray, rng, state, self.defect_fraction)
+        return state
 
 
-class LifetimeSimulator:
+class LifetimeSimulator(_PageSimulator):
     """Streams random datawords into one simulated page until it wears out.
 
     Parameters
@@ -191,16 +169,8 @@ class LifetimeSimulator:
         num_levels: int | None = None,
         defect_fraction: float = 0.0,
     ) -> None:
-        self.scheme = scheme
+        super().__init__(scheme, verify_reads, num_levels, defect_fraction)
         self.rng = _as_rng(seed)
-        self.verify_reads = verify_reads
-        varray = getattr(getattr(scheme, "code", None), "varray", None)
-        if num_levels is None:
-            num_levels = varray.spec.levels if varray is not None else 4
-        self.num_levels = num_levels
-        _validate_defects(scheme, varray, defect_fraction)
-        self.defect_fraction = defect_fraction
-        self._varray = varray
 
     def run(
         self, cycles: int = 5, max_writes_per_cycle: int = 100_000
@@ -215,17 +185,13 @@ class LifetimeSimulator:
         return LifetimeResult(
             scheme_name=self.scheme.name,
             rate=self.scheme.rate,
-            writes_per_cycle=tuple(writes_per_cycle),
+            writes_per_cycle_by_lane=(tuple(writes_per_cycle),),
             trace=trace,
         )
 
     def _run_cycle(self, trace: UpdateTrace, max_writes: int) -> int:
         scheme = self.scheme
-        state = scheme.fresh_state()
-        if self.defect_fraction:
-            state = _inject_defects(
-                self._varray, self.rng, state, self.defect_fraction
-            )
+        state = self._fresh_state(self.rng)
         writes = 0
         levels = scheme.cell_levels(state)
         while writes < max_writes:
@@ -257,7 +223,7 @@ class LifetimeSimulator:
         return writes
 
 
-class BatchLifetimeSimulator:
+class BatchLifetimeSimulator(_PageSimulator):
     """Runs ``lanes`` independent page lifetimes in lockstep.
 
     Every iteration draws one dataword per active lane (from that lane's own
@@ -300,37 +266,21 @@ class BatchLifetimeSimulator:
         defect_fraction: float = 0.0,
         collect_trace: bool = True,
     ) -> None:
-        self.scheme = scheme
-        if seeds is not None:
-            self._rngs = [_as_rng(lane_seed) for lane_seed in seeds]
-        else:
-            if lanes < 1:
-                raise ConfigurationError("need at least one lane")
-            self._rngs = [_as_rng(seed + lane) for lane in range(lanes)]
+        if seeds is None:
+            seeds = [seed + lane for lane in range(lanes)]
+        self._rngs = [_as_rng(lane_seed) for lane_seed in seeds]
         self.lanes = len(self._rngs)
         if self.lanes < 1:
             raise ConfigurationError("need at least one lane")
-        self.verify_reads = verify_reads
-        varray = getattr(getattr(scheme, "code", None), "varray", None)
-        if num_levels is None:
-            num_levels = varray.spec.levels if varray is not None else 4
-        self.num_levels = num_levels
-        _validate_defects(scheme, varray, defect_fraction)
-        self.defect_fraction = defect_fraction
-        self._varray = varray
+        super().__init__(scheme, verify_reads, num_levels, defect_fraction)
         self.collect_trace = collect_trace
 
     def _fresh_lane_state(self, lane: int):
-        state = self.scheme.fresh_state()
-        if self.defect_fraction:
-            state = _inject_defects(
-                self._varray, self._rngs[lane], state, self.defect_fraction
-            )
-        return state
+        return self._fresh_state(self._rngs[lane])
 
     def run(
         self, cycles: int = 5, max_writes_per_cycle: int = 100_000
-    ) -> BatchLifetimeResult:
+    ) -> LifetimeResult:
         """Simulate ``cycles`` erase cycles on every lane."""
         if cycles < 1:
             raise ConfigurationError("need at least one erase cycle")
@@ -422,7 +372,7 @@ class BatchLifetimeSimulator:
                 states[lane] = fresh
                 if levels is not None:
                     levels[lane] = scheme.cell_levels(fresh)
-        return BatchLifetimeResult(
+        return LifetimeResult(
             scheme_name=scheme.name,
             rate=scheme.rate,
             writes_per_cycle_by_lane=tuple(

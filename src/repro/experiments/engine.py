@@ -94,9 +94,9 @@ def simulate(
 
     ``page_bits`` overrides ``config.page_bits``, and ``kwargs`` go to
     ``make_scheme``.  An :data:`~repro.core.MFC_VARIANTS` name is built at
-    ``config.constraint_length`` unless ``kwargs`` names one.  Returns a
-    scalar-shaped :class:`~repro.core.lifetime.LifetimeResult` either way;
-    batched runs pool all lanes' cycles into it.  A failure is re-raised
+    ``config.constraint_length`` unless ``kwargs`` names one.  Returns the
+    simulator's :class:`~repro.core.lifetime.LifetimeResult`, whose
+    ``writes_per_cycle`` pools every lane's cycles.  A failure is re-raised
     as :class:`SweepError` naming the cell.
     """
     if name.lower() in MFC_VARIANTS:
@@ -119,7 +119,7 @@ def simulate(
             else:
                 result = BatchLifetimeSimulator(
                     scheme, lanes=lanes, seed=seed
-                ).run(cycles=cycles).merged()
+                ).run(cycles=cycles)
     except Exception as exc:
         raise SweepError(
             f"sweep cell failed (scheme={name!r} page_bits={page_bits} "

@@ -13,6 +13,8 @@ from repro.vcell.vcell import VCellSpec
 
 __all__ = ["VCellArray"]
 
+_BYTE = np.dtype(np.uint8)  # the write path's page dtype: taken as it is
+
 
 def _popcount(cells: np.ndarray) -> np.ndarray:
     """Per-cell levels of ``(..., num_cells, bits_per_cell)`` uint8 cells, by
@@ -27,6 +29,17 @@ def _popcount(cells: np.ndarray) -> np.ndarray:
     for j in range(1, cells.shape[-1]):
         levels += cells[..., j]
     return levels
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True of ``mask``, in C order."""
+    return tuple(int(axis[0]) for axis in np.nonzero(mask))
+
+
+def _where(index: tuple[int, ...]) -> str:
+    """``cell c`` on one page, ``lane l, cell c`` in a batch."""
+    *lane, cell = index
+    return f"lane {lane[0]}, cell {cell}" if lane else f"cell {cell}"
 
 
 def _fill(cells: np.ndarray, deficits: np.ndarray) -> None:
@@ -63,34 +76,41 @@ class VCellArray:
                 f"{spec.levels}-level v-cells ({self.bits_per_cell} bits each)"
             )
         self.used_bits = self.num_cells * self.bits_per_cell
+        self._cell_shape = (self.num_cells, self.bits_per_cell)
 
-    def _cell_matrix(self, page_bits: np.ndarray) -> np.ndarray:
-        """Reshape the used portion of a page into (num_cells, bits_per_cell)."""
-        bits = np.asarray(page_bits, dtype=np.uint8)
-        if bits.shape != (self.page_bits,):
-            raise VCellError(
-                f"expected a page of {self.page_bits} bits, got shape {bits.shape}"
-            )
-        return bits[: self.used_bits].reshape(self.num_cells, self.bits_per_cell)
+    def _pages(self, pages: np.ndarray, batch: bool) -> np.ndarray:
+        """One page (``batch`` False) or ``(lanes, page_bits)`` pages as uint8.
 
-    def _cell_matrix_batch(self, pages: np.ndarray) -> np.ndarray:
-        """Reshape ``(B, page_bits)`` pages into ``(B, num_cells, bits_per_cell)``."""
-        bits = np.asarray(pages, dtype=np.uint8)
-        if bits.ndim != 2 or bits.shape[1] != self.page_bits:
-            raise VCellError(
-                f"expected (lanes, {self.page_bits}) pages, got shape {bits.shape}"
+        A page that is not uint8 already (the write path's dtype) is checked
+        before it is narrowed: every entry must be 0 or 1.
+        """
+        bits = np.asarray(pages)
+        if bits.ndim != 1 + batch or bits.shape[-1] != self.page_bits:
+            shape = f"(lanes, {self.page_bits}) pages" if batch else (
+                f"a page of {self.page_bits} bits"
             )
-        return bits[:, : self.used_bits].reshape(
-            len(bits), self.num_cells, self.bits_per_cell
-        )
+            raise VCellError(f"expected {shape}, got shape {bits.shape}")
+        if bits.dtype == _BYTE:
+            return bits
+        bad = (bits != 0) & (bits != 1)
+        if bad.any():
+            lane, bit = divmod(int(np.argmax(bad)), self.page_bits)
+            value = bits.reshape(-1)[lane * self.page_bits + bit]
+            raise VCellError(f"lane {lane}, bit {bit}: {value} is not a bit")
+        return bits.astype(np.uint8)
+
+    def _cells(self, bits: np.ndarray) -> np.ndarray:
+        """``(..., page_bits)`` uint8 pages as ``(..., num_cells,
+        bits_per_cell)``: a view where numpy can make one."""
+        return bits[..., : self.used_bits].reshape(bits.shape[:-1] + self._cell_shape)
 
     def levels(self, page_bits: np.ndarray) -> np.ndarray:
         """Per-cell levels (popcount of each cell's bit group)."""
-        return self._popcount(self._cell_matrix(page_bits))
+        return self._popcount(self._cells(self._pages(page_bits, batch=False)))
 
     def levels_batch(self, pages: np.ndarray) -> np.ndarray:
         """Per-cell levels for ``B`` pages at once: ``(B, num_cells)``."""
-        return self._popcount(self._cell_matrix_batch(pages))
+        return self._popcount(self._cells(self._pages(pages, batch=True)))
 
     def erased_page(self) -> np.ndarray:
         """A fresh all-zero page buffer."""
@@ -108,61 +128,52 @@ class VCellArray:
         Raises
         ------
         VCellError
-            If any target is below the cell's current level, or a byte of the
-            page is not a bit.
+            If any target is not an integer or is below the cell's current
+            level, or an entry of the page is not a bit.
         CellSaturatedError
             If any target exceeds the maximum level.
         """
-        targets = np.asarray(target_levels)
-        if targets.shape != (self.num_cells,):
-            raise VCellError(
-                f"expected {self.num_cells} target levels, got shape {targets.shape}"
-            )
-        if targets.max(initial=0) > self.spec.max_level:
-            bad = int(np.flatnonzero(targets > self.spec.max_level)[0])
-            raise CellSaturatedError(
-                f"cell {bad}: target level {targets[bad]} exceeds "
-                f"L{self.spec.max_level}"
-            )
-        new_page = np.array(page_bits, dtype=np.uint8, order="C")
-        cells = self._cell_matrix(new_page)  # a view: filled in place below
-        current = self._popcount(cells)
-        if (targets < current).any():
-            bad = int(np.flatnonzero(targets < current)[0])
-            raise VCellError(
-                f"cell {bad}: cannot lower level from L{current[bad]} to "
-                f"L{targets[bad]} without an erase"
-            )
-        _fill(cells, targets - current)
-        return new_page
+        return self._program(page_bits, target_levels, batch=False)
 
     def program_levels_batch(
         self, pages: np.ndarray, target_levels: np.ndarray
     ) -> np.ndarray:
         """Batched :meth:`program_levels`: ``(B, page_bits)`` pages to
-        ``(B, num_cells)`` targets, with the same per-cell legality checks.
+        ``(B, num_cells)`` targets, with the same per-cell legality checks
+        (their messages lead with the lane).
         """
+        return self._program(pages, target_levels, batch=True)
+
+    def _program(self, pages, target_levels, batch: bool) -> np.ndarray:
+        """Both faces of :meth:`program_levels`: check, then fill a copy."""
         targets = np.asarray(target_levels)
-        new_pages = np.array(pages, dtype=np.uint8, order="C")
-        cells = self._cell_matrix_batch(new_pages)  # a view: filled in place below
-        if targets.shape != cells.shape[:2]:
+        new_pages = np.array(self._pages(pages, batch), order="C")
+        cells = self._cells(new_pages)  # a view: filled in place below
+        if targets.shape != cells.shape[:-1]:
+            shape = f"({len(cells)}, {self.num_cells})" if batch else self.num_cells
             raise VCellError(
-                f"expected ({len(cells)}, {self.num_cells}) target levels, got "
-                f"shape {targets.shape}"
+                f"expected {shape} target levels, got shape {targets.shape}"
             )
+        if targets.dtype.kind not in "biu":  # the write path passes int64
+            fractional = targets != np.floor(targets)
+            if fractional.any():
+                at = _first(fractional)
+                raise VCellError(
+                    f"{_where(at)}: target level {targets[at]} is not an integer"
+                )
+            targets = targets.astype(np.int64)
         if targets.max(initial=0) > self.spec.max_level:
-            lane, cell = (arr[0] for arr in np.nonzero(targets > self.spec.max_level))
+            at = _first(targets > self.spec.max_level)
             raise CellSaturatedError(
-                f"lane {lane}, cell {cell}: target level "
-                f"{targets[lane, cell]} exceeds L{self.spec.max_level}"
+                f"{_where(at)}: target level {targets[at]} exceeds "
+                f"L{self.spec.max_level}"
             )
         current = self._popcount(cells)
         if (targets < current).any():
-            lane, cell = (arr[0] for arr in np.nonzero(targets < current))
+            at = _first(targets < current)
             raise VCellError(
-                f"lane {lane}, cell {cell}: cannot lower level from "
-                f"L{current[lane, cell]} to L{targets[lane, cell]} without "
-                "an erase"
+                f"{_where(at)}: cannot lower level from L{current[at]} to "
+                f"L{targets[at]} without an erase"
             )
         _fill(cells, targets - current)
         return new_pages

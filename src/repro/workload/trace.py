@@ -257,9 +257,9 @@ class TraceWorkload(Workload):
 
     @classmethod
     def from_file(
-        cls, logical_pages: int, path: str | Path, seed: int = 0
+        cls, logical_pages: int, path: str | Path, seed: int = 0, tenant: int = 0
     ) -> "TraceWorkload":
-        return cls(logical_pages, load_trace(path), seed=seed)
+        return cls(logical_pages, load_trace(path), seed=seed, tenant=tenant)
 
     def next_lpn(self) -> int:
         lpn = self.lpns[self._cursor]
@@ -292,5 +292,5 @@ def workload_from_trace(
             page_bytes=page_bytes, seed=seed, tenant=tenant,
         )
     return TraceWorkload(
-        logical_pages, load_trace(io.StringIO(text)), seed=seed,
+        logical_pages, load_trace(io.StringIO(text)), seed=seed, tenant=tenant,
     )

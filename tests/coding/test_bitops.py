@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.coding.bitops import (
     bits_from_bytes,
     bytes_from_bits,
-    gf2_convolve,
+    gf2_convolve_axis,
     pack_values,
     pack_values_axis,
     random_bits,
@@ -119,21 +119,36 @@ class TestPackUnpack:
 class TestGf2Convolve:
     def test_identity(self) -> None:
         seq = np.array([1, 0, 1, 1], np.uint8)
-        assert gf2_convolve(seq, np.array([1]), 4).tolist() == [1, 0, 1, 1]
+        assert gf2_convolve_axis(seq, np.array([1]), 4).tolist() == [1, 0, 1, 1]
 
     def test_shift(self) -> None:
         seq = np.array([1, 0, 1, 1], np.uint8)
         # taps = D shifts the sequence by one.
-        assert gf2_convolve(seq, np.array([0, 1]), 4).tolist() == [0, 1, 0, 1]
+        assert gf2_convolve_axis(seq, np.array([0, 1]), 4).tolist() == [0, 1, 0, 1]
 
     def test_xor_of_shifts(self) -> None:
         seq = np.array([1, 1, 0, 0], np.uint8)
         # taps = 1 + D: out[n] = seq[n] ^ seq[n-1].
-        assert gf2_convolve(seq, np.array([1, 1]), 4).tolist() == [1, 0, 1, 0]
+        assert gf2_convolve_axis(seq, np.array([1, 1]), 4).tolist() == [1, 0, 1, 0]
 
     def test_truncation_pads(self) -> None:
         seq = np.array([1], np.uint8)
-        assert gf2_convolve(seq, np.array([1, 1, 1]), 5).tolist() == [1, 1, 1, 0, 0]
+        assert gf2_convolve_axis(seq, np.array([1, 1, 1]), 5).tolist() == [1, 1, 1, 0, 0]
+
+    def test_matches_integer_convolution_mod_2(self) -> None:
+        """One page or a batch: the XOR of shifted copies is ``np.convolve``
+        mod 2, truncated to ``length`` and zero padded."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            seq = rng.integers(0, 2, (3, int(rng.integers(1, 20))), dtype=np.uint8)
+            taps = rng.integers(0, 2, int(rng.integers(1, 8)))
+            length = int(rng.integers(1, 30))
+            got = gf2_convolve_axis(seq, taps, length)
+            for lane, row in enumerate(seq):
+                product = np.convolve(row.astype(np.int64), taps)[:length] & 1
+                expected = np.pad(product, (0, length - len(product)))
+                assert gf2_convolve_axis(row, taps, length).tolist() == expected.tolist()
+                assert got[lane].tolist() == expected.tolist()
 
 
 class TestRandomBits:

@@ -59,21 +59,23 @@ class TestBatchResult:
         scheme = make_scheme("wom", PAGE)
         return BatchLifetimeSimulator(scheme, lanes=lanes, seed=1).run(cycles=2)
 
-    def test_merged_is_scalar_shaped(self) -> None:
+    def test_batch_result_is_a_lifetime_result(self) -> None:
         batch = self._batch()
-        merged = batch.merged()
-        assert isinstance(merged, LifetimeResult)
-        assert merged.writes_per_cycle == batch.writes_per_cycle
-        assert merged.lifetime_gain == batch.lifetime_gain
-        assert merged.aggregate_gain == batch.aggregate_gain
+        assert isinstance(batch, LifetimeResult)
+        assert batch.lanes == 3
+        assert batch.lifetime_gain == float(np.mean(batch.writes_per_cycle))
+        assert batch.aggregate_gain == batch.lifetime_gain * batch.rate
+        assert str(batch).endswith(
+            f"over 3 lanes, aggregate gain {batch.aggregate_gain:.2f}"
+        )
 
-    def test_lane_result_slices_one_lane(self) -> None:
-        batch = self._batch()
-        for lane in range(batch.lanes):
-            result = batch.lane_result(lane)
-            assert (
-                result.writes_per_cycle == batch.writes_per_cycle_by_lane[lane]
-            )
+    def test_scalar_run_is_one_lane(self) -> None:
+        scalar = LifetimeSimulator(make_scheme("wom", PAGE), seed=1).run(cycles=2)
+        assert scalar.lanes == 1
+        assert scalar.writes_per_cycle_by_lane == (scalar.writes_per_cycle,)
+        assert len(scalar.writes_per_cycle) == 2
+        assert "lanes" not in str(scalar)
+        assert self._batch().writes_per_cycle_by_lane[0] == scalar.writes_per_cycle
 
     def test_lane_major_flattening(self) -> None:
         batch = self._batch()

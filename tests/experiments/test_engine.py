@@ -51,7 +51,6 @@ class TestMergedPath:
         direct = (
             BatchLifetimeSimulator(_scheme(), lanes=3, seed=SEED)
             .run(cycles=CYCLES)
-            .merged()
         )
         assert via_engine.writes_per_cycle == direct.writes_per_cycle
 
@@ -81,7 +80,6 @@ class TestSimulateLanes:
         direct = (
             BatchLifetimeSimulator(_scheme(384, 4), lanes=2, seed=SEED)
             .run(cycles=CYCLES)
-            .merged()
         )
         assert wrapped.writes_per_cycle == direct.writes_per_cycle
 

@@ -1,0 +1,88 @@
+"""No traced layer boundary runs inside a boundary of the same name.
+
+The end-to-end benchmark's tracer wraps the scalar and the batched face of
+one operation under one span name, and counts calls per layer from those
+spans.  A face that called its twin would count one operation twice, so
+each pair must share a private body instead.  This installs the tracer's
+boundaries (read-only: nothing under ``benchmarks`` changes) and drives
+every face the scalar and batched lifetime runs, a small WOM device and a
+direct v-cell program cross.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from benchmarks.e2e.tracer import BOUNDARIES, Tracer
+from repro.core import BatchLifetimeSimulator, LifetimeSimulator, make_scheme
+from repro.flash import FlashGeometry
+from repro.ssd import SSD
+from repro.vcell import VCellArray, VCellSpec
+
+PAGE = 96
+
+
+def _base(name: str) -> str:
+    return name.partition(":")[0]  # labelled forms count under their layer
+
+
+@pytest.fixture
+def tracer():
+    tracer = Tracer()
+    tracer.install(BOUNDARIES)
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+def _twins_nested(tracer: Tracer) -> list[str]:
+    nested = []
+    for _thread, spans in tracer.threads():
+        names = {span.sid: _base(span.name) for span in spans}
+        nested += [
+            span.name for span in spans if names.get(span.parent) == _base(span.name)
+        ]
+    return nested
+
+
+def _names(tracer: Tracer) -> set[str]:
+    return {_base(span.name) for _thread, spans in tracer.threads() for span in spans}
+
+
+def test_lifetime_runs_nest_no_twins(tracer) -> None:
+    for name, kwargs in (("mfc-1/2-1bpc", {"constraint_length": 3}), ("wom", {})):
+        LifetimeSimulator(make_scheme(name, PAGE, **kwargs), seed=1).run(cycles=1)
+    BatchLifetimeSimulator(make_scheme("wom", PAGE), lanes=2, seed=1).run(cycles=1)
+    assert {
+        "core.lifetime_sim", "core.scheme_write", "coding.coset_encode",
+        "coding.viterbi_search", "coding.wom_encode", "vcell.levels",
+    } <= _names(tracer)
+    assert _twins_nested(tracer) == []
+
+
+def test_wom_device_nests_no_twins(tracer) -> None:
+    ssd = SSD(
+        FlashGeometry(blocks=4, pages_per_block=4, page_bits=96),
+        scheme="wom", utilization=0.5,
+    )
+    rng = np.random.default_rng(0)
+    for lpn in (0, 1, 0, 2, 0):
+        data = rng.integers(0, 2, ssd.logical_page_bits, dtype=np.uint8)
+        ssd.write(lpn, data)
+        assert np.array_equal(ssd.read(lpn), data)
+    assert {
+        "ssd.write", "ssd.read", "ftl.write", "ftl.read", "flash.program",
+        "flash.read", "coding.wom_encode", "coding.wom_decode",
+    } <= _names(tracer)
+    assert _twins_nested(tracer) == []
+
+
+def test_both_program_faces_nest_no_twins(tracer) -> None:
+    varray = VCellArray(VCellSpec(levels=4), 12)
+    page = varray.program_levels(varray.erased_page(), np.array([1, 2, 0, 3]))
+    varray.program_levels_batch(np.stack([page, page]), np.full((2, 4), 3))
+    spans = tracer.spans("vcell.program_levels", 0.0, float("inf"))
+    assert len(spans) == 2
+    assert _twins_nested(tracer) == []

@@ -87,6 +87,47 @@ class TestProgramLevels:
         assert varray.saturated(page).tolist() == [True, False, True, False]
 
 
+class TestNothingNarrowsSilently:
+    """Targets and page entries are checked before they become int64/uint8."""
+
+    def test_fractional_target_rejected(self, varray: VCellArray) -> None:
+        erased = varray.erased_page()
+        with pytest.raises(VCellError, match="^cell 0: target level 1.5 is not an integer$"):
+            varray.program_levels(erased, [1.5, 0, 0, 0])
+        with pytest.raises(VCellError, match="^lane 1, cell 2: target level 0.5 is not"):
+            varray.program_levels_batch(
+                np.stack([erased, erased]), [[1, 0, 0, 0], [1, 0, 0.5, 0]]
+            )
+        with pytest.raises(VCellError, match="is not an integer"):
+            varray.program_levels(erased, [np.nan, 0, 0, 0])
+
+    def test_integral_floats_program_like_ints(self, varray: VCellArray) -> None:
+        erased = varray.erased_page()
+        assert np.array_equal(
+            varray.program_levels(erased, [2.0, 0.0, 3.0, 1.0]),
+            varray.program_levels(erased, [2, 0, 3, 1]),
+        )
+
+    @pytest.mark.parametrize("value", [0.9, 256, -1, 2])
+    def test_non_bit_page_entries_rejected(self, varray: VCellArray, value) -> None:
+        page = np.zeros(12, np.int64 if isinstance(value, int) else float)
+        page[5] = value
+        with pytest.raises(VCellError, match=f"^lane 0, bit 5: {value} is not a bit$"):
+            varray.levels(page)
+        with pytest.raises(VCellError, match=f"^lane 1, bit 5: {value} is not a bit$"):
+            varray.levels_batch(np.stack([np.zeros_like(page), page]))
+        with pytest.raises(VCellError, match="is not a bit"):
+            varray.program_levels(page, [0, 0, 0, 0])
+        with pytest.raises(VCellError, match="is not a bit"):
+            varray.levels(np.full(12, 0.9))
+
+    def test_other_bit_dtypes_read_like_uint8(self, varray: VCellArray) -> None:
+        page = np.array([1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0])
+        for dtype in (bool, np.int64, float):
+            assert varray.levels(page.astype(dtype)).tolist() == [1, 2, 3, 0]
+            assert varray.program_levels(page.astype(dtype), [1, 2, 3, 1]).dtype == np.uint8
+
+
 class TestProperties:
     """Property-based invariants of the v-cell page view."""
 

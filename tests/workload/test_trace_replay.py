@@ -13,6 +13,7 @@ from repro.workload import (
     TraceReplayWorkload,
     TraceWorkload,
     load_csv_trace,
+    make_workload,
     workload_from_trace,
 )
 
@@ -118,3 +119,17 @@ class TestFormatSniffing:
         wl = workload_from_trace(path, 64)
         assert isinstance(wl, TraceWorkload)
         assert [next(wl).lpn for _ in range(4)] == [0, 1, 2, 0]
+
+    @pytest.mark.parametrize(
+        "name,text", [("trace.txt", "0\n1\n2\n"), ("trace.csv", CSV)], ids=["lpn", "csv"]
+    )
+    def test_both_formats_keep_the_tenant(self, tmp_path, name, text) -> None:
+        path = tmp_path / name
+        path.write_text(text)
+        sniffed = workload_from_trace(path, 64, seed=1, tenant=3)
+        registered = make_workload("trace", 64, seed=1, tenant=3, path=str(path))
+        for workload in (sniffed, registered):
+            assert {next(workload).tenant for _ in range(4)} == {3}
+        if name == "trace.txt":
+            loaded = TraceWorkload.from_file(64, path, seed=1, tenant=3)
+            assert next(loaded).tenant == 3
