@@ -49,7 +49,7 @@ def pack_values_axis(bits: np.ndarray, width: int) -> np.ndarray:
     int64 whatever ``bits`` is, so a caller's ``value << k`` cannot wrap.
     """
     bits = np.asarray(bits)
-    columns = bits.reshape(*bits.shape[:-1], -1, width)
+    columns = bits.reshape(*bits.shape[:-1], bits.shape[-1] // width, width)
     values = columns[..., 0].astype(np.int64)
     for shift in range(1, width):
         values |= columns[..., shift].astype(np.int64) << shift
@@ -65,7 +65,7 @@ def unpack_values_axis(values: np.ndarray, width: int) -> np.ndarray:
     bits = np.empty((*values.shape, width), dtype=np.uint8)
     for shift in range(width):
         bits[..., shift] = (values >> shift) & 1
-    return bits.reshape(*values.shape[:-1], -1)
+    return bits.reshape(*values.shape[:-1], values.shape[-1] * width)
 
 
 def gf2_convolve_axis(sequences: np.ndarray, taps: np.ndarray, length: int) -> np.ndarray:

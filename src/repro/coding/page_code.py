@@ -14,7 +14,22 @@ import numpy as np
 
 from repro.errors import CodingError, UnwritableError
 
-__all__ = ["PageCode"]
+__all__ = ["PageCode", "require_bits"]
+
+
+def require_bits(bits: np.ndarray, what: str) -> np.ndarray:
+    """``bits`` as uint8, once every entry is checked to be 0 or 1.
+
+    Checked before narrowing: as uint8, 256 is a 0, 257 a 1 and 0.9 a 0.
+    The :class:`~repro.errors.CodingError` names the first entry that is
+    not a bit, by lane when ``bits`` has one.
+    """
+    bad = bits > 1 if bits.dtype == np.uint8 else (bits != 0) & (bits != 1)
+    if bad.any():
+        *lane, bit = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        where = f"lane {lane[0]}, bit {bit}" if lane else f"bit {bit}"
+        raise CodingError(f"{what} {where}: {bits[(*lane, bit)]} is not a bit")
+    return bits.astype(np.uint8, copy=False)
 
 
 class PageCode(abc.ABC):
@@ -32,14 +47,15 @@ class PageCode(abc.ABC):
 
     def _datawords(self, datawords: np.ndarray, batch: bool) -> np.ndarray:
         """One dataword (``batch`` False) or ``(lanes, dataword_bits)`` of
-        them, as uint8."""
-        data = np.asarray(datawords, dtype=np.uint8)
+        them, as uint8: one that is not uint8 already must hold only bits.
+        A uint8 byte above 1 is left to the code that reads it."""
+        data = np.asarray(datawords)
         if data.ndim != 1 + batch or data.shape[-1] != self.dataword_bits:
             shape = f"datawords must be (lanes, {self.dataword_bits})" if batch else (
                 f"dataword must be {self.dataword_bits}"
             )
             raise CodingError(f"{shape} bits, got {data.shape}")
-        return data
+        return data if data.dtype == np.uint8 else require_bits(data, "dataword")
 
     @abc.abstractmethod
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
@@ -68,7 +84,7 @@ class PageCode(abc.ABC):
         it with a natively vectorized implementation.
         """
         pages = np.asarray(pages, dtype=np.uint8)
-        datawords = np.asarray(datawords, dtype=np.uint8)
+        datawords = np.asarray(datawords)  # encode checks each before narrowing
         new_pages = pages.copy()
         writable = np.ones(len(pages), dtype=bool)
         for lane in range(len(pages)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding.page_code import PageCode
-from repro.errors import CodingError, UnwritableError
+from repro.errors import UnwritableError
 from repro.vcell import VCellArray, VCellSpec
 
 __all__ = ["WaterfallCode"]
@@ -27,11 +27,7 @@ class WaterfallCode(PageCode):
         self.dataword_bits = self.varray.num_cells
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        data = np.asarray(dataword, dtype=np.uint8)
-        if data.shape != (self.dataword_bits,):
-            raise CodingError(
-                f"dataword must be {self.dataword_bits} bits, got {data.shape}"
-            )
+        data = self._datawords(dataword, batch=False)
         levels = self.varray.levels(page)
         flips = (levels % 2) != data
         targets = levels + flips

@@ -15,14 +15,20 @@ four updates.  At page granularity the guaranteed number of writes is 2,
 which is the paper's measured WOM lifetime gain.
 
 The overall implementation rate is 2 data bits / 3 physical bits = 2/3.
+
+Both directions are one table walk per cell, run by the kernel backend the
+code resolves when it is built (:mod:`repro.coding.kernels`): one C call
+per write or read, or its numpy twin.  The scalar and batch faces share
+one body, and a byte that is not a bit, in a page or a dataword, is a
+:class:`~repro.errors.CodingError` under either backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.bitops import pack_values_axis, unpack_values_axis
-from repro.coding.page_code import PageCode
+from repro.coding.kernels import resolve_backend
+from repro.coding.page_code import PageCode, require_bits
 from repro.errors import CodingError, UnwritableError
 from repro.vcell import VCellArray, VCellSpec
 
@@ -66,26 +72,39 @@ WOM_VALUE_OF_PATTERN, WOM_NEXT_PATTERN = _build_tables()
 
 
 class WomVCellCode(PageCode):
-    """Page-level WOM code: 2 data bits per 4-level v-cell."""
+    """Page-level WOM code: 2 data bits per 4-level v-cell.
+
+    ``backend`` names the kernel backend, as for
+    :class:`~repro.coding.viterbi.CosetViterbi`: the name, else
+    ``REPRO_VITERBI_BACKEND``, else ``"auto"``.  It never changes a page.
+    """
 
     BITS_PER_VALUE = 2
 
-    def __init__(self, page_bits: int) -> None:
+    def __init__(self, page_bits: int, backend: str | None = None) -> None:
+        self.backend = resolve_backend(backend)
         self.varray = VCellArray(VCellSpec(levels=4), page_bits)
         self.page_bits = int(page_bits)
         self.num_cells = self.varray.num_cells
         self.dataword_bits = self.num_cells * self.BITS_PER_VALUE
+        #: The flat next-pattern table and the value table, each with its
+        #: address: the numpy twin reads the arrays, the native kernel the
+        #: addresses, and the pair keeps the array alive.
+        self._tables = tuple(
+            (table, table.ctypes.data)
+            for table in (WOM_NEXT_PATTERN.reshape(-1), WOM_VALUE_OF_PATTERN)
+        )
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
         return self._encode(dataword, page, batch=False)[0]
 
     def decode(self, page: np.ndarray) -> np.ndarray:
-        return self._decode(page, batch=False)
+        return self.backend.wom_decode(self, self._pages(page, batch=False))
 
     def encode_batch(
         self, datawords: np.ndarray, pages: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Native batched WOM write: all lanes advance in one table gather.
+        """Native batched WOM write: all lanes advance in one kernel call.
 
         Lanes with an unreachable cell pattern keep their previous bits and
         come back False in the ``writable`` mask.
@@ -93,50 +112,37 @@ class WomVCellCode(PageCode):
         return self._encode(datawords, pages, batch=True)
 
     def decode_batch(self, pages: np.ndarray) -> np.ndarray:
-        return self._decode(pages, batch=True)
+        return self.backend.wom_decode(self, self._pages(pages, batch=True))
 
     # -- the one body of both faces: one page, or (lanes, page_bits) pages ----
 
-    def _patterns(self, pages: np.ndarray, batch: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The uint8 pages and their per-cell 3-bit patterns (LSB = first bit
-        of the cell's group)."""
-        bits = np.asarray(pages, dtype=np.uint8)
+    def _pages(self, pages: np.ndarray, batch: bool) -> np.ndarray:
+        """The pages as uint8; ones that are not uint8 already must hold
+        only bits.  A uint8 byte above 1 is the backend's to refuse."""
+        bits = np.asarray(pages)
         if bits.ndim != 1 + batch or bits.shape[-1] != self.page_bits:
             shape = f"(lanes, {self.page_bits}) pages, got shape" if batch else (
                 f"a page of {self.page_bits} bits, got"
             )
             raise CodingError(f"expected {shape} {bits.shape}")
-        return bits, pack_values_axis(bits[..., : self.varray.used_bits], 3)
+        return bits if bits.dtype == np.uint8 else require_bits(bits, "page")
 
     def _encode(
         self, datawords: np.ndarray, pages: np.ndarray, batch: bool
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(new_pages, writable)``; one page that cannot take the write
-        raises ``UnwritableError`` before a page is built for it."""
+        raises ``UnwritableError``."""
         data = self._datawords(datawords, batch)
-        bits, patterns = self._patterns(pages, batch)
-        targets = WOM_NEXT_PATTERN.take(
-            patterns << 2 | pack_values_axis(data, self.BITS_PER_VALUE)
-        )
-        writable = np.ones(len(targets), dtype=bool) if batch else True
-        stuck = targets < 0
-        if stuck.any():  # one reduction: per lane only when a lane is stuck
-            if not batch:
-                raise UnwritableError(
-                    "a v-cell has no reachable pattern for its new value; "
-                    "erase required"
-                )
-            writable = ~stuck.any(axis=1)
-            # An unwritable lane keeps its bits.
-            targets = np.where(writable[:, None], targets, patterns)
-        new_pages = bits.copy()
-        new_pages[..., : self.varray.used_bits] = unpack_values_axis(targets, 3)
+        bits = self._pages(pages, batch)
+        if batch and len(data) != len(bits):
+            raise CodingError(f"{len(data)} datawords for {len(bits)} pages")
+        new_pages, writable = self.backend.wom_encode(self, data, bits)
+        if not (batch or writable):
+            raise UnwritableError(
+                "a v-cell has no reachable pattern for its new value; "
+                "erase required"
+            )
         return new_pages, writable
-
-    def _decode(self, pages: np.ndarray, batch: bool) -> np.ndarray:
-        _, patterns = self._patterns(pages, batch)
-        values = WOM_VALUE_OF_PATTERN.take(patterns)
-        return unpack_values_axis(values, self.BITS_PER_VALUE)
 
     def updates_guaranteed(self) -> int:
         """Writes always possible after an erase (the WOM guarantee)."""
