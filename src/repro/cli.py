@@ -1,15 +1,13 @@
 """The command-line vocabulary the runners share.
 
 A flag or a piece of ``main`` that two of ``python -m repro.experiments``,
-``repro.ssd``, ``repro.server`` and ``repro.cluster`` take is declared here
-once, so it is spelled, typed, documented and handled the same everywhere.
+``repro.ssd`` and ``repro.server`` take is declared here once, so it is
+spelled, typed, documented and handled the same everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import signal
 import sys
 from collections.abc import Callable
 
@@ -85,16 +83,6 @@ def workload_choice(args: argparse.Namespace) -> tuple[str, dict]:
     return args.workload, {}
 
 
-def add_load_args(parser: argparse.ArgumentParser) -> None:
-    """The load generator's closed-loop sweep (the ``bench`` commands)."""
-    parser.add_argument("--clients", type=int, nargs="+", default=[1, 4, 16],
-                        help="closed-loop concurrency sweep points")
-    parser.add_argument("--ops", type=int, default=100,
-                        help="requests per client")
-    parser.add_argument("--read-fraction", type=float, default=0.0)
-    parser.add_argument("--seed", type=int, default=2016)
-
-
 def add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     """``--metrics-out`` / ``--trace-out``, which :func:`run` honours."""
     parser.add_argument("--metrics-out", metavar="PATH",
@@ -105,28 +93,16 @@ def add_telemetry_args(parser: argparse.ArgumentParser) -> None:
                              "(implies telemetry collection)")
 
 
-def stop_event() -> asyncio.Event:
-    """An event that SIGINT or SIGTERM sets (the ``serve`` commands)."""
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # non-Unix loops
-            signal.signal(signum, lambda *_: loop.call_soon_threadsafe(stop.set))
-    return stop
-
-
 def run(parser: argparse.ArgumentParser, args: argparse.Namespace,
         command: Callable[[argparse.Namespace], int], *,
-        errors: tuple[type[Exception], ...] = (), telemetry: bool = False,
-        write_dumps: bool = True) -> int:
+        errors: tuple[type[Exception], ...] = (),
+        telemetry: bool = False) -> int:
     """Run ``command(args)`` as a runner's ``main``; returns the exit code.
 
     Telemetry is on if ``telemetry`` is set or a dump was asked for.  A
     :class:`ConfigurationError` or one of the runner's user ``errors`` is
     one ``<prog>: error: <msg>`` line and exit 2, not a traceback.  Dumps
-    are written after the command returns unless ``write_dumps`` is off.
+    are written after the command returns.
     """
     metrics_out = getattr(args, "metrics_out", None)
     trace_out = getattr(args, "trace_out", None)
@@ -137,10 +113,10 @@ def run(parser: argparse.ArgumentParser, args: argparse.Namespace,
     except (ConfigurationError, *errors) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    if write_dumps and metrics_out:
+    if metrics_out:
         write_metrics(metrics_out)
         print(f"metrics written to {metrics_out}", flush=True)
-    if write_dumps and trace_out:
+    if trace_out:
         write_trace(trace_out)
         print(f"trace written to {trace_out}", flush=True)
     return code

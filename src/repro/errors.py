@@ -154,15 +154,6 @@ class ConnectionLostError(ServerError):
     """The connection dropped before a pending request was answered."""
 
 
-class ClusterError(ServerError):
-    """A cluster-level operation could not complete on any eligible shard.
-
-    Raised by the cluster router when, for example, every owner shard of
-    an LPN is down for reads, or fewer healthy writable shards remain
-    than the configured redundancy requires.
-    """
-
-
 class RecoveringError(ServerError):
     """The server is replaying its journal and cannot serve data yet.
 

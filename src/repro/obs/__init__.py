@@ -2,9 +2,9 @@
 
 ``repro.obs`` is the one observability surface of the runners: the device
 run (its flash, FTL and fault stats), the server and its requests,
-durability, the load generators, the cluster and the sweep cells publish
-here.  The coding, v-cell, core and FTL layers publish nothing; the
-benchmark tracer (``benchmarks/e2e/tracer.py``) times them.
+durability, the load generators and the sweep cells publish here.  The
+coding, v-cell, core and FTL layers publish nothing; the benchmark tracer
+(``benchmarks/e2e/tracer.py``) times them.
 Collection is **off by default**; enable it with ``REPRO_METRICS=1`` or
 the CLIs' ``--metrics-out`` / ``--trace-out`` flags.
 

@@ -12,8 +12,8 @@ Per-tenant instruments are registered internally under flat dotted names
 (``server.tenant3.requests``, ``loadgen.tenant0.latency_seconds``).  The
 exporter converts them to proper Prometheus label sets — one
 ``repro_server_tenant_requests{tenant="3"}`` family per metric instead of
-one family per tenant — so cluster rollups can aggregate across tenants
-with PromQL instead of regexes.
+one family per tenant — so rollups can aggregate across tenants with
+PromQL instead of regexes.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ __all__ = ["DEFAULT_CONNECT_TIMEOUT", "StorageClient"]
 #: Wall-clock bound on ``connect()``'s TCP handshake and HELLO exchange.
 #: A peer that accepts the socket but never answers the HELLO (a non-repro
 #: server, a firewalled port eating bytes) would otherwise hang the caller
-#: forever; the cluster router probes shards with this bound.
+#: forever.
 DEFAULT_CONNECT_TIMEOUT = 10.0
 
 #: Status -> exception type for non-OK responses.
@@ -109,8 +109,7 @@ class StorageClient:
         trip).  A peer that accepts the socket but never produces a valid
         HELLO reply — a truncated frame, garbage bytes, or silence — fails
         fast with a typed :class:`~repro.errors.ProtocolError` instead of
-        hanging, so callers probing many endpoints (the cluster router)
-        stay responsive.  ``timeout=None`` disables the bound.
+        hanging.  ``timeout=None`` disables the bound.
         """
         try:
             reader, writer = await asyncio.wait_for(
@@ -142,32 +141,19 @@ class StorageClient:
 
     # -- public operations ---------------------------------------------------
 
-    async def read(self, lpn: int, trace_id: int = 0) -> np.ndarray:
-        """Read one logical page's dataword bits.
-
-        ``trace_id`` (nonzero) carries an externally minted wire trace id
-        instead of a fresh one — the cluster router stamps every replica
-        request of one logical operation with the same id, so a single
-        trace covers the whole fan-out.
-        """
-        response = await self._request(
-            Request(Opcode.READ, 0, lpn=lpn, trace_id=trace_id)
-        )
+    async def read(self, lpn: int) -> np.ndarray:
+        """Read one logical page's dataword bits."""
+        response = await self._request(Request(Opcode.READ, 0, lpn=lpn))
         return response.data
 
-    async def write(
-        self, lpn: int, data: np.ndarray, trace_id: int = 0
-    ) -> None:
+    async def write(self, lpn: int, data: np.ndarray) -> None:
         """Write one logical page; returns once the server acknowledged."""
         await self._request(Request(Opcode.WRITE, 0, lpn=lpn,
-                                    data=np.asarray(data, dtype=np.uint8),
-                                    trace_id=trace_id))
+                                    data=np.asarray(data, dtype=np.uint8)))
 
-    async def trim(self, lpn: int, trace_id: int = 0) -> None:
+    async def trim(self, lpn: int) -> None:
         """Discard one logical page."""
-        await self._request(
-            Request(Opcode.TRIM, 0, lpn=lpn, trace_id=trace_id)
-        )
+        await self._request(Request(Opcode.TRIM, 0, lpn=lpn))
 
     async def stat(self) -> dict:
         """Device + server state (see ``StorageService._stat``)."""
@@ -212,15 +198,11 @@ class StorageClient:
         self._next_id = (self._next_id + 1) & 0xFFFFFFFF or 1
         registry = _metrics.get_registry()
         trace_id = 0
-        if request.opcode is not Opcode.HELLO:
-            # Pass an externally stamped id through; mint a fresh one only
-            # when telemetry is on (an id nobody records is wasted bytes).
-            if request.trace_id:
-                trace_id = request.trace_id
-                self.last_trace_id = trace_id
-            elif registry.enabled:
-                trace_id = new_trace_id()
-                self.last_trace_id = trace_id
+        if registry.enabled and request.opcode is not Opcode.HELLO:
+            # Mint an id only when telemetry is on (an id nobody records is
+            # wasted bytes).
+            trace_id = new_trace_id()
+            self.last_trace_id = trace_id
         request = Request(request.opcode, request_id, lpn=request.lpn,
                           data=request.data, tenant=request.tenant,
                           version=request.version, trace_id=trace_id)
@@ -298,8 +280,8 @@ class StorageClient:
                     future.set_result(response)
         except ProtocolError as exc:
             # Keep the typed wire-violation error: callers probing whether
-            # a peer speaks the protocol (shard discovery) need to tell
-            # "not a repro server" apart from "connection dropped".
+            # a peer speaks the protocol need to tell "not a repro server"
+            # apart from "connection dropped".
             self._fail_pending(exc)
         except (ConnectionError, OSError) as exc:
             self._fail_pending(ConnectionLostError(str(exc)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import socket
 import time
 
@@ -33,11 +34,10 @@ from repro.obs.slo import SLOConfig, SLOTracker
 from repro.server.loadgen import LoadgenResult, run_closed_loop, run_open_loop
 from repro.server.service import ServerConfig, StorageService
 
-__all__ = ["DEVICE_DEFAULTS", "HEADER", "add_server_args", "build_parser",
-           "main", "result_row"]
+__all__ = ["build_parser", "main"]
 
-#: The served device, and every ``repro.cluster`` shard's: bigger pages and
-#: a longer-lived chip than ``repro.ssd``'s run-to-death defaults.
+#: The served device: bigger pages and a longer-lived chip than
+#: ``repro.ssd``'s run-to-death defaults.
 DEVICE_DEFAULTS = dict(
     scheme="mfc-1/2-1bpc", blocks=16, pages_per_block=16, page_bytes=512,
     erase_limit=10_000, utilization=0.5, constraint_length=7,
@@ -166,7 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--connect-timeout", type=float, default=10.0,
                        help="seconds to wait for --connect to accept")
     bench.add_argument("--mode", choices=("closed", "open"), default="closed")
-    cli.add_load_args(bench)
+    bench.add_argument("--clients", type=int, nargs="+", default=[1, 4, 16],
+                       help="closed-loop concurrency sweep points")
+    bench.add_argument("--ops", type=int, default=100,
+                       help="requests per client")
+    bench.add_argument("--read-fraction", type=float, default=0.0)
+    bench.add_argument("--seed", type=int, default=2016)
     bench.add_argument("--rate", type=float, default=500.0,
                        help="open loop: offered requests per second")
     cli.add_workload_args(
@@ -203,6 +208,18 @@ def _command(args: argparse.Namespace) -> int:
 
 
 # -- serve --------------------------------------------------------------------
+
+
+def _stop_event() -> asyncio.Event:
+    """An event that SIGINT or SIGTERM sets."""
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+        except (NotImplementedError, RuntimeError):  # non-Unix loops
+            signal.signal(signum, lambda *_: loop.call_soon_threadsafe(stop.set))
+    return stop
 
 
 async def _serve(args: argparse.Namespace, slo_config: SLOConfig) -> int:
@@ -256,7 +273,7 @@ async def _serve(args: argparse.Namespace, slo_config: SLOConfig) -> int:
             "(/metrics /healthz /readyz /traces /debug/vars)",
             flush=True,
         )
-    stop = cli.stop_event()
+    stop = _stop_event()
     # Only the MFC schemes search a coset; name the kernel that will do it.
     viterbi = getattr(getattr(ssd.scheme, "code", None), "viterbi", None)
     kernel = f", viterbi {viterbi.backend.name}" if viterbi is not None else ""

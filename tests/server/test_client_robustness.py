@@ -1,9 +1,9 @@
 """Client behavior against peers that are not (working) repro servers.
 
-Satellite hardening for cluster shard probing: a router sweeping a fleet
-of endpoints must get a fast, *typed* failure from a port that accepts
-TCP but never speaks the protocol — not a bare ``struct.error`` and not
-an indefinite hang.
+Any ``connect()`` caller, the load generator's geometry probe among them,
+must get a fast, *typed* failure from a port that accepts TCP but never
+speaks the protocol — not a bare ``struct.error`` and not an indefinite
+hang.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.runner import build_parser as cluster_parser
 from repro.experiments.runner import build_parser as experiments_parser
 from repro.server.runner import build_parser as server_parser
 from repro.ssd.runner import build_parser as ssd_parser
@@ -24,7 +23,6 @@ PARSERS = {
     "repro.experiments": experiments_parser,
     "repro.ssd": ssd_parser,
     "repro.server": server_parser,
-    "repro.cluster": cluster_parser,
 }
 
 #: Where a command's own arguments end in a shell line.
