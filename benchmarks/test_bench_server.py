@@ -19,6 +19,7 @@ from repro.durability import DurableStore
 from repro.flash import FlashGeometry
 from repro.server import ServerConfig, StorageService
 from repro.server.loadgen import run_closed_loop
+from repro.server.runner import result_row
 from repro.ssd import SSD
 
 PAGE_BITS = 4096          # the paper's 512 B page
@@ -109,8 +110,8 @@ def test_bench_coalesced_vs_serialized(server_perf_recorder) -> None:
         speedup=speedup,
     )
     print(
-        f"\nserialized: {serialized.summary_line()}\n"
-        f"coalesced:  {coalesced.summary_line()}\n"
+        f"\nserialized: {result_row(serialized)}\n"
+        f"coalesced:  {result_row(coalesced)}\n"
         f"speedup: {speedup:.1f}x "
         f"(batches={coalesced_stats.batches}, "
         f"max={coalesced_stats.max_batch_size})"
@@ -155,8 +156,8 @@ def test_bench_journaled_group_commit(server_perf_recorder, tmp_path) -> None:
         fraction_of_baseline=fraction,
     )
     print(
-        f"\nbaseline:  {baseline.summary_line()}\n"
-        f"journaled: {journaled.summary_line()}\n"
+        f"\nbaseline:  {result_row(baseline)}\n"
+        f"journaled: {result_row(journaled)}\n"
         f"fraction of baseline: {fraction:.2f}"
     )
     assert fraction >= MIN_JOURNALED_FRACTION, (
@@ -283,8 +284,8 @@ def test_bench_obs_sidecar_overhead(server_perf_recorder) -> None:
         ],
     )
     print(
-        f"\nbaseline:  {baseline.summary_line()}\n"
-        f"telemetry: {telemetry.summary_line()}\n"
+        f"\nbaseline:  {result_row(baseline)}\n"
+        f"telemetry: {result_row(telemetry)}\n"
         f"scrapes during run: {scrapes}, "
         f"fraction of baseline: {fraction:.3f}"
     )

@@ -9,7 +9,7 @@ or any log pipeline.
 Tenant labels
 -------------
 Per-tenant instruments are registered internally under flat dotted names
-(``server.tenant3.requests``, ``loadgen.tenant0.latency_seconds``).  The
+(``server.tenant3.requests``, ``loadgen.tenant0.busy``).  The
 exporter converts them to proper Prometheus label sets — one
 ``repro_server_tenant_requests{tenant="3"}`` family per metric instead of
 one family per tenant — so rollups can aggregate across tenants with

@@ -14,17 +14,17 @@ north-star "production-scale serving" direction of the roadmap:
 * :mod:`repro.server.loadgen` — open/closed-loop load generators that
   replay the same :mod:`repro.workload` op streams the simulator runs
   (synthetic, trace, phased, multi-tenant mixes) and report latency
-  percentiles plus IOPS, per tenant and overall.
+  percentiles plus IOPS, per tenant and overall; open-loop latency runs
+  from each request's due time.  Workloads themselves come from
+  :mod:`repro.workload` (``make_workload``, ``WORKLOADS``).
 
 Run ``python -m repro.server serve`` / ``... bench`` for the CLI.
 """
 
 from repro.server.client import StorageClient
 from repro.server.loadgen import (
-    WORKLOADS,
     LoadgenResult,
     TenantResult,
-    make_workload,
     run_closed_loop,
     run_open_loop,
 )
@@ -32,7 +32,6 @@ from repro.server.protocol import Opcode, Request, Response, Status
 from repro.server.service import ServerConfig, ServerStats, StorageService
 
 __all__ = [
-    "WORKLOADS",
     "LoadgenResult",
     "Opcode",
     "Request",
@@ -43,7 +42,6 @@ __all__ = [
     "StorageClient",
     "StorageService",
     "TenantResult",
-    "make_workload",
     "run_closed_loop",
     "run_open_loop",
 ]

@@ -353,18 +353,18 @@ def result_row(result: LoadgenResult) -> str:
     )
 
 
-def _print_tenants(result: LoadgenResult) -> None:
-    """Per-tenant breakdown rows (only interesting for multi-tenant runs)."""
+def tenant_rows(result: LoadgenResult) -> str:
+    """Per-tenant breakdown lines, each led by a newline; empty for a
+    single-tenant run."""
     if len(result.per_tenant) <= 1:
-        return
-    for row in result.per_tenant:
-        print(
-            f"    tenant {row.tenant}: {row.ops} ops "
-            f"({row.reads}r/{row.writes}w/{row.trims}t) "
-            f"p50={row.p50_ms:.2f}ms p95={row.p95_ms:.2f}ms "
-            f"p99={row.p99_ms:.2f}ms busy={row.busy} errors={row.errors}",
-            flush=True,
-        )
+        return ""
+    return "".join(
+        f"\n    tenant {row.tenant}: {row.ops} ops "
+        f"({row.reads}r/{row.writes}w/{row.trims}t) "
+        f"p50={row.p50_ms:.2f}ms p95={row.p95_ms:.2f}ms "
+        f"p99={row.p99_ms:.2f}ms busy={row.busy} errors={row.errors}"
+        for row in result.per_tenant
+    )
 
 
 def _bench(args: argparse.Namespace) -> int:
@@ -402,8 +402,7 @@ def _bench_connect(args: argparse.Namespace, load: dict) -> int:
     print(HEADER)
     for clients in args.clients:
         result = asyncio.run(_drive(args, host, port, clients, load))
-        print(result_row(result), flush=True)
-        _print_tenants(result)
+        print(result_row(result) + tenant_rows(result), flush=True)
     return 0
 
 
@@ -426,8 +425,8 @@ def _bench_loopback(args: argparse.Namespace, load: dict) -> int:
         print(
             result_row(result)
             + f" {service.stats.batches:>7} {service.stats.max_batch_size:>4} "
-              f"{service.ssd.lifetime_state:>9}",
+              f"{service.ssd.lifetime_state:>9}"
+            + tenant_rows(result),
             flush=True,
         )
-        _print_tenants(result)
     return 0

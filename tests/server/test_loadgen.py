@@ -1,23 +1,32 @@
-"""Load-generator tests against a real loopback service."""
+"""Load-generator tests: the two loops' timing rules against fake
+servers, and ``run_closed_loop``/``run_open_loop`` against a real
+loopback service."""
 
 from __future__ import annotations
 
 import asyncio
+import itertools
+import time
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import registry as obs_registry
-from repro.server import ServerConfig, StorageService, make_workload
+from repro.server import ServerConfig, StorageService
 from repro.server.loadgen import (
-    WORKLOADS,
     _percentile,
+    run_closed,
     run_closed_loop,
+    run_open,
     run_open_loop,
 )
-from repro.workload import UniformWorkload
+from repro.server.runner import result_row
+from repro.workload import make_workload
 
 from tests.server.test_service import make_ssd
+
+STALL_S = 0.2
+RATE = 100.0
 
 
 async def _with_service(coro_fn, scheme: str = "mfc-1/2-1bpc", config=None):
@@ -26,21 +35,73 @@ async def _with_service(coro_fn, scheme: str = "mfc-1/2-1bpc", config=None):
         return await coro_fn(ssd, service)
 
 
-class TestMakeWorkload:
-    def test_known_names(self) -> None:
-        for name in WORKLOADS:
-            workload = make_workload(name, 16, seed=1)
-            assert 0 <= next(workload).lpn < 16
+class TestTimingRule:
+    def test_open_loop_charges_a_stall_to_every_request_due_behind_it(
+        self,
+    ) -> None:
+        calls = []
 
-    def test_unknown_name(self) -> None:
-        with pytest.raises(ConfigurationError, match="unknown workload"):
-            make_workload("bursty", 16, seed=1)
+        async def send(_connection, _op):
+            # The fake server blocks the whole event loop on its first
+            # request, so the generator cannot even send the requests that
+            # come due meanwhile.
+            if not calls:
+                time.sleep(STALL_S)
+            calls.append(time.perf_counter())
+            return True
 
-    def test_same_distributions_as_simulator(self) -> None:
-        a = make_workload("uniform", 32, seed=9)
-        b = UniformWorkload(32, seed=9)
-        assert type(a) is type(b)
-        assert [next(a) for _ in range(10)] == [next(b) for _ in range(10)]
+        stream = make_workload("uniform", 16, seed=1)
+        records = asyncio.run(run_open(send, stream, 2, RATE, 0.5))
+        assert len(records) == 50 and all(r.ok and r.write for r in records)
+        by_due = sorted(records, key=lambda r: r.due)
+        start = by_due[0].due
+        # The schedule never slips, however late the sends run.
+        assert by_due[-1].due - start == pytest.approx(49 / RATE)
+        behind = [r for r in by_due if 0 < r.due - start < STALL_S / 2]
+        assert len(behind) >= 5
+        for record in behind:
+            waited = STALL_S - (record.due - start)
+            # Sent late, because the loop was blocked ...
+            assert record.sent - record.due >= waited - 0.01
+            # ... and the latency counts that wait, although the send
+            # itself took next to nothing.
+            assert record.latency_s >= waited - 0.01
+            assert record.done - record.sent < 0.05
+        after = [r for r in by_due if r.due - start > STALL_S + 0.1]
+        assert after and max(r.latency_s for r in after) < 0.05
+
+    def test_closed_loop_keeps_in_flight_requests_per_connection(
+        self,
+    ) -> None:
+        outstanding = [0, 0]
+        peak = [0, 0]
+
+        async def send(connection, _op):
+            outstanding[connection] += 1
+            peak[connection] = max(peak[connection], outstanding[connection])
+            await asyncio.sleep(0.005)
+            outstanding[connection] -= 1
+            return True
+
+        streams = [make_workload("uniform", 16, seed=s) for s in (1, 2)]
+        records = asyncio.run(run_closed(send, streams, 4, 0.1))
+        assert peak == [4, 4]
+        assert len(records) >= 8 * 10
+        assert all(r.due == r.sent for r in records)
+
+    def test_finite_stream_ends_the_closed_loop_at_its_op_count(
+        self,
+    ) -> None:
+        async def send(_connection, _op):
+            await asyncio.sleep(0)
+            return True
+
+        streams = [
+            itertools.islice(make_workload("uniform", 16, seed=s), 7)
+            for s in (1, 2)
+        ]
+        records = asyncio.run(run_closed(send, streams, 3, float("inf")))
+        assert len(records) == 14
 
 
 class TestPercentile:
@@ -70,7 +131,7 @@ class TestClosedLoop:
         assert result.errors == 0 and result.busy == 0
         assert result.achieved_iops > 0
         assert result.p50_ms <= result.p95_ms <= result.p99_ms <= result.max_ms
-        assert "closed loop" in result.summary_line()
+        assert result_row(result).split()[:3] == ["3", "closed", "30"]
 
     def test_read_fraction_one_only_reads(self) -> None:
         async def drive(ssd, service):
@@ -128,7 +189,6 @@ class TestOpenLoop:
         result = asyncio.run(_with_service(drive))
         assert result.mode == "open"
         assert result.ops == 20 and result.offered_iops == 2000.0
-        assert "offered=2000/s" in result.summary_line()
 
     def test_busy_counted_in_reject_mode(self) -> None:
         async def drive(ssd, service):

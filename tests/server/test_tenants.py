@@ -10,13 +10,20 @@ import pytest
 from repro.errors import ConfigurationError, ServerBusyError
 from repro.obs import registry as obs_registry
 from repro.server import ServerConfig, StorageClient, StorageService
-from repro.server.loadgen import _Tally, run_closed_loop, run_open_loop
+from repro.server.loadgen import (
+    OpRecord,
+    run_closed_loop,
+    run_open_loop,
+    summarise,
+)
 from repro.server.protocol import (
     Opcode,
     Request,
     decode_request,
     encode_request,
 )
+from repro.server.runner import tenant_rows
+from repro.workload import Op, OpKind
 
 from tests.server.test_service import make_ssd
 
@@ -170,7 +177,7 @@ class TestMultiTenantLoadgen:
         assert all(row.ops == 10 for row in result.per_tenant)
         for row in result.per_tenant:
             assert row.p50_ms <= row.p95_ms <= row.p99_ms <= row.max_ms
-        assert "tenant 0:" in result.summary_line()
+        assert "tenant 0:" in tenant_rows(result)
 
     def test_open_loop_mixed_stream_covers_all_tenants(self) -> None:
         async def drive(ssd, service):
@@ -192,7 +199,7 @@ class TestMultiTenantLoadgen:
 
         result = asyncio.run(_with_service(drive))
         assert [row.tenant for row in result.per_tenant] == [0]
-        assert "tenant 0:" not in result.summary_line()
+        assert tenant_rows(result) == ""
 
     def test_tenants_must_not_exceed_clients(self) -> None:
         with pytest.raises(ConfigurationError, match="tenants"):
@@ -219,16 +226,16 @@ class TestMultiTenantLoadgen:
 
 class TestZeroRequestTenantGuard:
     def test_idle_tenant_reports_zeros_not_raises(self) -> None:
-        tally = _Tally()
-        tally.record(0, 0.002)
-        result = tally.result("closed", 1, wall=1.0, offered=None, tenants=3)
+        record = OpRecord(Op(OpKind.WRITE, 0), 0.0, 0.0, 0.002, True)
+        result = summarise([record], mode="closed", clients=1, wall=1.0,
+                           tenants=3)
         assert [row.tenant for row in result.per_tenant] == [0, 1, 2]
         idle = result.per_tenant[2]
         assert idle.ops == 0 and idle.errors == 0 and idle.busy == 0
         assert idle.p50_ms == idle.p99_ms == idle.mean_ms == idle.max_ms == 0.0
 
     def test_wholly_empty_run(self) -> None:
-        result = _Tally().result("open", 1, wall=0.5, offered=100.0,
-                                 tenants=2)
+        result = summarise([], mode="open", clients=1, wall=0.5,
+                           offered=100.0, tenants=2)
         assert result.ops == 0 and result.p99_ms == 0.0
         assert all(row.ops == 0 for row in result.per_tenant)

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError
 from repro.workload import (
     WORKLOADS,
     HotColdWorkload,
+    UniformWorkload,
     WorkloadSpec,
     make_workload,
     register_workload,
@@ -32,6 +33,12 @@ class TestRegistry:
         )
         assert isinstance(wl, HotColdWorkload)
         assert wl.hot_pages == 10
+
+    def test_same_distributions_as_simulator(self) -> None:
+        a = make_workload("uniform", 32, seed=9)
+        b = UniformWorkload(32, seed=9)
+        assert type(a) is type(b)
+        assert [next(a) for _ in range(10)] == [next(b) for _ in range(10)]
 
     def test_unknown_name(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown workload"):
