@@ -9,10 +9,10 @@ test:
 	pytest tests/
 
 # Every gate of .github/workflows/ci.yml that needs no extra install: the
-# tier-1 suite, lint, then the e2e smoke, the FTL oracle and the kernel
-# equivalence in CI's order.  Not here: kernel-sanitize (needs libasan) and
-# bench-smoke (needs pytest-benchmark).  ruff is optional locally; CI always
-# installs it.
+# tier-1 suite, lint, then the e2e smoke, the FTL oracle, the kernel
+# equivalence and the examples in CI's order.  Not here: kernel-sanitize
+# (needs libasan) and bench-smoke (needs pytest-benchmark).  ruff is
+# optional locally; CI always installs it.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -23,6 +23,7 @@ ci:
 	$(MAKE) bench-e2e-quick
 	$(MAKE) ftl-oracle
 	$(MAKE) kernel-equivalence
+	$(MAKE) examples
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -92,8 +93,9 @@ experiments:
 experiments-full:
 	python -m repro.experiments all --page-bytes 4096 --cycles 3
 
+# Runs every example script; the first one that fails fails the target.
 examples:
-	for script in examples/*.py; do echo "== $$script"; python $$script; done
+	for script in examples/*.py; do echo "== $$script"; PYTHONPATH=src python $$script || exit 1; done
 
 # The native Viterbi kernel is built into src/repro/coding/__pycache__, so
 # removing every __pycache__ removes it too (it is rebuilt on next use).

@@ -9,8 +9,8 @@ time per host write for the headline MFC as channels scale.
 from __future__ import annotations
 
 from repro.flash import FlashGeometry
-from repro.ssd import StripedDevice, UniformWorkload
-from repro.workload import payload_for
+from repro.ssd import StripedDevice
+from repro.workload import UniformWorkload, payload_for
 
 GEOM = FlashGeometry(blocks=4, pages_per_block=4, page_bits=384,
                      erase_limit=5000)

@@ -8,8 +8,9 @@ this bench runs whole devices under a timing model and prints the numbers.
 from __future__ import annotations
 
 from repro.flash import FlashGeometry
-from repro.ssd import SSD, UniformWorkload, run_until_death
+from repro.ssd import SSD, run_until_death
 from repro.ssd.performance import analyze_performance
+from repro.workload import UniformWorkload
 
 GEOM = FlashGeometry(blocks=8, pages_per_block=8, page_bits=384,
                      erase_limit=3000)

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from repro.flash import FlashGeometry
 from repro.ftl import DynamicWearLeveling, NoWearLeveling, StaticWearLeveling
-from repro.ssd import SSD, HotColdWorkload, UniformWorkload, format_device_report, run_until_death
+from repro.ssd import SSD, format_device_report, run_until_death
+from repro.workload import HotColdWorkload, UniformWorkload
 
 GEOM = FlashGeometry(blocks=8, pages_per_block=8, page_bits=384, erase_limit=20)
 

@@ -21,7 +21,8 @@ from repro.core import LifetimeSimulator, make_scheme
 from repro.faults import FaultProfile
 from repro.flash.geometry import FlashGeometry
 from repro.flash.noise import WearNoiseModel
-from repro.ssd import SSD, UniformWorkload, format_reliability_report, run_until_death
+from repro.ssd import SSD, format_reliability_report, run_until_death
+from repro.workload import UniformWorkload
 
 
 def stuck_cells() -> None:

@@ -10,13 +10,8 @@ Run:  python examples/ssd_device_sim.py
 
 from repro.flash import FlashGeometry
 from repro.ftl import DynamicWearLeveling, NoWearLeveling
-from repro.ssd import (
-    SSD,
-    HotColdWorkload,
-    UniformWorkload,
-    format_device_report,
-    run_until_death,
-)
+from repro.ssd import SSD, format_device_report, run_until_death
+from repro.workload import HotColdWorkload, UniformWorkload
 
 GEOMETRY = FlashGeometry(blocks=8, pages_per_block=8, page_bits=384,
                          erase_limit=25)

@@ -58,9 +58,9 @@ def add_workload_args(
     parser.add_argument("--workload", choices=sorted(WORKLOADS),
                         default="uniform")
     parser.add_argument("--trace", metavar="PATH",
-                        help="replay a block trace instead of a synthetic "
-                             "workload (CSV timestamp,op,offset,size or "
-                             "newline-LPN format, sniffed)")
+                        help="replay a CSV block trace (timestamp,op,offset,"
+                             "size or 7-column MSR rows) instead of a "
+                             "synthetic workload")
     parser.add_argument("--trace-page-bytes", type=int, default=4096,
                         help="logical page size used to map CSV trace byte "
                              "offsets to pages")

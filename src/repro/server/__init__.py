@@ -13,7 +13,7 @@ north-star "production-scale serving" direction of the roadmap:
   asyncio client raising the same typed exceptions as the local device.
 * :mod:`repro.server.loadgen` — open/closed-loop load generators that
   replay the same :mod:`repro.workload` op streams the simulator runs
-  (synthetic, trace, phased, multi-tenant mixes) and report latency
+  (synthetic, CSV trace replay, phased, multi-tenant mixes) and report latency
   percentiles plus IOPS, per tenant and overall; open-loop latency runs
   from each request's due time.  Workloads themselves come from
   :mod:`repro.workload` (``make_workload``, ``WORKLOADS``).

@@ -5,20 +5,10 @@ SSDs; this package closes the loop by running whole-device simulations —
 chip + FTL + rewriting scheme + workload — and measuring how page-level
 lifetime gains translate to device lifetime (total host writes before the
 device runs out of usable blocks), including the interaction with wear
-leveling that Section IX discusses.
+leveling that Section IX discusses.  Workloads come from
+:mod:`repro.workload`.
 """
 
-from repro.workload import (
-    Workload,
-    UniformWorkload,
-    HotColdWorkload,
-    ZipfWorkload,
-    SequentialWorkload,
-    TraceWorkload,
-    load_trace,
-    record_trace,
-    save_trace,
-)
 from repro.ssd.device import SSD
 from repro.ssd.array import StripedDevice
 from repro.ssd.simulator import (
@@ -29,11 +19,6 @@ from repro.ssd.simulator import (
 from repro.ssd.report import format_device_report, format_reliability_report
 
 __all__ = [
-    "Workload",
-    "UniformWorkload",
-    "HotColdWorkload",
-    "ZipfWorkload",
-    "SequentialWorkload",
     "SSD",
     "StripedDevice",
     "DeviceLifetimeResult",
@@ -41,8 +26,4 @@ __all__ = [
     "run_until_death",
     "format_device_report",
     "format_reliability_report",
-    "TraceWorkload",
-    "load_trace",
-    "record_trace",
-    "save_trace",
 ]

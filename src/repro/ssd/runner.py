@@ -4,7 +4,7 @@ Examples::
 
     python -m repro.ssd --schemes uncoded wom mfc-1/2-1bpc
     python -m repro.ssd --workload hotcold --wear-leveling none dynamic
-    python -m repro.ssd --trace writes.trace --schemes wom
+    python -m repro.ssd --trace writes.csv --schemes wom
     python -m repro.ssd --trace blocks.csv --tenants 2
     python -m repro.ssd --phase uniform:200,hotcold:100
 """

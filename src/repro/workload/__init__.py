@@ -11,44 +11,30 @@ are a function of the write *sequence*, so the sequence is owned here).
 * :mod:`repro.workload.ops` — the op protocol and payload derivation.
 * :mod:`repro.workload.synthetic` — uniform/hotcold/zipf/sequential,
   bit-identical ports of the legacy iterators.
-* :mod:`repro.workload.trace` — MSR-style CSV block-trace replay plus the
-  legacy newline-LPN format.
+* :mod:`repro.workload.trace` — MSR-style CSV block-trace replay, the one
+  trace format.
 * :mod:`repro.workload.phased` — time-varying load (diurnal, bursts,
   hot/cold drift) as a phase scheduler.
 * :mod:`repro.workload.mixed` — multi-tenant weighted interleave.
-* :mod:`repro.workload.registry` — the spec registry
-  (:class:`WorkloadSpec`, :func:`make_workload`) every consumer builds
+* :mod:`repro.workload.registry` — the name -> factory table
+  (:func:`make_workload`, :data:`WORKLOADS`) every consumer builds
   streams from.
+
+Every caller imports workload names from here.
 """
 
 from repro.workload.base import SyntheticWorkload, Workload
 from repro.workload.mixed import MixedWorkload, derive_child_seed
 from repro.workload.ops import Op, OpKind, payload_for
 from repro.workload.phased import PhasedWorkload, parse_phase_spec
-from repro.workload.registry import (
-    WORKLOADS,
-    WorkloadSpec,
-    make_workload,
-    register_workload,
-    tenant_streams,
-    workload_names,
-)
+from repro.workload.registry import WORKLOADS, make_workload, tenant_streams
 from repro.workload.synthetic import (
     HotColdWorkload,
     SequentialWorkload,
     UniformWorkload,
     ZipfWorkload,
 )
-from repro.workload.trace import (
-    TraceRecord,
-    TraceReplayWorkload,
-    TraceWorkload,
-    load_csv_trace,
-    load_trace,
-    record_trace,
-    save_trace,
-    workload_from_trace,
-)
+from repro.workload.trace import TraceRecord, TraceReplayWorkload, load_csv_trace
 
 __all__ = [
     "HotColdWorkload",
@@ -60,22 +46,14 @@ __all__ = [
     "SyntheticWorkload",
     "TraceRecord",
     "TraceReplayWorkload",
-    "TraceWorkload",
     "UniformWorkload",
     "WORKLOADS",
     "Workload",
-    "WorkloadSpec",
     "ZipfWorkload",
     "derive_child_seed",
     "load_csv_trace",
-    "load_trace",
     "make_workload",
     "parse_phase_spec",
     "payload_for",
-    "record_trace",
-    "register_workload",
-    "save_trace",
     "tenant_streams",
-    "workload_from_trace",
-    "workload_names",
 ]

@@ -1,16 +1,14 @@
 """The central workload registry: one source of truth for every harness.
 
-Mirrors the scheme registry's shape: factories registered by name, a
-``make_workload`` constructor, and a frozen :class:`WorkloadSpec` that
-names one workload + parameter set as a hashable value — the thing a CLI
-flag parses into and every harness builds its stream from.  This replaces
-the two hand-maintained ``WORKLOADS`` dicts the simulator CLI and the
-server load generator used to keep in (imperfect) sync.
+One literal name -> factory table and the :func:`make_workload`
+constructor every harness builds its stream from.  The four distribution
+classes are their own factories and also form :data:`WORKLOADS`, the
+``--workload`` choices; ``trace``, ``phased`` and ``mixed`` are
+composites built from parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -23,21 +21,11 @@ from repro.workload.synthetic import (
     UniformWorkload,
     ZipfWorkload,
 )
-from repro.workload.trace import workload_from_trace
+from repro.workload.trace import TraceReplayWorkload, load_csv_trace
 
-__all__ = [
-    "WORKLOADS",
-    "WorkloadSpec",
-    "make_workload",
-    "register_workload",
-    "tenant_streams",
-    "workload_names",
-]
+__all__ = ["WORKLOADS", "make_workload", "tenant_streams"]
 
-#: The four distribution classes, by their historical names.  Kept as a
-#: plain name -> class mapping for backward compatibility (CLI ``choices``
-#: lists and callers that instantiate classes directly); the full factory
-#: registry below also covers trace/phased/mixed composites.
+#: The four distribution classes: what ``--workload`` offers.
 WORKLOADS: dict[str, type[Workload]] = {
     "uniform": UniformWorkload,
     "hotcold": HotColdWorkload,
@@ -45,30 +33,16 @@ WORKLOADS: dict[str, type[Workload]] = {
     "sequential": SequentialWorkload,
 }
 
-_FACTORIES: dict[str, Callable[..., Workload]] = dict(WORKLOADS)
-
-
-def register_workload(name: str, factory: Callable[..., Workload]) -> None:
-    """Register a workload factory; ``factory(logical_pages, seed=, ...)``."""
-    if name in _FACTORIES:
-        raise ConfigurationError(f"workload {name!r} is already registered")
-    _FACTORIES[name] = factory
-
-
-def workload_names() -> list[str]:
-    """Every registered workload name (composites included)."""
-    return sorted(_FACTORIES)
-
 
 def make_workload(
     name: str, logical_pages: int, seed: int = 0, **kwargs
 ) -> Workload:
-    """Instantiate a registered workload by name."""
+    """Instantiate a workload by name; ``factory(logical_pages, seed=, ...)``."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown workload {name!r} (have: {workload_names()})"
+            f"unknown workload {name!r} (have: {sorted(_FACTORIES)})"
         ) from None
     try:
         return factory(logical_pages, seed=seed, **kwargs)
@@ -114,8 +88,9 @@ def _make_trace(
 ) -> Workload:
     if not path:
         raise ConfigurationError("trace workloads need a path parameter")
-    return workload_from_trace(
-        path, logical_pages, seed=seed, tenant=tenant, page_bytes=page_bytes
+    return TraceReplayWorkload(
+        logical_pages, load_csv_trace(path), page_bytes=page_bytes,
+        seed=seed, tenant=tenant,
     )
 
 
@@ -162,39 +137,9 @@ def _make_mixed(
     )
 
 
-register_workload("trace", _make_trace)
-register_workload("phased", _make_phased)
-register_workload("mixed", _make_mixed)
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One workload, fully specified: registry name + parameter pairs.
-
-    Frozen and built from primitives only, so specs hash and compare by
-    value.  ``params`` is a
-    sorted tuple of ``(name, value)`` pairs (the same idiom sweep cells
-    use for scheme kwargs).
-    """
-
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    @classmethod
-    def of(cls, name: str, **params) -> "WorkloadSpec":
-        return cls(name, tuple(sorted(params.items())))
-
-    def build(
-        self, logical_pages: int, seed: int = 0, tenant: int = 0
-    ) -> Workload:
-        """Instantiate the spec's stream for one harness run."""
-        return make_workload(
-            self.name, logical_pages, seed=seed, tenant=tenant,
-            **dict(self.params),
-        )
-
-    def describe(self) -> str:
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{key}={value}" for key, value in self.params)
-        return f"{self.name}({inner})"
+_FACTORIES: dict[str, Callable[..., Workload]] = {
+    **WORKLOADS,
+    "trace": _make_trace,
+    "phased": _make_phased,
+    "mixed": _make_mixed,
+}

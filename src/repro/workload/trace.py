@@ -1,8 +1,7 @@
-"""Trace-driven workloads: block-trace replay in two formats.
+"""Trace-driven workloads: MSR-Cambridge-style CSV block-trace replay.
 
-Real storage evaluations replay block traces.  Two formats are supported:
-
-**MSR-Cambridge-style CSV** (the standard public block-trace shape)::
+Real storage evaluations replay block traces in the standard public
+block-trace shape::
 
     timestamp,op,offset,size
     0.000,Write,0,8192
@@ -19,11 +18,8 @@ offsets beyond the simulated device's address space modulo its size, so
 traces captured from real multi-terabyte disks still drive a small
 simulated device with their original locality structure.
 
-**Newline-LPN** (the legacy minimal format): one logical page number per
-line, write-only.  Still read and written so old traces keep replaying.
-
-Both replay classes cycle when the trace runs out — workloads are
-infinite iterators; consumers bound their own run length.
+Replay cycles when the trace runs out — workloads are infinite
+iterators; consumers bound their own run length.
 """
 
 from __future__ import annotations
@@ -37,16 +33,7 @@ from repro.errors import ConfigurationError
 from repro.workload.base import Workload
 from repro.workload.ops import Op, OpKind
 
-__all__ = [
-    "TraceRecord",
-    "TraceReplayWorkload",
-    "TraceWorkload",
-    "load_csv_trace",
-    "load_trace",
-    "record_trace",
-    "save_trace",
-    "workload_from_trace",
-]
+__all__ = ["TraceRecord", "TraceReplayWorkload", "load_csv_trace"]
 
 _KINDS = {"r": OpKind.READ, "w": OpKind.WRITE, "t": OpKind.TRIM}
 
@@ -61,14 +48,12 @@ class TraceRecord:
     size: int
 
 
-def _read_text(source: str | Path | io.TextIOBase) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text()
-    return source.read()
-
-
-def _data_lines(text: str) -> list[tuple[int, str]]:
+def _data_lines(source: str | Path | io.TextIOBase) -> list[tuple[int, str]]:
     """(line number, stripped content) pairs, comments/blanks removed."""
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text()
+    else:
+        text = source.read()
     lines = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,9 +68,8 @@ def load_csv_trace(source: str | Path | io.TextIOBase) -> list[TraceRecord]:
     Accepts the minimal ``timestamp,op,offset,size`` shape and full
     seven-column MSR rows; one optional header line is skipped.
     """
-    lines = _data_lines(_read_text(source))
     records: list[TraceRecord] = []
-    for index, (number, line) in enumerate(lines):
+    for index, (number, line) in enumerate(_data_lines(source)):
         fields = [field.strip() for field in line.split(",")]
         if len(fields) >= 7:  # MSR: Timestamp,Host,Disk,Type,Offset,Size,...
             raw = (fields[0], fields[3], fields[4], fields[5])
@@ -131,8 +115,10 @@ class TraceReplayWorkload(Workload):
 
     Each record expands to one op per logical page its byte extent covers
     (``page_bytes`` sets the mapping); pages beyond the device wrap modulo
-    ``logical_pages``.  WRITE payloads get deterministic per-op seeds like
-    every other workload, so all harnesses replay identical bytes.
+    ``logical_pages``.  The current record is held as a cursor (kind, next
+    page, pages left), so a multi-gigabyte extent costs O(1) memory and
+    O(1) per op.  WRITE payloads get deterministic per-op seeds like every
+    other workload, so all harnesses replay identical bytes.
     """
 
     def __init__(
@@ -151,146 +137,25 @@ class TraceReplayWorkload(Workload):
         self.records = list(records)
         self.page_bytes = page_bytes
         self._record_cursor = 0
-        self._pending: list[tuple[OpKind, int]] = []
-
-    @classmethod
-    def from_file(
-        cls,
-        logical_pages: int,
-        path: str | Path,
-        page_bytes: int = 4096,
-        seed: int = 0,
-        tenant: int = 0,
-    ) -> "TraceReplayWorkload":
-        return cls(
-            logical_pages, load_csv_trace(path), page_bytes=page_bytes,
-            seed=seed, tenant=tenant,
-        )
-
-    def _expand(self, record: TraceRecord) -> list[tuple[OpKind, int]]:
-        first = record.offset // self.page_bytes
-        pages = max(1, math.ceil(
-            (record.offset % self.page_bytes + record.size) / self.page_bytes
-        ))
-        return [
-            (record.kind, (first + k) % self.logical_pages)
-            for k in range(pages)
-        ]
+        self._kind = OpKind.WRITE
+        self._next_page = 0
+        self._pages_left = 0
 
     def next_op(self) -> Op:
-        while not self._pending:
+        if not self._pages_left:
             record = self.records[self._record_cursor]
             self._record_cursor = (
                 self._record_cursor + 1
             ) % len(self.records)
-            self._pending = self._expand(record)
-        kind, lpn = self._pending.pop(0)
+            self._kind = record.kind
+            self._next_page = record.offset // self.page_bytes
+            self._pages_left = max(1, math.ceil(
+                (record.offset % self.page_bytes + record.size)
+                / self.page_bytes
+            ))
+        kind, lpn = self._kind, self._next_page % self.logical_pages
+        self._next_page += 1
+        self._pages_left -= 1
         if kind is OpKind.WRITE:
             return self.write_op(lpn)
         return Op(kind, lpn, tenant=self.tenant)
-
-
-# -- legacy newline-LPN format ------------------------------------------------
-
-
-def load_trace(source: str | Path | io.TextIOBase) -> list[int]:
-    """Parse a legacy trace: one LPN per line, ``#`` comments allowed."""
-    lpns = []
-    for number, line in _data_lines(_read_text(source)):
-        try:
-            lpn = int(line)
-        except ValueError:
-            raise ConfigurationError(
-                f"trace line {number}: {line!r} is not a page number"
-            ) from None
-        if lpn < 0:
-            raise ConfigurationError(
-                f"trace line {number}: negative page number {lpn}"
-            )
-        lpns.append(lpn)
-    if not lpns:
-        raise ConfigurationError("trace contains no writes")
-    return lpns
-
-
-def save_trace(lpns: list[int], path: str | Path) -> None:
-    """Write a trace in the format :func:`load_trace` reads."""
-    Path(path).write_text("\n".join(str(lpn) for lpn in lpns) + "\n")
-
-
-def record_trace(workload: Workload, length: int) -> list[int]:
-    """Capture ``length`` LPNs from any workload generator."""
-    if length < 1:
-        raise ConfigurationError("trace length must be positive")
-    lpns = []
-    for op in workload:
-        lpns.append(op.lpn if isinstance(op, Op) else int(op))
-        if len(lpns) == length:
-            return lpns
-
-
-class TraceWorkload(Workload):
-    """Replays a fixed LPN sequence as writes, cycling when it runs out.
-
-    ``logical_pages`` bounds the address space; traces referencing pages
-    beyond it are rejected up front rather than failing mid-simulation.
-    """
-
-    def __init__(
-        self,
-        logical_pages: int,
-        lpns: list[int],
-        seed: int = 0,
-        tenant: int = 0,
-    ) -> None:
-        super().__init__(logical_pages, seed=seed, tenant=tenant)
-        if not lpns:
-            raise ConfigurationError("empty trace")
-        out_of_range = [lpn for lpn in lpns if lpn >= logical_pages]
-        if out_of_range:
-            raise ConfigurationError(
-                f"trace references pages beyond the device "
-                f"(first: {out_of_range[0]}, device has {logical_pages})"
-            )
-        self.lpns = list(lpns)
-        self._cursor = 0
-
-    @classmethod
-    def from_file(
-        cls, logical_pages: int, path: str | Path, seed: int = 0, tenant: int = 0
-    ) -> "TraceWorkload":
-        return cls(logical_pages, load_trace(path), seed=seed, tenant=tenant)
-
-    def next_lpn(self) -> int:
-        lpn = self.lpns[self._cursor]
-        self._cursor = (self._cursor + 1) % len(self.lpns)
-        return lpn
-
-    def next_op(self) -> Op:
-        return self.write_op(self.next_lpn())
-
-
-def workload_from_trace(
-    path: str | Path,
-    logical_pages: int,
-    seed: int = 0,
-    tenant: int = 0,
-    page_bytes: int = 4096,
-) -> Workload:
-    """Build a replay workload from a trace file, sniffing its format.
-
-    Lines with commas mean the CSV block-trace format; otherwise the file
-    is read as legacy newline-LPN.
-    """
-    text = _read_text(path)
-    lines = _data_lines(text)
-    if not lines:
-        raise ConfigurationError("trace contains no records")
-    if "," in lines[0][1]:
-        return TraceReplayWorkload(
-            logical_pages, load_csv_trace(io.StringIO(text)),
-            page_bytes=page_bytes, seed=seed, tenant=tenant,
-        )
-    return TraceWorkload(
-        logical_pages, load_trace(io.StringIO(text)), seed=seed, tenant=tenant,
-    )

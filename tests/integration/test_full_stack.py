@@ -18,7 +18,8 @@ from repro.core import make_scheme
 from repro.errors import IllegalTransitionError, OutOfSpaceError
 from repro.flash import FlashChip, FlashGeometry, MLC, SLC, TLC
 from repro.ftl import RewritingFTL
-from repro.ssd import SSD, UniformWorkload, run_until_death
+from repro.ssd import SSD, run_until_death
+from repro.workload import UniformWorkload
 
 
 class TestPaperNarrative:

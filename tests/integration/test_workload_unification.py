@@ -1,6 +1,6 @@
 """The workload-unification acceptance test.
 
-One :class:`~repro.workload.registry.WorkloadSpec`, replayed through both
+One registry workload (name + parameters), replayed through both
 harnesses — the offline lifetime simulator and the TCP serving stack —
 must drive the device through the identical op sequence: same LPNs in the
 same order with the same payload bytes, hence bit-identical device end
@@ -19,12 +19,12 @@ from repro.server import StorageService
 from repro.server.loadgen import run_closed_loop
 from repro.ssd import SSD
 from repro.ssd.simulator import run_until_death
-from repro.workload import WorkloadSpec
+from repro.workload import make_workload
 
 GEOM = FlashGeometry(blocks=8, pages_per_block=8, page_bits=256,
                      erase_limit=100_000)
 SCHEME = "mfc-1/2-1bpc"
-SPEC = WorkloadSpec.of("uniform")
+WORKLOAD = "uniform"
 SEED = 2016
 OPS = 120
 
@@ -54,15 +54,15 @@ def outcome(ssd: SSD) -> dict:
 
 class TestTwoHarnessEquivalence:
     def test_same_spec_same_device_state_everywhere(self) -> None:
-        # Harness 1: the offline simulator consumes the spec's stream.
+        # Harness 1: the offline simulator consumes the registry's stream.
         sim_ssd = make_ssd()
         sim_result = run_until_death(
-            sim_ssd, SPEC.build(sim_ssd.logical_pages, seed=SEED),
+            sim_ssd, make_workload(WORKLOAD, sim_ssd.logical_pages, seed=SEED),
             max_writes=OPS,
         )
         assert sim_result.host_writes == OPS
 
-        # Harness 2: the same spec drives the serving stack over loopback
+        # Harness 2: the same workload drives the serving stack over loopback
         # (one closed-loop client => a total order fixed by the seed).
         async def serve() -> tuple[dict, np.ndarray]:
             srv_ssd = make_ssd()
@@ -70,8 +70,7 @@ class TestTwoHarnessEquivalence:
                 await run_closed_loop(
                     "127.0.0.1", service.port,
                     clients=1, ops_per_client=OPS,
-                    workload=SPEC.name, seed=SEED,
-                    **dict(SPEC.params),
+                    workload=WORKLOAD, seed=SEED,
                 )
             return outcome(srv_ssd), chip_image(srv_ssd)
 
@@ -85,12 +84,11 @@ class TestTwoHarnessEquivalence:
     def test_mixed_spec_builds_identical_streams_for_all_harnesses(
         self,
     ) -> None:
-        """The multi-tenant composite is equally spec-driven: the stream
+        """The multi-tenant composite is equally registry-driven: the stream
         the simulator interleaves and the stream the open-loop generator
         dispatches are the same object graph with the same draws."""
-        spec = WorkloadSpec.of("mixed", base="uniform", tenants=2)
-        a = spec.build(64, seed=SEED)
-        b = spec.build(64, seed=SEED)
+        a = make_workload("mixed", 64, seed=SEED, base="uniform", tenants=2)
+        b = make_workload("mixed", 64, seed=SEED, base="uniform", tenants=2)
         ops_a = list(itertools.islice(a, 200))
         ops_b = list(itertools.islice(b, 200))
         assert ops_a == ops_b

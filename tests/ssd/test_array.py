@@ -7,8 +7,8 @@ import pytest
 
 from repro.errors import ConfigurationError, LogicalAddressError
 from repro.flash import FlashGeometry
-from repro.ssd import StripedDevice, UniformWorkload
-from repro.workload import payload_for
+from repro.ssd import StripedDevice
+from repro.workload import UniformWorkload, payload_for
 
 GEOM = FlashGeometry(blocks=4, pages_per_block=4, page_bits=96,
                      erase_limit=1000)

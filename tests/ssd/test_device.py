@@ -10,11 +10,10 @@ from repro.flash import FlashGeometry
 from repro.ssd import (
     SSD,
     DeviceLifetimeResult,
-    HotColdWorkload,
-    UniformWorkload,
     format_device_report,
     run_until_death,
 )
+from repro.workload import HotColdWorkload, UniformWorkload
 
 GEOM = FlashGeometry(blocks=6, pages_per_block=4, page_bits=192, erase_limit=8)
 

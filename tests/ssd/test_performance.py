@@ -6,8 +6,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.flash import FlashGeometry
-from repro.ssd import SSD, UniformWorkload, run_until_death
+from repro.ssd import SSD, run_until_death
 from repro.ssd.performance import NandTimings, analyze_performance
+from repro.workload import UniformWorkload
 
 GEOM = FlashGeometry(blocks=6, pages_per_block=4, page_bits=192, erase_limit=2000)
 

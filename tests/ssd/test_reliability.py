@@ -14,12 +14,8 @@ import pytest
 from repro.errors import ReadOnlyModeError
 from repro.faults import FaultProfile, FaultSchedule, ScheduledFault
 from repro.flash import FlashGeometry
-from repro.ssd import (
-    SSD,
-    UniformWorkload,
-    format_reliability_report,
-    run_until_death,
-)
+from repro.ssd import SSD, format_reliability_report, run_until_death
+from repro.workload import UniformWorkload
 
 GEOMETRY = dict(blocks=8, pages_per_block=8, page_bits=384, erase_limit=25)
 

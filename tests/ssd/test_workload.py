@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ssd import (
+from repro.workload import (
     HotColdWorkload,
+    OpKind,
     SequentialWorkload,
     UniformWorkload,
     ZipfWorkload,
+    payload_for,
 )
-from repro.workload import OpKind, payload_for
 
 
 class TestUniform:

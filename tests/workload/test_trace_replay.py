@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
 
@@ -11,10 +12,8 @@ from repro.workload import (
     OpKind,
     TraceRecord,
     TraceReplayWorkload,
-    TraceWorkload,
     load_csv_trace,
     make_workload,
-    workload_from_trace,
 )
 
 CSV = """\
@@ -105,31 +104,51 @@ class TestTraceReplayWorkload:
         b = TraceReplayWorkload(64, records, seed=3)
         assert [next(a) for _ in range(12)] == [next(b) for _ in range(12)]
 
+    def test_wrapping_extent_yields_the_pages_of_a_full_expansion(
+        self,
+    ) -> None:
+        # Bytes [4096*62 + 1000, 4096*65 + 1000) straddle pages 62..65,
+        # which wrap to 62, 63, 0, 1 on a 64-page device.
+        records = [
+            TraceRecord(0.0, OpKind.WRITE, 4096 * 62 + 1000, 4096 * 3),
+            TraceRecord(0.1, OpKind.READ, 4096 * 130, 4096 * 2),
+        ]
+        wl = TraceReplayWorkload(64, records, page_bytes=4096)
+        expanded = [
+            (OpKind.WRITE, 62), (OpKind.WRITE, 63), (OpKind.WRITE, 0),
+            (OpKind.WRITE, 1), (OpKind.READ, 2), (OpKind.READ, 3),
+        ]
+        ops = [next(wl) for _ in range(2 * len(expanded))]
+        assert [(op.kind, op.lpn) for op in ops] == expanded * 2
+
+    def test_huge_extent_replays_in_constant_memory(self) -> None:
+        # One 1 GiB write is 262 144 pages; replay holds a cursor, not a
+        # list of them.
+        records = [TraceRecord(0.0, OpKind.WRITE, 0, 1 << 30)]
+        tracemalloc.start()
+        try:
+            wl = TraceReplayWorkload(4096, records, page_bytes=4096)
+            lpns = [next(wl).lpn for _ in range(1000)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lpns == list(range(1000))
+        assert peak < 256 * 1024
+
 
 class TestFormatSniffing:
+    """The registry's ``trace`` factory reads CSV, the one trace format."""
+
     def test_csv_detected(self, tmp_path) -> None:
         path = tmp_path / "trace.csv"
         path.write_text(CSV)
-        wl = workload_from_trace(path, 64)
+        wl = make_workload("trace", 64, path=str(path))
         assert isinstance(wl, TraceReplayWorkload)
 
-    def test_legacy_lpn_detected(self, tmp_path) -> None:
-        path = tmp_path / "trace.txt"
-        path.write_text("0\n1\n2\n")
-        wl = workload_from_trace(path, 64)
-        assert isinstance(wl, TraceWorkload)
-        assert [next(wl).lpn for _ in range(4)] == [0, 1, 2, 0]
-
-    @pytest.mark.parametrize(
-        "name,text", [("trace.txt", "0\n1\n2\n"), ("trace.csv", CSV)], ids=["lpn", "csv"]
-    )
+    @pytest.mark.parametrize("name,text", [("trace.csv", CSV)], ids=["csv"])
     def test_both_formats_keep_the_tenant(self, tmp_path, name, text) -> None:
         path = tmp_path / name
         path.write_text(text)
-        sniffed = workload_from_trace(path, 64, seed=1, tenant=3)
         registered = make_workload("trace", 64, seed=1, tenant=3, path=str(path))
-        for workload in (sniffed, registered):
-            assert {next(workload).tenant for _ in range(4)} == {3}
-        if name == "trace.txt":
-            loaded = TraceWorkload.from_file(64, path, seed=1, tenant=3)
-            assert next(loaded).tenant == 3
+        assert isinstance(registered, TraceReplayWorkload)
+        assert {next(registered).tenant for _ in range(4)} == {3}
