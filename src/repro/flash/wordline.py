@@ -63,6 +63,29 @@ def _cell_tables(cell: CellModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pattern_to_level, legal, program_ok
 
 
+@functools.lru_cache
+def _setting_bits_is_always_legal(cell: CellModel) -> bool:
+    """Whether every one-page bit-setting program is a legal cell move.
+
+    True when ``program_ok[page, 2 * pattern + new_bit]`` holds for every
+    pattern and every ``new_bit >= bit(pattern, page)``: the indices a
+    program that :meth:`Page.validate_program` accepted (0/1 values, no bit
+    cleared) can form.  ``new_bit = 1`` covers every pattern, so this also
+    says every pattern has a level.  Then the wordline's stacked pass
+    cannot refuse such a program and :meth:`Wordline.program_page` skips it.
+    Under the paper's Fig. 2 bit mappings this holds for every shipped
+    model (SLC, MLC, TLC and the ideal MLC), whose legal single-program
+    moves are exactly the one-page bit sets.
+    """
+    program_ok = _cell_tables(cell)[2]
+    patterns = np.arange(1 << cell.pages_per_wordline)
+    return all(
+        program_ok[page, 2 * patterns + 1].all()
+        and program_ok[page, 2 * patterns[(patterns >> page) & 1 == 0]].all()
+        for page in range(cell.pages_per_wordline)
+    )
+
+
 def _stack_bits(rows: Sequence[np.ndarray]) -> np.ndarray:
     """``sum(rows[k] << k)`` per cell, in the rows' own uint8."""
     stacked = rows[0]
@@ -80,7 +103,8 @@ class Wordline:
     charge level via the :class:`~repro.flash.cell.CellModel`.
     """
 
-    __slots__ = ("cell", "pages", "_pattern_to_level", "_legal", "_program_ok")
+    __slots__ = ("cell", "pages", "_pattern_to_level", "_legal", "_program_ok",
+                 "_check_levels")
 
     def __init__(self, cell: CellModel, pages: Sequence[Page]) -> None:
         if len(pages) != cell.pages_per_wordline:
@@ -94,6 +118,7 @@ class Wordline:
         self.cell = cell
         self.pages = tuple(pages)
         self._pattern_to_level, self._legal, self._program_ok = _cell_tables(cell)
+        self._check_levels = not _setting_bits_is_always_legal(cell)
 
     @property
     def page_bits(self) -> int:
@@ -120,15 +145,21 @@ class Wordline:
         Validates bit monotonicity (via the page) *and* that every cell's
         implied level transition is physically legal, then commits.  The
         legality check is one pass over the wordline: each cell's ``2 *
-        pattern + new_bit`` looked up in ``program_ok``.
+        pattern + new_bit`` looked up in ``program_ok``.  The pass runs only
+        for a cell model where a bit-setting program can still be illegal
+        (see :func:`_setting_bits_is_always_legal`); on the shipped models
+        the page's own check has already decided.
         """
         if not 0 <= page_index < len(self.pages):
             raise PageProgramError(f"wordline has no page {page_index}")
         page = self.pages[page_index]
         target = page.validate_program(new_bits)
-        index = _stack_bits([target, *(sibling.bits for sibling in self.pages)])
-        if not self._program_ok[page_index].take(index).all():
-            self._refuse_program(page_index, target)
+        if self._check_levels:
+            index = _stack_bits(
+                [target, *(sibling.bits for sibling in self.pages)]
+            )
+            if not self._program_ok[page_index].take(index).all():
+                self._refuse_program(page_index, target)
         page.apply_program(target)
 
     def _refuse_program(self, page_index: int, target: np.ndarray) -> NoReturn:

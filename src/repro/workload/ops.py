@@ -59,10 +59,16 @@ def payload_for(op: Op, bits: int) -> np.ndarray:
 
     Every consumer of a stream derives the same bytes for the same op —
     the property that makes "same workload" mean the same thing offline
-    and over the wire.
+    and over the wire.  The bytes are defined by the PCG64 stream seeded
+    with ``data_seed``: bit ``i`` is the top bit of byte ``i`` of that
+    stream, each 64-bit word read low byte first.  That is exactly what
+    ``default_rng(data_seed).integers(0, 2, bits, dtype=np.uint8)`` draws
+    (numpy's uint8 path takes one stream byte per output and, for a range
+    of two, never rejects one), without the generator's per-call cost.
     """
     if op.data_seed is None:
         raise ValueError(f"{op.kind.value.upper()} ops carry no payload")
-    return np.random.default_rng(op.data_seed).integers(
-        0, 2, bits, dtype=np.uint8
-    )
+    if bits < 0:
+        raise ValueError(f"a payload holds a non-negative bit count, not {bits}")
+    words = np.random.PCG64(op.data_seed).random_raw((bits + 7) // 8)
+    return words.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7

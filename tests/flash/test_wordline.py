@@ -16,7 +16,8 @@ from repro.errors import (
 from repro.flash import (
     IDEAL_MLC, MLC, SLC, TLC, CellModel, Page, PageState, Wordline,
 )
-from repro.flash.wordline import _cell_tables
+from repro.flash import wordline as wordline_module
+from repro.flash.wordline import _cell_tables, _setting_bits_is_always_legal
 
 #: Three levels on two pages: the bit pattern (0, 1) has no level, so the
 #: "no defined level" refusal is reachable through ``program_page``.
@@ -32,6 +33,7 @@ SCRAMBLED_IDEAL = CellModel(
     single_page_program=False, ideal_interface=True,
 )
 CELLS = (SLC, MLC, TLC, IDEAL_MLC, THREE_LEVEL, SCRAMBLED_IDEAL)
+SHIPPED_CELLS = (SLC, MLC, TLC, IDEAL_MLC)
 
 
 def make_wordline(cell=MLC, page_bits: int = 8) -> Wordline:
@@ -303,3 +305,68 @@ class TestProgramPageAgainstReference:
             if refused is not None:
                 refusals.add(refused[1].split(" ")[0])
         assert refusals == {"cell", "programming"}
+
+
+class TestStackedPassFold:
+    """``program_page`` skips the stacked pass where it cannot refuse."""
+
+    @staticmethod
+    def brute_force(cell) -> bool:
+        """Every stored state, every page, every bit-setting new bit."""
+        width = cell.pages_per_wordline
+        level_of = {bits: level for level, bits in enumerate(cell.level_to_bits)}
+        for pattern in range(1 << width):
+            bits = tuple((pattern >> p) & 1 for p in range(width))
+            if bits not in level_of:
+                return False
+            for page in range(width):
+                for new_bit in range(bits[page], 2):
+                    proposed = bits[:page] + (new_bit,) + bits[page + 1:]
+                    if proposed not in level_of or not cell.is_legal_transition(
+                        level_of[bits], level_of[proposed]
+                    ):
+                        return False
+        return True
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.kind)
+    def test_flag_equals_brute_force(self, cell) -> None:
+        flag = _setting_bits_is_always_legal(cell)
+        assert flag == self.brute_force(cell)
+        assert flag == (cell in SHIPPED_CELLS)
+
+    @pytest.fixture
+    def no_stacking(self, monkeypatch):
+        class StackedPassRan(Exception):
+            pass
+
+        def refuse(rows):
+            raise StackedPassRan
+
+        monkeypatch.setattr(wordline_module, "_stack_bits", refuse)
+        return StackedPassRan
+
+    @pytest.mark.parametrize("cell", SHIPPED_CELLS, ids=lambda cell: cell.kind)
+    def test_shipped_cells_never_stack(self, cell, no_stacking) -> None:
+        rng = np.random.default_rng(7)
+        wordline = make_wordline(cell=cell, page_bits=16)
+        for _ in range(12):
+            page_index = int(rng.integers(cell.pages_per_wordline))
+            page = wordline.pages[page_index]
+            buffer = page.read() | (rng.random(16) < 0.2).astype(np.uint8)
+            wordline.program_page(page_index, buffer)
+            assert np.array_equal(page.read(), buffer)
+        programmed = next(p for p, page in enumerate(wordline.pages)
+                          if page.read().any())
+        stored = wordline.pages[programmed].read()
+        position = int(np.flatnonzero(stored)[0])
+        cleared = stored.copy()
+        cleared[position] = 0
+        with pytest.raises(PageProgramError,
+                           match=rf"clear bit\(s\) at positions \[{position}\]"):
+            wordline.program_page(programmed, cleared)
+        assert np.array_equal(wordline.pages[programmed].read(), stored)
+
+    def test_three_level_cell_still_stacks(self, no_stacking) -> None:
+        wordline = make_wordline(cell=THREE_LEVEL, page_bits=4)
+        with pytest.raises(no_stacking):
+            wordline.program_page(0, np.array([1, 0, 0, 0], np.uint8))

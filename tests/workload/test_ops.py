@@ -42,6 +42,26 @@ class TestPayloadFor:
             with pytest.raises(ValueError, match="no payload"):
                 payload_for(Op(kind, 0), 64)
 
+    def test_bytes_are_the_generators_uint8_draw(self) -> None:
+        """The PCG64 stream read directly gives ``integers``' exact bits."""
+        sizes = (0, 1, 7, 8, 9, 683, 2730, 4096, 32768)
+        for index in range(240):
+            seed = (index % 7, index * 131, index // 7)
+            op = Op(OpKind.WRITE, 0, data_seed=seed)
+            for bits in sizes:
+                expected = np.random.default_rng(seed).integers(
+                    0, 2, bits, dtype=np.uint8
+                )
+                data = payload_for(op, bits)
+                assert data.dtype == expected.dtype
+                assert data.shape == expected.shape
+                assert np.array_equal(data, expected), (seed, bits)
+
+    def test_negative_size_rejected(self) -> None:
+        op = Op(OpKind.WRITE, 5, data_seed=(1, 5, 0))
+        with pytest.raises(ValueError):
+            payload_for(op, -1)
+
 
 class TestWriteVersioning:
     """Repeated writes to one page must carry *different* payloads."""
