@@ -71,10 +71,12 @@ kernel-sanitize:
 		python -m pytest $(KERNEL_TESTS) -q -s; \
 	fi
 
-# The FTL's standing oracle (dict model with and without program faults,
-# batched == sequential) under three fixed hypothesis seeds, so it explores
-# more than tier-1's one draw; the chip's program legality check against its
-# per-cell reference, on which the oracle's chip-image equality rests; then,
+# The FTL's standing oracle (a naive reference FTL run in lockstep with the
+# SSD under program faults, scheduled kills and scrubs, which also checks
+# when the device may die; batched == sequential) under three fixed
+# hypothesis seeds, so it explores more than tier-1's one draw; the chip's
+# program legality check against its per-cell reference, on which the
+# oracle's chip-image equality rests; then,
 # once (it draws from a fixed seed, not hypothesis), the crash-replay check
 # that host records alone rebuild the FTL and chip.
 ftl-oracle:

@@ -71,49 +71,45 @@ class BasicFTL:
         The flash chip to manage.
     logical_pages:
         Host-visible address space; must fit within the chip minus
-        ``reserve_blocks`` of over-provisioning.
+        :attr:`RESERVE_BLOCKS` of over-provisioning.
     wear_leveling:
         Pluggable allocation policy (dynamic wear leveling by default).
-    reserve_blocks:
-        Blocks withheld from the logical capacity so GC always has room.
-    wl_check_interval:
-        Host writes between static wear-leveling checks (policies whose
-        ``wants_migration`` returns True get cold data migrated off the
-        least-worn block so it rejoins the allocation rotation).
-    max_program_retries:
-        Failed page programs are retried on fresh pages this many times
-        (permanent failures also early-retire the block) before the error
-        is surfaced to the caller.
-    max_read_retries:
-        Extra noisy re-reads the read-recovery ladder attempts when a read
-        is detectably corrupt, before declaring it uncorrectable.
     """
+
+    #: Blocks withheld from the logical capacity so GC always has room.
+    RESERVE_BLOCKS = 1
+    #: Host writes between static wear-leveling checks (policies whose
+    #: ``wants_migration`` returns True get cold data migrated off the
+    #: least-worn block so it rejoins the allocation rotation).
+    WL_CHECK_INTERVAL = 32
+    #: Failed page programs are retried on fresh pages this many times
+    #: (permanent failures also early-retire the block) before the error
+    #: is surfaced to the caller.
+    MAX_PROGRAM_RETRIES = 4
+    #: Extra noisy re-reads the read-recovery ladder attempts when a read
+    #: is detectably corrupt, before declaring it uncorrectable.
+    MAX_READ_RETRIES = 4
 
     def __init__(
         self,
         chip: FlashChip,
         logical_pages: int,
         wear_leveling: WearLevelingPolicy | None = None,
-        reserve_blocks: int = 1,
-        wl_check_interval: int = 32,
-        max_program_retries: int = 4,
-        max_read_retries: int = 4,
     ) -> None:
         geometry = chip.geometry
-        if reserve_blocks < 1:
-            raise FTLError("need at least one reserve block for GC")
-        usable_pages = (geometry.blocks - reserve_blocks) * geometry.pages_per_block
+        usable_pages = (
+            geometry.blocks - self.RESERVE_BLOCKS
+        ) * geometry.pages_per_block
         if logical_pages > usable_pages:
             raise FTLError(
                 f"{logical_pages} logical pages exceed usable capacity "
-                f"{usable_pages} ({reserve_blocks} blocks reserved)"
+                f"{usable_pages} ({self.RESERVE_BLOCKS} blocks reserved)"
             )
         self.chip = chip
         self.mapping = PageMapping(
             logical_pages, geometry.blocks, geometry.pages_per_block
         )
         self.wear_leveling = wear_leveling or DynamicWearLeveling()
-        self.reserve_blocks = reserve_blocks
         self.stats = FTLStats()
         self._free_blocks: set[int] = set(range(geometry.blocks))
         self._retired: set[int] = set()
@@ -121,12 +117,7 @@ class BasicFTL:
         self._open_block: int | None = None
         self._next_page: int = 0
         self._in_gc = False
-        self.wl_check_interval = wl_check_interval
         self._writes_since_wl_check = 0
-        if max_program_retries < 0 or max_read_retries < 0:
-            raise FTLError("retry budgets must be non-negative")
-        self.max_program_retries = max_program_retries
-        self.max_read_retries = max_read_retries
 
     # -- storage hooks (overridden by coding FTLs) ---------------------------
 
@@ -135,25 +126,24 @@ class BasicFTL:
         """Host-visible bits per logical page."""
         return self.chip.geometry.page_bits
 
-    def _store(self, data: np.ndarray, current: np.ndarray | None) -> np.ndarray:
-        """Encode ``data`` for storage; ``current`` is the page's bits when
-        attempting an in-place rewrite, else None (fresh page)."""
-        if current is not None:
-            raise CodingError("uncoded pages cannot be rewritten in place")
+    def _store(self, data: np.ndarray) -> np.ndarray:
+        """Encode ``data`` for a freshly erased page."""
         return np.asarray(data, dtype=np.uint8)
 
     def _load(self, raw: np.ndarray) -> np.ndarray:
         """Decode stored page bits back to host data."""
         return raw
 
-    def _load_checked(self, raw: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Decode with error detection: returns ``(data, ok)``.
+    def _decode(self, raw: np.ndarray) -> tuple[np.ndarray, bool, bool]:
+        """Decode a host-path read with error detection: ``(data, ok, clean)``.
 
-        The base FTL stores raw bits with no redundancy, so corruption is
-        undetectable and every read reports ``ok`` — coding FTLs override
-        this with their scheme's ECC verdict.
+        ``ok`` says the data can be returned to the host; ``clean`` says the
+        page needs no refresh, which is what :meth:`scrub` asks.  The base
+        FTL stores raw bits with no redundancy, so corruption is
+        undetectable and every read is both — coding FTLs override this
+        with their scheme's ECC verdict.
         """
-        return self._load(raw), True
+        return self._load(raw), True, True
 
     # -- host interface ------------------------------------------------------
 
@@ -190,7 +180,7 @@ class BasicFTL:
         """Read one logical page (zeros if never written).
 
         Detectably corrupt reads climb a bounded recovery ladder — up to
-        ``max_read_retries`` re-reads (each a fresh sensing attempt, the
+        :attr:`MAX_READ_RETRIES` re-reads (each a fresh sensing attempt, the
         read-retry feature of real controllers) — before the FTL gives up
         and raises :class:`~repro.errors.UncorrectableReadError`.
         """
@@ -198,12 +188,12 @@ class BasicFTL:
         self.stats.host_reads += 1
         if addr is None:
             return np.zeros(self.dataword_bits, dtype=np.uint8)
-        data, ok = self._load_checked(self.chip.read_page(*addr))
+        data, ok, _ = self._decode(self.chip.read_page(*addr))
         retries = 0
-        while not ok and retries < self.max_read_retries:
+        while not ok and retries < self.MAX_READ_RETRIES:
             retries += 1
             self.stats.read_retries += 1
-            data, ok = self._load_checked(self.chip.read_page(*addr))
+            data, ok, _ = self._decode(self.chip.read_page(*addr))
         if not ok:
             self.stats.uncorrectable_reads += 1
             self.stats.data_loss_events += 1
@@ -229,7 +219,7 @@ class BasicFTL:
     def _write_out_of_place(
         self, lpn: int, data: np.ndarray, count_relocation: bool
     ) -> None:
-        encoded = self._store(data, current=None)
+        encoded = self._store(data)
         addr = self._program_encoded(encoded)
         self.mapping.map(lpn, addr)
         if count_relocation:
@@ -257,7 +247,7 @@ class BasicFTL:
                 self.mapping.discard(addr)
                 if exc.permanent:
                     self._retire_block(addr[0])
-                if failures > self.max_program_retries:
+                if failures > self.MAX_PROGRAM_RETRIES:
                     raise
                 continue
             return addr
@@ -292,18 +282,18 @@ class BasicFTL:
 
     def _allocate_page(self) -> tuple[int, int]:
         if self._open_page_left():
-            if not self._in_gc and len(self._free_blocks) < self.reserve_blocks:
+            if not self._in_gc and len(self._free_blocks) < self.RESERVE_BLOCKS:
                 # Replenish while the open block still has spare pages —
                 # they are the relocation headroom that lets GC make
                 # progress even when no whole block is free.  Run BEFORE
                 # reserving the page: GC must never run with an allocated-
                 # but-unprogrammed page outstanding (a nested reclaim
                 # could erase the block under the reservation).
-                self._garbage_collect(target_free=self.reserve_blocks)
+                self._garbage_collect(target_free=self.RESERVE_BLOCKS)
             if self._open_page_left():
                 return self._take_open_page()
         self._open_block = None
-        if not self._in_gc and len(self._free_blocks) <= self.reserve_blocks:
+        if not self._in_gc and len(self._free_blocks) <= self.RESERVE_BLOCKS:
             # Top up free blocks BEFORE opening a new one (proactively, so
             # GC relocations always have headroom).  Ordering matters: GC
             # must never run between reserving a page on a fresh block and
@@ -311,7 +301,7 @@ class BasicFTL:
             # the fresh block into a GC candidate, and a nested reclaim
             # would erase it with the reservation outstanding, handing the
             # same physical page out twice.
-            self._garbage_collect(target_free=self.reserve_blocks + 1)
+            self._garbage_collect(target_free=self.RESERVE_BLOCKS + 1)
             if self._open_page_left():
                 # GC opened a fresh block for its relocations and left
                 # spare pages on it.  Keep writing there — opening yet
@@ -380,11 +370,15 @@ class BasicFTL:
                     # Relocation burned more pages than the headroom
                     # estimate promised (failed programs consume pages
                     # without storing data).  The reclaim stopped partway,
-                    # but map-then-invalidate kept every live page intact;
-                    # stop this GC round instead of killing the caller —
-                    # the allocator decides whether the device is truly
-                    # full.
-                    return
+                    # but map-then-invalidate kept every live page intact.
+                    # Try the next victim: a block with no live pages needs
+                    # no headroom.  A relocation block the failures filled
+                    # is closed first so it can be that victim.  Only
+                    # failed programs abort a reclaim, so fault-free runs
+                    # never come here.
+                    if not self._open_page_left():
+                        self._open_block = None
+                    continue
         finally:
             self._in_gc = False
 
@@ -435,7 +429,7 @@ class BasicFTL:
         it back into the allocation rotation.
         """
         self._writes_since_wl_check += 1
-        if self._writes_since_wl_check < self.wl_check_interval:
+        if self._writes_since_wl_check < self.WL_CHECK_INTERVAL:
             return
         self._writes_since_wl_check = 0
         erase_counts = self.chip.block_erase_counts()
@@ -483,16 +477,12 @@ class BasicFTL:
                 for addr in self.mapping.live_pages_in_block(block):
                     if moved >= budget:
                         return moved
-                    if not self._scrub_page_ok(self.chip.read_page(*addr)):
+                    _, _, clean = self._decode(self.chip.read_page(*addr))
+                    if not clean:
                         moved += self._scrub_relocate(addr)
         except (OutOfSpaceError, ProgramFailedError):
             pass  # scrub never escalates; the remaining pages wait
         return moved
-
-    def _scrub_page_ok(self, raw: np.ndarray) -> bool:
-        """Does a host-path read of these bits come back healthy?"""
-        _, ok = self._load_checked(raw)
-        return ok
 
     def _scrub_relocate(self, addr: tuple[int, int]) -> int:
         lpn = self.mapping.owner(addr)
@@ -504,12 +494,6 @@ class BasicFTL:
         self._write_out_of_place(lpn, data, count_relocation=False)
         self.stats.scrub_relocations += 1
         return 1
-
-    @property
-    def live_capacity_pages(self) -> int:
-        """Physical pages still usable (excludes retired blocks)."""
-        geometry = self.chip.geometry
-        return (geometry.blocks - len(self._retired)) * geometry.pages_per_block
 
     @property
     def retired_blocks(self) -> frozenset[int]:

@@ -119,21 +119,9 @@ class PageMapping:
             if self._states[(block, page)] is PhysicalPageState.INVALID
         )
 
-    def free_pages_in_block(self, block: int) -> int:
-        """How many of the block's pages are erased and available."""
-        return sum(
-            1
-            for page in range(self.pages_per_block)
-            if self._states[(block, page)] is PhysicalPageState.FREE
-        )
-
     def mapped_count(self) -> int:
         """Number of logical pages currently holding data."""
         return len(self._forward)
-
-    def mapped_lpns(self) -> list[int]:
-        """Logical pages currently holding data (ascending)."""
-        return sorted(self._forward)
 
     # -- durability hooks ----------------------------------------------------
 

@@ -40,9 +40,6 @@ class RewritingFTL(BasicFTL):
         scheme: RewritingScheme,
         logical_pages: int,
         wear_leveling: WearLevelingPolicy | None = None,
-        reserve_blocks: int = 1,
-        max_program_retries: int = 4,
-        max_read_retries: int = 4,
     ) -> None:
         state = scheme.fresh_state()
         if not isinstance(state, np.ndarray) or state.shape != (
@@ -57,49 +54,36 @@ class RewritingFTL(BasicFTL):
         #: Ahead-of-time encodes of the running ``write_batch``, by LPN: the
         #: page to program, or None where the scheme needs an erase first.
         self._encoded_ahead: dict[int, np.ndarray | None] = {}
-        super().__init__(
-            chip,
-            logical_pages,
-            wear_leveling=wear_leveling,
-            reserve_blocks=reserve_blocks,
-            max_program_retries=max_program_retries,
-            max_read_retries=max_read_retries,
-        )
+        super().__init__(chip, logical_pages, wear_leveling=wear_leveling)
 
     @property
     def dataword_bits(self) -> int:
         """Host-visible bits per logical page (the scheme's rate cost)."""
         return self.scheme.dataword_bits
 
-    def _store(self, data: np.ndarray, current: np.ndarray | None) -> np.ndarray:
-        state = current if current is not None else self.scheme.fresh_state()
-        return self.scheme.write(state, data)
+    def _store(self, data: np.ndarray) -> np.ndarray:
+        return self.scheme.write(self.scheme.fresh_state(), data)
 
     def _load(self, raw: np.ndarray) -> np.ndarray:
         return self.scheme.read(raw)
 
-    def _load_checked(self, raw: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _decode(self, raw: np.ndarray) -> tuple[np.ndarray, bool, bool]:
         """Decode with the scheme's error detection, when it has any.
 
-        ECC-integrated schemes report uncorrectable damage explicitly;
-        other schemes can at least convert a decoder blow-up into a clean
-        "corrupt" verdict for the read-recovery ladder.
+        ECC-integrated schemes report uncorrectable damage explicitly, and
+        a page is only clean with no error at all: scrub refreshes at the
+        first *correctable* error, preventively.  Other schemes can at
+        least convert a decoder blow-up into a "corrupt" verdict for the
+        read-recovery ladder.
         """
         code = getattr(self.scheme, "code", None)
         if code is not None and hasattr(code, "decode_with_report"):
             report = code.decode_with_report(raw)
-            return report.data, report.detected_uncorrectable == 0
+            return report.data, report.detected_uncorrectable == 0, report.clean
         try:
-            return self.scheme.read(raw), True
+            return self.scheme.read(raw), True, True
         except DecodingError:
-            return np.zeros(self.dataword_bits, dtype=np.uint8), False
-
-    def _scrub_page_ok(self, raw: np.ndarray) -> bool:
-        """Scrub refreshes at the first *correctable* error, preventively."""
-        code = getattr(self.scheme, "code", None)
-        if code is not None and hasattr(code, "decode_with_report"):
-            return code.decode_with_report(raw).clean
-        return super()._scrub_page_ok(raw)
+            return np.zeros(self.dataword_bits, dtype=np.uint8), False, False
 
     # Not inherited: benchmarks/e2e/tracer.py wraps this class's own write.
     def write(self, lpn: int, data: np.ndarray) -> None:
@@ -132,7 +116,7 @@ class RewritingFTL(BasicFTL):
                 # Read-modify-write uses the controller's precise internal
                 # sensing; host reads stay on the noisy path.
                 current = self.chip.read_page(*addr, noisy=False)
-                encoded = self._store(data, current=current)
+                encoded = self.scheme.write(current, data)
             self.chip.program_page(addr[0], addr[1], encoded)
         except (UnwritableError, PartialProgramLimitError, BlockWornOutError):
             # The code ran out of writable coset members or the chip's NOP

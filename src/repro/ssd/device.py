@@ -55,14 +55,11 @@ class SSD:
         scheme: str = "uncoded",
         utilization: float = 0.8,
         wear_leveling: WearLevelingPolicy | None = None,
-        reserve_blocks: int = 1,
         noise_model: WearNoiseModel | None = None,
         noise_seed: int = 0,
         fault_profile: FaultProfile | None = None,
         fault_schedule: FaultSchedule | None = None,
         fault_seed: int = 0,
-        max_program_retries: int = 4,
-        max_read_retries: int = 4,
         **scheme_kwargs,
     ) -> None:
         if not 0 < utilization <= 1:
@@ -82,7 +79,7 @@ class SSD:
         self.scheme_name = scheme.lower()
         self._read_only = False
         usable_pages = (
-            self.geometry.blocks - reserve_blocks
+            self.geometry.blocks - BasicFTL.RESERVE_BLOCKS
         ) * self.geometry.pages_per_block
         logical_pages = max(1, int(usable_pages * utilization))
         if self.scheme_name == "uncoded":
@@ -94,12 +91,7 @@ class SSD:
             )
             make_ftl = partial(RewritingFTL, scheme=self.scheme)
         self.ftl: BasicFTL = make_ftl(
-            self.chip,
-            logical_pages=logical_pages,
-            wear_leveling=wear_leveling,
-            reserve_blocks=reserve_blocks,
-            max_program_retries=max_program_retries,
-            max_read_retries=max_read_retries,
+            self.chip, logical_pages=logical_pages, wear_leveling=wear_leveling
         )
 
     @property

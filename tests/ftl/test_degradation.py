@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import (
     OutOfSpaceError,
-    FTLError,
     ProgramFailedError,
     UncorrectableReadError,
 )
@@ -77,11 +76,11 @@ class TestProgramFailureHandling:
             addr = ftl.mapping.lookup(lpn)
             assert addr is not None and addr[0] != 0
 
-    def test_transient_failures_absorbed_silently(self) -> None:
+    def test_transient_failures_absorbed_silently(self, monkeypatch) -> None:
+        monkeypatch.setattr(BasicFTL, "RESERVE_BLOCKS", 2)
         ftl = make_ftl(
             profile=FaultProfile(transient_program_failure_rate=0.1),
             fault_seed=2,
-            reserve_blocks=2,
             logical=6,
         )
         rng = np.random.default_rng(2)
@@ -119,20 +118,14 @@ class TestProgramFailureHandling:
         for lpn, data in current.items():
             assert np.array_equal(ftl.read(lpn), data)
 
-    def test_exhausted_retries_surface_the_error(self) -> None:
+    def test_exhausted_retries_surface_the_error(self, monkeypatch) -> None:
+        monkeypatch.setattr(BasicFTL, "MAX_PROGRAM_RETRIES", 2)
         ftl = make_ftl(
             profile=FaultProfile(transient_program_failure_rate=1.0),
-            max_program_retries=2,
         )
         with pytest.raises(ProgramFailedError):
             ftl.write(0, np.zeros(PAGE_BITS, np.uint8))
         assert ftl.stats.program_failures == 3  # first try + 2 retries
-
-    def test_negative_retry_budget_rejected(self) -> None:
-        with pytest.raises(FTLError):
-            make_ftl(max_program_retries=-1)
-        with pytest.raises(FTLError):
-            make_ftl(max_read_retries=-1)
 
 
 class _FlakyReadFTL(BasicFTL):
@@ -142,25 +135,26 @@ class _FlakyReadFTL(BasicFTL):
         super().__init__(*args, **kw)
         self._remaining_bad = flaky_reads
 
-    def _load_checked(self, raw):
-        data, _ = super()._load_checked(raw)
+    def _decode(self, raw):
+        data, _, clean = super()._decode(raw)
         if self._remaining_bad > 0:
             self._remaining_bad -= 1
-            return data, False
-        return data, True
+            return data, False, False
+        return data, True, clean
 
 
-def make_flaky(flaky_reads: int, **kw) -> _FlakyReadFTL:
+def make_flaky(flaky_reads: int) -> _FlakyReadFTL:
     chip = FlashChip(
         FlashGeometry(blocks=4, pages_per_block=4, page_bits=PAGE_BITS,
                       erase_limit=50, cell=SLC)
     )
-    return _FlakyReadFTL(chip, logical_pages=8, flaky_reads=flaky_reads, **kw)
+    return _FlakyReadFTL(chip, logical_pages=8, flaky_reads=flaky_reads)
 
 
 class TestReadRecoveryLadder:
-    def test_transient_corruption_recovered_by_retry(self) -> None:
-        ftl = make_flaky(flaky_reads=2, max_read_retries=4)
+    def test_transient_corruption_recovered_by_retry(self, monkeypatch) -> None:
+        monkeypatch.setattr(BasicFTL, "MAX_READ_RETRIES", 4)
+        ftl = make_flaky(flaky_reads=2)
         data = np.ones(PAGE_BITS, np.uint8)
         ftl.write(0, data)
         assert np.array_equal(ftl.read(0), data)
@@ -168,8 +162,11 @@ class TestReadRecoveryLadder:
         assert ftl.stats.uncorrectable_reads == 0
         assert ftl.stats.data_loss_events == 0
 
-    def test_persistent_corruption_raises_uncorrectable(self) -> None:
-        ftl = make_flaky(flaky_reads=100, max_read_retries=3)
+    def test_persistent_corruption_raises_uncorrectable(
+        self, monkeypatch
+    ) -> None:
+        monkeypatch.setattr(BasicFTL, "MAX_READ_RETRIES", 3)
+        ftl = make_flaky(flaky_reads=100)
         ftl.write(0, np.ones(PAGE_BITS, np.uint8))
         with pytest.raises(UncorrectableReadError):
             ftl.read(0)
@@ -177,8 +174,9 @@ class TestReadRecoveryLadder:
         assert ftl.stats.uncorrectable_reads == 1
         assert ftl.stats.data_loss_events == 1
 
-    def test_zero_retry_budget_fails_immediately(self) -> None:
-        ftl = make_flaky(flaky_reads=1, max_read_retries=0)
+    def test_zero_retry_budget_fails_immediately(self, monkeypatch) -> None:
+        monkeypatch.setattr(BasicFTL, "MAX_READ_RETRIES", 0)
+        ftl = make_flaky(flaky_reads=1)
         ftl.write(0, np.ones(PAGE_BITS, np.uint8))
         with pytest.raises(UncorrectableReadError):
             ftl.read(0)
@@ -238,8 +236,9 @@ class TestScrub:
 class _ParanoidScrubFTL(BasicFTL):
     """Declares every scrubbed page degraded — refresh everything."""
 
-    def _scrub_page_ok(self, raw):
-        return False
+    def _decode(self, raw):
+        data, ok, _ = super()._decode(raw)
+        return data, ok, False
 
 
 class TestScrubRefresh:
@@ -261,15 +260,16 @@ class TestScrubRefresh:
 
 
 class TestGcNonDestructive:
-    def test_gc_survives_aggressive_static_migration(self) -> None:
+    def test_gc_survives_aggressive_static_migration(self, monkeypatch) -> None:
         # Regression: static migration mid-GC used to re-enter the reclaim
         # path, erase the outer victim under its own feet, and crash on a
         # stale live-page snapshot (or abort mid-relocation on
         # OutOfSpaceError, stranding data).  Checking wear leveling on
         # every write makes nested reclaims as likely as they can get.
+        monkeypatch.setattr(BasicFTL, "WL_CHECK_INTERVAL", 1)
         ftl = make_ftl(
             blocks=5, pages=4, logical=10, erase_limit=200,
-            wear_leveling=StaticWearLeveling(), wl_check_interval=1,
+            wear_leveling=StaticWearLeveling(),
         )
         rng = np.random.default_rng(8)
         current = {}
@@ -284,13 +284,16 @@ class TestGcNonDestructive:
         for known, expected in current.items():
             assert np.array_equal(ftl.read(known), expected)
 
-    def test_gc_with_failing_programs_never_loses_data(self) -> None:
+    def test_gc_with_failing_programs_never_loses_data(
+        self, monkeypatch
+    ) -> None:
         # Program failures during GC relocation must leave every live page
         # either at its old address or safely re-mapped — never dropped.
         # The device may die early when failures outpace the reserve; the
         # contract is clean death plus intact data, whenever that happens.
+        monkeypatch.setattr(BasicFTL, "RESERVE_BLOCKS", 2)
         ftl = make_ftl(
-            blocks=6, pages=4, logical=10, erase_limit=200, reserve_blocks=2,
+            blocks=6, pages=4, logical=10, erase_limit=200,
             profile=FaultProfile(transient_program_failure_rate=0.1),
             fault_seed=9,
         )

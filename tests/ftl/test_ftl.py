@@ -11,12 +11,12 @@ from repro.ftl import BasicFTL, DynamicWearLeveling, NoWearLeveling
 
 
 def make_ftl(blocks=4, pages=4, page_bits=32, erase_limit=50, logical=8,
-             reserve=1, **kw) -> BasicFTL:
+             **kw) -> BasicFTL:
     chip = FlashChip(
         FlashGeometry(blocks=blocks, pages_per_block=pages, page_bits=page_bits,
                       erase_limit=erase_limit, cell=SLC)
     )
-    return BasicFTL(chip, logical_pages=logical, reserve_blocks=reserve, **kw)
+    return BasicFTL(chip, logical_pages=logical, **kw)
 
 
 def rand_data(rng, bits) -> np.ndarray:
@@ -125,7 +125,7 @@ class TestGarbageCollection:
 
     def test_overfull_logical_space_rejected(self) -> None:
         with pytest.raises(FTLError):
-            make_ftl(blocks=2, pages=4, logical=8, reserve=1)
+            make_ftl(blocks=2, pages=4, logical=8)
 
 
 class TestWearLevelingPolicies:

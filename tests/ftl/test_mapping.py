@@ -66,7 +66,7 @@ class TestMapping:
         mapping.map(1, (0, 2))  # (0,1) invalid now
         assert mapping.live_pages_in_block(0) == [(0, 0), (0, 2)]
         assert mapping.invalid_pages_in_block(0) == 1
-        assert mapping.free_pages_in_block(0) == 1
+        assert mapping.state((0, 3)) is PhysicalPageState.FREE
 
     def test_needs_logical_pages(self) -> None:
         with pytest.raises(FTLError):

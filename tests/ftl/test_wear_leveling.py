@@ -14,13 +14,18 @@ from repro.ftl import (
 )
 
 
-def make_ftl(policy, blocks=6, erase_limit=100_000, wl_check_interval=8):
+@pytest.fixture(autouse=True)
+def frequent_wl_checks(monkeypatch):
+    """Check the wear spread every 8 host writes, not every 32."""
+    monkeypatch.setattr(BasicFTL, "WL_CHECK_INTERVAL", 8)
+
+
+def make_ftl(policy, blocks=6, erase_limit=100_000):
     chip = FlashChip(
         FlashGeometry(blocks=blocks, pages_per_block=4, page_bits=32,
                       erase_limit=erase_limit, cell=SLC)
     )
-    return BasicFTL(chip, logical_pages=12, wear_leveling=policy,
-                    wl_check_interval=wl_check_interval)
+    return BasicFTL(chip, logical_pages=12, wear_leveling=policy)
 
 
 def hot_cold_run(ftl, writes=400, seed=0):
