@@ -45,9 +45,10 @@ bench-e2e-quick:
 
 # What pins a kernel backend: the search against the reference kernel, the
 # page program, the level count and the g1 division against their numpy
-# twins, and the WOM encode and decode against theirs.  CI runs the two
-# targets below, so this is the only list of them.
-KERNEL_TESTS = tests/coding/test_viterbi_kernel.py tests/coding/test_page_kernel.py tests/coding/test_wom_kernel.py
+# twins, the WOM encode and decode against theirs, and a small-page Table I
+# lifetime run against its recorded counts.  CI runs the two targets below,
+# so this is the only list of them.
+KERNEL_TESTS = tests/coding/test_viterbi_kernel.py tests/coding/test_page_kernel.py tests/coding/test_wom_kernel.py tests/experiments/test_small_page_golden.py
 
 # Bit-identity of both kernel backends: once forced to numpy, once forced to
 # native (which fails, not skips, when the C kernel does not build here).

@@ -155,33 +155,30 @@ static const uint8_t RAISE3[8][4] = {
     {4, 5, 7, 7}, {5, 7, 7, 7}, {6, 7, 7, 7}, {7, 7, 7, 7},
 };
 
-/* Raise one page's cells to the levels that store its codeword.  A cell is
- * `width` one-byte bits at the level handed in for it; the i-th cell of step t
- * stores symbol (codeword[t] >> i * bpc) & (symbols - 1) at the level
- * target_of names for it, reached by setting its lowest unset bits.  Nothing
- * branches on the bits, which would mispredict on every other cell; a 3-bit
- * cell does not even branch on whether it changes: RAISE3 rewrites all
- * three bytes, which measured faster inside a sweep, where each page and
- * codeword are new to the branch predictor.  The range checks stay branches
- * per cell: accumulated over the page instead, they measured slower.  Always
- * inlined, so gcc specialises the body for the literal shape each call in
- * `program` names; it never does that for an exported function's arguments.
- * Bytes are bits here: `program` checked. */
-static inline __attribute__((always_inline)) int
+/* Raise one page's cells to the levels that store its codeword, and write
+ * each used cell's new level over the one handed in for it.  A cell is
+ * `width` one-byte bits at that level; the i-th cell of step t stores symbol
+ * (codeword[t] >> i * bpc) & (symbols - 1) at the level target_of names for
+ * it, reached by setting its lowest unset bits.  Nothing branches on the
+ * bits, which would mispredict on every other cell; a 3-bit cell does not
+ * even branch on whether it changes: RAISE3 rewrites all three bytes, which
+ * measured faster inside a sweep, where each page and codeword are new to the
+ * branch predictor.  Always inlined, so gcc specialises the body for the
+ * literal shape each call in `program` names; it never does that for an
+ * exported function's arguments.  Nothing here is out of range: `program`
+ * checked every level, every table entry and every byte first. */
+static inline __attribute__((always_inline)) void
 program_page(int64_t width, int64_t steps, int64_t per_step, int64_t bpc,
-             const int64_t *target_of, const int64_t *level,
+             const int64_t *target_of, int64_t *level,
              const int64_t *codeword, uint8_t *cell)
 {
     int64_t symbols = (int64_t)1 << bpc;
     for (int64_t t = 0; t < steps; t++) {
         int64_t value = codeword[t];
         for (int64_t i = 0; i < per_step; i++, value >>= bpc, cell += width) {
-            int64_t now = *level++;
-            if ((uint64_t)now > (uint64_t)width)
-                return -2;
+            int64_t now = *level;
             int64_t target = target_of[now * symbols + (value & (symbols - 1))];
-            if (target < now || target > width)
-                return -2;
+            *level++ = target;
             if (width == 3) {
                 uint8_t bits = RAISE3[cell[0] | cell[1] << 1 | cell[2] << 2]
                                      [target - now];
@@ -199,13 +196,15 @@ program_page(int64_t width, int64_t steps, int64_t per_step, int64_t bpc,
             }
         }
     }
-    return 0;
 }
 
+/* Every lane is checked before any is written, so a refused call leaves
+ * `levels` as it was handed in and the caller can redo it from there. */
 int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
             int64_t steps, int64_t per_step, int64_t bpc,
             const int64_t *target_of, /* (width + 1, 1 << bpc) post-write level */
-            const int64_t *levels,    /* (lanes, num_cells) the pages' levels */
+            int64_t *levels,          /* in/out (lanes, num_cells): the pages'
+                                         levels, then the written ones */
             const int64_t *codeword,  /* (lanes, steps) */
             const uint8_t *writable,  /* (lanes,): 0 leaves the page as it is */
             uint8_t *pages)           /* in/out (lanes, page_bits) */
@@ -214,40 +213,54 @@ int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
     if (width < 1 || bpc < 1 || per_step < 1 || per_step * bpc > 62 ||
         steps < 0 || used > num_cells || num_cells * width > page_bits)
         return -2;
+    int64_t symbols = (int64_t)1 << bpc;
+    /* Every post-write level lies between the level it is read at and the
+     * top, so no target can lower a cell or overshoot it. */
+    for (int64_t now = 0; now <= width; now++)
+        for (int64_t v = 0; v < symbols; v++)
+            if (target_of[now * symbols + v] < now ||
+                target_of[now * symbols + v] > width)
+                return -2;
+    /* What indexes target_of, in every lane, a lane left alone too: every
+     * chunk below 2**m, every level at most width, every byte of a used cell
+     * a bit. */
     for (int64_t b = 0; b < lanes; b++) {
         const int64_t *word = codeword + b * steps, *level = levels + b * num_cells;
-        uint8_t *page = pages + b * page_bits;
-        /* What indexes target_of is checked here, in a lane left alone too:
-         * every chunk below 2**m, every level at most width, every byte of a
-         * used cell a bit. */
+        const uint8_t *page = pages + b * page_bits;
         int64_t chunks = 0;
-        uint64_t high = 0;
+        uint64_t any = 0, high = 0;
         uint8_t bits = 0;
         for (int64_t t = 0; t < steps; t++)
             chunks |= word[t];
         for (int64_t i = 0; i < used * width; i++)
             bits |= page[i];
-        for (int64_t i = 0; i < used && !writable[b]; i++)
+        /* A vector OR first: it is at most width when every level is, and
+         * for a width of 2**k - 1 only then.  The compare runs when not. */
+        for (int64_t i = 0; i < used; i++)
+            any |= (uint64_t)level[i];
+        for (int64_t i = 0; i < used && any > (uint64_t)width; i++)
             high |= (uint64_t)level[i] > (uint64_t)width;
         if ((uint64_t)chunks >> (per_step * bpc) || bits > 1 || high)
             return -2;
+    }
+    for (int64_t b = 0; b < lanes; b++) {
         if (!writable[b])
             continue;
+        const int64_t *word = codeword + b * steps;
+        int64_t *level = levels + b * num_cells;
+        uint8_t *page = pages + b * page_bits;
         /* Table I's shapes on 4-level cells, (cells per step, bits per cell),
          * each its own body; any other shape runs the generic one. */
 #define PAGE(w, n, m) program_page(w, steps, n, m, target_of, level, word, page)
-        int status;
         switch (width == 3 ? per_step * 64 + bpc : 0) {
-        case 2 * 64 + 1: status = PAGE(3, 2, 1); break; /* MFC-1/2-1BPC */
-        case 1 * 64 + 2: status = PAGE(3, 1, 2); break; /* MFC-1/2-2BPC */
-        case 3 * 64 + 1: status = PAGE(3, 3, 1); break; /* MFC-2/3 */
-        case 4 * 64 + 1: status = PAGE(3, 4, 1); break; /* MFC-3/4 */
-        case 5 * 64 + 1: status = PAGE(3, 5, 1); break; /* MFC-4/5 */
-        default: status = PAGE(width, per_step, bpc);
+        case 2 * 64 + 1: PAGE(3, 2, 1); break; /* MFC-1/2-1BPC */
+        case 1 * 64 + 2: PAGE(3, 1, 2); break; /* MFC-1/2-2BPC */
+        case 3 * 64 + 1: PAGE(3, 3, 1); break; /* MFC-2/3 */
+        case 4 * 64 + 1: PAGE(3, 4, 1); break; /* MFC-3/4 */
+        case 5 * 64 + 1: PAGE(3, 5, 1); break; /* MFC-4/5 */
+        default: PAGE(width, per_step, bpc);
         }
 #undef PAGE
-        if (status)
-            return status;
     }
     return 0;
 }

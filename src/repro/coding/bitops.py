@@ -111,5 +111,34 @@ def gf2_divide_causal(numerators: np.ndarray, feedback_taps: np.ndarray) -> np.n
 
 
 def random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` uniform random bits as uint8."""
-    return rng.integers(0, 2, count, dtype=np.uint8)
+    """``count`` uniform random bits as uint8: the bits
+    ``rng.integers(0, 2, count, dtype=np.uint8)`` draws, leaving ``rng`` in
+    the state that call leaves it in.
+
+    That call keeps the top bit of one byte per output, four bytes to a
+    32-bit draw, low byte first, and drops a draw's unused bytes.  A PCG64
+    makes its 32-bit draws two to a 64-bit word, low half first, and keeps
+    the high half for the next one (``has_uint32``/``uinteger`` in its
+    state).  So for PCG64 the bits are the top bits of the bytes of that
+    kept half, if any, then of ``random_raw``'s words, read low byte first.
+    ``random_raw`` leaves the kept half alone, so it is set after: the last
+    word's high half, kept when its low half was the last draw.  Any other
+    bit generator is asked as above.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64) or count < 1:
+        return rng.integers(0, 2, count, dtype=np.uint8)
+    state = bitgen.state
+    kept = state["has_uint32"]
+    halves = (count + 3) // 4 - kept  # 32-bit draws from new words
+    words = bitgen.random_raw((halves + 1) // 2).astype("<u8", copy=False)
+    stream = words.view(np.uint8)
+    if kept:
+        half = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+        stream = np.concatenate((half, stream))
+    state = bitgen.state
+    state["has_uint32"] = halves % 2
+    if halves:
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+    return stream[:count] >> 7

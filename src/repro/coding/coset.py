@@ -96,8 +96,13 @@ class ConvolutionalCosetCode(PageCode):
                 f"the {self.guard_steps}-step guard region"
             )
         self.dataword_bits = (self.steps - self.guard_steps) * (m - 1)
+        # The native program's table, bound once as the searcher binds its
+        # own: C order and int64, kept with its address.
+        table = np.ascontiguousarray(self.codebook.target_table, dtype=np.int64)
+        self._target_table = (table, table.ctypes.data)
         self._last_cost = float("nan")
         self._last_costs = np.full(0, np.nan)
+        self._last_levels = np.zeros((0, self.varray.num_cells), dtype=np.int64)
 
     @property
     def coset_rate(self) -> float:
@@ -130,6 +135,18 @@ class ConvolutionalCosetCode(PageCode):
         Unwritable lanes hold ``inf``.
         """
         return self._last_costs.copy()
+
+    @property
+    def last_write_levels(self) -> np.ndarray:
+        """``(B, num_cells)`` v-cell levels of the pages the most recent
+        batched encode returned, as its page program set them.
+
+        Unwritable lanes hold their pages' levels.  A read-only view: the
+        next encode makes a new array, so this one never changes.
+        """
+        levels = self._last_levels.view()
+        levels.flags.writeable = False
+        return levels
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
         """Encode one page — a ``B = 1`` wrapper over :meth:`encode_batch`."""
@@ -176,8 +193,12 @@ class ConvolutionalCosetCode(PageCode):
         )
         result = self.viterbi.search_batch(rep_values, step_levels)
         self._last_costs = result.total_costs
-        program = self.viterbi.backend.program
-        return program(self, pages, all_levels, result), result.writable
+        # The program may write the new levels over all_levels, which
+        # result.step_levels views: nothing reads the result after it.
+        new_pages, self._last_levels = self.viterbi.backend.program(
+            self, pages, all_levels, result
+        )
+        return new_pages, result.writable
 
     def decode(self, page: np.ndarray) -> np.ndarray:
         """Decode one page — a ``B = 1`` wrapper over :meth:`decode_batch`."""

@@ -15,7 +15,7 @@ the write runs them, then the WOM code's two directions::
     divide(numerators, feedback_taps) -> quotients
     levels(cells) -> levels
     search(viterbi, reps, levels) -> (codeword_values, total_costs, writable)
-    program(code, pages, levels, result) -> new_pages
+    program(code, pages, levels, result) -> (new_pages, new_levels)
     wom_encode(code, datawords, pages) -> (new_pages, writable)
     wom_decode(code, pages) -> datawords
 
@@ -38,7 +38,12 @@ that breaks ties differently is *wrong* even if its total costs agree.
 its pages, their ``(B, num_cells)`` levels and the search's
 ``ViterbiBatchResult``, and returns new pages: each used cell of a
 writable lane raised to the level that stores its codeword symbol,
-lowest unset bit first, all else as it was.
+lowest unset bit first, all else as it was.  It also returns their
+``(B, num_cells)`` int64 levels, the ones it set and the handed ones
+elsewhere, so that nothing counts the written page again.  Those may be
+``levels`` itself, written over: the native kernel writes into it when it
+is C-order int64, as the encode's own count of this write's pages is, and
+a refused call leaves it as it was.
 ``wom_encode`` and ``wom_decode`` take the
 :class:`~repro.coding.wom.WomVCellCode` and uint8 arrays it checked the
 shapes of, one page or ``(B, ...)`` of them: datawords ``(...,
@@ -73,14 +78,16 @@ bit per (step, state), walked back per lane.  Its ``program`` runs a body
 the compiler specialises for each Table I shape (3-bit cells with that
 code's cells per step and bits per cell), a generic one for any other,
 and rewrites a 3-bit cell from a table without branching on whether it
-changes; its ``divide`` takes eight steps per lookup in a 256-entry
-table built from the taps.  Its WOM pair walks each page a cell at a
-time, one lookup in the code's table per cell; a byte that is not a bit
-fails the call, and the numpy twin then raises what it names.
-The search's and the WOM code's tables never change, so the
-``CosetViterbi`` and the ``WomVCellCode`` address them once, when they
-are built, and keep each array with its address; a call hands over only
-the page's arrays besides.
+changes.  It checks every lane before it writes any, so the numpy twin
+can redo a refused call from the same levels.  Its ``divide`` takes eight
+steps per lookup in a 256-entry table built from the taps.  Its WOM pair
+walks each page a cell at a time, one lookup in the code's table per
+cell; a byte that is not a bit fails the call, and the numpy twin then
+raises what it names.
+The search's, the page program's and the WOM code's tables never
+change, so the ``CosetViterbi``, the ``ConvolutionalCosetCode`` and the
+``WomVCellCode`` address them once, when they are built, and keep each
+array with its address; a call hands over only the page's arrays besides.
 Nothing is probed, imported or written until a code resolves its
 backend: by explicit name, then the ``REPRO_VITERBI_BACKEND`` variable,
 then ``"auto"`` (native when it builds, else numpy), memoized per name.
@@ -218,14 +225,15 @@ def _search_numpy(v, reps, levels):
 
 def _program_numpy(code, pages, levels, result):
     """Unwritable lanes and the cells past ``used_cells`` are reprogrammed to
-    their current levels (a no-op), so their bits pass through unchanged."""
+    their current levels (a no-op), so their bits pass through unchanged.
+    Every cell ends exactly at its target, so the targets are the new levels."""
     targets = levels.copy()
     targets[:, : code.used_cells] = np.where(
         result.writable[:, None],
         result.target_levels.reshape(len(levels), code.used_cells),
         levels[:, : code.used_cells],
     )
-    return code.varray.program_levels_batch(pages, targets)
+    return code.varray.program_levels_batch(pages, targets), targets
 
 
 def _wom_encode_numpy(code, data, pages):
@@ -349,105 +357,106 @@ def _make_native_backend() -> KernelBackend:
     import ctypes
 
     library = _bind(_load_native())
+    from_buffer, addressof = ctypes.c_char.from_buffer, ctypes.addressof
 
     def address(array):
         # Through the buffer protocol: a few times cheaper than
         # array.ctypes.data, which builds the array interface.
         try:
-            return ctypes.addressof(ctypes.c_char.from_buffer(array))
+            return addressof(from_buffer(array))
         except (TypeError, ValueError):  # read-only, strided or empty
             return array.ctypes.data
 
-    def call(function, sizes, *pointers):
-        # A pointer is None (NULL), an address (a table CosetViterbi bound at
-        # construction, which keeps it alive), an array made here, or an
-        # (array, dtype) pair.  The kernel assumes C order and exactly that
-        # dtype, so a pair goes through ascontiguousarray, a copy only for a
-        # strided or narrow input; `arrays` keeps those alive.  Values are
-        # range-checked in C.
-        arrays = [
-            np.ascontiguousarray(*p) if isinstance(p, tuple) else p
-            for p in pointers
-        ]
-        status = function(
-            *sizes, *(address(a) if isinstance(a, np.ndarray) else a for a in arrays)
-        )
+    def check(status):
+        # The kernel range-checks what it is handed; its status only says
+        # that it refused, or that it could not allocate.
         if status == -1:
             raise MemoryError("Viterbi kernel could not allocate scratch")
         if status < 0:
             raise IndexError("Viterbi kernel input out of range")
         return status
 
+    # Each wrapper hands its kernel what it assumes, C order and exactly
+    # that dtype, through ascontiguousarray: a copy only for a strided or
+    # narrow input.  A table a code bound at construction comes as the
+    # address kept with it.
+    search_kernel, levels_kernel = library.search, library.levels
+    program_kernel, divide_kernel = library.program, library.divide
+
     def search(v, reps, levels):
+        reps = np.ascontiguousarray(reps, dtype=np.int64)
+        levels = np.ascontiguousarray(levels, dtype=np.int64)
         lanes, steps = reps.shape
         codeword = np.empty((lanes, steps), dtype=np.int64)
         total = np.empty(lanes)
-        writable = np.empty(lanes, dtype=np.uint8)
+        writable = np.empty(lanes, dtype=bool)
         # _limit < 0: costs too large for int16, every lane runs float64.
-        call(
-            library.search,
-            (lanes, steps, v.trellis.num_states, v.cells_per_step,
-             v._num_levels, v.num_values, v._limit),
-            *(pointer for _table, pointer in v._search_tables),
-            (reps, np.int64), (levels, np.int64),
-            codeword, total, writable,
-        )
-        return codeword, total, writable.view(bool)
+        check(search_kernel(
+            lanes, steps, v.trellis.num_states, v.cells_per_step,
+            v._num_levels, v.num_values, v._limit,
+            *[pointer for _table, pointer in v._search_tables],
+            address(reps), address(levels), address(codeword), address(total),
+            address(writable),
+        ))
+        return codeword, total, writable
 
     def count(cells):
         cells = np.asarray(cells, dtype=np.uint8)
-        rows = cells.reshape(-1, *cells.shape[-2:])  # a view where it can be
-        num_cells, width = rows.shape[1:]
+        *lead, num_cells, width = cells.shape
+        rows = cells.reshape(-1, num_cells, width)  # a view where it can be
         if rows.strides[1:] != (width, 1):
             rows = np.ascontiguousarray(rows)
-        out = np.empty(rows.shape[:2], dtype=np.int64)
+        out = np.empty((len(rows), num_cells), dtype=np.int64)
         # Rows need not be adjacent: a batch of pages with tail bits is not.
-        if library.levels(
+        if levels_kernel(
             len(rows), num_cells, width, rows.strides[0], address(rows),
             address(out),
         ):
             return _popcount(cells)  # raises, naming the lane and the bit
-        return out.reshape(cells.shape[:-1])
+        return out.reshape(*lead, num_cells)
 
     def program(code, pages, levels, result):
-        varray, codebook = code.varray, code.codebook
-        width = varray.bits_per_cell
-        # The kernel's in/out page is this copy, never the caller's array:
-        # `call` would hand it a second copy of anything not C-order uint8.
+        varray = code.varray
+        table, table_address = code._target_table
+        # The kernel's in/out page is this copy, never the caller's array.
         out = np.array(pages, dtype=np.uint8, order="C")
+        # Its in/out levels are `levels` itself where that is C-order int64,
+        # as the encode's own count is: no second array of them is made.
+        new_levels = np.ascontiguousarray(levels, dtype=np.int64)
+        codeword = np.ascontiguousarray(result.codeword_values, dtype=np.int64)
+        writable = np.ascontiguousarray(result.writable, dtype=bool)
         lanes = len(out)
-        handed = (
-            out, levels, result.codeword_values, result.writable,
-            codebook.target_table,
-        )
         try:
-            if [array.shape for array in handed] != [
+            if (
+                out.shape, new_levels.shape, codeword.shape, writable.shape,
+                table.shape,
+            ) != (
                 (lanes, varray.page_bits), (lanes, varray.num_cells),
-                (lanes, code.steps), (lanes,), (width + 1, codebook.symbols),
-            ]:
+                (lanes, code.steps), (lanes,),
+                (varray.bits_per_cell + 1, code.codebook.symbols),
+            ):
                 raise IndexError("program kernel handed arrays of other shapes")
-            call(
-                library.program,
-                (lanes, varray.page_bits, varray.num_cells, width, code.steps,
-                 code.cells_per_step, codebook.bits_per_cell),
-                (codebook.target_table, np.int64), (levels, np.int64),
-                (result.codeword_values, np.int64),
-                (result.writable, np.uint8), out,
-            )
+            check(program_kernel(
+                lanes, varray.page_bits, varray.num_cells, varray.bits_per_cell,
+                code.steps, code.cells_per_step, code.codebook.bits_per_cell,
+                table_address, address(new_levels), address(codeword),
+                address(writable), address(out),
+            ))
         except IndexError:
-            # The kernel only says "out of range": the twin raises what its
-            # checks name, with the lane and the cell or bit.
+            # The kernel only says "out of range", and it says so before it
+            # writes a level: the twin raises what its checks name, with the
+            # lane and the cell or bit.
             return _program_numpy(code, pages, levels, result)
-        return out
+        return out, new_levels
 
     def divide(numerators, feedback_taps):
         out = np.array(numerators, dtype=np.uint8, order="C")
         if out.size:
+            taps = np.ascontiguousarray(feedback_taps, dtype=np.int64)
             steps = out.shape[-1]
-            call(
-                library.divide, (out.size // steps, steps, len(feedback_taps)),
-                (feedback_taps, np.int64), out,
-            )
+            check(divide_kernel(
+                out.size // steps, steps, len(taps), address(taps), address(out)
+            ))
         return out
 
     def wom_encode(code, data, pages):
@@ -463,12 +472,12 @@ def _make_native_backend() -> KernelBackend:
                 and data.shape == (*lead, code.dataword_bits)
             ):
                 raise IndexError("WOM kernel handed arrays of other shapes")
-            unwritable = call(
-                library.wom_encode,
-                (len(pages) if lead else 1, code.page_bits, code.num_cells),
-                code._tables[0][1], (data, np.uint8), (pages, np.uint8), out,
-                writable,
-            )
+            data, pages = np.ascontiguousarray(data), np.ascontiguousarray(pages)
+            unwritable = check(library.wom_encode(
+                len(pages) if lead else 1, code.page_bits, code.num_cells,
+                code._tables[0][1], address(data), address(pages), address(out),
+                None if writable is None else address(writable),
+            ))
         except IndexError:
             # The kernel only says "out of range": the twin raises what its
             # checks name, with the lane and the bit.
@@ -484,11 +493,11 @@ def _make_native_backend() -> KernelBackend:
                 and pages.shape == (*lead, code.page_bits)
             ):
                 raise IndexError("WOM kernel handed arrays of other shapes")
-            call(
-                library.wom_decode,
-                (len(pages) if lead else 1, code.page_bits, code.num_cells),
-                code._tables[1][1], (pages, np.uint8), data,
-            )
+            pages = np.ascontiguousarray(pages)
+            check(library.wom_decode(
+                len(pages) if lead else 1, code.page_bits, code.num_cells,
+                code._tables[1][1], address(pages), address(data),
+            ))
         except IndexError:
             return _wom_decode_numpy(code, pages)
         return data

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.coding.bitops import random_bits
 from repro.core.analysis import UpdateTrace
 from repro.core.scheme import RewritingScheme
 from repro.errors import ConfigurationError, DecodingError, UnwritableError
@@ -195,9 +196,7 @@ class LifetimeSimulator(_PageSimulator):
         writes = 0
         levels = scheme.cell_levels(state)
         while writes < max_writes:
-            dataword = self.rng.integers(
-                0, 2, scheme.dataword_bits, dtype=np.uint8
-            )
+            dataword = random_bits(self.rng, scheme.dataword_bits)
             try:
                 state = scheme.write(state, dataword)
             except UnwritableError:
@@ -209,10 +208,13 @@ class LifetimeSimulator(_PageSimulator):
                     raise DecodingError(
                         f"{scheme.name}: read-back mismatch on update {writes}"
                     )
-            new_levels = scheme.cell_levels(state)
-            if levels is not None and new_levels is not None:
+            if levels is not None:
+                written = scheme.last_write_levels
+                new_levels = (
+                    scheme.cell_levels(state) if written is None else written[0]
+                )
                 trace.record_update(writes, levels, new_levels)
-            levels = new_levels
+                levels = new_levels
         else:
             raise ConfigurationError(
                 f"{scheme.name} accepted {max_writes} writes without needing "
@@ -303,9 +305,7 @@ class BatchLifetimeSimulator(_PageSimulator):
             idx = np.flatnonzero(active)
             datawords = np.stack(
                 [
-                    self._rngs[lane].integers(
-                        0, 2, scheme.dataword_bits, dtype=np.uint8
-                    )
+                    random_bits(self._rngs[lane], scheme.dataword_bits)
                     for lane in idx
                 ]
             )
@@ -346,7 +346,10 @@ class BatchLifetimeSimulator(_PageSimulator):
                         f"update {int(writes[lane])}"
                     )
             if levels is not None and len(ok_lanes):
-                if array_states:
+                written = scheme.last_write_levels
+                if written is not None:
+                    new_levels = written[writable]
+                elif array_states:
                     new_levels = scheme.cell_levels_batch(states[ok_lanes])
                 else:
                     new_levels = scheme.cell_levels_batch(

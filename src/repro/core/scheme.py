@@ -74,6 +74,14 @@ class RewritingScheme(abc.ABC):
         """
         return None
 
+    @property
+    def last_write_levels(self) -> np.ndarray | None:
+        """``(lanes, cells)`` v-cell levels the most recent :meth:`write` or
+        :meth:`write_batch` left, one row per lane (one for :meth:`write`),
+        as the code's page program set them; None when the code does not
+        report them, and then :meth:`cell_levels` counts them."""
+        return None
+
     # -- batched interface -----------------------------------------------------
     #
     # Batched states are whatever container the scheme chooses: an ndarray
@@ -145,6 +153,10 @@ class PageCodeScheme(RewritingScheme):
         if varray is None:
             return None
         return varray.levels(state)
+
+    @property
+    def last_write_levels(self) -> np.ndarray | None:
+        return getattr(self.code, "last_write_levels", None)
 
     # -- batched interface (native: states are one (lanes, raw_bits) array) ---
 

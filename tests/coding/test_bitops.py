@@ -157,3 +157,33 @@ class TestRandomBits:
         b = random_bits(np.random.default_rng(3), 32)
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {0, 1}
+
+    @pytest.mark.parametrize("count", [*range(18), 5449])
+    @pytest.mark.parametrize(
+        "make", [np.random.default_rng, lambda s: np.random.Generator(np.random.MT19937(s))],
+        ids=["pcg64", "mt19937"],
+    )
+    def test_draws_what_integers_draws(self, make, count) -> None:
+        """Five draws in a row, each starting where the last left the
+        generator (5 449 is MFC-1/2-1BPC's dataword at 4 KB): the same bits
+        and the same generator state as ``integers(0, 2, n, dtype=uint8)``,
+        whose 32-bit draws may begin on the kept half of a PCG64 word.  An
+        MT19937 has no such half, nor the state keys that name it: it takes
+        the ``integers`` path."""
+        ours, reference = make(2016), make(2016)
+        for _ in range(5):
+            expected = reference.integers(0, 2, count, dtype=np.uint8)
+            got = random_bits(ours, count)
+            assert got.dtype == np.uint8 and got.shape == (count,)
+            assert np.array_equal(got, expected)
+            assert _plain(ours.bit_generator.state) == _plain(
+                reference.bit_generator.state
+            )
+        assert ours.random() == reference.random()
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, for ``==``."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state

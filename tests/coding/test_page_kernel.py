@@ -77,8 +77,18 @@ def _random_pages(code, lanes: int, seed: int) -> np.ndarray:
 
 
 def _program(backend: str, code, pages, codeword_values, writable, levels=None):
+    """The new pages of :func:`_program_with_levels`."""
+    return _program_with_levels(
+        backend, code, pages, codeword_values, writable, levels
+    )[0]
+
+
+def _program_with_levels(
+    backend: str, code, pages, codeword_values, writable, levels=None
+):
     """``program`` on what ``search_batch`` would hand it for this codeword,
-    with the pages' levels unless others are handed."""
+    with the pages' levels unless others are handed: ``(new_pages,
+    new_levels)``."""
     if levels is None:
         levels = code.varray.levels_batch(pages)
     result = ViterbiBatchResult(
@@ -125,6 +135,64 @@ def test_program_matches_the_column_walk(backend, variant, vcell_levels) -> None
         assert np.array_equal(got[:, tail:], pages[:, tail:])
         if lanes == 33:
             assert (got != pages).any()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_program_reports_the_levels_it_wrote(backend, variant, vcell_levels) -> None:
+    """The levels ``program`` returns are the count of the pages it returns:
+    a written cell's new level, and the handed one on an unwritable lane and
+    past ``used_cells``."""
+    code = _make_code(variant, vcell_levels)
+    for writable in ([True], [False], [True, False, True, False, True]):
+        writable = np.array(writable)
+        pages = _random_pages(code, len(writable), seed=len(writable) + 20)
+        before = code.varray.levels_batch(pages)
+        codeword = _random_codeword(code, len(writable), seed=len(writable) + 21)
+        got, levels = _program_with_levels(
+            backend, code, pages, codeword, writable, before.copy()
+        )
+        assert levels.dtype == np.int64 and levels.shape == before.shape
+        assert np.array_equal(levels, code.varray.levels_batch(got))
+        assert np.array_equal(levels[~writable], before[~writable])
+        assert np.array_equal(levels[:, code.used_cells :], before[:, code.used_cells :])
+        assert (levels != before).any() == writable.any()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_a_refused_later_lane_leaves_the_levels_as_handed(
+    backend, variant, vcell_levels
+) -> None:
+    """The native kernel writes its levels over the ones it is handed, and
+    re-runs the twin on those same levels when it refuses a call: so it
+    checks every lane before it writes any.  Lanes 0-2 are valid and
+    writable, lane 3 is refused; the call raises the twin's exception with
+    its message and the handed levels come back untouched."""
+    code = _make_code(variant, vcell_levels)
+    width = code.varray.bits_per_cell
+    last = code.used_cells - 1
+    writable = np.ones(5, dtype=bool)
+    valid = _random_pages(code, 5, seed=31)
+    codeword = _random_codeword(code, 5, seed=32)
+    not_a_bit = valid.copy()
+    not_a_bit[3, last * width] = 2
+    level_past_table = code.varray.levels_batch(valid)
+    level_past_table[3, last] = width + 1
+    chunk_out_of_range = codeword.copy()
+    chunk_out_of_range[3, -1] = code.viterbi.num_values
+    for pages, words, levels in (
+        (not_a_bit, codeword, code.varray.levels_batch(valid)),
+        (valid, codeword, level_past_table),
+        (valid, chunk_out_of_range, code.varray.levels_batch(valid)),
+    ):
+        handed = levels.copy()
+        with pytest.raises(Exception) as reference:
+            _program_with_levels("numpy", code, pages, words, writable, levels)
+        with pytest.raises(reference.type) as refused:
+            _program_with_levels(backend, code, pages, words, writable, handed)
+        assert str(refused.value) == str(reference.value)
+        assert np.array_equal(handed, levels)
 
 
 @needs_native

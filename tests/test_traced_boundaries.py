@@ -63,6 +63,26 @@ def test_lifetime_runs_nest_no_twins(tracer) -> None:
     assert _twins_nested(tracer) == []
 
 
+def _count(tracer: Tracer, name: str) -> int:
+    return len(tracer.spans(name, 0.0, float("inf")))
+
+
+def test_an_mfc_write_counts_its_page_once(tracer) -> None:
+    """A scalar MFC lifetime run: one g1 division and one search per write
+    (the spans the benchmark's per-write lane and call counts divide by),
+    and one level count per write, the encode's, plus one per erase cycle
+    for its fresh page.  The page the write programmed is not counted
+    again: its program reports the levels it set."""
+    cycles = 3
+    scheme = make_scheme("mfc-1/2-1bpc", PAGE, constraint_length=3)
+    result = LifetimeSimulator(scheme, seed=1).run(cycles=cycles)
+    writes = _count(tracer, "core.scheme_write")
+    assert writes == sum(result.writes_per_cycle) + cycles  # + a refusal each
+    assert _count(tracer, "coding.syndrome_rep") == writes
+    assert _count(tracer, "coding.viterbi_search") == writes
+    assert _count(tracer, "vcell.levels") == writes + cycles
+
+
 def _device(scheme: str, **kwargs) -> SSD:
     return SSD(
         FlashGeometry(blocks=4, pages_per_block=4, page_bits=PAGE),
