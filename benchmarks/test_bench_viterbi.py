@@ -163,14 +163,14 @@ def test_bench_viterbi_kernel_speedup(perf_recorder, code) -> None:
     )
 
 
-def test_bench_syndrome_decode(benchmark, perf_recorder) -> None:
-    code = _make_code()  # decoding never searches: no backend to vary
+def test_bench_syndrome_decode(benchmark, perf_recorder, code) -> None:
+    # A page read is one call of the backend's decode, as a write's program is.
     warm_page = _warm_page(code)
     result = benchmark(lambda: code.decode(warm_page))
     assert result.shape == (code.dataword_bits,)
     mean = benchmark.stats.stats.mean
     perf_recorder.record(
-        "syndrome-decode-4KB",
+        f"syndrome-decode-4KB[{code.viterbi.backend.name}]",
         page_bits=code.page_bits,
         **_machine(),
         mean_seconds=mean,

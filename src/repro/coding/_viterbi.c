@@ -1,6 +1,7 @@
-/* Page-write kernel: the "native" backend of repro.coding.kernels, one
- * exported function per stage of an MFC write (divide, levels, search and
- * program) and one per direction of the WOM code (wom_encode, wom_decode).
+/* Page kernel: the "native" backend of repro.coding.kernels, one exported
+ * function per stage of an MFC write (divide, levels, search and program),
+ * one for an MFC read (decode) and one per direction of the WOM code
+ * (wom_encode, wom_decode).
  * kernels.py compiles it on first use (-O3 -shared -fPIC; gcc vectorises the
  * butterfly loop only at -O3) and loads it with ctypes.
  *
@@ -222,8 +223,8 @@ int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
                 target_of[now * symbols + v] > width)
                 return -2;
     /* What indexes target_of, in every lane, a lane left alone too: every
-     * chunk below 2**m, every level at most width, every byte of a used cell
-     * a bit. */
+     * chunk below 2**m, every level at most width, every byte of a cell a
+     * bit, the tail cells' too, as the twin's count of them checks. */
     for (int64_t b = 0; b < lanes; b++) {
         const int64_t *word = codeword + b * steps, *level = levels + b * num_cells;
         const uint8_t *page = pages + b * page_bits;
@@ -232,7 +233,7 @@ int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
         uint8_t bits = 0;
         for (int64_t t = 0; t < steps; t++)
             chunks |= word[t];
-        for (int64_t i = 0; i < used * width; i++)
+        for (int64_t i = 0; i < num_cells * width; i++)
             bits |= page[i];
         /* A vector OR first: it is at most width when every level is, and
          * for a width of 2**k - 1 only then.  The compare runs when not. */
@@ -252,6 +253,77 @@ int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
         /* Table I's shapes on 4-level cells, (cells per step, bits per cell),
          * each its own body; any other shape runs the generic one. */
 #define PAGE(w, n, m) program_page(w, steps, n, m, target_of, level, word, page)
+        switch (width == 3 ? per_step * 64 + bpc : 0) {
+        case 2 * 64 + 1: PAGE(3, 2, 1); break; /* MFC-1/2-1BPC */
+        case 1 * 64 + 2: PAGE(3, 1, 2); break; /* MFC-1/2-2BPC */
+        case 3 * 64 + 1: PAGE(3, 3, 1); break; /* MFC-2/3 */
+        case 4 * 64 + 1: PAGE(3, 4, 1); break; /* MFC-3/4 */
+        case 5 * 64 + 1: PAGE(3, 5, 1); break; /* MFC-4/5 */
+        default: PAGE(width, per_step, bpc);
+        }
+#undef PAGE
+    }
+    return 0;
+}
+
+/* Read one page's dataword, the syndrome of the codeword its cells store:
+ * s_j[t] = (g_{j+1} * y_1)[t] ^ (g_1 * y_{j+1})[t], kept from step `guard` on.
+ * A used cell's level is the sum of its bytes, its symbol read_of[level], and
+ * the i-th cell of a step holds bits i * bpc .. of the step's m-bit chunk,
+ * bit j of which is stream y_{j+1}'s.  Each stream's bits shift into one
+ * word, newest at bit 0, so a product's term at step t is the parity of that
+ * word ANDed with the generator's mask (bit k its D**k coefficient).  Always
+ * inlined, for the literal shapes `decode` names, as program_page is.  Every
+ * byte was checked to be a bit first, so no level passes width. */
+static inline __attribute__((always_inline)) void
+decode_page(int64_t width, int64_t steps, int64_t per_step, int64_t bpc,
+            int64_t guard, const int64_t *read_of, const uint64_t *generators,
+            const uint8_t *cell, uint8_t *data)
+{
+    int64_t m = per_step * bpc;
+    uint64_t history[62] = {0}, symbol_mask = ((uint64_t)1 << bpc) - 1;
+    for (int64_t t = 0; t < steps; t++) {
+        uint64_t chunk = 0;
+        for (int64_t i = 0; i < per_step; i++, cell += width) {
+            int64_t level = 0;
+            for (int64_t j = 0; j < width; j++)
+                level += cell[j];
+            chunk |= ((uint64_t)read_of[level] & symbol_mask) << i * bpc;
+        }
+        for (int64_t j = 0; j < m; j++)
+            history[j] = history[j] << 1 | (chunk >> j & 1);
+        if (t < guard)
+            continue;
+        for (int64_t j = 1; j < m; j++)
+            *data++ = __builtin_parityll((history[0] & generators[j]) ^
+                                         (history[j] & generators[0]));
+    }
+}
+
+int decode(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
+           int64_t steps, int64_t per_step, int64_t bpc, int64_t guard,
+           int64_t taps,
+           const int64_t *read_of,     /* (width + 1,) symbol stored at a level */
+           const uint64_t *generators, /* (m,) g_1 .. g_m, bit k for D**k */
+           const uint8_t *pages,       /* (lanes, page_bits) */
+           uint8_t *data)              /* out (lanes, (steps - guard) * (m - 1)) */
+{
+    int64_t m = per_step * bpc;
+    if (width < 1 || bpc < 1 || per_step < 1 || m < 2 || m > 62 || guard < 0 ||
+        guard > steps || taps < 1 || taps > 64 ||
+        steps * per_step > num_cells || num_cells * width > page_bits)
+        return -2;
+    for (int64_t b = 0; b < lanes; b++) {
+        const uint8_t *page = pages + b * page_bits;
+        uint8_t *word = data + b * (steps - guard) * (m - 1), bits = 0;
+        /* Every byte of every cell, the tail cells' too, as the twin's count
+         * checks them, before any level is read. */
+        for (int64_t i = 0; i < num_cells * width; i++)
+            bits |= page[i];
+        if (bits > 1)
+            return -2;
+#define PAGE(w, n, c) \
+    decode_page(w, steps, n, c, guard, read_of, generators, page, word)
         switch (width == 3 ? per_step * 64 + bpc : 0) {
         case 2 * 64 + 1: PAGE(3, 2, 1); break; /* MFC-1/2-1BPC */
         case 1 * 64 + 2: PAGE(3, 1, 2); break; /* MFC-1/2-2BPC */

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.bitops import unpack_values_axis
 from repro.coding.convolutional import ConvolutionalCode
 from repro.coding.cost import CellCodebook, make_codebook
 from repro.coding.page_code import PageCode
@@ -25,6 +24,28 @@ from repro.errors import CodingError, ConfigurationError, UnwritableError
 from repro.vcell import VCellArray, VCellSpec
 
 __all__ = ["ConvolutionalCosetCode"]
+
+
+def _packed_chunks(representative: np.ndarray) -> np.ndarray:
+    """``(B, steps)`` chunks of a ``(B, steps, m)`` coset representative, the
+    search's input: stream ``j`` at bit ``j``, all 0 or 1, and ``t_1 = 0``.
+
+    Where a step's ``m`` bytes make one numpy integer they are read as one,
+    little-endian, so stream ``j`` is its bit ``8j``: a contiguous read.
+    Gathering stream ``j``'s column is a strided one, and costs more than
+    the shifts; it stays only for the widths no integer has.
+    """
+    lanes, steps, m = representative.shape
+    if m in (2, 4, 8):
+        words = representative.reshape(lanes, steps * m).view(f"<u{m}")
+        chunks = (words >> 7) & 2
+        for j in range(2, m):
+            chunks |= (words >> 7 * j) & (1 << j)
+        return chunks
+    chunks = np.left_shift(representative[:, :, 1], 1, dtype=np.int64)
+    for j in range(2, m):
+        chunks |= np.left_shift(representative[:, :, j], j, dtype=np.int64)
+    return chunks
 
 
 class ConvolutionalCosetCode(PageCode):
@@ -96,10 +117,21 @@ class ConvolutionalCosetCode(PageCode):
                 f"the {self.guard_steps}-step guard region"
             )
         self.dataword_bits = (self.steps - self.guard_steps) * (m - 1)
-        # The native program's table, bound once as the searcher binds its
-        # own: C order and int64, kept with its address.
+        # The native program's and decode's tables, bound once as the
+        # searcher binds its own: C order, kept with their addresses.  A
+        # generator is one word, bit k its D**k coefficient (the kernel
+        # refuses a code of more than 64 taps).
         table = np.ascontiguousarray(self.codebook.target_table, dtype=np.int64)
         self._target_table = (table, table.ctypes.data)
+        symbols = np.ascontiguousarray(self.codebook.read_table, dtype=np.int64)
+        masks = np.array(
+            [sum(1 << int(k) for k in np.flatnonzero(row) if k < 64)
+             for row in code.coefficient_matrix],
+            dtype=np.uint64,
+        )
+        self._read_tables = (
+            (symbols, symbols.ctypes.data), (masks, masks.ctypes.data)
+        )
         self._last_cost = float("nan")
         self._last_costs = np.full(0, np.nan)
         self._last_levels = np.zeros((0, self.varray.num_cells), dtype=np.int64)
@@ -182,11 +214,7 @@ class ConvolutionalCosetCode(PageCode):
         syndrome[:, self.guard_steps :] = data.reshape(
             lanes, self.steps - self.guard_steps, m - 1
         )
-        representative = self.former.representative_batch(syndrome)
-        # t_1 = 0, so a packed chunk is stream j at bit j for j >= 1.
-        rep_values = np.left_shift(representative[:, :, 1], 1, dtype=np.int64)
-        for j in range(2, m):
-            rep_values |= np.left_shift(representative[:, :, j], j, dtype=np.int64)
+        rep_values = _packed_chunks(self.former.representative_batch(syndrome))
         all_levels = self.varray.levels_batch(pages)
         step_levels = all_levels[:, : self.used_cells].reshape(
             lanes, self.steps, self.cells_per_step
@@ -205,15 +233,9 @@ class ConvolutionalCosetCode(PageCode):
         return self.decode_batch(np.asarray(page, dtype=np.uint8)[None, :])[0]
 
     def decode_batch(self, pages: np.ndarray) -> np.ndarray:
-        """Decode ``B`` pages to their ``(B, dataword_bits)`` datawords."""
-        pages = np.asarray(pages, dtype=np.uint8)
-        lanes = len(pages)
-        levels = self.varray.levels_batch(pages)[:, : self.used_cells]
-        symbols = self.codebook.read_table[levels]
-        codeword_bits = unpack_values_axis(symbols, self.codebook.bits_per_cell)
-        streams = codeword_bits.reshape(lanes, self.steps, self.code.num_outputs)
-        syndrome = self.former.syndrome_batch(streams)
-        return syndrome[:, self.guard_steps :].reshape(lanes, -1)
+        """Decode ``B`` pages to their ``(B, dataword_bits)`` datawords: one
+        call of the backend's ``decode``, the syndrome past the guard steps."""
+        return self.viterbi.backend.decode(self, np.asarray(pages, dtype=np.uint8))
 
     def __str__(self) -> str:
         return (

@@ -6,16 +6,19 @@ bit, from numpy or from C.  A code resolves its backend once, when it is
 built.  Every MFC write runs one minimum-cost coset search, the hottest
 code in the repository, between a division by ``g1`` and the programming
 of the page; :class:`~repro.coding.viterbi.CosetViterbi` owns the search's
-tables and the dispatch.  :class:`~repro.coding.wom.WomVCellCode` runs the
-WOM code's two table walks.
+tables and the dispatch.  Every MFC read is one call that forms the
+page's syndrome.  :class:`~repro.coding.wom.WomVCellCode` runs the WOM
+code's two table walks.
 
-A backend is six functions: the four stages of an MFC write, in the order
-the write runs them, then the WOM code's two directions::
+A backend is seven functions: the four stages of an MFC write, in the
+order the write runs them, the MFC read, then the WOM code's two
+directions::
 
     divide(numerators, feedback_taps) -> quotients
     levels(cells) -> levels
     search(viterbi, reps, levels) -> (codeword_values, total_costs, writable)
     program(code, pages, levels, result) -> (new_pages, new_levels)
+    decode(code, pages) -> datawords
     wom_encode(code, datawords, pages) -> (new_pages, writable)
     wom_decode(code, pages) -> datawords
 
@@ -44,6 +47,14 @@ elsewhere, so that nothing counts the written page again.  Those may be
 ``levels`` itself, written over: the native kernel writes into it when it
 is C-order int64, as the encode's own count of this write's pages is, and
 a refused call leaves it as it was.
+``decode`` takes the ``ConvolutionalCosetCode`` and ``(B, page_bits)``
+uint8 pages and returns their ``(B, dataword_bits)`` uint8 datawords:
+each used cell's symbol (``CellCodebook.read_table`` at its level) laid
+out as the code's ``m`` streams, their syndrome, and of it the steps past
+``guard_steps``.  Every cell is counted, the tail cells past
+``used_cells`` too, so a byte that is not a bit in any of them is the
+``VCellError`` ``levels`` raises; the tail bits past ``used_bits`` are
+not read.
 ``wom_encode`` and ``wom_decode`` take the
 :class:`~repro.coding.wom.WomVCellCode` and uint8 arrays it checked the
 shapes of, one page or ``(B, ...)`` of them: datawords ``(...,
@@ -55,15 +66,17 @@ pattern can reach keeps its bits and is not writable (``writable`` is
 :class:`~repro.errors.CodingError` naming its lane and bit.
 ``tests/coding/test_viterbi_kernel.py`` pins every available backend's
 ``search`` to byte-identical codewords, costs and writability,
-``tests/coding/test_page_kernel.py`` the other three MFC stages to the
-numpy backend's bytes and exception types, and
+``tests/coding/test_page_kernel.py`` the other three MFC stages and the
+MFC read to the numpy backend's bytes and exception types, and
 ``tests/coding/test_wom_kernel.py`` the WOM pair to its bytes,
 exceptions and messages.
 
 ``numpy`` (always available, the reference) vectorizes the recursion
 over lanes and serves every metric and every 2-regular trellis.
 ``native`` is ``_viterbi.c``, one plain C pass per function, compiled on
-first use into this package's ``__pycache__`` and loaded with ``ctypes``.
+first use into this package's ``__pycache__`` and loaded with ``ctypes``,
+which releases the GIL for each call: while the device thread reads or
+writes a page, the server's event loop keeps running.
 Its search walks a step as ``S/2`` butterflies (states ``2j`` and
 ``2j+1`` both come from ``j`` and ``j + S/2``) over a branch-cost vector
 ``CosetViterbi`` expanded ahead per (level row, coset chunk), a loop the
@@ -79,14 +92,18 @@ the compiler specialises for each Table I shape (3-bit cells with that
 code's cells per step and bits per cell), a generic one for any other,
 and rewrites a 3-bit cell from a table without branching on whether it
 changes.  It checks every lane before it writes any, so the numpy twin
-can redo a refused call from the same levels.  Its ``divide`` takes eight
+can redo a refused call from the same levels.  Its ``decode`` walks a page
+once: a used cell's bytes summed, its symbol read, the symbol's bits
+shifted into one 64-bit history word per stream, and each syndrome bit
+the parity of two of them ANDed with a generator (a code of more than 64
+taps goes to the twin).  Its ``divide`` takes eight
 steps per lookup in a 256-entry table built from the taps.  Its WOM pair
 walks each page a cell at a time, one lookup in the code's table per
 cell; a byte that is not a bit fails the call, and the numpy twin then
 raises what it names.
-The search's, the page program's and the WOM code's tables never
-change, so the ``CosetViterbi``, the ``ConvolutionalCosetCode`` and the
-``WomVCellCode`` address them once, when they are built, and keep each
+The search's, the page program's and read's and the WOM code's tables
+never change, so the ``CosetViterbi``, the ``ConvolutionalCosetCode`` and
+the ``WomVCellCode`` address them once, when they are built, and keep each
 array with its address; a call hands over only the page's arrays besides.
 Nothing is probed, imported or written until a code resolves its
 backend: by explicit name, then the ``REPRO_VITERBI_BACKEND`` variable,
@@ -133,6 +150,7 @@ class KernelBackend:
     name: str
     search: Callable
     program: Callable
+    decode: Callable
     divide: Callable
     levels: Callable
     wom_encode: Callable
@@ -236,6 +254,18 @@ def _program_numpy(code, pages, levels, result):
     return code.varray.program_levels_batch(pages, targets), targets
 
 
+def _decode_numpy(code, pages):
+    """Count the levels, read each used cell's symbol, lay the symbols' bits
+    out as the ``m`` streams and form their syndrome past the guard steps."""
+    lanes = len(pages)
+    levels = code.varray.levels_batch(pages)[:, : code.used_cells]
+    symbols = code.codebook.read_table[levels]
+    codeword_bits = unpack_values_axis(symbols, code.codebook.bits_per_cell)
+    streams = codeword_bits.reshape(lanes, code.steps, code.code.num_outputs)
+    syndrome = code.former.syndrome_batch(streams)
+    return syndrome[:, code.guard_steps :].reshape(lanes, code.dataword_bits)
+
+
 def _wom_encode_numpy(code, data, pages):
     """Every byte is checked to be a bit before a table reads it.  A lane
     with a stuck cell keeps its bits; the tail bits pass through."""
@@ -275,8 +305,8 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 INT16_BIG, INT16_RENORM = 16383, 16
 #: What ``_viterbi.c`` exports: (int64 arguments, pointer arguments) by name.
 _SIGNATURES = {
-    "search": (7, 10), "program": (7, 5), "divide": (3, 2), "levels": (4, 2),
-    "wom_encode": (3, 5), "wom_decode": (3, 3),
+    "search": (7, 10), "program": (7, 5), "decode": (9, 4), "divide": (3, 2),
+    "levels": (4, 2), "wom_encode": (3, 5), "wom_decode": (3, 3),
 }
 
 
@@ -382,6 +412,7 @@ def _make_native_backend() -> KernelBackend:
     # address kept with it.
     search_kernel, levels_kernel = library.search, library.levels
     program_kernel, divide_kernel = library.program, library.divide
+    decode_kernel = library.decode
 
     def search(v, reps, levels):
         reps = np.ascontiguousarray(reps, dtype=np.int64)
@@ -449,6 +480,30 @@ def _make_native_backend() -> KernelBackend:
             return _program_numpy(code, pages, levels, result)
         return out, new_levels
 
+    def decode(code, pages):
+        varray = code.varray
+        (table, table_address), (_masks, masks_address) = code._read_tables
+        data = np.empty((len(pages), code.dataword_bits), dtype=np.uint8)
+        try:
+            if pages.shape != (len(pages), varray.page_bits) or table.shape != (
+                varray.bits_per_cell + 1,
+            ):
+                raise IndexError("decode kernel handed arrays of other shapes")
+            pages = np.ascontiguousarray(pages, dtype=np.uint8)
+            check(decode_kernel(
+                len(pages), varray.page_bits, varray.num_cells,
+                varray.bits_per_cell, code.steps, code.cells_per_step,
+                code.codebook.bits_per_cell, code.guard_steps,
+                code.code.constraint_length, table_address, masks_address,
+                address(pages), address(data),
+            ))
+        except IndexError:
+            # The kernel only says "out of range", a byte that is not a bit
+            # among them: the twin raises what its count names, with the
+            # lane and the bit.
+            return _decode_numpy(code, pages)
+        return data
+
     def divide(numerators, feedback_taps):
         out = np.array(numerators, dtype=np.uint8, order="C")
         if out.size:
@@ -503,8 +558,8 @@ def _make_native_backend() -> KernelBackend:
         return data
 
     return KernelBackend(
-        "native", search, program, divide, count, wom_encode, wom_decode,
-        needs_fused_table=True,
+        "native", search, program, decode, divide, count, wom_encode,
+        wom_decode, needs_fused_table=True,
     )
 
 
@@ -515,8 +570,8 @@ def _make_native_backend() -> KernelBackend:
 #: it explicitly is a :class:`~repro.errors.ConfigurationError`.
 _FACTORIES: dict[str, Callable[[], KernelBackend]] = {
     "numpy": lambda: KernelBackend(
-        "numpy", _search_numpy, _program_numpy, gf2_divide_causal, _popcount,
-        _wom_encode_numpy, _wom_decode_numpy,
+        "numpy", _search_numpy, _program_numpy, _decode_numpy,
+        gf2_divide_causal, _popcount, _wom_encode_numpy, _wom_decode_numpy,
     ),
     "native": _make_native_backend,
 }

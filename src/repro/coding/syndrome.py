@@ -36,7 +36,10 @@ class SyndromeFormer:
     Both directions carry an explicit batch axis (``syndrome_batch`` /
     ``representative_batch``); the scalar methods are their ``B = 1``
     wrappers.  ``divide`` is a kernel backend's, with the signature and the
-    bytes of :func:`~repro.coding.bitops.gf2_divide_causal`.
+    bytes of :func:`~repro.coding.bitops.gf2_divide_causal`.  A page read
+    is one call of the backend's ``decode``: ``syndrome_batch`` is the last
+    stage of its numpy twin, and the native kernel forms the same syndrome
+    in C.
     """
 
     def __init__(self, code: ConvolutionalCode, divide=gf2_divide_causal) -> None:

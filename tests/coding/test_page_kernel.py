@@ -4,10 +4,12 @@ Beside the search, a kernel backend carries the rest of a page write:
 ``divide`` (the causal division by ``g1`` behind the coset
 representative), ``levels`` (each v-cell's level, the popcount of its
 bits) and ``program`` (raise every v-cell to the level its codeword symbol
-asks for).  The numpy backend's callables *are* the reference
-(``gf2_divide_causal``, ``_popcount`` and the column walk of
-``VCellArray.program_levels_batch``); every other available backend must
-return the same bytes and raise the same exception types.  ``make
+asks for), and the page read, ``decode`` (the syndrome of the codeword the
+cells store).  The numpy backend's callables *are* the reference
+(``gf2_divide_causal``, ``_popcount``, the column walk of
+``VCellArray.program_levels_batch`` and ``SyndromeFormer.syndrome_batch``
+over the cells' symbols); every other available backend must return the
+same bytes and raise the same exception types.  ``make
 kernel-sanitize`` runs this file under ASan + UBSan: the native entries
 take raw pointers.
 """
@@ -22,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.coding import kernels
 from repro.coding.bitops import gf2_divide_causal
-from repro.coding.coset import ConvolutionalCosetCode
+from repro.coding.coset import ConvolutionalCosetCode, _packed_chunks
 from repro.coding.registry import get_code, list_codes
 from repro.coding.viterbi import ViterbiBatchResult
 from repro.core.mfc import MFC_VARIANTS
@@ -218,6 +220,35 @@ def test_native_program_needs_no_twin_on_valid_input(
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_every_page_read_checks_the_last_cell(backend, variant, vcell_levels) -> None:
+    """A byte that is not a bit in the page's last cell, past ``used_cells``
+    where the steps leave tail cells: the page program and the page read
+    refuse it as the twin's count of every cell does, naming the lane and
+    the bit.  A byte past ``used_bits`` belongs to no cell: the read passes
+    over it and the program hands it back."""
+    code = _make_code(variant, vcell_levels)
+    width = code.varray.bits_per_cell
+    bit = (code.varray.num_cells - 1) * width
+    pages = _random_pages(code, 3, seed=41)
+    pages[1, bit] = 2
+    codeword = _random_codeword(code, 3, seed=42)
+    in_range = np.ones((3, code.varray.num_cells), dtype=np.int64)
+    match = f"lane 1, bit {bit}: byte 2 is not a bit"
+    with pytest.raises(VCellError, match=match):
+        _program(backend, code, pages, codeword, np.ones(3, dtype=bool), in_range)
+    with pytest.raises(VCellError, match=match):
+        kernels.resolve_backend(backend).decode(code, pages)
+    pages[1, bit] = 1
+    pages[1, -1] = 2  # a tail bit: every width leaves some on this page
+    expected = kernels.resolve_backend("numpy").decode(code, pages)
+    assert np.array_equal(kernels.resolve_backend(backend).decode(code, pages), expected)
+    levels = code.varray.levels_batch(pages)
+    got = _program(backend, code, pages, codeword, np.ones(3, dtype=bool), levels)
+    assert got[1, -1] == 2
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_program_sets_the_lowest_unset_bits(backend) -> None:
     """One cell by hand: bits (0, 1, 0) at level 1, asked for level 2 and 3."""
     code = _make_code("mfc-1/2-2bpc")
@@ -346,6 +377,102 @@ def test_whole_writes_agree_until_the_page_wears_out(
         pages = got
     else:
         pytest.fail("the pages never wore out")
+
+
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_packed_chunks_are_the_streams_shifted_into_place(variant, vcell_levels) -> None:
+    """The search's input, packed from the representative the division
+    made, equals packing each stream's column into int64 and shifting it
+    to its bit."""
+    code = _make_code(variant, vcell_levels)
+    m = code.code.num_outputs
+    rng = np.random.default_rng(13)
+    for lanes in (0, 1, 5):
+        syndromes = rng.integers(0, 2, (lanes, code.steps, m - 1), dtype=np.uint8)
+        representative = code.former.representative_batch(syndromes)
+        expected = np.left_shift(representative[:, :, 1], 1, dtype=np.int64)
+        for j in range(2, m):
+            expected |= np.left_shift(representative[:, :, j], j, dtype=np.int64)
+        got = _packed_chunks(representative)
+        assert got.shape == expected.shape
+        assert np.array_equal(np.asarray(got, dtype=np.int64), expected)
+
+
+# -- decode ----------------------------------------------------------------------
+
+
+def _decode(backend: str, code, pages) -> np.ndarray:
+    return kernels.resolve_backend(backend).decode(code, pages)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_decode_matches_the_syndrome_of_the_symbols(
+    backend, variant, vcell_levels, monkeypatch
+) -> None:
+    """Any page, not only codewords: cells at random levels with their bits
+    in random places and all-ones tail cells and bits
+    (:func:`_random_pages`), and uniformly random bits, tail bits included.
+    No page, one and five, and the same pages in other layouts.  The native
+    kernel never needs its twin on such pages: a kernel that refused them
+    all would pass every comparison here through the twin."""
+    code = _make_code(variant, vcell_levels)
+    rng = np.random.default_rng(17)
+    batches = [
+        _random_pages(code, 0, seed=2),
+        _random_pages(code, 1, seed=3), _random_pages(code, 5, seed=4),
+        rng.integers(0, 2, (1, PAGE_BITS), dtype=np.uint8),
+        rng.integers(0, 2, (5, PAGE_BITS), dtype=np.uint8),
+    ]
+    expected = [_decode("numpy", code, pages) for pages in batches]
+    if backend != "numpy":
+
+        def no_twin(*_args):
+            raise AssertionError("the kernel refused a valid page")
+
+        monkeypatch.setattr(kernels, "_decode_numpy", no_twin)
+    for pages, reference in zip(batches, expected):
+        before = pages.copy()
+        assert reference.dtype == np.uint8
+        assert reference.shape == (len(pages), code.dataword_bits)
+        wide = np.zeros((len(pages), 2 * PAGE_BITS), dtype=np.uint8)
+        wide[:, ::2] = pages
+        rows = np.zeros((2 * len(pages), PAGE_BITS), dtype=np.uint8)
+        rows[::2] = pages
+        for view in (
+            pages, wide[:, ::2], rows[::2], np.asfortranarray(pages),
+        ):
+            got = _decode(backend, code, view)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, reference)
+        assert np.array_equal(_decode(backend, code, pages[::-1]), reference[::-1])
+        assert np.array_equal(pages, before)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_decode_batch_is_one_backend_call(
+    backend, variant, vcell_levels, monkeypatch
+) -> None:
+    """``decode_batch`` hands its pages to its backend's ``decode`` once,
+    and ``decode`` is its one-page view."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    code = _make_code(variant, vcell_levels)
+    pages = _random_pages(code, 5, seed=5)
+    calls = []
+    decode = code.viterbi.backend.decode
+
+    def counted(code, pages):
+        calls.append(len(pages))
+        return decode(code, pages)
+
+    monkeypatch.setattr(code.viterbi, "backend", dataclasses.replace(
+        code.viterbi.backend, decode=counted
+    ))
+    expected = _decode("numpy", code, pages)
+    assert np.array_equal(code.decode_batch(pages), expected)
+    assert np.array_equal(code.decode(pages[2]), expected[2])
+    assert calls == [5, 1]
 
 
 # -- levels ----------------------------------------------------------------------

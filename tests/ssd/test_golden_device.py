@@ -5,7 +5,9 @@ Both runs are ``python -m repro.ssd --workload zipf --max-writes 2000
 the runner's other defaults (seed 1, erase limit 25, utilization 0.6,
 dynamic wear leveling).  A speed-up of the chip's program check, the FTL or
 the payload derivation must leave every number here unchanged; a change
-that means to move them updates the table in the same commit.
+that means to move them updates the table in the same commit.  After the
+MFC run, every kernel backend reads every mapped page back to the same
+dataword.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.coding import kernels
 from repro.flash import FlashGeometry
 from repro.ftl import DynamicWearLeveling
 from repro.ssd import SSD, run_until_death
@@ -57,12 +60,16 @@ def _chip_sha256(ssd: SSD) -> str:
     return hashlib.sha256(np.packbits(bits).tobytes()).hexdigest()
 
 
-def _golden_run(scheme: str) -> dict:
+def _seeded_run(scheme: str):
     options = {"constraint_length": 4} if scheme.startswith("mfc") else {}
     ssd = SSD(geometry=GEOM, scheme=scheme, utilization=0.6,
               wear_leveling=DynamicWearLeveling(), **options)
     workload = make_workload("zipf", ssd.logical_pages, seed=1)
-    result = run_until_death(ssd, workload, max_writes=2000)
+    return ssd, run_until_death(ssd, workload, max_writes=2000)
+
+
+def _golden_run(scheme: str) -> dict:
+    ssd, result = _seeded_run(scheme)
     stats = ssd.ftl.stats
     return {
         "host_writes": result.host_writes,
@@ -79,3 +86,19 @@ def _golden_run(scheme: str) -> dict:
 @pytest.mark.parametrize("scheme", sorted(GOLDEN))
 def test_seeded_zipf_run_is_unchanged(scheme: str) -> None:
     assert _golden_run(scheme) == GOLDEN[scheme]
+
+
+def test_every_backend_reads_the_mfc_run_back_alike() -> None:
+    ssd, _result = _seeded_run("mfc-1/2-1bpc")
+    code = ssd.ftl.scheme.code
+    lpns = [lpn for lpn in range(ssd.logical_pages)
+            if ssd.ftl.mapping.lookup(lpn) is not None]
+    assert len(lpns) > ssd.logical_pages // 2
+    pages = np.stack([
+        ssd.chip.read_page(*ssd.ftl.mapping.lookup(lpn)) for lpn in lpns
+    ])
+    host = np.stack([ssd.read(lpn) for lpn in lpns])
+    for backend in kernels.available_backends():
+        decode = kernels.resolve_backend(backend).decode
+        assert np.array_equal(decode(code, pages), host), backend
+        assert np.array_equal(decode(code, pages[:1]), host[:1]), backend

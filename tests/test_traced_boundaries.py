@@ -6,16 +6,19 @@ spans.  A face that called its twin would count one operation twice, so
 each pair must share a private body instead.  This installs the tracer's
 boundaries (read-only: nothing under ``benchmarks`` changes) and drives
 every face the scalar and batched lifetime runs, small WOM, MFC and
-uncoded devices (``SSD.write`` and ``SSD.write_batch``) and a direct
-v-cell program cross.
+uncoded devices (``SSD.write``, ``SSD.write_batch`` and ``SSD.read``) and
+a direct v-cell program cross.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
 
 from benchmarks.e2e.tracer import BOUNDARIES, Tracer
+from repro.coding import kernels
 from repro.core import BatchLifetimeSimulator, LifetimeSimulator, make_scheme
 from repro.flash import FlashGeometry
 from repro.ssd import SSD
@@ -101,6 +104,33 @@ def test_wom_device_nests_no_twins(tracer) -> None:
         "ssd.write", "ssd.read", "ftl.write", "ftl.read", "flash.program",
         "flash.read", "coding.wom_encode", "coding.wom_decode",
     } <= _names(tracer)
+    assert _twins_nested(tracer) == []
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_an_mfc_read_decodes_its_page_once(tracer, backend, monkeypatch) -> None:
+    """Each host read of a written MFC page is one ``coding.coset_decode``
+    span, the span the benchmark's decode latency is the median of, on
+    either backend: the numpy backend's stages run inside it, the native
+    one runs none."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    ssd = _device("mfc-1/2-1bpc", constraint_length=3)
+    rng = np.random.default_rng(2)
+    written = {}
+    for lpn in (0, 1, 0, 2, 3, 1):
+        written[lpn] = rng.integers(0, 2, ssd.logical_page_bits, dtype=np.uint8)
+        ssd.write(lpn, written[lpn])
+    start = time.perf_counter()
+    for lpn in (0, 1, 2, 3, 0):
+        assert np.array_equal(ssd.read(lpn), written[lpn])
+    reads = tracer.spans("ssd.read", start, float("inf"))
+    assert len(reads) == 5
+    assert len(tracer.spans("coding.coset_decode", start, float("inf"))) == 5
+    stages = ("coding.syndrome_decode", "vcell.levels")
+    assert all(
+        bool(tracer.spans(stage, start, float("inf"))) == (backend == "numpy")
+        for stage in stages
+    )
     assert _twins_nested(tracer) == []
 
 
