@@ -185,14 +185,13 @@ def test_bench_obs_sidecar_overhead(server_perf_recorder) -> None:
     """Scraped telemetry plane keeps >=95% of the no-telemetry IOPS.
 
     The telemetry run enables the global registry (so every request mints
-    a wire trace id and records client/server spans), attaches an SLO
-    tracker, and scrapes ``/metrics`` + ``/healthz`` from a concurrent
-    poller for the whole measurement window — several times the standard
-    15s Prometheus cadence.
+    a wire trace id and records client/server spans) and scrapes
+    ``/metrics`` + ``/healthz`` from a concurrent poller for the whole
+    measurement window — several times the standard 15s Prometheus
+    cadence.
     """
     from repro.obs import registry as obs_registry
     from repro.obs.http import ObsHttpServer
-    from repro.obs.slo import SLOTracker
 
     ops_per_client = OBS_TOTAL_OPS // COALESCED_CLIENTS
 
@@ -207,10 +206,7 @@ def test_bench_obs_sidecar_overhead(server_perf_recorder) -> None:
         scrapes = 0
         async with service:
             await service.recovery_done()
-            obs_http = ObsHttpServer(
-                registry=registry, service=service,
-                slo=SLOTracker(registry=registry),
-            )
+            obs_http = ObsHttpServer(registry=registry, service=service)
             async with obs_http:
                 stop = asyncio.Event()
 

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.coding import ConvolutionalCosetCode
-from repro.coding.kernels import available_backends
-from repro.coding.viterbi import CosetViterbi
+from repro.coding.kernels import BACKEND_ENV, available_backends, resolve_backend
 
 PAGE_BITS = 32768
 CONSTRAINT_LENGTH = 7
@@ -30,15 +29,20 @@ def _machine() -> dict:
     }
 
 
-def _make_code(backend: str | None = None) -> ConvolutionalCosetCode:
-    code = ConvolutionalCosetCode(
-        page_bits=PAGE_BITS, rate_denominator=2,
-        constraint_length=CONSTRAINT_LENGTH,
-    )
-    if backend is not None:
-        code.viterbi = CosetViterbi(
-            code.viterbi.trellis, code.viterbi.codebook, backend=backend
+def _make_code(backend: str) -> ConvolutionalCosetCode:
+    """A code whose whole write and read (division, levels, search,
+    program, decode) run on ``backend``: the code binds all of them from
+    one backend, chosen by the environment when it is built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(BACKEND_ENV, backend)
+        code = ConvolutionalCosetCode(
+            page_bits=PAGE_BITS, rate_denominator=2,
+            constraint_length=CONSTRAINT_LENGTH,
         )
+    kernel = resolve_backend(backend)
+    assert code.viterbi.backend is kernel
+    assert code.varray._popcount is kernel.levels
+    assert code.former._divide is kernel.divide
     return code
 
 

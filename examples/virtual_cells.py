@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import IllegalTransitionError
 from repro.flash import IDEAL_MLC, MLC, Page, Wordline
-from repro.vcell import VCell, VCellArray, VCellSpec
+from repro.vcell import VCellArray, VCellSpec
 
 
 def demo_real_mlc() -> None:
@@ -54,11 +54,13 @@ def demo_virtual_cell() -> None:
     for level in range(4):
         patterns = [f"{p:03b}" for p in spec.patterns_of_level(level)]
         print(f"  L{level} is any of {patterns}")
-    cell = VCell(spec)
+    cell = VCellArray(spec, page_bits=3)  # a page holding one v-cell
+    bits = cell.erased_page()
     for target in (1, 2, 3):
-        cell.set_level(target)
-        print(f"  programmed to L{cell.level} "
-              f"(bits {cell.pattern:03b}) — one page program, always legal")
+        bits = cell.program_levels(bits, np.array([target]))
+        print(f"  programmed to L{cell.levels(bits)[0]} "
+              f"(page bits {''.join(map(str, bits))}) — one page program, "
+              "always legal")
 
     print()
     print("and vectorized over a whole page:")

@@ -28,11 +28,9 @@ replay skips records at or below the checkpoint's sequence, which makes a
 duplicated tail record (a crash between write and ack retried by a client)
 idempotent.
 
-Format 1 had three more opcodes, 3-5 (GC reclaim, block retirement and
-wear migration), which replay never applied; they are not reused.  Its
-other records are laid out as above, so a format-1 segment is read as
-long as it holds none of them: that is the segment an older build leaves
-after a recovery or a graceful shutdown.  Any other format is refused.
+Opcodes 3-5 are not reused: format 1 gave them to GC reclaim, block
+retirement and wear migration records, which replay never applied.  A
+segment of any format but :data:`JOURNAL_FORMAT` is refused.
 
 Torn tails
 ----------
@@ -75,15 +73,6 @@ __all__ = [
 
 #: Bumped whenever the record layout changes incompatibly.
 JOURNAL_FORMAT = 2
-
-#: Segment formats :func:`scan_journal` reads (format 1: module docstring).
-_READABLE_FORMATS = (1, JOURNAL_FORMAT)
-
-_FORMAT_1_HINT = (
-    "; the segment was written in journal format 1 by an older build. "
-    "Recover the data directory once with that build and stop it before it "
-    "takes writes: the segment its recovery starts is one this build reads"
-)
 
 #: Accepted values for :class:`JournalWriter`'s ``fsync_policy``.
 FSYNC_POLICIES = ("always", "batch", "none")
@@ -200,7 +189,6 @@ def scan_journal(path: str | os.PathLike) -> JournalScan:
     after it would lose acknowledged writes.
     """
     records: list[JournalRecord] = []
-    segment_format = JOURNAL_FORMAT
     with open(path, "rb") as fh:
         data = fh.read()
     offset = 0
@@ -228,16 +216,13 @@ def scan_journal(path: str | os.PathLike) -> JournalScan:
             raise DurabilityError(
                 f"journal segment {os.fspath(path)}: the record at byte "
                 f"{offset} passes its CRC but does not decode ({exc})"
-                + (_FORMAT_1_HINT if segment_format == 1 else "")
             ) from None
-        if record.opcode == OpCode.SEGMENT_HEADER:
-            segment_format = record.args[0]
-            if segment_format not in _READABLE_FORMATS:
-                raise DurabilityError(
-                    f"journal segment {os.fspath(path)} uses record format "
-                    f"{segment_format}, this build reads formats "
-                    f"{', '.join(map(str, _READABLE_FORMATS))}"
-                )
+        if record.opcode == OpCode.SEGMENT_HEADER \
+                and record.args[0] != JOURNAL_FORMAT:
+            raise DurabilityError(
+                f"journal segment {os.fspath(path)} uses record format "
+                f"{record.args[0]}, this build reads formats {JOURNAL_FORMAT}"
+            )
         records.append(record)
         offset = start + length
     return JournalScan(

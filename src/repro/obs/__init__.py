@@ -45,7 +45,6 @@ from repro.obs.registry import (
     is_enabled,
     set_enabled,
 )
-from repro.obs.slo import SLOConfig, SLOStatus, SLOTracker
 from repro.obs.tracing import new_trace_id, span
 
 __all__ = [
@@ -58,9 +57,6 @@ __all__ = [
     "MetricsRegistry",
     "ObsHttpServer",
     "RegistrySnapshot",
-    "SLOConfig",
-    "SLOStatus",
-    "SLOTracker",
     "counter",
     "gauge",
     "get_registry",

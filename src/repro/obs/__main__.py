@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Poll an obs sidecar's /metrics endpoint (started with "
             "`python -m repro.server serve --obs-port N`) and render a "
             "refreshing console dashboard: IOPS, latency quantiles, queue "
-            "depth, per-tenant shed rates, GC/wear and SLO burn."
+            "depth, per-tenant shed rates and GC/wear."
         ),
     )
     watch_p.add_argument(

@@ -3,8 +3,8 @@
 ``python -m repro.obs watch http://127.0.0.1:7641`` polls a running
 sidecar (:mod:`repro.obs.http`) and renders a refreshing terminal frame:
 IOPS and interval latency quantiles (p50/p95/p99 from histogram-bucket
-deltas between polls), queue depth, per-tenant shed rates, GC/wear
-counters, and SLO burn rates.  Everything derives from two consecutive
+deltas between polls), queue depth, per-tenant shed rates and GC/wear
+counters.  Everything derives from two consecutive
 Prometheus text scrapes — the dashboard holds no state beyond the previous
 frame, so it can attach to and detach from a long-running server freely.
 
@@ -245,25 +245,6 @@ class Dashboard:
             f"events dropped "
             f"{scrape.value('repro_obs_events_dropped'):>8.0f}"
         )
-
-        # SLO burn.
-        slo_lines = []
-        for name in ("availability", "latency"):
-            target = scrape.value(f"repro_slo_{name}_target")
-            if not target:
-                continue
-            fast = scrape.value(f"repro_slo_{name}_burn_rate_fast")
-            slow = scrape.value(f"repro_slo_{name}_burn_rate_slow")
-            burning = scrape.value(f"repro_slo_{name}_burning")
-            flag = "  ** BURNING **" if burning else ""
-            slo_lines.append(
-                f"    {name:<13} target {target:.4g}   "
-                f"burn fast {fast:6.2f}  slow {slow:6.2f}{flag}"
-            )
-        if slo_lines:
-            lines.append("")
-            lines.append("  SLO")
-            lines.extend(slo_lines)
 
         self.frames_rendered += 1
         return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ Endpoints::
     /metrics      Prometheus text exposition of the live registry
     /healthz      liveness: 200 as long as the process serves HTTP; JSON
                   body carries degraded-state detail (RECOVERING,
-                  READ_ONLY, journal fsync lag, shed rates, SLO burn)
+                  READ_ONLY, journal fsync lag, shed rates)
     /readyz       readiness: 200 only when the service can take writes;
                   503 with a JSON reason list while RECOVERING (journal
                   replay) or after the device latched READ_ONLY
@@ -40,7 +40,6 @@ from repro import _version
 from repro.errors import ConfigurationError
 from repro.obs import registry as _metrics
 from repro.obs.export import to_prometheus
-from repro.obs.slo import SLOTracker
 
 __all__ = ["ObsHttpServer"]
 
@@ -81,25 +80,21 @@ class ObsHttpServer:
     ``service`` is duck-typed: anything with a ``health() -> dict`` method
     (the :class:`~repro.server.service.StorageService` contract) feeds
     ``/healthz`` and ``/readyz``; without one the process is reported
-    alive and ready.  ``slo`` attaches a
-    :class:`~repro.obs.slo.SLOTracker` whose gauges refresh on every
-    scrape; ``debug_vars`` is a callable returning extra ``/debug/vars``
-    entries; ``collectors`` are zero-arg callables invoked before the
-    registry is read for ``/metrics`` or for ``/healthz``' SLO status
-    (publishing stats deltas, refreshing point-in-time gauges).
+    alive and ready.  ``debug_vars`` is a callable returning extra
+    ``/debug/vars`` entries; ``collectors`` are zero-arg callables invoked
+    before the registry is read for ``/metrics`` (publishing stats deltas,
+    refreshing point-in-time gauges).
     """
 
     def __init__(
         self,
         registry: _metrics.MetricsRegistry | None = None,
         service=None,
-        slo: SLOTracker | None = None,
         debug_vars=None,
         collectors: tuple = (),
     ) -> None:
         self.registry = registry or _metrics.get_registry()
         self.service = service
-        self.slo = slo
         self._debug_vars = debug_vars
         self._collectors = tuple(collectors)
         self._server: asyncio.base_events.Server | None = None
@@ -216,15 +211,10 @@ class ObsHttpServer:
                         "/debug/vars"]}
         )
 
-    def _collect(self) -> None:
-        for collect in self._collectors:
-            collect()
-
     def _metrics(self) -> tuple[int, str, bytes]:
         _SCRAPES.inc()
-        self._collect()
-        if self.slo is not None:
-            self.slo.update()
+        for collect in self._collectors:
+            collect()
         text = to_prometheus(self.registry.snapshot(include_events=False))
         return 200, "text/plain; version=0.0.4", text.encode("utf-8")
 
@@ -237,11 +227,7 @@ class ObsHttpServer:
         # Liveness: answering at all is the signal.  Degraded modes
         # (recovering, read-only) are reported in the body but stay 200 —
         # restarting a server mid-journal-replay would only lose progress.
-        state = self._health_state()
-        if self.slo is not None:
-            self._collect()
-            state["slo"] = self.slo.status()
-        return 200, "application/json", _json_bytes(state)
+        return 200, "application/json", _json_bytes(self._health_state())
 
     def _readyz(self) -> tuple[int, str, bytes]:
         state = self._health_state()

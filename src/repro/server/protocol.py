@@ -177,9 +177,7 @@ def frame(body: bytes) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> bytes | None:
+async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
     """Read one frame body; ``None`` on clean EOF at a frame boundary.
 
     EOF in the middle of a frame (a truncated write) and oversized length
@@ -196,10 +194,10 @@ async def read_frame(
             f"{_LEN.size} length-prefix bytes)"
         ) from None
     (length,) = _LEN.unpack(prefix)
-    if length > max_frame_bytes:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"peer announced a {length}-byte frame "
-            f"(limit {max_frame_bytes})"
+            f"(limit {MAX_FRAME_BYTES})"
         )
     try:
         return await reader.readexactly(length)

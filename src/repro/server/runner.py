@@ -30,7 +30,6 @@ from repro.durability.checkpoint import read_manifest
 from repro.errors import ConfigurationError, DurabilityError, ServerError
 from repro.obs import registry as _metrics
 from repro.obs.http import ObsHttpServer
-from repro.obs.slo import SLOConfig, SLOTracker
 from repro.server.loadgen import LoadgenResult, run_closed_loop, run_open_loop
 from repro.server.service import ServerConfig, StorageService
 
@@ -43,15 +42,12 @@ DEVICE_DEFAULTS = dict(
     erase_limit=10_000, utilization=0.5, constraint_length=7,
 )
 
+#: The load generator's seed under ``bench``: every run offers the same ops.
+BENCH_SEED = 2016
+
 
 def add_server_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("server", "serving-layer knobs")
-    group.add_argument("--max-batch", type=int, default=32,
-                       help="WRITEs coalesced into one device flush")
-    group.add_argument("--queue-depth", type=int, default=256,
-                       help="global pending-request bound")
-    group.add_argument("--credit-window", type=int, default=64,
-                       help="per-connection un-answered request bound")
     group.add_argument("--tenant-credit-window", type=int, default=None,
                        metavar="N",
                        help="shared per-tenant un-answered request bound "
@@ -94,25 +90,10 @@ def _add_obs_http_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--trace-sample", type=int, default=1, metavar="N",
                        help="head-based sampling: keep every Nth top-level "
                             "span (default 1 = keep all)")
-    group.add_argument("--slo-availability", type=float, default=0.999,
-                       metavar="FRAC",
-                       help="availability SLO target (default %(default)s)")
-    group.add_argument("--slo-latency-ms", type=float, default=100.0,
-                       metavar="MS",
-                       help="request latency counted 'good' under this "
-                            "(default %(default)s)")
-    group.add_argument("--slo-latency-target", type=float, default=0.99,
-                       metavar="FRAC",
-                       help="fraction of requests that must be under "
-                            "--slo-latency-ms (default %(default)s)")
 
 
-def _slo_config(args: argparse.Namespace) -> SLOConfig:
-    """Check the telemetry knobs up front, even with the sidecar off.
-
-    Without this an SLO target typo would only surface once --obs-port
-    builds the tracker — or never, silently, when the sidecar is off.
-    """
+def _check_obs_args(args: argparse.Namespace) -> None:
+    """Check the telemetry knobs up front, even with the sidecar off."""
     if args.trace_sample < 1:
         raise ConfigurationError(
             f"--trace-sample must be >= 1, got {args.trace_sample}"
@@ -121,21 +102,6 @@ def _slo_config(args: argparse.Namespace) -> SLOConfig:
         raise ConfigurationError(
             f"--obs-port must lie in [0, 65535], got {args.obs_port}"
         )
-    return SLOConfig(
-        availability_target=args.slo_availability,
-        latency_threshold_s=args.slo_latency_ms / 1000.0,
-        latency_target=args.slo_latency_target,
-    )
-
-
-def _server_config(args: argparse.Namespace) -> ServerConfig:
-    return ServerConfig(
-        max_batch=args.max_batch,
-        queue_depth=args.queue_depth,
-        credit_window=args.credit_window,
-        admission=args.admission,
-        tenant_credit_window=args.tenant_credit_window,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-loop concurrency sweep points")
     bench.add_argument("--ops", type=int, default=100,
                        help="requests per client")
-    bench.add_argument("--read-fraction", type=float, default=0.0)
-    bench.add_argument("--seed", type=int, default=2016)
     bench.add_argument("--rate", type=float, default=500.0,
                        help="open loop: offered requests per second")
     cli.add_workload_args(
@@ -181,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "per-tenant percentiles",
     )
     cli.add_device_args(bench, **DEVICE_DEFAULTS)
-    add_server_args(bench)
     cli.add_telemetry_args(bench)
     return parser
 
@@ -202,9 +165,9 @@ def main(argv: list[str] | None = None) -> int:
 def _command(args: argparse.Namespace) -> int:
     if args.command == "bench":
         return _bench(args)
-    slo = _slo_config(args)
+    _check_obs_args(args)
     _metrics.get_registry().trace_sample_every = args.trace_sample
-    return asyncio.run(_serve(args, slo))
+    return asyncio.run(_serve(args))
 
 
 # -- serve --------------------------------------------------------------------
@@ -222,7 +185,7 @@ def _stop_event() -> asyncio.Event:
     return stop
 
 
-async def _serve(args: argparse.Namespace, slo_config: SLOConfig) -> int:
+async def _serve(args: argparse.Namespace) -> int:
     ssd = cli.make_ssd(args, args.scheme)
     store = None
     if args.data_dir:
@@ -234,12 +197,14 @@ async def _serve(args: argparse.Namespace, slo_config: SLOConfig) -> int:
         # Fail fast — and with the manifest's clear message — on a data
         # directory this build cannot read, before binding the socket.
         read_manifest(store.data_dir)
-    service = StorageService(ssd, _server_config(args), store=store)
+    config = ServerConfig(
+        admission=args.admission,
+        tenant_credit_window=args.tenant_credit_window,
+    )
+    service = StorageService(ssd, config, store=store)
     await service.start(host=args.host, port=args.port)
     obs_server = None
     if args.obs_port is not None:
-        slo = SLOTracker(slo_config)
-
         def _collect_durability() -> None:
             if store is not None:
                 _metrics.gauge("durability.fsync_lag_seconds").set(
@@ -251,19 +216,12 @@ async def _serve(args: argparse.Namespace, slo_config: SLOConfig) -> int:
                 "scheme": ssd.scheme_name,
                 "logical_pages": ssd.logical_pages,
                 "dataword_bits": ssd.logical_page_bits,
-                "config": {
-                    "max_batch": args.max_batch,
-                    "queue_depth": args.queue_depth,
-                    "credit_window": args.credit_window,
-                    "tenant_credit_window": args.tenant_credit_window,
-                    "admission": args.admission,
-                    "data_dir": args.data_dir,
-                },
+                "data_dir": args.data_dir,
+                "config": service.config.summary(),
             }
 
         obs_server = ObsHttpServer(
             service=service,
-            slo=slo,
             debug_vars=_debug_vars,
             collectors=(service.publish_stats, _collect_durability),
         )
@@ -371,8 +329,7 @@ def _bench(args: argparse.Namespace) -> int:
     workload, params = cli.workload_choice(args)
     load = dict(
         workload=workload,
-        read_fraction=args.read_fraction,
-        seed=args.seed,
+        seed=BENCH_SEED,
         tenants=args.tenants,
         connect_timeout=args.connect_timeout,
         **params,
@@ -410,9 +367,7 @@ def _bench_loopback(args: argparse.Namespace, load: dict) -> int:
     """Drive a fresh in-process device + server per --clients sweep point."""
 
     async def point(clients: int) -> tuple[LoadgenResult, StorageService]:
-        service = StorageService(
-            cli.make_ssd(args, args.scheme), _server_config(args)
-        )
+        service = StorageService(cli.make_ssd(args, args.scheme))
         async with service:
             result = await _drive(
                 args, "127.0.0.1", service.port, clients, load

@@ -135,7 +135,6 @@ class ServerConfig:
     queue_depth: int = 256      # global pending-request bound
     credit_window: int = 64     # per-connection un-answered request bound
     admission: str = "block"    # "block" = backpressure, "reject" = BUSY
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     tenant_credit_window: int | None = None  # shared per-tenant bound
 
     def __post_init__(self) -> None:
@@ -155,6 +154,10 @@ class ServerConfig:
                 f"admission must be 'block' or 'reject', got "
                 f"{self.admission!r}"
             )
+
+    def summary(self) -> dict:
+        """The config block of STAT and of the sidecar's ``/debug/vars``."""
+        return dict(self.__dict__)
 
 
 @dataclass
@@ -417,9 +420,7 @@ class StorageService:
         self.stats.connections += 1
         try:
             while True:
-                body = await protocol.read_frame(
-                    reader, self.config.max_frame_bytes
-                )
+                body = await protocol.read_frame(reader)
                 if body is None:
                     break
                 try:
@@ -850,13 +851,7 @@ class StorageService:
             "wear_spread": ssd.wear_spread(),
             "ftl": ssd.ftl.stats.summary(),
             "server": self.stats.summary(),
-            "config": {
-                "max_batch": self.config.max_batch,
-                "queue_depth": self.config.queue_depth,
-                "credit_window": self.config.credit_window,
-                "admission": self.config.admission,
-                "tenant_credit_window": self.config.tenant_credit_window,
-            },
+            "config": self.config.summary(),
         }
         if self.tenant_stats:
             payload["tenants"] = {

@@ -8,13 +8,12 @@ v-cell is one legal page program — exactly the ideal multi-level cell
 interface that prior endurance-coding work assumed and real cells do not
 provide.
 
-:class:`VCellSpec` describes the cell shape; :class:`VCell` is a stateful
-single cell useful for walkthroughs and the WOM state machine;
-:class:`VCellArray` provides vectorized level reads/writes over whole pages
-and is what the coding layers use.
+:class:`VCellSpec` describes the cell shape; :class:`VCellArray` provides
+vectorized level reads/writes over whole pages (one cell or many) and is
+what the coding layers use.
 """
 
-from repro.vcell.vcell import VCell, VCellSpec
+from repro.vcell.vcell import VCellSpec
 from repro.vcell.varray import VCellArray
 
-__all__ = ["VCell", "VCellSpec", "VCellArray"]
+__all__ = ["VCellSpec", "VCellArray"]

@@ -1,12 +1,12 @@
-"""Single virtual cell: spec and a stateful reference implementation."""
+"""The shape of one virtual cell."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import CellSaturatedError, ConfigurationError, VCellError
+from repro.errors import ConfigurationError, VCellError
 
-__all__ = ["VCellSpec", "VCell"]
+__all__ = ["VCellSpec"]
 
 
 @dataclass(frozen=True)
@@ -62,87 +62,3 @@ class VCellSpec:
         """
         return (pattern & target_pattern) == pattern
 
-
-class VCell:
-    """One stateful virtual cell.
-
-    Tracks the concrete bit pattern (not just the level) because codes such
-    as the Fig. 9 WOM code distinguish the different representations of a
-    level: once a particular bit is set, the other patterns of the same level
-    become unreachable.
-    """
-
-    __slots__ = ("spec", "_pattern")
-
-    def __init__(self, spec: VCellSpec | None = None) -> None:
-        self.spec = spec or VCellSpec()
-        self._pattern = 0
-
-    @property
-    def pattern(self) -> int:
-        """Current bit pattern of the cell (int of ``bits_per_cell`` bits)."""
-        return self._pattern
-
-    @property
-    def level(self) -> int:
-        """Current level (popcount of the pattern)."""
-        return self._pattern.bit_count()
-
-    @property
-    def saturated(self) -> bool:
-        """True when the cell is at its maximum level and cannot be programmed."""
-        return self.level == self.spec.max_level
-
-    def program_pattern(self, target_pattern: int) -> None:
-        """Program the cell to an exact bit pattern.
-
-        Raises :class:`VCellError` if the pattern would clear bits.
-        """
-        if not 0 <= target_pattern < (1 << self.spec.bits_per_cell):
-            raise VCellError(f"pattern {target_pattern:#x} out of range")
-        if not self.spec.reachable(self._pattern, target_pattern):
-            raise VCellError(
-                f"pattern {target_pattern:0{self.spec.bits_per_cell}b} is "
-                f"unreachable from {self._pattern:0{self.spec.bits_per_cell}b}"
-                " (bits can only be set)"
-            )
-        self._pattern = target_pattern
-
-    def increment(self, amount: int = 1) -> None:
-        """Raise the cell's level by ``amount``, setting the lowest unset bits."""
-        if amount < 0:
-            raise VCellError("v-cell levels cannot decrease without an erase")
-        if amount == 0:
-            return
-        target_level = self.level + amount
-        if target_level > self.spec.max_level:
-            raise CellSaturatedError(
-                f"cannot raise v-cell from L{self.level} by {amount}: "
-                f"max level is L{self.spec.max_level}"
-            )
-        pattern = self._pattern
-        remaining = amount
-        bit = 0
-        while remaining:
-            if not (pattern >> bit) & 1:
-                pattern |= 1 << bit
-                remaining -= 1
-            bit += 1
-        self._pattern = pattern
-
-    def set_level(self, target_level: int) -> None:
-        """Program the cell to ``target_level`` (must be >= current level)."""
-        delta = target_level - self.level
-        if delta < 0:
-            raise VCellError(
-                f"v-cell at L{self.level} cannot move down to L{target_level}"
-            )
-        self.increment(delta)
-
-    def erase(self) -> None:
-        """Reset to the erased state (the block erase does this physically)."""
-        self._pattern = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        bits = f"{self._pattern:0{self.spec.bits_per_cell}b}"
-        return f"VCell(levels={self.spec.levels}, level={self.level}, bits={bits})"

@@ -341,43 +341,9 @@ class TestRefusals:
         with pytest.raises(DurabilityError, match=f"byte {offset}"):
             DurableStore(tmp_path / "d").recover(make_ssd())
 
-    def test_format_1_segment_replays_until_a_dropped_record(
-        self, tmp_path, rng
-    ) -> None:
-        # Format 1 differs only by opcodes 3-5, so its segment replays; a
-        # GC-reclaim record (opcode 3, u32 block | u32 relocated) in it
-        # raises with a way out instead of being read as a torn tail.
-        def format_1_segment(data_dir, body) -> None:
-            store = DurableStore(data_dir, checkpoint_every=0)
-            store.recover(make_ssd())
-            store.close()
-            path = segment_path(data_dir)
-            _, start_seq, sha = scan_journal(path).records[0].args
-            header = JournalRecord(
-                OpCode.SEGMENT_HEADER, start_seq - 1, (1, start_seq, sha)
-            )
-            with open(path, "wb") as fh:
-                fh.write(encode_record(header) + body(start_seq))
-
-        data = rng.integers(0, 2, size=GEOMETRY.page_bits).astype(np.uint8)
-        format_1_segment(tmp_path / "d", lambda seq: encode_record(
-            JournalRecord(OpCode.WRITE, seq, (3, data))
-        ))
-        ssd = make_ssd()
-        report = DurableStore(tmp_path / "d").recover(ssd)
-        assert report.replayed_writes == 1 and report.torn_bytes_discarded == 0
-        assert np.array_equal(ssd.read(3), data)
-
-        def reclaim(seq: int) -> bytes:
-            payload = struct.pack("<BQII", 3, seq, 0, 2)
-            return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
-
-        format_1_segment(tmp_path / "d", reclaim)
-        with pytest.raises(DurabilityError, match="older build"):
-            DurableStore(tmp_path / "d").recover(make_ssd())
-
-    @pytest.mark.parametrize("fmt", [0, JOURNAL_FORMAT + 1])
+    @pytest.mark.parametrize("fmt", [0, 1, JOURNAL_FORMAT + 1])
     def test_other_journal_format_refused(self, tmp_path, fmt) -> None:
+        # Format 1 gets no reader of its own: it is refused like any other.
         store = DurableStore(tmp_path / "d")
         store.recover(make_ssd())
         store.close()
@@ -389,5 +355,9 @@ class TestRefusals:
         )
         with open(path, "wb") as fh:
             fh.write(encode_record(other))
-        with pytest.raises(DurabilityError, match=f"record format {fmt}"):
+        with pytest.raises(
+            DurabilityError,
+            match=f"record format {fmt}, this build reads formats "
+                  f"{JOURNAL_FORMAT}$",
+        ):
             DurableStore(tmp_path / "d").recover(make_ssd())

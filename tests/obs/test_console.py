@@ -90,23 +90,6 @@ class TestDashboard:
         assert "tenant" in frame2  # per-tenant table rendered
         assert dash.frames_rendered == 2
 
-    def test_slo_section_appears_when_gauges_present(self):
-        text = SAMPLE + (
-            "repro_slo_availability_target 0.999\n"
-            "repro_slo_availability_burn_rate_fast 20.0\n"
-            "repro_slo_availability_burn_rate_slow 15.0\n"
-            "repro_slo_availability_burning 1\n"
-        )
-        dash = Dashboard("http://example.invalid")
-        frame = dash.render(parse_prometheus(text))
-        assert "SLO" in frame
-        assert "** BURNING **" in frame
-
-    def test_no_slo_section_without_gauges(self):
-        dash = Dashboard("http://example.invalid")
-        frame = dash.render(parse_prometheus(SAMPLE))
-        assert "SLO" not in frame
-
 
 class TestWatchEndToEnd:
     def test_watch_once_against_live_sidecar(self):

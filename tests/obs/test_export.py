@@ -120,7 +120,7 @@ class TestStrictFormat:
     def test_mixed_registry_is_well_formed(self, registry):
         registry.counter("server.tenant0.requests").inc(4)
         registry.counter("server.tenant1.requests").inc(4)
-        registry.gauge("slo.availability.burn_rate_fast").set(1.5)
+        registry.gauge("durability.fsync_lag_seconds").set(1.5)
         self._check(to_prometheus(registry))
 
     def test_label_values_are_escaped(self):

@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.http import ObsHttpServer, parse_trace_id
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import SLOTracker
 from repro.obs.tracing import span
 
 
@@ -90,19 +89,6 @@ class TestEndpoints:
         payload = json.loads(body)
         assert payload["recovering"] is True
         assert payload["status"] == "recovering"
-
-    def test_healthz_carries_slo_status(self, registry):
-        async def go():
-            server = ObsHttpServer(
-                registry=registry, slo=SLOTracker(registry=registry)
-            )
-            async with server:
-                return await get(server, "/healthz")
-
-        _, _, body = asyncio.run(go())
-        payload = json.loads(body)
-        assert "availability" in payload["slo"]
-        assert "burn_rate" in payload["slo"]["latency"]
 
     @pytest.mark.parametrize(
         "service, expected",

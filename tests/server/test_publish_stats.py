@@ -12,7 +12,6 @@ import asyncio
 from repro.obs import registry as obs_registry
 from repro.obs.console import parse_prometheus
 from repro.obs.http import ObsHttpServer
-from repro.obs.slo import SLOTracker
 from repro.server import StorageClient, StorageService
 
 from tests.obs.test_http import get
@@ -79,7 +78,6 @@ class TestLiveScrape:
             async with service:
                 sidecar = ObsHttpServer(
                     service=service,
-                    slo=SLOTracker(),
                     collectors=(service.publish_stats,),
                 )
                 async with sidecar:
@@ -122,26 +120,6 @@ class TestLiveScrape:
 
         # stop() published what the sidecar had not yet collected.
         assert published_counters() == expected_counters(service)
-
-    def test_healthz_alone_feeds_the_slo_tracker(self) -> None:
-        registry = obs_registry.get_registry()
-        registry.enabled = True
-
-        async def go():
-            service = StorageService(make_ssd())
-            slo = SLOTracker()
-            async with service:
-                sidecar = ObsHttpServer(
-                    service=service, slo=slo,
-                    collectors=(service.publish_stats,),
-                )
-                async with sidecar:
-                    await drive(service, writes=2)
-                    await get(sidecar, "/healthz")
-                    return slo.update()["availability"].total
-
-        # 4 writes, 1 read, 1 STAT: visible without any /metrics scrape.
-        assert asyncio.run(go()) == 6
 
 
 class TestPublishStats:

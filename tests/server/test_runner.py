@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
 import re
 import signal
@@ -16,6 +18,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.console import parse_prometheus
+from repro.server import StorageClient
 from repro.server.runner import _parse_hostport, main
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -159,10 +162,28 @@ class TestServeCli:
                          f"127.0.0.1:{match.group(1)}",
                          "--clients", "2", "--ops", "5"])
             assert code == 0
+
+            async def stat() -> dict:
+                async with await StorageClient.connect(
+                    "127.0.0.1", int(match.group(1))
+                ) as client:
+                    return await client.stat()
+
+            served = asyncio.run(stat())
+            sidecar = f"http://127.0.0.1:{obs.group(1)}"
             with urllib.request.urlopen(
-                f"http://127.0.0.1:{obs.group(1)}/metrics", timeout=5.0
+                f"{sidecar}/metrics", timeout=5.0
             ) as response:
-                live = parse_prometheus(response.read().decode())
+                live_text = response.read().decode()
+            live = parse_prometheus(live_text)
+            with urllib.request.urlopen(
+                f"{sidecar}/healthz", timeout=5.0
+            ) as response:
+                health = json.loads(response.read())
+            with urllib.request.urlopen(
+                f"{sidecar}/debug/vars", timeout=5.0
+            ) as response:
+                debug_vars = json.loads(response.read())
 
             process.send_signal(signal.SIGINT)
             out, _ = process.communicate(timeout=30)
@@ -180,6 +201,15 @@ class TestServeCli:
                      "repro_server_requests", "repro_server_writes"):
             assert final.value(name) == live.value(name), name
         assert live.value("repro_server_tenant_requests", tenant="0") >= 10
+        # One source of truth for the server's config.
+        assert debug_vars["config"] == served["config"]
+        assert set(served["config"]) == {
+            "max_batch", "queue_depth", "credit_window", "admission",
+            "tenant_credit_window",
+        }
+        assert health["status"] == "ok" and health["recovering"] is False
+        assert "slo" not in health
+        assert "repro_slo_" not in live_text
 
     def test_bad_device_knob_exits_2(self, capsys) -> None:
         code = main(["serve", "--utilization", "0.0"])
@@ -190,13 +220,10 @@ class TestServeCli:
         ("--trace-sample", "0"),
         ("--obs-port", "-1"),
         ("--obs-port", "70000"),
-        ("--slo-availability", "1.5"),
-        ("--slo-latency-ms", "0"),
-        ("--slo-latency-target", "0"),
     ])
     def test_bad_obs_knob_exits_2(self, capsys, flags) -> None:
         # The telemetry knobs must fail fast even without --obs-port —
-        # a typo'd SLO target silently ignored is worse than a refusal.
+        # a typo silently ignored is worse than a refusal.
         code = main(["serve", *flags])
         assert code == 2
         assert "error" in capsys.readouterr().err

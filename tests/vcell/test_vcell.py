@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import CellSaturatedError, ConfigurationError, VCellError
-from repro.vcell import VCell, VCellSpec
+from repro.vcell import VCellArray, VCellSpec
 
 
 class TestVCellSpec:
@@ -48,67 +49,51 @@ class TestVCellSpec:
             spec.level_of_pattern(8)
 
 
+def one_cell(levels: int = 4) -> VCellArray:
+    """A page that holds exactly one v-cell."""
+    return VCellArray(VCellSpec(levels), page_bits=levels - 1)
+
+
 class TestVCellStateMachine:
     def test_starts_erased(self) -> None:
-        cell = VCell()
-        assert cell.level == 0 and cell.pattern == 0 and not cell.saturated
+        cell = one_cell()
+        page = cell.erased_page()
+        assert cell.levels(page).tolist() == [0] and not page.any()
+        assert not cell.saturated(page).any()
 
     def test_ideal_interface_every_increase_works(self) -> None:
         # The whole point of v-cells: any i -> j with i < j is one program.
+        cell = one_cell()
         for start in range(4):
             for target in range(start, 4):
-                cell = VCell()
-                cell.set_level(start)
-                cell.set_level(target)
-                assert cell.level == target
+                page = cell.program_levels(cell.erased_page(), np.array([start]))
+                page = cell.program_levels(page, np.array([target]))
+                assert cell.levels(page).tolist() == [target]
 
     def test_increment_sets_lowest_unset_bits(self) -> None:
-        cell = VCell()
-        cell.increment()
-        assert cell.pattern == 0b001
-        cell.increment()
-        assert cell.pattern == 0b011
-
-    def test_program_specific_pattern_blocks_alternatives(self) -> None:
-        # Fig. 9's observation: choosing one L1 representation makes the
-        # other L1 representations unreachable.
-        cell = VCell()
-        cell.program_pattern(0b100)
-        assert cell.level == 1
-        with pytest.raises(VCellError):
-            cell.program_pattern(0b001)
-        cell.program_pattern(0b110)  # a superset is fine
-        assert cell.level == 2
+        cell = one_cell()
+        page = cell.program_levels(cell.erased_page(), np.array([1]))
+        assert page.tolist() == [1, 0, 0]
+        page = cell.program_levels(page, np.array([2]))
+        assert page.tolist() == [1, 1, 0]
 
     def test_saturation(self) -> None:
-        cell = VCell()
-        cell.set_level(3)
-        assert cell.saturated
+        cell = one_cell()
+        page = cell.program_levels(cell.erased_page(), np.array([3]))
+        assert cell.saturated(page).all()
         with pytest.raises(CellSaturatedError):
-            cell.increment()
+            cell.program_levels(page, np.array([4]))
 
     def test_level_decrease_rejected(self) -> None:
-        cell = VCell()
-        cell.set_level(2)
+        cell = one_cell()
+        page = cell.program_levels(cell.erased_page(), np.array([2]))
         with pytest.raises(VCellError):
-            cell.set_level(1)
-        with pytest.raises(VCellError):
-            cell.increment(-1)
-
-    def test_erase_resets(self) -> None:
-        cell = VCell()
-        cell.set_level(3)
-        cell.erase()
-        assert cell.level == 0 and cell.pattern == 0
+            cell.program_levels(page, np.array([1]))
 
     def test_eight_level_cell_walk(self) -> None:
-        cell = VCell(VCellSpec(levels=8))
+        cell = one_cell(levels=8)
+        page = cell.erased_page()
         for target in range(8):
-            cell.set_level(target)
-            assert cell.level == target
-        assert cell.saturated
-
-    def test_pattern_out_of_range(self) -> None:
-        cell = VCell()
-        with pytest.raises(VCellError):
-            cell.program_pattern(0b1000)
+            page = cell.program_levels(page, np.array([target]))
+            assert cell.levels(page).tolist() == [target]
+        assert cell.saturated(page).all()
