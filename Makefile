@@ -43,7 +43,9 @@ bench-smoke:
 bench-e2e-quick:
 	python -m benchmarks.e2e run --quick
 
-# What pins a kernel backend: the search against the reference kernel, the
+# What pins a kernel backend: the search against the reference kernel (the
+# native one in both its bodies: the plain one, and at K=7 the AVX2 one where
+# the CPU has AVX2, which test_viterbi_kernel.py also asserts it takes), the
 # page program, the level count and the g1 division against their numpy
 # twins, the WOM encode and decode against theirs, and a small-page Table I
 # lifetime run against its recorded counts.  CI runs the two targets below,

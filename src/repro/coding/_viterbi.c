@@ -1,7 +1,8 @@
 /* Page kernel: the "native" backend of repro.coding.kernels, one exported
  * function per stage of an MFC write (divide, levels, search and program),
  * one for an MFC read (decode) and one per direction of the WOM code
- * (wom_encode, wom_decode).
+ * (wom_encode, wom_decode), and search_vector_body, which says which body
+ * search runs.
  * kernels.py compiles it on first use (-O3 -shared -fPIC; gcc vectorises the
  * butterfly loop only at -O3) and loads it with ctypes.
  *
@@ -15,14 +16,23 @@
  * state), bit t % 8 of byte (t / 8) * S + s the predecessor s took at step
  * t: one lane's plane at a time, walked back as soon as it is full.
  *
- * The forward pass runs on int16_t, eight states to an SSE2 register.
- * Infeasible is BIG, and every candidate is clamped to BIG before the
- * compare, so two infeasible ones tie as two infs do; old + cost <= 2 * BIG
- * stays in int16.  Every RENORM steps the least finite metric moves into an
- * int64 offset; a finite one still above `limit` could reach BIG before the
- * next, so that lane WIDENs and is redone in double.  Both are one body, this
- * file including itself; in the double one BIG is IEEE inf, the clamp a no-op
- * and nothing renormalises: never build it with -ffast-math.
+ * The forward pass runs on int16_t.  Infeasible is BIG, and every candidate
+ * is clamped to BIG before the compare, so two infeasible ones tie as two infs
+ * do; old + cost <= 2 * BIG stays in int16.  Every RENORM steps the least
+ * finite metric moves into an int64 offset; a finite one still above `limit`
+ * could reach BIG before the next, so that lane WIDENs and is redone in
+ * double.  Both are one body, this file including itself; in the double one
+ * BIG is IEEE inf, the clamp a no-op and nothing renormalises: never build it
+ * with -ffast-math.
+ *
+ * That body is plain C, which gcc runs eight states to an SSE2 register, the
+ * x86-64 baseline.  The paper's case, 64 states read from the expanded cost
+ * table, has a second int16 body in AVX2 intrinsics (lane64_avx2): the 64
+ * metrics in four ymm registers, a step's survivors one movemask word.  It is
+ * compiled for AVX2 by a function attribute and taken only when the CPU says
+ * it has AVX2 (search_vector_body), so one artefact built without -march runs
+ * on any x86-64, and the file still compiles where there is no such target.
+ * Both bodies keep the same four rules, so they return the same bytes.
  *
  * Tables are C-contiguous.  Every function returns -1 when scratch cannot be
  * allocated, -2 when an input is out of range, else 0 (search: the number of
@@ -52,8 +62,9 @@ static void pack(int64_t S, const uint8_t *restrict k, uint8_t *restrict bits)
 
 /* By name, not __FILE__: a quoted include is looked up beside the including
  * file, so this finds itself however the compiler was handed its path. */
+#define BIG16 16383
 #define T int16_t
-#define BIG 16383
+#define BIG BIG16
 #define NAME(f) f##_i16
 #include "_viterbi.c"
 #undef T
@@ -63,6 +74,132 @@ static void pack(int64_t S, const uint8_t *restrict k, uint8_t *restrict bits)
 #define BIG INFINITY
 #define NAME(f) f##_f64
 #include "_viterbi.c"
+
+/* Bit of state s in a step's survivor word.  The survivors of butterflies
+ * j0 .. j0 + 15 (j0 = 0, 16) are one movemask of packs_epi16(states 2j,
+ * states 2j + 1), which packs each 128-bit lane apart: its 32 bits are
+ * states 2j of the first eight j, 2j + 1 of the same eight, then both for
+ * the next eight.  So with j = s >> 1, s's bit is 32 * (j >> 4) +
+ * 16 * (j >> 3 & 1) + 8 * (s & 1) + (j & 7). */
+static const uint8_t BIT_OF[64] = {
+    0,  8,  1,  9,  2,  10, 3,  11, 4,  12, 5,  13, 6,  14, 7,  15,
+    16, 24, 17, 25, 18, 26, 19, 27, 20, 28, 21, 29, 22, 30, 23, 31,
+    32, 40, 33, 41, 34, 42, 35, 43, 36, 44, 37, 45, 38, 46, 39, 47,
+    48, 56, 49, 57, 50, 58, 51, 59, 52, 60, 53, 61, 54, 62, 55, 63,
+};
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define VECTOR_BODY 1
+
+/* The 16 butterflies j0 .. j0 + 15 of a step: old[j], old[32 + j] in `lo`,
+ * `hi`, and the step's cost vector from entry j0 in `c`, its [u][k] rows
+ * 32 apart.  Returns the new metrics of states 2j0 .. 2j0 + 31 in natural
+ * order in *n0, *n1 and their survivors as packed bytes, with the same clamp
+ * and strict-less select as the plain body. */
+__attribute__((target("avx2"))) static inline __m256i
+butterflies16(__m256i lo, __m256i hi, const int16_t *c, __m256i big,
+              __m256i *n0, __m256i *n1)
+{
+    __m256i a0 = _mm256_min_epi16(
+        _mm256_add_epi16(lo, _mm256_loadu_si256((const __m256i *)c)), big);
+    __m256i a1 = _mm256_min_epi16(
+        _mm256_add_epi16(hi, _mm256_loadu_si256((const __m256i *)(c + 32))), big);
+    __m256i b0 = _mm256_min_epi16(
+        _mm256_add_epi16(lo, _mm256_loadu_si256((const __m256i *)(c + 64))), big);
+    __m256i b1 = _mm256_min_epi16(
+        _mm256_add_epi16(hi, _mm256_loadu_si256((const __m256i *)(c + 96))), big);
+    __m256i even = _mm256_min_epi16(a0, a1), odd = _mm256_min_epi16(b0, b1);
+    __m256i first = _mm256_unpacklo_epi16(even, odd);
+    __m256i second = _mm256_unpackhi_epi16(even, odd);
+    *n0 = _mm256_permute2x128_si256(first, second, 0x20);
+    *n1 = _mm256_permute2x128_si256(first, second, 0x31);
+    return _mm256_packs_epi16(_mm256_cmpgt_epi16(a0, a1),
+                              _mm256_cmpgt_epi16(b0, b1));
+}
+
+/* lane_i16 for S = 64 and the expanded table, in AVX2: the metrics of
+ * states 16i .. 16i + 15 in m[i], step t's survivors in words[t], state s's
+ * at bit BIT_OF[s].  The same range checks, clamp, select, RENORM and WIDEN
+ * as the plain body, which gives the same metrics, offset and end state. */
+__attribute__((target("avx2"))) static int
+lane64_avx2(int64_t steps, int64_t cells, int64_t L, int64_t V, int64_t limit,
+            const int16_t *expanded, const int64_t *reps,
+            const int64_t *levels, uint64_t *words, int64_t *end,
+            double *total)
+{
+    const __m256i big = _mm256_set1_epi16(BIG16);
+    /* limit >= 0; one at BIG or above widens nothing, as no metric passes BIG. */
+    const __m256i high = _mm256_set1_epi16(limit < BIG16 ? (int16_t)limit : BIG16);
+    __m256i m0 = _mm256_setzero_si256(), m1 = m0, m2 = m0, m3 = m0;
+    int64_t offset = 0;
+    for (int64_t t = 0; t < steps; t++, levels += cells) {
+        int64_t v = reps[t], row = 0;
+        for (int64_t c = 0; c < cells; c++) {
+            if ((uint64_t)levels[c] >= (uint64_t)L)
+                return -2;
+            row = row * L + levels[c];
+        }
+        if ((uint64_t)v >= (uint64_t)V)
+            return -2;
+        if (t && t % RENORM == 0) {
+            /* Metrics are 0 .. BIG, so the unsigned minimum is the least. */
+            __m256i m = _mm256_min_epi16(_mm256_min_epi16(m0, m1),
+                                         _mm256_min_epi16(m2, m3));
+            __m128i half = _mm_min_epu16(_mm256_castsi256_si128(m),
+                                         _mm256_extracti128_si256(m, 1));
+            int16_t least = (int16_t)_mm_cvtsi128_si32(_mm_minpos_epu16(half));
+            __m256i by = _mm256_set1_epi16(least), wide = _mm256_setzero_si256();
+#define RENORMED(x)                                                        \
+    do {                                                                   \
+        __m256i dead = _mm256_cmpeq_epi16(x, big);                         \
+        x = _mm256_blendv_epi8(_mm256_sub_epi16(x, by), big, dead);        \
+        wide = _mm256_or_si256(                                            \
+            wide, _mm256_andnot_si256(dead, _mm256_cmpgt_epi16(x, high))); \
+    } while (0)
+            RENORMED(m0);
+            RENORMED(m1);
+            RENORMED(m2);
+            RENORMED(m3);
+#undef RENORMED
+            if (!_mm256_testz_si256(wide, wide))
+                return WIDEN;
+            offset += least;
+        }
+        const int16_t *cost = expanded + (row * V + v) * 128;
+        __m256i n0, n1, n2, n3;
+        uint32_t low = (uint32_t)_mm256_movemask_epi8(
+            butterflies16(m0, m2, cost, big, &n0, &n1));
+        uint32_t upper = (uint32_t)_mm256_movemask_epi8(
+            butterflies16(m1, m3, cost + 16, big, &n2, &n3));
+        words[t] = (uint64_t)upper << 32 | low;
+        m0 = n0, m1 = n1, m2 = n2, m3 = n3;
+    }
+    int16_t last[64];
+    _mm256_storeu_si256((__m256i *)last, m0);
+    _mm256_storeu_si256((__m256i *)(last + 16), m1);
+    _mm256_storeu_si256((__m256i *)(last + 32), m2);
+    _mm256_storeu_si256((__m256i *)(last + 48), m3);
+    int64_t best = 0;
+    for (int64_t s = 1; s < 64; s++)
+        best = last[s] < last[best] ? s : best;
+    *end = best;
+    *total = last[best] < BIG16 ? (double)last[best] + offset : INFINITY;
+    return 0;
+}
+#endif
+
+/* 1 when search runs an S-state trellis read from the expanded table in
+ * lane64_avx2, 0 when in the plain body: S = 64 on a CPU with AVX2. */
+int search_vector_body(int64_t S)
+{
+#ifdef VECTOR_BODY
+    return S == 64 && __builtin_cpu_supports("avx2");
+#else
+    (void)S;
+    return 0;
+#endif
+}
 
 int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
            int64_t V,
@@ -81,21 +218,34 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
 {
     double *metrics = malloc((size_t)S * 2 * sizeof(double));
     uint8_t *k = calloc((size_t)S * 8, 1); /* the last 8 steps' survivors */
+    /* A byte per state per 8 steps, or (64 states) a uint64 per step. */
     uint8_t *bits = malloc((size_t)((steps + 7) / 8 * S) + 1);
     int status = metrics && k && bits ? 0 : -1, widened = 0;
+    int vector = expanded && search_vector_body(S);
     for (int64_t b = 0; b < lanes && !status; b++) {
         const int64_t *rep = reps + b * steps, *level = levels + b * steps * cells;
         int64_t state;
+        int words = 0; /* survivors as lane64_avx2 leaves them */
+        if (limit < 0)
+            status = WIDEN;
         /* 64: the paper's K=7, which gcc specialises the int16 pass for. */
-        status = limit < 0 ? WIDEN
-                 : S == 64 ? lane_i16(steps, 64, cells, L, V, limit, order, costs16,
-                                      expanded, rep, level, (int16_t *)metrics,
-                                      k, bits, &state, total + b)
-                           : lane_i16(steps, S, cells, L, V, limit, order, costs16,
-                                      expanded, rep, level, (int16_t *)metrics,
-                                      k, bits, &state, total + b);
+        else if (!vector)
+            status = S == 64 ? lane_i16(steps, 64, cells, L, V, limit, order, costs16,
+                                        expanded, rep, level, (int16_t *)metrics,
+                                        k, bits, &state, total + b)
+                             : lane_i16(steps, S, cells, L, V, limit, order, costs16,
+                                        expanded, rep, level, (int16_t *)metrics,
+                                        k, bits, &state, total + b);
+#ifdef VECTOR_BODY
+        else {
+            status = lane64_avx2(steps, cells, L, V, limit, expanded, rep, level,
+                                 (uint64_t *)bits, &state, total + b);
+            words = 1;
+        }
+#endif
         if (status == WIDEN) {
             widened++;
+            words = 0;
             status = lane_f64(steps, S, cells, L, V, 0, order, costs64, NULL, rep,
                               level, metrics, k, bits, &state, total + b);
         }
@@ -104,11 +254,23 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
         writable[b] = total[b] < INFINITY;
         /* The input consumed on entering a state is its low bit, and its k-th
          * predecessor is (state >> 1) + k * S/2. */
-        for (int64_t t = steps - 1; t >= 0; t--) {
-            int64_t src = (state >> 1) +
-                          (bits[t / 8 * S + state] >> t % 8 & 1) * (S / 2);
-            codeword[b * steps + t] = out_values[2 * src + (state & 1)] ^ rep[t];
-            state = src;
+        if (words) {
+            /* BIT_OF[s + 32] = BIT_OF[s] + 32 for s < 32: the next state's bit
+             * waits on this one's only through the OR, not on a load. */
+            const uint64_t *word = (const uint64_t *)bits;
+            for (int64_t t = steps - 1, bit = BIT_OF[state]; t >= 0; t--) {
+                int64_t chosen = word[t] >> bit & 1, src = state >> 1 | chosen << 5;
+                bit = chosen << 5 | BIT_OF[state >> 1];
+                codeword[b * steps + t] = out_values[2 * src + (state & 1)] ^ rep[t];
+                state = src;
+            }
+        } else {
+            for (int64_t t = steps - 1; t >= 0; t--) {
+                int64_t src = (state >> 1) +
+                              (bits[t / 8 * S + state] >> t % 8 & 1) * (S / 2);
+                codeword[b * steps + t] = out_values[2 * src + (state & 1)] ^ rep[t];
+                state = src;
+            }
         }
     }
     free(metrics);

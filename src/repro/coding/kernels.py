@@ -81,10 +81,13 @@ Its search walks a step as ``S/2`` butterflies (states ``2j`` and
 ``2j+1`` both come from ``j`` and ``j + S/2``) over a branch-cost vector
 ``CosetViterbi`` expanded ahead per (level row, coset chunk), a loop the
 compiler vectorises; without that table it gathers the same costs from
-the fused row as it goes.  It is only ever handed the paper's case
-(costs that are non-negative integers or ``inf``, a level space small
-enough to tabulate, a shift-register trellis); a ``CosetViterbi``
-outside it resolves to numpy, for the whole write.  Its path metrics are
+the fused row as it goes.  The paper's 64 states read from that table
+run a second body in AVX2 intrinsics where the CPU has AVX2, chosen per
+call inside the one artefact (``search_vector_body`` says whether).  It
+is only ever handed the paper's case (costs that are non-negative
+integers or ``inf``, a level space small enough to tabulate, a
+shift-register trellis); a ``CosetViterbi`` outside it resolves to
+numpy, for the whole write.  Its path metrics are
 int16, clamped and renormalised so that they stay exact, and a lane they
 could overflow is redone in float64 inside the call.  Survivors are one
 bit per (step, state), walked back per lane.  Its ``program`` runs a body
@@ -307,6 +310,7 @@ INT16_BIG, INT16_RENORM = 16383, 16
 _SIGNATURES = {
     "search": (7, 10), "program": (7, 5), "decode": (9, 4), "divide": (3, 2),
     "levels": (4, 2), "wom_encode": (3, 5), "wom_decode": (3, 3),
+    "search_vector_body": (1, 0),
 }
 
 

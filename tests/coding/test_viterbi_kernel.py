@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import platform
 
 import numpy as np
 import pytest
@@ -451,10 +452,13 @@ def test_native_batch_of_writable_and_unwritable_lanes(variant) -> None:
 
 
 @needs_native
-def test_one_lane_widens_to_float64_next_to_one_that_does_not() -> None:
+@pytest.mark.parametrize("constraint_length", [5, 7])  # 7: the AVX2 body
+def test_one_lane_widens_to_float64_next_to_one_that_does_not(
+    constraint_length,
+) -> None:
     """One call, a limit between the two lanes' spreads: the wide lane is
     redone in float64, the narrow one is not, and both match numpy."""
-    code = _make_code("mfc-1/2-1bpc", 5)
+    code = _make_code("mfc-1/2-1bpc", constraint_length)
     native = _with_backend(code, "native")
     reps, levels = _random_case(native, 2, 40, 9, 2)
     levels[0] = 0  # lane 0: the cheapest cells, the narrowest spread
@@ -476,6 +480,115 @@ def test_one_lane_widens_to_float64_next_to_one_that_does_not() -> None:
     expected = _with_backend(code, "numpy").search_batch(reps, levels)
     for array, name in zip(got, ("codeword_values", "total_costs", "writable")):
         assert array.tobytes() == getattr(expected, name).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The paper's K=7, 64 states.  Where the CPU has AVX2 the native search runs
+# a searcher with an expanded table (every MFC code but mfc-4/5) in its AVX2
+# body: a step's survivors are one 64-bit word there, read back through a
+# table of bit positions, and its own renormalisation every 16 steps.
+# ---------------------------------------------------------------------------
+
+
+def _cpu_flags() -> set[str]:
+    """The feature flags /proc/cpuinfo lists, none where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+@needs_native
+def test_no_other_state_count_takes_the_vector_body() -> None:
+    library = _native_library()
+    for states in (4, 16, 32, 128, 256):
+        assert library.search_vector_body(states) == 0
+
+
+@needs_native
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or "avx2" not in _cpu_flags(),
+    reason="the vector body is for x86-64 CPUs whose /proc/cpuinfo lists avx2",
+)
+def test_k7_searcher_takes_the_vector_body_where_the_cpu_has_avx2() -> None:
+    """A dispatch that slips back to the plain body returns the same bytes at
+    half the speed: no equivalence test can see it, this one does."""
+    viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 7), "native")
+    assert viterbi._expanded is not None and viterbi._limit >= 0
+    assert viterbi._search_tables[2][1] is not None  # the kernel is handed it
+    assert _native_library().search_vector_body(viterbi.trellis.num_states) == 1
+
+
+@needs_native
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
+def test_k7_survivor_word_and_renormalisation_edges(variant) -> None:
+    """Step counts either side of 8 (a survivor byte of the plain body), 16
+    (the first renormalisation) and 32 (the second), on cells with headroom
+    and on saturated ones."""
+    code = _make_code(variant, 7)
+    num_levels = code.viterbi.codebook.num_levels
+    for steps in (1, 7, 8, 9, 15, 16, 17, 33):
+        for lanes, max_level in ((1, num_levels - 2), (3, num_levels - 1)):
+            reps, levels = _random_case(
+                code.viterbi, lanes, steps, steps + lanes, max_level
+            )
+            _assert_native_is_numpy(code, reps, levels)
+
+
+@needs_native
+def test_k7_lane_whose_costs_pass_int16_renormalises() -> None:
+    """mfc-3/4 on cells all at level 2 costs near 3 a step: past 6000 steps
+    the cheapest path's cost passes int16's BIG, so only renormalising
+    every 16 steps keeps the lane finite and exact."""
+    code = _make_code("mfc-3/4", 7)
+    reps = np.random.default_rng(34).integers(0, code.viterbi.num_values, (1, 6000))
+    levels = np.full((1, 6000, code.viterbi.cells_per_step), 2)
+    assert _assert_native_is_numpy(code, reps, levels).all()
+    total = code.viterbi.search_batch(reps, levels).total_costs[0]
+    assert kernels.INT16_BIG < total < np.inf
+
+
+def _free_metric(level: int, target: int, num_levels: int) -> float:
+    return 0.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_k7_every_end_state_ties(backend) -> None:
+    """A metric that costs nothing: every select ties and all 64 end states
+    tie, so the tie rules alone pick the path.  End state 0, predecessor 0
+    at every step: the path stays in state 0, whose output on input 0 is
+    zero, so the codeword is the coset chunks themselves."""
+    trellis = get_code(2, 7).build_trellis()
+    viterbi = CosetViterbi(
+        trellis, make_codebook(1, 4, metric=_free_metric), backend=backend
+    )
+    assert viterbi.backend.name == backend and trellis.output_values[0, 0] == 0
+    for steps in (1, 8, 16, 17, 33):
+        reps = np.zeros((2, steps), dtype=np.int64)
+        reps[1] = np.random.default_rng(steps).integers(0, viterbi.num_values, steps)
+        levels = np.zeros((2, steps, viterbi.cells_per_step), dtype=np.int64)
+        result = viterbi.search_batch(reps, levels)
+        assert result.total_costs.tolist() == [0.0, 0.0]
+        assert result.codeword_values.tobytes() == reps.tobytes()
+
+
+@needs_native
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
+def test_native_k7_batch_of_writable_and_unwritable_lanes(variant) -> None:
+    """Every search of a K=7 page lifetime, each batch holding an unwritable
+    lane between writable ones."""
+    code = _make_code(variant, 7)
+    code.viterbi = _with_backend(code, "numpy")
+    searches = _page_lifetime(code, 5, 7)
+    mixed = 0
+    for reps, levels in searches:
+        writable = _assert_native_is_numpy(code, reps, levels)
+        mixed += bool(writable.any() and not writable.all())
+    assert mixed > 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

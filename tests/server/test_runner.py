@@ -101,6 +101,25 @@ class TestBenchCli:
         assert re.search(r"^repro_server_requests 6$", text, re.M)
         assert re.search(r"^repro_ftl_host_writes 5$", text, re.M)
 
+    def test_loopback_takes_the_shared_workload_and_trace_flags(
+        self, tmp_path, capsys
+    ) -> None:
+        """The device, workload and telemetry flags ``bench`` shares with
+        ``repro.ssd`` reach its loopback run: a WOM device half full, a
+        phased schedule, and the span trace written at exit."""
+        trace = tmp_path / "bench-trace.jsonl"
+        code = main(["bench", "--clients", "1", "--ops", "8", *FAST_DEVICE,
+                     "--scheme", "wom", "--utilization", "0.5",
+                     "--workload", "zipf", "--phase", "zipf:4,uniform:4",
+                     "--trace-out", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line for line in out.splitlines()
+                if re.match(r"\s+\d+\s+closed", line)]
+        assert len(rows) == 1 and rows[0].split()[2] == "8"
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert spans and all("name" in span for span in spans)
+
 
 class TestServeCli:
     def test_serve_until_sigint_flushes_metrics(self, tmp_path) -> None:
