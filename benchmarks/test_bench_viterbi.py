@@ -30,9 +30,9 @@ def _machine() -> dict:
 
 
 def _make_code(backend: str) -> ConvolutionalCosetCode:
-    """A code whose whole write and read (division, levels, search,
-    program, decode) run on ``backend``: the code binds all of them from
-    one backend, chosen by the environment when it is built."""
+    """A code whose whole write and read (search inputs, search, program,
+    decode) run on ``backend``: the code binds all of them from one
+    backend, chosen by the environment when it is built."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(BACKEND_ENV, backend)
         code = ConvolutionalCosetCode(
@@ -42,7 +42,7 @@ def _make_code(backend: str) -> ConvolutionalCosetCode:
     kernel = resolve_backend(backend)
     assert code.viterbi.backend is kernel
     assert code.varray._popcount is kernel.levels
-    assert code.former._divide is kernel.divide
+    assert code.viterbi.backend.search_inputs is kernel.search_inputs
     return code
 
 

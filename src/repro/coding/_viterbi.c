@@ -1,8 +1,8 @@
-/* Page kernel: the "native" backend of repro.coding.kernels, one exported
- * function per stage of an MFC write (divide, levels, search and program),
- * one for an MFC read (decode) and one per direction of the WOM code
- * (wom_encode, wom_decode), and search_vector_body, which says which body
- * search runs.
+/* Page kernel: the "native" backend of repro.coding.kernels.  An MFC write is
+ * three calls, search_inputs (the coset chunks and the page's levels), search
+ * and program; an MFC read is one (decode); the WOM code has one per direction
+ * (wom_encode, wom_decode).  levels counts the cells of any page, and
+ * search_vector_body says which body search runs.
  * kernels.py compiles it on first use (-O3 -shared -fPIC; gcc vectorises the
  * butterfly loop only at -O3) and loads it with ctypes.
  *
@@ -21,8 +21,11 @@
  * do; old + cost <= 2 * BIG stays in int16.  Every RENORM steps the least
  * finite metric moves into an int64 offset; a finite one still above `limit`
  * could reach BIG before the next, so that lane WIDENs and is redone in
- * double.  Both are one body, this file including itself; in the double one
- * BIG is IEEE inf, the clamp a no-op and nothing renormalises: never build it
+ * double.  A least metric of BIG says every state is dead, and no later step
+ * revives one: the lane stops there, unwritable, once the steps it does not
+ * run are range-checked.  An unwritable lane's codeword is all zeros.  Both
+ * are one body, this file including itself; in the double one BIG is IEEE
+ * inf, the clamp a no-op and nothing renormalises or stops: never build it
  * with -ffast-math.
  *
  * That body is plain C, which gcc runs eight states to an SSE2 register, the
@@ -32,7 +35,7 @@
  * compiled for AVX2 by a function attribute and taken only when the CPU says
  * it has AVX2 (search_vector_body), so one artefact built without -march runs
  * on any x86-64, and the file still compiles where there is no such target.
- * Both bodies keep the same four rules, so they return the same bytes.
+ * Both bodies keep the same five rules, so they return the same bytes.
  *
  * Tables are C-contiguous.  Every function returns -1 when scratch cannot be
  * allocated, -2 when an input is out of range, else 0 (search: the number of
@@ -58,6 +61,21 @@ static void pack(int64_t S, const uint8_t *restrict k, uint8_t *restrict bits)
             byte |= k[q * S + s] << q;
         bits[s] = byte;
     }
+}
+
+/* The range check of the steps a stopped lane does not run: it refuses what
+ * a full pass would, every chunk below V and every level below L. */
+static int unrun_in_range(int64_t steps, int64_t cells, int64_t L, int64_t V,
+                          const int64_t *reps, const int64_t *levels)
+{
+    for (int64_t t = 0; t < steps; t++) {
+        if ((uint64_t)reps[t] >= (uint64_t)V)
+            return -2;
+        for (int64_t c = 0; c < cells; c++)
+            if ((uint64_t)levels[t * cells + c] >= (uint64_t)L)
+                return -2;
+    }
+    return 0;
 }
 
 /* By name, not __FILE__: a quoted include is looked up beside the including
@@ -149,6 +167,11 @@ lane64_avx2(int64_t steps, int64_t cells, int64_t L, int64_t V, int64_t limit,
             __m128i half = _mm_min_epu16(_mm256_castsi256_si128(m),
                                          _mm256_extracti128_si256(m, 1));
             int16_t least = (int16_t)_mm_cvtsi128_si32(_mm_minpos_epu16(half));
+            if (least == BIG16) { /* every state dead: the lane stops */
+                *end = 0;
+                *total = INFINITY;
+                return unrun_in_range(steps - t, cells, L, V, reps + t, levels);
+            }
             __m256i by = _mm256_set1_epi16(least), wide = _mm256_setzero_si256();
 #define RENORMED(x)                                                        \
     do {                                                                   \
@@ -252,6 +275,10 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
         if (status)
             break;
         writable[b] = total[b] < INFINITY;
+        if (!writable[b]) {
+            memset(codeword + b * steps, 0, (size_t)steps * sizeof *codeword);
+            continue;
+        }
         /* The input consumed on entering a state is its low bit, and its k-th
          * predecessor is (state >> 1) + k * S/2. */
         if (words) {
@@ -279,36 +306,149 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
     return status ? status : widened;
 }
 
-/* Per-cell levels: the sum of each cell's `width` one-byte bits, rows of
- * `cells` cells `stride` bytes apart.  A cell is a strided read, so a span of
- * cells at a time sums windows instead: sum[x] = page[x] + ... +
- * page[x + width - 1] is `width` vector adds over contiguous bytes, and a
- * cell's level is the sum at its first bit.  The same pass ORs every byte,
- * for the check that each is a bit. */
+/* One page's per-cell levels: the sum of each cell's `width` one-byte bits.
+ * A cell is a strided read, so a span of cells at a time sums windows
+ * instead: sum[x] = page[x] + ... + page[x + width - 1] is `width` vector adds
+ * over contiguous bytes, and a cell's level is the sum at its first bit.  The
+ * same pass ORs every byte, which it returns, for the check that each is a
+ * bit.  width is 1 .. 255. */
+static uint8_t count_cells(int64_t cells, int64_t width, const uint8_t *page,
+                           int64_t *out)
+{
+    uint8_t sum[4096], bits = 0;
+    int64_t span = sizeof sum / width * width; /* bytes: whole cells */
+    for (int64_t x0 = 0; x0 < cells * width; x0 += span, page += span) {
+        int64_t n = cells * width - x0 < span ? cells * width - x0 : span;
+        for (int64_t x = 0; x < n; x++) {
+            sum[x] = page[x];
+            bits |= page[x];
+        }
+        for (int64_t j = 1; j < width; j++)
+            for (int64_t x = 0; x < n - j; x++)
+                sum[x] += page[x + j];
+        for (int64_t x = 0; x < n; x += width)
+            *out++ = sum[x];
+    }
+    return bits;
+}
+
+/* Per-cell levels of rows of `cells` cells, `stride` bytes apart. */
 int levels(int64_t rows, int64_t cells, int64_t width, int64_t stride,
            const uint8_t *pages, /* (rows, stride), the cells at the front */
            int64_t *out)         /* out (rows, cells) */
 {
-    uint8_t sum[4096], bits = 0;
+    uint8_t bits = 0;
     if (width < 1 || width > 255 || cells < 0 ||
         (rows > 1 && stride < cells * width))
         return -2;
-    int64_t span = sizeof sum / width * width; /* bytes: whole cells */
-    for (int64_t r = 0; r < rows; r++, pages += stride)
-        for (int64_t x0 = 0; x0 < cells * width; x0 += span) {
-            const uint8_t *page = pages + x0;
-            int64_t n = cells * width - x0 < span ? cells * width - x0 : span;
-            for (int64_t x = 0; x < n; x++) {
-                sum[x] = page[x];
-                bits |= page[x];
-            }
-            for (int64_t j = 1; j < width; j++)
-                for (int64_t x = 0; x < n - j; x++)
-                    sum[x] += page[x + j];
-            for (int64_t x = 0; x < n; x += width)
-                *out++ = sum[x];
-        }
+    for (int64_t r = 0; r < rows; r++, pages += stride, out += cells)
+        bits |= count_cells(cells, width, pages, out);
     return bits > 1 ? -2 : 0;
+}
+
+/* Bit i of the result is the low bit of byte i of the eight loaded into
+ * `word`: one multiply places each at bit 56 + i, and no two products
+ * overlap. */
+static inline unsigned bits_of(uint64_t word)
+{
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    word = __builtin_bswap64(word); /* byte i at bits 8i .. 8i + 7 */
+#endif
+    return (unsigned)((word & 0x0101010101010101u) * 0x0102040810204080u >> 56);
+}
+
+/* The search's two inputs, one pass over each lane's dataword and one over
+ * its page.
+ *
+ * The coset chunks: the syndrome is zero in the first `guard` steps and the
+ * dataword's m - 1 bits a step after them; the representative's t_1 is 0 and
+ * t_{j+1} = s_j / g1.  The m - 1 streams lie interleaved in the dataword,
+ * which makes them one stream divided by g1(D**(m-1)): a tap k of g1 is tap
+ * k * (m - 1) of that stream, and the shift register out[n] = in[n] ^
+ * out[n - tap] ^ ... holds in one word.  Bit i of `pending` is what out[n + i]
+ * takes from the outputs already made: each output XORs `feedback` (bit
+ * tap - 1 for every tap) in, and the word shifts once a bit.  The register is
+ * linear, so eight bits are one lookup: pending's low byte acts on the next
+ * eight outputs as that many more input bits, and the rest only shifts.
+ * Entry y of made/left is what eight bits from an empty register make of
+ * input byte y: the outputs, and the register they leave.  The outputs queue
+ * in `queue` until a step's m - 1 of them are there, and that step's chunk,
+ * stream j at bit j, is written once.
+ *
+ * The levels: count_cells over every cell, the tail cells past the steps' too,
+ * so a byte that is not a bit in any of them, or in the dataword, refuses the
+ * call and the numpy twin raises what it names. */
+int search_inputs(int64_t lanes, int64_t page_bits, int64_t num_cells,
+                  int64_t width, int64_t steps, int64_t m, int64_t guard,
+                  int64_t taps,
+                  const uint64_t *generators, /* (m,) g_1 .. g_m, bit k for D**k */
+                  const uint8_t *data,  /* (lanes, (steps - guard) * (m - 1)) */
+                  const uint8_t *pages, /* (lanes, page_bits) */
+                  int64_t *chunks,      /* out (lanes, steps) */
+                  int64_t *levels)      /* out (lanes, num_cells) */
+{
+    int64_t w = m - 1, data_bits = (steps - guard) * w;
+    /* The queue holds at most m - 2 bits left over and a lookup's eight. */
+    if (width < 1 || width > 255 || m < 2 || m > 57 || guard < 0 ||
+        guard > steps || taps < 1 || taps > 64 || num_cells < 0 ||
+        num_cells * width > page_bits)
+        return -2;
+    uint64_t feedback = 0, left[256], seen = 0;
+    for (int64_t k = 1; k < taps; k++) {
+        if (!(generators[0] >> k & 1))
+            continue;
+        if (k * w > 64)
+            return -2;
+        feedback |= (uint64_t)1 << (k * w - 1);
+    }
+    uint8_t made[256], cells_seen = 0;
+    /* One byte's entry is the XOR of its bits' entries. */
+    made[0] = 0;
+    left[0] = 0;
+    for (int q = 0; q < 8; q++) {
+        uint64_t pending = 0;
+        uint8_t outputs = 0;
+        for (int i = 0; i < 8; i++) {
+            uint64_t bit = (uint64_t)(i == q) ^ (pending & 1);
+            outputs |= bit << i;
+            pending = pending >> 1 ^ (feedback & -bit);
+        }
+        for (int y = 0; y < 1 << q; y++) {
+            made[y | 1 << q] = made[y] ^ outputs;
+            left[y | 1 << q] = left[y] ^ pending;
+        }
+    }
+    uint64_t mask = ((uint64_t)1 << w) - 1;
+    for (int64_t b = 0; b < lanes; b++) {
+        const uint8_t *in = data + b * data_bits;
+        int64_t *chunk = chunks + b * steps;
+        uint64_t pending = 0, queue = 0;
+        int64_t queued = 0, n = 0;
+        for (int64_t t = 0; t < guard; t++)
+            *chunk++ = 0;
+        for (; n + 8 <= data_bits; n += 8) {
+            uint64_t word;
+            memcpy(&word, in + n, sizeof word);
+            seen |= word;
+            unsigned y = bits_of(word) ^ (unsigned)(pending & 0xff);
+            pending = pending >> 8 ^ left[y];
+            queue |= (uint64_t)made[y] << queued;
+            for (queued += 8; queued >= w; queued -= w, queue >>= w)
+                *chunk++ = (int64_t)((queue & mask) << 1);
+        }
+        for (; n < data_bits; n++) {
+            uint64_t bit = (in[n] ^ pending) & 1;
+            seen |= in[n];
+            pending = pending >> 1 ^ (feedback & -bit);
+            queue |= bit << queued;
+            for (queued++; queued >= w; queued -= w, queue >>= w)
+                *chunk++ = (int64_t)((queue & mask) << 1);
+        }
+        cells_seen |= count_cells(num_cells, width, pages + b * page_bits,
+                                  levels + b * num_cells);
+    }
+    /* A byte of either input that is not a bit: the twin names it. */
+    return (seen & ~(uint64_t)0x0101010101010101u) || cells_seen > 1 ? -2 : 0;
 }
 
 /* RAISE3[p][d]: the bits of a 3-bit cell (bit j is its j-th byte) after its
@@ -499,66 +639,6 @@ int decode(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
     return 0;
 }
 
-/* Causal division by g1(D) of `rows` streams, in place: the shift register
- * out[t] = in[t] ^ out[t - tap] ^ ... over g1's nonzero powers >= 1, held in
- * one word.  Bit i of `pending` is what out[t + i] takes from the outputs
- * already made: each output XORs `feedback` (bit tap - 1 for every tap) in,
- * and the word shifts once a step.  A tap past 64 does not fit.
- *
- * The register is linear, so eight steps are one lookup: pending's low byte
- * acts on out[t .. t + 7] as that many more input bits, and the rest only
- * shifts.  Entry y of the tables is what eight steps from an empty register
- * make of input byte y: the outputs, and the register they leave. */
-int divide(int64_t rows, int64_t steps, int64_t ntaps, const int64_t *taps,
-           uint8_t *out)
-{
-    uint64_t feedback = 0, left[256];
-    uint8_t made[256], bits = 0;
-    for (int64_t k = 0; k < ntaps; k++) {
-        if (taps[k] < 1 || taps[k] > 64)
-            return -2;
-        feedback |= (uint64_t)1 << (taps[k] - 1);
-    }
-    /* One byte's entry is the XOR of its bits' entries. */
-    made[0] = 0;
-    left[0] = 0;
-    for (int q = 0; q < 8; q++) {
-        uint64_t pending = 0;
-        uint8_t outputs = 0;
-        for (int i = 0; i < 8; i++) {
-            uint64_t bit = (uint64_t)(i == q) ^ (pending & 1);
-            outputs |= bit << i;
-            pending = pending >> 1 ^ (feedback & -bit);
-        }
-        for (int y = 0; y < 1 << q; y++) {
-            made[y | 1 << q] = made[y] ^ outputs;
-            left[y | 1 << q] = left[y] ^ pending;
-        }
-    }
-    for (int64_t r = 0; r < rows; r++, out += steps) {
-        uint64_t pending = 0;
-        int64_t t = 0;
-        for (; t + 8 <= steps; t += 8) {
-            unsigned y = 0;
-            for (int i = 0; i < 8; i++) {
-                bits |= out[t + i];
-                y |= (unsigned)(out[t + i] & 1) << i;
-            }
-            y ^= pending & 0xff;
-            for (int i = 0; i < 8; i++)
-                out[t + i] = made[y] >> i & 1;
-            pending = pending >> 8 ^ left[y];
-        }
-        for (; t < steps; t++) {
-            uint64_t bit = (out[t] ^ pending) & 1;
-            bits |= out[t];
-            out[t] = (uint8_t)bit;
-            pending = pending >> 1 ^ (feedback & -bit);
-        }
-    }
-    return bits > 1 ? -2 : 0;
-}
-
 /* The paper's WOM code (repro.coding.wom): a v-cell is three one-byte bits,
  * pattern b0 | b1 << 1 | b2 << 2, and stores the two data bits d0 | d1 << 1.
  * A page is `cells` such cells and the tail bits no cell owns.  Every index
@@ -708,9 +788,14 @@ static int NAME(lane)(int64_t steps, int64_t S, int64_t cells, int64_t L,
             return -2;
         T *old = scratch + (t & 1) * S, *new = scratch + (~t & 1) * S;
         if (BIG < INFINITY && t && t % RENORM == 0) {
-            T least = BIG; /* BIG in a dead lane: its offset is never read */
+            T least = BIG;
             for (int64_t s = 0; s < S; s++)
                 least = old[s] < least ? old[s] : least;
+            if (least == BIG) { /* every state dead: the lane stops */
+                *end = 0;
+                *total = INFINITY;
+                return unrun_in_range(steps - t, cells, L, V, reps + t, levels);
+            }
             int wide = 0;
             for (int64_t s = 0; s < S; s++) {
                 old[s] = old[s] < BIG ? old[s] - least : BIG;

@@ -26,28 +26,6 @@ from repro.vcell import VCellArray, VCellSpec
 __all__ = ["ConvolutionalCosetCode"]
 
 
-def _packed_chunks(representative: np.ndarray) -> np.ndarray:
-    """``(B, steps)`` chunks of a ``(B, steps, m)`` coset representative, the
-    search's input: stream ``j`` at bit ``j``, all 0 or 1, and ``t_1 = 0``.
-
-    Where a step's ``m`` bytes make one numpy integer they are read as one,
-    little-endian, so stream ``j`` is its bit ``8j``: a contiguous read.
-    Gathering stream ``j``'s column is a strided one, and costs more than
-    the shifts; it stays only for the widths no integer has.
-    """
-    lanes, steps, m = representative.shape
-    if m in (2, 4, 8):
-        words = representative.reshape(lanes, steps * m).view(f"<u{m}")
-        chunks = (words >> 7) & 2
-        for j in range(2, m):
-            chunks |= (words >> 7 * j) & (1 << j)
-        return chunks
-    chunks = np.left_shift(representative[:, :, 1], 1, dtype=np.int64)
-    for j in range(2, m):
-        chunks |= np.left_shift(representative[:, :, j], j, dtype=np.int64)
-    return chunks
-
-
 class ConvolutionalCosetCode(PageCode):
     """A rewriting coset code bound to a concrete page size.
 
@@ -94,11 +72,13 @@ class ConvolutionalCosetCode(PageCode):
                 f"rate-1/{m} outputs do not divide into "
                 f"{self.codebook.bits_per_cell}-bit symbols"
             )
-        # One backend serves the whole write: division, levels, search, program.
+        # One backend serves the whole write: the search's inputs (the coset
+        # chunks and the page's levels), the search and the program.
         self.viterbi = CosetViterbi(code.build_trellis(), self.codebook)
-        backend = self.viterbi.backend
-        self.varray = VCellArray(VCellSpec(self.codebook.num_levels), page_bits, backend.levels)
-        self.former = SyndromeFormer(code, divide=backend.divide)
+        self.varray = VCellArray(
+            VCellSpec(self.codebook.num_levels), page_bits, self.viterbi.backend.levels
+        )
+        self.former = SyndromeFormer(code)
         self.cells_per_step = m // self.codebook.bits_per_cell
         self.steps = self.varray.num_cells // self.cells_per_step
         if self.steps == 0:
@@ -117,10 +97,10 @@ class ConvolutionalCosetCode(PageCode):
                 f"the {self.guard_steps}-step guard region"
             )
         self.dataword_bits = (self.steps - self.guard_steps) * (m - 1)
-        # The native program's and decode's tables, bound once as the
-        # searcher binds its own: C order, kept with their addresses.  A
-        # generator is one word, bit k its D**k coefficient (the kernel
-        # refuses a code of more than 64 taps).
+        # The native program's, decode's and search inputs' tables, bound
+        # once as the searcher binds its own: C order, kept with their
+        # addresses.  A generator is one word, bit k its D**k coefficient
+        # (the kernel refuses a code of more than 64 taps).
         table = np.ascontiguousarray(self.codebook.target_table, dtype=np.int64)
         self._target_table = (table, table.ctypes.data)
         symbols = np.ascontiguousarray(self.codebook.read_table, dtype=np.int64)
@@ -200,7 +180,8 @@ class ConvolutionalCosetCode(PageCode):
         ``datawords`` is ``(B, dataword_bits)``, ``pages`` is
         ``(B, page_bits)``.  Returns ``(new_pages, writable)``; lanes whose
         coset has no writable member keep their previous bits and come back
-        False in the mask.
+        False in the mask.  Three calls of the backend: the search's inputs
+        (the coset chunks and the pages' levels), the search, the program.
         """
         data = self._datawords(datawords, batch=True)
         pages = np.asarray(pages, dtype=np.uint8)
@@ -209,21 +190,16 @@ class ConvolutionalCosetCode(PageCode):
             raise CodingError(
                 f"{lanes} datawords but {len(pages)} pages"
             )
-        m = self.code.num_outputs
-        syndrome = np.zeros((lanes, self.steps, m - 1), dtype=np.uint8)
-        syndrome[:, self.guard_steps :] = data.reshape(
-            lanes, self.steps - self.guard_steps, m - 1
-        )
-        rep_values = _packed_chunks(self.former.representative_batch(syndrome))
-        all_levels = self.varray.levels_batch(pages)
+        backend = self.viterbi.backend
+        chunks, all_levels = backend.search_inputs(self, data, pages)
         step_levels = all_levels[:, : self.used_cells].reshape(
             lanes, self.steps, self.cells_per_step
         )
-        result = self.viterbi.search_batch(rep_values, step_levels)
+        result = self.viterbi.search_batch(chunks, step_levels)
         self._last_costs = result.total_costs
         # The program may write the new levels over all_levels, which
         # result.step_levels views: nothing reads the result after it.
-        new_pages, self._last_levels = self.viterbi.backend.program(
+        new_pages, self._last_levels = backend.program(
             self, pages, all_levels, result
         )
         return new_pages, result.writable

@@ -3,40 +3,51 @@
 A backend is one implementation of the loops the page codes run per page,
 each a function of the arrays the code hands it: the same results, bit for
 bit, from numpy or from C.  A code resolves its backend once, when it is
-built.  Every MFC write runs one minimum-cost coset search, the hottest
-code in the repository, between a division by ``g1`` and the programming
-of the page; :class:`~repro.coding.viterbi.CosetViterbi` owns the search's
-tables and the dispatch.  Every MFC read is one call that forms the
-page's syndrome.  :class:`~repro.coding.wom.WomVCellCode` runs the WOM
-code's two table walks.
+built.  Every MFC write is three calls: the search's inputs (the coset
+chunks, the dataword's syndrome divided by ``g1``, and the page's levels),
+the minimum-cost coset search, the hottest code in the repository, and
+the programming of the page; :class:`~repro.coding.viterbi.CosetViterbi`
+owns the search's tables and the dispatch.  Every MFC read is one call
+that forms the page's syndrome.  :class:`~repro.coding.wom.WomVCellCode`
+runs the WOM code's two table walks.
 
-A backend is seven functions: the four stages of an MFC write, in the
-order the write runs them, the MFC read, then the WOM code's two
-directions::
+A backend is seven functions: the three stages of an MFC write, in the
+order the write runs them, the MFC read, the level count of any other
+page read, then the WOM code's two directions::
 
-    divide(numerators, feedback_taps) -> quotients
-    levels(cells) -> levels
+    search_inputs(code, datawords, pages) -> (chunks, levels)
     search(viterbi, reps, levels) -> (codeword_values, total_costs, writable)
     program(code, pages, levels, result) -> (new_pages, new_levels)
     decode(code, pages) -> datawords
+    levels(cells) -> levels
     wom_encode(code, datawords, pages) -> (new_pages, writable)
     wom_decode(code, pages) -> datawords
 
-``divide`` is :func:`~repro.coding.bitops.gf2_divide_causal` on bits
-(``native`` holds the ``g1`` register in one word: a tap past 64, or a
-byte that is not a bit, is an ``IndexError`` there), and
-``levels`` is :func:`~repro.vcell.varray._popcount`: ``cells`` is
-``(..., num_cells, bits_per_cell)`` uint8, the result int64
-``(..., num_cells)``, and a byte that is not a bit is a ``VCellError``
-naming its lane and bit.  ``search`` reads the tables of the
-``CosetViterbi`` it is handed; ``reps`` is ``(B, steps)`` and ``levels``
-``(B, steps, cells)``, int64 but not necessarily contiguous.  It returns
-the ``(B, steps)`` int64 codeword chunks, the ``(B,)`` float64 total
-costs (``inf`` on an unwritable lane) and the ``(B,)`` bool writability.
-Strict-less selects are load-bearing: a tie keeps the lower predecessor,
-and the end state is the first minimum, ``argmin``'s rule, which the
-historical recursion (and so every recorded result) follows.  A backend
-that breaks ties differently is *wrong* even if its total costs agree.
+``search_inputs`` takes the
+:class:`~repro.coding.coset.ConvolutionalCosetCode`, ``(B,
+dataword_bits)`` datawords and ``(B, page_bits)`` pages, uint8.  It
+returns the ``(B, steps)`` int64 coset chunks (stream ``j`` of the
+representative at bit ``j``, ``t_1 = 0``, the guard steps' syndrome
+zero) and the pages' ``(B, num_cells)`` C-order int64 levels, the ones
+``program`` writes over.  Its numpy twin is the syndrome embedding,
+``SyndromeFormer.representative_batch`` (so
+:func:`~repro.coding.bitops.gf2_divide_causal`), ``_packed_chunks`` and
+``VCellArray.levels_batch``.  A dataword byte that is not a bit is a
+:class:`~repro.errors.CodingError`, and a page byte that is not a bit, in
+any cell, the tail cells past ``used_cells`` too, a ``VCellError``, each
+naming its lane and bit.
+``search`` reads the tables of the ``CosetViterbi`` it is handed;
+``reps`` is ``(B, steps)`` and ``levels`` ``(B, steps, cells)``, int64
+but not necessarily contiguous.  It returns the ``(B, steps)`` int64
+codeword chunks (all zeros on an unwritable lane), the ``(B,)`` float64
+total costs (``inf`` on an unwritable lane) and the ``(B,)`` bool
+writability.  Strict-less selects are load-bearing: a tie keeps the lower
+predecessor, and the end state is the first minimum, ``argmin``'s rule,
+which the historical recursion (and so every recorded result) follows.  A
+backend that breaks ties differently is *wrong* even if its total costs
+agree.  A lane whose every state is dead part way along is unwritable
+whatever follows, so a backend may stop it there, as long as it still
+refuses an out-of-range chunk or level in the steps it does not run.
 ``program`` takes the :class:`~repro.coding.coset.ConvolutionalCosetCode`,
 its pages, their ``(B, num_cells)`` levels and the search's
 ``ViterbiBatchResult``, and returns new pages: each used cell of a
@@ -55,6 +66,10 @@ out as the code's ``m`` streams, their syndrome, and of it the steps past
 ``used_cells`` too, so a byte that is not a bit in any of them is the
 ``VCellError`` ``levels`` raises; the tail bits past ``used_bits`` are
 not read.
+``levels`` is :func:`~repro.vcell.varray._popcount`: ``cells`` is
+``(..., num_cells, bits_per_cell)`` uint8, the result int64
+``(..., num_cells)``, and a byte that is not a bit is a ``VCellError``
+naming its lane and bit.
 ``wom_encode`` and ``wom_decode`` take the
 :class:`~repro.coding.wom.WomVCellCode` and uint8 arrays it checked the
 shapes of, one page or ``(B, ...)`` of them: datawords ``(...,
@@ -66,8 +81,8 @@ pattern can reach keeps its bits and is not writable (``writable`` is
 :class:`~repro.errors.CodingError` naming its lane and bit.
 ``tests/coding/test_viterbi_kernel.py`` pins every available backend's
 ``search`` to byte-identical codewords, costs and writability,
-``tests/coding/test_page_kernel.py`` the other three MFC stages and the
-MFC read to the numpy backend's bytes and exception types, and
+``tests/coding/test_page_kernel.py`` the other two MFC stages, the MFC
+read and ``levels`` to the numpy backend's bytes and exception types, and
 ``tests/coding/test_wom_kernel.py`` the WOM pair to its bytes,
 exceptions and messages.
 
@@ -89,7 +104,8 @@ integers or ``inf``, a level space small enough to tabulate, a
 shift-register trellis); a ``CosetViterbi`` outside it resolves to
 numpy, for the whole write.  Its path metrics are
 int16, clamped and renormalised so that they stay exact, and a lane they
-could overflow is redone in float64 inside the call.  Survivors are one
+could overflow is redone in float64 inside the call; a lane whose least
+metric at a renormalisation is infeasible stops there.  Survivors are one
 bit per (step, state), walked back per lane.  Its ``program`` runs a body
 the compiler specialises for each Table I shape (3-bit cells with that
 code's cells per step and bits per cell), a generic one for any other,
@@ -99,12 +115,16 @@ can redo a refused call from the same levels.  Its ``decode`` walks a page
 once: a used cell's bytes summed, its symbol read, the symbol's bits
 shifted into one 64-bit history word per stream, and each syndrome bit
 the parity of two of them ANDed with a generator (a code of more than 64
-taps goes to the twin).  Its ``divide`` takes eight
-steps per lookup in a 256-entry table built from the taps.  Its WOM pair
+taps goes to the twin).  Its ``search_inputs`` walks each dataword and
+each page once.  The ``m - 1`` syndrome streams lie interleaved, so one
+shift register in one word divides them as one stream by
+``g1(D**(m-1))``, eight bits per lookup in a 256-entry table built from
+``g1``, and writes each step's chunk once; a page's bytes are summed per
+cell and each checked to be a bit.  Its WOM pair
 walks each page a cell at a time, one lookup in the code's table per
 cell; a byte that is not a bit fails the call, and the numpy twin then
 raises what it names.
-The search's, the page program's and read's and the WOM code's tables
+The search's, the page write's and read's and the WOM code's tables
 never change, so the ``CosetViterbi``, the ``ConvolutionalCosetCode`` and
 the ``WomVCellCode`` address them once, when they are built, and keep each
 array with its address; a call hands over only the page's arrays besides.
@@ -122,11 +142,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.coding.bitops import (
-    gf2_divide_causal,
-    pack_values_axis,
-    unpack_values_axis,
-)
+from repro.coding.bitops import pack_values_axis, unpack_values_axis
 from repro.coding.page_code import require_bits
 from repro.errors import ConfigurationError
 from repro.vcell.varray import _popcount
@@ -151,10 +167,10 @@ class KernelBackend:
     """One registered implementation of the page-write loops."""
 
     name: str
+    search_inputs: Callable
     search: Callable
     program: Callable
     decode: Callable
-    divide: Callable
     levels: Callable
     wom_encode: Callable
     wom_decode: Callable
@@ -164,6 +180,43 @@ class KernelBackend:
 
 
 # -- numpy backend --------------------------------------------------------------
+
+
+def _packed_chunks(representative: np.ndarray) -> np.ndarray:
+    """``(B, steps)`` chunks of a ``(B, steps, m)`` coset representative, the
+    search's input: stream ``j`` at bit ``j``, all 0 or 1, and ``t_1 = 0``.
+
+    Where a step's ``m`` bytes make one numpy integer they are read as one,
+    little-endian, so stream ``j`` is its bit ``8j``: a contiguous read.
+    Gathering stream ``j``'s column is a strided one, and costs more than
+    the shifts; it stays only for the widths no integer has.
+    """
+    lanes, steps, m = representative.shape
+    if m in (2, 4, 8):
+        words = representative.reshape(lanes, steps * m).view(f"<u{m}")
+        chunks = (words >> 7) & 2
+        for j in range(2, m):
+            chunks |= (words >> 7 * j) & (1 << j)
+        return chunks
+    chunks = np.left_shift(representative[:, :, 1], 1, dtype=np.int64)
+    for j in range(2, m):
+        chunks |= np.left_shift(representative[:, :, j], j, dtype=np.int64)
+    return chunks
+
+
+def _search_inputs_numpy(code, datawords, pages):
+    """The dataword as the syndrome past the guard steps, its coset
+    representative, that packed into chunks, and the pages' levels.  Every
+    dataword byte is checked to be a bit first, every page byte by the count."""
+    data = require_bits(np.asarray(datawords), "dataword")
+    lanes = len(data)
+    m = code.code.num_outputs
+    syndrome = np.zeros((lanes, code.steps, m - 1), dtype=np.uint8)
+    syndrome[:, code.guard_steps :] = data.reshape(
+        lanes, code.steps - code.guard_steps, m - 1
+    )
+    chunks = _packed_chunks(code.former.representative_batch(syndrome))
+    return chunks.astype(np.int64, copy=False), code.varray.levels_batch(pages)
 
 
 def _forward_numpy(v, reps, levels, dtype):
@@ -235,13 +288,16 @@ def _backtrace_numpy(v, reps, end_state, backptr):
 
 def _search_numpy(v, reps, levels):
     """The forward pass, in float32 when every integer sum stays exact in it,
-    then ``argmin``'s end state and the backtrace from it."""
+    then ``argmin``'s end state and the backtrace from it.  An unwritable
+    lane's codeword is all zeros, as the native kernel leaves it."""
     exact = v._integral_costs and reps.shape[1] * v._max_step_cost < 2**24
     path, backptr = _forward_numpy(v, reps, levels, np.float32 if exact else np.float64)
     end_state = np.argmin(path, axis=1)
     total_costs = path[np.arange(len(path)), end_state].astype(np.float64)
     codeword_values = _backtrace_numpy(v, reps, end_state, backptr)
-    return codeword_values, total_costs, np.isfinite(total_costs)
+    writable = np.isfinite(total_costs)
+    codeword_values[~writable] = 0
+    return codeword_values, total_costs, writable
 
 
 def _program_numpy(code, pages, levels, result):
@@ -308,8 +364,8 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 INT16_BIG, INT16_RENORM = 16383, 16
 #: What ``_viterbi.c`` exports: (int64 arguments, pointer arguments) by name.
 _SIGNATURES = {
-    "search": (7, 10), "program": (7, 5), "decode": (9, 4), "divide": (3, 2),
-    "levels": (4, 2), "wom_encode": (3, 5), "wom_decode": (3, 3),
+    "search_inputs": (8, 5), "search": (7, 10), "program": (7, 5),
+    "decode": (9, 4), "levels": (4, 2), "wom_encode": (3, 5), "wom_decode": (3, 3),
     "search_vector_body": (1, 0),
 }
 
@@ -414,9 +470,37 @@ def _make_native_backend() -> KernelBackend:
     # that dtype, through ascontiguousarray: a copy only for a strided or
     # narrow input.  A table a code bound at construction comes as the
     # address kept with it.
-    search_kernel, levels_kernel = library.search, library.levels
-    program_kernel, divide_kernel = library.program, library.divide
+    inputs_kernel, search_kernel = library.search_inputs, library.search
+    levels_kernel, program_kernel = library.levels, library.program
     decode_kernel = library.decode
+
+    def search_inputs(code, datawords, pages):
+        varray = code.varray
+        lanes = len(pages)
+        chunks = np.empty((lanes, code.steps), dtype=np.int64)
+        levels = np.empty((lanes, varray.num_cells), dtype=np.int64)
+        try:
+            if not (
+                datawords.dtype == pages.dtype == np.uint8
+                and datawords.shape == (lanes, code.dataword_bits)
+                and pages.shape == (lanes, varray.page_bits)
+            ):
+                raise IndexError("search_inputs kernel handed arrays of other shapes")
+            datawords = np.ascontiguousarray(datawords)
+            pages = np.ascontiguousarray(pages)
+            check(inputs_kernel(
+                lanes, varray.page_bits, varray.num_cells, varray.bits_per_cell,
+                code.steps, code.code.num_outputs, code.guard_steps,
+                code.code.constraint_length, code._read_tables[1][1],
+                address(datawords),
+                address(pages), address(chunks), address(levels),
+            ))
+        except IndexError:
+            # The kernel only says "out of range", a byte that is not a bit
+            # among them: the twin raises what its checks name, with the
+            # lane and the bit.
+            return _search_inputs_numpy(code, datawords, pages)
+        return chunks, levels
 
     def search(v, reps, levels):
         reps = np.ascontiguousarray(reps, dtype=np.int64)
@@ -508,16 +592,6 @@ def _make_native_backend() -> KernelBackend:
             return _decode_numpy(code, pages)
         return data
 
-    def divide(numerators, feedback_taps):
-        out = np.array(numerators, dtype=np.uint8, order="C")
-        if out.size:
-            taps = np.ascontiguousarray(feedback_taps, dtype=np.int64)
-            steps = out.shape[-1]
-            check(divide_kernel(
-                out.size // steps, steps, len(taps), address(taps), address(out)
-            ))
-        return out
-
     def wom_encode(code, data, pages):
         # One page or (lanes, page_bits) of them, one dataword a page.  One
         # page gets no mask, only the count of stuck lanes.
@@ -562,7 +636,7 @@ def _make_native_backend() -> KernelBackend:
         return data
 
     return KernelBackend(
-        "native", search, program, decode, divide, count, wom_encode,
+        "native", search_inputs, search, program, decode, count, wom_encode,
         wom_decode, needs_fused_table=True,
     )
 
@@ -574,8 +648,8 @@ def _make_native_backend() -> KernelBackend:
 #: it explicitly is a :class:`~repro.errors.ConfigurationError`.
 _FACTORIES: dict[str, Callable[[], KernelBackend]] = {
     "numpy": lambda: KernelBackend(
-        "numpy", _search_numpy, _program_numpy, _decode_numpy,
-        gf2_divide_causal, _popcount, _wom_encode_numpy, _wom_decode_numpy,
+        "numpy", _search_inputs_numpy, _search_numpy, _program_numpy,
+        _decode_numpy, _popcount, _wom_encode_numpy, _wom_decode_numpy,
     ),
     "native": _make_native_backend,
 }

@@ -8,11 +8,12 @@ vanish exactly on codewords, so the length-``(m-1)N`` syndrome sequence of a
 stored page identifies the dataword (the coset index).  Writing uses the
 canonical coset representative with ``t_1 = 0`` and
 ``t_{j+1}(D) = s_j(D) / g_1(D)`` — the division is causal because ``g_1`` has
-a nonzero constant term.  The coset code hands its kernel backend's ``divide``
-to the former: the shift register ``t[n] = s[n] ^ t[n - tap] ^ ...`` in C, or
-its numpy twin :func:`~repro.coding.bitops.gf2_divide_causal`, which runs the
-product ``s_j * g_1(D) * g_1(D**2) * g_1(D**4) * ...``, a few slice XORs per
-factor over all lanes and streams at once.
+a nonzero constant term.  :meth:`SyndromeFormer.representative_batch` runs
+it as :func:`~repro.coding.bitops.gf2_divide_causal`, the product
+``s_j * g_1(D) * g_1(D**2) * g_1(D**4) * ...``, a few slice XORs per factor
+over all lanes and streams at once: the numpy backend's half of a write's
+``search_inputs``.  The native kernel runs the same division as the shift
+register ``t[n] = s[n] ^ t[n - tap] ^ ...`` in C, inside that one call.
 
 Both directions are exact for *unterminated* trellis paths: the syndrome at
 step ``t`` only involves stored bits at steps ``<= t``, so truncation at the
@@ -35,16 +36,14 @@ class SyndromeFormer:
 
     Both directions carry an explicit batch axis (``syndrome_batch`` /
     ``representative_batch``); the scalar methods are their ``B = 1``
-    wrappers.  ``divide`` is a kernel backend's, with the signature and the
-    bytes of :func:`~repro.coding.bitops.gf2_divide_causal`.  A page read
-    is one call of the backend's ``decode``: ``syndrome_batch`` is the last
-    stage of its numpy twin, and the native kernel forms the same syndrome
-    in C.
+    wrappers.  A page write's search inputs and a page read are each one
+    call of the kernel backend: ``representative_batch`` and
+    ``syndrome_batch`` are stages of their numpy twins, and the native
+    kernel does the same arithmetic in C.
     """
 
-    def __init__(self, code: ConvolutionalCode, divide=gf2_divide_causal) -> None:
+    def __init__(self, code: ConvolutionalCode) -> None:
         self.code = code
-        self._divide = divide
         self._coeffs = code.coefficient_matrix.astype(np.int64)
         # A step's m-1 streams lie interleaved, which makes them one stream
         # divided by g1(D**(m-1)): its powers >= 1 are the feedback taps.
@@ -136,6 +135,8 @@ class SyndromeFormer:
         lanes, steps, width = s.shape
         rep = np.zeros((lanes, steps, self.code.num_outputs), dtype=np.uint8)
         # Dividing the streams as they lie keeps every access contiguous.
-        streams = self._divide(s.reshape(lanes, steps * width), self._feedback_taps)
+        streams = gf2_divide_causal(
+            s.reshape(lanes, steps * width), self._feedback_taps
+        )
         rep[:, :, 1:] = streams.reshape(s.shape)
         return rep

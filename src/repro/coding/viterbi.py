@@ -86,13 +86,15 @@ class ViterbiBatchResult:
     Attributes
     ----------
     codeword_values:
-        ``(B, steps)`` packed codeword chunks per lane.
+        ``(B, steps)`` packed codeword chunks per lane, all zeros on an
+        unwritable lane: no coset member is written there, and a backend
+        may stop searching such a lane where its last path dies.
     total_costs:
         ``(B,)`` metric cost per lane (``inf`` on unwritable lanes).
     writable:
         ``(B,)`` bool; False marks lanes whose page must be erased.  The
-        codeword and target entries of unwritable lanes are meaningless and
-        must not be committed.
+        target entries of unwritable lanes are those of the zero codeword
+        and must not be committed.
     step_levels, searcher:
         What was searched and by whom: :attr:`target_levels` is made of them.
     """

@@ -167,8 +167,8 @@ class PageCodeScheme(RewritingScheme):
         self, states: np.ndarray | Sequence[np.ndarray], datawords: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         states = np.asarray(states, dtype=np.uint8)
-        datawords = np.asarray(datawords, dtype=np.uint8)
-        return self.code.encode_batch(datawords, states)
+        # Not narrowed here: the code checks that a wider dataword holds bits.
+        return self.code.encode_batch(np.asarray(datawords), states)
 
     def read_batch(
         self, states: np.ndarray | Sequence[np.ndarray]

@@ -189,8 +189,8 @@ def test_library_exports_exactly_what_the_backend_binds() -> None:
         if len(fields) == 3 and fields[1] == "T"
     }
     assert exported == set(kernels._SIGNATURES) == {
-        "search", "program", "decode", "divide", "levels", "wom_encode",
-        "wom_decode", "search_vector_body",
+        "search_inputs", "search", "program", "decode", "levels",
+        "wom_encode", "wom_decode", "search_vector_body",
     }
 
 

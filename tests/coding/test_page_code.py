@@ -16,6 +16,7 @@ from repro.coding import ConvolutionalCosetCode, WomVCellCode, kernels
 from repro.coding.ecc_coset import EccIntegratedCosetCode
 from repro.coding.rank_modulation import RankModulationCode
 from repro.coding.waterfall import WaterfallCode
+from repro.core import make_scheme
 from repro.errors import CodingError
 
 PAGE = 192
@@ -54,6 +55,23 @@ def test_a_dataword_that_is_not_bits_is_refused(backend, name, value, dtype) -> 
     # A code without a batch body of its own names the bit in the lane.
     with pytest.raises(CodingError, match=f"dataword (lane 1, )?bit 4: {value} is"):
         code.encode_batch(datawords, np.stack([page, page]))
+
+
+@pytest.mark.parametrize(
+    "name, kwargs", [("wom", {}), ("mfc-1/2-1bpc", {"constraint_length": 3})]
+)
+def test_a_scheme_writes_a_batch_as_its_code_does(backend, name, kwargs) -> None:
+    """``PageCodeScheme.write_batch`` hands its datawords to the code as they
+    are: an int64 257 is refused, not narrowed to a 1 and stored."""
+    scheme = make_scheme(name, PAGE, **kwargs)
+    datawords = np.zeros((2, scheme.dataword_bits), dtype=np.int64)
+    datawords[1, 4] = 257
+    with pytest.raises(CodingError, match="dataword (lane 1, )?bit 4: 257 is"):
+        scheme.write_batch(scheme.fresh_states(2), datawords)
+    datawords[1, 4] = 1
+    states, writable = scheme.write_batch(scheme.fresh_states(2), datawords)
+    assert writable.all()
+    assert np.array_equal(scheme.read_batch(states), datawords)
 
 
 @pytest.mark.parametrize("name", CODES)

@@ -1,12 +1,13 @@
 """Bit-identity of the page kernels against their numpy twins.
 
 Beside the search, a kernel backend carries the rest of a page write:
-``divide`` (the causal division by ``g1`` behind the coset
-representative), ``levels`` (each v-cell's level, the popcount of its
-bits) and ``program`` (raise every v-cell to the level its codeword symbol
-asks for), and the page read, ``decode`` (the syndrome of the codeword the
-cells store).  The numpy backend's callables *are* the reference
-(``gf2_divide_causal``, ``_popcount``, the column walk of
+``search_inputs`` (the coset chunks, the dataword's syndrome divided by
+``g1``, and the page's levels), ``program`` (raise every v-cell to the level
+its codeword symbol asks for), and the page read, ``decode`` (the syndrome of
+the codeword the cells store), with ``levels`` (each v-cell's level, the
+popcount of its bits) for any other page read.  The numpy backend's
+callables *are* the reference (``SyndromeFormer.representative_batch`` with
+``_packed_chunks`` and ``levels_batch``, ``_popcount``, the column walk of
 ``VCellArray.program_levels_batch`` and ``SyndromeFormer.syndrome_batch``
 over the cells' symbols); every other available backend must return the
 same bytes and raise the same exception types.  ``make
@@ -23,12 +24,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.coding import kernels
-from repro.coding.bitops import gf2_divide_causal
-from repro.coding.coset import ConvolutionalCosetCode, _packed_chunks
-from repro.coding.registry import get_code, list_codes
+from repro.coding.coset import ConvolutionalCosetCode
+from repro.coding.kernels import _packed_chunks
+from repro.coding.registry import list_codes
 from repro.coding.viterbi import ViterbiBatchResult
 from repro.core.mfc import MFC_VARIANTS
-from repro.errors import VCellError
+from repro.errors import CodingError, VCellError
 from repro.vcell.varray import _popcount
 
 BACKENDS = kernels.available_backends()
@@ -110,6 +111,16 @@ def _random_codeword(code, lanes: int, seed: int) -> np.ndarray:
     level (``CellCodebook.target_table``), as on a search's infeasible branch."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, code.viterbi.num_values, (lanes, code.steps))
+
+
+def _views(array) -> list[np.ndarray]:
+    """``array`` and the same values as a column-strided view, a
+    row-strided one and a Fortran-order copy."""
+    wide = np.zeros((len(array), 2 * array.shape[1]), dtype=array.dtype)
+    wide[:, ::2] = array
+    rows = np.zeros((2 * len(array), array.shape[1]), dtype=array.dtype)
+    rows[::2] = array
+    return [array, wide[:, ::2], rows[::2], np.asfortranarray(array)]
 
 
 # -- program ---------------------------------------------------------------------
@@ -223,18 +234,21 @@ def test_native_program_needs_no_twin_on_valid_input(
 @pytest.mark.parametrize("variant, vcell_levels", CODES)
 def test_every_page_read_checks_the_last_cell(backend, variant, vcell_levels) -> None:
     """A byte that is not a bit in the page's last cell, past ``used_cells``
-    where the steps leave tail cells: the page program and the page read
-    refuse it as the twin's count of every cell does, naming the lane and
-    the bit.  A byte past ``used_bits`` belongs to no cell: the read passes
-    over it and the program hands it back."""
+    where the steps leave tail cells: the write's search inputs, the page
+    program and the page read refuse it as the twin's count of every cell
+    does, naming the lane and the bit.  A byte past ``used_bits`` belongs to
+    no cell: the read passes over it and the program hands it back."""
     code = _make_code(variant, vcell_levels)
     width = code.varray.bits_per_cell
     bit = (code.varray.num_cells - 1) * width
     pages = _random_pages(code, 3, seed=41)
     pages[1, bit] = 2
     codeword = _random_codeword(code, 3, seed=42)
+    data = np.zeros((3, code.dataword_bits), dtype=np.uint8)
     in_range = np.ones((3, code.varray.num_cells), dtype=np.int64)
     match = f"lane 1, bit {bit}: byte 2 is not a bit"
+    with pytest.raises(VCellError, match=match):
+        kernels.resolve_backend(backend).search_inputs(code, data, pages)
     with pytest.raises(VCellError, match=match):
         _program(backend, code, pages, codeword, np.ones(3, dtype=bool), in_range)
     with pytest.raises(VCellError, match=match):
@@ -356,7 +370,7 @@ def test_program_refuses_what_the_column_walk_refuses(
 def test_whole_writes_agree_until_the_page_wears_out(
     backend, variant, vcell_levels, monkeypatch
 ) -> None:
-    """``encode_batch`` end to end (division, search, program) on each
+    """``encode_batch`` end to end (search inputs, search, program) on each
     backend, write after write, down to the unwritable mask."""
     monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
     reference = _make_code(variant, vcell_levels)
@@ -435,13 +449,7 @@ def test_decode_matches_the_syndrome_of_the_symbols(
         before = pages.copy()
         assert reference.dtype == np.uint8
         assert reference.shape == (len(pages), code.dataword_bits)
-        wide = np.zeros((len(pages), 2 * PAGE_BITS), dtype=np.uint8)
-        wide[:, ::2] = pages
-        rows = np.zeros((2 * len(pages), PAGE_BITS), dtype=np.uint8)
-        rows[::2] = pages
-        for view in (
-            pages, wide[:, ::2], rows[::2], np.asfortranarray(pages),
-        ):
+        for view in _views(pages):
             got = _decode(backend, code, view)
             assert got.dtype == np.uint8
             assert np.array_equal(got, reference)
@@ -538,96 +546,204 @@ def test_a_byte_that_is_not_a_bit_is_refused_by_every_page_read(
             refused()
 
 
-# -- divide ----------------------------------------------------------------------
+# -- search_inputs ---------------------------------------------------------------
+
+
+def _bit_serial(powers, m: int, steps: int, guard: int, datawords) -> np.ndarray:
+    """The coset chunks one bit at a time: the syndrome is zero in the guard
+    steps and the dataword after them, each stream divided by ``g1`` as
+    ``t[n] = s[n] ^ t[n - k] ^ ...`` over its powers ``k >= 1``, and stream
+    ``j`` of the representative (``t_1 = 0``) packed at bit ``j``."""
+    lanes, width = len(datawords), m - 1
+    powers = np.asarray(sorted(powers), dtype=np.int64)
+    streams = np.zeros((lanes, steps, width), dtype=np.int64)
+    streams[:, guard:] = np.reshape(datawords, (lanes, steps - guard, width))
+    for n in range(steps):
+        for k in powers[powers <= n]:
+            streams[:, n] ^= streams[:, n - k]
+    return (streams << np.arange(1, width + 1)).sum(axis=2)
+
+
+def _bit_serial_chunks(code, datawords) -> np.ndarray:
+    """:func:`_bit_serial` of ``code``'s ``g1``, steps and guard."""
+    powers = np.flatnonzero(code.code.coefficient_matrix[0][1:]) + 1
+    return _bit_serial(
+        powers, code.code.num_outputs, code.steps, code.guard_steps, datawords
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_search_inputs_match_the_composition(
+    backend, variant, vcell_levels, monkeypatch
+) -> None:
+    """No lane, one and five; mid-life pages (:func:`_random_pages`) and
+    uniformly random bits, tail bits included; the same arrays in other
+    layouts and in reverse lane order.  The chunks are the bit-serial
+    division's and the levels the twin's count.  The native kernel never
+    needs its twin on such input: a kernel that refused it all would pass
+    every comparison here through the twin."""
+    code = _make_code(variant, vcell_levels)
+    rng = np.random.default_rng(19)
+    cases = []
+    for lanes in (0, 1, 5):
+        data = rng.integers(0, 2, (lanes, code.dataword_bits), dtype=np.uint8)
+        cases += [
+            (data, _random_pages(code, lanes, seed=lanes)),
+            (data, rng.integers(0, 2, (lanes, PAGE_BITS), dtype=np.uint8)),
+        ]
+    expected = [kernels._search_inputs_numpy(code, *case) for case in cases]
+    if backend != "numpy":
+
+        def no_twin(*_args):
+            raise AssertionError("the kernel refused valid input")
+
+        monkeypatch.setattr(kernels, "_search_inputs_numpy", no_twin)
+    search_inputs = kernels.resolve_backend(backend).search_inputs
+    for (data, pages), (chunks, levels) in zip(cases, expected):
+        before = data.copy(), pages.copy()
+        assert chunks.dtype == levels.dtype == np.int64
+        assert chunks.shape == (len(data), code.steps)
+        assert np.array_equal(chunks, _bit_serial_chunks(code, data))
+        assert np.array_equal(levels, _popcount(code.varray._cells(pages)))
+        for data_view, pages_view in zip(_views(data), _views(pages)):
+            got_chunks, got_levels = search_inputs(code, data_view, pages_view)
+            assert got_chunks.dtype == got_levels.dtype == np.int64
+            assert np.array_equal(got_chunks, chunks)
+            assert np.array_equal(got_levels, levels)
+        got_chunks, got_levels = search_inputs(code, data[::-1], pages[::-1])
+        assert np.array_equal(got_chunks, chunks[::-1])
+        assert np.array_equal(got_levels, levels[::-1])
+        assert all(map(np.array_equal, (data, pages), before))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("key", list_codes())
-def test_divide_matches_the_squaring_product(backend, key) -> None:
-    divide = kernels.resolve_backend(backend).divide
-    g1 = get_code(*key).coefficient_matrix[0]
-    taps = np.flatnonzero(g1[1:]) + 1
+def test_chunks_match_a_bit_serial_division(backend, key) -> None:
+    """Every registry code, on pages of one step past the guard region, of
+    data bits either side of the eight a table lookup takes, and of many
+    steps."""
+    denominator, constraint_length = key
+    search_inputs = kernels.resolve_backend(backend).search_inputs
     rng = np.random.default_rng(sum(key))
-    # 0 steps, fewer steps than the largest tap, and either side of it.
-    for steps in (0, 1, int(taps.max()) - 1, int(taps.max()), 65, 683):
-        for lanes in (0, 1, 33):
-            numerators = rng.integers(0, 2, (lanes, steps), dtype=np.uint8)
-            before = numerators.copy()
-            quotient = divide(numerators, taps)
-            assert quotient.dtype == np.uint8
-            assert np.array_equal(quotient, gf2_divide_causal(numerators, taps))
-            assert np.array_equal(numerators, before)
-            assert quotient is not numerators
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_divide_accepts_any_layout_and_leading_axes(backend) -> None:
-    divide = kernels.resolve_backend(backend).divide
-    rng = np.random.default_rng(3)
-    block = rng.integers(0, 2, (4, 3, 50), dtype=np.uint8)
-    taps = [1, 3, 4, 6]
-    expected = gf2_divide_causal(block, taps)
-    for odd in (
-        block.astype(np.int64), block.astype(bool), np.asfortranarray(block),
-        block.transpose(1, 0, 2), block.tolist(),
-    ):
-        reference = gf2_divide_causal(odd, taps)
-        assert np.array_equal(divide(odd, np.array(taps)), reference)
-        assert np.array_equal(divide(odd, taps), reference)
-    assert np.array_equal(divide(block, taps), expected)
-    # The former's layout: a step's streams interleaved, taps scaled to match.
-    interleaved = block.transpose(0, 2, 1).reshape(4, -1)
-    assert np.array_equal(
-        divide(interleaved, np.array(taps) * 3).reshape(4, 50, 3),
-        expected.transpose(0, 2, 1),
-    )
-
-
-@needs_native
-def test_native_divide_rejects_a_tap_below_one() -> None:
-    """``g1`` has constant term 1 and its feedback taps are powers >= 1; a
-    tap of 0 or below would read past the row."""
-    numerators = np.ones((2, 9), dtype=np.uint8)
-    for taps in ([0, 2], [3, -1]):
-        with pytest.raises(IndexError, match="out of range"):
-            kernels.resolve_backend("native").divide(numerators, taps)
-
-
-@needs_native
-def test_native_divide_refuses_what_its_word_cannot_hold() -> None:
-    """The register is one 64-bit word: a tap of 64 divides as the squaring
-    product does, a tap past it and a byte that is not a bit are typed
-    errors, not a wrong quotient."""
-    divide = kernels.resolve_backend("native").divide
-    numerators = np.random.default_rng(5).integers(0, 2, (2, 300), dtype=np.uint8)
-    for taps in ([1, 64], [64]):
-        assert np.array_equal(
-            divide(numerators, taps), gf2_divide_causal(numerators, taps)
+    guard = 2 * (constraint_length - 1)
+    for steps in (guard + 1, guard + 7, guard + 8, guard + 9, 65, 683):
+        # 4-level cells of three bits, one bit per cell: m cells a step.
+        code = ConvolutionalCosetCode(
+            page_bits=steps * denominator * 3 + 2,
+            rate_denominator=denominator, constraint_length=constraint_length,
         )
-    with pytest.raises(IndexError, match="out of range"):
-        divide(numerators, [1, 65])
-    numerators[1, 77] = 2
-    with pytest.raises(IndexError, match="out of range"):
-        divide(numerators, [1, 3])
+        assert code.steps == steps
+        for lanes in (0, 1, 33):
+            data = rng.integers(0, 2, (lanes, code.dataword_bits), dtype=np.uint8)
+            pages = np.zeros((lanes, code.page_bits), dtype=np.uint8)
+            chunks, _levels = search_inputs(code, data, pages)
+            assert np.array_equal(chunks, _bit_serial_chunks(code, data))
 
 
+@needs_native
 @settings(max_examples=60, deadline=None)
 @given(
-    # Taps up to the register's 64 bits; steps enough for several table
-    # bytes before every tail length 0-7.
-    taps=st.sets(st.integers(1, 64), min_size=1, max_size=6),
-    steps=st.integers(0, 200),
-    lanes=st.integers(0, 5),
+    # g1's powers up to the 63 a 64-tap code has; m - 1 interleaved streams,
+    # so tap k of g1 is tap k * (m - 1) of the one register.
+    powers=st.sets(st.integers(1, 63), max_size=6),
+    m=st.integers(2, 6),
+    guard=st.integers(0, 12),
+    # Steps enough for several table bytes before every tail length 0-7.
+    data_steps=st.integers(1, 150),
+    lanes=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
 )
 # Every tap below 8: a table byte's outputs feed back into that same byte.
-@example(taps={1, 2, 5, 7}, steps=83, lanes=3, seed=1)
-def test_divide_property(taps, steps, lanes, seed) -> None:
-    numerators = np.random.default_rng(seed).integers(
-        0, 2, (lanes, steps), dtype=np.uint8
+@example(powers={1, 2, 5, 7}, m=2, guard=3, data_steps=83, lanes=3, seed=1)
+# Tap 64, the register's last bit, then tap 66, which the word cannot hold.
+@example(powers={32}, m=3, guard=0, data_steps=150, lanes=2, seed=5)
+@example(powers={33}, m=3, guard=0, data_steps=150, lanes=2, seed=5)
+def test_native_division_property(powers, m, guard, data_steps, lanes, seed) -> None:
+    """The native chunks of any ``g1`` the register holds in one 64-bit word
+    are the bit-serial division's; a tap past 64 is refused, and the twin
+    then divides."""
+    library = kernels._bind(kernels._load_native())
+    steps = guard + data_steps
+    data = np.random.default_rng(seed).integers(
+        0, 2, (lanes, data_steps * (m - 1)), dtype=np.uint8
     )
-    taps = np.array(sorted(taps))
-    expected = gf2_divide_causal(numerators, taps)
-    for backend in BACKENDS:
-        quotient = kernels.resolve_backend(backend).divide(numerators, taps)
-        assert np.array_equal(quotient, expected), backend
+    generators = np.ones(m, dtype=np.uint64)
+    generators[0] = sum(1 << k for k in powers) | 1
+    pages = np.zeros((lanes, 3), dtype=np.uint8)  # one empty cell each
+    chunks = np.empty((lanes, steps), dtype=np.int64)
+    levels = np.empty((lanes, 1), dtype=np.int64)
+    status = library.search_inputs(
+        lanes, 3, 1, 3, steps, m, guard, 64, generators.ctypes.data,
+        data.ctypes.data, pages.ctypes.data, chunks.ctypes.data,
+        levels.ctypes.data,
+    )
+    if max(powers, default=0) * (m - 1) > 64:
+        assert status == -2
+        return
+    assert status == 0
+    assert np.array_equal(chunks, _bit_serial(powers, m, steps, guard, data))
+    assert not levels.any()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_dataword_byte_above_one_is_refused(backend, monkeypatch) -> None:
+    """A uint8 dataword byte of 2 is neither stored as a 0 nor an untyped
+    error: ``encode`` and ``encode_batch`` raise the ``CodingError`` that
+    names its lane and bit, as the WOM code's does."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    code = _make_code("mfc-1/2-1bpc")
+    assert code.viterbi.backend.name == backend
+    data = np.zeros((3, code.dataword_bits), dtype=np.uint8)
+    data[1, 5] = 2
+    pages = np.zeros((3, PAGE_BITS), dtype=np.uint8)
+    with pytest.raises(CodingError, match="dataword lane 0, bit 5: 2 is not a bit"):
+        code.encode(data[1], pages[1])
+    with pytest.raises(CodingError, match="dataword lane 1, bit 5: 2 is not a bit"):
+        code.encode_batch(data, pages)
+    data[1, 5] = 0
+    data[2, -1] = 3  # the last bit: past every whole table byte
+    with pytest.raises(CodingError, match=f"lane 2, bit {code.dataword_bits - 1}"):
+        code.encode_batch(data, pages)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant, vcell_levels", CODES)
+def test_encode_batch_is_three_backend_calls(
+    backend, variant, vcell_levels, monkeypatch
+) -> None:
+    """A write is one ``search_inputs``, one ``search`` and one ``program``
+    call, whatever its lane count.  Under native no level count runs; on
+    numpy (also a searcher too large for native's tables) the twins count
+    the pages' levels inside ``search_inputs`` and, to check the targets,
+    inside ``program``."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    code = _make_code(variant, vcell_levels)
+    calls = []
+
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+
+        return call
+
+    kernel = code.viterbi.backend
+    stages = ("search_inputs", "search", "program", "decode", "levels")
+    monkeypatch.setattr(code.viterbi, "backend", dataclasses.replace(
+        kernel, **{name: counted(name, getattr(kernel, name)) for name in stages}
+    ))
+    monkeypatch.setattr(
+        code.varray, "_popcount", counted("levels", code.varray._popcount)
+    )
+    rng = np.random.default_rng(23)
+    pages = _random_pages(code, 5, seed=6)
+    data = rng.integers(0, 2, (5, code.dataword_bits), dtype=np.uint8)
+    write = ["search_inputs", "search", "program"]
+    if code.viterbi.backend.name == "numpy":
+        write = ["search_inputs", "levels", "search", "program", "levels"]
+    code.encode_batch(data, pages)
+    assert calls == write
+    calls.clear()
+    code.encode_batch(data[:1], np.zeros((1, PAGE_BITS), dtype=np.uint8))
+    assert calls == write

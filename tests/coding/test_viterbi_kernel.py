@@ -552,6 +552,52 @@ def test_k7_lane_whose_costs_pass_int16_renormalises() -> None:
     assert kernels.INT16_BIG < total < np.inf
 
 
+def _dead_at_top(level: int, target: int, num_levels: int) -> float:
+    """The paper's metric, but a cell at the top level takes no symbol at
+    all, not even the one it reads: every branch of a step with such a cell
+    is infeasible."""
+    if level == num_levels - 1:
+        return float("inf")
+    return methuselah_metric(level, target, num_levels)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("constraint_length", [3, 5, 7])  # 7: the AVX2 body
+def test_a_lane_that_dies_at_a_chosen_step(backend, constraint_length) -> None:
+    """Lane 1 has a top-level cell at step ``death``, so every one of its
+    states is dead from that step on, between two writable lanes.  The int16
+    kernel stops the lane at the next renormalisation.  The lane comes back
+    ``inf`` and unwritable with an all-zero codeword, on both cost paths and
+    in float64, and its neighbours come back as the reference search makes
+    them.  The steps a stopped lane does not run are still range-checked:
+    a chunk or a level out of range at the last step is refused."""
+    trellis = get_code(2, constraint_length).build_trellis()
+    viterbi = CosetViterbi(
+        trellis, make_codebook(1, 4, metric=_dead_at_top), backend=backend
+    )
+    assert viterbi.backend.name == backend
+    for death in (0, 1, 15, 16, 17, 31, 32, 33, 69):
+        reps, levels = _random_case(viterbi, 3, 70, death, 2)
+        levels[1, death, 0] = 3
+        _assert_bit_identical(viterbi, reps, levels)
+        if backend == "native":
+            _assert_int16_is_float64(viterbi, reps, levels)
+        chunk_out_of_range = reps.copy()
+        chunk_out_of_range[1, -1] = viterbi.num_values
+        level_out_of_range = levels.copy()
+        level_out_of_range[1, -1, 1] = 4
+        for searcher in _cost_paths(viterbi):
+            result = searcher.search_batch(reps, levels)
+            assert result.writable.tolist() == [True, False, True]
+            assert result.total_costs[1] == np.inf
+            assert result.codeword_values[1].tolist() == [0] * 70
+            with pytest.raises(IndexError):
+                searcher.search_batch(chunk_out_of_range, levels)
+            if backend == "native":
+                with pytest.raises(IndexError, match="out of range"):
+                    searcher.search_batch(reps, level_out_of_range)
+
+
 def _free_metric(level: int, target: int, num_levels: int) -> float:
     return 0.0
 

@@ -70,20 +70,33 @@ def _count(tracer: Tracer, name: str) -> int:
     return len(tracer.spans(name, 0.0, float("inf")))
 
 
-def test_an_mfc_write_counts_its_page_once(tracer) -> None:
-    """A scalar MFC lifetime run: one g1 division and one search per write
-    (the spans the benchmark's per-write lane and call counts divide by),
-    and one level count per write, the encode's, plus one per erase cycle
-    for its fresh page.  The page the write programmed is not counted
-    again: its program reports the levels it set."""
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_an_mfc_write_counts_its_page_once(tracer, backend, monkeypatch) -> None:
+    """A scalar MFC lifetime run: one search per write (the span the
+    benchmark's per-write lane and call counts divide by) on either backend,
+    and one level count per erase cycle for its fresh page.  Under numpy
+    each write's search inputs also run one g1 division and one level count
+    of the page, inside ``coding.coset_encode``; the native kernel makes
+    both in the one call, which no boundary wraps.  The page the write
+    programmed is not counted again: its program reports the levels it set."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
     cycles = 3
     scheme = make_scheme("mfc-1/2-1bpc", PAGE, constraint_length=3)
     result = LifetimeSimulator(scheme, seed=1).run(cycles=cycles)
     writes = _count(tracer, "core.scheme_write")
     assert writes == sum(result.writes_per_cycle) + cycles  # + a refusal each
-    assert _count(tracer, "coding.syndrome_rep") == writes
     assert _count(tracer, "coding.viterbi_search") == writes
-    assert _count(tracer, "vcell.levels") == writes + cycles
+    in_encode = writes if backend == "numpy" else 0
+    assert _count(tracer, "coding.syndrome_rep") == in_encode
+    assert _count(tracer, "vcell.levels") == in_encode + cycles
+    parents = {
+        span.sid: span.name for _thread, spans in tracer.threads() for span in spans
+    }
+    assert all(
+        _base(parents.get(span.parent, "")) == "coding.coset_encode"
+        for _thread, spans in tracer.threads() for span in spans
+        if span.name == "coding.syndrome_rep"
+    )
 
 
 def _device(scheme: str, **kwargs) -> SSD:
