@@ -163,7 +163,7 @@ class ConvolutionalCosetCode(PageCode):
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
         """Encode one page — a ``B = 1`` wrapper over :meth:`encode_batch`."""
         data = self._datawords(dataword, batch=False)
-        page = np.asarray(page, dtype=np.uint8)
+        page = self._pages(page, batch=False)
         new_pages, writable = self.encode_batch(data[None, :], page[None, :])
         if not writable[0]:
             raise UnwritableError(
@@ -184,12 +184,10 @@ class ConvolutionalCosetCode(PageCode):
         (the coset chunks and the pages' levels), the search, the program.
         """
         data = self._datawords(datawords, batch=True)
-        pages = np.asarray(pages, dtype=np.uint8)
+        pages = self._pages(pages, batch=True)
         lanes = len(data)
         if len(pages) != lanes:
-            raise CodingError(
-                f"{lanes} datawords but {len(pages)} pages"
-            )
+            raise CodingError(f"{lanes} datawords for {len(pages)} pages")
         backend = self.viterbi.backend
         chunks, all_levels = backend.search_inputs(self, data, pages)
         step_levels = all_levels[:, : self.used_cells].reshape(

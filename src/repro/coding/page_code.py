@@ -9,10 +9,14 @@ raises :class:`~repro.errors.UnwritableError` and the page must be erased.
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import CodingError, UnwritableError
+
+if TYPE_CHECKING:
+    from repro.vcell import VCellArray
 
 __all__ = ["PageCode", "require_bits"]
 
@@ -24,6 +28,8 @@ def require_bits(bits: np.ndarray, what: str) -> np.ndarray:
     The :class:`~repro.errors.CodingError` names the first entry that is
     not a bit, by lane when ``bits`` has one.
     """
+    if bits.dtype == np.uint8 and bits.max(initial=0) <= 1:
+        return bits  # the common case, in one pass with no mask
     bad = bits > 1 if bits.dtype == np.uint8 else (bits != 0) & (bits != 1)
     if bad.any():
         *lane, bit = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -39,6 +45,11 @@ class PageCode(abc.ABC):
     page_bits: int
     #: Dataword size in bits accepted by :meth:`encode`.
     dataword_bits: int
+    #: The v-cells the page is read as; None when the code is not cell-based.
+    varray: VCellArray | None = None
+    #: ``(lanes, cells)`` v-cell levels the most recent encode's page program
+    #: set, one row per lane; None when the code does not report them.
+    last_write_levels: np.ndarray | None = None
 
     @property
     def rate(self) -> float:
@@ -47,15 +58,26 @@ class PageCode(abc.ABC):
 
     def _datawords(self, datawords: np.ndarray, batch: bool) -> np.ndarray:
         """One dataword (``batch`` False) or ``(lanes, dataword_bits)`` of
-        them, as uint8: one that is not uint8 already must hold only bits.
-        A uint8 byte above 1 is left to the code that reads it."""
+        them, as uint8 holding only bits."""
         data = np.asarray(datawords)
         if data.ndim != 1 + batch or data.shape[-1] != self.dataword_bits:
             shape = f"datawords must be (lanes, {self.dataword_bits})" if batch else (
                 f"dataword must be {self.dataword_bits}"
             )
             raise CodingError(f"{shape} bits, got {data.shape}")
-        return data if data.dtype == np.uint8 else require_bits(data, "dataword")
+        return require_bits(data, "dataword")
+
+    def _pages(self, pages: np.ndarray, batch: bool) -> np.ndarray:
+        """One page (``batch`` False) or ``(lanes, page_bits)`` of them, as
+        uint8; ones that are not uint8 already must hold only bits.  A uint8
+        page is taken as a state the code wrote."""
+        bits = np.asarray(pages)
+        if bits.ndim != 1 + batch or bits.shape[-1] != self.page_bits:
+            shape = f"(lanes, {self.page_bits}) pages, got shape" if batch else (
+                f"a page of {self.page_bits} bits, got"
+            )
+            raise CodingError(f"expected {shape} {bits.shape}")
+        return bits if bits.dtype == np.uint8 else require_bits(bits, "page")
 
     @abc.abstractmethod
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
@@ -85,6 +107,8 @@ class PageCode(abc.ABC):
         """
         pages = np.asarray(pages, dtype=np.uint8)
         datawords = np.asarray(datawords)  # encode checks each before narrowing
+        if len(datawords) != len(pages):
+            raise CodingError(f"{len(datawords)} datawords for {len(pages)} pages")
         new_pages = pages.copy()
         writable = np.ones(len(pages), dtype=bool)
         for lane in range(len(pages)):

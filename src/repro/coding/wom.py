@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding.kernels import resolve_backend
-from repro.coding.page_code import PageCode, require_bits
+from repro.coding.page_code import PageCode
 from repro.errors import CodingError, UnwritableError
 from repro.vcell import VCellArray, VCellSpec
 
@@ -115,17 +115,6 @@ class WomVCellCode(PageCode):
         return self.backend.wom_decode(self, self._pages(pages, batch=True))
 
     # -- the one body of both faces: one page, or (lanes, page_bits) pages ----
-
-    def _pages(self, pages: np.ndarray, batch: bool) -> np.ndarray:
-        """The pages as uint8; ones that are not uint8 already must hold
-        only bits.  A uint8 byte above 1 is the backend's to refuse."""
-        bits = np.asarray(pages)
-        if bits.ndim != 1 + batch or bits.shape[-1] != self.page_bits:
-            shape = f"(lanes, {self.page_bits}) pages, got shape" if batch else (
-                f"a page of {self.page_bits} bits, got"
-            )
-            raise CodingError(f"expected {shape} {bits.shape}")
-        return bits if bits.dtype == np.uint8 else require_bits(bits, "page")
 
     def _encode(
         self, datawords: np.ndarray, pages: np.ndarray, batch: bool

@@ -1,14 +1,14 @@
 """Rewriting schemes and the paper's evaluation machinery.
 
 This package is the library's primary public API.  A
-:class:`~repro.core.scheme.RewritingScheme` bundles a page code with the
+:class:`~repro.core.scheme.PageCodeScheme` bundles a page code with the
 bookkeeping the evaluation needs (name, rate, state handling); the
 :class:`~repro.core.lifetime.LifetimeSimulator` reproduces the paper's
 methodology (Section VII): stream pseudo-random datawords into a page,
 count writes per erase cycle, and derive lifetime and aggregate gains.
 """
 
-from repro.core.scheme import RewritingScheme, PageCodeScheme
+from repro.core.scheme import PageCodeScheme
 from repro.core.uncoded import UncodedScheme
 from repro.core.redundancy import RedundancyScheme
 from repro.core.wom_scheme import WomScheme
@@ -31,7 +31,6 @@ from repro.core.tradeoff import (
 from repro.core.analysis import UpdateTrace
 
 __all__ = [
-    "RewritingScheme",
     "PageCodeScheme",
     "UncodedScheme",
     "RedundancyScheme",

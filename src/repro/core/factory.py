@@ -6,7 +6,7 @@ from repro.core.ecc_scheme import EccMfcScheme
 from repro.core.mfc import MFC_VARIANTS, MfcScheme
 from repro.core.rank_scheme import RankModulationScheme
 from repro.core.redundancy import RedundancyScheme
-from repro.core.scheme import RewritingScheme
+from repro.core.scheme import PageCodeScheme
 from repro.core.uncoded import UncodedScheme
 from repro.core.waterfall_scheme import WaterfallScheme
 from repro.core.wom_scheme import WomScheme
@@ -24,7 +24,7 @@ def available_schemes() -> list[str]:
     )
 
 
-def make_scheme(name: str, page_bits: int = 32768, **kwargs) -> RewritingScheme:
+def make_scheme(name: str, page_bits: int = 32768, **kwargs) -> PageCodeScheme:
     """Build a scheme by its paper name.
 
     Examples
@@ -39,8 +39,10 @@ def make_scheme(name: str, page_bits: int = 32768, **kwargs) -> RewritingScheme:
     if key == "uncoded":
         return UncodedScheme(page_bits, **kwargs)
     if key.startswith("redundancy-1/"):
-        copies = int(key.split("/")[1])
-        return RedundancyScheme(page_bits, copies=copies, **kwargs)
+        copies = key.removeprefix("redundancy-1/")
+        if not copies.isdecimal():
+            raise ConfigurationError(f"scheme {name!r}: K of redundancy-1/K is no integer")
+        return RedundancyScheme(page_bits, copies=int(copies), **kwargs)
     if key == "redundancy":
         return RedundancyScheme(page_bits, **kwargs)
     if key == "wom":

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.coding.bitops import random_bits
 from repro.core.analysis import UpdateTrace
-from repro.core.scheme import RewritingScheme
+from repro.core.scheme import PageCodeScheme
 from repro.errors import ConfigurationError, DecodingError, UnwritableError
 
 __all__ = [
@@ -108,12 +108,12 @@ class _PageSimulator:
 
     def __init__(
         self,
-        scheme: RewritingScheme,
+        scheme: PageCodeScheme,
         verify_reads: bool,
         num_levels: int | None,
         defect_fraction: float,
     ) -> None:
-        varray = getattr(getattr(scheme, "code", None), "varray", None)
+        varray = scheme.code.varray
         if not 0 <= defect_fraction < 1:
             raise ConfigurationError("defect_fraction must lie in [0, 1)")
         if defect_fraction and varray is None:
@@ -164,7 +164,7 @@ class LifetimeSimulator(_PageSimulator):
 
     def __init__(
         self,
-        scheme: RewritingScheme,
+        scheme: PageCodeScheme,
         seed: int | np.random.Generator = 0,
         verify_reads: bool = False,
         num_levels: int | None = None,
@@ -259,7 +259,7 @@ class BatchLifetimeSimulator(_PageSimulator):
 
     def __init__(
         self,
-        scheme: RewritingScheme,
+        scheme: PageCodeScheme,
         lanes: int = 1,
         seed: int = 0,
         seeds: Sequence[int | np.random.Generator] | None = None,
@@ -289,7 +289,6 @@ class BatchLifetimeSimulator(_PageSimulator):
         scheme = self.scheme
         lanes = self.lanes
         states = scheme.fresh_states(lanes)
-        array_states = isinstance(states, np.ndarray)
         if self.defect_fraction:
             for lane in range(lanes):
                 states[lane] = self._fresh_lane_state(lane)
@@ -309,19 +308,9 @@ class BatchLifetimeSimulator(_PageSimulator):
                     for lane in idx
                 ]
             )
-            if array_states:
-                sub_states = states[idx]
-            else:
-                sub_states = [states[lane] for lane in idx]
-            new_states, writable = scheme.write_batch(sub_states, datawords)
+            new_states, writable = scheme.write_batch(states[idx], datawords)
             ok_lanes = idx[writable]
-            # Commit successful lanes.
-            if array_states:
-                states[ok_lanes] = np.asarray(new_states)[writable]
-            else:
-                for j, lane in enumerate(idx):
-                    if writable[j]:
-                        states[lane] = new_states[j]
+            states[ok_lanes] = new_states[writable]  # commit successful lanes
             writes[ok_lanes] += 1
             if (writes[ok_lanes] >= max_writes_per_cycle).any():
                 raise ConfigurationError(
@@ -330,12 +319,7 @@ class BatchLifetimeSimulator(_PageSimulator):
                     "this is intended"
                 )
             if self.verify_reads and len(ok_lanes):
-                if array_states:
-                    stored = scheme.read_batch(states[ok_lanes])
-                else:
-                    stored = scheme.read_batch(
-                        [states[lane] for lane in ok_lanes]
-                    )
+                stored = scheme.read_batch(states[ok_lanes])
                 mismatches = np.flatnonzero(
                     (stored != datawords[writable]).any(axis=1)
                 )
@@ -349,12 +333,8 @@ class BatchLifetimeSimulator(_PageSimulator):
                 written = scheme.last_write_levels
                 if written is not None:
                     new_levels = written[writable]
-                elif array_states:
-                    new_levels = scheme.cell_levels_batch(states[ok_lanes])
                 else:
-                    new_levels = scheme.cell_levels_batch(
-                        [states[lane] for lane in ok_lanes]
-                    )
+                    new_levels = scheme.cell_levels_batch(states[ok_lanes])
                 for j, lane in enumerate(ok_lanes):
                     trace.record_update(
                         int(writes[lane]), levels[lane], new_levels[j]

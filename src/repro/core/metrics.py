@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.lifetime import LifetimeResult, LifetimeSimulator
-from repro.core.scheme import RewritingScheme
+from repro.core.scheme import PageCodeScheme
 
 __all__ = ["SchemeSummary", "summarize"]
 
@@ -48,7 +48,7 @@ class SchemeSummary:
 
 
 def summarize(
-    scheme: RewritingScheme, cycles: int = 5, seed: int = 0
+    scheme: PageCodeScheme, cycles: int = 5, seed: int = 0
 ) -> SchemeSummary:
     """Run a lifetime simulation and condense it to a Table I row."""
     result = LifetimeSimulator(scheme, seed=seed).run(cycles=cycles)

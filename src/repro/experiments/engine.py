@@ -23,7 +23,7 @@ from repro.core import (
     BatchLifetimeSimulator,
     LifetimeResult,
     LifetimeSimulator,
-    RewritingScheme,
+    PageCodeScheme,
 )
 from repro.core.factory import make_scheme
 from repro.errors import ReproError
@@ -45,7 +45,7 @@ _CELLS_RUN = _metrics.counter("sweep.cells_run")
 #: after construction — lane state is passed in and out of ``scheme.write``
 #: — so sharing one instance across cells is determinism-safe, and repeated
 #: cells for one configuration skip table construction entirely.
-_SCHEME_MEMO: OrderedDict[tuple, RewritingScheme] = OrderedDict()
+_SCHEME_MEMO: OrderedDict[tuple, PageCodeScheme] = OrderedDict()
 _SCHEME_MEMO_CAP = 64
 
 
@@ -55,7 +55,7 @@ class SweepError(ReproError):
 
 def scheme_for(
     name: str, page_bits: int, kwargs: tuple = ()
-) -> RewritingScheme:
+) -> PageCodeScheme:
     """A memoized scheme instance for ``(name, page_bits, kwargs)``.
 
     ``kwargs`` is the sorted ``tuple(sorted(d.items()))`` form of the

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.scheme import RewritingScheme
+from repro.core.scheme import PageCodeScheme
 from repro.errors import (
     BlockWornOutError,
     ConfigurationError,
@@ -37,14 +37,11 @@ class RewritingFTL(BasicFTL):
     def __init__(
         self,
         chip: FlashChip,
-        scheme: RewritingScheme,
+        scheme: PageCodeScheme,
         logical_pages: int,
         wear_leveling: WearLevelingPolicy | None = None,
     ) -> None:
-        state = scheme.fresh_state()
-        if not isinstance(state, np.ndarray) or state.shape != (
-            chip.geometry.page_bits,
-        ):
+        if scheme.raw_bits != chip.geometry.page_bits:
             raise ConfigurationError(
                 f"{scheme.name} does not operate on single "
                 f"{chip.geometry.page_bits}-bit pages; the rewriting FTL "
@@ -76,8 +73,8 @@ class RewritingFTL(BasicFTL):
         least convert a decoder blow-up into a "corrupt" verdict for the
         read-recovery ladder.
         """
-        code = getattr(self.scheme, "code", None)
-        if code is not None and hasattr(code, "decode_with_report"):
+        code = self.scheme.code
+        if hasattr(code, "decode_with_report"):
             report = code.decode_with_report(raw)
             return report.data, report.detected_uncorrectable == 0, report.clean
         try:

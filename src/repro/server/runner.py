@@ -233,7 +233,9 @@ async def _serve(args: argparse.Namespace) -> int:
         )
     stop = _stop_event()
     # Only the MFC schemes search a coset; name the kernel that will do it.
-    viterbi = getattr(getattr(ssd.scheme, "code", None), "viterbi", None)
+    # An uncoded device runs the plain FTL, with no scheme.
+    code = None if ssd.scheme is None else ssd.scheme.code
+    viterbi = getattr(code, "viterbi", None)
     kernel = f", viterbi {viterbi.backend.name}" if viterbi is not None else ""
     print(
         f"serving {ssd.scheme_name} "

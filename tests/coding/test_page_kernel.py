@@ -689,18 +689,22 @@ def test_native_division_property(powers, m, guard, data_steps, lanes, seed) -> 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_dataword_byte_above_one_is_refused(backend, monkeypatch) -> None:
     """A uint8 dataword byte of 2 is neither stored as a 0 nor an untyped
-    error: ``encode`` and ``encode_batch`` raise the ``CodingError`` that
-    names its lane and bit, as the WOM code's does."""
+    error: ``encode`` raises the ``CodingError`` that names its bit and
+    ``encode_batch`` the one that names its lane and bit, as every code's
+    intake does."""
     monkeypatch.setenv(kernels.BACKEND_ENV, backend)
     code = _make_code("mfc-1/2-1bpc")
     assert code.viterbi.backend.name == backend
     data = np.zeros((3, code.dataword_bits), dtype=np.uint8)
     data[1, 5] = 2
     pages = np.zeros((3, PAGE_BITS), dtype=np.uint8)
-    with pytest.raises(CodingError, match="dataword lane 0, bit 5: 2 is not a bit"):
+    with pytest.raises(CodingError, match="dataword bit 5: 2 is not a bit"):
         code.encode(data[1], pages[1])
     with pytest.raises(CodingError, match="dataword lane 1, bit 5: 2 is not a bit"):
         code.encode_batch(data, pages)
+    # The kernel refuses it too, where a caller hands it datawords directly.
+    with pytest.raises(CodingError, match="lane 1, bit 5"):
+        code.viterbi.backend.search_inputs(code, data, pages)
     data[1, 5] = 0
     data[2, -1] = 3  # the last bit: past every whole table byte
     with pytest.raises(CodingError, match=f"lane 2, bit {code.dataword_bits - 1}"):

@@ -3,8 +3,8 @@
 ``write_batch`` over ``B`` lanes must behave exactly like ``B`` independent
 scalar ``write`` calls: same new states, and per-lane ``UnwritableError``
 surfacing as a False mask entry instead of an exception.  Runs across every
-MFC rate and WOM, over random seeds, including batches where some lanes
-saturate mid-run.
+MFC rate, WOM and the two baselines, over random seeds, including batches
+where some lanes saturate mid-run.
 """
 
 from __future__ import annotations
@@ -19,8 +19,12 @@ from repro.errors import UnwritableError
 
 PAGE = 480
 
-#: Every natively batched scheme: all five MFC rates (1 and 2 BPC) and WOM.
+#: Every natively batched scheme: all five MFC rates (1 and 2 BPC), WOM,
+#: and the identity and replication codes of the two baselines.
 BATCHED_SCHEMES = [
+    ("uncoded", {}),
+    ("redundancy-1/2", {}),
+    ("redundancy-1/3", {}),
     ("wom", {}),
     ("mfc-1/2-1bpc", {"constraint_length": 3}),
     ("mfc-1/2-2bpc", {"constraint_length": 3}),
@@ -118,7 +122,7 @@ class TestWriteBatchEqualsScalar:
 class TestDefaultBatchFallback:
     """Schemes without native batching get the loop-based default."""
 
-    @pytest.mark.parametrize("name", ["uncoded", "rank-modulation"])
+    @pytest.mark.parametrize("name", ["waterfall", "rank-modulation"])
     def test_fallback_matches_scalar(self, name) -> None:
         scheme = make_scheme(name, PAGE)
         rng = np.random.default_rng(2)

@@ -79,8 +79,30 @@ class TestRedundancy:
         scheme = RedundancyScheme(8, copies=2)
         state = scheme.fresh_state()
         new_state = scheme.write(state, np.ones(8, np.uint8))
-        assert state.next_copy == 0
-        assert new_state.next_copy == 1
+        assert state.sum() == 0
+        assert new_state.tolist() == [1] * 8 + [0] * 8  # copy 0 now in use
+        newer = scheme.write(new_state, np.array([0, 1] * 4, np.uint8))
+        assert new_state.tolist() == [1] * 8 + [0] * 8
+        assert newer.tolist() == [1] * 8 + [0, 1] * 4
+
+    def test_zero_dataword_only_onto_an_erased_page(self) -> None:
+        """An all-zero dataword looks like an unused copy: onto an erased
+        page it programs nothing and reads back as zeros, onto a used copy it
+        needs an erase, in both faces."""
+        scheme = RedundancyScheme(8, copies=3)
+        zeros = np.zeros(8, np.uint8)
+        erased = scheme.fresh_state()
+        assert np.array_equal(scheme.write(erased, zeros), erased)
+        assert scheme.read(scheme.write(erased, zeros)).tolist() == [0] * 8
+        used = scheme.write(erased, np.ones(8, np.uint8))
+        with pytest.raises(UnwritableError):
+            scheme.write(used, zeros)
+        states, writable = scheme.write_batch(
+            np.stack([erased, used]), np.stack([zeros, zeros])
+        )
+        assert writable.tolist() == [True, False]
+        assert np.array_equal(states, np.stack([erased, used]))
+        assert scheme.read_batch(states)[0].tolist() == [0] * 8
 
 
 class TestWomScheme:
@@ -166,6 +188,11 @@ class TestFactory:
     def test_unknown_name(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown scheme"):
             make_scheme("mystery", 64)
+
+    @pytest.mark.parametrize("name", ["redundancy-1/x", "redundancy-1/"])
+    def test_redundancy_k_that_is_no_integer(self, name: str) -> None:
+        with pytest.raises(ConfigurationError, match=f"scheme '{name}'"):
+            make_scheme(name, 64)
 
     def test_case_insensitive(self) -> None:
         assert make_scheme("WOM", PAGE).name == "WOM"

@@ -56,9 +56,15 @@ def _names(tracer: Tracer) -> set[str]:
 
 
 def test_lifetime_runs_nest_no_twins(tracer) -> None:
-    for name, kwargs in (("mfc-1/2-1bpc", {"constraint_length": 3}), ("wom", {})):
+    """The two baselines' classes keep a ``write`` of their own, which the
+    tracer wraps too: one that called ``PageCodeScheme.write`` would nest."""
+    for name, kwargs in (
+        ("mfc-1/2-1bpc", {"constraint_length": 3}), ("wom", {}), ("uncoded", {}),
+        ("redundancy-1/2", {}),
+    ):
         LifetimeSimulator(make_scheme(name, PAGE, **kwargs), seed=1).run(cycles=1)
-    BatchLifetimeSimulator(make_scheme("wom", PAGE), lanes=2, seed=1).run(cycles=1)
+    for name in ("wom", "uncoded", "redundancy-1/2"):
+        BatchLifetimeSimulator(make_scheme(name, PAGE), lanes=2, seed=1).run(cycles=1)
     assert {
         "core.lifetime_sim", "core.scheme_write", "coding.coset_encode",
         "coding.viterbi_search", "coding.wom_encode", "vcell.levels",
