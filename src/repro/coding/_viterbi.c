@@ -2,7 +2,7 @@
  * three calls, search_inputs (the coset chunks and the page's levels), search
  * and program; an MFC read is one (decode); the WOM code has one per direction
  * (wom_encode, wom_decode).  levels counts the cells of any page, and
- * search_vector_body says which body search runs.
+ * search_vector_body and page_vector_body say which bodies run.
  * kernels.py compiles it on first use (-O3 -shared -fPIC; gcc vectorises the
  * butterfly loop only at -O3) and loads it with ctypes.
  *
@@ -36,6 +36,12 @@
  * it has AVX2 (search_vector_body), so one artefact built without -march runs
  * on any x86-64, and the file still compiles where there is no such target.
  * Both bodies keep the same five rules, so they return the same bytes.
+ *
+ * The level count (search_inputs, levels) and the page program of 3-bit
+ * cells, 1 or 2 bits a cell, have AVX2 bodies chosen the same way
+ * (page_vector_body), sixteen cells at a time as three bit planes; the cells
+ * past the last sixteen, every other width and every other CPU run the plain
+ * bodies.  decode and the WOM pair are plain C on every CPU.
  *
  * Tables are C-contiguous.  Every function returns -1 when scratch cannot be
  * allocated, -2 when an input is out of range, else 0 (search: the number of
@@ -227,6 +233,7 @@ int search_vector_body(int64_t S)
 int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
            int64_t V,
            int64_t limit,             /* int16 only, < 0 for never: see the top */
+           int64_t stride,            /* levels from one lane's to the next's */
            const uint16_t *order,     /* (V, 2S) branch outputs ^ chunk */
            const int16_t *costs16,    /* (L**cells, V) fused cost table, or NULL */
            const int16_t *expanded,   /* (L**cells * V, 2S) cost vector of each
@@ -234,11 +241,14 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
            const double *costs64,     /* (L**cells, V) the same in double */
            const int32_t *out_values, /* (S, 2): output of state s on input u */
            const int64_t *reps,       /* (lanes, steps) coset chunks */
-           const int64_t *levels,     /* (lanes, steps, cells) */
+           const int64_t *levels,     /* (lanes, steps, cells), lanes `stride`
+                                         apart */
            int64_t *codeword,         /* out (lanes, steps) */
            double *total,             /* out (lanes,) */
            uint8_t *writable)         /* out (lanes,) */
 {
+    if (lanes > 1 && stride < steps * cells)
+        return -2;
     double *metrics = malloc((size_t)S * 2 * sizeof(double));
     uint8_t *k = calloc((size_t)S * 8, 1); /* the last 8 steps' survivors */
     /* A byte per state per 8 steps, or (64 states) a uint64 per step. */
@@ -246,7 +256,7 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
     int status = metrics && k && bits ? 0 : -1, widened = 0;
     int vector = expanded && search_vector_body(S);
     for (int64_t b = 0; b < lanes && !status; b++) {
-        const int64_t *rep = reps + b * steps, *level = levels + b * steps * cells;
+        const int64_t *rep = reps + b * steps, *level = levels + b * stride;
         int64_t state;
         int words = 0; /* survivors as lane64_avx2 leaves them */
         if (limit < 0)
@@ -312,7 +322,7 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
  * over contiguous bytes, and a cell's level is the sum at its first bit.  The
  * same pass ORs every byte, which it returns, for the check that each is a
  * bit.  width is 1 .. 255. */
-static uint8_t count_cells(int64_t cells, int64_t width, const uint8_t *page,
+static uint8_t count_plain(int64_t cells, int64_t width, const uint8_t *page,
                            int64_t *out)
 {
     uint8_t sum[4096], bits = 0;
@@ -330,6 +340,124 @@ static uint8_t count_cells(int64_t cells, int64_t width, const uint8_t *page,
             *out++ = sum[x];
     }
     return bits;
+}
+
+#ifdef VECTOR_BODY
+/* Sixteen 3-bit cells, 48 bytes, as three bit planes: byte i of plane j is
+ * byte j of cell i, byte 3i + j of the 48.  Register s holds bytes 16s ..
+ * 16s + 15, so plane j is three shuffles ORed, each picking what lies in one
+ * register (-128 picks a zero), and register s is three back.  The masks are
+ * constants: every argument below is a literal. */
+#define SIXTEEN(f, x, y)                                                        \
+    f(0, x, y), f(1, x, y), f(2, x, y), f(3, x, y), f(4, x, y), f(5, x, y),     \
+    f(6, x, y), f(7, x, y), f(8, x, y), f(9, x, y), f(10, x, y), f(11, x, y),   \
+    f(12, x, y), f(13, x, y), f(14, x, y), f(15, x, y)
+#define TO_PLANE(i, j, s)                                                       \
+    (3 * (i) + (j) - 16 * (s) >= 0 && 3 * (i) + (j) - 16 * (s) < 16             \
+         ? 3 * (i) + (j) - 16 * (s) : -128)
+#define TO_CELLS(q, s, j) ((16 * (s) + (q)) % 3 == (j) ? (16 * (s) + (q)) / 3 : -128)
+/* What the three registers a, b, c put in register (or plane) k: the OR of
+ * one shuffle each, by masks f(i, k, 0), f(i, k, 1) and f(i, k, 2). */
+#define PICK(f, k, a, b, c)                                                     \
+    _mm_or_si128(                                                               \
+        _mm_or_si128(_mm_shuffle_epi8(a, _mm_setr_epi8(SIXTEEN(f, k, 0))),      \
+                     _mm_shuffle_epi8(b, _mm_setr_epi8(SIXTEEN(f, k, 1)))),     \
+        _mm_shuffle_epi8(c, _mm_setr_epi8(SIXTEEN(f, k, 2))))
+
+__attribute__((target("avx2"))) static inline void
+load_planes(const uint8_t *bytes, __m128i *x, __m128i *p)
+{
+    for (int s = 0; s < 3; s++)
+        x[s] = _mm_loadu_si128((const __m128i *)(bytes + 16 * s));
+    p[0] = PICK(TO_PLANE, 0, x[0], x[1], x[2]);
+    p[1] = PICK(TO_PLANE, 1, x[0], x[1], x[2]);
+    p[2] = PICK(TO_PLANE, 2, x[0], x[1], x[2]);
+}
+
+__attribute__((target("avx2"))) static inline void
+store_planes(const __m128i *p, uint8_t *bytes)
+{
+    _mm_storeu_si128((__m128i *)bytes, PICK(TO_CELLS, 0, p[0], p[1], p[2]));
+    _mm_storeu_si128((__m128i *)(bytes + 16), PICK(TO_CELLS, 1, p[0], p[1], p[2]));
+    _mm_storeu_si128((__m128i *)(bytes + 32), PICK(TO_CELLS, 2, p[0], p[1], p[2]));
+}
+
+/* Sixteen levels, one a byte, as int64 at `out`. */
+__attribute__((target("avx2"))) static inline void
+store_levels(__m128i levels, int64_t *out)
+{
+    _mm256_storeu_si256((__m256i *)out, _mm256_cvtepu8_epi64(levels));
+    _mm256_storeu_si256((__m256i *)(out + 4),
+                        _mm256_cvtepu8_epi64(_mm_srli_si128(levels, 4)));
+    _mm256_storeu_si256((__m256i *)(out + 8),
+                        _mm256_cvtepu8_epi64(_mm_srli_si128(levels, 8)));
+    _mm256_storeu_si256((__m256i *)(out + 12),
+                        _mm256_cvtepu8_epi64(_mm_srli_si128(levels, 12)));
+}
+
+/* Sixteen int64 levels at `in`, each 0 .. 127, one a byte.  Read as int32,
+ * two signed packs leave levels 0, 1, 4, 5, 8, 9, 12, 13 in the even bytes of
+ * the low 128-bit half and 2, 3, 6, 7, ... in those of the high half; the high
+ * half ORed in a byte up interleaves them as 0, 2, 1, 3, 4, 6, 5, 7, ..., and
+ * one shuffle puts them in order. */
+__attribute__((target("avx2"))) static inline __m128i
+load_levels(const int64_t *in)
+{
+    __m256i words = _mm256_packs_epi16(
+        _mm256_packs_epi32(_mm256_loadu_si256((const __m256i *)in),
+                           _mm256_loadu_si256((const __m256i *)(in + 4))),
+        _mm256_packs_epi32(_mm256_loadu_si256((const __m256i *)(in + 8)),
+                           _mm256_loadu_si256((const __m256i *)(in + 12))));
+    __m128i both = _mm_or_si128(_mm256_castsi256_si128(words),
+                                _mm_slli_epi16(_mm256_extracti128_si256(words, 1), 8));
+    return _mm_shuffle_epi8(both, _mm_setr_epi8(0, 2, 1, 3, 4, 6, 5, 7, 8, 10, 9,
+                                                11, 12, 14, 13, 15));
+}
+
+/* count_plain for 3-bit cells: sixteen at a time, a level the sum of its
+ * cell's three planes, every byte ORed for the bit check; the last cells,
+ * fewer than sixteen, by count_plain.  No load reads past `cells` cells. */
+__attribute__((target("avx2"))) static uint8_t
+count3_avx2(int64_t cells, const uint8_t *page, int64_t *out)
+{
+    __m128i seen = _mm_setzero_si128(), x[3], p[3];
+    int64_t c = 0;
+    for (; c + 16 <= cells; c += 16, page += 48, out += 16) {
+        load_planes(page, x, p);
+        seen = _mm_or_si128(seen, _mm_or_si128(_mm_or_si128(x[0], x[1]), x[2]));
+        store_levels(_mm_add_epi8(_mm_add_epi8(p[0], p[1]), p[2]), out);
+    }
+    /* 2 for a byte above 1, as count_plain's OR is then. */
+    uint8_t bits = _mm_testz_si128(seen, _mm_set1_epi8(-2)) ? 0 : 2;
+    _mm256_zeroupper(); /* count_plain may be SSE code */
+    return bits | count_plain(cells - c, 3, page, out);
+}
+#endif
+
+/* 1 when a page of `width`-bit cells is counted, and one of `bpc` bits a cell
+ * programmed, sixteen cells at a time in AVX2 (count3_avx2, program3_avx2),
+ * 0 when by the plain bodies: width 3 and 1 or 2 bits a cell on a CPU with
+ * AVX2.  The count, which reads no symbols, asks with a bpc of 1. */
+int page_vector_body(int64_t width, int64_t bpc)
+{
+#ifdef VECTOR_BODY
+    return width == 3 && bpc >= 1 && bpc <= 2 && __builtin_cpu_supports("avx2");
+#else
+    (void)width;
+    (void)bpc;
+    return 0;
+#endif
+}
+
+/* One page's per-cell levels, and the OR of its bytes. */
+static uint8_t count_cells(int64_t cells, int64_t width, const uint8_t *page,
+                           int64_t *out)
+{
+#ifdef VECTOR_BODY
+    if (page_vector_body(width, 1))
+        return count3_avx2(cells, page, out);
+#endif
+    return count_plain(cells, width, page, out);
 }
 
 /* Per-cell levels of rows of `cells` cells, `stride` bytes apart. */
@@ -501,6 +629,71 @@ program_page(int64_t width, int64_t steps, int64_t per_step, int64_t bpc,
     }
 }
 
+#ifdef VECTOR_BODY
+/* program_page for 3-bit cells of 1 or 2 bits each, sixteen cells at a time:
+ * `used` cells, each's symbol a byte in `symbol`, `lookup` target_of one
+ * level a byte.  A cell's target is lookup[now << bpc | symbol], one shuffle
+ * for sixteen, as now <= 3 and bpc <= 2; its `target - now` lowest unset bits
+ * are set plane by plane, RAISE3's rule, so a cell such as 010 keeps its
+ * meaning.  The last cells, fewer than sixteen, go by RAISE3 itself. */
+__attribute__((target("avx2"))) static void
+program3_avx2(int64_t used, int64_t bpc, const uint8_t *lookup,
+              const uint8_t *symbol, int64_t *level, uint8_t *cell)
+{
+    const __m128i table = _mm_loadu_si128((const __m128i *)lookup);
+    const __m128i one = _mm_set1_epi8(1), shift = _mm_cvtsi32_si128((int)bpc);
+    int64_t c = 0;
+    for (; c + 16 <= used; c += 16, symbol += 16, level += 16, cell += 48) {
+        __m128i x[3], p[3], now = load_levels(level);
+        __m128i target = _mm_shuffle_epi8(
+            table, _mm_or_si128(_mm_sll_epi16(now, shift),
+                                _mm_loadu_si128((const __m128i *)symbol)));
+        __m128i deficit = _mm_sub_epi8(target, now);
+        store_levels(target, level);
+        load_planes(cell, x, p);
+        for (int j = 0; j < 3; j++) {
+            __m128i fill = _mm_andnot_si128(p[j], _mm_min_epu8(deficit, one));
+            p[j] = _mm_or_si128(p[j], fill);
+            deficit = _mm_sub_epi8(deficit, fill);
+        }
+        store_planes(p, cell);
+    }
+    _mm256_zeroupper();
+    for (; c < used; c++, cell += 3) {
+        int64_t now = *level, target = lookup[now << bpc | *symbol++];
+        uint8_t bits = RAISE3[cell[0] | cell[1] << 1 | cell[2] << 2][target - now];
+        *level++ = target;
+        cell[0] = bits & 1;
+        cell[1] = bits >> 1 & 1;
+        cell[2] = bits >> 2;
+    }
+}
+#endif
+
+/* One writable lane's page program: on AVX2 (`vector`), the codeword's
+ * symbols a byte a cell in `symbol`, then program3_avx2 over them; else
+ * program_page.  Always inlined, for the literal shapes `program` names. */
+static inline __attribute__((always_inline)) void
+program_lane(int vector, int64_t width, int64_t steps, int64_t per_step,
+             int64_t bpc, const int64_t *target_of, const uint8_t *lookup,
+             uint8_t *symbol, int64_t *level, const int64_t *codeword,
+             uint8_t *cell)
+{
+#ifdef VECTOR_BODY
+    if (vector) {
+        uint8_t *next = symbol;
+        for (int64_t t = 0; t < steps; t++)
+            for (int64_t i = 0, value = codeword[t]; i < per_step; i++, value >>= bpc)
+                *next++ = (uint8_t)(value & (((int64_t)1 << bpc) - 1));
+        program3_avx2(steps * per_step, bpc, lookup, symbol, level, cell);
+        return;
+    }
+#else
+    (void)vector, (void)lookup, (void)symbol;
+#endif
+    program_page(width, steps, per_step, bpc, target_of, level, codeword, cell);
+}
+
 /* Every lane is checked before any is written, so a refused call leaves
  * `levels` as it was handed in and the caller can redo it from there. */
 int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
@@ -546,6 +739,16 @@ int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
         if ((uint64_t)chunks >> (per_step * bpc) || bits > 1 || high)
             return -2;
     }
+    /* On AVX2, 3-bit cells of 1 or 2 bits each: scratch for a lane's
+     * symbols, one a cell, and target_of one level a byte. */
+    uint8_t lookup[16] = {0}, *symbol = NULL;
+    int vector = page_vector_body(width, bpc);
+    if (vector) {
+        if (!(symbol = malloc((size_t)used + 1)))
+            return -1;
+        for (int64_t i = 0; i < (width + 1) * symbols; i++)
+            lookup[i] = (uint8_t)target_of[i];
+    }
     for (int64_t b = 0; b < lanes; b++) {
         if (!writable[b])
             continue;
@@ -554,7 +757,8 @@ int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
         uint8_t *page = pages + b * page_bits;
         /* Table I's shapes on 4-level cells, (cells per step, bits per cell),
          * each its own body; any other shape runs the generic one. */
-#define PAGE(w, n, m) program_page(w, steps, n, m, target_of, level, word, page)
+#define PAGE(w, n, m) \
+    program_lane(vector, w, steps, n, m, target_of, lookup, symbol, level, word, page)
         switch (width == 3 ? per_step * 64 + bpc : 0) {
         case 2 * 64 + 1: PAGE(3, 2, 1); break; /* MFC-1/2-1BPC */
         case 1 * 64 + 2: PAGE(3, 1, 2); break; /* MFC-1/2-2BPC */
@@ -565,6 +769,7 @@ int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
         }
 #undef PAGE
     }
+    free(symbol);
     return 0;
 }
 

@@ -111,7 +111,11 @@ the compiler specialises for each Table I shape (3-bit cells with that
 code's cells per step and bits per cell), a generic one for any other,
 and rewrites a 3-bit cell from a table without branching on whether it
 changes.  It checks every lane before it writes any, so the numpy twin
-can redo a refused call from the same levels.  Its ``decode`` walks a page
+can redo a refused call from the same levels.  Where the CPU has AVX2,
+3-bit cells of 1 or 2 bits each are counted and programmed sixteen at a
+time, as three bit planes (``page_vector_body`` says whether).  Its
+search reads each lane's levels at the row stride it is handed, so the
+levels of pages with tail cells are not copied.  Its ``decode`` walks a page
 once: a used cell's bytes summed, its symbol read, the symbol's bits
 shifted into one 64-bit history word per stream, and each syndrome bit
 the parity of two of them ANDed with a generator (a code of more than 64
@@ -135,6 +139,7 @@ then ``"auto"`` (native when it builds, else numpy), memoized per name.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -364,9 +369,9 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 INT16_BIG, INT16_RENORM = 16383, 16
 #: What ``_viterbi.c`` exports: (int64 arguments, pointer arguments) by name.
 _SIGNATURES = {
-    "search_inputs": (8, 5), "search": (7, 10), "program": (7, 5),
+    "search_inputs": (8, 5), "search": (8, 10), "program": (7, 5),
     "decode": (9, 4), "levels": (4, 2), "wom_encode": (3, 5), "wom_decode": (3, 3),
-    "search_vector_body": (1, 0),
+    "search_vector_body": (1, 0), "page_vector_body": (2, 0),
 }
 
 
@@ -504,15 +509,27 @@ def _make_native_backend() -> KernelBackend:
 
     def search(v, reps, levels):
         reps = np.ascontiguousarray(reps, dtype=np.int64)
-        levels = np.ascontiguousarray(levels, dtype=np.int64)
         lanes, steps = reps.shape
+        # Lanes may lie any whole number of int64 apart, as the rows of pages'
+        # levels with tail cells do: the kernel reads them at that stride.
+        # Anything else (a lane strided within, narrow values, lanes that
+        # overlap or run backward) is copied.
+        stride = steps * v.cells_per_step
+        if not (
+            levels.dtype == np.int64 and lanes and levels[0].flags.c_contiguous
+            and (lanes == 1 or levels.strides[0] >= 8 * stride > 0
+                 and levels.strides[0] % 8 == 0)
+        ):
+            levels = np.ascontiguousarray(levels, dtype=np.int64)
+        elif lanes > 1:
+            stride = levels.strides[0] // 8
         codeword = np.empty((lanes, steps), dtype=np.int64)
         total = np.empty(lanes)
         writable = np.empty(lanes, dtype=bool)
         # _limit < 0: costs too large for int16, every lane runs float64.
         check(search_kernel(
             lanes, steps, v.trellis.num_states, v.cells_per_step,
-            v._num_levels, v.num_values, v._limit,
+            v._num_levels, v.num_values, v._limit, stride,
             *[pointer for _table, pointer in v._search_tables],
             address(reps), address(levels), address(codeword), address(total),
             address(writable),
@@ -522,7 +539,8 @@ def _make_native_backend() -> KernelBackend:
     def count(cells):
         cells = np.asarray(cells, dtype=np.uint8)
         *lead, num_cells, width = cells.shape
-        rows = cells.reshape(-1, num_cells, width)  # a view where it can be
+        # A view where it can be; no -1, which no array of no cells resolves.
+        rows = cells.reshape(math.prod(lead), num_cells, width)
         if rows.strides[1:] != (width, 1):
             rows = np.ascontiguousarray(rows)
         out = np.empty((len(rows), num_cells), dtype=np.int64)

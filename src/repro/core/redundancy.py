@@ -64,17 +64,24 @@ class ReplicationCode(PageCode):
     # -- the one body of both faces: (lanes, page_bits) pages ---------------
 
     def _next_copies(self, pages: np.ndarray) -> list[int]:
-        """Per lane, the copy after the last one holding a set bit."""
-        used = pages.reshape(len(pages), self.copies, self.dataword_bits).max(axis=2)
-        return [max((c + 1 for c, bit in enumerate(row) if bit), default=0) for row in used.tolist()]
+        """Per lane, the copy after the last one holding a set bit: the copies
+        are scanned from the last one back, up to the first that holds one."""
+        n = self.dataword_bits
+        next_copies = []
+        for row in pages.view(bool):
+            next_copy = self.copies
+            while next_copy and not _holds_a_bit(row[(next_copy - 1) * n:next_copy * n]):
+                next_copy -= 1
+            next_copies.append(next_copy)
+        return next_copies
 
     def _encode(
         self, datawords: np.ndarray, pages: np.ndarray, batch: bool
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(new_pages, writable)`` as ``(lanes, page_bits)`` and ``(lanes,)``.
 
-        The pages are scanned once for the copies in use; only a writable
-        lane's next copy is then written, one slice per lane."""
+        The pages are scanned for the copies in use; only a writable lane's
+        next copy is then written, one slice per lane."""
         data = self._datawords(datawords, batch).reshape(-1, self.dataword_bits)
         bits = self._pages(pages, batch).reshape(-1, self.page_bits)
         if len(data) != len(bits):
@@ -85,10 +92,18 @@ class ReplicationCode(PageCode):
         for lane, next_copy in enumerate(self._next_copies(bits)):
             # On an erased page a zero dataword programs nothing; onto a used
             # one it would read back as the copy before it.
-            if next_copy < self.copies and (next_copy == 0 or data[lane].any()):
+            if next_copy < self.copies and (
+                next_copy == 0 or _holds_a_bit(data[lane].view(bool))
+            ):
                 new_pages[lane, next_copy * n:(next_copy + 1) * n] = data[lane]
                 writable[lane] = True
         return new_pages, writable
+
+
+def _holds_a_bit(row: np.ndarray) -> bool:
+    """Whether a bool view of bytes has a nonzero one: ``argmax`` stops at
+    the first, where ``any`` and ``max`` read the whole row."""
+    return bool(row[row.argmax()])
 
 
 class RedundancyScheme(PageCodeScheme):

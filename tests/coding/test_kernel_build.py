@@ -190,7 +190,7 @@ def test_library_exports_exactly_what_the_backend_binds() -> None:
     }
     assert exported == set(kernels._SIGNATURES) == {
         "search_inputs", "search", "program", "decode", "levels",
-        "wom_encode", "wom_decode", "search_vector_body",
+        "wom_encode", "wom_decode", "search_vector_body", "page_vector_body",
     }
 
 

@@ -18,6 +18,7 @@ take raw pointers.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -410,6 +411,162 @@ def test_packed_chunks_are_the_streams_shifted_into_place(variant, vcell_levels)
         got = _packed_chunks(representative)
         assert got.shape == expected.shape
         assert np.array_equal(np.asarray(got, dtype=np.int64), expected)
+
+
+# -- the sixteen-cell bodies ------------------------------------------------------
+# On a CPU with AVX2 the native count and program of 3-bit cells run sixteen
+# cells at a time, as three bit planes, and the plain bodies the cells past the
+# last whole sixteen.  Each shape is checked on cell counts that leave one and
+# fifteen cells over (or the nearest its cells per step allow), and on pages
+# too small for one group; elsewhere the plain bodies answer the same tests.
+
+#: Table I's shapes: every MFC variant on 4-level cells.
+TABLE_I = sorted(MFC_VARIANTS)
+
+
+def _code_of_cells(variant: str, cells: int, constraint_length: int = 7):
+    """A code on exactly ``cells`` 3-bit cells and two tail bits."""
+    denominator, bits_per_cell = MFC_VARIANTS[variant]
+    code = ConvolutionalCosetCode(
+        page_bits=3 * cells + 2,
+        rate_denominator=denominator,
+        constraint_length=constraint_length,
+        bits_per_cell=bits_per_cell,
+    )
+    assert code.varray.num_cells == cells
+    return code
+
+
+def _cell_counts(variant: str) -> list[int]:
+    """Cell counts past a dozen groups of sixteen: 16k + 1 and 16k + 15 for
+    the count, and those whose used cells leave the fewest and the most cells
+    over that the variant's cells per step allow, for the program."""
+    counts = {16 * 12 + 1, 16 * 12 + 15}
+    n = _code_of_cells(variant, 16 * 12 + 1).cells_per_step
+    least = math.gcd(n, 16)
+    for over in (least, 16 - least):
+        counts.add(next(
+            cells for cells in range(16 * 12, 16 * 16)
+            if cells // n * n % 16 == over
+        ))
+    return sorted(counts)
+
+
+def _patterned_pages(code, lanes: int, seed: int) -> np.ndarray:
+    """Every cell, the tail cells too, one of the eight 3-bit patterns, so
+    cells such as 010, 101 and 110 that no thermometer code makes are there;
+    the tail bits all set."""
+    rng = np.random.default_rng(seed)
+    patterns = rng.integers(0, 8, (lanes, code.varray.num_cells))
+    cells = (patterns[..., None] >> np.arange(3) & 1).astype(np.uint8)
+    pages = np.ones((lanes, code.page_bits), dtype=np.uint8)
+    pages[:, : code.varray.used_bits] = cells.reshape(lanes, -1)
+    return pages
+
+
+def _assert_native_bodies_match(backend, code, lanes, seed, monkeypatch) -> None:
+    """Search inputs, level count and program of patterned pages, in every
+    layout and in reverse lane order, against the numpy twins; the native
+    kernel never needs its twin on them."""
+    rng = np.random.default_rng(seed)
+    pages = _patterned_pages(code, lanes, seed)
+    data = rng.integers(0, 2, (lanes, code.dataword_bits), dtype=np.uint8)
+    codeword = _random_codeword(code, lanes, seed + 1)
+    writable = np.arange(lanes) % 3 != 1  # B = 3: the middle lane is left alone
+    counted = _popcount(code.varray._cells(pages))
+    expected_pages, expected_levels = _program_with_levels(
+        "numpy", code, pages, codeword, writable
+    )
+    with monkeypatch.context() as patch:
+        if backend != "numpy":
+
+            def no_twin(*_args):
+                raise AssertionError("the kernel refused valid input")
+
+            patch.setattr(kernels, "_program_numpy", no_twin)
+            patch.setattr(kernels, "_search_inputs_numpy", no_twin)
+        kernel = kernels.resolve_backend(backend)
+        for view in _views(pages):
+            _chunks, levels = kernel.search_inputs(code, data, view)
+            assert np.array_equal(levels, counted)
+            assert np.array_equal(kernel.levels(code.varray._cells(view)), counted)
+            got_pages, got_levels = _program_with_levels(
+                backend, code, view, codeword, writable
+            )
+            assert np.array_equal(got_pages, expected_pages)
+            assert np.array_equal(got_levels, expected_levels)
+        _chunks, levels = kernel.search_inputs(code, data[::-1], pages[::-1])
+        assert np.array_equal(levels, counted[::-1])
+        got_pages, got_levels = _program_with_levels(
+            backend, code, pages[::-1], codeword[::-1], writable[::-1]
+        )
+        assert np.array_equal(got_pages, expected_pages[::-1])
+        assert np.array_equal(got_levels, expected_levels[::-1])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", TABLE_I)
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_sixteen_cell_bodies_match_the_twins(
+    backend, variant, lanes, monkeypatch
+) -> None:
+    for cells in _cell_counts(variant):
+        code = _code_of_cells(variant, cells)
+        pages = _patterned_pages(code, lanes, seed=cells)
+        patterns = code.varray._cells(pages) @ np.array([4, 2, 1])
+        assert {0b010, 0b101, 0b110} <= set(patterns.ravel().tolist())
+        _assert_native_bodies_match(backend, code, lanes, cells, monkeypatch)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_a_page_of_fewer_than_sixteen_cells(backend, lanes, monkeypatch) -> None:
+    """No whole group of sixteen: the plain bodies count and program every
+    cell, on any CPU.  The shapes of four and five cells a step need 20 and
+    25 cells for the shortest code's five steps; the count takes every
+    shape's cells."""
+    for variant, cells in (
+        ("mfc-1/2-2bpc", 5), ("mfc-1/2-2bpc", 15), ("mfc-1/2-1bpc", 11),
+        ("mfc-2/3", 15),
+    ):
+        code = _code_of_cells(variant, cells, constraint_length=3)
+        _assert_native_bodies_match(backend, code, lanes, cells, monkeypatch)
+    levels = kernels.resolve_backend(backend).levels
+    rng = np.random.default_rng(3)
+    for cells in range(16):
+        bits = rng.integers(0, 2, (lanes, cells, 3), dtype=np.uint8)
+        assert np.array_equal(levels(bits), _popcount(bits))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", TABLE_I)
+def test_a_byte_of_two_in_a_group_or_the_tail_is_refused(backend, variant) -> None:
+    """A byte of 2 in the last whole group of sixteen, or in the cells past
+    it, of the count's cells and of the program's: every page read names its
+    lane and bit, and the program leaves the handed levels as they were."""
+    code = _code_of_cells(variant, 16 * 12 + 15)
+    used = code.used_cells
+    kernel = kernels.resolve_backend(backend)
+    last = code.varray.num_cells - 1
+    for cell in sorted({16 * 12 - 1, used // 16 * 16 - 1, used - 1, last}):
+        for byte in range(3):
+            pages = _patterned_pages(code, 3, seed=cell)
+            bit = 3 * cell + byte
+            pages[1, bit] = 2
+            match = f"lane 1, bit {bit}: byte 2 is not a bit"
+            data = np.zeros((3, code.dataword_bits), dtype=np.uint8)
+            with pytest.raises(VCellError, match=match):
+                kernel.search_inputs(code, data, pages)
+            with pytest.raises(VCellError, match=match):
+                kernel.levels(code.varray._cells(pages))
+            levels = np.ones((3, code.varray.num_cells), dtype=np.int64)
+            handed = levels.copy()
+            with pytest.raises(VCellError, match=match):
+                _program_with_levels(
+                    backend, code, pages, _random_codeword(code, 3, seed=cell),
+                    np.ones(3, dtype=bool), handed,
+                )
+            assert np.array_equal(handed, levels)
 
 
 # -- decode ----------------------------------------------------------------------

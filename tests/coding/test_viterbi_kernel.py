@@ -272,9 +272,10 @@ def _native_library():
     return kernels._bind(kernels._load_native())
 
 
-def _native_search(viterbi, reps, levels, limit=None, expanded=None):
+def _native_search(viterbi, reps, levels, limit=None, expanded=None, stride=None):
     """``(status, codewords, costs, writable)`` of one ``search`` call over
-    the searcher's tables, with its own limit and expanded table."""
+    the searcher's tables, with its own limit, expanded table and lane
+    stride (one lane's levels by default)."""
     lanes, steps = reps.shape
     codeword = np.empty((lanes, steps), dtype=np.int64)
     total = np.empty(lanes)
@@ -292,6 +293,7 @@ def _native_search(viterbi, reps, levels, limit=None, expanded=None):
         lanes, steps, viterbi.trellis.num_states, viterbi.cells_per_step,
         viterbi._num_levels, viterbi.num_values,
         viterbi._limit if limit is None else limit,
+        steps * viterbi.cells_per_step if stride is None else stride,
         *(None if b is None else b.ctypes.data for b in buffers),
     )
     return status, codeword, total, writable.view(bool)
@@ -524,6 +526,34 @@ def test_k7_searcher_takes_the_vector_body_where_the_cpu_has_avx2() -> None:
 
 
 @needs_native
+def test_no_other_cell_takes_the_sixteen_cell_body() -> None:
+    """Only 3-bit cells of 1 or 2 bits each are counted and programmed
+    sixteen at a time."""
+    library = _native_library()
+    for width, bits_per_cell in ((1, 1), (5, 1), (7, 1), (15, 1), (3, 0), (3, 3)):
+        assert library.page_vector_body(width, bits_per_cell) == 0
+
+
+@needs_native
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or "avx2" not in _cpu_flags(),
+    reason="the vector body is for x86-64 CPUs whose /proc/cpuinfo lists avx2",
+)
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
+def test_3_bit_cell_pages_take_the_sixteen_cell_body_where_the_cpu_has_avx2(
+    variant,
+) -> None:
+    """Every Table I code's page count and program run sixteen cells at a
+    time: a fallback to the plain bodies returns the same bytes, slower, and
+    only this test sees it."""
+    code = _make_code(variant, 7)
+    assert code.varray.bits_per_cell == 3
+    assert _native_library().page_vector_body(
+        code.varray.bits_per_cell, code.codebook.bits_per_cell
+    ) == 1
+
+
+@needs_native
 @pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
 def test_k7_survivor_word_and_renormalisation_edges(variant) -> None:
     """Step counts either side of 8 (a survivor byte of the plain body), 16
@@ -700,6 +730,39 @@ def test_backend_accepts_strided_and_narrow_inputs(backend) -> None:
     copied = viterbi.search_batch(reps[:, ::2].copy(), levels[:, ::2].copy())
     assert np.array_equal(sliced.codeword_values, copied.codeword_values)
     _assert_bit_identical(viterbi, reps[:, ::2], levels[:, ::2])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_reads_lanes_at_their_row_stride(backend, monkeypatch) -> None:
+    """Levels whose lanes lie a page's row of levels apart, as
+    ``encode_batch`` hands them when a page has tail cells: the numpy twin's
+    result, and the native kernel reads the view itself, not a copy."""
+    code = _make_code("mfc-2/3", 5)
+    viterbi = _with_backend(code, backend)
+    lanes, steps, cells = 3, 26, viterbi.cells_per_step
+    reps, levels = _random_case(viterbi, lanes, steps, 13, 2)
+    rows = np.full((lanes, steps * cells + 5), 7, dtype=np.int64)
+    rows[:, : steps * cells] = levels.reshape(lanes, -1)
+    view = rows[:, : steps * cells].reshape(lanes, steps, cells)
+    assert not view.flags.c_contiguous and view.base is not None
+    copied = []
+    contiguous = np.ascontiguousarray
+
+    def spy(array, *args, **kwargs):
+        copied.append(array is view)
+        return contiguous(array, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", spy)
+    result = viterbi.search_batch(reps, view)
+    monkeypatch.undo()
+    expected = _with_backend(code, "numpy").search_batch(reps, levels)
+    for name in ("codeword_values", "total_costs", "writable"):
+        assert getattr(result, name).tobytes() == getattr(expected, name).tobytes()
+    if backend == "native":
+        assert not any(copied)
+        # Lanes closer than a lane's levels overlap: the kernel refuses them.
+        status, *_ = _native_search(viterbi, reps, view, stride=steps * cells - 1)
+        assert status == -2
 
 
 #: The ``CosetViterbi`` tables each backend's search reads.
