@@ -13,7 +13,7 @@ __all__ = [
     "unpack_values_axis",
     "gf2_convolve_axis",
     "gf2_divide_causal",
-    "random_bits",
+    "RandomBits",
 ]
 
 
@@ -110,35 +110,60 @@ def gf2_divide_causal(numerators: np.ndarray, feedback_taps: np.ndarray) -> np.n
     return out
 
 
-def random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` uniform random bits as uint8: the bits
-    ``rng.integers(0, 2, count, dtype=np.uint8)`` draws, leaving ``rng`` in
-    the state that call leaves it in.
+class RandomBits:
+    """A run of uniform random bit draws from one generator: call it with a
+    count for each, then :meth:`close` it (or leave its ``with`` block).
 
-    That call keeps the top bit of one byte per output, four bytes to a
-    32-bit draw, low byte first, and drops a draw's unused bytes.  A PCG64
-    makes its 32-bit draws two to a 64-bit word, low half first, and keeps
-    the high half for the next one (``has_uint32``/``uinteger`` in its
+    Each draw gives the bits ``rng.integers(0, 2, count, dtype=np.uint8)``
+    gives, and after :meth:`close` ``rng`` is in the state as many such calls
+    leave it in.  That call keeps the top bit of one byte per output, four
+    bytes to a 32-bit draw, low byte first, and drops a draw's unused bytes.
+    A PCG64 makes its 32-bit draws two to a 64-bit word, low half first, and
+    keeps the high half for the next one (``has_uint32``/``uinteger`` in its
     state).  So for PCG64 the bits are the top bits of the bytes of that
     kept half, if any, then of ``random_raw``'s words, read low byte first.
-    ``random_raw`` leaves the kept half alone, so it is set after: the last
-    word's high half, kept when its low half was the last draw.  Any other
-    bit generator is asked as above.
+    ``random_raw`` and float draws (``rng.random``) neither read nor set the
+    kept half, so it is read from the state once, carried from draw to draw
+    and written back by :meth:`close`: the last word's high half, kept when
+    its low half was the last draw.  Until then only those may draw from
+    ``rng`` besides this object.  Any other bit generator is asked as above
+    on every draw.
     """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64) or count < 1:
-        return rng.integers(0, 2, count, dtype=np.uint8)
-    state = bitgen.state
-    kept = state["has_uint32"]
-    halves = (count + 3) // 4 - kept  # 32-bit draws from new words
-    words = bitgen.random_raw((halves + 1) // 2).astype("<u8", copy=False)
-    stream = words.view(np.uint8)
-    if kept:
-        half = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
-        stream = np.concatenate((half, stream))
-    state = bitgen.state
-    state["has_uint32"] = halves % 2
-    if halves:
-        state["uinteger"] = int(words[-1] >> 32)
-    bitgen.state = state
-    return stream[:count] >> 7
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        bitgen = rng.bit_generator
+        self._pcg64 = bitgen if isinstance(bitgen, np.random.PCG64) else None
+        if self._pcg64 is not None:
+            state = bitgen.state
+            self._kept = bool(state["has_uint32"])
+            self._high = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+
+    def __call__(self, count: int) -> np.ndarray:
+        """``count`` uniform random bits as uint8."""
+        if self._pcg64 is None or count < 1:
+            return self._rng.integers(0, 2, count, dtype=np.uint8)
+        halves = (count + 3) // 4 - self._kept  # 32-bit draws from new words
+        words = self._pcg64.random_raw((halves + 1) // 2).astype("<u8", copy=False)
+        stream = words.view(np.uint8)
+        if self._kept:
+            stream = np.concatenate((self._high, stream))
+        if halves:
+            self._high = stream[-4:].copy()
+        self._kept = bool(halves % 2)
+        return stream[:count] >> 7
+
+    def close(self) -> None:
+        """Write the carried half back into the generator's state."""
+        if self._pcg64 is not None:
+            state = self._pcg64.state
+            state["has_uint32"] = int(self._kept)
+            state["uinteger"] = int.from_bytes(self._high.tobytes(), "little")
+            self._pcg64.state = state
+
+    def __enter__(self) -> RandomBits:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+

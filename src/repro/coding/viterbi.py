@@ -54,9 +54,13 @@ from repro.errors import ConfigurationError, UnwritableError
 
 __all__ = ["CosetViterbi", "ViterbiResult", "ViterbiBatchResult"]
 
-#: Largest expanded int16 branch-cost table built for the native kernel:
-#: covers every MFC variant at K=7 but mfc-4/5, which would take 8 MiB.
-_EXPANDED_BYTES = 4 << 20
+#: Largest expanded int16 branch-cost table built for the native kernel, one
+#: 2S cost vector per (level row, coset chunk).  The largest it must cover is
+#: mfc-4/5 at K=7 on 4-level cells: 4**5 level rows x 2**5 chunks x 128 int16,
+#: 8 MiB, so every registry code at K <= 7 on those cells expands.  A searcher
+#: past it (8-level cells at rate 1/4 or 1/5, rate 1/5 at more than 64 states)
+#: gathers each cost from the fused table as it goes.
+_EXPANDED_BYTES = 4**5 * 2**5 * 128 * 2
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,12 @@ Two drivers implement the methodology:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.coding.bitops import random_bits
+from repro.coding.bitops import RandomBits
 from repro.core.analysis import UpdateTrace
 from repro.core.scheme import PageCodeScheme
 from repro.errors import ConfigurationError, DecodingError, UnwritableError
@@ -181,8 +182,11 @@ class LifetimeSimulator(_PageSimulator):
             raise ConfigurationError("need at least one erase cycle")
         writes_per_cycle: list[int] = []
         trace = UpdateTrace()
-        for _ in range(cycles):
-            writes_per_cycle.append(self._run_cycle(trace, max_writes_per_cycle))
+        with RandomBits(self.rng) as draw:
+            for _ in range(cycles):
+                writes_per_cycle.append(
+                    self._run_cycle(draw, trace, max_writes_per_cycle)
+                )
         return LifetimeResult(
             scheme_name=self.scheme.name,
             rate=self.scheme.rate,
@@ -190,13 +194,13 @@ class LifetimeSimulator(_PageSimulator):
             trace=trace,
         )
 
-    def _run_cycle(self, trace: UpdateTrace, max_writes: int) -> int:
+    def _run_cycle(self, draw: RandomBits, trace: UpdateTrace, max_writes: int) -> int:
         scheme = self.scheme
         state = self._fresh_state(self.rng)
         writes = 0
         levels = scheme.cell_levels(state)
         while writes < max_writes:
-            dataword = random_bits(self.rng, scheme.dataword_bits)
+            dataword = draw(scheme.dataword_bits)
             try:
                 state = scheme.write(state, dataword)
             except UnwritableError:
@@ -286,6 +290,13 @@ class BatchLifetimeSimulator(_PageSimulator):
         """Simulate ``cycles`` erase cycles on every lane."""
         if cycles < 1:
             raise ConfigurationError("need at least one erase cycle")
+        with ExitStack() as stack:
+            draws = [stack.enter_context(RandomBits(rng)) for rng in self._rngs]
+            return self._run_lanes(draws, cycles, max_writes_per_cycle)
+
+    def _run_lanes(
+        self, draws: list[RandomBits], cycles: int, max_writes_per_cycle: int
+    ) -> LifetimeResult:
         scheme = self.scheme
         lanes = self.lanes
         states = scheme.fresh_states(lanes)
@@ -303,10 +314,7 @@ class BatchLifetimeSimulator(_PageSimulator):
         while active.any():
             idx = np.flatnonzero(active)
             datawords = np.stack(
-                [
-                    random_bits(self._rngs[lane], scheme.dataword_bits)
-                    for lane in idx
-                ]
+                [draws[lane](scheme.dataword_bits) for lane in idx]
             )
             new_states, writable = scheme.write_batch(states[idx], datawords)
             ok_lanes = idx[writable]

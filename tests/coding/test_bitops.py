@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding.bitops import (
+    RandomBits,
     bits_from_bytes,
     bytes_from_bits,
     gf2_convolve_axis,
     pack_values,
     pack_values_axis,
-    random_bits,
     unpack_values,
     unpack_values_axis,
 )
@@ -153,8 +153,10 @@ class TestGf2Convolve:
 
 class TestRandomBits:
     def test_deterministic_with_seed(self) -> None:
-        a = random_bits(np.random.default_rng(3), 32)
-        b = random_bits(np.random.default_rng(3), 32)
+        with RandomBits(np.random.default_rng(3)) as draw:
+            a = draw(32)
+        with RandomBits(np.random.default_rng(3)) as draw:
+            b = draw(32)
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {0, 1}
 
@@ -164,8 +166,8 @@ class TestRandomBits:
         ids=["pcg64", "mt19937"],
     )
     def test_draws_what_integers_draws(self, make, count) -> None:
-        """Five draws in a row, each starting where the last left the
-        generator (5 449 is MFC-1/2-1BPC's dataword at 4 KB): the same bits
+        """Five runs of one draw in a row, each starting where the last left
+        the generator (5 449 is MFC-1/2-1BPC's dataword at 4 KB): the same bits
         and the same generator state as ``integers(0, 2, n, dtype=uint8)``,
         whose 32-bit draws may begin on the kept half of a PCG64 word.  An
         MT19937 has no such half, nor the state keys that name it: it takes
@@ -173,13 +175,35 @@ class TestRandomBits:
         ours, reference = make(2016), make(2016)
         for _ in range(5):
             expected = reference.integers(0, 2, count, dtype=np.uint8)
-            got = random_bits(ours, count)
+            with RandomBits(ours) as draw:
+                got = draw(count)
             assert got.dtype == np.uint8 and got.shape == (count,)
             assert np.array_equal(got, expected)
             assert _plain(ours.bit_generator.state) == _plain(
                 reference.bit_generator.state
             )
         assert ours.random() == reference.random()
+
+    @pytest.mark.parametrize("start", [0, 1], ids=["whole-word", "kept-half"])
+    def test_a_run_of_draws_is_a_run_of_integers_calls(self, start) -> None:
+        """One ``RandomBits`` over mixed counts, whose 32-bit draws end on
+        either half of a PCG64 word, with float draws in between, as a
+        defect run makes them: the bits of ``integers`` call by call, and
+        once closed the generator state those calls leave."""
+        ours, reference = np.random.default_rng(2016), np.random.default_rng(2016)
+        for rng in (ours, reference):
+            rng.integers(0, 2, 4 * start, dtype=np.uint8)
+        with RandomBits(ours) as draw:
+            for count in (1, 4, 5, 8, 9, 3, 5449, 12, 0, 7, 32768, 2, 16):
+                expected = reference.integers(0, 2, count, dtype=np.uint8)
+                assert np.array_equal(draw(count), expected)
+                floats = count % 5
+                assert np.array_equal(ours.random(floats), reference.random(floats))
+        assert _plain(ours.bit_generator.state) == _plain(reference.bit_generator.state)
+        assert np.array_equal(
+            ours.integers(0, 2, 5, dtype=np.uint8),
+            reference.integers(0, 2, 5, dtype=np.uint8),
+        )
 
 
 def _plain(state):

@@ -28,7 +28,7 @@ from repro.coding.cost import make_codebook, methuselah_metric
 from repro.coding.registry import get_code, list_codes
 from repro.coding.viterbi import CosetViterbi
 from repro.errors import ConfigurationError
-from repro.core.mfc import MFC_VARIANTS
+from repro.core.mfc import MFC_VARIANTS, MfcScheme
 
 
 def _reference_search_batch(viterbi, reps, levels):
@@ -247,16 +247,31 @@ def test_native_search_reads_the_expanded_table_it_is_bound() -> None:
 
 @needs_native
 def test_native_serves_a_searcher_too_large_to_expand() -> None:
-    """mfc-4/5 at K=7 would expand to 16 MiB: no table, every step gathers
-    its costs, and the result is numpy's byte for byte."""
-    code = _make_code("mfc-4/5", 7)
+    """Rate 1/5 at K=7 on 8-level cells would expand to 256 MiB, past the
+    cap: no table, every step gathers its costs from the fused one, and the
+    result is numpy's byte for byte."""
+    code = _make_code("mfc-4/5", 7, vcell_levels=8)
     viterbi = _with_backend(code, "native")
-    assert viterbi._expanded is None
-    assert _with_backend(_make_code("mfc-3/4", 7), "native")._expanded is not None
+    assert viterbi._expanded is None and viterbi._limit >= 0
+    assert viterbi._search_tables[2] == (None, None)
     for lanes, steps in ((1, 0), (1, 9), (1, 12), (5, 13), (3, 70)):
-        reps, levels = _random_case(viterbi, lanes, steps, steps, 3)
+        reps, levels = _random_case(viterbi, lanes, steps, steps, 7)
         _assert_bit_identical(viterbi, reps, levels)
         _assert_native_is_numpy(code, reps, levels)
+
+
+@needs_native
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
+def test_every_table1_code_at_k7_expands_its_costs(variant) -> None:
+    """Each Table I MFC code at K=7 on a 4 KB page hands the native search
+    its expanded table, the one the AVX2 body reads: mfc-4/5's is the
+    largest, 4**5 level rows x 32 chunks x 128 int16 = 8 MiB."""
+    scheme = MfcScheme(variant, 32768, constraint_length=7)
+    viterbi = _with_backend(scheme.code, "native")
+    rows = viterbi.codebook.num_levels**viterbi.cells_per_step
+    assert viterbi._expanded is not None and viterbi._limit >= 0
+    assert viterbi._expanded.shape == (rows, viterbi.num_values, 128)
+    assert viterbi._search_tables[2][1] is not None
 
 
 # ---------------------------------------------------------------------------

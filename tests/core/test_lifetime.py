@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import LifetimeSimulator, make_scheme
+from repro.core import BatchLifetimeSimulator, LifetimeSimulator, lifetime, make_scheme
 from repro.core.analysis import UpdateTrace
 from repro.errors import ConfigurationError
 
@@ -166,11 +166,55 @@ class TestDefectInjection:
         with pytest.raises(ConfigurationError, match="not cell-based"):
             LifetimeSimulator(make_scheme("uncoded", 64), defect_fraction=0.1)
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+    def test_a_defect_run_draws_what_integers_calls_draw(
+        self, monkeypatch, batched
+    ) -> None:
+        """A run carries the PCG64's kept half from dataword to dataword (31
+        32-bit draws each: the half changes every write) while the defect
+        draws (``rng.random``) come in between: the run, and where it leaves
+        an injected generator, are those of one ``integers`` call a word."""
+        scheme = make_scheme("mfc-1/2-1bpc", PAGE, constraint_length=3)
+        assert (scheme.dataword_bits + 3) // 4 % 2 == 1
+
+        def run():
+            rngs = [np.random.default_rng(seed) for seed in (8, 9)]
+            if batched:
+                simulator = BatchLifetimeSimulator(
+                    scheme, seeds=rngs, defect_fraction=0.03
+                )
+            else:
+                simulator = LifetimeSimulator(
+                    scheme, seed=rngs[0], defect_fraction=0.03
+                )
+            result = simulator.run(cycles=3)
+            return result.writes_per_cycle_by_lane, [r.bit_generator.state for r in rngs]
+
+        carried = run()
+        monkeypatch.setattr(lifetime, "RandomBits", _IntegersCalls)
+        assert run() == carried
+
     def test_zero_defects_matches_plain_run(self) -> None:
         scheme = make_scheme("wom", PAGE)
         plain = LifetimeSimulator(scheme, seed=5).run(cycles=2)
         zero = LifetimeSimulator(scheme, seed=5, defect_fraction=0.0).run(cycles=2)
         assert plain.writes_per_cycle == zero.writes_per_cycle
+
+
+class _IntegersCalls:
+    """The datawords as ``integers`` draws them, one call a word."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    def __call__(self, count: int) -> np.ndarray:
+        return self._rng.integers(0, 2, count, dtype=np.uint8)
+
+    def __enter__(self) -> _IntegersCalls:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
 
 
 class TestUpdateTrace:
