@@ -16,26 +16,30 @@
  * state), bit t % 8 of byte (t / 8) * S + s the predecessor s took at step
  * t: one lane's plane at a time, walked back as soon as it is full.
  *
- * The forward pass runs on int16_t.  Infeasible is BIG, and every candidate
- * is clamped to BIG before the compare, so two infeasible ones tie as two infs
- * do; old + cost <= 2 * BIG stays in int16.  Every RENORM steps the least
- * finite metric moves into an int64 offset; a finite one still above `limit`
- * could reach BIG before the next, so that lane WIDENs and is redone in
- * double.  A least metric of BIG says every state is dead, and no later step
- * revives one: the lane stops there, unwritable, once the steps it does not
- * run are range-checked.  An unwritable lane's codeword is all zeros.  Both
- * are one body, this file including itself; in the double one BIG is IEEE
- * inf, the clamp a no-op and nothing renormalises or stops: never build it
- * with -ffast-math.
+ * A lane runs in the narrowest exact width first: uint8 over the expanded
+ * table, one uint8 cost vector per (level row, coset chunk), where the caller
+ * binds one; else int16, gathering each cost from the fused table.
+ * Infeasible is BIG (255, 16383), and every candidate is clamped to BIG
+ * before the compare, so two infeasible ones tie as two infs do.  Every
+ * RENORM steps (8, 16) the least finite metric moves into an int64 offset; a
+ * finite one still above the width's limit could reach BIG before the next,
+ * so that lane WIDENs: a uint8 lane is redone in int16, an int16 one in
+ * double, which also gathers.  A least metric of BIG says every state is
+ * dead, and no later step revives one: the lane stops there, unwritable, once
+ * the steps it does not run are range-checked.  An unwritable lane's codeword
+ * is all zeros.  The three widths are one body, this file including itself;
+ * in the double one BIG is IEEE inf, nothing is clamped and nothing
+ * renormalises or stops: never build it with -ffast-math.
  *
- * That body is plain C, which gcc runs eight states to an SSE2 register, the
- * x86-64 baseline.  The paper's case, 64 states read from the expanded cost
- * table, has a second int16 body in AVX2 intrinsics (lane64_avx2): the 64
- * metrics in four ymm registers, a step's survivors one movemask word.  It is
- * compiled for AVX2 by a function attribute and taken only when the CPU says
- * it has AVX2 (search_vector_body), so one artefact built without -march runs
- * on any x86-64, and the file still compiles where there is no such target.
- * Both bodies keep the same five rules, so they return the same bytes.
+ * That body is plain C, which gcc runs sixteen uint8 or eight int16 states
+ * to an SSE2 register, the x86-64 baseline.  The paper's case, 64 states in
+ * uint8, has a second body in AVX2 intrinsics (lane64_avx2): the 64 metrics
+ * in two ymm registers, where a saturating add is the clamp, and a step's
+ * survivors one 64-bit word.  It is compiled for AVX2 by a function attribute
+ * and taken only when the CPU says it has AVX2 (search_vector_body), so one
+ * artefact built without -march runs on any x86-64, and the file still
+ * compiles where there is no such target.  Both bodies keep the same five
+ * rules, so they return the same bytes.
  *
  * The level count (search_inputs, levels) and the page program of 3-bit
  * cells, 1 or 2 bits a cell, have AVX2 bodies chosen the same way
@@ -45,7 +49,7 @@
  *
  * Tables are C-contiguous.  Every function returns -1 when scratch cannot be
  * allocated, -2 when an input is out of range, else 0 (search: the number of
- * lanes it redid in double).
+ * lanes it redid wider).
  */
 #ifndef T
 #include <math.h>
@@ -54,7 +58,10 @@
 #include <string.h>
 
 #define WIDEN 1
-#define RENORM 16
+#define BIG8 255
+#define RENORM8 8
+#define BIG16 16383
+#define RENORM16 16
 
 /* Eight steps' survivors, rows of S bytes each 0 or 1, into one byte per
  * state: step q's at bit q.  Vector loads of what the butterflies stored as
@@ -85,77 +92,54 @@ static int unrun_in_range(int64_t steps, int64_t cells, int64_t L, int64_t V,
 }
 
 /* By name, not __FILE__: a quoted include is looked up beside the including
- * file, so this finds itself however the compiler was handed its path. */
-#define BIG16 16383
+ * file, so this finds itself however the compiler was handed its path.
+ * double defines no RENORM. */
+#define T uint8_t
+#define BIG BIG8
+#define RENORM RENORM8
+#define NAME(f) f##_u8
+#include "_viterbi.c"
+#undef T
+#undef BIG
+#undef RENORM
+#undef NAME
 #define T int16_t
 #define BIG BIG16
+#define RENORM RENORM16
 #define NAME(f) f##_i16
 #include "_viterbi.c"
 #undef T
 #undef BIG
+#undef RENORM
 #undef NAME
 #define T double
 #define BIG INFINITY
 #define NAME(f) f##_f64
 #include "_viterbi.c"
 
-/* Bit of state s in a step's survivor word.  The survivors of butterflies
- * j0 .. j0 + 15 (j0 = 0, 16) are one movemask of packs_epi16(states 2j,
- * states 2j + 1), which packs each 128-bit lane apart: its 32 bits are
- * states 2j of the first eight j, 2j + 1 of the same eight, then both for
- * the next eight.  So with j = s >> 1, s's bit is 32 * (j >> 4) +
- * 16 * (j >> 3 & 1) + 8 * (s & 1) + (j & 7). */
-static const uint8_t BIT_OF[64] = {
-    0,  8,  1,  9,  2,  10, 3,  11, 4,  12, 5,  13, 6,  14, 7,  15,
-    16, 24, 17, 25, 18, 26, 19, 27, 20, 28, 21, 29, 22, 30, 23, 31,
-    32, 40, 33, 41, 34, 42, 35, 43, 36, 44, 37, 45, 38, 46, 39, 47,
-    48, 56, 49, 57, 50, 58, 51, 59, 52, 60, 53, 61, 54, 62, 55, 63,
-};
-
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define VECTOR_BODY 1
 
-/* The 16 butterflies j0 .. j0 + 15 of a step: old[j], old[32 + j] in `lo`,
- * `hi`, and the step's cost vector from entry j0 in `c`, its [u][k] rows
- * 32 apart.  Returns the new metrics of states 2j0 .. 2j0 + 31 in natural
- * order in *n0, *n1 and their survivors as packed bytes, with the same clamp
- * and strict-less select as the plain body. */
-__attribute__((target("avx2"))) static inline __m256i
-butterflies16(__m256i lo, __m256i hi, const int16_t *c, __m256i big,
-              __m256i *n0, __m256i *n1)
-{
-    __m256i a0 = _mm256_min_epi16(
-        _mm256_add_epi16(lo, _mm256_loadu_si256((const __m256i *)c)), big);
-    __m256i a1 = _mm256_min_epi16(
-        _mm256_add_epi16(hi, _mm256_loadu_si256((const __m256i *)(c + 32))), big);
-    __m256i b0 = _mm256_min_epi16(
-        _mm256_add_epi16(lo, _mm256_loadu_si256((const __m256i *)(c + 64))), big);
-    __m256i b1 = _mm256_min_epi16(
-        _mm256_add_epi16(hi, _mm256_loadu_si256((const __m256i *)(c + 96))), big);
-    __m256i even = _mm256_min_epi16(a0, a1), odd = _mm256_min_epi16(b0, b1);
-    __m256i first = _mm256_unpacklo_epi16(even, odd);
-    __m256i second = _mm256_unpackhi_epi16(even, odd);
-    *n0 = _mm256_permute2x128_si256(first, second, 0x20);
-    *n1 = _mm256_permute2x128_si256(first, second, 0x31);
-    return _mm256_packs_epi16(_mm256_cmpgt_epi16(a0, a1),
-                              _mm256_cmpgt_epi16(b0, b1));
-}
-
-/* lane_i16 for S = 64 and the expanded table, in AVX2: the metrics of
- * states 16i .. 16i + 15 in m[i], step t's survivors in words[t], state s's
- * at bit BIT_OF[s].  The same range checks, clamp, select, RENORM and WIDEN
- * as the plain body, which gives the same metrics, offset and end state. */
+/* lane_u8 for S = 64 in AVX2: the metrics of states 0 .. 31 in m0 and 32 ..
+ * 63 in m1, so a step's four [u][k] cost rows are one load each, step t's
+ * survivors in words[t]: bit j is state 2j's, bit 32 + j state 2j + 1's.  A
+ * saturating add is the clamp to BIG8, and a state takes predecessor 1 only
+ * where the minimum is not predecessor 0's candidate: the strict-less select.
+ * The same range checks, RENORM8 and WIDEN as the plain body, which gives the
+ * same metrics, offset and end state. */
 __attribute__((target("avx2"))) static int
 lane64_avx2(int64_t steps, int64_t cells, int64_t L, int64_t V, int64_t limit,
-            const int16_t *expanded, const int64_t *reps,
+            const uint8_t *expanded, const int64_t *reps,
             const int64_t *levels, uint64_t *words, int64_t *end,
             double *total)
 {
-    const __m256i big = _mm256_set1_epi16(BIG16);
-    /* limit >= 0; one at BIG or above widens nothing, as no metric passes BIG. */
-    const __m256i high = _mm256_set1_epi16(limit < BIG16 ? (int16_t)limit : BIG16);
-    __m256i m0 = _mm256_setzero_si256(), m1 = m0, m2 = m0, m3 = m0;
+    const __m256i big = _mm256_set1_epi8((char)BIG8);
+    /* The least metric that widens; limit >= 0, and at BIG8 - 1 or above
+     * nothing does, as no finite metric passes it: BIG8 itself is dead. */
+    const __m256i high = _mm256_set1_epi8(
+        (char)(limit < BIG8 - 1 ? limit + 1 : BIG8));
+    __m256i m0 = _mm256_setzero_si256(), m1 = m0;
     int64_t offset = 0;
     for (int64_t t = 0; t < steps; t++, levels += cells) {
         int64_t v = reps[t], row = 0;
@@ -166,54 +150,58 @@ lane64_avx2(int64_t steps, int64_t cells, int64_t L, int64_t V, int64_t limit,
         }
         if ((uint64_t)v >= (uint64_t)V)
             return -2;
-        if (t && t % RENORM == 0) {
-            /* Metrics are 0 .. BIG, so the unsigned minimum is the least. */
-            __m256i m = _mm256_min_epi16(_mm256_min_epi16(m0, m1),
-                                         _mm256_min_epi16(m2, m3));
-            __m128i half = _mm_min_epu16(_mm256_castsi256_si128(m),
-                                         _mm256_extracti128_si256(m, 1));
-            int16_t least = (int16_t)_mm_cvtsi128_si32(_mm_minpos_epu16(half));
-            if (least == BIG16) { /* every state dead: the lane stops */
+        if (t && t % RENORM8 == 0) {
+            /* The least of 32 bytes, then of each 16-bit pair, one per word. */
+            __m256i m = _mm256_min_epu8(m0, m1);
+            __m128i half = _mm_min_epu8(_mm256_castsi256_si128(m),
+                                        _mm256_extracti128_si256(m, 1));
+            half = _mm_min_epu8(half, _mm_srli_epi16(half, 8));
+            int least = _mm_cvtsi128_si32(_mm_minpos_epu16(half)) & 0xff;
+            if (least == BIG8) { /* every state dead: the lane stops */
                 *end = 0;
                 *total = INFINITY;
                 return unrun_in_range(steps - t, cells, L, V, reps + t, levels);
             }
-            __m256i by = _mm256_set1_epi16(least), wide = _mm256_setzero_si256();
-#define RENORMED(x)                                                        \
-    do {                                                                   \
-        __m256i dead = _mm256_cmpeq_epi16(x, big);                         \
-        x = _mm256_blendv_epi8(_mm256_sub_epi16(x, by), big, dead);        \
-        wide = _mm256_or_si256(                                            \
-            wide, _mm256_andnot_si256(dead, _mm256_cmpgt_epi16(x, high))); \
+            __m256i by = _mm256_set1_epi8((char)least), wide = _mm256_setzero_si256();
+#define RENORMED(x)                                                          \
+    do {                                                                     \
+        __m256i dead = _mm256_cmpeq_epi8(x, big);                            \
+        x = _mm256_or_si256(_mm256_subs_epu8(x, by), dead);                  \
+        wide = _mm256_or_si256(                                              \
+            wide, _mm256_andnot_si256(                                       \
+                      dead, _mm256_cmpeq_epi8(_mm256_max_epu8(x, high), x))); \
     } while (0)
             RENORMED(m0);
             RENORMED(m1);
-            RENORMED(m2);
-            RENORMED(m3);
 #undef RENORMED
             if (!_mm256_testz_si256(wide, wide))
                 return WIDEN;
             offset += least;
         }
-        const int16_t *cost = expanded + (row * V + v) * 128;
-        __m256i n0, n1, n2, n3;
-        uint32_t low = (uint32_t)_mm256_movemask_epi8(
-            butterflies16(m0, m2, cost, big, &n0, &n1));
-        uint32_t upper = (uint32_t)_mm256_movemask_epi8(
-            butterflies16(m1, m3, cost + 16, big, &n2, &n3));
-        words[t] = (uint64_t)upper << 32 | low;
-        m0 = n0, m1 = n1, m2 = n2, m3 = n3;
+        const __m256i *cost = (const __m256i *)(expanded + (row * V + v) * 128);
+        __m256i a0 = _mm256_adds_epu8(m0, _mm256_loadu_si256(cost));
+        __m256i a1 = _mm256_adds_epu8(m1, _mm256_loadu_si256(cost + 1));
+        __m256i b0 = _mm256_adds_epu8(m0, _mm256_loadu_si256(cost + 2));
+        __m256i b1 = _mm256_adds_epu8(m1, _mm256_loadu_si256(cost + 3));
+        __m256i even = _mm256_min_epu8(a0, a1), odd = _mm256_min_epu8(b0, b1);
+        uint32_t stay_even = (uint32_t)_mm256_movemask_epi8(_mm256_cmpeq_epi8(even, a0));
+        uint32_t stay_odd = (uint32_t)_mm256_movemask_epi8(_mm256_cmpeq_epi8(odd, b0));
+        words[t] = ~((uint64_t)stay_odd << 32 | stay_even);
+        /* States 2j, 2j + 1 side by side: each 128-bit half of `first` holds
+         * 16 of them, and `second` the 16 after. */
+        __m256i first = _mm256_unpacklo_epi8(even, odd);
+        __m256i second = _mm256_unpackhi_epi8(even, odd);
+        m0 = _mm256_permute2x128_si256(first, second, 0x20);
+        m1 = _mm256_permute2x128_si256(first, second, 0x31);
     }
-    int16_t last[64];
+    uint8_t last[64];
     _mm256_storeu_si256((__m256i *)last, m0);
-    _mm256_storeu_si256((__m256i *)(last + 16), m1);
-    _mm256_storeu_si256((__m256i *)(last + 32), m2);
-    _mm256_storeu_si256((__m256i *)(last + 48), m3);
+    _mm256_storeu_si256((__m256i *)(last + 32), m1);
     int64_t best = 0;
     for (int64_t s = 1; s < 64; s++)
         best = last[s] < last[best] ? s : best;
     *end = best;
-    *total = last[best] < BIG16 ? (double)last[best] + offset : INFINITY;
+    *total = last[best] < BIG8 ? (double)last[best] + offset : INFINITY;
     return 0;
 }
 #endif
@@ -232,12 +220,13 @@ int search_vector_body(int64_t S)
 
 int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
            int64_t V,
-           int64_t limit,             /* int16 only, < 0 for never: see the top */
+           int64_t limit8,            /* uint8, < 0 for never: see the top */
+           int64_t limit,             /* int16, the same */
            int64_t stride,            /* levels from one lane's to the next's */
            const uint16_t *order,     /* (V, 2S) branch outputs ^ chunk */
            const int16_t *costs16,    /* (L**cells, V) fused cost table, or NULL */
-           const int16_t *expanded,   /* (L**cells * V, 2S) cost vector of each
-                                         (row, coset chunk), or NULL */
+           const uint8_t *expanded,   /* (L**cells * V, 2S) uint8 cost vector of
+                                         each (row, coset chunk), or NULL */
            const double *costs64,     /* (L**cells, V) the same in double */
            const int32_t *out_values, /* (S, 2): output of state s on input u */
            const int64_t *reps,       /* (lanes, steps) coset chunks */
@@ -259,29 +248,39 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
         const int64_t *rep = reps + b * steps, *level = levels + b * stride;
         int64_t state;
         int words = 0; /* survivors as lane64_avx2 leaves them */
-        if (limit < 0)
-            status = WIDEN;
-        /* 64: the paper's K=7, which gcc specialises the int16 pass for. */
-        else if (!vector)
-            status = S == 64 ? lane_i16(steps, 64, cells, L, V, limit, order, costs16,
-                                        expanded, rep, level, (int16_t *)metrics,
-                                        k, bits, &state, total + b)
-                             : lane_i16(steps, S, cells, L, V, limit, order, costs16,
-                                        expanded, rep, level, (int16_t *)metrics,
-                                        k, bits, &state, total + b);
+        status = WIDEN;
+#define LANE_U8(n)                                                             \
+    lane_u8(steps, n, cells, L, V, limit8, order, NULL, expanded, rep, level, \
+            (uint8_t *)metrics, k, bits, &state, total + b)
+        /* gcc specialises the pass for a literal S: 64, the paper's K=7, and
+         * 4 and 8, whose butterflies are too few for a vector loop of bytes. */
+        if (expanded && limit8 >= 0 && !vector)
+            status = S == 4 ? LANE_U8(4) : S == 8 ? LANE_U8(8)
+                   : S == 64 ? LANE_U8(64) : LANE_U8(S);
+#undef LANE_U8
 #ifdef VECTOR_BODY
-        else {
-            status = lane64_avx2(steps, cells, L, V, limit, expanded, rep, level,
+        else if (expanded && limit8 >= 0) {
+            status = lane64_avx2(steps, cells, L, V, limit8, expanded, rep, level,
                                  (uint64_t *)bits, &state, total + b);
             words = 1;
         }
 #endif
+        /* uint8 hands a lane on to int16, int16 to double; a lane counts
+         * once however far it goes. */
+        int redone = expanded && status == WIDEN;
+        if (status == WIDEN && limit >= 0) {
+            words = 0;
+            status = lane_i16(steps, S, cells, L, V, limit, order, costs16, NULL,
+                              rep, level, (int16_t *)metrics, k, bits, &state,
+                              total + b);
+        }
         if (status == WIDEN) {
-            widened++;
+            redone = 1;
             words = 0;
             status = lane_f64(steps, S, cells, L, V, 0, order, costs64, NULL, rep,
                               level, metrics, k, bits, &state, total + b);
         }
+        widened += redone;
         if (status)
             break;
         writable[b] = total[b] < INFINITY;
@@ -292,12 +291,13 @@ int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
         /* The input consumed on entering a state is its low bit, and its k-th
          * predecessor is (state >> 1) + k * S/2. */
         if (words) {
-            /* BIT_OF[s + 32] = BIT_OF[s] + 32 for s < 32: the next state's bit
-             * waits on this one's only through the OR, not on a load. */
+            /* State s's survivor is bit (s & 1) << 5 | s >> 1, and its
+             * predecessor's is known before the load: only `chosen` waits. */
             const uint64_t *word = (const uint64_t *)bits;
-            for (int64_t t = steps - 1, bit = BIT_OF[state]; t >= 0; t--) {
+            for (int64_t t = steps - 1, bit = (state & 1) << 5 | state >> 1; t >= 0;
+                 t--) {
                 int64_t chosen = word[t] >> bit & 1, src = state >> 1 | chosen << 5;
-                bit = chosen << 5 | BIT_OF[state >> 1];
+                bit = (state >> 1 & 1) << 5 | state >> 2 | chosen << 4;
                 codeword[b * steps + t] = out_values[2 * src + (state & 1)] ^ rep[t];
                 state = src;
             }
@@ -919,11 +919,17 @@ int wom_decode(int64_t lanes, int64_t page_bits, int64_t cells,
 
 #else
 
-/* old + cost, clamped to BIG (infeasible): see the top of the file. */
+/* old + cost, clamped to BIG (infeasible): see the top of the file.  An
+ * integer width adds the least of cost and the room left below BIG, which
+ * gcc makes a vector min and add, no wider type; double's inf needs no clamp. */
 static inline T NAME(add)(T old, T cost)
 {
-    T sum = old + cost;
-    return sum < BIG ? sum : BIG;
+#ifdef RENORM
+    T room = (T)(BIG - old);
+    return (T)(old + (cost < room ? cost : room));
+#else
+    return old + cost;
+#endif
 }
 
 /* One trellis step over its cost vector.  The select is strict-less, so a tie
@@ -978,6 +984,9 @@ static int NAME(lane)(int64_t steps, int64_t S, int64_t cells, int64_t L,
 {
     /* Old and new metrics: step t reads half t & 1 and writes the other. */
     int64_t offset = 0;
+#ifndef RENORM
+    (void)limit;
+#endif
     for (int64_t s = 0; s < S; s++)
         scratch[s] = 0;
     for (int64_t t = 0; t < steps; t++, levels += cells) {
@@ -992,7 +1001,8 @@ static int NAME(lane)(int64_t steps, int64_t S, int64_t cells, int64_t L,
         if ((uint64_t)v >= (uint64_t)V)
             return -2;
         T *old = scratch + (t & 1) * S, *new = scratch + (~t & 1) * S;
-        if (BIG < INFINITY && t && t % RENORM == 0) {
+#ifdef RENORM
+        if (t && t % RENORM == 0) {
             T least = BIG;
             for (int64_t s = 0; s < S; s++)
                 least = old[s] < least ? old[s] : least;
@@ -1001,15 +1011,18 @@ static int NAME(lane)(int64_t steps, int64_t S, int64_t cells, int64_t L,
                 *total = INFINITY;
                 return unrun_in_range(steps - t, cells, L, V, reps + t, levels);
             }
-            int wide = 0;
+            /* No branch and no int64 compare: gcc vectorises this loop. */
+            T high = limit < BIG ? (T)limit : BIG;
+            uint8_t wide = 0;
             for (int64_t s = 0; s < S; s++) {
-                old[s] = old[s] < BIG ? old[s] - least : BIG;
-                wide |= old[s] < BIG && old[s] > limit;
+                old[s] = old[s] < BIG ? (T)(old[s] - least) : BIG;
+                wide |= (old[s] < BIG) & (old[s] > high);
             }
             if (wide)
                 return WIDEN;
             offset += least;
         }
+#endif
         uint8_t *chosen = k + t % 8 * S;
         if (expanded)
             NAME(butterflies)(S / 2, old, expanded + (row * V + v) * 2 * S, new,

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.coding.convolutional import ConvolutionalCode
 from repro.coding.cost import CellCodebook, make_codebook
-from repro.coding.page_code import PageCode
+from repro.coding.page_code import PageCode, require_bits
 from repro.coding.registry import get_code
 from repro.coding.syndrome import SyndromeFormer
 from repro.coding.viterbi import CosetViterbi
@@ -161,10 +161,18 @@ class ConvolutionalCosetCode(PageCode):
         return levels
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
-        """Encode one page — a ``B = 1`` wrapper over :meth:`encode_batch`."""
-        data = self._datawords(dataword, batch=False)
+        """Encode one page — a ``B = 1`` wrapper over :meth:`encode_batch`.
+
+        A uint8 dataword's bytes are checked once, by the search inputs as
+        they read them; only a refused one is read again here, for the
+        message that names its bit without a lane."""
+        data = self._datawords(dataword, batch=False, checked_later=True)
         page = self._pages(page, batch=False)
-        new_pages, writable = self.encode_batch(data[None, :], page[None, :])
+        try:
+            new_pages, writable = self.encode_batch(data[None, :], page[None, :])
+        except CodingError:
+            require_bits(data, "dataword")
+            raise
         if not writable[0]:
             raise UnwritableError(
                 "no codeword in the coset is writable onto the current page"
@@ -183,7 +191,8 @@ class ConvolutionalCosetCode(PageCode):
         False in the mask.  Three calls of the backend: the search's inputs
         (the coset chunks and the pages' levels), the search, the program.
         """
-        data = self._datawords(datawords, batch=True)
+        # The search inputs check each uint8 byte as they read it.
+        data = self._datawords(datawords, batch=True, checked_later=True)
         pages = self._pages(pages, batch=True)
         lanes = len(data)
         if len(pages) != lanes:

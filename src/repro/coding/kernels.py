@@ -93,18 +93,19 @@ first use into this package's ``__pycache__`` and loaded with ``ctypes``,
 which releases the GIL for each call: while the device thread reads or
 writes a page, the server's event loop keeps running.
 Its search walks a step as ``S/2`` butterflies (states ``2j`` and
-``2j+1`` both come from ``j`` and ``j + S/2``) over a branch-cost vector
-``CosetViterbi`` expanded ahead per (level row, coset chunk), a loop the
-compiler vectorises; without that table it gathers the same costs from
-the fused row as it goes.  The paper's 64 states read from that table
-run a second body in AVX2 intrinsics where the CPU has AVX2, chosen per
-call inside the one artefact (``search_vector_body`` says whether).  It
-is only ever handed the paper's case (costs that are non-negative
-integers or ``inf``, a level space small enough to tabulate, a
-shift-register trellis); a ``CosetViterbi`` outside it resolves to
-numpy, for the whole write.  Its path metrics are
-int16, clamped and renormalised so that they stay exact, and a lane they
-could overflow is redone in float64 inside the call; a lane whose least
+``2j+1`` both come from ``j`` and ``j + S/2``) over a uint8 branch-cost
+vector ``CosetViterbi`` expanded ahead per (level row, coset chunk), a
+loop the compiler vectorises; without that table it searches in int16,
+gathering the same costs from the fused row as it goes.  The paper's 64
+states read from that table run a second body in AVX2 intrinsics where
+the CPU has AVX2, chosen per call inside the one artefact
+(``search_vector_body`` says whether).  It is only ever handed the
+paper's case (costs that are non-negative integers or ``inf``, a level
+space small enough to tabulate, a shift-register trellis); a
+``CosetViterbi`` outside it resolves to numpy, for the whole write.  Its
+path metrics are uint8 or int16, clamped and renormalised so that they
+stay exact, and a lane they could overflow is redone one width wider
+inside the call (uint8 in int16, int16 in float64); a lane whose least
 metric at a renormalisation is infeasible stops there.  Survivors are one
 bit per (step, state), walked back per lane.  Its ``program`` runs a body
 the compiler specialises for each Table I shape (3-bit cells with that
@@ -365,11 +366,13 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_viterbi.c")
 _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 #: No -ffast-math, ever: the float64 ACS carries IEEE inf for unwritable lanes.
 _CFLAGS = ("-O3", "-shared", "-fPIC")
-#: ``_viterbi.c``'s BIG (int16's inf) and RENORM (steps per renormalisation).
+#: ``_viterbi.c``'s BIG (each width's inf) and RENORM (steps per
+#: renormalisation) of its uint8 and int16 path metrics.
+UINT8_BIG, UINT8_RENORM = 255, 8
 INT16_BIG, INT16_RENORM = 16383, 16
 #: What ``_viterbi.c`` exports: (int64 arguments, pointer arguments) by name.
 _SIGNATURES = {
-    "search_inputs": (8, 5), "search": (8, 10), "program": (7, 5),
+    "search_inputs": (8, 5), "search": (9, 10), "program": (7, 5),
     "decode": (9, 4), "levels": (4, 2), "wom_encode": (3, 5), "wom_decode": (3, 3),
     "search_vector_body": (1, 0), "page_vector_body": (2, 0),
 }
@@ -526,13 +529,13 @@ def _make_native_backend() -> KernelBackend:
         codeword = np.empty((lanes, steps), dtype=np.int64)
         total = np.empty(lanes)
         writable = np.empty(lanes, dtype=bool)
-        # _limit < 0: costs too large for int16, every lane runs float64.
+        # Lanes start in uint8 where the searcher bound an expanded table,
+        # else in int16; _limit < 0 (costs too large for int16) skips that.
         check(search_kernel(
             lanes, steps, v.trellis.num_states, v.cells_per_step,
-            v._num_levels, v.num_values, v._limit, stride,
-            *[pointer for _table, pointer in v._search_tables],
-            address(reps), address(levels), address(codeword), address(total),
-            address(writable),
+            v._num_levels, v.num_values, v._limit8, v._limit, stride,
+            *v._search_pointers, address(reps), address(levels),
+            address(codeword), address(total), address(writable),
         ))
         return codeword, total, writable
 

@@ -56,15 +56,21 @@ class PageCode(abc.ABC):
         """Host-visible bits per raw page bit actually achieved."""
         return self.dataword_bits / self.page_bits
 
-    def _datawords(self, datawords: np.ndarray, batch: bool) -> np.ndarray:
+    def _datawords(
+        self, datawords: np.ndarray, batch: bool, checked_later: bool = False
+    ) -> np.ndarray:
         """One dataword (``batch`` False) or ``(lanes, dataword_bits)`` of
-        them, as uint8 holding only bits."""
+        them, as uint8 holding only bits.  ``checked_later`` passes a uint8
+        array through unchecked, for a caller that hands it to a backend
+        which checks every byte as it reads it."""
         data = np.asarray(datawords)
         if data.ndim != 1 + batch or data.shape[-1] != self.dataword_bits:
             shape = f"datawords must be (lanes, {self.dataword_bits})" if batch else (
                 f"dataword must be {self.dataword_bits}"
             )
             raise CodingError(f"{shape} bits, got {data.shape}")
+        if checked_later and data.dtype == np.uint8:
+            return data
         return require_bits(data, "dataword")
 
     def _pages(self, pages: np.ndarray, batch: bool) -> np.ndarray:

@@ -33,9 +33,10 @@ was asked for.
 Path metrics are exact integers when every finite metric cost is a
 non-negative integer (the paper's metric and both ablations), so each
 backend narrows them as far as stays exact: numpy's to float32 when the
-worst-case total fits 2**24, the C kernel's to int16, renormalised every
-16 steps, with a lane that could overflow redone in float64 in the same
-call.  Any other metric keeps float64.  Every backend is bit-identical to
+worst-case total fits 2**24, the C kernel's to uint8 over the expanded
+table (renormalised every 8 steps), else to int16 (every 16), with a lane
+that could overflow redone wider in the same call: uint8 in int16, int16
+in float64.  Any other metric keeps float64.  Every backend is bit-identical to
 the historical recursion for every metric (pinned by
 ``tests/coding/test_viterbi_kernel.py``).
 """
@@ -49,18 +50,24 @@ import numpy as np
 
 from repro.coding.convolutional import Trellis
 from repro.coding.cost import CellCodebook
-from repro.coding.kernels import INT16_BIG, INT16_RENORM, resolve_backend
+from repro.coding.kernels import (
+    INT16_BIG,
+    INT16_RENORM,
+    UINT8_BIG,
+    UINT8_RENORM,
+    resolve_backend,
+)
 from repro.errors import ConfigurationError, UnwritableError
 
 __all__ = ["CosetViterbi", "ViterbiResult", "ViterbiBatchResult"]
 
-#: Largest expanded int16 branch-cost table built for the native kernel, one
+#: Largest expanded uint8 branch-cost table built for the native kernel, one
 #: 2S cost vector per (level row, coset chunk).  The largest it must cover is
-#: mfc-4/5 at K=7 on 4-level cells: 4**5 level rows x 2**5 chunks x 128 int16,
-#: 8 MiB, so every registry code at K <= 7 on those cells expands.  A searcher
+#: mfc-4/5 at K=7 on 4-level cells: 4**5 level rows x 2**5 chunks x 128 bytes,
+#: 4 MiB, so every registry code at K <= 7 on those cells expands.  A searcher
 #: past it (8-level cells at rate 1/4 or 1/5, rate 1/5 at more than 64 states)
-#: gathers each cost from the fused table as it goes.
-_EXPANDED_BYTES = 4**5 * 2**5 * 128 * 2
+#: searches in int16, gathering each cost from the fused table as it goes.
+_EXPANDED_BYTES = 4**5 * 2**5 * 128
 
 
 @dataclass(frozen=True)
@@ -243,48 +250,55 @@ class CosetViterbi:
             # The native kernel's tables, converted once.  It walks a step as
             # S/2 butterflies, so _order[v] lists the branch outputs as [u][k][j]
             # (entering state 2j+u from its k-th predecessor) XOR coset chunk v,
-            # in 16 bits, which gcc vectorises a gather through, and _expanded is
-            # the int16 fused table gathered through them: one contiguous 2S
-            # cost vector per (level row, coset chunk), when that fits the cap.
+            # in 16 bits, which gcc vectorises a gather through; the int16 and
+            # float64 searches gather through it from the fused table.
+            # _expanded is the uint8 fused table gathered through it ahead:
+            # one contiguous 2S cost vector per (level row, coset chunk), when
+            # uint8 is exact and that fits the cap.
             self._out_values = trellis.output_values.astype(np.int32)
             order = self._pred_output.reshape(-1, 2, 2).transpose(1, 2, 0).ravel()
             self._order = (order ^ values[:, None]).astype(np.uint16)
-            # int16 metrics are exact while no finite one reaches INT16_BIG:
-            # one above _limit after a renormalisation could before the next
-            # (with a step to spare).  Costs making it negative run float64.
+            # Metrics of a width are exact while no finite one reaches its BIG:
+            # one above its limit after a renormalisation could before the
+            # next (with a step to spare).  Costs making _limit negative run
+            # float64, and _limit8 negative int16.
+            fused = self._fused_flat[np.dtype(np.float64)]
             self._limit = int(INT16_BIG - 1 - (INT16_RENORM + 1) * self._max_step_cost)
+            self._limit8 = int(UINT8_BIG - 1 - (UINT8_RENORM + 1) * self._max_step_cost)
             self._expanded = None
             if self._limit >= 0:
-                fused = np.minimum(
-                    self._fused_flat[np.dtype(np.float64)], INT16_BIG
+                self._fused_flat[np.dtype(np.int16)] = np.minimum(
+                    fused, INT16_BIG
                 ).astype(np.int16)
-                self._fused_flat[np.dtype(np.int16)] = fused
-                if fused.nbytes * 2 * num_states <= _EXPANDED_BYTES:
-                    self._expanded = fused.reshape(-1, self.num_values).take(
-                        self._order, axis=1
-                    )
+            if self._limit8 >= 0 and fused.size * 2 * num_states <= _EXPANDED_BYTES:
+                self._expanded = (
+                    np.minimum(fused, UINT8_BIG).astype(np.uint8)
+                    .reshape(-1, self.num_values).take(self._order, axis=1)
+                )
             self._bind_search_tables()
 
     def _bind_search_tables(self) -> None:
         """Hand the native search its tables as it reads them, once.
 
         None of them changes after construction, so each is converted to C
-        order and the kernel's dtype here and kept with its address: an
-        ``(array, address)`` pair, ``(None, None)`` for a table withheld
-        (NULL).  The pair keeps the array alive while C reads the address.
+        order and the kernel's dtype here: :attr:`_search_tables` keeps the
+        arrays alive while C reads :attr:`_search_pointers`, their addresses
+        in the kernel's argument order, None for a table withheld (NULL).
         """
-        bound = []
-        for table, dtype in (
-            (self._order, np.uint16),
-            (self._fused_flat.get(np.dtype(np.int16)), np.int16),
-            (self._expanded, np.int16),
-            (self._fused_flat[np.dtype(np.float64)], np.float64),
-            (self._out_values, np.int32),
-        ):
-            if table is not None:
-                table = np.ascontiguousarray(table, dtype=dtype)
-            bound.append((table, None if table is None else table.ctypes.data))
-        self._search_tables = tuple(bound)
+        tables = tuple(
+            None if table is None else np.ascontiguousarray(table, dtype=dtype)
+            for table, dtype in (
+                (self._order, np.uint16),
+                (self._fused_flat.get(np.dtype(np.int16)), np.int16),
+                (self._expanded, np.uint8),
+                (self._fused_flat[np.dtype(np.float64)], np.float64),
+                (self._out_values, np.int32),
+            )
+        )
+        self._search_tables = tables
+        self._search_pointers = tuple(
+            None if table is None else table.ctypes.data for table in tables
+        )
 
     def step_cost_table(self, step_levels: np.ndarray) -> np.ndarray:
         """Cost of writing each packed chunk value at each step.

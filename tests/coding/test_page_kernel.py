@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.coding import kernels
+from repro.coding import coset, kernels, page_code
 from repro.coding.coset import ConvolutionalCosetCode
 from repro.coding.kernels import _packed_chunks
 from repro.coding.registry import list_codes
@@ -866,6 +866,27 @@ def test_a_dataword_byte_above_one_is_refused(backend, monkeypatch) -> None:
     data[2, -1] = 3  # the last bit: past every whole table byte
     with pytest.raises(CodingError, match=f"lane 2, bit {code.dataword_bits - 1}"):
         code.encode_batch(data, pages)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_scalar_write_checks_its_dataword_once(backend, monkeypatch) -> None:
+    """A written uint8 dataword is checked in one pass, by the search inputs
+    as they read it: the numpy twin's ``require_bits`` or the kernel's OR of
+    its bytes, never a Python pass of ``encode`` or ``encode_batch`` too."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    code = _make_code("mfc-1/2-1bpc")
+    passes = []
+    for module in (coset, page_code, kernels):
+        checked = module.require_bits
+
+        def counting(bits, what, checked=checked):
+            passes.append(what)
+            return checked(bits, what)
+
+        monkeypatch.setattr(module, "require_bits", counting)
+    data = np.random.default_rng(5).integers(0, 2, code.dataword_bits, dtype=np.uint8)
+    code.encode(data, np.zeros(PAGE_BITS, dtype=np.uint8))
+    assert passes == (["dataword"] if backend == "numpy" else [])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -3,8 +3,9 @@
 ``_reference_search_batch`` is a faithful port of the pre-optimization
 add-compare-select loop (per-step gather, ``inc1 < inc0`` tie-break, argmin
 end state).  The production search runs through whichever kernel backend is
-selected, numpy on float32 metrics where exact and native on int16 ones with
-a float64 fallback (the first half of this file takes the default, so
+selected, numpy on float32 metrics where exact and native on uint8 or int16
+ones, redone wider where they could overflow (the first half of this file
+takes the default, so
 ``REPRO_VITERBI_BACKEND`` steers it; the second half names every available
 backend) — every case asserts byte-identical
 codewords, total costs, and writability masks across all MFC rates, and
@@ -26,8 +27,9 @@ from repro.coding.convolutional import Trellis
 from repro.coding.coset import ConvolutionalCosetCode
 from repro.coding.cost import make_codebook, methuselah_metric
 from repro.coding.registry import get_code, list_codes
-from repro.coding.viterbi import CosetViterbi
+from repro.coding.viterbi import _EXPANDED_BYTES, CosetViterbi
 from repro.errors import ConfigurationError
+from repro.core import LifetimeSimulator
 from repro.core.mfc import MFC_VARIANTS, MfcScheme
 
 
@@ -156,7 +158,8 @@ def _with_backend(code, backend: str) -> CosetViterbi:
 
 def _cost_paths(viterbi: CosetViterbi):
     """The searcher, then again with its expanded branch-cost table withheld:
-    the native kernel's two cost paths (numpy has the one)."""
+    the native kernel's two cost paths, uint8 over that table and int16
+    gathering from the fused one (numpy has the one)."""
     yield viterbi
     if viterbi.backend.name == "native" and viterbi._expanded is not None:
         yield _with_search_table(viterbi, 2, None)
@@ -166,9 +169,10 @@ def _with_search_table(viterbi: CosetViterbi, index: int, table) -> CosetViterbi
     """A copy of a native searcher whose kernel reads ``table`` (None: NULL)
     as its bound table ``index``: 2 is the expanded branch-cost table."""
     changed = copy.copy(viterbi)
-    bound = list(viterbi._search_tables)
-    bound[index] = (table, None if table is None else table.ctypes.data)
-    changed._search_tables = tuple(bound)
+    tables, pointers = list(viterbi._search_tables), list(viterbi._search_pointers)
+    tables[index] = table
+    pointers[index] = None if table is None else table.ctypes.data
+    changed._search_tables, changed._search_pointers = tuple(tables), tuple(pointers)
     return changed
 
 
@@ -226,20 +230,22 @@ def test_native_cost_paths_agree_with_numpy(variant, constraint_length) -> None:
 
 @needs_native
 def test_native_search_reads_the_expanded_table_it_is_bound() -> None:
-    """The kernel takes its expanded table from ``_search_tables`` alone: a
-    zeroed one makes every branch free, and withholding it sends every step
-    through the per-step gather, which still gives numpy's result."""
+    """The kernel takes its uint8 expanded table from ``_search_pointers``
+    alone: a zeroed one makes every branch free, and withholding it sends
+    every lane to int16 and every step through the per-step gather, which
+    still gives numpy's result."""
     code = _make_code("mfc-1/2-1bpc", 5)
     native = _with_backend(code, "native")
-    expanded, _address = native._search_tables[2]
-    assert expanded is not None and expanded is native._expanded
+    expanded = native._search_tables[2]
+    assert expanded is native._expanded and expanded.dtype == np.uint8
+    assert native._search_pointers[2] == expanded.ctypes.data
     reps, levels = _random_case(native, 3, 13, 6, 3)
     expected = _with_backend(code, "numpy").search_batch(reps, levels)
     assert (expected.total_costs > 0).any()
     free = _with_search_table(native, 2, np.zeros_like(expanded))
     assert (free.search_batch(reps, levels).total_costs == 0).all()
     gathering = _with_search_table(native, 2, None)
-    assert gathering._search_tables[2] == (None, None)
+    assert gathering._search_tables[2] is gathering._search_pointers[2] is None
     result = gathering.search_batch(reps, levels)
     assert result.total_costs.tobytes() == expected.total_costs.tobytes()
     assert result.codeword_values.tobytes() == expected.codeword_values.tobytes()
@@ -247,13 +253,14 @@ def test_native_search_reads_the_expanded_table_it_is_bound() -> None:
 
 @needs_native
 def test_native_serves_a_searcher_too_large_to_expand() -> None:
-    """Rate 1/5 at K=7 on 8-level cells would expand to 256 MiB, past the
-    cap: no table, every step gathers its costs from the fused one, and the
+    """Rate 1/5 at K=7 on 8-level cells would expand to 128 MiB, past the
+    cap (and its step costs leave uint8 no headroom): no table, every lane
+    runs int16, every step gathers its costs from the fused table, and the
     result is numpy's byte for byte."""
     code = _make_code("mfc-4/5", 7, vcell_levels=8)
     viterbi = _with_backend(code, "native")
     assert viterbi._expanded is None and viterbi._limit >= 0
-    assert viterbi._search_tables[2] == (None, None)
+    assert viterbi._search_tables[2] is viterbi._search_pointers[2] is None
     for lanes, steps in ((1, 0), (1, 9), (1, 12), (5, 13), (3, 70)):
         reps, levels = _random_case(viterbi, lanes, steps, steps, 7)
         _assert_bit_identical(viterbi, reps, levels)
@@ -264,21 +271,25 @@ def test_native_serves_a_searcher_too_large_to_expand() -> None:
 @pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
 def test_every_table1_code_at_k7_expands_its_costs(variant) -> None:
     """Each Table I MFC code at K=7 on a 4 KB page hands the native search
-    its expanded table, the one the AVX2 body reads: mfc-4/5's is the
-    largest, 4**5 level rows x 32 chunks x 128 int16 = 8 MiB."""
+    its uint8 expanded table, the one the AVX2 body reads: mfc-4/5's is the
+    largest, 4**5 level rows x 32 chunks x 128 bytes = 4 MiB, the cap."""
     scheme = MfcScheme(variant, 32768, constraint_length=7)
     viterbi = _with_backend(scheme.code, "native")
     rows = viterbi.codebook.num_levels**viterbi.cells_per_step
-    assert viterbi._expanded is not None and viterbi._limit >= 0
+    assert viterbi._expanded is not None and viterbi._limit8 >= 0
     assert viterbi._expanded.shape == (rows, viterbi.num_values, 128)
-    assert viterbi._search_tables[2][1] is not None
+    assert viterbi._expanded.dtype == np.uint8
+    assert viterbi._expanded.nbytes <= _EXPANDED_BYTES == 4 << 20
+    assert viterbi._search_pointers[2] is not None
 
 
 # ---------------------------------------------------------------------------
-# The native search runs int16 path metrics and redoes a lane in float64 when
-# they could overflow.  It is called directly here, with the limit it is
-# handed chosen, so each test knows which width answered: its status is the
-# number of lanes it redid in float64, and a limit below zero redoes them all.
+# The native search runs uint8 path metrics over the expanded table, int16 ones
+# gathering from the fused table where there is none, and redoes a lane one
+# width wider when they could overflow: uint8 in int16, int16 in float64.  It
+# is called directly here, with the limits it is handed chosen, so each test
+# knows which width answered: its status is the number of lanes it redid, and
+# a limit below zero skips its width for every lane.
 # ---------------------------------------------------------------------------
 
 
@@ -287,10 +298,13 @@ def _native_library():
     return kernels._bind(kernels._load_native())
 
 
-def _native_search(viterbi, reps, levels, limit=None, expanded=None, stride=None):
+def _native_search(
+    viterbi, reps, levels, limit=None, expanded=None, stride=None, limit8=None
+):
     """``(status, codewords, costs, writable)`` of one ``search`` call over
-    the searcher's tables, with its own limit, expanded table and lane
-    stride (one lane's levels by default)."""
+    the searcher's tables, with its own limits (int16's, uint8's), expanded
+    table (None: lanes start in int16) and lane stride (one lane's levels by
+    default)."""
     lanes, steps = reps.shape
     codeword = np.empty((lanes, steps), dtype=np.int64)
     total = np.empty(lanes)
@@ -307,6 +321,7 @@ def _native_search(viterbi, reps, levels, limit=None, expanded=None, stride=None
     status = _native_library().search(
         lanes, steps, viterbi.trellis.num_states, viterbi.cells_per_step,
         viterbi._num_levels, viterbi.num_values,
+        viterbi._limit8 if limit8 is None else limit8,
         viterbi._limit if limit is None else limit,
         steps * viterbi.cells_per_step if stride is None else stride,
         *(None if b is None else b.ctypes.data for b in buffers),
@@ -314,17 +329,52 @@ def _native_search(viterbi, reps, levels, limit=None, expanded=None, stride=None
     return status, codeword, total, writable.view(bool)
 
 
-def _assert_int16_is_float64(viterbi, reps, levels) -> None:
-    """Both int16 cost paths give the float64 search's codewords, costs and
-    writability byte for byte, with no lane redone.  Unwritable lanes count
-    too: their walk from state 0 crosses the ties between infeasible
-    branches, which int16 must break as float64's infs do."""
+def _lanes_past(viterbi, reps, levels, every, limit) -> int:
+    """How many lanes a width whose limit is ``limit`` redoes: those whose
+    finite float64 path metrics spread more than that at one of its
+    renormalisations, every ``every`` steps."""
+    trellis = viterbi.trellis
+    step_costs = viterbi.step_cost_table(levels)
+    lane_grid = np.arange(len(reps))[:, None, None]
+    path = np.zeros((len(reps), trellis.num_states))
+    past = np.zeros(len(reps), dtype=bool)
+    for t in range(reps.shape[1]):
+        if t and t % every == 0:
+            finite = np.isfinite(path)
+            least = np.where(finite, path, np.inf).min(axis=1)
+            most = np.where(finite, path, -np.inf).max(axis=1)
+            past |= finite.any(axis=1) & (most - least > limit)
+        branch = step_costs[:, t][lane_grid, viterbi._xor_gather[reps[:, t]]]
+        path = (path[:, trellis.prev_state] + branch).min(axis=2)
+    return int(past.sum())
+
+
+def _assert_narrow_is_float64(viterbi, reps, levels) -> None:
+    """uint8 over the expanded table and int16 gathering give the float64
+    search's codewords, costs and writability byte for byte, redoing just
+    the lanes whose metrics spread past their limit, and so does a uint8
+    search whose every lane is redone in int16.  Unwritable lanes count too:
+    their walk from state 0 crosses the ties between infeasible branches,
+    which the narrow widths must break as float64's infs do."""
     lanes = len(reps)
     status, *wide = _native_search(viterbi, reps, levels, limit=-1)
     assert status == lanes
-    for expanded in {id(e): e for e in (viterbi._expanded, None)}.values():
-        status, *narrow = _native_search(viterbi, reps, levels, expanded=expanded)
-        assert status == 0
+    # (expanded table, uint8 limit, lanes redone)
+    runs = [(None, None, _lanes_past(
+        viterbi, reps, levels, kernels.INT16_RENORM, viterbi._limit
+    ))]
+    if viterbi._expanded is not None:
+        runs += [
+            (viterbi._expanded, None, _lanes_past(
+                viterbi, reps, levels, kernels.UINT8_RENORM, viterbi._limit8
+            )),
+            (viterbi._expanded, -1, lanes),
+        ]
+    for expanded, limit8, redone in runs:
+        status, *narrow = _native_search(
+            viterbi, reps, levels, expanded=expanded, limit8=limit8
+        )
+        assert status == redone
         for got, expected in zip(narrow, wide):
             assert got.tobytes() == expected.tobytes()
 
@@ -339,7 +389,8 @@ def _page_lifetime(code, lanes, seed):
     search_batch = code.viterbi.search_batch
 
     def recording(reps, levels):
-        searches.append((reps, levels))
+        # A copy: the page program writes the new levels over these.
+        searches.append((np.array(reps), np.array(levels)))
         return search_batch(reps, levels)
 
     code.viterbi.search_batch = recording
@@ -363,43 +414,75 @@ def _page_lifetime(code, lanes, seed):
         if (MFC_VARIANTS[variant][0], constraint_length) in list_codes()
     ],
 )
-def test_int16_forward_equals_float64_on_every_state(
+def test_narrow_forward_equals_float64_on_every_state(
     variant, constraint_length
 ) -> None:
     code = _make_code(variant, constraint_length)
     native = _with_backend(code, "native")
+    assert native._expanded is not None  # lanes start in uint8
     code.viterbi = native
     searches = _page_lifetime(code, 5, constraint_length)
     assert len(searches) > 2
     for reps, levels in searches:
-        _assert_int16_is_float64(native, reps, levels)
-    # Either side of the renormalisation period, saturated cells included.
+        _assert_narrow_is_float64(native, reps, levels)
+    # Either side of both renormalisation periods, saturated cells included.
     num_levels = native.codebook.num_levels
-    for steps in (15, 16, 17, 31, 32, 33):
+    for steps in (7, 8, 9, 15, 16, 17, 31, 32, 33):
         reps, levels = _random_case(native, 5, steps, steps, num_levels - 1)
-        _assert_int16_is_float64(native, reps, levels)
+        _assert_narrow_is_float64(native, reps, levels)
+
+
+#: Which limits a forced overflow zeroes (any finite spread after a
+#: renormalisation then overflows), whether the lanes start on the expanded
+#: table (in uint8) or without it (in int16), and the width that answers.
+FORCED_OVERFLOWS = {
+    "uint8-redone-in-int16": (("_limit8",), True, "int16"),
+    "uint8-past-both-limits": (("_limit8", "_limit"), True, "float64"),
+    "int16-redone-in-float64": (("_limit",), False, "float64"),
+}
 
 
 @needs_native
 @pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
-def test_forced_int16_overflow_redoes_the_call_in_float64(variant) -> None:
+@pytest.mark.parametrize("case", sorted(FORCED_OVERFLOWS))
+def test_forced_overflow_redoes_the_lane_wider(variant, case) -> None:
+    """Each lane is counted redone once, however many widths it passed, and
+    comes back as numpy and the unforced search make it.  A zeroed float64
+    table frees every branch where float64 answers, and nowhere else."""
     code = _make_code(variant, 5)
     native = _with_backend(code, "native")
     reference = _with_backend(code, "numpy")
     reps, levels = _random_case(native, 6, 40, 7, 2)
     unforced = native.search_batch(reps, levels)
-    native._limit = 0  # any finite spread after a renormalisation overflows
+    assert (unforced.total_costs > 0).all()
+    zeroed, expanded, answers = FORCED_OVERFLOWS[case]
+    if not expanded:
+        native = _with_search_table(native, 2, None)
+    for name in zeroed:
+        setattr(native, name, 0)
     for lane in range(len(reps)):
         status, *_result = _native_search(
             native, reps[lane : lane + 1], levels[lane : lane + 1],
-            expanded=native._expanded,
+            expanded=native._search_tables[2],
         )
         assert status == 1
     forced = native.search_batch(reps, levels)
     for expected in (reference.search_batch(reps, levels), unforced):
-        assert np.array_equal(forced.codeword_values, expected.codeword_values)
-        assert np.array_equal(forced.total_costs, expected.total_costs)
-        assert np.array_equal(forced.writable, expected.writable)
+        for name in ("codeword_values", "total_costs", "writable"):
+            assert getattr(forced, name).tobytes() == getattr(expected, name).tobytes()
+    free64 = copy.copy(native)
+    free64._fused_flat = {
+        **native._fused_flat,
+        np.dtype(np.float64): np.zeros_like(native._fused_flat[np.dtype(np.float64)]),
+    }
+    status, _codeword, total, _writable = _native_search(
+        free64, reps, levels, expanded=native._search_tables[2]
+    )
+    assert status == len(reps)
+    if answers == "float64":
+        assert (total == 0).all()
+    else:
+        assert total.tobytes() == unforced.total_costs.tobytes()
 
 
 @needs_native
@@ -470,29 +553,33 @@ def test_native_batch_of_writable_and_unwritable_lanes(variant) -> None:
 
 @needs_native
 @pytest.mark.parametrize("constraint_length", [5, 7])  # 7: the AVX2 body
-def test_one_lane_widens_to_float64_next_to_one_that_does_not(
-    constraint_length,
-) -> None:
-    """One call, a limit between the two lanes' spreads: the wide lane is
-    redone in float64, the narrow one is not, and both match numpy."""
+@pytest.mark.parametrize("width", ["uint8", "int16"])
+def test_one_lane_widens_next_to_one_that_does_not(constraint_length, width) -> None:
+    """One call, a limit of one width between the two lanes' spreads: the
+    wide lane is redone wider (uint8 in int16, int16 in float64), the narrow
+    one is not, and both match numpy."""
     code = _make_code("mfc-1/2-1bpc", constraint_length)
     native = _with_backend(code, "native")
     reps, levels = _random_case(native, 2, 40, 9, 2)
     levels[0] = 0  # lane 0: the cheapest cells, the narrowest spread
+    expanded = native._expanded if width == "uint8" else None
+
+    def run(lanes, limit):
+        limits = {"limit8" if width == "uint8" else "limit": limit}
+        return _native_search(
+            native, reps[lanes], levels[lanes], expanded=expanded, **limits
+        )
 
     def least_limit(lane):
-        """The least limit at which the lane stays int16 throughout."""
+        """The least limit at which the lane stays in the width throughout."""
         limit = 0
-        while _native_search(
-            native, reps[lane : lane + 1], levels[lane : lane + 1], limit,
-            native._expanded,
-        )[0]:
+        while run(slice(lane, lane + 1), limit)[0]:
             limit += 1
         return limit
 
     narrow = least_limit(0)
     assert narrow < least_limit(1)
-    status, *got = _native_search(native, reps, levels, narrow, native._expanded)
+    status, *got = run(slice(None), narrow)
     assert status == 1
     expected = _with_backend(code, "numpy").search_batch(reps, levels)
     for array, name in zip(got, ("codeword_values", "total_costs", "writable")):
@@ -501,9 +588,9 @@ def test_one_lane_widens_to_float64_next_to_one_that_does_not(
 
 # ---------------------------------------------------------------------------
 # The paper's K=7, 64 states.  Where the CPU has AVX2 the native search runs
-# a searcher with an expanded table (every MFC code but mfc-4/5) in its AVX2
-# body: a step's survivors are one 64-bit word there, read back through a
-# table of bit positions, and its own renormalisation every 16 steps.
+# a searcher with an expanded table (every Table I MFC code) in its uint8 AVX2
+# body: a step's survivors are one 64-bit word there, bit j state 2j's and bit
+# 32 + j state 2j + 1's, and it renormalises every 8 steps.
 # ---------------------------------------------------------------------------
 
 
@@ -535,8 +622,8 @@ def test_k7_searcher_takes_the_vector_body_where_the_cpu_has_avx2() -> None:
     """A dispatch that slips back to the plain body returns the same bytes at
     half the speed: no equivalence test can see it, this one does."""
     viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 7), "native")
-    assert viterbi._expanded is not None and viterbi._limit >= 0
-    assert viterbi._search_tables[2][1] is not None  # the kernel is handed it
+    assert viterbi._expanded is not None and viterbi._limit8 >= 0
+    assert viterbi._search_pointers[2] is not None  # the kernel is handed it
     assert _native_library().search_vector_body(viterbi.trellis.num_states) == 1
 
 
@@ -571,12 +658,13 @@ def test_3_bit_cell_pages_take_the_sixteen_cell_body_where_the_cpu_has_avx2(
 @needs_native
 @pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
 def test_k7_survivor_word_and_renormalisation_edges(variant) -> None:
-    """Step counts either side of 8 (a survivor byte of the plain body), 16
-    (the first renormalisation) and 32 (the second), on cells with headroom
-    and on saturated ones."""
+    """Step counts either side of 8 (a survivor byte of the plain body and
+    uint8's first renormalisation), 16 (int16's first) and 24 and 32 (later
+    ones), on cells with headroom and on saturated ones, walked back from
+    the survivor word in uint8 and from survivor bytes in int16."""
     code = _make_code(variant, 7)
     num_levels = code.viterbi.codebook.num_levels
-    for steps in (1, 7, 8, 9, 15, 16, 17, 33):
+    for steps in (1, 7, 8, 9, 15, 16, 17, 24, 25, 33):
         for lanes, max_level in ((1, num_levels - 2), (3, num_levels - 1)):
             reps, levels = _random_case(
                 code.viterbi, lanes, steps, steps + lanes, max_level
@@ -585,16 +673,50 @@ def test_k7_survivor_word_and_renormalisation_edges(variant) -> None:
 
 
 @needs_native
-def test_k7_lane_whose_costs_pass_int16_renormalises() -> None:
-    """mfc-3/4 on cells all at level 2 costs near 3 a step: past 6000 steps
-    the cheapest path's cost passes int16's BIG, so only renormalising
-    every 16 steps keeps the lane finite and exact."""
+def test_k7_lane_whose_costs_pass_both_bigs_renormalises() -> None:
+    """mfc-3/4 on cells all at level 2: over 6000 steps the cheapest path's
+    cost passes uint8's BIG early on and int16's by the end, so only
+    renormalising (every 8 steps in uint8, 16 in int16) keeps the lane
+    finite and exact, with nothing redone in either width."""
     code = _make_code("mfc-3/4", 7)
+    native = _with_backend(code, "native")
     reps = np.random.default_rng(34).integers(0, code.viterbi.num_values, (1, 6000))
     levels = np.full((1, 6000, code.viterbi.cells_per_step), 2)
     assert _assert_native_is_numpy(code, reps, levels).all()
     total = code.viterbi.search_batch(reps, levels).total_costs[0]
     assert kernels.INT16_BIG < total < np.inf
+    for expanded in (native._expanded, None):
+        assert _native_search(native, reps, levels, expanded=expanded)[0] == 0
+
+
+@needs_native
+@pytest.mark.parametrize("variant", sorted(MFC_VARIANTS))
+def test_table1_lifetimes_at_k7_redo_no_lane(variant, monkeypatch) -> None:
+    """A whole Table I lifetime (a 4 KB page, K=7, five erase cycles, seed
+    2016) through the native search redoes no lane.  A lane uint8 hands on
+    is redone in int16, which gathers its costs, several times slower, and
+    returns the same bytes: only this test sees a limit or a renormalisation
+    period that made that common."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, "native")
+    scheme = MfcScheme(variant, 32768, constraint_length=7)
+    viterbi = scheme.code.viterbi
+    assert viterbi.backend.name == "native" and viterbi._expanded is not None
+    searches = []
+    search_batch = viterbi.search_batch
+
+    def recording(reps, levels):
+        # A copy: the page program writes the new levels over these.
+        searches.append((np.array(reps), np.array(levels)))
+        return search_batch(reps, levels)
+
+    viterbi.search_batch = recording
+    LifetimeSimulator(scheme, seed=2016).run(cycles=5)
+    assert len(searches) > 5 * 4
+    for reps, levels in searches:
+        status, *_result = _native_search(
+            viterbi, reps, levels, expanded=viterbi._expanded
+        )
+        assert status == 0
 
 
 def _dead_at_top(level: int, target: int, num_levels: int) -> float:
@@ -610,8 +732,8 @@ def _dead_at_top(level: int, target: int, num_levels: int) -> float:
 @pytest.mark.parametrize("constraint_length", [3, 5, 7])  # 7: the AVX2 body
 def test_a_lane_that_dies_at_a_chosen_step(backend, constraint_length) -> None:
     """Lane 1 has a top-level cell at step ``death``, so every one of its
-    states is dead from that step on, between two writable lanes.  The int16
-    kernel stops the lane at the next renormalisation.  The lane comes back
+    states is dead from that step on, between two writable lanes.  The uint8
+    and int16 kernels stop the lane at their next renormalisation.  The lane comes back
     ``inf`` and unwritable with an all-zero codeword, on both cost paths and
     in float64, and its neighbours come back as the reference search makes
     them.  The steps a stopped lane does not run are still range-checked:
@@ -621,12 +743,12 @@ def test_a_lane_that_dies_at_a_chosen_step(backend, constraint_length) -> None:
         trellis, make_codebook(1, 4, metric=_dead_at_top), backend=backend
     )
     assert viterbi.backend.name == backend
-    for death in (0, 1, 15, 16, 17, 31, 32, 33, 69):
+    for death in (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 69):
         reps, levels = _random_case(viterbi, 3, 70, death, 2)
         levels[1, death, 0] = 3
         _assert_bit_identical(viterbi, reps, levels)
         if backend == "native":
-            _assert_int16_is_float64(viterbi, reps, levels)
+            _assert_narrow_is_float64(viterbi, reps, levels)
         chunk_out_of_range = reps.copy()
         chunk_out_of_range[1, -1] = viterbi.num_values
         level_out_of_range = levels.copy()
@@ -700,7 +822,7 @@ def test_backend_saturated_lanes_mixed_with_writable(backend, variant) -> None:
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_float64_branch(backend) -> None:
     """Sums past numpy's float32-exact bound run its recursion in float64;
-    native still runs int16 (its metric has not changed).  Either way the
+    native still runs uint8 (its metric has not changed).  Either way the
     costs come back as exact float64."""
     viterbi = _with_backend(_make_code("mfc-2/3", 5), backend)
     viterbi._max_step_cost = float(2**24)  # past the float32-exact bound
@@ -804,8 +926,9 @@ def test_backend_tables_need_not_be_contiguous(backend) -> None:
         assert not getattr(viterbi, name).flags.c_contiguous
     if backend == "native":
         viterbi._bind_search_tables()
-        for name, (table, address) in zip(
-            ("_order", "", "_expanded", "", "_out_values"), viterbi._search_tables
+        for name, table, address in zip(
+            ("_order", "", "_expanded", "", "_out_values"), viterbi._search_tables,
+            viterbi._search_pointers,
         ):
             assert table.flags.c_contiguous and address == table.ctypes.data
             if name:
