@@ -47,6 +47,14 @@
  * past the last sixteen, every other width and every other CPU run the plain
  * bodies.  decode and the WOM pair are plain C on every CPU.
  *
+ * Every page-code kernel takes one pointer to an int64 parameter block first,
+ * then its lane count, then the call's own arrays.  A block holds what never
+ * changes for one code: its shapes, its limits and its tables' addresses,
+ * each field at the index its enum below names.  The code binds it once, when
+ * it is built (kernels.ParameterBlock, whose layouts list the same fields in
+ * the same order), and keeps it and the tables alive together.  A kernel reads
+ * its block's fields into locals and range-checks them as it would arguments.
+ *
  * Tables are C-contiguous.  Every function returns -1 when scratch cannot be
  * allocated, -2 when an input is out of range, else 0 (search: the number of
  * lanes it redid wider).
@@ -62,6 +70,18 @@
 #define RENORM8 8
 #define BIG16 16383
 #define RENORM16 16
+
+/* The search block: a CosetViterbi's trellis, limits and tables. */
+enum { SB_STATES, SB_CELLS, SB_LEVELS, SB_VALUES, SB_LIMIT8, SB_LIMIT, SB_ORDER,
+       SB_COSTS16, SB_EXPANDED, SB_COSTS64, SB_OUT_VALUES };
+/* The page block: a ConvolutionalCosetCode's page, its code and its tables,
+ * read by search_inputs, program and decode. */
+enum { PB_PAGE_BITS, PB_CELLS, PB_WIDTH, PB_STEPS, PB_PER_STEP, PB_BPC, PB_GUARD,
+       PB_TAPS, PB_GENERATORS, PB_TARGET_OF, PB_READ_OF };
+/* The WOM block: a WomVCellCode's page and its two tables. */
+enum { WB_PAGE_BITS, WB_CELLS, WB_NEXT, WB_VALUE_OF };
+/* A block's table field as the pointer it holds (0 for none). */
+#define TABLE(type, p, field) ((const type *)(intptr_t)(p)[field])
 
 /* Eight steps' survivors, rows of S bytes each 0 or 1, into one byte per
  * state: step q's at bit q.  Vector loads of what the butterflies stored as
@@ -218,25 +238,34 @@ int search_vector_body(int64_t S)
 #endif
 }
 
-int search(int64_t lanes, int64_t steps, int64_t S, int64_t cells, int64_t L,
-           int64_t V,
-           int64_t limit8,            /* uint8, < 0 for never: see the top */
-           int64_t limit,             /* int16, the same */
+int search(const int64_t *p, /* the search block */
+           int64_t lanes, int64_t steps,
            int64_t stride,            /* levels from one lane's to the next's */
-           const uint16_t *order,     /* (V, 2S) branch outputs ^ chunk */
-           const int16_t *costs16,    /* (L**cells, V) fused cost table, or NULL */
-           const uint8_t *expanded,   /* (L**cells * V, 2S) uint8 cost vector of
-                                         each (row, coset chunk), or NULL */
-           const double *costs64,     /* (L**cells, V) the same in double */
-           const int32_t *out_values, /* (S, 2): output of state s on input u */
            const int64_t *reps,       /* (lanes, steps) coset chunks */
            const int64_t *levels,     /* (lanes, steps, cells), lanes `stride`
                                          apart */
-           int64_t *codeword,         /* out (lanes, steps) */
-           double *total,             /* out (lanes,) */
-           uint8_t *writable)         /* out (lanes,) */
+           int64_t *out)              /* out: (lanes, steps) codewords, then
+                                         (lanes,) double totals, then (lanes,)
+                                         bytes writable */
 {
-    if (lanes > 1 && stride < steps * cells)
+    int64_t S = p[SB_STATES], cells = p[SB_CELLS], L = p[SB_LEVELS],
+            V = p[SB_VALUES];
+    int64_t limit8 = p[SB_LIMIT8]; /* uint8, < 0 for never: see the top */
+    int64_t limit = p[SB_LIMIT];   /* int16, the same */
+    /* (V, 2S) branch outputs ^ chunk */
+    const uint16_t *order = TABLE(uint16_t, p, SB_ORDER);
+    /* (L**cells, V) fused cost table, NULL where limit < 0 */
+    const int16_t *costs16 = TABLE(int16_t, p, SB_COSTS16);
+    /* (L**cells * V, 2S) uint8 cost vector of each (row, coset chunk), or NULL */
+    const uint8_t *expanded = TABLE(uint8_t, p, SB_EXPANDED);
+    const double *costs64 = TABLE(double, p, SB_COSTS64); /* the same in double */
+    /* (S, 2): output of state s on input u */
+    const int32_t *out_values = TABLE(int32_t, p, SB_OUT_VALUES);
+    int64_t *codeword = out;
+    double *total = (double *)(out + lanes * steps);
+    uint8_t *writable = (uint8_t *)(total + lanes);
+    if (S < 2 || S % 2 || !order || !costs64 || !out_values ||
+        (limit >= 0 && !costs16) || (lanes > 1 && stride < steps * cells))
         return -2;
     double *metrics = malloc((size_t)S * 2 * sizeof(double));
     uint8_t *k = calloc((size_t)S * 8, 1); /* the last 8 steps' survivors */
@@ -506,20 +535,24 @@ static inline unsigned bits_of(uint64_t word)
  * The levels: count_cells over every cell, the tail cells past the steps' too,
  * so a byte that is not a bit in any of them, or in the dataword, refuses the
  * call and the numpy twin raises what it names. */
-int search_inputs(int64_t lanes, int64_t page_bits, int64_t num_cells,
-                  int64_t width, int64_t steps, int64_t m, int64_t guard,
-                  int64_t taps,
-                  const uint64_t *generators, /* (m,) g_1 .. g_m, bit k for D**k */
+int search_inputs(const int64_t *p,     /* the page block */
+                  int64_t lanes,
                   const uint8_t *data,  /* (lanes, (steps - guard) * (m - 1)) */
                   const uint8_t *pages, /* (lanes, page_bits) */
-                  int64_t *chunks,      /* out (lanes, steps) */
-                  int64_t *levels)      /* out (lanes, num_cells) */
+                  int64_t *out)         /* out: (lanes, steps) chunks, then
+                                           (lanes, num_cells) levels */
 {
+    int64_t page_bits = p[PB_PAGE_BITS], num_cells = p[PB_CELLS],
+            width = p[PB_WIDTH], steps = p[PB_STEPS], guard = p[PB_GUARD],
+            taps = p[PB_TAPS], m = p[PB_PER_STEP] * p[PB_BPC];
+    /* (m,) g_1 .. g_m, bit k for D**k */
+    const uint64_t *generators = TABLE(uint64_t, p, PB_GENERATORS);
+    int64_t *chunks = out, *levels = out + lanes * steps;
     int64_t w = m - 1, data_bits = (steps - guard) * w;
     /* The queue holds at most m - 2 bits left over and a lookup's eight. */
     if (width < 1 || width > 255 || m < 2 || m > 57 || guard < 0 ||
         guard > steps || taps < 1 || taps > 64 || num_cells < 0 ||
-        num_cells * width > page_bits)
+        num_cells * width > page_bits || !generators)
         return -2;
     uint64_t feedback = 0, left[256], seen = 0;
     for (int64_t k = 1; k < taps; k++) {
@@ -696,18 +729,23 @@ program_lane(int vector, int64_t width, int64_t steps, int64_t per_step,
 
 /* Every lane is checked before any is written, so a refused call leaves
  * `levels` as it was handed in and the caller can redo it from there. */
-int program(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
-            int64_t steps, int64_t per_step, int64_t bpc,
-            const int64_t *target_of, /* (width + 1, 1 << bpc) post-write level */
-            int64_t *levels,          /* in/out (lanes, num_cells): the pages'
-                                         levels, then the written ones */
-            const int64_t *codeword,  /* (lanes, steps) */
-            const uint8_t *writable,  /* (lanes,): 0 leaves the page as it is */
-            uint8_t *pages)           /* in/out (lanes, page_bits) */
+int program(const int64_t *p,        /* the page block */
+            int64_t lanes,
+            int64_t *levels,         /* in/out (lanes, num_cells): the pages'
+                                        levels, then the written ones */
+            const int64_t *codeword, /* (lanes, steps) */
+            const uint8_t *writable, /* (lanes,): 0 leaves the page as it is */
+            uint8_t *pages)          /* in/out (lanes, page_bits) */
 {
+    int64_t page_bits = p[PB_PAGE_BITS], num_cells = p[PB_CELLS],
+            width = p[PB_WIDTH], steps = p[PB_STEPS], per_step = p[PB_PER_STEP],
+            bpc = p[PB_BPC];
+    /* (width + 1, 1 << bpc) post-write level */
+    const int64_t *target_of = TABLE(int64_t, p, PB_TARGET_OF);
     int64_t used = steps * per_step;
     if (width < 1 || bpc < 1 || per_step < 1 || per_step * bpc > 62 ||
-        steps < 0 || used > num_cells || num_cells * width > page_bits)
+        steps < 0 || used > num_cells || num_cells * width > page_bits ||
+        !target_of)
         return -2;
     int64_t symbols = (int64_t)1 << bpc;
     /* Every post-write level lies between the level it is read at and the
@@ -807,18 +845,23 @@ decode_page(int64_t width, int64_t steps, int64_t per_step, int64_t bpc,
     }
 }
 
-int decode(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
-           int64_t steps, int64_t per_step, int64_t bpc, int64_t guard,
-           int64_t taps,
-           const int64_t *read_of,     /* (width + 1,) symbol stored at a level */
-           const uint64_t *generators, /* (m,) g_1 .. g_m, bit k for D**k */
-           const uint8_t *pages,       /* (lanes, page_bits) */
-           uint8_t *data)              /* out (lanes, (steps - guard) * (m - 1)) */
+int decode(const int64_t *p,     /* the page block */
+           int64_t lanes,
+           const uint8_t *pages, /* (lanes, page_bits) */
+           uint8_t *data)        /* out (lanes, (steps - guard) * (m - 1)) */
 {
+    int64_t page_bits = p[PB_PAGE_BITS], num_cells = p[PB_CELLS],
+            width = p[PB_WIDTH], steps = p[PB_STEPS], per_step = p[PB_PER_STEP],
+            bpc = p[PB_BPC], guard = p[PB_GUARD], taps = p[PB_TAPS];
+    /* (width + 1,) symbol stored at a level */
+    const int64_t *read_of = TABLE(int64_t, p, PB_READ_OF);
+    /* (m,) g_1 .. g_m, bit k for D**k */
+    const uint64_t *generators = TABLE(uint64_t, p, PB_GENERATORS);
     int64_t m = per_step * bpc;
     if (width < 1 || bpc < 1 || per_step < 1 || m < 2 || m > 62 || guard < 0 ||
         guard > steps || taps < 1 || taps > 64 ||
-        steps * per_step > num_cells || num_cells * width > page_bits)
+        steps * per_step > num_cells || num_cells * width > page_bits ||
+        !read_of || !generators)
         return -2;
     for (int64_t b = 0; b < lanes; b++) {
         const uint8_t *page = pages + b * page_bits;
@@ -857,14 +900,16 @@ int decode(int64_t lanes, int64_t page_bits, int64_t num_cells, int64_t width,
  * cell's bits, -1 where none is reachable.  A lane with such a cell keeps
  * its page and is not writable; the tail passes through.  Returns the number
  * of lanes not writable (or -2); `writable` may be NULL. */
-int wom_encode(int64_t lanes, int64_t page_bits, int64_t cells,
-               const int8_t *next,              /* (8, 4) */
+int wom_encode(const int64_t *p,               /* the WOM block */
+               int64_t lanes,
                const uint8_t *restrict data,    /* (lanes, 2 * cells) */
                const uint8_t *restrict pages,   /* (lanes, page_bits) */
                uint8_t *restrict out,           /* out (lanes, page_bits) */
                uint8_t *restrict writable)      /* out (lanes,), or NULL */
 {
-    if (cells < 0 || 3 * cells > page_bits)
+    int64_t page_bits = p[WB_PAGE_BITS], cells = p[WB_CELLS];
+    const int8_t *next = TABLE(int8_t, p, WB_NEXT); /* (8, 4) */
+    if (cells < 0 || 3 * cells > page_bits || !next)
         return -2;
     unsigned seen = 0;
     int unwritable = 0;
@@ -893,12 +938,14 @@ int wom_encode(int64_t lanes, int64_t page_bits, int64_t cells,
 }
 
 /* Read every lane's dataword: each cell's value is value_of[pattern]. */
-int wom_decode(int64_t lanes, int64_t page_bits, int64_t cells,
-               const int8_t *value_of,          /* (8,) */
+int wom_decode(const int64_t *p,               /* the WOM block */
+               int64_t lanes,
                const uint8_t *restrict pages,   /* (lanes, page_bits) */
                uint8_t *restrict data)          /* out (lanes, 2 * cells) */
 {
-    if (cells < 0 || 3 * cells > page_bits)
+    int64_t page_bits = p[WB_PAGE_BITS], cells = p[WB_CELLS];
+    const int8_t *value_of = TABLE(int8_t, p, WB_VALUE_OF); /* (8,) */
+    if (cells < 0 || 3 * cells > page_bits || !value_of)
         return -2;
     unsigned seen = 0;
     for (int64_t b = 0; b < lanes; b++) {

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.coding.convolutional import ConvolutionalCode
 from repro.coding.cost import CellCodebook, make_codebook
+from repro.coding.kernels import ParameterBlock
 from repro.coding.page_code import PageCode, require_bits
 from repro.coding.registry import get_code
 from repro.coding.syndrome import SyndromeFormer
@@ -97,20 +98,19 @@ class ConvolutionalCosetCode(PageCode):
                 f"the {self.guard_steps}-step guard region"
             )
         self.dataword_bits = (self.steps - self.guard_steps) * (m - 1)
-        # The native program's, decode's and search inputs' tables, bound
-        # once as the searcher binds its own: C order, kept with their
-        # addresses.  A generator is one word, bit k its D**k coefficient
-        # (the kernel refuses a code of more than 64 taps).
-        table = np.ascontiguousarray(self.codebook.target_table, dtype=np.int64)
-        self._target_table = (table, table.ctypes.data)
-        symbols = np.ascontiguousarray(self.codebook.read_table, dtype=np.int64)
-        masks = np.array(
-            [sum(1 << int(k) for k in np.flatnonzero(row) if k < 64)
-             for row in code.coefficient_matrix],
-            dtype=np.uint64,
-        )
-        self._read_tables = (
-            (symbols, symbols.ctypes.data), (masks, masks.ctypes.data)
+        # The native kernels' page block, bound once as the searcher binds
+        # its own.  A generator is one word, bit k its D**k coefficient (the
+        # kernels refuse a code of more than 64 taps).
+        self._block = ParameterBlock(
+            "page", page_bits=self.page_bits, num_cells=self.varray.num_cells,
+            width=self.varray.bits_per_cell, steps=self.steps,
+            per_step=self.cells_per_step, bpc=self.codebook.bits_per_cell,
+            guard=self.guard_steps, taps=code.constraint_length,
+            generators=[
+                sum(1 << int(k) for k in np.flatnonzero(row) if k < 64)
+                for row in code.coefficient_matrix
+            ],
+            target_of=self.codebook.target_table, read_of=self.codebook.read_table,
         )
         self._last_cost = float("nan")
         self._last_costs = np.full(0, np.nan)
@@ -163,14 +163,16 @@ class ConvolutionalCosetCode(PageCode):
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:
         """Encode one page — a ``B = 1`` wrapper over :meth:`encode_batch`.
 
-        A uint8 dataword's bytes are checked once, by the search inputs as
-        they read them; only a refused one is read again here, for the
-        message that names its bit without a lane."""
-        data = self._datawords(dataword, batch=False, checked_later=True)
-        page = self._pages(page, batch=False)
+        The shapes and bytes are checked once, by the batch face and the
+        search inputs as they read them; only a refused write is checked
+        again here, for the message that names one page's bit without a
+        lane."""
+        data, page = np.asarray(dataword), np.asarray(page)
         try:
-            new_pages, writable = self.encode_batch(data[None, :], page[None, :])
+            new_pages, writable = self.encode_batch(data[None], page[None])
         except CodingError:
+            data = self._datawords(data, batch=False, checked_later=True)
+            self._pages(page, batch=False)
             require_bits(data, "dataword")
             raise
         if not writable[0]:

@@ -129,10 +129,18 @@ cell and each checked to be a bit.  Its WOM pair
 walks each page a cell at a time, one lookup in the code's table per
 cell; a byte that is not a bit fails the call, and the numpy twin then
 raises what it names.
-The search's, the page write's and read's and the WOM code's tables
-never change, so the ``CosetViterbi``, the ``ConvolutionalCosetCode`` and
-the ``WomVCellCode`` address them once, when they are built, and keep each
-array with its address; a call hands over only the page's arrays besides.
+Every one of its page-code kernels takes one int64 :class:`ParameterBlock`
+first, then the lane count, then the call's own arrays.  A block holds what
+never changes for one code, its shapes, limits and table addresses, in the
+field order ``BLOCK_LAYOUTS`` gives and ``_viterbi.c``'s enums read: the
+``CosetViterbi`` binds a ``"search"`` block, the
+``ConvolutionalCosetCode`` one ``"page"`` block for its other three
+kernels, and the ``WomVCellCode`` a ``"wom"`` one, each once, when it is
+built, and each block keeps its tables alive.  A call so converts a
+pointer, the lane count and the page's arrays, up to seven arguments, and
+makes one output array; a whole MFC write is 18 arguments.  The wrappers
+check only the shapes of what a caller hands them, and the kernels range-
+check their blocks' fields as they would arguments.
 Nothing is probed, imported or written until a code resolves its
 backend: by explicit name, then the ``REPRO_VITERBI_BACKEND`` variable,
 then ``"auto"`` (native when it builds, else numpy), memoized per name.
@@ -140,6 +148,7 @@ then ``"auto"`` (native when it builds, else numpy), memoized per name.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import warnings
@@ -155,6 +164,7 @@ from repro.vcell.varray import _popcount
 
 __all__ = [
     "KernelBackend",
+    "ParameterBlock",
     "available_backends",
     "backend_names",
     "resolve_backend",
@@ -336,7 +346,7 @@ def _wom_encode_numpy(code, data, pages):
     with a stuck cell keeps its bits; the tail bits pass through."""
     data = require_bits(data, "dataword")
     pages = require_bits(pages, "page")
-    (next_pattern, _), _ = code._tables
+    next_pattern = code._block.tables["next"]
     patterns = pack_values_axis(pages[..., : code.varray.used_bits], 3)
     targets = next_pattern.take(
         patterns << 2 | pack_values_axis(data, code.BITS_PER_VALUE)
@@ -355,7 +365,7 @@ def _wom_encode_numpy(code, data, pages):
 
 def _wom_decode_numpy(code, pages):
     pages = require_bits(pages, "page")
-    _, (value_of_pattern, _) = code._tables
+    value_of_pattern = code._block.tables["value_of"]
     patterns = pack_values_axis(pages[..., : code.varray.used_bits], 3)
     return unpack_values_axis(value_of_pattern.take(patterns), code.BITS_PER_VALUE)
 
@@ -370,12 +380,64 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 #: renormalisation) of its uint8 and int16 path metrics.
 UINT8_BIG, UINT8_RENORM = 255, 8
 INT16_BIG, INT16_RENORM = 16383, 16
-#: What ``_viterbi.c`` exports: (int64 arguments, pointer arguments) by name.
+#: What ``_viterbi.c`` exports, by name: its arguments' kinds in order, ``b``
+#: a parameter block, ``i`` an int64 and ``p`` an array.  Every page-code
+#: kernel takes its block, then the lane count, then its arrays.
 _SIGNATURES = {
-    "search_inputs": (8, 5), "search": (9, 10), "program": (7, 5),
-    "decode": (9, 4), "levels": (4, 2), "wom_encode": (3, 5), "wom_decode": (3, 3),
-    "search_vector_body": (1, 0), "page_vector_body": (2, 0),
+    "search_inputs": "bippp", "search": "biiippp", "program": "bipppp",
+    "decode": "bipp", "wom_encode": "bipppp", "wom_decode": "bipp",
+    "levels": "iiiipp", "search_vector_body": "i", "page_vector_body": "ii",
 }
+#: The fields of ``_viterbi.c``'s parameter blocks, in the order of its enums:
+#: an integer has no dtype, a table the dtype its kernels read it as.
+BLOCK_LAYOUTS = {
+    "search": (
+        ("states", None), ("cells", None), ("levels", None), ("values", None),
+        ("limit8", None), ("limit", None), ("order", np.uint16),
+        ("costs16", np.int16), ("expanded", np.uint8), ("costs64", np.float64),
+        ("out_values", np.int32),
+    ),
+    "page": (
+        ("page_bits", None), ("num_cells", None), ("width", None),
+        ("steps", None), ("per_step", None), ("bpc", None), ("guard", None),
+        ("taps", None), ("generators", np.uint64), ("target_of", np.int64),
+        ("read_of", np.int64),
+    ),
+    "wom": (
+        ("page_bits", None), ("cells", None), ("next", np.int8),
+        ("value_of", np.int8),
+    ),
+}
+
+
+class ParameterBlock:
+    """What a native kernel reads of one code, bound once: the fields of
+    ``BLOCK_LAYOUTS[layout]`` as one int64 array, each table as its address.
+
+    A table is bound as a C-order array of its field's dtype (a copy only
+    where it is not one already) and kept in :attr:`tables` as long as the
+    block is; None binds NULL.  :attr:`pointer` is the block's address, as
+    ctypes passes it, so a call converts nothing of the code's.
+    """
+
+    __slots__ = ("fields", "tables", "pointer")
+
+    def __init__(self, layout: str, **values) -> None:
+        names = [name for name, _dtype in BLOCK_LAYOUTS[layout]]
+        if sorted(values) != sorted(names):
+            raise TypeError(f"a {layout} block has the fields {names}, got {sorted(values)}")
+        self.tables = {}
+        words = []
+        for name, dtype in BLOCK_LAYOUTS[layout]:
+            value = values[name]
+            if dtype is None:
+                words.append(int(value))
+                continue
+            table = None if value is None else np.ascontiguousarray(value, dtype=dtype)
+            self.tables[name] = table
+            words.append(0 if table is None else table.ctypes.data)
+        self.fields = np.array(words, dtype=np.int64)
+        self.pointer = ctypes.c_void_p(self.fields.ctypes.data)
 
 
 def _compiler_words() -> list[str]:
@@ -401,7 +463,6 @@ def _load_native():
     Raises ``ModuleNotFoundError`` when there is no compiler and plain
     ``ImportError`` when building or loading fails.
     """
-    import ctypes
     import hashlib
     import platform
     import subprocess
@@ -442,18 +503,13 @@ def _load_native():
 
 def _bind(library):
     """Set the argument types of the functions ``_SIGNATURES`` names."""
-    import ctypes
-
-    for name, (sizes, pointers) in _SIGNATURES.items():
-        getattr(library, name).argtypes = (
-            [ctypes.c_int64] * sizes + [ctypes.c_void_p] * pointers
-        )
+    kinds = {"b": ctypes.c_void_p, "i": ctypes.c_int64, "p": ctypes.c_void_p}
+    for name, signature in _SIGNATURES.items():
+        getattr(library, name).argtypes = [kinds[kind] for kind in signature]
     return library
 
 
 def _make_native_backend() -> KernelBackend:
-    import ctypes
-
     library = _bind(_load_native())
     from_buffer, addressof = ctypes.c_char.from_buffer, ctypes.addressof
 
@@ -465,79 +521,74 @@ def _make_native_backend() -> KernelBackend:
         except (TypeError, ValueError):  # read-only, strided or empty
             return array.ctypes.data
 
-    def check(status):
-        # The kernel range-checks what it is handed; its status only says
-        # that it refused, or that it could not allocate.
-        if status == -1:
-            raise MemoryError("Viterbi kernel could not allocate scratch")
-        if status < 0:
-            raise IndexError("Viterbi kernel input out of range")
-        return status
-
-    # Each wrapper hands its kernel what it assumes, C order and exactly
-    # that dtype, through ascontiguousarray: a copy only for a strided or
-    # narrow input.  A table a code bound at construction comes as the
-    # address kept with it.
+    # Each wrapper hands its kernel the code's bound block, then what it
+    # assumes of the call's arrays, C order and exactly that dtype, through
+    # ascontiguousarray: a copy only for a strided or narrow input.  Each
+    # allocates one output array, and a kernel's status only says that it
+    # refused (-2) or could not allocate (-1).  A refused stage other than the
+    # search is redone by its numpy twin, which raises what its checks name,
+    # with the lane and the bit or cell.
     inputs_kernel, search_kernel = library.search_inputs, library.search
     levels_kernel, program_kernel = library.levels, library.program
     decode_kernel = library.decode
+    wom_encode_kernel, wom_decode_kernel = library.wom_encode, library.wom_decode
 
     def search_inputs(code, datawords, pages):
-        varray = code.varray
-        lanes = len(pages)
-        chunks = np.empty((lanes, code.steps), dtype=np.int64)
-        levels = np.empty((lanes, varray.num_cells), dtype=np.int64)
-        try:
-            if not (
-                datawords.dtype == pages.dtype == np.uint8
-                and datawords.shape == (lanes, code.dataword_bits)
-                and pages.shape == (lanes, varray.page_bits)
-            ):
-                raise IndexError("search_inputs kernel handed arrays of other shapes")
-            datawords = np.ascontiguousarray(datawords)
-            pages = np.ascontiguousarray(pages)
-            check(inputs_kernel(
-                lanes, varray.page_bits, varray.num_cells, varray.bits_per_cell,
-                code.steps, code.code.num_outputs, code.guard_steps,
-                code.code.constraint_length, code._read_tables[1][1],
-                address(datawords),
-                address(pages), address(chunks), address(levels),
-            ))
-        except IndexError:
-            # The kernel only says "out of range", a byte that is not a bit
-            # among them: the twin raises what its checks name, with the
-            # lane and the bit.
-            return _search_inputs_numpy(code, datawords, pages)
-        return chunks, levels
+        # One array: the chunks, then the levels.
+        lanes, cells = len(pages), code.varray.num_cells
+        size = lanes * code.steps
+        out = np.empty(size + lanes * cells, dtype=np.int64)
+        # Named, not inline: a copy must live until the kernel returns.
+        data, bits = np.ascontiguousarray(datawords), np.ascontiguousarray(pages)
+        if (
+            data.dtype == bits.dtype == np.uint8
+            and data.shape == (lanes, code.dataword_bits)
+            and bits.shape == (lanes, code.page_bits)
+            and not inputs_kernel(
+                code._block.pointer, lanes, address(data), address(bits),
+                address(out),
+            )
+        ):
+            return out[:size].reshape(lanes, code.steps), out[size:].reshape(lanes, cells)
+        return _search_inputs_numpy(code, datawords, pages)
 
     def search(v, reps, levels):
         reps = np.ascontiguousarray(reps, dtype=np.int64)
         lanes, steps = reps.shape
+        if levels.shape != (lanes, steps, v.cells_per_step):
+            return _search_numpy(v, reps, levels)  # search_batch checked this
         # Lanes may lie any whole number of int64 apart, as the rows of pages'
         # levels with tail cells do: the kernel reads them at that stride.
         # Anything else (a lane strided within, narrow values, lanes that
         # overlap or run backward) is copied.
         stride = steps * v.cells_per_step
         if not (
-            levels.dtype == np.int64 and lanes and levels[0].flags.c_contiguous
+            levels.dtype == np.int64 and lanes
+            and levels.strides[1:] == (8 * v.cells_per_step, 8)
             and (lanes == 1 or levels.strides[0] >= 8 * stride > 0
                  and levels.strides[0] % 8 == 0)
         ):
             levels = np.ascontiguousarray(levels, dtype=np.int64)
         elif lanes > 1:
             stride = levels.strides[0] // 8
-        codeword = np.empty((lanes, steps), dtype=np.int64)
-        total = np.empty(lanes)
-        writable = np.empty(lanes, dtype=bool)
+        # One array: the codewords, then the total costs, then writability.
         # Lanes start in uint8 where the searcher bound an expanded table,
-        # else in int16; _limit < 0 (costs too large for int16) skips that.
-        check(search_kernel(
-            lanes, steps, v.trellis.num_states, v.cells_per_step,
-            v._num_levels, v.num_values, v._limit8, v._limit, stride,
-            *v._search_pointers, address(reps), address(levels),
-            address(codeword), address(total), address(writable),
-        ))
-        return codeword, total, writable
+        # else in int16; a limit < 0 (costs too large for int16) skips that.
+        out = np.empty(lanes * (steps + 2), dtype=np.int64)
+        status = search_kernel(
+            v._search_block.pointer, lanes, steps, stride, address(reps),
+            address(levels), address(out),
+        )
+        if status == -1:
+            raise MemoryError("Viterbi kernel could not allocate scratch")
+        if status < 0:
+            raise IndexError("Viterbi kernel input out of range")
+        size = lanes * steps
+        return (
+            out[:size].reshape(lanes, steps),
+            np.ndarray(lanes, np.float64, out, 8 * size),  # cheaper than .view
+            np.ndarray(lanes, bool, out, 8 * (size + lanes)),
+        )
 
     def count(cells):
         cells = np.asarray(cells, dtype=np.uint8)
@@ -556,8 +607,7 @@ def _make_native_backend() -> KernelBackend:
         return out.reshape(*lead, num_cells)
 
     def program(code, pages, levels, result):
-        varray = code.varray
-        table, table_address = code._target_table
+        lanes = len(pages)
         # The kernel's in/out page is this copy, never the caller's array.
         out = np.array(pages, dtype=np.uint8, order="C")
         # Its in/out levels are `levels` itself where that is C-order int64,
@@ -565,53 +615,30 @@ def _make_native_backend() -> KernelBackend:
         new_levels = np.ascontiguousarray(levels, dtype=np.int64)
         codeword = np.ascontiguousarray(result.codeword_values, dtype=np.int64)
         writable = np.ascontiguousarray(result.writable, dtype=bool)
-        lanes = len(out)
-        try:
-            if (
-                out.shape, new_levels.shape, codeword.shape, writable.shape,
-                table.shape,
-            ) != (
-                (lanes, varray.page_bits), (lanes, varray.num_cells),
-                (lanes, code.steps), (lanes,),
-                (varray.bits_per_cell + 1, code.codebook.symbols),
-            ):
-                raise IndexError("program kernel handed arrays of other shapes")
-            check(program_kernel(
-                lanes, varray.page_bits, varray.num_cells, varray.bits_per_cell,
-                code.steps, code.cells_per_step, code.codebook.bits_per_cell,
-                table_address, address(new_levels), address(codeword),
+        if (out.shape, new_levels.shape, codeword.shape, writable.shape) == (
+            (lanes, code.page_bits), (lanes, code.varray.num_cells),
+            (lanes, code.steps), (lanes,),
+        ):
+            status = program_kernel(
+                code._block.pointer, lanes, address(new_levels), address(codeword),
                 address(writable), address(out),
-            ))
-        except IndexError:
-            # The kernel only says "out of range", and it says so before it
-            # writes a level: the twin raises what its checks name, with the
-            # lane and the cell or bit.
-            return _program_numpy(code, pages, levels, result)
-        return out, new_levels
+            )
+            if status == 0:
+                return out, new_levels
+            if status == -1:
+                raise MemoryError("Viterbi kernel could not allocate scratch")
+        # Refused before it wrote a level: the twin redoes it from `levels`.
+        return _program_numpy(code, pages, levels, result)
 
     def decode(code, pages):
-        varray = code.varray
-        (table, table_address), (_masks, masks_address) = code._read_tables
-        data = np.empty((len(pages), code.dataword_bits), dtype=np.uint8)
-        try:
-            if pages.shape != (len(pages), varray.page_bits) or table.shape != (
-                varray.bits_per_cell + 1,
-            ):
-                raise IndexError("decode kernel handed arrays of other shapes")
-            pages = np.ascontiguousarray(pages, dtype=np.uint8)
-            check(decode_kernel(
-                len(pages), varray.page_bits, varray.num_cells,
-                varray.bits_per_cell, code.steps, code.cells_per_step,
-                code.codebook.bits_per_cell, code.guard_steps,
-                code.code.constraint_length, table_address, masks_address,
-                address(pages), address(data),
-            ))
-        except IndexError:
-            # The kernel only says "out of range", a byte that is not a bit
-            # among them: the twin raises what its count names, with the
-            # lane and the bit.
-            return _decode_numpy(code, pages)
-        return data
+        lanes = len(pages)
+        data = np.empty((lanes, code.dataword_bits), dtype=np.uint8)
+        bits = np.ascontiguousarray(pages, dtype=np.uint8)
+        if bits.shape == (lanes, code.page_bits) and not decode_kernel(
+            code._block.pointer, lanes, address(bits), address(data)
+        ):
+            return data
+        return _decode_numpy(code, pages)
 
     def wom_encode(code, data, pages):
         # One page or (lanes, page_bits) of them, one dataword a page.  One
@@ -619,42 +646,35 @@ def _make_native_backend() -> KernelBackend:
         lead = pages.shape[:-1]
         out = np.empty(pages.shape, dtype=np.uint8)
         writable = np.empty(lead, dtype=bool) if lead else None
-        try:
-            if not (
-                pages.dtype == data.dtype == np.uint8 and len(lead) <= 1
-                and pages.shape == (*lead, code.page_bits)
-                and data.shape == (*lead, code.dataword_bits)
-            ):
-                raise IndexError("WOM kernel handed arrays of other shapes")
-            data, pages = np.ascontiguousarray(data), np.ascontiguousarray(pages)
-            unwritable = check(library.wom_encode(
-                len(pages) if lead else 1, code.page_bits, code.num_cells,
-                code._tables[0][1], address(data), address(pages), address(out),
+        words, bits = np.ascontiguousarray(data), np.ascontiguousarray(pages)
+        if (
+            bits.dtype == words.dtype == np.uint8 and len(lead) <= 1
+            and bits.shape == (*lead, code.page_bits)
+            and words.shape == (*lead, code.dataword_bits)
+        ):
+            unwritable = wom_encode_kernel(
+                code._block.pointer, len(pages) if lead else 1, address(words),
+                address(bits), address(out),
                 None if writable is None else address(writable),
-            ))
-        except IndexError:
-            # The kernel only says "out of range": the twin raises what its
-            # checks name, with the lane and the bit.
-            return _wom_encode_numpy(code, data, pages)
-        return out, writable if lead else unwritable == 0
+            )
+            if unwritable >= 0:
+                return out, writable if lead else unwritable == 0
+        return _wom_encode_numpy(code, data, pages)
 
     def wom_decode(code, pages):
         lead = pages.shape[:-1]
         data = np.empty((*lead, code.dataword_bits), dtype=np.uint8)
-        try:
-            if not (
-                pages.dtype == np.uint8 and len(lead) <= 1
-                and pages.shape == (*lead, code.page_bits)
-            ):
-                raise IndexError("WOM kernel handed arrays of other shapes")
-            pages = np.ascontiguousarray(pages)
-            check(library.wom_decode(
-                len(pages) if lead else 1, code.page_bits, code.num_cells,
-                code._tables[1][1], address(pages), address(data),
-            ))
-        except IndexError:
-            return _wom_decode_numpy(code, pages)
-        return data
+        bits = np.ascontiguousarray(pages)
+        if (
+            bits.dtype == np.uint8 and len(lead) <= 1
+            and bits.shape == (*lead, code.page_bits)
+            and not wom_decode_kernel(
+                code._block.pointer, len(pages) if lead else 1, address(bits),
+                address(data),
+            )
+        ):
+            return data
+        return _wom_decode_numpy(code, pages)
 
     return KernelBackend(
         "native", search_inputs, search, program, decode, count, wom_encode,

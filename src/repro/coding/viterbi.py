@@ -55,6 +55,7 @@ from repro.coding.kernels import (
     INT16_RENORM,
     UINT8_BIG,
     UINT8_RENORM,
+    ParameterBlock,
     resolve_backend,
 )
 from repro.errors import ConfigurationError, UnwritableError
@@ -90,9 +91,13 @@ class ViterbiResult:
     total_cost: float
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ViterbiBatchResult:
     """Outcome of a batched coset search over ``B`` independent pages.
+
+    Not frozen, since a frozen dataclass sets each field through
+    ``object.__setattr__`` and every page write builds one, but no one
+    assigns to it: its arrays are the search's.
 
     Attributes
     ----------
@@ -278,26 +283,18 @@ class CosetViterbi:
             self._bind_search_tables()
 
     def _bind_search_tables(self) -> None:
-        """Hand the native search its tables as it reads them, once.
-
-        None of them changes after construction, so each is converted to C
-        order and the kernel's dtype here: :attr:`_search_tables` keeps the
-        arrays alive while C reads :attr:`_search_pointers`, their addresses
-        in the kernel's argument order, None for a table withheld (NULL).
-        """
-        tables = tuple(
-            None if table is None else np.ascontiguousarray(table, dtype=dtype)
-            for table, dtype in (
-                (self._order, np.uint16),
-                (self._fused_flat.get(np.dtype(np.int16)), np.int16),
-                (self._expanded, np.uint8),
-                (self._fused_flat[np.dtype(np.float64)], np.float64),
-                (self._out_values, np.int32),
-            )
-        )
-        self._search_tables = tables
-        self._search_pointers = tuple(
-            None if table is None else table.ctypes.data for table in tables
+        """Bind the native search's block once: the trellis's shape, the
+        limits and the tables, each converted to C order and the kernel's
+        dtype.  :attr:`_search_block` keeps the arrays alive while C reads
+        them; a table withheld (None) is bound NULL."""
+        self._search_block = ParameterBlock(
+            "search", states=self.trellis.num_states, cells=self.cells_per_step,
+            levels=self._num_levels, values=self.num_values, limit8=self._limit8,
+            limit=self._limit, order=self._order,
+            costs16=self._fused_flat.get(np.dtype(np.int16)),
+            expanded=self._expanded,
+            costs64=self._fused_flat[np.dtype(np.float64)],
+            out_values=self._out_values,
         )
 
     def step_cost_table(self, step_levels: np.ndarray) -> np.ndarray:
@@ -373,13 +370,4 @@ class CosetViterbi:
                 f"step_levels must be ({lanes}, {steps}, "
                 f"{self.cells_per_step}), got {levels.shape}"
             )
-        codeword_values, total_costs, writable = self.backend.search(
-            self, reps, levels
-        )
-        return ViterbiBatchResult(
-            codeword_values=codeword_values,
-            total_costs=total_costs,
-            writable=writable,
-            step_levels=levels,
-            searcher=self,
-        )
+        return ViterbiBatchResult(*self.backend.search(self, reps, levels), levels, self)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.kernels import resolve_backend
+from repro.coding.kernels import ParameterBlock, resolve_backend
 from repro.coding.page_code import PageCode
 from repro.errors import CodingError, UnwritableError
 from repro.vcell import VCellArray, VCellSpec
@@ -87,12 +87,11 @@ class WomVCellCode(PageCode):
         self.page_bits = int(page_bits)
         self.num_cells = self.varray.num_cells
         self.dataword_bits = self.num_cells * self.BITS_PER_VALUE
-        #: The flat next-pattern table and the value table, each with its
-        #: address: the numpy twin reads the arrays, the native kernel the
-        #: addresses, and the pair keeps the array alive.
-        self._tables = tuple(
-            (table, table.ctypes.data)
-            for table in (WOM_NEXT_PATTERN.reshape(-1), WOM_VALUE_OF_PATTERN)
+        #: The flat next-pattern table and the value table, bound once: the
+        #: numpy twins read them from :attr:`ParameterBlock.tables`.
+        self._block = ParameterBlock(
+            "wom", page_bits=self.page_bits, cells=self.num_cells,
+            next=WOM_NEXT_PATTERN.reshape(-1), value_of=WOM_VALUE_OF_PATTERN,
         )
 
     def encode(self, dataword: np.ndarray, page: np.ndarray) -> np.ndarray:

@@ -194,6 +194,20 @@ def test_library_exports_exactly_what_the_backend_binds() -> None:
     }
 
 
+def test_every_page_code_kernel_takes_its_block_first() -> None:
+    """One calling convention: each kernel a page code calls takes the code's
+    parameter block, then the lane count, then arrays only, the block
+    nowhere else; the level count and the two body queries take none."""
+    page_kernels = {
+        "search_inputs", "search", "program", "decode", "wom_encode", "wom_decode",
+    }
+    for name, signature in kernels._SIGNATURES.items():
+        if name in page_kernels:
+            assert signature[:2] == "bi" and "b" not in signature[1:], name
+        else:
+            assert "b" not in signature, name
+
+
 @needs_compiler
 def test_kernel_compiles_warning_free_by_a_relative_path() -> None:
     """From the checkout's root, by a path with a directory part, warnings as

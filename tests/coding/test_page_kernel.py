@@ -828,12 +828,17 @@ def test_native_division_property(powers, m, guard, data_steps, lanes, seed) -> 
     generators = np.ones(m, dtype=np.uint64)
     generators[0] = sum(1 << k for k in powers) | 1
     pages = np.zeros((lanes, 3), dtype=np.uint8)  # one empty cell each
-    chunks = np.empty((lanes, steps), dtype=np.int64)
-    levels = np.empty((lanes, 1), dtype=np.int64)
+    out = np.empty(lanes * (steps + 1), dtype=np.int64)
+    chunks = out[: lanes * steps].reshape(lanes, steps)
+    levels = out[lanes * steps :]
+    block = kernels.ParameterBlock(
+        "page", page_bits=3, num_cells=1, width=3, steps=steps, per_step=m,
+        bpc=1, guard=guard, taps=64, generators=generators, target_of=None,
+        read_of=None,
+    )
     status = library.search_inputs(
-        lanes, 3, 1, 3, steps, m, guard, 64, generators.ctypes.data,
-        data.ctypes.data, pages.ctypes.data, chunks.ctypes.data,
-        levels.ctypes.data,
+        block.pointer, lanes, data.ctypes.data, pages.ctypes.data,
+        out.ctypes.data,
     )
     if max(powers, default=0) * (m - 1) > 64:
         assert status == -2
@@ -929,3 +934,103 @@ def test_encode_batch_is_three_backend_calls(
     calls.clear()
     code.encode_batch(data[:1], np.zeros((1, PAGE_BITS), dtype=np.uint8))
     assert calls == write
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_write_leaves_the_last_writes_levels_and_costs_as_they_were(
+    backend, monkeypatch
+) -> None:
+    """The ``last_write_levels`` and ``last_write_costs`` a write leaves are
+    unchanged by the next write, one page or three at a time: each write
+    makes new arrays of them.  The lifetime simulators keep them per write
+    for the Fig. 15/16 trace, which a reused buffer would rewrite."""
+    monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+    code = _make_code("mfc-1/2-1bpc")
+    assert code.viterbi.backend.name == backend
+    rng = np.random.default_rng(31)
+    for lanes in (None, 3):
+        shape = (code.dataword_bits,) if lanes is None else (lanes, code.dataword_bits)
+        pages = np.zeros(shape[:-1] + (code.page_bits,), dtype=np.uint8)
+        kept = []
+        for _write in range(3):
+            data = rng.integers(0, 2, shape, dtype=np.uint8)
+            if lanes is None:
+                pages = code.encode(data, pages)
+            else:
+                pages, writable = code.encode_batch(data, pages)
+                assert writable.all()
+            levels, costs = code.last_write_levels, code.last_write_costs
+            counted = code.varray.levels_batch(pages.reshape(-1, code.page_bits))
+            assert np.array_equal(levels, counted)
+            kept.append((levels, levels.copy(), costs, costs.copy()))
+        for levels, levels_then, costs, costs_then in kept:
+            assert levels.tobytes() == levels_then.tobytes()
+            assert costs.tobytes() == costs_then.tobytes()
+        assert not np.array_equal(kept[0][1], kept[-1][1])  # the writes differ
+
+
+@needs_native
+def test_bound_blocks_outlive_other_codes_and_refuse_other_shapes(monkeypatch) -> None:
+    """A code's parameter block keeps its tables alive: after a collection
+    and other codes built and dropped, its native encode and decode are
+    still the numpy twin's, byte for byte.  Arrays of another code's shape
+    are refused by each stage, and the twin raises the error that names
+    them."""
+    import gc
+
+    from repro.coding.wom import WomVCellCode
+
+    def built(backend):
+        monkeypatch.setenv(kernels.BACKEND_ENV, backend)
+        code = ConvolutionalCosetCode(
+            page_bits=PAGE_BITS, rate_denominator=3, constraint_length=5,
+        )
+        assert code.viterbi.backend.name == backend
+        return code
+
+    twin, native = built("numpy"), built("native")
+    gc.collect()
+    for page_bits in (301, 4099, 777):
+        for other in (
+            ConvolutionalCosetCode(page_bits=page_bits, rate_denominator=2),
+            WomVCellCode(page_bits, backend="native"),
+        ):
+            other.encode_batch(
+                np.zeros((2, other.dataword_bits), dtype=np.uint8),
+                np.zeros((2, page_bits), dtype=np.uint8),
+            )
+        del other
+        gc.collect()
+    rng = np.random.default_rng(5)
+    pages = _random_pages(native, 4, seed=8)
+    for _write in range(3):
+        data = rng.integers(0, 2, (4, native.dataword_bits), dtype=np.uint8)
+        got, writable = native.encode_batch(data, pages)
+        expected, expected_writable = twin.encode_batch(data, pages)
+        assert got.tobytes() == expected.tobytes()
+        assert writable.tobytes() == expected_writable.tobytes()
+        assert native.last_write_levels.tobytes() == twin.last_write_levels.tobytes()
+        assert native.decode_batch(got).tobytes() == twin.decode_batch(got).tobytes()
+        pages = got
+
+    other = ConvolutionalCosetCode(page_bits=PAGE_BITS + 3, rate_denominator=3)
+    kernel = native.viterbi.backend
+    data = np.zeros((2, native.dataword_bits), dtype=np.uint8)
+    wrong = np.zeros((2, other.page_bits), dtype=np.uint8)
+    with pytest.raises(VCellError, match="pages, got shape"):
+        kernel.search_inputs(native, data, wrong)
+    with pytest.raises(CodingError, match=r"dataword lane 0, bit \d+: 2"):
+        kernel.search_inputs(native, np.full((2, 9), 2, np.uint8), wrong)
+    with pytest.raises(VCellError, match="pages, got shape"):
+        kernel.decode(native, wrong)
+    chunks, levels = kernel.search_inputs(native, data, pages[:2])
+    result = native.viterbi.search_batch(
+        chunks, levels[:, : native.used_cells].reshape(2, native.steps, -1)
+    )
+    with pytest.raises(VCellError, match="pages, got shape"):
+        kernel.program(native, wrong, levels, result)
+    short = levels[:, : native.used_cells - native.cells_per_step].reshape(
+        2, native.steps - 1, -1
+    )
+    with pytest.raises((ValueError, IndexError)):
+        kernel.search(native.viterbi, chunks, short)

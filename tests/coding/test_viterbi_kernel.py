@@ -162,18 +162,22 @@ def _cost_paths(viterbi: CosetViterbi):
     gathering from the fused one (numpy has the one)."""
     yield viterbi
     if viterbi.backend.name == "native" and viterbi._expanded is not None:
-        yield _with_search_table(viterbi, 2, None)
+        yield _with_expanded_table(viterbi, None)
 
 
-def _with_search_table(viterbi: CosetViterbi, index: int, table) -> CosetViterbi:
+def _with_expanded_table(viterbi: CosetViterbi, table) -> CosetViterbi:
     """A copy of a native searcher whose kernel reads ``table`` (None: NULL)
-    as its bound table ``index``: 2 is the expanded branch-cost table."""
+    as its expanded branch-cost table: its search block bound again."""
     changed = copy.copy(viterbi)
-    tables, pointers = list(viterbi._search_tables), list(viterbi._search_pointers)
-    tables[index] = table
-    pointers[index] = None if table is None else table.ctypes.data
-    changed._search_tables, changed._search_pointers = tuple(tables), tuple(pointers)
+    changed._expanded = table
+    changed._bind_search_tables()
     return changed
+
+
+def _bound_address(viterbi: CosetViterbi, name: str) -> int:
+    """The address the searcher's block holds for its table ``name``."""
+    names = [field for field, _dtype in kernels.BLOCK_LAYOUTS["search"]]
+    return int(viterbi._search_block.fields[names.index(name)])
 
 
 needs_native = pytest.mark.skipif(
@@ -230,22 +234,23 @@ def test_native_cost_paths_agree_with_numpy(variant, constraint_length) -> None:
 
 @needs_native
 def test_native_search_reads_the_expanded_table_it_is_bound() -> None:
-    """The kernel takes its uint8 expanded table from ``_search_pointers``
+    """The kernel takes its uint8 expanded table from ``_search_block``
     alone: a zeroed one makes every branch free, and withholding it sends
     every lane to int16 and every step through the per-step gather, which
     still gives numpy's result."""
     code = _make_code("mfc-1/2-1bpc", 5)
     native = _with_backend(code, "native")
-    expanded = native._search_tables[2]
+    expanded = native._search_block.tables["expanded"]
     assert expanded is native._expanded and expanded.dtype == np.uint8
-    assert native._search_pointers[2] == expanded.ctypes.data
+    assert _bound_address(native, "expanded") == expanded.ctypes.data
     reps, levels = _random_case(native, 3, 13, 6, 3)
     expected = _with_backend(code, "numpy").search_batch(reps, levels)
     assert (expected.total_costs > 0).any()
-    free = _with_search_table(native, 2, np.zeros_like(expanded))
+    free = _with_expanded_table(native, np.zeros_like(expanded))
     assert (free.search_batch(reps, levels).total_costs == 0).all()
-    gathering = _with_search_table(native, 2, None)
-    assert gathering._search_tables[2] is gathering._search_pointers[2] is None
+    gathering = _with_expanded_table(native, None)
+    assert gathering._search_block.tables["expanded"] is None
+    assert _bound_address(gathering, "expanded") == 0
     result = gathering.search_batch(reps, levels)
     assert result.total_costs.tobytes() == expected.total_costs.tobytes()
     assert result.codeword_values.tobytes() == expected.codeword_values.tobytes()
@@ -260,7 +265,8 @@ def test_native_serves_a_searcher_too_large_to_expand() -> None:
     code = _make_code("mfc-4/5", 7, vcell_levels=8)
     viterbi = _with_backend(code, "native")
     assert viterbi._expanded is None and viterbi._limit >= 0
-    assert viterbi._search_tables[2] is viterbi._search_pointers[2] is None
+    assert viterbi._search_block.tables["expanded"] is None
+    assert _bound_address(viterbi, "expanded") == 0
     for lanes, steps in ((1, 0), (1, 9), (1, 12), (5, 13), (3, 70)):
         reps, levels = _random_case(viterbi, lanes, steps, steps, 7)
         _assert_bit_identical(viterbi, reps, levels)
@@ -280,7 +286,7 @@ def test_every_table1_code_at_k7_expands_its_costs(variant) -> None:
     assert viterbi._expanded.shape == (rows, viterbi.num_values, 128)
     assert viterbi._expanded.dtype == np.uint8
     assert viterbi._expanded.nbytes <= _EXPANDED_BYTES == 4 << 20
-    assert viterbi._search_pointers[2] is not None
+    assert _bound_address(viterbi, "expanded") != 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +312,28 @@ def _native_search(
     table (None: lanes start in int16) and lane stride (one lane's levels by
     default)."""
     lanes, steps = reps.shape
-    codeword = np.empty((lanes, steps), dtype=np.int64)
-    total = np.empty(lanes)
-    writable = np.empty(lanes, dtype=np.uint8)
-    tables = (
-        viterbi._order, viterbi._fused_flat[np.dtype(np.int16)], expanded,
-        viterbi._fused_flat[np.dtype(np.float64)], viterbi._out_values,
+    block = kernels.ParameterBlock(
+        "search", states=viterbi.trellis.num_states, cells=viterbi.cells_per_step,
+        levels=viterbi._num_levels, values=viterbi.num_values,
+        limit8=viterbi._limit8 if limit8 is None else limit8,
+        limit=viterbi._limit if limit is None else limit, order=viterbi._order,
+        costs16=viterbi._fused_flat[np.dtype(np.int16)], expanded=expanded,
+        costs64=viterbi._fused_flat[np.dtype(np.float64)],
+        out_values=viterbi._out_values,
     )
-    buffers = (
-        *(None if t is None else np.ascontiguousarray(t) for t in tables),
-        np.ascontiguousarray(reps, dtype=np.int64),
-        np.ascontiguousarray(levels, dtype=np.int64), codeword, total, writable,
-    )
+    out = np.empty(lanes * (steps + 2), dtype=np.int64)
+    reps = np.ascontiguousarray(reps, dtype=np.int64)
+    levels = np.ascontiguousarray(levels, dtype=np.int64)
     status = _native_library().search(
-        lanes, steps, viterbi.trellis.num_states, viterbi.cells_per_step,
-        viterbi._num_levels, viterbi.num_values,
-        viterbi._limit8 if limit8 is None else limit8,
-        viterbi._limit if limit is None else limit,
+        block.pointer, lanes, steps,
         steps * viterbi.cells_per_step if stride is None else stride,
-        *(None if b is None else b.ctypes.data for b in buffers),
+        reps.ctypes.data, levels.ctypes.data, out.ctypes.data,
     )
-    return status, codeword, total, writable.view(bool)
+    size = lanes * steps
+    return (
+        status, out[:size].reshape(lanes, steps),
+        out[size : size + lanes].view(np.float64), out[size + lanes :].view(bool)[:lanes],
+    )
 
 
 def _lanes_past(viterbi, reps, levels, every, limit) -> int:
@@ -457,13 +464,14 @@ def test_forced_overflow_redoes_the_lane_wider(variant, case) -> None:
     assert (unforced.total_costs > 0).all()
     zeroed, expanded, answers = FORCED_OVERFLOWS[case]
     if not expanded:
-        native = _with_search_table(native, 2, None)
+        native = _with_expanded_table(native, None)
     for name in zeroed:
         setattr(native, name, 0)
+    native._bind_search_tables()
     for lane in range(len(reps)):
         status, *_result = _native_search(
             native, reps[lane : lane + 1], levels[lane : lane + 1],
-            expanded=native._search_tables[2],
+            expanded=native._search_block.tables["expanded"],
         )
         assert status == 1
     forced = native.search_batch(reps, levels)
@@ -476,7 +484,7 @@ def test_forced_overflow_redoes_the_lane_wider(variant, case) -> None:
         np.dtype(np.float64): np.zeros_like(native._fused_flat[np.dtype(np.float64)]),
     }
     status, _codeword, total, _writable = _native_search(
-        free64, reps, levels, expanded=native._search_tables[2]
+        free64, reps, levels, expanded=native._search_block.tables["expanded"]
     )
     assert status == len(reps)
     if answers == "float64":
@@ -623,7 +631,7 @@ def test_k7_searcher_takes_the_vector_body_where_the_cpu_has_avx2() -> None:
     half the speed: no equivalence test can see it, this one does."""
     viterbi = _with_backend(_make_code("mfc-1/2-1bpc", 7), "native")
     assert viterbi._expanded is not None and viterbi._limit8 >= 0
-    assert viterbi._search_pointers[2] is not None  # the kernel is handed it
+    assert _bound_address(viterbi, "expanded") != 0  # the kernel is handed it
     assert _native_library().search_vector_body(viterbi.trellis.num_states) == 1
 
 
@@ -926,13 +934,11 @@ def test_backend_tables_need_not_be_contiguous(backend) -> None:
         assert not getattr(viterbi, name).flags.c_contiguous
     if backend == "native":
         viterbi._bind_search_tables()
-        for name, table, address in zip(
-            ("_order", "", "_expanded", "", "_out_values"), viterbi._search_tables,
-            viterbi._search_pointers,
-        ):
-            assert table.flags.c_contiguous and address == table.ctypes.data
-            if name:
-                assert table is not getattr(viterbi, name)  # a copy was bound
+        for name, table in viterbi._search_block.tables.items():
+            assert table.flags.c_contiguous
+            assert _bound_address(viterbi, name) == table.ctypes.data
+            if name in ("order", "expanded", "out_values"):
+                assert table is not getattr(viterbi, f"_{name}")  # a copy was bound
     for strided in _cost_paths(viterbi):
         result = strided.search_batch(reps, levels)
         assert np.array_equal(result.codeword_values, reference.codeword_values)

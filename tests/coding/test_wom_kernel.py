@@ -264,9 +264,10 @@ def test_the_code_resolves_its_backend_and_binds_its_tables(monkeypatch) -> None
     assert code.backend is kernels.resolve_backend("numpy")
     for name in BACKENDS:
         assert WomVCellCode(12, backend=name).backend.name == name
-    (next_pattern, next_address), (value_of, value_address) = code._tables
+    next_pattern, value_of = code._block.tables.values()
     assert next_pattern.dtype == value_of.dtype == np.int8
     assert np.array_equal(next_pattern, WOM_NEXT_PATTERN.reshape(-1))
     assert np.array_equal(value_of, WOM_VALUE_OF_PATTERN)
-    assert next_address == next_pattern.ctypes.data
-    assert value_address == value_of.ctypes.data
+    assert code._block.fields.tolist() == [
+        12, code.num_cells, next_pattern.ctypes.data, value_of.ctypes.data,
+    ]
