@@ -47,10 +47,11 @@ bench-e2e-quick:
 # native one in both its bodies: the plain one, and at K=7 the AVX2 one where
 # the CPU has AVX2, which test_viterbi_kernel.py also asserts it takes), the
 # page program, the level count and the g1 division against their numpy
-# twins, the WOM encode and decode against theirs, and a small-page Table I
-# lifetime run against its recorded counts.  CI runs the two targets below,
-# so this is the only list of them.
-KERNEL_TESTS = tests/coding/test_viterbi_kernel.py tests/coding/test_page_kernel.py tests/coding/test_wom_kernel.py tests/experiments/test_small_page_golden.py
+# twins, the WOM encode and decode against theirs, a write's payload bits
+# against numpy's PCG64 stream, and a small-page Table I lifetime run against
+# its recorded counts.  CI runs the two targets below, so this is the only
+# list of them.
+KERNEL_TESTS = tests/coding/test_viterbi_kernel.py tests/coding/test_page_kernel.py tests/coding/test_wom_kernel.py tests/coding/test_payload_kernel.py tests/experiments/test_small_page_golden.py
 
 # Bit-identity of both kernel backends: once forced to numpy, once forced to
 # native (which fails, not skips, when the C kernel does not build here).

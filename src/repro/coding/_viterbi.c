@@ -1,8 +1,9 @@
 /* Page kernel: the "native" backend of repro.coding.kernels.  An MFC write is
  * three calls, search_inputs (the coset chunks and the page's levels), search
  * and program; an MFC read is one (decode); the WOM code has one per direction
- * (wom_encode, wom_decode).  levels counts the cells of any page, and
- * search_vector_body and page_vector_body say which bodies run.
+ * (wom_encode, wom_decode).  levels counts the cells of any page, payload
+ * draws a host write's bits from its seed, and search_vector_body and
+ * page_vector_body say which bodies run.
  * kernels.py compiles it on first use (-O3 -shared -fPIC; gcc vectorises the
  * butterfly loop only at -O3) and loads it with ctypes.
  *
@@ -41,11 +42,11 @@
  * compiles where there is no such target.  Both bodies keep the same five
  * rules, so they return the same bytes.
  *
- * The level count (search_inputs, levels) and the page program of 3-bit
- * cells, 1 or 2 bits a cell, have AVX2 bodies chosen the same way
- * (page_vector_body), sixteen cells at a time as three bit planes; the cells
- * past the last sixteen, every other width and every other CPU run the plain
- * bodies.  decode and the WOM pair are plain C on every CPU.
+ * The level count (search_inputs, levels), the page program of 3-bit cells,
+ * 1 or 2 bits a cell, and the WOM pair (3-bit cells of 2 bits) have AVX2
+ * bodies chosen the same way (page_vector_body), sixteen cells at a time as
+ * three bit planes; the cells past the last sixteen, every other width and
+ * every other CPU run the plain bodies.  decode is plain C on every CPU.
  *
  * Every page-code kernel takes one pointer to an int64 parameter block first,
  * then its lane count, then the call's own arrays.  A block holds what never
@@ -464,7 +465,8 @@ count3_avx2(int64_t cells, const uint8_t *page, int64_t *out)
 #endif
 
 /* 1 when a page of `width`-bit cells is counted, and one of `bpc` bits a cell
- * programmed, sixteen cells at a time in AVX2 (count3_avx2, program3_avx2),
+ * programmed, sixteen cells at a time in AVX2 (count3_avx2, program3_avx2,
+ * and for the WOM code's cells of 2 bits wom_encode_avx2, wom_decode_avx2),
  * 0 when by the plain bodies: width 3 and 1 or 2 bits a cell on a CPU with
  * AVX2.  The count, which reads no symbols, asks with a bpc of 1. */
 int page_vector_body(int64_t width, int64_t bpc)
@@ -895,10 +897,96 @@ int decode(const int64_t *p,     /* the page block */
  * and fails the whole call. */
 #define PATTERN(c) (((c)[0] & 1) | ((c)[1] & 1) << 1 | ((c)[2] & 1) << 2)
 
+#ifdef VECTOR_BODY
+/* Sixteen cells' patterns, b0 | b1 << 1 | b2 << 2 of each one's low bits. */
+__attribute__((target("avx2"))) static inline __m128i
+patterns16(const __m128i *p)
+{
+    const __m128i one = _mm_set1_epi8(1);
+    return _mm_or_si128(
+        _mm_and_si128(p[0], one),
+        _mm_or_si128(_mm_slli_epi16(_mm_and_si128(p[1], one), 1),
+                     _mm_slli_epi16(_mm_and_si128(p[2], one), 2)));
+}
+
+/* wom_encode's cells of one lane, sixteen at a time: `next`'s 32 entries are
+ * two 16-byte lookups, patterns 0 .. 3 and 4 .. 7, blended on the pattern's
+ * top bit, and a cell's two data bytes are split into a plane each.  Returns
+ * the cells it did, a multiple of sixteen; *stuck is set where a target is
+ * -1, *seen where a byte is not a bit. */
+__attribute__((target("avx2"))) static int64_t
+wom_encode_avx2(int64_t cells, const int8_t *next, const uint8_t *page,
+                const uint8_t *word, uint8_t *cell, int *stuck, unsigned *seen)
+{
+    const __m128i low = _mm_loadu_si128((const __m128i *)next);
+    const __m128i high = _mm_loadu_si128((const __m128i *)(next + 16));
+    const __m128i one = _mm_set1_epi8(1), fifteen = _mm_set1_epi8(15);
+    /* A register's eight cells as their first bytes, then their second. */
+    const __m128i split = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7,
+                                        9, 11, 13, 15);
+    __m128i any = _mm_setzero_si128(), dead = any, x[3], p[3];
+    int64_t c = 0;
+    for (; c + 16 <= cells; c += 16, page += 48, word += 32, cell += 48) {
+        load_planes(page, x, p);
+        __m128i lo = _mm_loadu_si128((const __m128i *)word);
+        __m128i hi = _mm_loadu_si128((const __m128i *)(word + 16));
+        any = _mm_or_si128(any, _mm_or_si128(_mm_or_si128(x[0], x[1]),
+                                             _mm_or_si128(_mm_or_si128(x[2], lo), hi)));
+        lo = _mm_shuffle_epi8(lo, split);
+        hi = _mm_shuffle_epi8(hi, split);
+        __m128i value = _mm_or_si128(
+            _mm_and_si128(_mm_unpacklo_epi64(lo, hi), one),
+            _mm_slli_epi16(_mm_and_si128(_mm_unpackhi_epi64(lo, hi), one), 1));
+        __m128i pattern = patterns16(p);
+        __m128i index = _mm_and_si128(
+            _mm_or_si128(_mm_slli_epi16(pattern, 2), value), fifteen);
+        __m128i target = _mm_blendv_epi8(
+            _mm_shuffle_epi8(low, index), _mm_shuffle_epi8(high, index),
+            _mm_slli_epi16(pattern, 5)); /* bit 2 to each byte's top bit */
+        dead = _mm_or_si128(dead, target);
+        p[0] = _mm_and_si128(target, one);
+        p[1] = _mm_and_si128(_mm_srli_epi16(target, 1), one);
+        p[2] = _mm_and_si128(_mm_srli_epi16(target, 2), one);
+        store_planes(p, cell);
+    }
+    *stuck |= _mm_movemask_epi8(dead) != 0;
+    *seen |= _mm_testz_si128(any, _mm_set1_epi8(-2)) ? 0 : 2;
+    _mm256_zeroupper();
+    return c;
+}
+
+/* wom_decode's cells of one lane, sixteen at a time: one lookup in the
+ * value table, whose 8 entries fill the low half of `table`, and its two
+ * bits interleaved back into byte pairs.  Returns the cells it did. */
+__attribute__((target("avx2"))) static int64_t
+wom_decode_avx2(int64_t cells, const uint8_t *table, const uint8_t *page,
+                uint8_t *word, unsigned *seen)
+{
+    const __m128i values = _mm_loadu_si128((const __m128i *)table);
+    const __m128i one = _mm_set1_epi8(1);
+    __m128i any = _mm_setzero_si128(), x[3], p[3];
+    int64_t c = 0;
+    for (; c + 16 <= cells; c += 16, page += 48, word += 32) {
+        load_planes(page, x, p);
+        any = _mm_or_si128(any, _mm_or_si128(_mm_or_si128(x[0], x[1]), x[2]));
+        __m128i value = _mm_shuffle_epi8(values, patterns16(p));
+        __m128i d0 = _mm_and_si128(value, one);
+        __m128i d1 = _mm_and_si128(_mm_srli_epi16(value, 1), one);
+        _mm_storeu_si128((__m128i *)word, _mm_unpacklo_epi8(d0, d1));
+        _mm_storeu_si128((__m128i *)(word + 16), _mm_unpackhi_epi8(d0, d1));
+    }
+    *seen |= _mm_testz_si128(any, _mm_set1_epi8(-2)) ? 0 : 2;
+    _mm256_zeroupper();
+    return c;
+}
+#endif
+
 /* Write every lane's dataword over its page into `out`: each cell becomes
  * next[pattern << 2 | value], the pattern that stores the value over the
  * cell's bits, -1 where none is reachable.  A lane with such a cell keeps
- * its page and is not writable; the tail passes through.  Returns the number
+ * its page and is not writable; the tail passes through.  On AVX2 the cells
+ * go sixteen at a time (page_vector_body(3, 2): 3-bit cells of 2 bits each),
+ * the last ones, fewer than sixteen, as on any other CPU.  Returns the number
  * of lanes not writable (or -2); `writable` may be NULL. */
 int wom_encode(const int64_t *p,               /* the WOM block */
                int64_t lanes,
@@ -912,12 +1000,19 @@ int wom_encode(const int64_t *p,               /* the WOM block */
     if (cells < 0 || 3 * cells > page_bits || !next)
         return -2;
     unsigned seen = 0;
-    int unwritable = 0;
+    int unwritable = 0, vector = page_vector_body(3, 2);
     for (int64_t b = 0; b < lanes; b++) {
         const uint8_t *page = pages + b * page_bits, *word = data + b * 2 * cells;
         uint8_t *cell = out + b * page_bits;
         int stuck = 0;
-        for (int64_t c = 0; c < cells; c++) {
+        int64_t c = 0;
+#ifdef VECTOR_BODY
+        if (vector)
+            c = wom_encode_avx2(cells, next, page, word, cell, &stuck, &seen);
+#else
+        (void)vector;
+#endif
+        for (; c < cells; c++) {
             const uint8_t *p = page + 3 * c, *w = word + 2 * c;
             seen |= p[0] | p[1] | p[2] | w[0] | w[1];
             int target = next[PATTERN(p) << 2 | (w[0] & 1) | (w[1] & 1) << 1];
@@ -937,7 +1032,8 @@ int wom_encode(const int64_t *p,               /* the WOM block */
     return seen > 1 ? -2 : unwritable;
 }
 
-/* Read every lane's dataword: each cell's value is value_of[pattern]. */
+/* Read every lane's dataword: each cell's value is value_of[pattern], on
+ * AVX2 sixteen cells at a time, as wom_encode. */
 int wom_decode(const int64_t *p,               /* the WOM block */
                int64_t lanes,
                const uint8_t *restrict pages,   /* (lanes, page_bits) */
@@ -948,10 +1044,20 @@ int wom_decode(const int64_t *p,               /* the WOM block */
     if (cells < 0 || 3 * cells > page_bits || !value_of)
         return -2;
     unsigned seen = 0;
+    int vector = page_vector_body(3, 2);
+    uint8_t table[16] = {0};
+    memcpy(table, value_of, 8);
     for (int64_t b = 0; b < lanes; b++) {
         const uint8_t *page = pages + b * page_bits;
         uint8_t *word = data + b * 2 * cells;
-        for (int64_t c = 0; c < cells; c++) {
+        int64_t c = 0;
+#ifdef VECTOR_BODY
+        if (vector)
+            c = wom_decode_avx2(cells, table, page, word, &seen);
+#else
+        (void)vector;
+#endif
+        for (; c < cells; c++) {
             const uint8_t *p = page + 3 * c;
             seen |= p[0] | p[1] | p[2];
             int value = value_of[PATTERN(p)];
@@ -962,6 +1068,83 @@ int wom_decode(const int64_t *p,               /* the WOM block */
             seen |= page[i];
     }
     return seen > 1 ? -2 : 0;
+}
+
+/* A write's payload bits (repro.workload.payload_for): numpy's
+ * PCG64(seed).random_raw stream, byte i's top bit as payload bit i, each
+ * 64-bit word read low byte first.  The seed is the SeedSequence's entropy
+ * as uint32 words; the state is what numpy makes of it: the words hashed
+ * into a pool of four and mixed, generate_state(4, uint64) of the pool, and
+ * PCG64's srandom of (words 0, 1) as the 128-bit state and (2, 3) as the
+ * increment, high word first.  Each output word is the XSL-RR of the state
+ * after one more step.  Where there is no 128-bit integer, or on a
+ * big-endian host, it refuses, and the numpy twin draws the bits. */
+#define SEED_MULT_A 0x931e8875u
+#define SEED_MULT_B 0x58f38dedu
+#define SEED_XSHIFT 16
+
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= SEED_MULT_A;
+    value *= *hash;
+    return value ^ value >> SEED_XSHIFT;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> SEED_XSHIFT;
+}
+
+int payload(int64_t count,         /* seed words */
+            const uint32_t *words, /* (count,) */
+            int64_t bits,
+            uint8_t *out)          /* out (bits,): each 0 or 1 */
+{
+#if defined(__SIZEOF_INT128__) && defined(__BYTE_ORDER__) && \
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    typedef unsigned __int128 u128;
+    if (count < 0 || bits < 0 || (count && !words))
+        return -2;
+    uint32_t pool[4], hash = 0x43b0d7e5u, state[8];
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < count ? words[i] : 0, &hash);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (int64_t src = 4; src < count; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(words[src], &hash));
+    hash = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ hash;
+        hash *= SEED_MULT_B;
+        value *= hash;
+        state[i] = value ^ value >> SEED_XSHIFT;
+    }
+    /* generate_state's uint64 k is its uint32 words 2k (low) and 2k + 1. */
+#define WORD64(k) ((uint64_t)state[2 * (k) + 1] << 32 | state[2 * (k)])
+    const u128 mult = (u128)2549297995355413924u << 64 | 4865540595714422341u;
+    u128 inc = ((u128)WORD64(2) << 64 | WORD64(3)) << 1 | 1;
+    u128 s = inc;
+    s += (u128)WORD64(0) << 64 | WORD64(1);
+    s = s * mult + inc;
+#undef WORD64
+    for (int64_t n = 0; n < bits; n += 8) {
+        s = s * mult + inc;
+        uint64_t word = (uint64_t)(s >> 64) ^ (uint64_t)s;
+        unsigned rot = (unsigned)(s >> 122);
+        word = word >> rot | word << (-rot & 63);
+        uint64_t spread = word >> 7 & 0x0101010101010101u;
+        memcpy(out + n, &spread, bits - n < 8 ? (size_t)(bits - n) : 8);
+    }
+    return 0;
+#else
+    (void)count, (void)words, (void)bits, (void)out;
+    return -2;
+#endif
 }
 
 #else

@@ -9,11 +9,12 @@ the minimum-cost coset search, the hottest code in the repository, and
 the programming of the page; :class:`~repro.coding.viterbi.CosetViterbi`
 owns the search's tables and the dispatch.  Every MFC read is one call
 that forms the page's syndrome.  :class:`~repro.coding.wom.WomVCellCode`
-runs the WOM code's two table walks.
+runs the WOM code's two table walks, and
+:func:`~repro.workload.payload_for` draws every host write's payload bits.
 
-A backend is seven functions: the three stages of an MFC write, in the
+A backend is eight functions: the three stages of an MFC write, in the
 order the write runs them, the MFC read, the level count of any other
-page read, then the WOM code's two directions::
+page read, the WOM code's two directions, then a write's payload::
 
     search_inputs(code, datawords, pages) -> (chunks, levels)
     search(viterbi, reps, levels) -> (codeword_values, total_costs, writable)
@@ -22,6 +23,7 @@ page read, then the WOM code's two directions::
     levels(cells) -> levels
     wom_encode(code, datawords, pages) -> (new_pages, writable)
     wom_decode(code, pages) -> datawords
+    payload(seed_words, bits) -> bits
 
 ``search_inputs`` takes the
 :class:`~repro.coding.coset.ConvolutionalCosetCode`, ``(B,
@@ -79,12 +81,17 @@ pattern can reach keeps its bits and is not writable (``writable`` is
 ``(B,)`` bool, or a bool for one page), and the tail bits past
 ``used_bits`` pass through.  A byte that is not a bit is a
 :class:`~repro.errors.CodingError` naming its lane and bit.
+``payload`` takes a seed as the uint32 words ``SeedSequence`` reads (an
+op's ``data_seed`` as ``payload_for`` converts it) and a bit count, and
+returns that many uint8 bits: bit ``i`` the top bit of byte ``i`` of the
+``PCG64`` stream the words seed, each 64-bit word read low byte first.
 ``tests/coding/test_viterbi_kernel.py`` pins every available backend's
 ``search`` to byte-identical codewords, costs and writability,
 ``tests/coding/test_page_kernel.py`` the other two MFC stages, the MFC
 read and ``levels`` to the numpy backend's bytes and exception types, and
 ``tests/coding/test_wom_kernel.py`` the WOM pair to its bytes,
-exceptions and messages.
+exceptions and messages, and ``tests/coding/test_payload_kernel.py``
+``payload`` to numpy's stream.
 
 ``numpy`` (always available, the reference) vectorizes the recursion
 over lanes and serves every metric and every 2-regular trellis.
@@ -125,10 +132,17 @@ each page once.  The ``m - 1`` syndrome streams lie interleaved, so one
 shift register in one word divides them as one stream by
 ``g1(D**(m-1))``, eight bits per lookup in a 256-entry table built from
 ``g1``, and writes each step's chunk once; a page's bytes are summed per
-cell and each checked to be a bit.  Its WOM pair
-walks each page a cell at a time, one lookup in the code's table per
-cell; a byte that is not a bit fails the call, and the numpy twin then
-raises what it names.
+cell and each checked to be a bit.  Its WOM pair reads sixteen cells at
+a time where the CPU has AVX2 (``page_vector_body(3, 2)``: 3-bit cells
+of 2 bits each), as three bit planes, the next-pattern table two 16-byte
+lookups blended on the pattern's top bit and the value table one; the
+cells past the last sixteen, and every cell on any other CPU, go one at a
+time, a lookup in the code's table each.  A byte that is not a bit fails
+the call, and the numpy twin then raises what it names.  Its ``payload``
+is numpy's ``SeedSequence`` mix of the words, ``generate_state(4,
+uint64)`` and PCG64's seeding and XSL-RR output on a 128-bit integer,
+eight payload bits per output word; a compiler with no 128-bit integer,
+or a big-endian host, leaves it to the twin.
 Every one of its page-code kernels takes one int64 :class:`ParameterBlock`
 first, then the lane count, then the call's own arrays.  A block holds what
 never changes for one code, its shapes, limits and table addresses, in the
@@ -140,7 +154,8 @@ built, and each block keeps its tables alive.  A call so converts a
 pointer, the lane count and the page's arrays, up to seven arguments, and
 makes one output array; a whole MFC write is 18 arguments.  The wrappers
 check only the shapes of what a caller hands them, and the kernels range-
-check their blocks' fields as they would arguments.
+check their blocks' fields as they would arguments.  ``payload`` takes no
+block: its seed words, packed into one bytes object, and the bit count.
 Nothing is probed, imported or written until a code resolves its
 backend: by explicit name, then the ``REPRO_VITERBI_BACKEND`` variable,
 then ``"auto"`` (native when it builds, else numpy), memoized per name.
@@ -151,6 +166,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -190,6 +206,7 @@ class KernelBackend:
     levels: Callable
     wom_encode: Callable
     wom_decode: Callable
+    payload: Callable
     #: Reads ``CosetViterbi._fused_flat`` and the tables built from it: a
     #: searcher whose level space is too large to tabulate runs numpy instead.
     needs_fused_table: bool = False
@@ -370,6 +387,14 @@ def _wom_decode_numpy(code, pages):
     return unpack_values_axis(value_of_pattern.take(patterns), code.BITS_PER_VALUE)
 
 
+def _payload_numpy(seed, bits):
+    """Bit ``i`` is the top bit of byte ``i`` of the PCG64 stream seeded with
+    ``seed``, each 64-bit word read low byte first.  ``seed`` is anything
+    ``SeedSequence`` takes: its uint32 words, or the ints they came from."""
+    words = np.random.PCG64(seed).random_raw((bits + 7) // 8)
+    return words.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7
+
+
 # -- native backend -------------------------------------------------------------
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_viterbi.c")
@@ -387,6 +412,7 @@ _SIGNATURES = {
     "search_inputs": "bippp", "search": "biiippp", "program": "bipppp",
     "decode": "bipp", "wom_encode": "bipppp", "wom_decode": "bipp",
     "levels": "iiiipp", "search_vector_body": "i", "page_vector_body": "ii",
+    "payload": "ipip",
 }
 #: The fields of ``_viterbi.c``'s parameter blocks, in the order of its enums:
 #: an integer has no dtype, a table the dtype its kernels read it as.
@@ -530,8 +556,9 @@ def _make_native_backend() -> KernelBackend:
     # with the lane and the bit or cell.
     inputs_kernel, search_kernel = library.search_inputs, library.search
     levels_kernel, program_kernel = library.levels, library.program
-    decode_kernel = library.decode
+    decode_kernel, payload_kernel = library.decode, library.payload
     wom_encode_kernel, wom_decode_kernel = library.wom_encode, library.wom_decode
+    pack = struct.pack
 
     def search_inputs(code, datawords, pages):
         # One array: the chunks, then the levels.
@@ -676,9 +703,17 @@ def _make_native_backend() -> KernelBackend:
             return data
         return _wom_decode_numpy(code, pages)
 
+    def payload(seed_words, bits):
+        out = np.empty(bits, dtype=np.uint8)
+        # The words as native uint32, a bytes object ctypes passes as is.
+        words = pack(f"{len(seed_words)}I", *seed_words)
+        if payload_kernel(len(seed_words), words, bits, address(out)):
+            return _payload_numpy(seed_words, bits)  # no __int128, or big-endian
+        return out
+
     return KernelBackend(
         "native", search_inputs, search, program, decode, count, wom_encode,
-        wom_decode, needs_fused_table=True,
+        wom_decode, payload, needs_fused_table=True,
     )
 
 
@@ -691,6 +726,7 @@ _FACTORIES: dict[str, Callable[[], KernelBackend]] = {
     "numpy": lambda: KernelBackend(
         "numpy", _search_inputs_numpy, _search_numpy, _program_numpy,
         _decode_numpy, _popcount, _wom_encode_numpy, _wom_decode_numpy,
+        _payload_numpy,
     ),
     "native": _make_native_backend,
 }

@@ -120,7 +120,8 @@ class WomVCellCode(PageCode):
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(new_pages, writable)``; one page that cannot take the write
         raises ``UnwritableError``."""
-        data = self._datawords(datawords, batch)
+        # The backend checks each uint8 byte as it reads it.
+        data = self._datawords(datawords, batch, checked_later=True)
         bits = self._pages(pages, batch)
         if batch and len(data) != len(bits):
             raise CodingError(f"{len(data)} datawords for {len(bits)} pages")

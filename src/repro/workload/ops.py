@@ -54,6 +54,28 @@ class Op:
     data_seed: tuple[int, ...] | None = None
 
 
+#: The backend's payload kernel and its numpy twin, resolved by the first
+#: :func:`payload_for` call, not at import.
+_payload: tuple | None = None
+
+
+def _seed_words(seed) -> list[int] | None:
+    """``seed`` as the uint32 words ``SeedSequence`` reads: each entry's,
+    low word first, and 0 as one zero word.  None where an entry is not a
+    non-negative int, for the numpy twin to raise or read."""
+    if type(seed) is not tuple:
+        return None
+    words = []
+    for entry in seed:
+        if type(entry) is not int or entry < 0:
+            return None
+        words.append(entry & 0xFFFFFFFF)
+        while entry > 0xFFFFFFFF:
+            entry >>= 32
+            words.append(entry & 0xFFFFFFFF)
+    return words
+
+
 def payload_for(op: Op, bits: int) -> np.ndarray:
     """The deterministic payload bits of a WRITE op.
 
@@ -64,11 +86,24 @@ def payload_for(op: Op, bits: int) -> np.ndarray:
     stream, each 64-bit word read low byte first.  That is exactly what
     ``default_rng(data_seed).integers(0, 2, bits, dtype=np.uint8)`` draws
     (numpy's uint8 path takes one stream byte per output and, for a range
-    of two, never rejects one), without the generator's per-call cost.
+    of two, never rejects one).
+
+    The kernel backend computes them (``KernelBackend.payload``, resolved
+    as a code's is, by ``REPRO_VITERBI_BACKEND``, on the first call): the
+    native one seeds and steps PCG64 in C, the numpy one draws from
+    ``np.random.PCG64``, and both give the same bytes.  A seed entry that
+    is not a non-negative int goes to the numpy twin, which raises or reads
+    it as ``SeedSequence`` does.
     """
+    global _payload
     if op.data_seed is None:
         raise ValueError(f"{op.kind.value.upper()} ops carry no payload")
     if bits < 0:
         raise ValueError(f"a payload holds a non-negative bit count, not {bits}")
-    words = np.random.PCG64(op.data_seed).random_raw((bits + 7) // 8)
-    return words.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7
+    if _payload is None:
+        from repro.coding.kernels import _payload_numpy, resolve_backend
+
+        _payload = resolve_backend().payload, _payload_numpy
+    kernel, twin = _payload
+    words = _seed_words(op.data_seed)
+    return twin(op.data_seed, bits) if words is None else kernel(words, bits)

@@ -191,13 +191,15 @@ def test_library_exports_exactly_what_the_backend_binds() -> None:
     assert exported == set(kernels._SIGNATURES) == {
         "search_inputs", "search", "program", "decode", "levels",
         "wom_encode", "wom_decode", "search_vector_body", "page_vector_body",
+        "payload",
     }
 
 
 def test_every_page_code_kernel_takes_its_block_first() -> None:
     """One calling convention: each kernel a page code calls takes the code's
     parameter block, then the lane count, then arrays only, the block
-    nowhere else; the level count and the two body queries take none."""
+    nowhere else; the level count, the payload and the two body queries
+    take none."""
     page_kernels = {
         "search_inputs", "search", "program", "decode", "wom_encode", "wom_decode",
     }

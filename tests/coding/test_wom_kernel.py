@@ -10,6 +10,8 @@ this file under ASan + UBSan: the native entries take raw pointers.
 
 from __future__ import annotations
 
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro.coding import kernels
 from repro.coding.wom import WOM_NEXT_PATTERN, WOM_VALUE_OF_PATTERN, WomVCellCode
 from repro.errors import CodingError, UnwritableError
+
+from tests.coding.test_viterbi_kernel import _cpu_flags
 
 BACKENDS = kernels.available_backends()
 #: The backends pinned to numpy's pair.
@@ -28,6 +32,10 @@ needs_native = pytest.mark.skipif(
 
 #: 0, 1 and 2 tail bits each, at 4 cells, 24 and 1365 (a 4 KB page).
 PAGE_SIZES = [12, 13, 14, 72, 73, 74, 4096, 4097, 4098]
+
+#: Cell counts that are no multiple of sixteen, whose last cells the native
+#: kernel's AVX2 bodies leave to its plain loop: 23, 37 and 1365 cells.
+VECTOR_AND_TAIL = [3 * 23 + 2, 3 * 37, 4096]
 
 
 def _written_pages(page_bits: int, lanes: int, writes: int, seed: int) -> np.ndarray:
@@ -271,3 +279,60 @@ def test_the_code_resolves_its_backend_and_binds_its_tables(monkeypatch) -> None
     assert code._block.fields.tolist() == [
         12, code.num_cells, next_pattern.ctypes.data, value_of.ctypes.data,
     ]
+
+
+@needs_native
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or "avx2" not in _cpu_flags(),
+    reason="the vector body is for x86-64 CPUs whose /proc/cpuinfo lists avx2",
+)
+def test_wom_cells_take_the_sixteen_cell_body_where_the_cpu_has_avx2() -> None:
+    """A WOM cell is 3 bits holding 2: a fallback to the plain loop returns
+    the same bytes, slower, and only this test sees it."""
+    library = kernels._bind(kernels._load_native())
+    assert library.page_vector_body(3, WomVCellCode.BITS_PER_VALUE) == 1
+
+
+@pytest.mark.parametrize("backend", OTHERS)
+@pytest.mark.parametrize("page_bits", VECTOR_AND_TAIL)
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("where", ["vector", "tail"])
+def test_stuck_cells_and_non_bits_in_the_vector_part_and_the_tail(
+    backend, page_bits, lanes, where
+) -> None:
+    """A stuck cell, a page byte that is not a bit and a dataword byte that
+    is not a bit, each in a cell of the sixteen-cell part and in one of the
+    cells past it, in the last lane."""
+    reference = WomVCellCode(page_bits, backend="numpy")
+    other = WomVCellCode(page_bits, backend=backend)
+    cells = reference.num_cells
+    assert cells % 16
+    cell = 5 if where == "vector" else cells - 2
+    assert (cell < cells // 16 * 16) == (where == "vector")
+    rng = np.random.default_rng(page_bits + lanes)
+    pages = _written_pages(page_bits, lanes, 2, seed=lanes)
+    datawords = rng.integers(0, 2, (lanes, reference.dataword_bits), dtype=np.uint8)
+    pages[-1, 3 * cell : 3 * cell + 3] = 1  # saturated at 111 (value 00) ...
+    datawords[-1, 2 * cell : 2 * cell + 2] = (1, 0)  # ... and asked for 01
+    _assert_same_write(reference, other, datawords, pages)
+    assert not other.encode_batch(datawords, pages)[1][-1]
+    bad_pages, bad_data = pages.copy(), datawords.copy()
+    bad_pages[-1, 3 * cell + 1] = 2
+    bad_data[-1, 2 * cell + 1] = 3
+    for code in (reference, other):
+        assert _refusal(lambda: code.encode_batch(datawords, bad_pages)) == (
+            CodingError, f"page lane {lanes - 1}, bit {3 * cell + 1}: 2 is not a bit"
+        )
+        assert _refusal(lambda: code.encode_batch(bad_data, pages)) == (
+            CodingError,
+            f"dataword lane {lanes - 1}, bit {2 * cell + 1}: 3 is not a bit",
+        )
+        assert _refusal(lambda: code.decode_batch(bad_pages)) == (
+            CodingError, f"page lane {lanes - 1}, bit {3 * cell + 1}: 2 is not a bit"
+        )
+        assert _refusal(lambda: code.encode(bad_data[-1], pages[-1])) == (
+            CodingError, f"dataword bit {2 * cell + 1}: 3 is not a bit"
+        )
+        assert _refusal(lambda: code.decode(bad_pages[-1])) == (
+            CodingError, f"page bit {3 * cell + 1}: 2 is not a bit"
+        )

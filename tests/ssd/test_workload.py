@@ -73,6 +73,22 @@ class TestZipf:
         wl = ZipfWorkload(8, seed=4)
         assert all(0 <= wl.next_lpn() < 8 for _ in range(200))
 
+    @pytest.mark.parametrize("pages", [12, 395])
+    def test_the_largest_draw_reads_the_last_page(self, pages) -> None:
+        """At these page counts the weights' running sum ends below 1.0,
+        so the largest draw ``random()`` can return used to land one past
+        the last page."""
+        ranks = np.arange(1, pages + 1, dtype=np.float64)
+        assert np.cumsum(1 / ranks / (1 / ranks).sum())[-1] < 1.0
+        wl = ZipfWorkload(pages, seed=0)
+
+        class Largest:
+            def random(self) -> float:
+                return float(np.nextafter(1.0, 0))
+
+        wl.rng = Largest()
+        assert wl.next_lpn() == pages - 1
+
 
 class TestValidation:
     def test_empty_address_space_rejected(self) -> None:
